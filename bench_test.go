@@ -47,9 +47,10 @@ func minPositive(vals []float64) float64 {
 // BenchmarkTable61 regenerates Table 6.1: minimum MCL per acyclic CDG
 // under BSOR_MILP for all six workloads.
 func BenchmarkTable61(b *testing.B) {
-	m := topology.NewMesh(8, 8)
 	for i := 0; i < b.N; i++ {
-		rows := experiments.TableCDGExploration(m, benchMILP(), 2)
+		r := &experiments.Runner{MILP: benchMILP()}
+		rows := experiments.CDGRows(r.Run(experiments.TableJobs("table-cdg", experiments.MeshSpec(8, 8),
+			"BSOR-MILP", experiments.TableBreakerNames(), 2)))
 		for _, r := range rows {
 			if r.Workload == "transpose" {
 				b.ReportMetric(minPositive(r.MCL), "transposeMCL")
@@ -64,9 +65,9 @@ func BenchmarkTable61(b *testing.B) {
 // BenchmarkTable62 regenerates Table 6.2: minimum MCL per acyclic CDG
 // under BSOR_Dijkstra.
 func BenchmarkTable62(b *testing.B) {
-	m := topology.NewMesh(8, 8)
 	for i := 0; i < b.N; i++ {
-		rows := experiments.TableCDGExploration(m, route.DijkstraSelector{}, 2)
+		rows := experiments.CDGRows(experiments.NewRunner().Run(experiments.TableJobs("table-cdg",
+			experiments.MeshSpec(8, 8), "BSOR-Dijkstra", experiments.TableBreakerNames(), 2)))
 		for _, r := range rows {
 			if r.Workload == "transpose" {
 				b.ReportMetric(minPositive(r.MCL), "transposeMCL")
@@ -78,9 +79,10 @@ func BenchmarkTable62(b *testing.B) {
 // BenchmarkTable63 regenerates Table 6.3: MCL of XY, YX, ROMM, Valiant,
 // BSOR_MILP and BSOR_Dijkstra on every workload.
 func BenchmarkTable63(b *testing.B) {
-	m := topology.NewMesh(8, 8)
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table63(m, benchMILP(), route.DijkstraSelector{}, 2, experiments.TableBreakers())
+		r := &experiments.Runner{MILP: benchMILP()}
+		rows := experiments.AlgoRows(r.Run(experiments.AlgoTableJobs("table6.3", experiments.MeshSpec(8, 8),
+			experiments.Table63Algorithms(), experiments.TableBreakerNames(), 2)))
 		for _, r := range rows {
 			if r.Workload == "transpose" {
 				// Column order: XY, YX, ROMM, Valiant, BSOR-MILP, BSOR-Dijkstra.
@@ -97,12 +99,12 @@ func benchFigure(b *testing.B, workload string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r := &experiments.Runner{MILP: benchMILP()}
-		series, err := r.FigureSweep(experiments.MeshSpec(8, 8), workload,
-			experiments.FigureAlgorithms(), benchRates(), benchParams())
-		if err != nil {
+		results := r.Run(experiments.SweepJobs("figure", experiments.MeshSpec(8, 8), workload,
+			experiments.FigureAlgorithms(), experiments.TableBreakerNames(), benchRates(), 0, benchParams()))
+		if err := experiments.FirstError(results); err != nil {
 			b.Fatal(err)
 		}
-		for _, s := range series {
+		for _, s := range experiments.SeriesFrom(results) {
 			last := s.Points[len(s.Points)-1]
 			switch s.Algorithm {
 			case "BSOR-Dijkstra":
@@ -136,12 +138,13 @@ func BenchmarkFig66Transmitter(b *testing.B) { benchFigure(b, "transmitter") }
 // virtual channels, reporting the 2-VC and 4-VC saturation throughput
 // whose ratio carries the thesis' ~40% head-of-line-blocking finding.
 func BenchmarkFig67VCSweep(b *testing.B) {
-	m := topology.NewMesh(8, 8)
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.VCSweep(m, "transpose", []int{1, 2, 4, 8}, benchRates(), benchParams())
-		if err != nil {
+		results := experiments.NewRunner().Run(experiments.VCSweepJobs("vcsweep", experiments.MeshSpec(8, 8),
+			"transpose", []string{"BSOR-Dijkstra", "XY"}, []int{1, 2, 4, 8}, benchRates(), benchParams()))
+		if err := experiments.FirstError(results); err != nil {
 			b.Fatal(err)
 		}
+		out := experiments.SeriesByVC(results)
 		for _, vcs := range []int{2, 4} {
 			for _, s := range out[vcs] {
 				if s.Algorithm == "BSOR-Dijkstra" {
@@ -161,12 +164,12 @@ func benchVariation(b *testing.B, percent float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r := &experiments.Runner{MILP: benchMILP()}
-		series, err := r.VariationSweep(experiments.MeshSpec(8, 8), "transpose",
-			experiments.FigureAlgorithms(), percent, benchRates(), benchParams())
-		if err != nil {
+		results := r.Run(experiments.SweepJobs("variation", experiments.MeshSpec(8, 8), "transpose",
+			experiments.FigureAlgorithms(), experiments.TableBreakerNames(), benchRates(), percent, benchParams()))
+		if err := experiments.FirstError(results); err != nil {
 			b.Fatal(err)
 		}
-		for _, s := range series {
+		for _, s := range experiments.SeriesFrom(results) {
 			if s.Algorithm == "BSOR-Dijkstra" {
 				last := s.Points[len(s.Points)-1]
 				b.ReportMetric(last.Throughput, "bsorSatTput")

@@ -81,12 +81,9 @@ func (s ChurnSpec) validate(label string) error {
 	fail := func(field, reason string, args ...any) error {
 		return &SpecError{Spec: label, Field: field, Reason: fmt.Sprintf(reason, args...)}
 	}
-	if !knownTopoKinds[s.Topo.Kind] {
-		return fail("topo", "unknown topology kind %q", s.Topo.Kind)
-	}
-	if s.Topo.Width < 0 || s.Topo.Height < 0 || s.Topo.Nodes < 0 ||
-		s.Topo.Spines < 0 || s.Topo.Leaves < 0 || s.Topo.Faults < 0 {
-		return fail("topo", "negative topology parameter in %+v", s.Topo)
+	if se := s.Topo.validate(); se != nil {
+		se.Spec = label
+		return se
 	}
 	if s.Workload == "" {
 		return fail("workload", "required (known: %v)", Workloads())
@@ -199,16 +196,17 @@ type ChurnResult struct {
 	Err error `json:"-"`
 }
 
-// RunChurn validates and executes the churn specs. Results are indexed
-// like specs and deterministic for any worker count. Of the pipeline
-// options only WithWorkers and WithMetrics apply. Invalid specs fail the
-// whole call with a *SpecError; runtime failures are reported per
-// result.
+// RunChurn validates and executes the churn specs on a throwaway Engine.
+// Of the options only WithWorkers and WithMetrics apply.
 func RunChurn(ctx context.Context, specs []ChurnSpec, opts ...Option) ([]ChurnResult, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	return NewEngine(opts...).RunChurn(ctx, specs)
+}
+
+// RunChurn validates and executes the churn specs. Results are indexed
+// like specs and deterministic for any worker count. Invalid specs fail
+// the whole call with a *SpecError; runtime failures are reported per
+// result.
+func (e *Engine) RunChurn(ctx context.Context, specs []ChurnSpec) ([]ChurnResult, error) {
 	if len(specs) == 0 {
 		return nil, &SpecError{Reason: "at least one churn spec is required"}
 	}
@@ -219,8 +217,7 @@ func RunChurn(ctx context.Context, specs []ChurnSpec, opts ...Option) ([]ChurnRe
 		}
 		engineSpecs[i] = s.spec()
 	}
-	r := &experiments.Runner{Workers: cfg.workers, WorkloadFn: registryHook, Metrics: cfg.metrics}
-	raw, err := r.RunChurn(ctx, engineSpecs)
+	raw, err := e.runner.RunChurn(ctx, engineSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -247,23 +244,9 @@ func churnFromEngine(specIdx int, spec ChurnSpec, res experiments.ChurnResult) C
 		}
 		return out
 	}
-	if p := res.Point; p != nil {
-		out.Point = &Point{
-			Offered:         p.Offered,
-			Throughput:      p.Throughput,
-			AvgLatency:      p.AvgLatency,
-			AvgTotalLatency: p.AvgTotalLatency,
-			LatencyStd:      p.LatencyStd,
-			LatencyP99:      p.LatencyP99,
-			Injected:        p.Injected,
-			Delivered:       p.Delivered,
-			Deadlocked:      p.Deadlocked,
-			DroppedFlits:    p.DroppedFlits,
-			DroppedPackets:  p.DroppedPackets,
-			RequeuedPackets: p.RequeuedPackets,
-			RecoveryCycles:  p.RecoveryCycles,
-			ThroughputDip:   p.ThroughputDip,
-		}
+	if res.Point != nil {
+		point := Point(*res.Point)
+		out.Point = &point
 	}
 	out.Events = make([]ChurnEvent, len(res.Events))
 	for i, ev := range res.Events {

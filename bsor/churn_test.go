@@ -49,6 +49,9 @@ func TestChurnSpecValidation(t *testing.T) {
 	}{
 		{"unknown topo kind", func(s *ChurnSpec) { s.Topo.Kind = "hypercube" }, "topo"},
 		{"negative topo param", func(s *ChurnSpec) { s.Topo.Width = -1 }, "topo"},
+		{"two-node ring", func(s *ChurnSpec) { s.Topo = Ring(2) }, "topo"},
+		{"one-node fullmesh", func(s *ChurnSpec) { s.Topo = FullMesh(1) }, "topo"},
+		{"one-leaf clos", func(s *ChurnSpec) { s.Topo = FoldedClos(1, 1) }, "topo"},
 		{"missing workload", func(s *ChurnSpec) { s.Workload = "" }, "workload"},
 		{"unknown workload", func(s *ChurnSpec) { s.Workload = "nonesuch" }, "workload"},
 		{"bad vcs", func(s *ChurnSpec) { s.VCs = 64 }, "vcs"},

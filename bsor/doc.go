@@ -48,7 +48,20 @@
 // Synthesize returns the selected route set itself (with per-flow hop
 // dumps, a load heatmap, and an independent deadlock-freedom check);
 // Explore reports the maximum channel load under every explored acyclic
-// CDG, one entry per cycle-breaking strategy.
+// CDG, one entry per cycle-breaking strategy; Verify returns the route
+// set's independent deadlock-freedom certificate.
+//
+// # Engines
+//
+// All of the above are renderings of one synthesis per spec. The
+// package-level functions each run on a throwaway Engine; a caller that
+// asks several questions of the same specs holds one instead, and pays
+// for each synthesis once:
+//
+//	e := bsor.NewEngine(bsor.WithWorkers(8))
+//	table, err := e.Explore(ctx, spec)
+//	best, err := e.Synthesize(ctx, spec) // no second exploration
+//	p, err := e.NewPipeline(specs)       // shares the same syntheses
 //
 // # Errors
 //

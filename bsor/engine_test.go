@@ -1,0 +1,84 @@
+package bsor
+
+import (
+	"context"
+	"errors"
+	"testing"
+)
+
+// TestEngineRendersOneSynthesis: every question asked of one spec on one
+// Engine — table, route set, certificate, simulation sweep — is answered
+// from a single synthesis, and the answers agree with each other.
+func TestEngineRendersOneSynthesis(t *testing.T) {
+	ctx := context.Background()
+	m := NewMetrics()
+	e := NewEngine(WithMetrics(m), WithWorkers(2))
+	spec := Spec{Name: "one", Topo: Mesh(4, 4), Workload: "transpose"}
+
+	rows, err := e.Explore(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := e.Synthesize(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := e.Verify(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Sim = &SimSpec{Rates: []float64{2, 4}, Warmup: 500, Measure: 2000, Seed: 1}
+	p, err := e.NewPipeline([]Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := p.RunAll(ctx)
+	if err != nil || FirstError(results) != nil {
+		t.Fatalf("RunAll: %v / %v", err, FirstError(results))
+	}
+
+	best := -1.0
+	for _, row := range rows {
+		if row.Err == nil && (best < 0 || row.MCL < best) {
+			best = row.MCL
+		}
+	}
+	if rs.MCL() != best || cert.MCL != best || results[0].MCL != best || cert.Breaker != rs.Breaker() {
+		t.Errorf("renderings disagree: table best %g, route set %g via %s, certificate %g via %s, sim %g",
+			best, rs.MCL(), rs.Breaker(), cert.MCL, cert.Breaker, results[0].MCL)
+	}
+	snap := m.Snapshot()
+	if snap["engine_synth_cache_misses_total"] != 1 || snap["engine_synth_cache_hits_total"] != 4 {
+		t.Errorf("misses %g hits %g, want 1 synthesis and 4 memo hits (synthesize, verify, two rates)",
+			snap["engine_synth_cache_misses_total"], snap["engine_synth_cache_hits_total"])
+	}
+
+	// The package-level calls are the same path on a throwaway Engine.
+	alone, err := Synthesize(ctx, spec)
+	if err != nil || alone.MCL() != rs.MCL() || alone.Breaker() != rs.Breaker() {
+		t.Errorf("package-level Synthesize = %v, %v; engine gave %g via %s", alone, err, rs.MCL(), rs.Breaker())
+	}
+}
+
+// TestEngineKeepsInfeasibleTable: the table of a spec whose every breaker
+// fails still renders; only the route set is refused.
+func TestEngineKeepsInfeasibleTable(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine()
+	spec := Spec{Topo: Torus(4, 4), Workload: "transpose", Breakers: []string{"E-first", "N-last"}}
+	rows, err := e.Explore(ctx, spec)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("Explore = %d rows, %v; want the 2-row table", len(rows), err)
+	}
+	for _, row := range rows {
+		if row.Err == nil || row.MCL != -1 {
+			t.Errorf("row %s: MCL %g err %v, want a failed row", row.Breaker, row.MCL, row.Err)
+		}
+	}
+	if _, err := e.Synthesize(ctx, spec); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Synthesize = %v, want ErrInfeasible", err)
+	}
+	if _, err := e.Verify(ctx, spec); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Verify = %v, want ErrInfeasible", err)
+	}
+}

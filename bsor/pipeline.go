@@ -66,7 +66,7 @@ func (b MILPBudget) selector() route.Selector {
 	}
 }
 
-// config carries the pipeline options.
+// config carries the engine options.
 type config struct {
 	workers   int
 	progress  func(done, total int)
@@ -83,8 +83,9 @@ func defaultConfig() config {
 	return config{algorithm: "BSOR-Dijkstra"}
 }
 
-// Option configures a Pipeline (and Synthesize/Explore, which accept the
-// subset that applies to a single synthesis).
+// Option configures an Engine (and so every Pipeline and one-off call on
+// it; Synthesize/Explore/Verify honor the subset that applies to a single
+// synthesis).
 type Option func(*config)
 
 // WithWorkers sizes the job worker pool; 0 (the default) means NumCPU.
@@ -152,36 +153,35 @@ func WithSimDefaults(d SimSpec) Option {
 	return func(c *config) { c.sim = d }
 }
 
-// Pipeline executes a validated list of Specs on a concurrent engine
-// with memoized route synthesis: every unique (topology, workload,
-// algorithm, VCs, breakers) combination is synthesized once and shared
-// by all simulation points that reuse it. Construct with NewPipeline;
-// a Pipeline may run any number of times and keeps its synthesis cache
-// across runs.
+// Pipeline executes a validated list of Specs on an Engine's concurrent
+// job pool: every unique (topology, workload, algorithm, VCs, breakers)
+// combination is synthesized once and shared by all simulation points
+// that reuse it — and by every other pipeline and one-off call on the
+// same Engine. Construct with Engine.NewPipeline (or the package-level
+// NewPipeline, which builds its own Engine); a Pipeline may run any
+// number of times.
 type Pipeline struct {
+	eng   *Engine
 	specs []Spec // defaulted
-	cfg   config
 
 	jobs   []experiments.Job
 	specOf []int // job index -> spec index
-
-	runnerOnce sync.Once
-	runner     *experiments.Runner
 }
 
-// NewPipeline validates specs, resolves the options' defaults into them,
-// and returns a Pipeline ready to Run. Invalid specs yield a *SpecError.
+// NewPipeline builds an Engine from the options and returns a Pipeline
+// over specs on it; see Engine.NewPipeline.
 func NewPipeline(specs []Spec, opts ...Option) (*Pipeline, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	canonical, err := NormalizeAlgorithm(cfg.algorithm)
-	if err != nil {
+	return NewEngine(opts...).NewPipeline(specs)
+}
+
+// NewPipeline validates specs, resolves the Engine's defaults into them,
+// and returns a Pipeline ready to Run. Invalid specs — and invalid
+// WithSelector / WithBreakers values — yield a *SpecError.
+func (e *Engine) NewPipeline(specs []Spec) (*Pipeline, error) {
+	if _, err := NormalizeAlgorithm(e.cfg.algorithm); err != nil {
 		return nil, err
 	}
-	cfg.algorithm = canonical
-	for _, b := range cfg.breakers {
+	for _, b := range e.cfg.breakers {
 		if !KnownBreaker(b) {
 			return nil, &SpecError{Field: "breakers", Reason: fmt.Sprintf("unknown breaker %q", b)}
 		}
@@ -189,16 +189,16 @@ func NewPipeline(specs []Spec, opts ...Option) (*Pipeline, error) {
 	if len(specs) == 0 {
 		return nil, &SpecError{Reason: "at least one spec is required"}
 	}
-	p := &Pipeline{cfg: cfg}
+	p := &Pipeline{eng: e}
 	for i, s := range specs {
-		// Validate the spec *after* resolving the pipeline defaults, so
+		// Validate the spec *after* resolving the engine defaults, so
 		// constraints that depend on the effective algorithm (Explore and
 		// Breakers require a BSOR variant) hold against what will actually
 		// run — e.g. WithSelector("XY") plus an Explore spec must be
 		// rejected, not expanded into per-breaker XY rows. Raw-name errors
 		// are still caught: withDefaults leaves unknown names untouched.
 		label := fmt.Sprintf("%s[%d]", orSpec(s.Name), i)
-		s = s.withDefaults(cfg)
+		s = s.withDefaults(e.cfg)
 		if err := s.validate(label); err != nil {
 			return nil, err
 		}
@@ -222,36 +222,6 @@ func orSpec(name string) string {
 // the denominator WithProgress callbacks see.
 func (p *Pipeline) NumJobs() int { return len(p.jobs) }
 
-// runner builds an engine runner honoring the options: the workload
-// registry hook, the MILP budget, and — so WithWorkers bounds total
-// parallelism, not just the job pool — the candidate-enumeration worker
-// counts of the selectors that fan out internally.
-func (c config) runner() *experiments.Runner {
-	r := &experiments.Runner{
-		Workers:    c.workers,
-		WorkloadFn: registryHook,
-		Certify:    c.certify,
-		Metrics:    c.metrics,
-	}
-	if c.milpSet || c.workers > 0 {
-		milp := c.milp
-		if milp.Workers == 0 {
-			milp.Workers = c.workers
-		}
-		r.MILP = milp.selector()
-	}
-	if c.workers > 0 {
-		r.Heuristic = route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 32, Workers: c.workers}
-	}
-	return r
-}
-
-// ensureRunner builds the shared engine runner on first use.
-func (p *Pipeline) ensureRunner() *experiments.Runner {
-	p.runnerOnce.Do(func() { p.runner = p.cfg.runner() })
-	return p.runner
-}
-
 // Run starts the pipeline and returns a channel streaming one Result per
 // unit of work as it completes (completion order depends on scheduling;
 // the results' values do not). The channel closes when all work is done
@@ -262,13 +232,12 @@ func (p *Pipeline) Run(ctx context.Context) (<-chan Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := p.ensureRunner()
 	out := make(chan Result)
 	jobs := p.jobs
-	progress := p.cfg.progressFn(len(jobs))
+	progress := p.eng.cfg.progressFn(len(jobs))
 	go func() {
 		defer close(out)
-		_ = r.Stream(ctx, jobs, func(i int, res experiments.Result) {
+		_ = p.eng.runner.Stream(ctx, jobs, func(i int, res experiments.Result) {
 			specIdx := p.specOf[i]
 			converted := fromEngine(specIdx, p.specs[specIdx], res)
 			select {
@@ -285,14 +254,13 @@ func (p *Pipeline) Run(ctx context.Context) (<-chan Result, error) {
 // order (spec order, then breaker or rate order within a spec). On
 // cancellation it returns the results completed so far plus ctx.Err().
 func (p *Pipeline) RunAll(ctx context.Context) ([]Result, error) {
-	r := p.ensureRunner()
 	jobs := p.jobs
 	total := len(jobs)
 	results := make([]Result, 0, total)
 	filled := make([]bool, total)
 	raw := make([]experiments.Result, total)
-	progress := p.cfg.progressFn(total)
-	err := r.Stream(ctx, jobs, func(i int, res experiments.Result) {
+	progress := p.eng.cfg.progressFn(total)
+	err := p.eng.runner.Stream(ctx, jobs, func(i int, res experiments.Result) {
 		raw[i], filled[i] = res, true
 		progress()
 	})

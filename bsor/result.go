@@ -102,17 +102,8 @@ func fromEngine(specIdx int, spec Spec, res experiments.Result) Result {
 		out.Certificate = newCertificate(res.Cert, out.Breaker)
 	}
 	if res.Point != nil {
-		out.Point = &Point{
-			Offered:         res.Point.Offered,
-			Throughput:      res.Point.Throughput,
-			AvgLatency:      res.Point.AvgLatency,
-			AvgTotalLatency: res.Point.AvgTotalLatency,
-			LatencyStd:      res.Point.LatencyStd,
-			LatencyP99:      res.Point.LatencyP99,
-			Injected:        res.Point.Injected,
-			Delivered:       res.Point.Delivered,
-			Deadlocked:      res.Point.Deadlocked,
-		}
+		point := Point(*res.Point) // same fields, façade-owned type
+		out.Point = &point
 	}
 	return out
 }

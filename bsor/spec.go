@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cdg"
 	"repro/internal/experiments"
 )
 
@@ -69,12 +70,6 @@ type Spec struct {
 	Sim *SimSpec `json:"sim,omitempty"`
 }
 
-// knownTopoKinds mirrors the engine's TopoSpec.Build switch.
-var knownTopoKinds = map[string]bool{
-	"": true, "mesh": true, "torus": true, "ring": true, "fullmesh": true,
-	"clos": true, "faulted-mesh": true, "faulted-torus": true,
-}
-
 // Validate checks the spec against the registries and returns a
 // *SpecError describing the first problem found, or nil. label
 // identifies the spec in the error ("" uses Spec.Name).
@@ -85,12 +80,9 @@ func (s Spec) validate(label string) error {
 	fail := func(field, reason string, args ...any) error {
 		return &SpecError{Spec: label, Field: field, Reason: fmt.Sprintf(reason, args...)}
 	}
-	if !knownTopoKinds[s.Topo.Kind] {
-		return fail("topo", "unknown topology kind %q", s.Topo.Kind)
-	}
-	if s.Topo.Width < 0 || s.Topo.Height < 0 || s.Topo.Nodes < 0 ||
-		s.Topo.Spines < 0 || s.Topo.Leaves < 0 || s.Topo.Faults < 0 {
-		return fail("topo", "negative topology parameter in %+v", s.Topo)
+	if se := s.Topo.validate(); se != nil {
+		se.Spec = label
+		return se
 	}
 	if s.Workload == "" {
 		return fail("workload", "required (known: %v)", Workloads())
@@ -110,9 +102,23 @@ func (s Spec) validate(label string) error {
 		}
 		alg = canonical
 	}
-	for _, b := range s.Breakers {
-		if !KnownBreaker(b) {
-			return fail("breakers", "unknown breaker %q", b)
+	for _, name := range s.Breakers {
+		b, err := experiments.BreakerByName(name)
+		if err != nil {
+			return fail("breakers", "unknown breaker %q", name)
+		}
+		// The parametric up*/down* families root a spanning order at a
+		// node id, which must exist on this topology.
+		root, nodes := 0, s.Topo.NumNodes()
+		switch b := b.(type) {
+		case cdg.UpDownBreaker:
+			root = int(b.Root)
+		case cdg.UpDownEscapeBreaker:
+			root = int(b.Root)
+		}
+		if root >= nodes {
+			return fail("breakers", "breaker %q is rooted at node %d, outside %s's %d nodes",
+				name, root, s.Topo, nodes)
 		}
 	}
 	if len(s.Breakers) > 0 && alg != "" && !isBSOR(alg) {

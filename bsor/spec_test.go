@@ -78,6 +78,15 @@ func TestSpecValidation(t *testing.T) {
 			Sim: &SimSpec{Rates: []float64{1}, Workers: -1}}, "sim"},
 		{"absurd sim workers", Spec{Workload: "transpose",
 			Sim: &SimSpec{Rates: []float64{1}, Workers: 4096}}, "sim"},
+		// Parameters the topology constructors panic on, and a breaker
+		// rooted outside the topology.
+		{"two-node ring", Spec{Topo: Ring(2), Workload: "rand-perm"}, "topo"},
+		{"one-node fullmesh", Spec{Topo: FullMesh(1), Workload: "rand-perm"}, "topo"},
+		{"one-leaf clos", Spec{Topo: FoldedClos(1, 1), Workload: "rand-perm"}, "topo"},
+		{"breaker root off the mesh", Spec{Topo: Mesh(4, 4), Workload: "transpose",
+			Breakers: []string{"updown@99"}}, "breakers"},
+		{"escape breaker root off the ring", Spec{Topo: Ring(8), Workload: "rand-perm",
+			Breakers: []string{"updown-escape@8"}}, "breakers"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -94,10 +103,15 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("%s: field %q, want %q", tc.name, se.Field, tc.field)
 		}
 	}
-	good := Spec{Topo: Torus(4, 4), Workload: "shuffle", Algorithm: "bsor-milp",
-		Sim: &SimSpec{Rates: []float64{5}}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	for _, good := range []Spec{
+		{Topo: Torus(4, 4), Workload: "shuffle", Algorithm: "bsor-milp", Sim: &SimSpec{Rates: []float64{5}}},
+		// An explicit zero still means the kind's default size.
+		{Topo: Ring(0), Workload: "rand-perm", Breakers: []string{"updown@7"}},
+		{Topo: Topology{Kind: "clos"}, Workload: "rand-perm"},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid spec %+v rejected: %v", good, err)
+		}
 	}
 }
 

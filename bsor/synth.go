@@ -2,13 +2,9 @@ package bsor
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/flowgraph"
-	"repro/internal/route"
 	"repro/internal/topology"
 	"repro/internal/viz"
 )
@@ -22,56 +18,51 @@ type RouteInfo struct {
 	Hops []string
 }
 
-// RouteSet is a synthesized deadlock-free route assignment, wrapping the
-// internal representation with the read-only views callers need.
+// RouteSet is a synthesized deadlock-free route assignment: the
+// read-only views callers need of one successful synthesis artifact.
 type RouteSet struct {
-	topo    topology.Topology
-	set     *route.Set
-	breaker string
-	vcs     int
+	art *experiments.Artifact
 }
 
 // MCL returns the maximum channel load (MB/s) — the figure of merit BSOR
 // minimizes.
-func (rs *RouteSet) MCL() float64 {
-	mcl, _ := rs.set.MCL()
-	return mcl
-}
+func (rs *RouteSet) MCL() float64 { return rs.art.MCL }
 
 // Bottleneck names the channel carrying the maximum load.
 func (rs *RouteSet) Bottleneck() string {
-	_, ch := rs.set.MCL()
-	return channelName(rs.topo, ch)
+	_, ch := rs.art.Set.MCL()
+	return channelName(rs.art.Topo, ch)
 }
 
 // AvgHops returns the mean route length across flows.
-func (rs *RouteSet) AvgHops() float64 { return rs.set.AvgHops() }
+func (rs *RouteSet) AvgHops() float64 { return rs.art.AvgHops }
 
 // Breaker names the acyclic-CDG strategy behind the winning route set
 // ("" for baseline algorithms, which do not explore CDGs).
-func (rs *RouteSet) Breaker() string { return rs.breaker }
+func (rs *RouteSet) Breaker() string { return rs.art.Breaker }
 
 // VCs reports the virtual channel count the set was synthesized for.
-func (rs *RouteSet) VCs() int { return rs.vcs }
+func (rs *RouteSet) VCs() int { return rs.art.Job.VCs }
 
 // VerifyDeadlockFree re-checks the Dally–Seitz condition on the actual
 // (channel, VC) dependences the routes use — an independent safety net
 // on top of the by-construction guarantee. Returns nil when acyclic.
 func (rs *RouteSet) VerifyDeadlockFree() error {
-	return rs.set.DeadlockFree(rs.vcs)
+	return rs.art.Set.DeadlockFree(rs.art.Job.VCs)
 }
 
 // Routes lists every flow's assigned route in flow order.
 func (rs *RouteSet) Routes() []RouteInfo {
-	out := make([]RouteInfo, len(rs.set.Routes))
-	for i, r := range rs.set.Routes {
+	topo, set := rs.art.Topo, rs.art.Set
+	out := make([]RouteInfo, len(set.Routes))
+	for i, r := range set.Routes {
 		info := RouteInfo{Flow: Flow{
 			Name: r.Flow.Name, Src: int(r.Flow.Src), Dst: int(r.Flow.Dst),
 			Demand: r.Flow.Demand,
 		}}
 		for k, ch := range r.Channels {
 			info.Hops = append(info.Hops,
-				fmt.Sprintf("%s/vc%d", channelName(rs.topo, ch), r.VCs[k]))
+				fmt.Sprintf("%s/vc%d", channelName(topo, ch), r.VCs[k]))
 		}
 		out[i] = info
 	}
@@ -81,8 +72,8 @@ func (rs *RouteSet) Routes() []RouteInfo {
 // Heatmap renders the per-link load as an ASCII heatmap. Only meshes
 // have the printable planar embedding; other topologies return "".
 func (rs *RouteSet) Heatmap() string {
-	if m, ok := rs.topo.(*topology.Mesh); ok {
-		return viz.LoadHeatmap(m, rs.set.Loads())
+	if m, ok := rs.art.Topo.(*topology.Mesh); ok {
+		return viz.LoadHeatmap(m, rs.art.Set.Loads())
 	}
 	return ""
 }
@@ -119,86 +110,17 @@ type Exploration struct {
 // route set: BSOR variants explore the spec's breakers and keep the best
 // MCL, baselines route directly. The spec's Sim field is ignored.
 // Accepts the Options that apply to a single synthesis (WithSelector,
-// WithBreakers, WithMILPBudget, WithWorkers for enumeration).
+// WithBreakers, WithMILPBudget, WithWorkers for enumeration). It runs on
+// a throwaway Engine; callers asking several questions of one spec share
+// the work by holding an Engine.
 func Synthesize(ctx context.Context, spec Spec, opts ...Option) (*RouteSet, error) {
-	t, flows, alg, vcs, err := synthInputs(spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	if bsorAlg, ok := alg.(core.BSOR); ok {
-		set, ex, err := core.BestContext(ctx, t, flows, bsorAlg.Config)
-		if err != nil {
-			return nil, classify(err)
-		}
-		return &RouteSet{topo: t, set: set, breaker: ex.Breaker, vcs: vcs}, nil
-	}
-	set, err := route.RoutesWithContext(ctx, alg, t, flows)
-	if err != nil {
-		return nil, classify(err)
-	}
-	return &RouteSet{topo: t, set: set, vcs: vcs}, nil
+	return NewEngine(opts...).Synthesize(ctx, spec)
 }
 
 // Explore runs one spec's BSOR synthesis under every breaker of its
 // exploration set and reports the maximum channel load found under each,
-// in breaker order — the per-CDG table the thesis' chapter 6 opens with.
-// The spec's algorithm must be a BSOR variant.
+// in breaker order (see Engine.Explore). The spec's algorithm must be a
+// BSOR variant.
 func Explore(ctx context.Context, spec Spec, opts ...Option) ([]Exploration, error) {
-	t, flows, alg, _, err := synthInputs(spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	bsorAlg, ok := alg.(core.BSOR)
-	if !ok {
-		return nil, &SpecError{Spec: spec.Name, Field: "algorithm",
-			Reason: fmt.Sprintf("%s does not explore CDG breakers", alg.Name())}
-	}
-	explored, err := core.ExploreContext(ctx, t, flows, bsorAlg.Config)
-	if err != nil {
-		return nil, classify(err)
-	}
-	out := make([]Exploration, len(explored))
-	for i, ex := range explored {
-		out[i] = Exploration{Breaker: ex.Breaker, MCL: ex.MCL, AvgHops: ex.AvgHops,
-			Err: classify(ex.Err)}
-		if ex.Err != nil {
-			out[i].MCL = -1
-		}
-	}
-	return out, nil
-}
-
-// synthInputs validates a spec and resolves its topology, flows, and
-// algorithm for a one-off synthesis.
-func synthInputs(spec Spec, opts []Option) (topology.Topology, []flowgraph.Flow, route.Algorithm, int, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	spec.Sim = nil // synthesis only
-	spec.Explore = false
-	spec = spec.withDefaults(cfg)
-	if err := spec.validate(""); err != nil {
-		return nil, nil, nil, 0, err
-	}
-	job := spec.jobs("synthesize")[0]
-	t, err := job.Topo.Build()
-	if err != nil {
-		return nil, nil, nil, 0, &SpecError{Spec: spec.Name, Field: "topo", Reason: err.Error(), cause: err}
-	}
-	flows, err := experiments.WorkloadFlows(t, job.Workload, job.Demand)
-	if err != nil {
-		var unknown *experiments.UnknownWorkloadError
-		if errors.As(err, &unknown) {
-			flows, err = registryHook(t, job.Workload, job.Demand)
-		}
-		if err != nil {
-			return nil, nil, nil, 0, classify(err)
-		}
-	}
-	alg, err := cfg.runner().ResolveAlgorithm(job)
-	if err != nil {
-		return nil, nil, nil, 0, classify(err)
-	}
-	return t, flows, alg, job.VCs, nil
+	return NewEngine(opts...).Explore(ctx, spec)
 }

@@ -72,13 +72,7 @@ func FaultedTorus(width, height, faults int, seed int64) Topology {
 }
 
 // spec converts to the engine's topology declaration (field-for-field).
-func (t Topology) spec() experiments.TopoSpec {
-	return experiments.TopoSpec{
-		Kind: t.Kind, Width: t.Width, Height: t.Height,
-		Nodes: t.Nodes, Spines: t.Spines, Leaves: t.Leaves,
-		Faults: t.Faults, FaultSeed: t.FaultSeed,
-	}
-}
+func (t Topology) spec() experiments.TopoSpec { return experiments.TopoSpec(t) }
 
 // String returns the compact canonical label, e.g. "mesh8x8", "ring8",
 // "clos4x8", or "faulted-mesh8x8-f4-s1". ParseTopology inverts it.
@@ -108,36 +102,63 @@ var (
 // yields a *SpecError.
 func ParseTopology(s string) (Topology, error) {
 	atoi := func(v string) int { n, _ := strconv.Atoi(v); return n }
+	var t Topology
 	switch {
 	case s == "mesh" || s == "torus" || s == "ring" || s == "fullmesh" ||
 		s == "clos" || s == "faulted-mesh" || s == "faulted-torus":
 		return Topology{Kind: s}, nil
 	case topoGridRe.MatchString(s):
 		m := topoGridRe.FindStringSubmatch(s)
+		t = Topology{Kind: m[1], Width: atoi(m[2]), Height: atoi(m[3])}
 		if m[1] == "clos" {
-			return checkParams(FoldedClos(atoi(m[2]), atoi(m[3])))
+			t = FoldedClos(atoi(m[2]), atoi(m[3]))
 		}
-		return checkParams(Topology{Kind: m[1], Width: atoi(m[2]), Height: atoi(m[3])})
 	case topoNodesRe.MatchString(s):
 		m := topoNodesRe.FindStringSubmatch(s)
-		return checkParams(Topology{Kind: m[1], Nodes: atoi(m[2])})
+		t = Topology{Kind: m[1], Nodes: atoi(m[2])}
 	case topoFaultedRe.MatchString(s):
 		m := topoFaultedRe.FindStringSubmatch(s)
 		seed, _ := strconv.ParseInt(m[5], 10, 64)
-		return checkParams(Topology{Kind: m[1], Width: atoi(m[2]), Height: atoi(m[3]),
-			Faults: atoi(m[4]), FaultSeed: seed})
+		t = Topology{Kind: m[1], Width: atoi(m[2]), Height: atoi(m[3]),
+			Faults: atoi(m[4]), FaultSeed: seed}
+	default:
+		return Topology{}, &SpecError{Field: "topo",
+			Reason: fmt.Sprintf("unparseable topology %q (want e.g. mesh8x8, torus4x4, ring8, fullmesh5, clos4x8, faulted-mesh8x8-f4-s1)", s)}
 	}
-	return Topology{}, &SpecError{Field: "topo",
-		Reason: fmt.Sprintf("unparseable topology %q (want e.g. mesh8x8, torus4x4, ring8, fullmesh5, clos4x8, faulted-mesh8x8-f4-s1)", s)}
+	if err := t.checkParams(); err != nil {
+		return Topology{}, err
+	}
+	return t, nil
+}
+
+// knownTopoKinds mirrors the engine's TopoSpec.Build switch.
+var knownTopoKinds = map[string]bool{
+	"": true, "mesh": true, "torus": true, "ring": true, "fullmesh": true,
+	"clos": true, "faulted-mesh": true, "faulted-torus": true,
+}
+
+// validate rejects declarations the engine cannot build — unknown kinds,
+// negative parameters, and, once zero parameters have taken their kind's
+// defaults, sizes the constructors refuse — so that no spec passing
+// validation can panic a constructor.
+func (t Topology) validate() *SpecError {
+	if !knownTopoKinds[t.Kind] {
+		return &SpecError{Field: "topo", Reason: fmt.Sprintf("unknown topology kind %q", t.Kind)}
+	}
+	if t.Width < 0 || t.Height < 0 || t.Nodes < 0 ||
+		t.Spines < 0 || t.Leaves < 0 || t.Faults < 0 {
+		return &SpecError{Field: "topo", Reason: fmt.Sprintf("negative topology parameter in %+v", t)}
+	}
+	return Topology(t.spec().WithDefaults()).checkParams()
 }
 
 // checkParams rejects parameter values the declared kind cannot build:
 // zero-size grids, undersized rings and full meshes, and Clos fabrics
-// missing a level. The label was already well-formed; the parameters are
-// the problem, so the error names them.
-func checkParams(t Topology) (Topology, error) {
-	bad := func(reason string, args ...any) (Topology, error) {
-		return Topology{}, &SpecError{Field: "topo",
+// missing a level. Zero is taken literally here (ParseTopology labels
+// spell every parameter); validate applies the defaults first.
+func (t Topology) checkParams() *SpecError {
+	bad := func(reason string, args ...any) *SpecError {
+		return &SpecError{Field: "topo",
 			Reason: fmt.Sprintf("%s: ", t.Kind) + fmt.Sprintf(reason, args...)}
 	}
 	switch t.Kind {
@@ -158,5 +179,5 @@ func checkParams(t Topology) (Topology, error) {
 			return bad("%d spines x %d leaves (a folded Clos needs at least 1 spine and 2 leaves)", t.Spines, t.Leaves)
 		}
 	}
-	return t, nil
+	return nil
 }

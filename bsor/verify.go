@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cdg"
 	"repro/internal/certify"
-	"repro/internal/experiments"
 )
 
 // Certificate is an independent, machine-checkable deadlock-freedom
@@ -115,44 +113,29 @@ func newCounterexample(ce *certify.Counterexample, cause error) *Counterexample 
 	}
 }
 
-// Certify runs the independent deadlock-freedom certificate checker on
-// the synthesized route set and returns its machine-checkable
-// Certificate, or a *Counterexample error refuting the set. The checker
-// rebuilds the claimed acyclic CDG from the breaker name and trusts
-// nothing the synthesis asserted — this is the "re-proved, not re-read"
-// counterpart of VerifyDeadlockFree.
-func (rs *RouteSet) Certify() (*Certificate, error) { return rs.certify(0) }
-
-// certify is Certify with an explicit capacity bound for the load check
-// (0 = skip).
-func (rs *RouteSet) certify(capacity float64) (*Certificate, error) {
-	in := certify.Instance{Topo: rs.topo, Routes: rs.set, VCs: rs.vcs, Capacity: capacity}
-	if rs.breaker != "" {
-		b, err := experiments.BreakerByName(rs.breaker)
-		if err != nil {
-			return nil, fmt.Errorf("bsor: cannot rebuild CDG for certification: %w", err)
-		}
-		in.CDG = b.Break(cdg.NewFull(rs.topo, rs.vcs))
-	}
-	cert, err := certify.Certify(in)
+// Certify returns the machine-checkable Certificate of the synthesized
+// route set, or a *Counterexample error refuting it, from the independent
+// deadlock-freedom checker. The checker rebuilds the claimed acyclic CDG
+// from the breaker name and trusts nothing the synthesis asserted — this
+// is the "re-proved, not re-read" counterpart of VerifyDeadlockFree. The
+// spec's Capacity, when set, is re-checked against the certified loads.
+// The certificate is computed once per synthesis and shared by every
+// holder of it.
+func (rs *RouteSet) Certify() (*Certificate, error) {
+	cert, err := rs.art.Certificate()
 	if err != nil {
 		return nil, classify(err)
 	}
-	return newCertificate(cert, rs.breaker), nil
+	return newCertificate(cert, rs.art.Breaker), nil
 }
 
 // Verify synthesizes one spec's route set and independently certifies
-// it: Synthesize followed by RouteSet.Certify (the spec's Capacity,
-// when set, is re-checked against the certified loads). On success the
-// returned Certificate witnesses deadlock freedom of the exact routes
-// the spec produces; on rejection the error carries a *Counterexample.
-// Accepts the same Options as Synthesize.
+// it: Synthesize followed by RouteSet.Certify. On success the returned
+// Certificate witnesses deadlock freedom of the exact routes the spec
+// produces; on rejection the error carries a *Counterexample. Accepts
+// the same Options as Synthesize.
 func Verify(ctx context.Context, spec Spec, opts ...Option) (*Certificate, error) {
-	rs, err := Synthesize(ctx, spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return rs.certify(spec.Capacity)
+	return NewEngine(opts...).Verify(ctx, spec)
 }
 
 // WithCertificates makes every synthesis in the pipeline run the

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,7 +36,7 @@ func main() {
 		runVerify(os.Args[2:])
 		return
 	}
-	runSynthesize()
+	runSynthesize(os.Args[1:], os.Stdout)
 }
 
 // selectorAlgorithm maps the -selector flag to a façade algorithm name.
@@ -59,14 +60,19 @@ func selectorAlgorithm(selector string, allowSP bool) (string, error) {
 	return "", fmt.Errorf("unknown selector %q (want %s)", selector, want)
 }
 
-func runSynthesize() {
+// runSynthesize is the default path: it prints the per-breaker table,
+// the winning route set and its certificate to out.
+func runSynthesize(args []string, out io.Writer) {
+	fs := flag.NewFlagSet("bsor", flag.ExitOnError)
 	var (
-		sf       = bsor.RegisterFlags(flag.CommandLine)
-		selector = flag.String("selector", "dijkstra", "dijkstra | milp | heuristic")
-		capacity = flag.Float64("capacity", 0, "channel capacity (0 = 4x max demand)")
-		verbose  = flag.Bool("v", false, "print every route")
+		sf       = bsor.RegisterFlags(fs)
+		selector = fs.String("selector", "dijkstra", "dijkstra | milp | heuristic")
+		capacity = fs.Float64("capacity", 0, "channel capacity (0 = 4x max demand)")
+		verbose  = fs.Bool("v", false, "print every route")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		os.Exit(2)
+	}
 
 	spec, err := sf.ParseSpec()
 	if err != nil {
@@ -78,28 +84,30 @@ func runSynthesize() {
 		fatal(err)
 	}
 
-	ctx := context.Background()
-	fmt.Printf("workload %s on %s, %d VCs, algorithm %s\n\n",
+	// The table, the winner and the certificate below are renderings of
+	// one synthesis on this engine.
+	ctx, engine := context.Background(), bsor.NewEngine()
+	fmt.Fprintf(out, "workload %s on %s, %d VCs, algorithm %s\n\n",
 		spec.Workload, spec.Topo, spec.VCs, spec.Algorithm)
 
-	fmt.Println("acyclic CDG exploration (MCL in MB/s):")
-	explored, err := bsor.Explore(ctx, spec)
+	fmt.Fprintln(out, "acyclic CDG exploration (MCL in MB/s):")
+	explored, err := engine.Explore(ctx, spec)
 	if err != nil {
 		fatal(err)
 	}
 	for _, ex := range explored {
 		if ex.Err != nil {
-			fmt.Printf("  %-28s failed: %v\n", ex.Breaker, ex.Err)
+			fmt.Fprintf(out, "  %-28s failed: %v\n", ex.Breaker, ex.Err)
 			continue
 		}
-		fmt.Printf("  %-28s MCL %8.2f   avg hops %.2f\n", ex.Breaker, ex.MCL, ex.AvgHops)
+		fmt.Fprintf(out, "  %-28s MCL %8.2f   avg hops %.2f\n", ex.Breaker, ex.MCL, ex.AvgHops)
 	}
 
-	set, err := bsor.Synthesize(ctx, spec)
+	set, err := engine.Synthesize(ctx, spec)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nbest: %s with MCL %.2f MB/s (bottleneck %s), avg hops %.2f\n",
+	fmt.Fprintf(out, "\nbest: %s with MCL %.2f MB/s (bottleneck %s), avg hops %.2f\n",
 		set.Breaker(), set.MCL(), set.Bottleneck(), set.AvgHops())
 	if err := set.VerifyDeadlockFree(); err != nil {
 		fmt.Fprintln(os.Stderr, "internal error:", err)
@@ -110,16 +118,16 @@ func runSynthesize() {
 		fmt.Fprintln(os.Stderr, "internal error:", err)
 		os.Exit(1)
 	}
-	fmt.Println(cert.Summary())
+	fmt.Fprintln(out, cert.Summary())
 	if hm := set.Heatmap(); hm != "" {
-		fmt.Println()
-		fmt.Print(hm)
+		fmt.Fprintln(out)
+		fmt.Fprint(out, hm)
 	}
 
 	if *verbose {
-		fmt.Println("\nroutes:")
+		fmt.Fprintln(out, "\nroutes:")
 		for _, r := range set.Routes() {
-			fmt.Printf("  %-18s %7.2f MB/s  %s\n",
+			fmt.Fprintf(out, "  %-18s %7.2f MB/s  %s\n",
 				r.Flow.Name, r.Flow.Demand, strings.Join(r.Hops, " "))
 		}
 	}

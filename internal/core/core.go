@@ -147,11 +147,21 @@ func Best(t topology.Topology, flows []flowgraph.Flow, cfg Config) (*route.Set, 
 // a partial exploration would silently report a different optimum than
 // the configured breaker set defines.
 func BestContext(ctx context.Context, t topology.Topology, flows []flowgraph.Flow, cfg Config) (*route.Set, Explored, error) {
-	cfg = cfg.withDefaults(flows)
 	results, err := ExploreContext(ctx, t, flows, cfg)
 	if err != nil {
 		return nil, Explored{}, err
 	}
+	best, err := Winner(results, flows, cfg)
+	return best.Set, best, err
+}
+
+// Winner picks the best outcome of a complete exploration — smallest MCL,
+// ties broken by smaller average hop count, then breaker order — and
+// validates its route set: structurally sound and deadlock free under
+// cfg's VC count. results must be ExploreContext's for the same flows and
+// cfg; an exploration in which every breaker failed wraps ErrInfeasible.
+func Winner(results []Explored, flows []flowgraph.Flow, cfg Config) (Explored, error) {
+	vcs := cfg.withDefaults(flows).VCs
 	best := -1
 	for i, ex := range results {
 		if ex.Err != nil {
@@ -163,17 +173,17 @@ func BestContext(ctx context.Context, t topology.Topology, flows []flowgraph.Flo
 		}
 	}
 	if best < 0 {
-		return nil, Explored{}, fmt.Errorf("%w for all %d flows (%d CDGs explored)",
+		return Explored{}, fmt.Errorf("%w for all %d flows (%d CDGs explored)",
 			ErrInfeasible, len(flows), len(results))
 	}
 	set := results[best].Set
-	if err := set.Validate(cfg.VCs); err != nil {
-		return nil, Explored{}, err
+	if err := set.Validate(vcs); err != nil {
+		return Explored{}, err
 	}
-	if err := set.DeadlockFree(cfg.VCs); err != nil {
-		return nil, Explored{}, err
+	if err := set.DeadlockFree(vcs); err != nil {
+		return Explored{}, err
 	}
-	return set, results[best], nil
+	return results[best], nil
 }
 
 // BSOR adapts the framework to the route.Algorithm interface so that it

@@ -201,7 +201,7 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 		return res
 	}
 
-	g, err := r.topo(spec.Topo)
+	g, err := r.topo(ctx, spec.Topo)
 	if err != nil {
 		return fail(err)
 	}
@@ -374,9 +374,9 @@ func FirstChurnError(results []ChurnResult) error {
 // certifies every later swap itself.
 func certifyChurnSet(overlay *topology.FaultOverlay, dag *cdg.Graph, set *route.Set, vcs int) error {
 	in := certify.Instance{Topo: overlay, CDG: dag, Routes: set, VCs: vcs}
-	cert, err := certify.Certify(in)
+	cert, err := certifyInstance(in, "the initial churn route set")
 	if err != nil {
-		return fmt.Errorf("experiments: certification rejected the initial churn route set: %w", err)
+		return err
 	}
 	if err := cert.Check(in); err != nil {
 		return fmt.Errorf("experiments: initial churn certificate re-check failed: %w", err)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/certify"
 	"repro/internal/core"
 	"repro/internal/flowgraph"
+	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -104,7 +105,9 @@ func FaultedTorusSpec(width, height, faults int, seed int64) TopoSpec {
 		Faults: faults, FaultSeed: seed}
 }
 
-func (t TopoSpec) withDefaults() TopoSpec {
+// WithDefaults returns the spec with its kind and every zero parameter
+// replaced by the documented defaults.
+func (t TopoSpec) WithDefaults() TopoSpec {
 	if t.Kind == "" {
 		t.Kind = "mesh"
 	}
@@ -134,7 +137,7 @@ func (t TopoSpec) withDefaults() TopoSpec {
 // IsGrid reports whether the declared topology is an orthogonal grid, on
 // which the grid-specific breaker and workload defaults apply.
 func (t TopoSpec) IsGrid() bool {
-	k := t.withDefaults().Kind
+	k := t.WithDefaults().Kind
 	return k == "mesh" || k == "torus"
 }
 
@@ -142,7 +145,7 @@ func (t TopoSpec) IsGrid() bool {
 // building it, so that default breaker sets (which name spanning-order
 // roots) can be derived from the spec alone.
 func (t TopoSpec) NumNodes() int {
-	t = t.withDefaults()
+	t = t.WithDefaults()
 	switch t.Kind {
 	case "ring", "fullmesh":
 		return t.Nodes
@@ -154,7 +157,7 @@ func (t TopoSpec) NumNodes() int {
 
 // Build constructs the declared topology.
 func (t TopoSpec) Build() (topology.Topology, error) {
-	t = t.withDefaults()
+	t = t.WithDefaults()
 	switch t.Kind {
 	case "mesh":
 		return topology.NewMesh(t.Width, t.Height), nil
@@ -178,7 +181,7 @@ func (t TopoSpec) Build() (topology.Topology, error) {
 // "faulted-mesh8x8-f6-s1"; it uniquely keys the topology cache, so every
 // parameter that changes the built network appears in it.
 func (t TopoSpec) String() string {
-	t = t.withDefaults()
+	t = t.WithDefaults()
 	switch t.Kind {
 	case "ring", "fullmesh":
 		return fmt.Sprintf("%s%d", t.Kind, t.Nodes)
@@ -188,15 +191,6 @@ func (t TopoSpec) String() string {
 		return fmt.Sprintf("%s%dx%d-f%d-s%d", t.Kind, t.Width, t.Height, t.Faults, t.FaultSeed)
 	}
 	return fmt.Sprintf("%s%dx%d", t.Kind, t.Width, t.Height)
-}
-
-// SpecOf recovers the TopoSpec of a built grid.
-func SpecOf(g topology.Grid) TopoSpec {
-	kind := "mesh"
-	if _, ok := g.(*topology.Torus); ok {
-		kind = "torus"
-	}
-	return TopoSpec{Kind: kind, Width: g.Width(), Height: g.Height()}
 }
 
 // Job is one point of an experiment sweep: a workload routed by one
@@ -337,69 +331,62 @@ func WriteJobsJSON(w io.Writer, jobs []Job) error {
 	return enc.Encode(jobs)
 }
 
-// synthesis is one memoized route-synthesis outcome.
-type synthesis struct {
-	once    sync.Once
-	set     *route.Set
-	mcl     float64
-	avgHops float64
-	breaker string
-	cert    *certify.Certificate
-	err     error
+// Artifact is the one certified outcome of a job's route synthesis: what
+// every consumer — job results, the façade's Synthesize / Explore / Verify,
+// the daemon's four endpoints — renders. Artifacts are immutable once
+// returned by Runner.Synthesize and shared by every caller of their key.
+type Artifact struct {
+	// Job is the synthesis part of the job that produced the artifact
+	// (its rate, seed and other rendering fields are whichever caller
+	// came first); Topo is its built network.
+	Job  Job
+	Topo topology.Topology
+	// Set is the selected route set with its figures of merit; Breaker
+	// names the winning acyclic CDG ("" for baselines, which explore none).
+	Set          *route.Set
+	MCL, AvgHops float64
+	Breaker      string
+	// Explored is the per-breaker table of a BSOR synthesis, in breaker
+	// order; nil for baselines. Rows only: their route sets are dropped.
+	Explored []core.Explored
+	// Err is a deterministic synthesis failure (a workload that does not
+	// fit the topology, every breaker infeasible, a rejected certificate
+	// under Runner.Certify, a captured panic). It is part of the artifact
+	// — and memoized with it — so the exploration table of an infeasible
+	// spec still renders; Set, MCL, AvgHops and Breaker are meaningless
+	// when it is set. Cancellations are never stored here.
+	Err error
+
+	certOnce sync.Once
+	cert     *certify.Certificate
+	certErr  error
 }
 
-// synthCache memoizes route synthesis per Job.synthKey, so the expensive
-// BSOR exploration (MILP or Dijkstra over many CDGs) runs once per unique
-// (topology, workload, algorithm, VCs, breakers) combination and is
-// shared by every simulation point that reuses it — concurrently: the
-// first job to need a key computes it under a sync.Once while others
-// block only on that entry.
-type synthCache struct {
-	mu       sync.Mutex
-	entries  map[string]*synthesis
-	computes atomic.Int64
-}
-
-func (c *synthCache) get(ctx context.Context, key string, compute func() (*route.Set, float64, float64, string, *certify.Certificate, error)) *synthesis {
-	for {
-		c.mu.Lock()
-		if c.entries == nil {
-			c.entries = make(map[string]*synthesis)
-		}
-		e := c.entries[key]
-		if e == nil {
-			e = &synthesis{}
-			c.entries[key] = e
-		}
-		c.mu.Unlock()
-		e.once.Do(func() {
-			c.computes.Add(1)
-			e.set, e.mcl, e.avgHops, e.breaker, e.cert, e.err = compute()
-		})
-		if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-			// A synthesis aborted by cancellation reflects the computing
-			// caller's context, not the key: drop the entry, and when this
-			// caller's own context is still live (it may have been a waiter
-			// from a different, uncancelled run) retry — the fresh entry's
-			// compute runs under this caller's context.
-			c.mu.Lock()
-			if c.entries[key] == e {
-				delete(c.entries, key)
-			}
-			c.mu.Unlock()
-			if ctx.Err() != nil {
-				return e
-			}
-			continue
-		}
-		return e
+// Certificate returns the independent deadlock-freedom certificate of the
+// artifact's route set (loads re-checked against the job's Capacity when
+// set), or the checker's counterexample. It is computed on first demand
+// and memoized with the artifact.
+func (a *Artifact) Certificate() (*certify.Certificate, error) {
+	if a.Err != nil {
+		return nil, a.Err
 	}
+	a.certOnce.Do(func() {
+		a.cert, a.certErr = certifySet(a.Topo, a.Job, a.Set, a.Breaker)
+	})
+	return a.cert, a.certErr
 }
+
+// Memo bounds. Eviction only ever costs a recomputation; the bounds keep
+// a long-lived Runner (the daemon's) from growing without limit.
+const (
+	artifactMemoEntries = 1024
+	topoMemoEntries     = 64
+)
 
 // Runner executes job lists on a worker pool. The zero value is ready to
-// use; a Runner may execute any number of Run calls and shares its
-// route-synthesis cache across all of them, so e.g. the table jobs warm
-// the cache for the figure sweeps. All exported fields must be set before
+// use; a Runner may execute any number of Run and Synthesize calls and
+// shares its artifact memo across all of them, so e.g. the table jobs warm
+// it for the figure sweeps. All exported fields must be set before
 // the first Run call.
 type Runner struct {
 	// Workers is the worker-pool size; 0 means runtime.NumCPU().
@@ -436,7 +423,13 @@ type Runner struct {
 	// (sim_cycles_per_sec) on Metrics.
 	instOnce sync.Once
 
-	cache synthCache
+	// Artifacts are memoized per Job.synthKey and built topologies per
+	// TopoSpec.String, so concurrent jobs share one synthesis and one
+	// immutable network. memos allocates both on first use.
+	memoOnce sync.Once
+	arts     *memo.Memo[*Artifact]
+	topos    *memo.Memo[topology.Topology]
+	computes atomic.Int64
 
 	// Aggregate simulation-work counters (SimStats): simulated cycles,
 	// flit hops, and wall time spent inside sim.Run across all jobs.
@@ -445,9 +438,6 @@ type Runner struct {
 	simCycles   atomic.Int64
 	simFlitHops atomic.Int64
 	simWallNs   atomic.Int64
-
-	topoMu sync.Mutex
-	topos  map[string]topology.Topology
 }
 
 // NewRunner returns a Runner with default selectors and worker count.
@@ -478,7 +468,7 @@ func FastMILP() route.Selector {
 
 // SynthesisCount reports how many route syntheses the cache has computed
 // (not served); the cache-hit tests pin it to the number of unique keys.
-func (r *Runner) SynthesisCount() int64 { return r.cache.computes.Load() }
+func (r *Runner) SynthesisCount() int64 { return r.computes.Load() }
 
 // SimStats reports the aggregate cycle-accurate simulation work done by
 // this Runner: total simulated cycles, total flit hops, and the summed
@@ -583,29 +573,100 @@ feed:
 	return ctx.Err()
 }
 
-// topo returns the (cached) topology instance of a spec, so concurrent
-// jobs on the same topology share one immutable network.
-func (r *Runner) topo(spec TopoSpec) (topology.Topology, error) {
-	key := spec.String()
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	if g, ok := r.topos[key]; ok {
-		return g, nil
-	}
-	g, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	if r.topos == nil {
-		r.topos = make(map[string]topology.Topology)
-	}
-	r.topos[key] = g
-	return g, nil
+// memos allocates the Runner's two memo instances on first use (the zero
+// Runner is ready to use) and returns the Runner for chaining.
+func (r *Runner) memos() *Runner {
+	r.memoOnce.Do(func() {
+		r.arts = memo.New[*Artifact](artifactMemoEntries)
+		r.topos = memo.New[topology.Topology](topoMemoEntries)
+	})
+	return r
 }
 
-// exec runs one job end to end. Panics from incompatible job parameters
-// are captured as per-job error results so one bad job cannot take down a
-// sweep.
+// topo returns the (memoized) topology instance of a spec, so concurrent
+// jobs on the same topology share one immutable network.
+func (r *Runner) topo(ctx context.Context, spec TopoSpec) (topology.Topology, error) {
+	g, _, err := r.memos().topos.Do(ctx, spec.String(), spec.Build)
+	return g, err
+}
+
+// Synthesize returns the job's synthesis artifact — the one path from a
+// job to a route set. The artifact is computed at most once per
+// Job.synthKey (the expensive BSOR exploration runs once per unique
+// topology, workload, algorithm, VCs, breakers combination) and shared,
+// concurrently, by every caller that needs it: the first computes, the
+// others wait on that entry or leave on their own ctx. Deterministic
+// failures come back inside the artifact (Artifact.Err) and are retained
+// like successes; the returned error is only ever a cancellation, which
+// is never retained — a waiter whose own ctx is still live recomputes.
+func (r *Runner) Synthesize(ctx context.Context, j Job) (*Artifact, error) {
+	art, computed, err := r.memos().arts.Do(ctx, j.synthKey(), func() (*Artifact, error) {
+		r.computes.Add(1)
+		art := &Artifact{Job: j}
+		if art.Err = r.synthesize(ctx, art); memo.Cancelled(art.Err) {
+			return nil, art.Err
+		}
+		return art, nil
+	})
+	// Waiters served an in-flight or finished entry count as hits.
+	if computed {
+		r.Metrics.Counter("engine_synth_cache_misses_total").Inc()
+	} else {
+		r.Metrics.Counter("engine_synth_cache_hits_total").Inc()
+	}
+	return art, err
+}
+
+// synthesize fills in a fresh artifact and returns its failure, if any.
+// Panics from incompatible job parameters are converted into errors here,
+// so the memoized artifact records the failure instead of a half-built
+// value and no caller's goroutine dies.
+func (r *Runner) synthesize(ctx context.Context, art *Artifact) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("experiments: synthesis panic: %v", p)
+		}
+	}()
+	j := art.Job
+	if art.Topo, err = r.topo(ctx, j.Topo); err != nil {
+		return err
+	}
+	flows, err := r.workloadFlows(art.Topo, j)
+	if err != nil {
+		return err
+	}
+	alg, err := r.ResolveAlgorithm(j)
+	if err != nil {
+		return err
+	}
+	if bsor, ok := alg.(core.BSOR); ok {
+		explored, err := core.ExploreContext(ctx, art.Topo, flows, bsor.Config)
+		if err != nil {
+			return err
+		}
+		best, err := core.Winner(explored, flows, bsor.Config)
+		for i := range explored {
+			explored[i].Set = nil // best holds the one set worth keeping
+		}
+		art.Explored = explored
+		if err != nil {
+			return err
+		}
+		art.Set, art.Breaker = best.Set, best.Breaker
+	} else if art.Set, err = route.RoutesWithContext(ctx, alg, art.Topo, flows); err != nil {
+		return err
+	}
+	art.MCL, _ = art.Set.MCL()
+	art.AvgHops = art.Set.AvgHops()
+	if r.Certify {
+		_, err = art.Certificate()
+	}
+	return err
+}
+
+// exec runs one job end to end. Panics outside synthesis (the simulator
+// rejecting job parameters) are captured as per-job error results so one
+// bad job cannot take down a sweep.
 func (r *Runner) exec(ctx context.Context, j Job) (res Result) {
 	// Registered before the recover defer so it runs after it (LIFO) and
 	// sees the panic-patched result.
@@ -628,38 +689,21 @@ func (r *Runner) exec(ctx context.Context, j Job) (res Result) {
 		res.cause = err
 		return res
 	}
-	g, err := r.topo(j.Topo)
+	art, err := r.Synthesize(ctx, j)
+	if err == nil {
+		err = art.Err
+	}
 	if err != nil {
 		return fail(err)
 	}
-	// computed is only written if this caller's compute closure wins the
-	// entry's sync.Once, which runs on this goroutine — no race. Waiters
-	// served an in-flight or finished entry count as cache hits.
-	computed := false
-	syn := r.cache.get(ctx, j.synthKey(), func() (set *route.Set, mcl, hops float64, breaker string, cert *certify.Certificate, err error) {
-		computed = true
-		// Convert synthesis panics into errors inside the once, so the
-		// cached entry records the failure instead of a half-built value.
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("experiments: synthesis panic: %v", p)
-			}
-		}()
-		return r.synthesize(ctx, g, j)
-	})
-	if computed {
-		r.Metrics.Counter("engine_synth_cache_misses_total").Inc()
-	} else {
-		r.Metrics.Counter("engine_synth_cache_hits_total").Inc()
+	res.MCL, res.AvgHops, res.Breaker = art.MCL, art.AvgHops, art.Breaker
+	if r.Certify {
+		res.Cert, _ = art.Certificate() // already demanded by synthesize: a rejection is art.Err
 	}
-	if syn.err != nil {
-		return fail(syn.err)
-	}
-	res.MCL, res.AvgHops, res.Breaker, res.Cert = syn.mcl, syn.avgHops, syn.breaker, syn.cert
 	if j.Kind != KindSim {
 		return res
 	}
-	point, err := r.simulate(ctx, g, syn.set, j)
+	point, err := r.simulate(ctx, art.Topo, art.Set, j)
 	if err != nil {
 		return fail(err)
 	}
@@ -676,44 +720,6 @@ func (r *Runner) workloadFlows(g topology.Topology, j Job) ([]flowgraph.Flow, er
 		return r.WorkloadFn(g, j.Workload, j.Demand)
 	}
 	return flows, err
-}
-
-// synthesize computes the route set of a job (uncached path), plus its
-// independent certificate when the Runner's Certify flag is set.
-func (r *Runner) synthesize(ctx context.Context, g topology.Topology, j Job) (*route.Set, float64, float64, string, *certify.Certificate, error) {
-	flows, err := r.workloadFlows(g, j)
-	if err != nil {
-		return nil, 0, 0, "", nil, err
-	}
-	alg, err := r.ResolveAlgorithm(j)
-	if err != nil {
-		return nil, 0, 0, "", nil, err
-	}
-	var set *route.Set
-	breaker := ""
-	if bsor, ok := alg.(core.BSOR); ok {
-		// Keep the winning breaker name, which plain Algorithm.Routes
-		// discards.
-		var ex core.Explored
-		set, ex, err = core.BestContext(ctx, g, flows, bsor.Config)
-		if err != nil {
-			return nil, 0, 0, "", nil, err
-		}
-		breaker = ex.Breaker
-	} else {
-		set, err = route.RoutesWithContext(ctx, alg, g, flows)
-		if err != nil {
-			return nil, 0, 0, "", nil, err
-		}
-	}
-	var cert *certify.Certificate
-	if r.Certify {
-		if cert, err = certifySet(g, j, set, breaker); err != nil {
-			return nil, 0, 0, "", nil, err
-		}
-	}
-	mcl, _ := set.MCL()
-	return set, mcl, set.AvgHops(), breaker, cert, nil
 }
 
 // certifySet runs the independent certificate checker on a synthesized
@@ -733,10 +739,15 @@ func certifySet(g topology.Topology, j Job, set *route.Set, breaker string) (*ce
 		}
 		in.CDG = b.Break(cdg.NewFull(g, vcs))
 	}
+	return certifyInstance(in, "the "+j.synthKey()+" route set")
+}
+
+// certifyInstance is the engine's one call into the certificate checker;
+// what names the instance in a rejection.
+func certifyInstance(in certify.Instance, what string) (*certify.Certificate, error) {
 	cert, err := certify.Certify(in)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: independent certification rejected the %s route set: %w",
-			j.synthKey(), err)
+		return nil, fmt.Errorf("experiments: independent certification rejected %s: %w", what, err)
 	}
 	return cert, nil
 }
@@ -911,7 +922,7 @@ func ResolveBreakers(j Job) ([]cdg.Breaker, error) {
 	names := j.Breakers
 	if len(names) == 0 {
 		switch {
-		case j.Topo.withDefaults().Kind == "torus":
+		case j.Topo.WithDefaults().Kind == "torus":
 			names = DatelineBreakerNames()
 		case j.Topo.IsGrid():
 			return nil, nil // core's default: cdg.StandardBreakers

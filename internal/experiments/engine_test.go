@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/certify"
 	"repro/internal/core"
 	"repro/internal/topology"
 )
@@ -79,7 +80,7 @@ func TestSynthesisCachedOncePerKey(t *testing.T) {
 // concurrent refactor must not change a single MCL.
 func TestEngineMatchesSequentialExploration(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	rows := TableCDGExploration(m, nil, 2)
+	rows := CDGRows(NewRunner().Run(TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
 	byName := map[string]CDGRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -134,16 +135,17 @@ func TestTorusJobs(t *testing.T) {
 	}
 }
 
-// TestTorusFigureSweepWrapper pins that the high-level sweep wrappers
-// pick the dateline breaker set on a torus instead of the mesh turn
-// rules (which cannot break wraparound ring cycles).
-func TestTorusFigureSweepWrapper(t *testing.T) {
+// TestTorusSweepDefaultBreakers pins that a sweep naming no breakers
+// explores the dateline set on a torus instead of the mesh turn rules
+// (which cannot break wraparound ring cycles).
+func TestTorusSweepDefaultBreakers(t *testing.T) {
 	r := &Runner{Workers: 4}
-	series, err := r.FigureSweep(TorusSpec(4, 4), "transpose",
-		[]string{"BSOR-Dijkstra", "XY"}, []float64{2}, fastParams())
-	if err != nil {
+	results := r.Run(SweepJobs("figure", TorusSpec(4, 4), "transpose",
+		[]string{"BSOR-Dijkstra", "XY"}, nil, []float64{2}, 0, fastParams()))
+	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
+	series := SeriesFrom(results)
 	if len(series) != 2 {
 		t.Fatalf("%d series, want 2", len(series))
 	}
@@ -264,5 +266,74 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 	}
 	if res[0].Err != "" {
 		t.Fatalf("post-cancel rerun failed: %s", res[0].Err)
+	}
+}
+
+// TestSynthesizeOneArtifactPerKey pins the artifact contract behind every
+// consumer: one key, one artifact, shared by pointer; a deterministic
+// failure lives inside the artifact (with the exploration table that led
+// to it) and is retained like a success; a cancellation is returned, not
+// retained; and the certificate is computed once, on demand, without
+// failing the synthesis it refutes.
+func TestSynthesizeOneArtifactPerKey(t *testing.T) {
+	ctx := context.Background()
+	r := &Runner{}
+	job := Job{Kind: KindMCL, Topo: MeshSpec(4, 4), Workload: "transpose",
+		Algorithm: "BSOR-Dijkstra", Breakers: TableBreakerNames(), VCs: 2}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := r.Synthesize(cancelled, job); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Synthesize returned %v, want context.Canceled", err)
+	}
+	art, err := r.Synthesize(ctx, job)
+	if err != nil || art.Err != nil {
+		t.Fatalf("Synthesize after a cancelled attempt: %v / %v", err, art.Err)
+	}
+	if len(art.Explored) != 5 || art.Breaker == "" || art.MCL <= 0 || art.Set == nil {
+		t.Fatalf("artifact incomplete: %d rows, breaker %q, MCL %g", len(art.Explored), art.Breaker, art.MCL)
+	}
+	again, _ := r.Synthesize(ctx, job)
+	if again != art {
+		t.Error("second Synthesize of the same key built a second artifact")
+	}
+	cert, err := art.Certificate()
+	if err != nil || cert.MCL != art.MCL {
+		t.Fatalf("Certificate: %v (cert %+v)", err, cert)
+	}
+	if cert2, _ := art.Certificate(); cert2 != cert {
+		t.Error("Certificate re-certified instead of returning the memoized certificate")
+	}
+
+	// Under-capacity: the routes stand, only their certificate is refused.
+	tight := job
+	tight.Capacity = art.MCL / 2
+	tightArt, err := r.Synthesize(ctx, tight)
+	if err != nil || tightArt.Err != nil {
+		t.Fatalf("under-capacity synthesis failed outright: %v / %v", err, tightArt.Err)
+	}
+	var ce *certify.Counterexample
+	if _, err := tightArt.Certificate(); !errors.As(err, &ce) || ce.Kind != certify.KindCapacity {
+		t.Errorf("under-capacity Certificate returned %v, want a capacity counterexample", err)
+	}
+
+	// A mesh turn rule cannot break a torus: every breaker infeasible.
+	bad := Job{Kind: KindMCL, Topo: TorusSpec(4, 4), Workload: "transpose",
+		Algorithm: "BSOR-Dijkstra", Breakers: TableBreakerNames()[:1], VCs: 2}
+	before := r.SynthesisCount()
+	for range 2 {
+		badArt, err := r.Synthesize(ctx, bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(badArt.Err, core.ErrInfeasible) || len(badArt.Explored) != 1 || badArt.Explored[0].Err == nil {
+			t.Fatalf("infeasible artifact: err %v, rows %+v", badArt.Err, badArt.Explored)
+		}
+	}
+	if got := r.SynthesisCount() - before; got != 1 {
+		t.Errorf("infeasible key synthesized %d times, want 1 (deterministic failures are retained)", got)
+	}
+	if got := r.SynthesisCount(); got != 4 {
+		t.Errorf("SynthesisCount = %d, want 4 (cancelled, ok, tight, infeasible)", got)
 	}
 }

@@ -7,10 +7,10 @@
 // memoized per unique (topology, workload, algorithm, VCs, breakers) key
 // and shared across every simulation point that reuses it, and every
 // random stream is seeded from the job itself, so results are
-// deterministic and identical for any worker count. The exported Table*
-// and *Sweep functions are thin job-list wrappers kept for the root
-// benchmark suite; cmd/experiments drives the same jobs with -jobs,
-// -json, and -filter for machine-readable sweeps.
+// deterministic and identical for any worker count. jobs.go holds the
+// job-list builders and result assemblers of every table and figure;
+// cmd/experiments drives them with -jobs, -json, and -filter for
+// machine-readable sweeps.
 //
 // DESIGN.md carries the experiment index and the engine's design;
 // EXPERIMENTS.md records paper-versus-measured values.
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
-	"repro/internal/route"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -187,31 +186,6 @@ type CDGRow struct {
 	MCL []float64 `json:"mcl"`
 }
 
-// TableCDGExploration computes Table 6.1 (selector = route.MILPSelector)
-// or Table 6.2 (selector = route.DijkstraSelector) on the sweep engine:
-// min MCL per acyclic CDG per workload, cells explored in parallel.
-func TableCDGExploration(g topology.Grid, selector route.Selector, vcs int) []CDGRow {
-	r := NewRunner()
-	algorithm := r.useSelector(selector)
-	jobs := TableJobs("table-cdg", SpecOf(g), algorithm, TableBreakerNames(), vcs)
-	return CDGRows(r.Run(jobs))
-}
-
-// useSelector installs a selector in the matching Runner slot and returns
-// the algorithm name jobs should carry. Selectors whose Name is not
-// "BSOR-MILP" fill the Dijkstra slot.
-func (r *Runner) useSelector(selector route.Selector) string {
-	if selector == nil {
-		return "BSOR-Dijkstra"
-	}
-	if selector.Name() == "BSOR-MILP" {
-		r.MILP = selector
-		return "BSOR-MILP"
-	}
-	r.Dijkstra = selector
-	return "BSOR-Dijkstra"
-}
-
 // AlgoMCL is one row of Table 6.3: the MCL of each routing algorithm on
 // one workload.
 type AlgoMCL struct {
@@ -221,17 +195,6 @@ type AlgoMCL struct {
 	Algorithms []string `json:"algorithms"`
 	// MCL holds one maximum channel load per algorithm; negative = failed.
 	MCL []float64 `json:"mcl"`
-}
-
-// Table63 compares the maximum channel load of XY, YX, ROMM, Valiant,
-// BSOR_MILP and BSOR_Dijkstra on every workload. BSOR entries take the
-// best across the explored CDGs (breakers; nil = the standard fifteen).
-func Table63(g topology.Grid, milp route.Selector, dijkstra route.Selector, vcs int,
-	breakers []cdg.Breaker) []AlgoMCL {
-
-	r := &Runner{MILP: milp, Dijkstra: dijkstra}
-	jobs := AlgoTableJobs("table6.3", SpecOf(g), Table63Algorithms(), BreakerNames(breakers), vcs)
-	return AlgoRows(r.Run(jobs))
 }
 
 // SweepPoint is one (offered rate, throughput, latency) sample of a
@@ -310,90 +273,6 @@ func (p SimParams) withDefaults() SimParams {
 // mixing; the two-phase and BSOR route sets rely on their static VC
 // assignment (§4.2.2).
 func dynamicVC(name string) bool { return name == "XY" || name == "YX" }
-
-// sweepBreakers picks the BSOR breaker set for a figure sweep on topo:
-// the table breaker subset on a mesh (equal best-MCL on these workloads,
-// faster regeneration), the dateline set on a torus, where mesh turn
-// rules cannot break the wraparound ring cycles, or the graph-generic
-// up*/down* set on every non-grid kind.
-func sweepBreakers(topo TopoSpec) []string {
-	switch {
-	case topo.withDefaults().Kind == "torus":
-		return DatelineBreakerNames()
-	case topo.IsGrid():
-		return TableBreakerNames()
-	default:
-		return GraphBreakerNames(topo.NumNodes())
-	}
-}
-
-// FigureSweep produces the throughput and latency curves of Figures 6-1
-// through 6-6 for one workload: every algorithm simulated across the
-// offered injection rates, all points in parallel with route synthesis
-// shared across each algorithm's rates. BSOR variants explore the
-// topology's sweep breaker set (see sweepBreakers).
-func (r *Runner) FigureSweep(topo TopoSpec, workload string, algorithms []string,
-	rates []float64, p SimParams) ([]Series, error) {
-
-	jobs := SweepJobs("figure", topo, workload, algorithms, sweepBreakers(topo), rates, 0, p)
-	results := r.Run(jobs)
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
-	return SeriesFrom(results), nil
-}
-
-// FigureSweep runs a one-off figure sweep on a fresh default Runner; see
-// Runner.FigureSweep.
-func FigureSweep(g topology.Grid, workload string, algorithms []string,
-	rates []float64, p SimParams) ([]Series, error) {
-	return NewRunner().FigureSweep(SpecOf(g), workload, algorithms, rates, p)
-}
-
-// VCSweep produces Figure 6-7: the best BSOR and DOR algorithms simulated
-// with different virtual channel counts on one workload. BSOR explores
-// the topology's full default breaker set, as the sequential original did.
-func (r *Runner) VCSweep(topo TopoSpec, workload string, vcCounts []int,
-	rates []float64, p SimParams) (map[int][]Series, error) {
-
-	jobs := VCSweepJobs("vcsweep", topo, workload, []string{"BSOR-Dijkstra", "XY"},
-		vcCounts, rates, p)
-	results := r.Run(jobs)
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
-	return SeriesByVC(results), nil
-}
-
-// VCSweep runs a one-off VC sweep on a fresh default Runner; see
-// Runner.VCSweep.
-func VCSweep(g topology.Grid, workload string, vcCounts []int,
-	rates []float64, p SimParams) (map[int][]Series, error) {
-	return NewRunner().VCSweep(SpecOf(g), workload, vcCounts, rates, p)
-}
-
-// VariationSweep produces Figures 6-8/6-9/6-10: routes stay computed from
-// the base demands while injection rates vary by ±percent via per-flow
-// Markov-modulated processes, seeded per job so concurrent execution
-// reproduces the sequential numbers.
-func (r *Runner) VariationSweep(topo TopoSpec, workload string, algorithms []string,
-	percent float64, rates []float64, p SimParams) ([]Series, error) {
-
-	jobs := SweepJobs("variation", topo, workload, algorithms, sweepBreakers(topo),
-		rates, percent, p)
-	results := r.Run(jobs)
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
-	return SeriesFrom(results), nil
-}
-
-// VariationSweep runs a one-off variation sweep on a fresh default
-// Runner; see Runner.VariationSweep.
-func VariationSweep(g topology.Grid, workload string, algorithms []string,
-	percent float64, rates []float64, p SimParams) ([]Series, error) {
-	return NewRunner().VariationSweep(SpecOf(g), workload, algorithms, percent, rates, p)
-}
 
 // InjectionTrace reproduces Figure 5-4: the piecewise-constant injection
 // rate of one node under Markov-modulated variation.

@@ -48,8 +48,8 @@ func TestTableBreakersAreFive(t *testing.T) {
 // headline values — transpose negative-first 75, and applications bounded
 // below by their heaviest flow.
 func TestTable62Shape(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	rows := TableCDGExploration(m, route.DijkstraSelector{}, 2)
+	r := &Runner{Dijkstra: route.DijkstraSelector{}}
+	rows := CDGRows(r.Run(TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
 	byName := map[string]CDGRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -76,14 +76,14 @@ func TestTable62Shape(t *testing.T) {
 }
 
 func TestTable63Shape(t *testing.T) {
-	m := topology.NewMesh(8, 8)
 	// Keep the test cheap: a light MILP budget and only two CDGs. The
 	// MILP candidate pool is seeded with the Dijkstra solution, so even
 	// this budget preserves the BSOR <= DOR invariant being checked.
 	milp := route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 4, Refinements: 1,
 		MaxNodes: 20, Gap: 0.01}
-	breakers := TableBreakers()[:3]
-	rows := Table63(m, milp, route.DijkstraSelector{}, 2, breakers)
+	r := &Runner{MILP: milp, Dijkstra: route.DijkstraSelector{}}
+	rows := AlgoRows(r.Run(AlgoTableJobs("table6.3", MeshSpec(8, 8), Table63Algorithms(),
+		TableBreakerNames()[:3], 2)))
 	for _, r := range rows {
 		if len(r.MCL) != 6 {
 			t.Fatalf("%s: %d algorithms", r.Workload, len(r.MCL))
@@ -104,11 +104,12 @@ func TestTable63Shape(t *testing.T) {
 }
 
 func TestFigureSweepProducesMonotoneOfferedAxis(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	series, err := FigureSweep(m, "perf-modeling", []string{"XY", "YX"}, []float64{2, 8}, fastParams())
-	if err != nil {
+	results := NewRunner().Run(SweepJobs("figure", MeshSpec(8, 8), "perf-modeling",
+		[]string{"XY", "YX"}, nil, []float64{2, 8}, 0, fastParams()))
+	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
+	series := SeriesFrom(results)
 	if len(series) != 2 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -131,22 +132,24 @@ func TestFigureSweepProducesMonotoneOfferedAxis(t *testing.T) {
 }
 
 func TestVCSweepRuns(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	out, err := VCSweep(m, "transmitter", []int{1, 2}, []float64{5}, fastParams())
-	if err != nil {
+	results := NewRunner().Run(VCSweepJobs("vcsweep", MeshSpec(8, 8), "transmitter",
+		[]string{"BSOR-Dijkstra", "XY"}, []int{1, 2}, []float64{5}, fastParams()))
+	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
+	out := SeriesByVC(results)
 	if len(out[1]) == 0 || len(out[2]) == 0 {
 		t.Fatal("missing VC series")
 	}
 }
 
 func TestVariationSweepRuns(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	series, err := VariationSweep(m, "perf-modeling", []string{"XY"}, 0.25, []float64{5}, fastParams())
-	if err != nil {
+	results := NewRunner().Run(SweepJobs("variation", MeshSpec(8, 8), "perf-modeling",
+		[]string{"XY"}, nil, []float64{5}, 0.25, fastParams()))
+	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
+	series := SeriesFrom(results)
 	if len(series) != 1 || len(series[0].Points) != 1 {
 		t.Fatal("wrong shape")
 	}

@@ -126,7 +126,7 @@ func SynthScaleAlgorithms() []string {
 func FaultSweepJobs(experiment string, base TopoSpec, seed int64, faultCounts []int,
 	algorithms []string, workload string, rates []float64, p SimParams) []Job {
 
-	base = base.withDefaults()
+	base = base.WithDefaults()
 	p = p.withDefaults()
 	breakers := GraphBreakerNames(base.NumNodes())
 	var jobs []Job

@@ -107,6 +107,9 @@ var (
 	// ErrShuttingDown reports that the daemon is draining: queued work
 	// was cancelled and new work is refused (HTTP 503).
 	ErrShuttingDown = errors.New("server: shutting down")
+	// ErrInternal reports that a computation panicked; the panic was
+	// contained to its request and herd (HTTP 500).
+	ErrInternal = errors.New("server: internal error")
 )
 
 // badRequestError marks client-side request problems (malformed JSON,

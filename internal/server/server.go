@@ -5,18 +5,23 @@
 //
 // # Architecture
 //
-// Requests flow listener → admission queue → worker pool → route-set
-// cache, with two dedup layers in front of the queue:
+// Requests flow listener → body memo → admission queue → worker pool →
+// engine. Two instances of one primitive (internal/memo, a bounded
+// singleflight cache) do all the sharing:
 //
-//  1. The response cache holds finished bodies keyed by
+//  1. The body memo holds rendered response bodies keyed by
 //     "<endpoint> <canonical spec key>" (bsor.Spec.CanonicalKey — so
 //     JSON field order and spelled-vs-omitted defaults cannot split
-//     entries). A hit is served without touching the queue.
-//  2. The singleflight group deduplicates concurrent misses: the first
-//     request for a key (the leader) occupies one queue slot; every
-//     concurrent identical request waits on the leader's call. A
-//     thundering herd of N identical specs costs one synthesis and one
-//     slot, not N.
+//     entries). A completed entry is a hit, served without touching the
+//     queue; an in-flight one deduplicates concurrent misses: the first
+//     request for a key (the leader) occupies one queue slot and every
+//     concurrent identical request waits on the leader's entry. A
+//     thundering herd of N identical specs costs one computation and
+//     one slot, not N. It stores bytes, not values, because serving the
+//     bytes rendered once is what makes responses byte-identical.
+//  2. The engine (one bsor.Engine for the life of the Server) memoizes
+//     synthesis artifacts per synthesis key, so the four endpoints of
+//     one spec — and every /v1/sim rate — render a single synthesis.
 //
 // The admission queue is bounded. A leader finding it full is shed with
 // HTTP 429 and a Retry-After hint — as is its whole herd, so a shed
@@ -45,6 +50,7 @@ import (
 	"time"
 
 	"repro/bsor"
+	"repro/internal/memo"
 	"repro/internal/metrics"
 )
 
@@ -105,11 +111,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted unit of work: the singleflight call it resolves
-// and the computation producing its response body.
+// job is one admitted unit of work: the body-memo entry it resolves and
+// the computation producing its response body.
 type job struct {
-	key     string
-	call    *call
+	entry   *memo.Entry[[]byte]
 	timeout time.Duration
 	compute func(context.Context) ([]byte, error)
 }
@@ -118,13 +123,12 @@ type job struct {
 // http.Server, and Shutdown to drain. All methods are safe for
 // concurrent use.
 type Server struct {
-	cfg  Config
-	opts []bsor.Option
-	mux  *http.ServeMux
+	cfg    Config
+	engine *bsor.Engine
+	mux    *http.ServeMux
 
-	queue   chan *job
-	flights *flightGroup
-	cache   *lruCache
+	queue  chan *job
+	bodies *memo.Memo[[]byte] // rendered bodies; entries are immutable
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -153,11 +157,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		queue:   make(chan *job, cfg.QueueDepth),
-		flights: newFlightGroup(),
-		cache:   newLRUCache(cfg.CacheEntries),
-		quit:    make(chan struct{}),
+		cfg:    cfg,
+		queue:  make(chan *job, cfg.QueueDepth),
+		bodies: memo.New[[]byte](cfg.CacheEntries),
+		quit:   make(chan struct{}),
 
 		mRequests:  cfg.Metrics.Counter("server_requests_total"),
 		mCacheHits: cfg.Metrics.Counter("server_cache_hits_total"),
@@ -171,14 +174,18 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	cfg.Metrics.GaugeFunc("server_queue_depth", func() float64 { return float64(len(s.queue)) })
-	cfg.Metrics.GaugeFunc("server_cache_entries", func() float64 { return float64(s.cache.len()) })
+	cfg.Metrics.GaugeFunc("server_cache_entries", func() float64 { return float64(s.bodies.Len()) })
 
+	// The engine reports into the daemon's own collector, so /metrics
+	// shows the engine_*, sim_* and lp_* families next to server_*.
+	opts := []bsor.Option{bsor.WithMetrics((*bsor.Metrics)(cfg.Metrics))}
 	if cfg.FastMILP {
-		s.opts = append(s.opts, bsor.WithMILPBudget(bsor.FastMILPBudget()))
+		opts = append(opts, bsor.WithMILPBudget(bsor.FastMILPBudget()))
 	}
 	if cfg.SimWorkers > 0 {
-		s.opts = append(s.opts, bsor.WithSimDefaults(bsor.SimSpec{Workers: cfg.SimWorkers}))
+		opts = append(opts, bsor.WithSimDefaults(bsor.SimSpec{Workers: cfg.SimWorkers}))
 	}
+	s.engine = bsor.NewEngine(opts...)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/synthesize", s.handle("synthesize", normalizeSynth, s.computeSynthesize))
@@ -217,8 +224,8 @@ func normalizeSim(spec *bsor.Spec) error {
 	return nil
 }
 
-// handle wires one compute endpoint: decode → canonicalize → cache →
-// singleflight → admission queue → wait.
+// handle wires one compute endpoint: decode → canonicalize → body memo
+// (hit, join a flight, or lead one through the admission queue) → wait.
 func (s *Server) handle(endpoint string, normalize func(*bsor.Spec) error, fn func(context.Context, bsor.Spec) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -271,16 +278,18 @@ func (s *Server) handle(endpoint string, normalize func(*bsor.Spec) error, fn fu
 		keyHash := sha256.Sum256([]byte(key))
 		w.Header().Set("X-Cache-Key", hex.EncodeToString(keyHash[:8]))
 
-		if body, ok := s.cache.get(key); ok {
+		entry, status := s.bodies.Join(key)
+		state := "dedup"
+		switch status {
+		case memo.Hit:
 			s.mCacheHits.Inc()
+			body, _ := entry.Wait(r.Context()) // resolved: returns at once
 			w.Header().Set("X-Cache", "hit")
 			writeJSON(w, http.StatusOK, body)
 			return
-		}
-
-		c, leader := s.flights.join(key)
-		if leader {
-			s.enqueue(&job{key: key, call: c, timeout: timeout,
+		case memo.Leader:
+			state = "miss"
+			s.enqueue(&job{entry: entry, timeout: timeout,
 				compute: func(ctx context.Context) ([]byte, error) {
 					v, err := fn(ctx, canonical)
 					if err != nil {
@@ -288,29 +297,22 @@ func (s *Server) handle(endpoint string, normalize func(*bsor.Spec) error, fn fu
 					}
 					return marshalBody(v)
 				}})
-		} else {
+		case memo.Waiter:
 			s.mDedup.Inc()
 		}
 
+		// A waiter whose deadline passes gives up alone; the shared
+		// computation keeps running for the rest of the herd (and for
+		// the memo).
 		reqCtx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
-		select {
-		case <-c.done:
-			if c.err != nil {
-				fail(c.err)
-				return
-			}
-			state := "dedup"
-			if leader {
-				state = "miss"
-			}
-			w.Header().Set("X-Cache", state)
-			writeJSON(w, http.StatusOK, c.body)
-		case <-reqCtx.Done():
-			// This waiter gives up alone; the shared computation keeps
-			// running for the rest of the herd (and for the cache).
-			fail(reqCtx.Err())
+		body, err := entry.Wait(reqCtx)
+		if err != nil {
+			fail(err)
+			return
 		}
+		w.Header().Set("X-Cache", state)
+		writeJSON(w, http.StatusOK, body)
 	}
 }
 
@@ -328,7 +330,7 @@ func requestTimeout(r *http.Request, cfg Config) (time.Duration, error) {
 	return min(d, cfg.MaxTimeout), nil
 }
 
-// enqueue admits a leader's job or resolves its call with a typed
+// enqueue admits a leader's job or resolves its entry with a typed
 // admission error (queue full, shutting down) that every deduplicated
 // waiter observes. The admission lock pairs with Shutdown's draining
 // transition: once draining is set no new job can be admitted, so the
@@ -337,7 +339,7 @@ func (s *Server) enqueue(j *job) {
 	s.admit.RLock()
 	defer s.admit.RUnlock()
 	if s.draining.Load() {
-		s.flights.complete(j.key, j.call, nil, ErrShuttingDown)
+		s.bodies.Complete(j.entry, nil, ErrShuttingDown)
 		return
 	}
 	s.jobs.Add(1)
@@ -346,7 +348,7 @@ func (s *Server) enqueue(j *job) {
 	default:
 		s.jobs.Done()
 		s.mShed.Inc()
-		s.flights.complete(j.key, j.call, nil, ErrQueueFull)
+		s.bodies.Complete(j.entry, nil, ErrQueueFull)
 	}
 }
 
@@ -373,13 +375,13 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job's computation under the server's lifecycle
-// context with the leader's deadline, caches a successful body, and
-// resolves the call.
+// context with the leader's deadline and resolves its entry: a success
+// stays in the body memo, a failure reaches the waiters and is dropped.
 func (s *Server) runJob(j *job) {
 	defer s.jobs.Done()
 	if s.draining.Load() {
 		// Queued but not started when the drain began: cancelled, not run.
-		s.flights.complete(j.key, j.call, nil, ErrShuttingDown)
+		s.bodies.Complete(j.entry, nil, ErrShuttingDown)
 		return
 	}
 	s.mInflight.Add(1)
@@ -388,18 +390,27 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.timeout)
 	defer cancel()
 	start := time.Now()
-	body, err := j.compute(ctx)
+	body, err := guarded(ctx, j.compute)
 	s.mComputeT.Observe(time.Since(start))
-	if err == nil {
-		s.cache.add(j.key, body)
-	}
-	s.flights.complete(j.key, j.call, body, err)
+	s.bodies.Complete(j.entry, body, err)
+}
+
+// guarded runs a computation, turning a panic in compute or render into
+// ErrInternal: one bad request must not kill the daemon or strand the
+// herd waiting on its entry.
+func guarded(ctx context.Context, compute func(context.Context) ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			body, err = nil, fmt.Errorf("%w: %v", ErrInternal, p)
+		}
+	}()
+	return compute(ctx)
 }
 
 // failJob resolves a job that will not run.
 func (s *Server) failJob(j *job, err error) {
 	s.jobs.Done()
-	s.flights.complete(j.key, j.call, nil, err)
+	s.bodies.Complete(j.entry, nil, err)
 }
 
 // Shutdown drains the daemon: new requests are refused with 503,
@@ -466,9 +477,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
+// The four compute functions are renderings of one synthesis artifact:
+// whichever endpoint sees a spec first synthesizes it on the engine, the
+// others find it memoized.
+
 // computeSynthesize serves /v1/synthesize: one spec's route synthesis.
 func (s *Server) computeSynthesize(ctx context.Context, spec bsor.Spec) (any, error) {
-	rs, err := bsor.Synthesize(ctx, spec, s.opts...)
+	rs, err := s.engine.Synthesize(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +502,7 @@ func (s *Server) computeSynthesize(ctx context.Context, spec bsor.Spec) (any, er
 
 // computeExplore serves /v1/explore: the per-breaker MCL table.
 func (s *Server) computeExplore(ctx context.Context, spec bsor.Spec) (any, error) {
-	rows, err := bsor.Explore(ctx, spec, s.opts...)
+	rows, err := s.engine.Explore(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -503,11 +518,10 @@ func (s *Server) computeExplore(ctx context.Context, spec bsor.Spec) (any, error
 	return resp, nil
 }
 
-// computeSim serves /v1/sim: the spec's simulation sweep through a
-// pipeline (rates of one spec share their synthesis via the pipeline's
-// memoized cache).
+// computeSim serves /v1/sim: the spec's simulation sweep, every rate on
+// the spec's one artifact.
 func (s *Server) computeSim(ctx context.Context, spec bsor.Spec) (any, error) {
-	p, err := bsor.NewPipeline([]bsor.Spec{spec}, s.opts...)
+	p, err := s.engine.NewPipeline([]bsor.Spec{spec})
 	if err != nil {
 		return nil, err
 	}
@@ -521,11 +535,10 @@ func (s *Server) computeSim(ctx context.Context, spec bsor.Spec) (any, error) {
 	return SimResponse{Spec: spec, Results: results}, nil
 }
 
-// computeVerify serves /v1/verify: synthesis plus the independent
-// deadlock-freedom certificate (a rejection surfaces the
-// counterexample as a 422).
+// computeVerify serves /v1/verify: the independent deadlock-freedom
+// certificate (a rejection surfaces the counterexample as a 422).
 func (s *Server) computeVerify(ctx context.Context, spec bsor.Spec) (any, error) {
-	cert, err := bsor.Verify(ctx, spec, s.opts...)
+	cert, err := s.engine.Verify(ctx, spec)
 	if err != nil {
 		return nil, err
 	}

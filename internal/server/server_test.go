@@ -2,16 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/bsor"
 	"repro/internal/metrics"
 )
 
@@ -190,6 +193,20 @@ func TestErrorMapping(t *testing.T) {
 		{name: "explore of a baseline", path: "/v1/explore",
 			body:       `{"topo":{"kind":"ring","nodes":6},"workload":"rand-perm","algorithm":"SP"}`,
 			wantStatus: http.StatusBadRequest, wantKind: "spec"},
+		// Sizes the topology constructors panic on, and a breaker rooted
+		// outside the topology, stop at validation.
+		{name: "two-node ring", path: "/v1/synthesize",
+			body:       `{"topo":{"kind":"ring","nodes":2},"workload":"rand-perm"}`,
+			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "topo"},
+		{name: "one-node fullmesh", path: "/v1/verify",
+			body:       `{"topo":{"kind":"fullmesh","nodes":1},"workload":"rand-perm"}`,
+			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "topo"},
+		{name: "one-leaf clos", path: "/v1/explore",
+			body:       `{"topo":{"kind":"clos","spines":1,"leaves":1},"workload":"rand-perm"}`,
+			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "topo"},
+		{name: "breaker root off the mesh", path: "/v1/synthesize",
+			body:       `{"topo":{"kind":"mesh","width":4,"height":4},"workload":"transpose","breakers":["updown@99"]}`,
+			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "breakers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,6 +241,10 @@ func TestErrorMapping(t *testing.T) {
 				t.Errorf("body status %d disagrees with HTTP status %d", envelope.Error.Status, resp.StatusCode)
 			}
 		})
+	}
+	// None of the above may have hurt the daemon.
+	if resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", synthSpec); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthy request after the error table: %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -368,4 +389,132 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// TestOneSynthesisServesFourEndpoints is the sharing contract: one spec
+// posted to all four endpoints of one daemon is synthesized once — every
+// first request is still a body-cache miss, but only the first reaches
+// the synthesizer — and each body is byte-identical to what a fresh
+// daemon answers for that endpoint alone.
+func TestOneSynthesisServesFourEndpoints(t *testing.T) {
+	const spec = `{"topo":{"kind":"mesh","width":4,"height":4},"workload":"transpose",
+		"sim":{"rates":[2,4],"warmup":500,"measure":2000,"seed":1}}`
+	_, ts, col := newTestServer(t, Config{Workers: 2})
+	for _, ep := range []string{"synthesize", "explore", "verify", "sim"} {
+		resp, body := post(t, ts.Client(), ts.URL+"/v1/"+ep, spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", ep, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Errorf("%s: X-Cache = %q, want miss", ep, got)
+		}
+		_, fresh, _ := newTestServer(t, Config{Workers: 2})
+		_, alone := post(t, fresh.Client(), fresh.URL+"/v1/"+ep, spec)
+		if !bytes.Equal(body, alone) {
+			t.Errorf("%s: body differs from a fresh daemon's:\n%s\n--- fresh ---\n%s", ep, body, alone)
+		}
+	}
+	if got := metricValue(col, "engine_synth_cache_misses_total"); got != 1 {
+		t.Errorf("engine_synth_cache_misses_total = %g, want 1 synthesis for four endpoints", got)
+	}
+	// explore, verify and the two sim rates found the artifact memoized.
+	if got := metricValue(col, "engine_synth_cache_hits_total"); got != 4 {
+		t.Errorf("engine_synth_cache_hits_total = %g, want 4", got)
+	}
+}
+
+// TestInfeasibleSpecStillExplores: a spec whose every breaker is
+// infeasible is a deterministic failure kept inside the artifact, so one
+// synthesis answers /v1/explore with the table of error rows and
+// /v1/synthesize with the typed 422.
+func TestInfeasibleSpecStillExplores(t *testing.T) {
+	// A mesh turn rule cannot break a torus' wraparound cycles.
+	const spec = `{"topo":{"kind":"torus","width":4,"height":4},"workload":"transpose","breakers":["E-first"]}`
+	_, ts, col := newTestServer(t, Config{Workers: 2})
+
+	resp, body := post(t, ts.Client(), ts.URL+"/v1/explore", spec)
+	var explore ExploreResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &explore) != nil {
+		t.Fatalf("explore: %d: %s", resp.StatusCode, body)
+	}
+	if len(explore.Explorations) != 1 || explore.Explorations[0].Error == "" || explore.Explorations[0].MCL != -1 {
+		t.Errorf("explore rows = %+v, want one error row with MCL -1", explore.Explorations)
+	}
+
+	resp, body = post(t, ts.Client(), ts.URL+"/v1/synthesize", spec)
+	var envelope ErrorBody
+	if resp.StatusCode != http.StatusUnprocessableEntity ||
+		json.Unmarshal(body, &envelope) != nil || envelope.Error.Kind != "infeasible" {
+		t.Errorf("synthesize: %d kind %q, want 422 infeasible: %s", resp.StatusCode, envelope.Error.Kind, body)
+	}
+	if got := metricValue(col, "engine_synth_cache_misses_total"); got != 1 {
+		t.Errorf("engine_synth_cache_misses_total = %g, want both answers from 1 synthesis", got)
+	}
+}
+
+var registerPanicky = sync.OnceValue(func() error {
+	return bsor.RegisterWorkload("server-test-panicky", func(bsor.TopoInfo, float64) ([]bsor.Flow, error) {
+		panic("workload exploded")
+	})
+})
+
+// TestPanicIsContained: a panic under a request — in caller-registered
+// workload code deep inside synthesis, or in the compute/render step the
+// worker runs — fails that request's whole herd with a typed 500 and
+// nothing else: the daemon keeps serving and leaks no goroutine.
+func TestPanicIsContained(t *testing.T) {
+	if err := registerPanicky(); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	col := metrics.New()
+	s := New(Config{Workers: 2, Metrics: col})
+	mux := http.NewServeMux()
+	mux.Handle("/", s.Handler())
+	mux.HandleFunc("/v1/render-panics", s.handle("render-panics", normalizeSynth,
+		func(context.Context, bsor.Spec) (any, error) { panic("render exploded") }))
+	ts := httptest.NewServer(mux)
+
+	const herd = 16
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/synthesize", `{"topo":{"kind":"mesh","width":4,"height":4},"workload":"server-test-panicky"}`},
+		{"/v1/render-panics", synthSpec},
+	} {
+		errsBefore := metricValue(col, "server_errors_total")
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for range herd {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					t.Errorf("%s: %v", tc.path, err)
+					return
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var envelope ErrorBody
+				if resp.StatusCode != http.StatusInternalServerError ||
+					json.Unmarshal(raw, &envelope) != nil || envelope.Error.Kind != "internal" {
+					t.Errorf("%s: %d kind %q, want 500 internal: %s", tc.path, resp.StatusCode, envelope.Error.Kind, raw)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := metricValue(col, "server_errors_total") - errsBefore; got != herd {
+			t.Errorf("%s: server_errors_total rose by %g, want %d", tc.path, got, herd)
+		}
+		if resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", synthSpec); resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthy request after the %s herd: %d: %s", tc.path, resp.StatusCode, body)
+		}
+	}
+
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	settleGoroutines(t, before)
 }
