@@ -20,6 +20,7 @@ func FuzzSparseVsDense(f *testing.F) {
 	f.Add([]byte{6, 6, 0, 11, 22, 33, 44, 55, 66, 77, 88, 99, 110, 121, 132, 143, 154, 165, 176, 187, 198, 209, 220, 231, 242, 253, 8})
 	f.Add([]byte{2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{3, 1, 0, 90, 90, 90, 90, 90, 90, 90})
+	f.Add(masterSeed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := problemFromBytes(data)
@@ -49,14 +50,28 @@ func FuzzSparseVsDense(f *testing.F) {
 	})
 }
 
-// problemFromBytes decodes data into a small LP: byte 0 is the variable
-// count (clamped to [1, 6]), byte 1 the constraint count (clamped to
-// [1, 6]), byte 2 the objective sense, then per-variable (ub, cost) pairs
-// and per-constraint (sense, rhs, coef...) groups. Returns nil when data is
-// too short to fill every field.
+// masterSeed decodes (masterFromBytes) to the structure the sparse engine
+// exists for: 12 choose-one EQ rows over 4 paths each, 30 min-max LE rows
+// sharing the U column, demands from a small set so ties are everywhere,
+// and U bounded below by the largest demand.
+var masterSeed = []byte{
+	200, 4, 2, 4,
+	3, 17, 40, 9, 28, 5, 33, 12, 21, 2, 36, 14, 7, 30, 19, 25,
+	1, 11, 38, 16, 23, 6, 34, 27, 8, 31, 13, 20, 4, 29, 10, 35,
+}
+
+// problemFromBytes decodes data into an LP. A first byte below 128 gives a
+// small dense one: byte 0 is the variable count (clamped to [1, 6]), byte 1
+// the constraint count (clamped to [1, 6]), byte 2 the objective sense,
+// then per-variable (ub, cost) pairs and per-constraint (sense, rhs,
+// coef...) groups; nil when data is too short to fill every field. A first
+// byte of 128 or more gives a restricted-master-shaped one (masterFromBytes).
 func problemFromBytes(data []byte) *Problem {
 	if len(data) < 3 {
 		return nil
+	}
+	if data[0] >= 128 {
+		return masterFromBytes(data[1:])
 	}
 	nv := 1 + int(data[0])%6
 	nc := 1 + int(data[1])%6
@@ -109,4 +124,75 @@ func problemFromBytes(data []byte) *Problem {
 		p.AddConstraint(terms, sense, rhs)
 	}
 	return p
+}
+
+// masterFromBytes decodes a route-selection restricted master: bytes 0-2
+// give the flow count (8-12), paths per flow (2-4) and channel-row count
+// (32-40); the rest, read cyclically, give each flow's demand (1-4) and the
+// four channel rows each path loads. The LP is
+//
+//	minimize U  s.t.  sum_p x[f][p] = 1 per flow,
+//	                  sum demand*x over the paths on a channel <= U,
+//	                  0 <= x <= 1, U >= the largest demand.
+func masterFromBytes(data []byte) *Problem {
+	if len(data) < 4 {
+		return nil
+	}
+	nf := 8 + int(data[0])%5
+	np := 2 + int(data[1])%3
+	nc := 32 + int(data[2])%9
+	rest, next := data[3:], 0
+	take := func() int {
+		b := rest[next%len(rest)]
+		next++
+		return int(b)
+	}
+	demand := make([]float64, nf)
+	maxDemand := 0.0
+	for f := range demand {
+		demand[f] = float64(1 + take()%4)
+		maxDemand = math.Max(maxDemand, demand[f])
+	}
+	p := NewProblem()
+	u := p.AddVar("U", maxDemand, Inf, 1)
+	chTerms := make([][]Term, nc)
+	for f := 0; f < nf; f++ {
+		var choose []Term
+		for k := 0; k < np; k++ {
+			v := p.AddVar("", 0, 1, 0)
+			choose = append(choose, Term{v, 1})
+			for e := 0; e < 4; e++ {
+				// AddConstraint sums a channel drawn twice, as a path
+				// crossing two VCs of one channel would.
+				ch := take() % nc
+				chTerms[ch] = append(chTerms[ch], Term{v, demand[f]})
+			}
+		}
+		p.AddConstraint(choose, EQ, 1)
+	}
+	for _, terms := range chTerms {
+		if len(terms) > 0 {
+			p.AddConstraint(append(terms, Term{u, -1}), LE, 0)
+		}
+	}
+	return p
+}
+
+// TestFuzzMasterSeedShape keeps the master seed honest: it must decode to
+// the structure it is there to cover.
+func TestFuzzMasterSeedShape(t *testing.T) {
+	p := problemFromBytes(masterSeed)
+	if p == nil {
+		t.Fatal("master seed does not decode")
+	}
+	if p.NumConstraints() < 40 {
+		t.Fatalf("master seed decodes to %d rows, want at least 40", p.NumConstraints())
+	}
+	if p.vars[0].lb <= 0 {
+		t.Fatal("U is not bounded below")
+	}
+	sol, err := Solve(p)
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("master seed: %v %v", sol, err)
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+
+	"repro/internal/metrics"
 )
 
 // lpDebug gates solver-path diagnostics (warm-start fallbacks, phase-1
@@ -31,8 +33,9 @@ const (
 // branch-and-bound layer treats it as a signal to re-solve cold.
 var ErrSingularBasis = errors.New("lp: singular basis")
 
-// refactorEvery bounds how many elementary product-form updates the dense
-// basis inverse accumulates before a full refactorization limits drift.
+// refactorEvery is the length the eta file may reach before the basis is
+// refactorized: it bounds both the drift of the product form and the work
+// the file adds to every ftran and btran.
 const refactorEvery = 64
 
 // alpha eligibility threshold for dual-simplex entering candidates.
@@ -70,9 +73,9 @@ type basisState struct {
 
 // sparseSolver is a revised bounded-variable simplex over one Problem: the
 // constraint matrix is stored once in sparse column-major form, the basis
-// inverse is maintained densely (m x m) with product-form updates and
-// periodic refactorization, and pricing touches only the nonzeros of each
-// column. A solver instance is reused across every node of a
+// is held as a sparse LU factorization plus a product-form eta file with
+// periodic refactorization (lu.go), and pricing touches only the nonzeros
+// of each column. A solver instance is reused across every node of a
 // branch-and-bound search; only bounds and basis state change per solve.
 type sparseSolver struct {
 	p       *Problem
@@ -96,16 +99,26 @@ type sparseSolver struct {
 	stat     []varStatus
 	basis    []int
 	artSign  []float64 // artificial column coefficient per row (set by crash)
-	binv     []float64 // dense m x m basis inverse, row-major
-	binvOK   bool      // binv matches basis/artSign
+	lu       *luFactor
+	luOK     bool // lu factors basis/artSign
 	xB       []float64
 
-	// Scratch.
-	y, w, rwork, mat []float64
-	unbounded        bool
+	// Scratch, sized once and reused by every solve. rwork (by row) and
+	// cwork (by basis position) feed ftran and btran; rho and rhoTry hold
+	// rows of the basis inverse in the dual ratio test.
+	y, w, rwork, cwork, rho, rhoTry []float64
+	cands                           []dualCand
+	unbounded                       bool
 
 	// inst counts pivots/refactorizations; the zero value is disabled.
 	inst Instruments
+}
+
+// dualCand is one sign-eligible entering column of a dual ratio test.
+type dualCand struct {
+	j     int
+	alpha float64
+	ratio float64
 }
 
 func newSparseSolver(p *Problem) *sparseSolver {
@@ -134,12 +147,15 @@ func newSparseSolver(p *Problem) *sparseSolver {
 		stat:       make([]varStatus, n),
 		basis:      make([]int, m),
 		artSign:    make([]float64, m),
-		binv:       make([]float64, m*m),
+		lu:         newLUFactor(m),
 		xB:         make([]float64, m),
 		y:          make([]float64, m),
 		w:          make([]float64, m),
 		rwork:      make([]float64, m),
-		mat:        make([]float64, m*m),
+		cwork:      make([]float64, m),
+		rho:        make([]float64, m),
+		rhoTry:     make([]float64, m),
+		cands:      make([]dualCand, 0, nReal),
 	}
 	for i := range s.artRows {
 		s.artRows[i] = int32(i)
@@ -229,79 +245,26 @@ func (s *sparseSolver) valOf(j int) float64 {
 	return s.lb[j]
 }
 
-// factorize rebuilds the dense basis inverse from the current basis columns
-// by Gauss-Jordan elimination with partial pivoting.
+// basisCol returns the column at basis position k.
+func (s *sparseSolver) basisCol(k int) ([]int32, []float64) { return s.col(s.basis[k]) }
+
+// factorize refactorizes the current basis, emptying the eta file.
 func (s *sparseSolver) factorize() error {
 	s.inst.Refactorizations.Inc()
-	m := s.m
-	mat, binv := s.mat, s.binv
-	for i := range mat {
-		mat[i] = 0
-	}
-	for k, j := range s.basis {
-		rows, vals := s.col(j)
-		for t, r := range rows {
-			mat[int(r)*m+k] = vals[t]
-		}
-	}
-	for i := range binv {
-		binv[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		binv[i*m+i] = 1
-	}
-	for c := 0; c < m; c++ {
-		pr, pv := -1, epsPivot
-		for i := c; i < m; i++ {
-			if a := math.Abs(mat[i*m+c]); a > pv {
-				pr, pv = i, a
-			}
-		}
-		if pr < 0 {
-			s.binvOK = false
-			return ErrSingularBasis
-		}
-		if pr != c {
-			swapRows(mat, m, pr, c)
-			swapRows(binv, m, pr, c)
-		}
-		inv := 1 / mat[c*m+c]
-		for k := c; k < m; k++ {
-			mat[c*m+k] *= inv
-		}
-		for k := 0; k < m; k++ {
-			binv[c*m+k] *= inv
-		}
-		for i := 0; i < m; i++ {
-			if i == c {
-				continue
-			}
-			f := mat[i*m+c]
-			if f == 0 {
-				continue
-			}
-			for k := c; k < m; k++ {
-				mat[i*m+k] -= f * mat[c*m+k]
-			}
-			for k := 0; k < m; k++ {
-				binv[i*m+k] -= f * binv[c*m+k]
-			}
-		}
-	}
-	s.binvOK = true
-	return nil
+	return s.factorBasis()
 }
 
-func swapRows(a []float64, m, i, j int) {
-	ri, rj := a[i*m:(i+1)*m], a[j*m:(j+1)*m]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
+// factorBasis is factorize without the count, for the crash basis of a
+// cold solve: that basis is diagonal — every column a singleton — so
+// setting it up is bookkeeping, not a factorization.
+func (s *sparseSolver) factorBasis() error {
+	err := s.lu.factor(s.basisCol)
+	s.luOK = err == nil
+	return err
 }
 
 // computeXB recomputes the basic values xB = B^-1 (rhs - N x_N).
 func (s *sparseSolver) computeXB() {
-	m := s.m
 	r := s.rwork
 	copy(r, s.rhs)
 	for j := 0; j < s.n; j++ {
@@ -317,35 +280,24 @@ func (s *sparseSolver) computeXB() {
 			r[ri] -= vals[t] * v
 		}
 	}
-	for i := 0; i < m; i++ {
-		row := s.binv[i*m : (i+1)*m]
-		sum := 0.0
-		for k, rv := range r {
-			if rv != 0 {
-				sum += row[k] * rv
-			}
-		}
-		s.xB[i] = sum
-	}
+	s.lu.ftran(r, s.xB)
 }
 
 // computeY computes the simplex multipliers y = c_B^T B^-1.
 func (s *sparseSolver) computeY(cost []float64) {
-	m := s.m
-	y := s.y
-	for k := range y {
-		y[k] = 0
+	for i, j := range s.basis {
+		s.cwork[i] = cost[j]
 	}
-	for i := 0; i < m; i++ {
-		cb := cost[s.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		row := s.binv[i*m : (i+1)*m]
-		for k := range row {
-			y[k] += cb * row[k]
-		}
+	s.lu.btran(s.cwork, s.y)
+}
+
+// computeRho computes row r of the basis inverse, e_r^T B^-1, into rho.
+func (s *sparseSolver) computeRho(r int, rho []float64) {
+	for i := range s.cwork {
+		s.cwork[i] = 0
 	}
+	s.cwork[r] = 1
+	s.lu.btran(s.cwork, rho)
 }
 
 // reducedCost prices one column against the current multipliers.
@@ -360,40 +312,24 @@ func (s *sparseSolver) reducedCost(cost []float64, j int) float64 {
 
 // computeW computes the pivot column w = B^-1 A_j.
 func (s *sparseSolver) computeW(j int) {
-	m := s.m
 	rows, vals := s.col(j)
-	for i := 0; i < m; i++ {
-		row := s.binv[i*m : (i+1)*m]
-		sum := 0.0
-		for t, r := range rows {
-			sum += vals[t] * row[r]
-		}
-		s.w[i] = sum
-	}
+	s.lu.ftranCol(rows, vals, s.w)
 }
 
-// updateBinv applies the product-form update for a pivot on row r with the
-// current w: binv <- E * binv.
-func (s *sparseSolver) updateBinv(r int) {
-	m := s.m
-	prow := s.binv[r*m : (r+1)*m]
-	inv := 1 / s.w[r]
-	for k := range prow {
-		prow[k] *= inv
+// pivotBasis records that column q replaced the basic column at position r
+// (s.w holds B^-1 A_q): one more eta column, or a refactorization plus
+// recomputed basic values once the file is full.
+func (s *sparseSolver) pivotBasis(r, q int) error {
+	s.basis[r] = q
+	s.stat[q] = basic
+	if !s.lu.update(r, s.w) {
+		return nil
 	}
-	for i := 0; i < m; i++ {
-		if i == r {
-			continue
-		}
-		f := s.w[i]
-		if f == 0 {
-			continue
-		}
-		row := s.binv[i*m : (i+1)*m]
-		for k := range row {
-			row[k] -= f * prow[k]
-		}
+	if err := s.factorize(); err != nil {
+		return err
 	}
+	s.computeXB()
+	return nil
 }
 
 // objectiveOf evaluates a cost vector at the current point.
@@ -441,15 +377,19 @@ func (s *sparseSolver) chooseEntering(cost []float64, bland bool) int {
 }
 
 // iterate runs primal simplex iterations to optimality for the given cost,
-// mirroring the dense engine's ratio test and anti-cycling switch.
-func (s *sparseSolver) iterate(cost []float64) error {
+// mirroring the dense engine's ratio test and anti-cycling switch. phase
+// is a second counter the pivots are added to (Phase1Pivots, or nil).
+func (s *sparseSolver) iterate(cost []float64, phase *metrics.Counter) error {
 	s.unbounded = false
 	maxIter := 2000 + 40*(s.m+s.n)
 	blandAfter := maxIter / 2
 	pivots := 0
 	// One bulk flush per iterate call keeps the pivot loop itself free of
 	// shared-memory traffic.
-	defer func() { s.inst.Pivots.Add(int64(pivots)) }()
+	defer func() {
+		s.inst.Pivots.Add(int64(pivots))
+		phase.Add(int64(pivots))
+	}()
 	for iter := 0; iter <= maxIter; iter++ {
 		bland := iter >= blandAfter
 		s.computeY(cost)
@@ -559,16 +499,10 @@ func (s *sparseSolver) iterate(cost []float64) error {
 		} else {
 			s.stat[leaving] = atLB
 		}
-		s.updateBinv(leave)
-		s.basis[leave] = q
-		s.stat[q] = basic
 		s.xB[leave] = enterVal
 		pivots++
-		if pivots%refactorEvery == 0 {
-			if err := s.factorize(); err != nil {
-				return err
-			}
-			s.computeXB()
+		if err := s.pivotBasis(leave, q); err != nil {
+			return err
 		}
 	}
 	if lpDebug {
@@ -614,6 +548,7 @@ func (s *sparseSolver) solveLP(lbOver, ubOver []float64, warm *basisState) (*Sol
 		}
 		// Numerical trouble on the warm path (singular refactorization,
 		// stalled dual loop): fall back to a cold solve.
+		s.inst.ColdFallbacks.Inc()
 	}
 	return s.coldSolve()
 }
@@ -660,11 +595,7 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 	}
 
 	// Crash basis: slack-feasible rows take their slack; the rest get an
-	// artificial signed to keep its value nonnegative. The initial basis
-	// matrix is diagonal, so its inverse is written directly.
-	for i := range s.binv {
-		s.binv[i] = 0
-	}
+	// artificial signed to keep its value nonnegative.
 	needPhase1 := false
 	for i := 0; i < m; i++ {
 		sl := s.rowSlack[i]
@@ -675,13 +606,11 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 			s.basis[i] = sl
 			s.stat[sl] = basic
 			s.xB[i] = r[i]
-			s.binv[i*m+i] = 1
 			s.artSign[i] = 1
 		case geSlack && r[i] <= 0:
 			s.basis[i] = sl
 			s.stat[sl] = basic
 			s.xB[i] = -r[i]
-			s.binv[i*m+i] = -1
 			s.artSign[i] = 1
 		default:
 			sgn := 1.0
@@ -693,14 +622,15 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 			s.basis[i] = art
 			s.stat[art] = basic
 			s.xB[i] = math.Abs(r[i])
-			s.binv[i*m+i] = sgn
 			needPhase1 = true
 		}
 	}
-	s.binvOK = true
+	if err := s.factorBasis(); err != nil {
+		return nil, nil, err
+	}
 
 	if needPhase1 {
-		if err := s.iterate(s.phase1Cost); err != nil {
+		if err := s.iterate(s.phase1Cost, s.inst.Phase1Pivots); err != nil {
 			if lpDebug {
 				fmt.Fprintf(os.Stderr, "lp debug: cold phase1 failed\n")
 			}
@@ -731,7 +661,7 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 		}
 	}
 	// Phase 2 on the perturbed bounds, then remove the perturbation.
-	if err := s.iterate(s.phase2Cost); err != nil {
+	if err := s.iterate(s.phase2Cost, nil); err != nil {
 		if lpDebug {
 			fmt.Fprintf(os.Stderr, "lp debug: perturbed phase2 failed\n")
 		}
@@ -770,7 +700,7 @@ func (s *sparseSolver) warmSolve(warm *basisState) (*Solution, *basisState, erro
 	if len(warm.basis) != s.m || len(warm.stat) != s.n || len(warm.artSign) != s.m {
 		return nil, nil, errors.New("lp: warm state shape mismatch")
 	}
-	reuse := s.binvOK && intsEqual(s.basis, warm.basis) && floatsEqual(s.artSign, warm.artSign)
+	reuse := s.luOK && intsEqual(s.basis, warm.basis) && floatsEqual(s.artSign, warm.artSign)
 	copy(s.basis, warm.basis)
 	copy(s.stat, warm.stat)
 	copy(s.artSign, warm.artSign)
@@ -816,9 +746,10 @@ func (s *sparseSolver) dualIterate() (infeasible bool, err error) {
 	for iter := 0; iter < maxIter; iter++ {
 		bland := iter >= blandAfter
 		// Leaving row: steepest-edge flavored — weigh each violation by the
-		// inverse norm of its binv row, preferring the repair that moves
-		// the basis least per unit of progress. Max plain violation storms
-		// on these masters: rows coupled through U have huge binv rows, and
+		// inverse norm of its row of the basis inverse (one btran per
+		// violated row), preferring the repair that moves the basis least
+		// per unit of progress. Max plain violation storms on these
+		// masters: rows coupled through U have huge inverse rows, and
 		// repairing them first sprays the violation everywhere. Under the
 		// anti-cycling switch the first violated row wins instead.
 		r, sigma, worst := -1, 0.0, 0.0
@@ -842,13 +773,14 @@ func (s *sparseSolver) dualIterate() (infeasible bool, err error) {
 				}
 				continue
 			}
-			rho := s.binv[i*m : (i+1)*m]
+			s.computeRho(i, s.rhoTry)
 			norm2 := 0.0
-			for _, v := range rho {
+			for _, v := range s.rhoTry {
 				norm2 += v * v
 			}
 			if score := d * d / norm2; score > worst {
 				r, sigma, worst = i, sg, score
+				s.rho, s.rhoTry = s.rhoTry, s.rho
 			}
 		}
 		if r < 0 {
@@ -865,19 +797,17 @@ func (s *sparseSolver) dualIterate() (infeasible bool, err error) {
 		// pivot algebra never involve the costs, and finishPhase2
 		// re-polishes against the exact objective afterwards.
 		s.computeY(s.costP)
-		rho := s.binv[r*m : (r+1)*m]
+		if bland {
+			s.computeRho(r, s.rho)
+		}
+		rho := s.rho
 		// Entering column: Harris two-pass dual ratio test. Pass 1 finds
 		// the tolerance-relaxed minimum ratio (each pivot may give away up
 		// to harrisDual of dual feasibility); pass 2 picks the largest
 		// |alpha| within the bound — small alphas are the failure mode, a
 		// 1e-7 pivot would turn a unit bound violation into a 1e7-scale
 		// basis swing — or the smallest index under Bland's rule.
-		type cand struct {
-			j     int
-			alpha float64
-			ratio float64
-		}
-		var cands []cand
+		cands := s.cands[:0]
 		tinyEligible := 0
 		phi := math.Inf(1)
 		for j := 0; j < s.nReal; j++ {
@@ -902,7 +832,7 @@ func (s *sparseSolver) dualIterate() (infeasible bool, err error) {
 			}
 			absA := math.Abs(alpha)
 			absD := math.Abs(s.reducedCost(s.costP, j))
-			cands = append(cands, cand{j, alpha, absD / absA})
+			cands = append(cands, dualCand{j, alpha, absD / absA})
 			if rel := (absD + harrisDual) / absA; rel < phi {
 				phi = rel
 			}
@@ -957,17 +887,10 @@ func (s *sparseSolver) dualIterate() (infeasible bool, err error) {
 		} else {
 			s.stat[leaving] = atLB
 		}
-		enterVal := s.valOf(q) + delta
-		s.updateBinv(r)
-		s.basis[r] = q
-		s.stat[q] = basic
-		s.xB[r] = enterVal
+		s.xB[r] = s.valOf(q) + delta
 		pivots++
-		if pivots%refactorEvery == 0 {
-			if err := s.factorize(); err != nil {
-				return false, err
-			}
-			s.computeXB()
+		if err := s.pivotBasis(r, q); err != nil {
+			return false, err
 		}
 	}
 	return false, fmt.Errorf("lp: dual simplex iteration limit (m=%d n=%d)", s.m, s.n)
@@ -976,7 +899,7 @@ func (s *sparseSolver) dualIterate() (infeasible bool, err error) {
 // finishPhase2 runs the real objective to optimality and extracts the
 // solution plus a basis snapshot for warm-starting children.
 func (s *sparseSolver) finishPhase2() (*Solution, *basisState, error) {
-	if err := s.iterate(s.phase2Cost); err != nil {
+	if err := s.iterate(s.phase2Cost, nil); err != nil {
 		if lpDebug {
 			fmt.Fprintf(os.Stderr, "lp debug: phase2 failed\n")
 		}

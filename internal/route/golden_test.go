@@ -161,10 +161,13 @@ func goldenIrregularGraph(t *testing.T) *flowgraph.Graph {
 func TestGoldenSynthesisDeterminismIrregular(t *testing.T) {
 	print := os.Getenv("ROUTE_GOLDEN_PRINT") != ""
 	g := goldenIrregularGraph(t)
-	golden := map[string]string{
-		"milp":      "16a3b903615d1245",
-		"heuristic": "767b32fdc596eb39",
-		"dijkstra":  "16a3b903615d1245",
+	golden := map[string]struct {
+		digest string
+		mcl    float64
+	}{
+		"milp":      {"f74d8f2a2223b3e1", 50},
+		"heuristic": {"767b32fdc596eb39", 40},
+		"dijkstra":  {"16a3b903615d1245", 60},
 	}
 	for _, gc := range goldenSelectors() {
 		gc := gc
@@ -192,12 +195,17 @@ func TestGoldenSynthesisDeterminismIrregular(t *testing.T) {
 				}
 			}
 			digest := setDigest(firstSet)
+			mcl, _ := firstSet.MCL()
 			if print {
-				fmt.Printf("irregular %s: digest %q\n", gc.name, digest)
+				fmt.Printf("irregular %s: digest %q, mcl: %v\n", gc.name, digest, mcl)
 				return
 			}
-			if want := golden[gc.name]; want != "" && digest != want {
-				t.Errorf("digest %s, golden %s (ROUTE_GOLDEN_PRINT=1 to regenerate)", digest, want)
+			want := golden[gc.name]
+			if digest != want.digest {
+				t.Errorf("digest %s, golden %s (ROUTE_GOLDEN_PRINT=1 to regenerate)", digest, want.digest)
+			}
+			if mcl != want.mcl {
+				t.Errorf("MCL %v, golden %v", mcl, want.mcl)
 			}
 		})
 	}

@@ -363,9 +363,10 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 	// channel and the MCL can never undercut the largest demand. That lower
 	// bound on U lets the master drop every channel row only one flow's
 	// candidates can touch (its load is at most that flow's demand), which
-	// shrinks the LP basis — the per-iteration cost of the revised simplex
-	// is quadratic in the row count. The baseline mode keeps the seed
-	// formulation for benchmarking.
+	// shrinks the LP basis — every eta column, ratio test and ftran/btran
+	// result of the revised simplex is one entry per row, and every such
+	// row is coupled to the rest through U. The baseline mode keeps the
+	// seed formulation for benchmarking.
 	uLB := 0.0
 	if !ms.DenseLP {
 		for _, f := range flows {
@@ -451,6 +452,8 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 			Pivots:           ms.Metrics.Counter("lp_simplex_pivots_total"),
 			Refactorizations: ms.Metrics.Counter("lp_refactorizations_total"),
 			Nodes:            ms.Metrics.Counter("lp_bb_nodes_total"),
+			ColdFallbacks:    ms.Metrics.Counter("lp_cold_fallbacks_total"),
+			Phase1Pivots:     ms.Metrics.Counter("lp_phase1_pivots_total"),
 		}
 	}
 	if ms.DenseLP {

@@ -10,9 +10,11 @@
 # versus the reworked stack (sparse revised simplex, basis-warm-started
 # branch and bound, bound propagation, parallel deduplicated enumeration),
 # plus the 16x16 mesh/torus BSOR-Heuristic synthesis-scale jobs. The JSON
-# records ms per job, the dense/sparse speedup, and whether the heuristic
-# meets its sub-second 16x16 budget. EXPERIMENTS.md quotes these numbers;
-# CI runs the same benchmarks with -benchtime=1x as a smoke check.
+# records the host's CPU count and Go version, ms per job, the dense/sparse
+# speedup, and whether the heuristic meets its sub-second 16x16 budget.
+# EXPERIMENTS.md quotes these numbers; CI runs the same benchmarks with
+# -benchtime=1x and fails if the 8x8 sparse MILP job takes more than twice
+# the time recorded here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +24,7 @@ BENCHTIME="${BENCHTIME:-1x}"
 raw="$(go test -run '^$' -bench 'BenchmarkRouteSynthesis' -benchtime "$BENCHTIME" .)"
 echo "$raw"
 
-echo "$raw" | awk -v out="$OUT" '
+echo "$raw" | awk -v out="$OUT" -v cpus="$(getconf _NPROCESSORS_ONLN)" -v gover="$(go env GOVERSION)" '
 /^BenchmarkRouteSynthesis\// {
     name = $1
     sub(/^BenchmarkRouteSynthesis\//, "", name)
@@ -41,6 +43,8 @@ echo "$raw" | awk -v out="$OUT" '
 END {
     printf "{\n" > out
     printf "  \"benchmark\": \"BenchmarkRouteSynthesis (8x8 transpose MILP table cell: seed dense stack vs sparse+warm-start stack; 16x16 heuristic synthesis-scale jobs)\",\n" >> out
+    printf "  \"host_cpus\": %d,\n", cpus >> out
+    printf "  \"go\": \"%s\",\n", gover >> out
     printf "  \"results\": [\n" >> out
     for (i = 1; i <= n; i++) {
         name = names[i]
