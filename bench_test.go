@@ -279,6 +279,7 @@ func BenchmarkSimCycles(b *testing.B) {
 			m, set := tc.build(b)
 			rates := []float64{2, 10, 20, 40, 60}
 			var cycles, hops int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, rate := range rates {

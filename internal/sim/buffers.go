@@ -27,19 +27,23 @@ type flitRef struct {
 	idx int16
 }
 
-// packet metadata; flits reference packets by index, and delivered
-// records are recycled through Simulator.freePkts.
+// packet is the record of one packet in the network. It exists only from
+// launch (injectNode claims an injection VC) to tail ejection or a churn
+// purge; a queued packet is nothing but a creation cycle in its flow's
+// source queue. A live packet owns at least one VC, so however deep the
+// backlog, the arena holds at most len(bufs) live records plus the
+// shards' launch stocks (shard.go) and stays cache-resident under the
+// random access of RC and ejection. Records are recycled through
+// freePkts and the stocks; their indices never show in a Result.
 type packet struct {
 	flow int32
-	// epoch is the routing-table generation the packet was launched under
-	// (assigned when its transfer starts streaming flits). Lookups go to
-	// tables[epoch], so a packet finishes on the route it started with
-	// even after a newer table is swapped in — a newer table's default
-	// "eject here" entries would mis-eject a mid-route packet.
+	// epoch is the routing-table generation the packet was launched
+	// under. It walks tables[epoch], so a packet finishes on the route it
+	// started with even after a newer table is swapped in.
 	epoch   int32
 	createT int64 // cycle the packet entered its source queue
 	enterT  int64 // cycle the header flit entered the injection buffer
-	doneT   int64
+	hop     int32 // cursor into the table row: channels the header has crossed
 }
 
 // vcBuf is one virtual-channel buffer at the downstream end of a channel
@@ -172,20 +176,19 @@ func (s *Simulator) release(sh *simShard, bi int32, b *vcBuf) {
 	}
 }
 
-// i32ring is a growable FIFO of int32 with O(1) push/pop and a
-// power-of-two backing array, used for the per-flow source queues: the
-// old append/re-slice queues churned their backing arrays every few
-// thousand packets, while a ring reaches steady-state capacity once and
-// never allocates again.
-type i32ring struct {
-	data []int32
+// cycleRing is the per-flow source queue: a growable FIFO of creation
+// cycles (all the state a queued packet has) with O(1) push/pop over a
+// power-of-two backing array, which reaches steady-state capacity once
+// and never allocates again.
+type cycleRing struct {
+	data []int64
 	head int32
 	n    int32
 }
 
-func (q *i32ring) len() int { return int(q.n) }
+func (q *cycleRing) len() int { return int(q.n) }
 
-func (q *i32ring) push(v int32) {
+func (q *cycleRing) push(v int64) {
 	if int(q.n) == len(q.data) {
 		q.grow()
 	}
@@ -193,19 +196,19 @@ func (q *i32ring) push(v int32) {
 	q.n++
 }
 
-func (q *i32ring) pop() int32 {
+func (q *cycleRing) pop() int64 {
 	v := q.data[q.head]
 	q.head = int32((int(q.head) + 1) & (len(q.data) - 1))
 	q.n--
 	return v
 }
 
-func (q *i32ring) grow() {
+func (q *cycleRing) grow() {
 	ncap := len(q.data) * 2
 	if ncap == 0 {
 		ncap = 8
 	}
-	nd := make([]int32, ncap)
+	nd := make([]int64, ncap)
 	for i := 0; i < int(q.n); i++ {
 		nd[i] = q.data[(int(q.head)+i)&(len(q.data)-1)]
 	}

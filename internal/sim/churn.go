@@ -32,10 +32,11 @@ import (
 // in-flight packet whose routing-table row (under the epoch it was
 // launched with) crosses any dead channel is purged from the network:
 // its buffered flits are discarded and counted in Result.DroppedFlits,
-// claimed VCs are freed, and the packet is either discarded
-// (Result.DroppedPackets) or, with requeue set, pushed back onto its
-// source queue to be re-injected under the table current at that time
-// (Result.RequeuedPackets, original creation time preserved).
+// claimed VCs are freed, its record is retired, and the packet is either
+// discarded (Result.DroppedPackets) or, with requeue set, pushed back
+// onto its source queue — as its original creation cycle, which is all a
+// queued packet is — to be launched again under the table current at
+// that time (Result.RequeuedPackets).
 //
 // The purge is conservative: a packet of an affected (epoch, flow) pair
 // is removed even when it has already passed the dead channel, because
@@ -133,28 +134,16 @@ func (s *Simulator) DisableChannels(requeue bool, chs ...topology.ChannelID) Pur
 		}
 	}
 
-	// Retire or re-inject the purged packets.
+	// Retire the purged packets' records; re-queue them if asked.
 	for _, pkt := range purged {
+		s.freePkts = append(s.freePkts, pkt)
 		if !requeue {
 			s.droppedPackets++
-			s.freePkts = append(s.freePkts, pkt)
 			continue
 		}
 		p := &s.packets[pkt]
-		p.enterT, p.doneT = -1, 0 // creation time survives re-injection
-		fi := p.flow
-		s.srcQueue[fi].push(pkt)
+		s.enqueue(p.flow, p.createT) // total latency still counts from creation
 		s.requeuedPkts++
-		if !s.flowWork[fi] {
-			s.flowWork[fi] = true
-			n := s.flowNode[fi]
-			s.nodeWork[n]++
-			if !s.injQueued[n] {
-				s.injQueued[n] = true
-				sh := &s.shards[s.shardOfNode[n]]
-				sh.activeInj = append(sh.activeInj, n)
-			}
-		}
 	}
 	ps := PurgeStats{
 		Flits:    s.droppedFlits - before.Flits,

@@ -126,6 +126,83 @@ func TestChurnPurgeInvariantsRequeue(t *testing.T) {
 	}
 }
 
+// TestChurnRequeueKeepsCreationCycle follows one packet through a purge
+// under the requeue policy. Its record is retired and it goes back to
+// its source queue as nothing but its creation cycle; when it is
+// launched again and delivered, its total latency must still count from
+// that original cycle, while its network latency counts from the second
+// launch only.
+func TestChurnRequeueKeepsCreationCycle(t *testing.T) {
+	m := topology.NewMesh(4, 4)
+	flows := []flowgraph.Flow{{ID: 0, Name: "f", Src: 0, Dst: 15, Demand: 1}}
+	set, err := route.ShortestPath{VCs: 2}.Routes(m, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Mesh: m, Routes: set, VCs: 2, OfferedRate: 0.02, WarmupCycles: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.checkEvery = 1
+	ctx := context.Background()
+	step := func() {
+		t.Helper()
+		if dead, err := s.Advance(ctx, s.Cycle()+1); err != nil || dead {
+			t.Fatalf("cycle %d: deadlocked=%v err=%v", s.Cycle(), dead, err)
+		}
+	}
+	for s.inFlight == 0 {
+		step()
+	}
+	for i := 0; i < 3; i++ { // header a few hops in
+		step()
+	}
+	pkt := int32(-1)
+	for bi := range s.bufs {
+		if s.bufs[bi].owner >= 0 {
+			pkt = s.bufs[bi].owner
+		}
+	}
+	if pkt < 0 || s.delivered != 0 {
+		t.Fatalf("want the first packet mid-route, got packet %d, %d delivered", pkt, s.delivered)
+	}
+	createT, firstEnterT := s.packets[pkt].createT, s.packets[pkt].enterT
+
+	route0 := set.Routes[0].Channels
+	pair := linkPairOf(t, m, route0[len(route0)-1]) // a link the packet has not reached
+	overlay := topology.NewFaultOverlay(m)
+	overlay.Disable(pair...)
+	q := &s.srcQueue[0]
+	if q.len() != 0 {
+		t.Fatalf("test assumes an empty source queue at the fault, got %d queued", q.len())
+	}
+	if ps := s.DisableChannels(true, pair...); ps.Requeued != 1 || ps.Packets != 0 || ps.Flits == 0 {
+		t.Fatalf("purge %+v, want exactly the one packet requeued", ps)
+	}
+	if s.inFlight != 0 || s.transfer[0].pkt >= 0 {
+		t.Fatalf("purged packet still in the network: inFlight=%d transfer=%d", s.inFlight, s.transfer[0].pkt)
+	}
+	if q.len() != 1 || q.data[q.head] != createT {
+		t.Fatalf("source queue after requeue holds %d entries, want only creation cycle %d", q.len(), createT)
+	}
+	if err := s.checkInvariants(); err != nil { // the record went back to the free list
+		t.Fatal(err)
+	}
+	if err := s.SwapRoutes(escapeOn(t, overlay, flows)); err != nil {
+		t.Fatal(err)
+	}
+	for s.delivered == 0 {
+		step()
+	}
+	doneT := s.Cycle() - 1 // the cycle the tail ejected in
+	if got, want := s.mTotalLatSum, doneT-createT; got != want {
+		t.Errorf("total latency %d, want %d: cycle %d minus the original creation cycle %d", got, want, doneT, createT)
+	}
+	if s.mLatencySum >= doneT-firstEnterT {
+		t.Errorf("network latency %d counts from the first launch (cycle %d), want from the relaunch", s.mLatencySum, firstEnterT)
+	}
+}
+
 // TestChurnSwapRejectsBadSets pins the SwapRoutes validation surface.
 func TestChurnSwapRejectsBadSets(t *testing.T) {
 	m, flows, set := churnSetup(t)

@@ -37,6 +37,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/route"
@@ -56,7 +57,7 @@ type Config struct {
 	VCs int
 	// BufDepth is the flit capacity of each VC buffer. Default 16.
 	BufDepth int
-	// PacketLen is the number of flits per packet. Default 8.
+	// PacketLen is the flits per packet, at most math.MaxInt16. Default 8.
 	PacketLen int
 	// DynamicVC selects dynamic VC allocation: the route's static VC
 	// assignment is ignored and any free VC at the next hop is taken.
@@ -119,6 +120,17 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Routes == nil {
 		return c, fmt.Errorf("sim: Config.Routes is required")
+	}
+	// Zero selects a default below; a negative size would panic in make,
+	// never finish a transfer, or run no cycles at all.
+	sizes := [...]int64{int64(c.VCs), int64(c.BufDepth), int64(c.PacketLen), int64(c.LocalBandwidth), c.WarmupCycles, c.MeasureCycles}
+	for i, name := range [...]string{"VCs", "BufDepth", "PacketLen", "LocalBandwidth", "WarmupCycles", "MeasureCycles"} {
+		if sizes[i] < 0 {
+			return c, fmt.Errorf("sim: negative %s (%d)", name, sizes[i])
+		}
+	}
+	if c.PacketLen > math.MaxInt16 { // flit positions are int16 (flitRef.idx)
+		return c, fmt.Errorf("sim: PacketLen %d exceeds %d", c.PacketLen, math.MaxInt16)
 	}
 	if c.VCs == 0 {
 		c.VCs = 2

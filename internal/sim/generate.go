@@ -8,7 +8,10 @@ import "math"
 // one per flow per cycle, with the next arrival of every flow kept in a
 // (cycle, flow)-ordered binary min-heap that generate() drains up to the
 // current cycle. A 16x16 mesh at low load thus costs a couple of heap
-// peeks per cycle instead of hundreds of uniform draws.
+// peeks per cycle instead of hundreds of uniform draws. Generating a
+// packet pushes its creation cycle onto the flow's source queue and
+// replaces the flow's heap entry in place; no record exists until launch
+// (buffers.go), so a saturated flow's backlog costs one int64 a packet.
 //
 // The arrival processes are distribution-identical to the per-cycle
 // Bernoulli draws — including while a full source queue suppresses
@@ -60,23 +63,36 @@ func (h *arrivalHeap) pop() arrival {
 	n := len(hh) - 1
 	hh[0] = hh[n]
 	*h = hh[:n]
-	hh = hh[:n]
+	hh[:n].siftDown()
+	return top
+}
+
+// replaceTop overwrites the minimum with a: one sift-down where pop +
+// push pays two sifts, and the same drain order (heap layout is not
+// observable, only the (at, flow) order is).
+func (h arrivalHeap) replaceTop(a arrival) {
+	h[0] = a
+	h.siftDown()
+}
+
+// siftDown restores heap order after h[0] changed.
+func (h arrivalHeap) siftDown() {
+	n := len(h)
 	i := 0
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && hh.less(l, m) {
+		if l < n && h.less(l, m) {
 			m = l
 		}
-		if r < n && hh.less(r, m) {
+		if r < n && h.less(r, m) {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
-		hh[i], hh[m] = hh[m], hh[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return top
 }
 
 // geomGap samples the number of cycles until flow's next Bernoulli
@@ -115,18 +131,19 @@ func (s *Simulator) generate() {
 		return
 	}
 	for len(s.arrivals) > 0 && s.arrivals[0].at <= s.cycle {
-		a := s.arrivals.pop()
-		if s.srcQueue[a.flow].len() >= maxSourceQueue {
+		fi := s.arrivals[0].flow
+		if s.srcQueue[fi].len() >= maxSourceQueue {
 			// Source queue full: open-loop generation pauses, dropping
 			// the due arrival just as the seed core suppressed Bernoulli
 			// trials while full. The flow leaves the heap entirely
 			// (saturated flows would otherwise churn it every cycle);
 			// injectNode restarts the process when a slot frees.
-			s.flowPaused[a.flow] = true
+			s.flowPaused[fi] = true
+			s.arrivals.pop()
 			continue
 		}
-		s.emit(a.flow)
-		s.arrivals.push(arrival{at: s.cycle + s.geomGap(a.flow), flow: a.flow})
+		s.emit(fi)
+		s.arrivals.replaceTop(arrival{at: s.cycle + s.geomGap(fi), flow: fi})
 	}
 }
 
@@ -152,23 +169,20 @@ func (s *Simulator) generateVariation() {
 	}
 }
 
-// emit queues one new packet on flow fi's source queue, reusing a
-// delivered packet record when one is free, and flags the flow's node
-// for injection work.
+// emit generates one packet on flow fi; until launch it is only its
+// creation cycle in the source queue (injectNode makes the record).
 func (s *Simulator) emit(fi int32) {
-	var pi int32
-	if n := len(s.freePkts); n > 0 {
-		pi = s.freePkts[n-1]
-		s.freePkts = s.freePkts[:n-1]
-		s.packets[pi] = packet{flow: fi, createT: s.cycle, enterT: -1}
-	} else {
-		s.packets = append(s.packets, packet{flow: fi, createT: s.cycle, enterT: -1})
-		pi = int32(len(s.packets) - 1)
-	}
-	s.srcQueue[fi].push(pi)
 	if s.cycle >= s.cfg.WarmupCycles {
 		s.mInjected++
 	}
+	s.enqueue(fi, s.cycle)
+}
+
+// enqueue puts a packet created at createT at the back of flow fi's
+// source queue and flags its node for injection work. Sequential only
+// (generation, churn requeue).
+func (s *Simulator) enqueue(fi int32, createT int64) {
+	s.srcQueue[fi].push(createT)
 	if !s.flowWork[fi] {
 		s.flowWork[fi] = true
 		n := s.flowNode[fi]

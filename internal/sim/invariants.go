@@ -30,6 +30,14 @@ import (
 //     belongs to the shard holding it, and every deferred-effect buffer
 //     (pops, popCnt, staging outboxes, VA wakes, resumes, statistic
 //     deltas) is fully drained between cycles.
+//  7. Packet records: every index of the arena is in exactly one of
+//     freePkts, one shard's (full) launch stock, or live — the owner of
+//     at least one buffer, so live records number at most len(bufs) —
+//     and an active transfer streams a live packet of its own flow. The
+//     hop cursor, which RC trusts blindly, agrees with the network: a
+//     channel buffer whose head flit is a header of packet p is the
+//     channel (under static allocation, also the VC) of entry p.hop-1 of
+//     p's table row, and an injection buffer holds headers at hop 0.
 func (s *Simulator) checkInvariants() error {
 	nc := s.mesh.NumChannels()
 	nn := s.mesh.NumNodes()
@@ -148,6 +156,19 @@ func (s *Simulator) checkInvariants() error {
 				return fmt.Errorf("buf %d: flit %d of packet %d in buffer owned by %d", bi, i, f.pkt, b.owner)
 			}
 		}
+		if b.count > 0 && s.headFlit(bi, b).idx == 0 {
+			p := &s.packets[b.owner]
+			row := s.tables[p.epoch].row(p.flow)
+			if bi >= s.injBase {
+				if p.hop != 0 {
+					return fmt.Errorf("buf %d: header of packet %d at its injection port with hop %d", bi, b.owner, p.hop)
+				}
+			} else if p.hop < 1 || int(p.hop) > len(row) || int32(row[p.hop-1].next) != bi/s.nVCs ||
+				(!s.cfg.DynamicVC && row[p.hop-1].vc != bi%s.nVCs) {
+				return fmt.Errorf("buf %d (channel %d vc %d): header of packet %d (flow %d, epoch %d) with hop %d of %d-hop row",
+					bi, bi/s.nVCs, bi%s.nVCs, b.owner, p.flow, p.epoch, p.hop, len(row))
+			}
+		}
 		switch {
 		case b.active && b.eject:
 			if n, ok := onEject[bi]; !ok || n != b.node || b.pending {
@@ -244,6 +265,52 @@ func (s *Simulator) checkInvariants() error {
 					return fmt.Errorf("cycle %d: flow %d has %d arrival entries", s.cycle, fi, inHeap[int32(fi)])
 				}
 			}
+		}
+	}
+
+	// Packet records (7): freePkts, the stocks and the buffer owners
+	// partition the arena.
+	idle := make([]bool, len(s.packets)) // free or stocked
+	hold := func(pkts []int32, where string) error {
+		for _, pkt := range pkts {
+			if pkt < 0 || int(pkt) >= len(idle) || idle[pkt] {
+				return fmt.Errorf("cycle %d: %s holds packet %d: outside the %d-record arena, or free or stocked twice",
+					s.cycle, where, pkt, len(idle))
+			}
+			idle[pkt] = true
+		}
+		return nil
+	}
+	if err := hold(s.freePkts, "freePkts"); err != nil {
+		return err
+	}
+	for si := range s.shards {
+		sh := &s.shards[si]
+		if want := int(sh.node1-sh.node0) * int(s.nVCs); len(sh.stock) != want {
+			return fmt.Errorf("cycle %d: shard %d stocks %d packet records between cycles, want %d", s.cycle, si, len(sh.stock), want)
+		}
+		if err := hold(sh.stock, fmt.Sprintf("shard %d's stock", si)); err != nil {
+			return err
+		}
+	}
+	live := make([]bool, len(s.packets))
+	for bi := range s.bufs {
+		if pkt := s.bufs[bi].owner; pkt >= 0 {
+			if int(pkt) >= len(idle) || idle[pkt] {
+				return fmt.Errorf("cycle %d: buf %d owned by packet %d, which is free, stocked or outside the arena", s.cycle, bi, pkt)
+			}
+			live[pkt] = true
+		}
+	}
+	for pkt := range live {
+		if !live[pkt] && !idle[pkt] {
+			return fmt.Errorf("cycle %d: packet record %d leaked: not free, stocked or owner of any buffer", s.cycle, pkt)
+		}
+	}
+	for fi := range s.transfer {
+		if tr := &s.transfer[fi]; tr.pkt >= 0 && (s.bufs[tr.buf].owner != tr.pkt || s.packets[tr.pkt].flow != int32(fi)) {
+			return fmt.Errorf("cycle %d: flow %d streams packet %d (flow %d) into buf %d owned by %d",
+				s.cycle, fi, tr.pkt, s.packets[tr.pkt].flow, tr.buf, s.bufs[tr.buf].owner)
 		}
 	}
 

@@ -14,7 +14,8 @@ package sim
 //     writes are shard-local except the VC-owner claim on the downstream
 //     buffer, which is exclusive by channel: only the channel's owning
 //     shard claims its VCs, and a claimable VC is empty and unowned, so
-//     its home shard never touches it during this phase.
+//     its home shard never touches it during this phase. A launch takes
+//     its packet record from the shard's own stock (simShard.stock).
 //   - phaseSwitch: switch allocation, traversal and ejection *compute*.
 //     Dequeues are deferred — recorded in pops/popCnt — so every buffer
 //     count another shard reads for a credit check is the stable
@@ -27,7 +28,8 @@ package sim
 //     flits addressed to it (again in source-shard order).
 //
 // A sequential post-step (postCycle) merges per-shard statistic deltas
-// in shard order and draws the deferred arrival-resume gaps in ascending
+// in shard order, recycles retired packet records into the shards'
+// launch stocks, and draws the deferred arrival-resume gaps in ascending
 // flow order, so the RNG stream — like everything else — is a pure
 // function of topology, configuration and seed. The shard count is fixed
 // by the topology alone (never by Config.Workers), which is what makes
@@ -75,6 +77,12 @@ type simShard struct {
 	resumed   []int32        // flows whose arrival process restarts this cycle
 	freed     []int32        // packet records retired at ejection
 
+	// stock holds the free packet records injectNode launches into
+	// during phaseRoute, where the global s.packets and s.freePkts are
+	// off limits. The sequential postCycle keeps it full; its capacity is
+	// the shard's injection-VC count, the most one cycle can launch.
+	stock []int32
+
 	// Statistic deltas, merged in shard order by postCycle.
 	moved         bool
 	flitHops      int64
@@ -108,6 +116,7 @@ func (s *Simulator) initShards() {
 		s.shardOfChan[ch] = s.shardOfNode[s.mesh.Channel(topology.ChannelID(ch)).Src]
 	}
 	s.popCnt = make([]int32, len(s.bufs))
+	s.packets = make([]packet, 0, nn*int(s.nVCs)) // the full launch stocks
 	s.shards = make([]simShard, ns)
 	next := int32(0)
 	for i := range s.shards {
@@ -120,6 +129,22 @@ func (s *Simulator) initShards() {
 		sh.stageOut = make([][]stagedFlit, ns)
 		sh.wakeOut = make([][]int32, ns)
 		sh.hist = stats.NewHistogram(0, 4096, 256)
+		sh.stock = make([]int32, 0, (sh.node1-sh.node0)*s.nVCs)
+		s.refillStock(sh)
+	}
+}
+
+// refillStock tops sh's launch stock up from the free list, then with
+// new records. Sequential (New, postCycle): nothing else grows s.packets.
+func (s *Simulator) refillStock(sh *simShard) {
+	for len(sh.stock) < cap(sh.stock) {
+		if n := len(s.freePkts); n > 0 {
+			sh.stock = append(sh.stock, s.freePkts[n-1])
+			s.freePkts = s.freePkts[:n-1]
+			continue
+		}
+		sh.stock = append(sh.stock, int32(len(s.packets)))
+		s.packets = append(s.packets, packet{})
 	}
 }
 
@@ -345,6 +370,7 @@ func (s *Simulator) postCycle() {
 			s.freePkts = append(s.freePkts, sh.freed...)
 			sh.freed = sh.freed[:0]
 		}
+		s.refillStock(sh)
 		if len(sh.resumed) > 0 {
 			s.resumeScratch = append(s.resumeScratch, sh.resumed...)
 			sh.resumed = sh.resumed[:0]

@@ -58,15 +58,15 @@ type Simulator struct {
 	flits     []flitRef // ring arena: buffer i owns [i*depth, (i+1)*depth)
 	stagedCnt []int32   // per injection buffer: deliveries staged this cycle
 
-	packets  []packet
-	freePkts []int32 // delivered packet records available for reuse
+	packets  []packet // launched packets only; see packet in buffers.go
+	freePkts []int32  // retired records not yet in a shard's launch stock
 
 	// Per-flow injection state.
 	injectProb []float64 // packets/cycle at OfferedRate (base demands)
 	invLogQ    []float64 // 1/ln(1-p) per flow, 0 when p >= 1 (gap is 1)
 	demandSum  float64
 	arrivals   arrivalHeap
-	srcQueue   []i32ring // queued packet indices per flow
+	srcQueue   []cycleRing // per flow: creation cycles of queued packets
 	transfer   []injTransfer
 	flowNode   []int32 // source node per flow
 	flowPaused []bool  // arrival due but source queue full; resumed on pop
@@ -182,7 +182,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.initShards()
 	flows := cfg.Routes.Routes
 	s.injectProb = make([]float64, len(flows))
-	s.srcQueue = make([]i32ring, len(flows))
+	s.srcQueue = make([]cycleRing, len(flows))
 	s.transfer = make([]injTransfer, len(flows))
 	s.flowNode = make([]int32, len(flows))
 	s.flowWork = make([]bool, len(flows))
@@ -390,9 +390,9 @@ func (s *Simulator) buildResult(deadlocked bool) *Result {
 }
 
 // maxSourceQueue bounds open-loop generation so saturated runs stay in
-// memory; generation pauses while a flow's queue is full. Together with
-// the packet free list this caps packet-record memory at (queued +
-// in-flight), independent of how many packets a long run delivers.
+// memory: generation pauses while a flow's queue holds this many creation
+// cycles (64 KiB). Packet records exist only for launched packets and are
+// bounded by the VC count instead (see packet in buffers.go).
 const maxSourceQueue = 1 << 13
 
 // injectShard moves flits from source queues into injection-port VC
@@ -433,7 +433,7 @@ func (s *Simulator) injectNode(sh *simShard, n int32) {
 		if vc < 0 {
 			break // all injection VCs owned; no later flow can claim either
 		}
-		pkt := s.srcQueue[fi].pop()
+		createT := s.srcQueue[fi].pop()
 		if s.flowPaused[fi] {
 			// A slot freed for a generation-paused flow: the arrival
 			// process restarts memorylessly. The geometric gap is drawn
@@ -442,9 +442,14 @@ func (s *Simulator) injectNode(sh *simShard, n int32) {
 			s.flowPaused[fi] = false
 			sh.resumed = append(sh.resumed, fi)
 		}
+		// Launch: the packet gets its record from the shard's stock (never
+		// empty here, see simShard.stock), routed by the table of launch time.
+		last := len(sh.stock) - 1
+		pkt := sh.stock[last]
+		sh.stock = sh.stock[:last]
+		s.packets[pkt] = packet{flow: fi, epoch: s.curEpoch, createT: createT, enterT: -1}
 		bi := s.injBase + n*s.nVCs + vc
 		s.bufs[bi].owner = pkt
-		s.packets[pkt].epoch = s.curEpoch // routed by the table of launch time
 		s.transfer[fi] = injTransfer{pkt: pkt, nextIdx: 0, buf: bi}
 		s.rrInj[n] = (rr + k + 1) % nf
 	}
@@ -488,11 +493,11 @@ func (s *Simulator) freeInjVC(n int32) int32 {
 }
 
 // routeShard performs the RC stage event-driven: headers that arrived
-// last cycle (the shard's routePending) look up their next hop, ejecting
-// buffers activate immediately, and the rest join their target channel's
-// VA wait list. Every buffer here sits at an owned node, and its output
-// channel is sourced at that same node, so all list operations are
-// shard-local.
+// last cycle (the shard's routePending) read their next hop off their
+// table row at the packet's cursor, ejecting buffers activate at once,
+// and the rest join their target channel's VA wait list. Every buffer
+// here sits at an owned node, and its output channel is sourced at that
+// same node, so all list operations are shard-local.
 func (s *Simulator) routeShard(sh *simShard) {
 	for _, bi := range sh.routePending {
 		b := &s.bufs[bi]
@@ -502,19 +507,16 @@ func (s *Simulator) routeShard(sh *simShard) {
 			// a tail release bug; the invariant checker would flag it.
 			continue
 		}
-		arrival := topology.InvalidChannel
-		if bi < s.injBase {
-			arrival = topology.ChannelID(bi / s.nVCs)
-		}
 		p := &s.packets[head.pkt]
-		entry := s.tables[p.epoch].lookup(int(p.flow), arrival)
-		if entry.next == topology.InvalidChannel {
+		row := s.tables[p.epoch].row(p.flow)
+		if int(p.hop) == len(row) {
 			b.pending = false
 			b.active, b.eject = true, true
 			b.readyAt = s.cycle + int64(s.cfg.PipelineStages) - 1
 			s.ejectPush(sh, bi)
 			continue
 		}
+		entry := row[p.hop]
 		// outVC holds the statically requested VC until VA grants one.
 		b.outCh, b.outVC = int32(entry.next), entry.vc
 		s.sortedInsert(&s.vaWait[entry.next], bi)
@@ -680,6 +682,9 @@ func (s *Simulator) forward(sh *simShard, bi int32) {
 	dst := s.shardOfBuf(down)
 	sh.stageOut[dst] = append(sh.stageOut[dst], stagedFlit{f: f, buf: down})
 	sh.flitHops++
+	if f.idx == 0 {
+		s.packets[f.pkt].hop++ // the header crosses outCh: advance the cursor
+	}
 	if int(f.idx) == s.cfg.PacketLen-1 {
 		s.release(sh, bi, b) // tail left: free this VC for the next packet
 	}
@@ -688,9 +693,9 @@ func (s *Simulator) forward(sh *simShard, bi int32) {
 
 // ejectFlit consumes the next flit of buffer bi at its destination; on
 // the tail, statistics are recorded and the packet record is retired
-// (recycled into freePkts by postCycle, in shard order). Per-flow
-// statistics are written directly: a flow ejects only at its one
-// destination node, so the write is exclusive to this shard.
+// (recycled by postCycle, in shard order). Per-flow statistics are
+// written directly: a flow ejects only at its one destination node, so
+// the write is exclusive to this shard.
 func (s *Simulator) ejectFlit(sh *simShard, bi int32) {
 	b := &s.bufs[bi]
 	pos := b.head + s.popCnt[bi]
@@ -706,14 +711,13 @@ func (s *Simulator) ejectFlit(sh *simShard, bi int32) {
 	if int(f.idx) == s.cfg.PacketLen-1 {
 		s.release(sh, bi, b)
 		p := &s.packets[f.pkt]
-		p.doneT = s.cycle
 		sh.delivered++
 		if s.cycle >= s.cfg.WarmupCycles {
 			sh.mDelivered++
 			s.perFlow[p.flow]++
-			lat := p.doneT - p.enterT
+			lat := s.cycle - p.enterT
 			sh.mLatencySum += lat
-			sh.mTotalLatSum += p.doneT - p.createT
+			sh.mTotalLatSum += s.cycle - p.createT
 			s.perFlowLat[p.flow].Add(float64(lat))
 			sh.hist.Add(float64(lat))
 		}

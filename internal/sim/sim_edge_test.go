@@ -1,12 +1,49 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/flowgraph"
 	"repro/internal/route"
 	"repro/internal/topology"
 )
+
+// TestConfigRejectsBadSizes pins the size validation of withDefaults:
+// zero selects the default, but a negative size (a panic in make, a
+// transfer that never completes, a run of no cycles) and a PacketLen the
+// int16 flit position cannot hold are errors naming the field.
+func TestConfigRejectsBadSizes(t *testing.T) {
+	m := topology.NewMesh(2, 2)
+	set := xyRoutes(t, m, []flowgraph.Flow{{ID: 0, Name: "f", Src: 0, Dst: 3, Demand: 1}})
+	for _, tc := range []struct {
+		field string // "" means New must accept
+		mut   func(*Config)
+	}{
+		{"VCs", func(c *Config) { c.VCs = -1 }},
+		{"BufDepth", func(c *Config) { c.BufDepth = -16 }},
+		{"PacketLen", func(c *Config) { c.PacketLen = -8 }},
+		{"LocalBandwidth", func(c *Config) { c.LocalBandwidth = -4 }},
+		{"WarmupCycles", func(c *Config) { c.WarmupCycles = -1 }},
+		{"MeasureCycles", func(c *Config) { c.MeasureCycles = -100 }},
+		{"PacketLen", func(c *Config) { c.PacketLen = math.MaxInt16 + 1 }},
+		{"", func(c *Config) { c.PacketLen = math.MaxInt16 }},
+		{"", func(c *Config) {}},
+	} {
+		cfg := Config{Mesh: m, Routes: set, OfferedRate: 0.1}
+		tc.mut(&cfg)
+		_, err := New(cfg)
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("valid config %+v rejected: %v", cfg, err)
+		case tc.field != "" && err == nil:
+			t.Errorf("bad %s accepted", tc.field)
+		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("bad %s: error %q does not name the field", tc.field, err)
+		}
+	}
+}
 
 func TestZeroOfferedRate(t *testing.T) {
 	m := topology.NewMesh(4, 4)

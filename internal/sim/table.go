@@ -2,114 +2,66 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/route"
 	"repro/internal/topology"
 )
 
-// tableEntry is one row of the node-table routing architecture (§4.2.1):
-// given the channel a flit arrived on, the next output channel and the
-// statically allocated VC there, or an ejection marker.
+// tableEntry is one routing decision: the output channel to take and the
+// statically allocated VC there.
 type tableEntry struct {
-	next topology.ChannelID // InvalidChannel means eject here
+	next topology.ChannelID
 	vc   int32
 }
 
-// routingTable is the programmable table-based routing state, keyed by
-// (flow, arrival channel). Routes never repeat a channel (route.Set
-// Validate enforces it), so the key is unambiguous even when a route
-// crosses one node twice.
-//
-// The layout is sparse: each flow's row holds only the channels its
-// route actually crosses, sorted, in one shared arena. A dense
-// flow x (NumChannels+1) array would be O(flows * channels) — about half
-// a gigabyte for a 64x64 transpose, with table construction dominating
-// the whole run — where the sparse rows total one entry per route hop.
-// The lookup is a binary search over a route-length row (tens of
-// entries), paid once per packet per hop in the RC stage, not per flit.
+// routingTable is the programmable routing state of one epoch. It makes
+// the decisions of the thesis' node-table architecture (§4.2.1) but is
+// laid out the way source routing carries a route: each flow's row is its
+// route in hop order — one entry per channel, in one shared arena, never
+// flows x channels (half a gigabyte for a 64x64 transpose) — and a packet
+// addresses the row with its own cursor, packet.hop. Entry h is the
+// decision for a header that has crossed h channels (0 at the injection
+// port); a cursor at the row's end means eject. RC is one indexed load
+// per packet per hop with no key to search, and nothing in it checks that
+// the cursor agrees with the buffer the header sits in; the invariant
+// checker does (invariants.go, 7).
 type routingTable struct {
-	// inject is the per-flow injection decision (the dense layout's
-	// arrival-0 pseudo-entry).
-	inject []tableEntry
-	// off[f]..off[f+1] bounds flow f's row in keys/ents.
+	// off[f]..off[f+1] bounds flow f's row in ents.
 	off  []int32
-	keys []topology.ChannelID // arrival channels, sorted per row
 	ents []tableEntry
 }
 
 func buildTable(set *route.Set) (*routingTable, error) {
-	nf := len(set.Routes)
 	total := 0
 	for _, r := range set.Routes {
 		total += len(r.Channels)
 	}
 	t := &routingTable{
-		inject: make([]tableEntry, nf),
-		off:    make([]int32, nf+1),
-		keys:   make([]topology.ChannelID, 0, total),
-		ents:   make([]tableEntry, 0, total),
+		off:  make([]int32, len(set.Routes)+1),
+		ents: make([]tableEntry, 0, total),
 	}
-	type pair struct {
-		key topology.ChannelID
-		ent tableEntry
-	}
-	var row []pair
 	for i, r := range set.Routes {
 		if len(r.Channels) == 0 {
 			return nil, fmt.Errorf("sim: flow %s has no route", r.Flow.Name)
 		}
-		t.inject[i] = tableEntry{next: r.Channels[0], vc: int32(r.VCs[0])}
-		row = row[:0]
-		for h := 0; h < len(r.Channels); h++ {
-			e := tableEntry{next: topology.InvalidChannel, vc: -1}
-			if h+1 < len(r.Channels) {
-				e = tableEntry{next: r.Channels[h+1], vc: int32(r.VCs[h+1])}
-			}
-			row = append(row, pair{key: r.Channels[h], ent: e})
+		for h, ch := range r.Channels {
+			t.ents = append(t.ents, tableEntry{next: ch, vc: int32(r.VCs[h])})
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a].key < row[b].key })
-		for _, p := range row {
-			t.keys = append(t.keys, p.key)
-			t.ents = append(t.ents, p.ent)
-		}
-		t.off[i+1] = int32(len(t.keys))
+		t.off[i+1] = int32(len(t.ents))
 	}
 	return t, nil
 }
 
-// lookup returns the routing decision for flow arriving on channel ch;
-// topology.InvalidChannel (-1) selects the injection pseudo-entry.
-func (t *routingTable) lookup(flow int, ch topology.ChannelID) tableEntry {
-	if ch == topology.InvalidChannel {
-		return t.inject[flow]
-	}
-	lo, hi := t.off[flow], t.off[flow+1]
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if t.keys[mid] < ch {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < t.off[flow+1] && t.keys[lo] == ch {
-		return t.ents[lo]
-	}
-	// Packets follow their own table, so an off-route arrival cannot
-	// happen; mirror the dense layout's zero entry (eject) regardless.
-	return tableEntry{next: topology.InvalidChannel, vc: -1}
+// row returns flow f's route-order entries.
+func (t *routingTable) row(f int32) []tableEntry {
+	return t.ents[t.off[f]:t.off[f+1]]
 }
 
 // crossesDead reports whether flow f's route references any channel
-// marked in dead — the churn purge predicate. One scan of the flow's
-// sparse row replaces the dense layout's full-stride sweep.
+// marked in dead — the churn purge predicate.
 func (t *routingTable) crossesDead(f int, dead []bool) bool {
-	if dead[t.inject[f].next] {
-		return true
-	}
-	for _, ch := range t.keys[t.off[f]:t.off[f+1]] {
-		if dead[ch] {
+	for _, e := range t.row(int32(f)) {
+		if dead[e.next] {
 			return true
 		}
 	}

@@ -9,10 +9,11 @@
 # DESIGN.md §15) — plus the captured seed-core baseline (the pre-refactor
 # full-scan core, commit 1e6e2ee, measured on the same 16x16 transpose
 # latency curve in the reference container) and the resulting speedup.
-# The host CPU count rides along: parallel rows only show speedup with
-# real cores underneath; on a single-core host they measure barrier
-# overhead instead. EXPERIMENTS.md quotes these numbers; CI runs the same
-# benchmarks with -benchtime=1x as a smoke check.
+# The host CPU count and Go version ride along: parallel rows only show
+# speedup with real cores underneath; on a single-core host they measure
+# barrier overhead instead. EXPERIMENTS.md quotes these numbers; CI runs
+# the same benchmarks with -benchtime=1x and fails if the mesh16x16 or
+# mesh64x64 row falls below half the cycles/sec recorded here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,7 +28,7 @@ BASELINE_16=13743
 raw="$(go test -run '^$' -bench 'BenchmarkSimCycles' -benchtime "$BENCHTIME" .)"
 echo "$raw"
 
-echo "$raw" | awk -v out="$OUT" -v base="$BASELINE_16" -v ncpu="$(nproc)" '
+echo "$raw" | awk -v out="$OUT" -v base="$BASELINE_16" -v ncpu="$(getconf _NPROCESSORS_ONLN)" -v gover="$(go env GOVERSION)" '
 /^BenchmarkSimCycles\// {
     name = $1
     sub(/^BenchmarkSimCycles\//, "", name)
@@ -47,6 +48,7 @@ END {
     printf "{\n" > out
     printf "  \"benchmark\": \"BenchmarkSimCycles (offered-rate curves 2,10,20,40,60 at 2k+10k cycles, 2 VCs; mesh rows: transpose over XY; clos row: rand-perm over SP; -wN rows: N sim workers, byte-identical results)\",\n" >> out
     printf "  \"host_cpus\": %d,\n", ncpu >> out
+    printf "  \"go\": \"%s\",\n", gover >> out
     printf "  \"results\": [\n" >> out
     for (i = 1; i <= n; i++) {
         name = names[i]
