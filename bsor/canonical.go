@@ -10,13 +10,11 @@ import "encoding/json"
 // counts. Two specs that execute identically — however sparsely their
 // JSON spells the defaults — canonicalize to the same value.
 //
-// Pure speed knobs are cleared: SimSpec.Workers never changes result
-// bytes (DESIGN.md §15), so it is not part of a spec's identity. The
-// diagnostic Name is kept — results echo it, so specs differing only by
-// Name produce different output.
+// Every field of a Spec changes result bytes, so every field is part of
+// its identity — the diagnostic Name included, since results echo it.
 //
 // Canonical resolves the package defaults, not a Pipeline's: options
-// like WithSelector and WithSimDefaults shift what an empty field means
+// like WithSelector and WithBreakers shift what an empty field means
 // for that pipeline, and a caller comparing specs across differently
 // configured pipelines must spell those fields explicitly.
 func (s Spec) Canonical() (Spec, error) {
@@ -26,11 +24,6 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 	if isBSOR(s.Algorithm) && len(s.Breakers) == 0 {
 		s.Breakers = DefaultBreakers(s.Topo)
-	}
-	if s.Sim != nil {
-		sim := *s.Sim // withDefaults already copied; keep Canonical alias-free
-		sim.Workers = 0
-		s.Sim = &sim
 	}
 	return s, nil
 }

@@ -31,9 +31,6 @@ type ChurnSpec struct {
 	Demand   float64 `json:"demand,omitempty"`
 	// VCs is the virtual channel count; 0 means 2.
 	VCs int `json:"vcs,omitempty"`
-	// Capacity overrides the synthesis channel capacity (MB/s); 0 means
-	// 4x the largest demand.
-	Capacity float64 `json:"capacity,omitempty"`
 	// Rate is the offered injection rate in packets/node/cycle.
 	Rate float64 `json:"rate"`
 	// Warmup and Measure are the simulated cycle counts; 0 means the
@@ -42,10 +39,6 @@ type ChurnSpec struct {
 	Measure int64 `json:"measure,omitempty"`
 	// Seed is the simulation random seed.
 	Seed int64 `json:"seed,omitempty"`
-	// SimWorkers threads the cycle loop of the simulation itself over
-	// spatial shards (sim.Config.Workers); 0 or 1 keep it
-	// single-threaded. Byte-identical results for any value.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Faults is how many bidirectional links fail, one per event, drawn
 	// by FaultSeed; connectivity is always preserved. FaultStart and
 	// FaultSpacing place the events (0 means right after warmup, spaced
@@ -97,17 +90,11 @@ func (s ChurnSpec) validate(label string) error {
 	if s.Demand < 0 {
 		return fail("demand", "negative demand %g", s.Demand)
 	}
-	if s.Capacity < 0 {
-		return fail("capacity", "negative capacity %g", s.Capacity)
-	}
 	if s.Rate <= 0 {
 		return fail("rate", "offered rate %g must be positive", s.Rate)
 	}
 	if s.Warmup < 0 || s.Measure < 0 {
 		return fail("sim", "negative cycle counts")
-	}
-	if s.SimWorkers < 0 || s.SimWorkers > 1024 {
-		return fail("sim", "sim workers %d outside [0, 1024]", s.SimWorkers)
 	}
 	if s.Faults < 0 {
 		return fail("faults", "negative fault count %d", s.Faults)
@@ -129,11 +116,9 @@ func (s ChurnSpec) Validate() error { return s.validate("") }
 func (s ChurnSpec) spec() experiments.ChurnSpec {
 	return experiments.ChurnSpec{
 		Name: s.Name, Topo: s.Topo.spec(),
-		Workload: s.Workload, Demand: s.Demand,
-		VCs: s.VCs, Capacity: s.Capacity,
+		Workload: s.Workload, Demand: s.Demand, VCs: s.VCs,
 		Rate: s.Rate, Warmup: s.Warmup, Measure: s.Measure, Seed: s.Seed,
-		SimWorkers: s.SimWorkers,
-		Faults:     s.Faults, FaultSeed: s.FaultSeed,
+		Faults: s.Faults, FaultSeed: s.FaultSeed,
 		FaultStart: s.FaultStart, FaultSpacing: s.FaultSpacing,
 		RecoveryWindow: s.RecoveryWindow,
 		Requeue:        s.Requeue,

@@ -56,11 +56,8 @@ func TestChurnSpecValidation(t *testing.T) {
 		{"unknown workload", func(s *ChurnSpec) { s.Workload = "nonesuch" }, "workload"},
 		{"bad vcs", func(s *ChurnSpec) { s.VCs = 64 }, "vcs"},
 		{"negative demand", func(s *ChurnSpec) { s.Demand = -1 }, "demand"},
-		{"negative capacity", func(s *ChurnSpec) { s.Capacity = -1 }, "capacity"},
 		{"zero rate", func(s *ChurnSpec) { s.Rate = 0 }, "rate"},
 		{"negative cycles", func(s *ChurnSpec) { s.Measure = -1 }, "sim"},
-		{"negative sim workers", func(s *ChurnSpec) { s.SimWorkers = -1 }, "sim"},
-		{"absurd sim workers", func(s *ChurnSpec) { s.SimWorkers = 4096 }, "sim"},
 		{"negative faults", func(s *ChurnSpec) { s.Faults = -1 }, "faults"},
 		{"negative spacing", func(s *ChurnSpec) { s.FaultSpacing = -1 }, "faults"},
 		{"unknown resynth", func(s *ChurnSpec) { s.Resynth = "annealing" }, "resynth"},

@@ -31,15 +31,20 @@ type MILPBudget struct {
 	Workers int
 }
 
-// DefaultMILPBudget is the published-quality effort of the evaluation.
-func DefaultMILPBudget() MILPBudget {
-	return MILPBudget{HopSlack: 2, MaxPathsPerFlow: 16, Refinements: 3, MaxNodes: 120, Gap: 0.01}
-}
+// DefaultMILPBudget is the published-quality effort of the evaluation
+// (the engine's experiments.DefaultMILP, spelled as a budget).
+func DefaultMILPBudget() MILPBudget { return budgetOf(experiments.DefaultMILP()) }
 
 // FastMILPBudget is a reduced smoke-run budget: it exercises every MILP
-// code path in seconds but does not reproduce the published MCL values.
-func FastMILPBudget() MILPBudget {
-	return MILPBudget{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 2, MaxNodes: 40, Gap: 0.01}
+// code path in seconds but does not reproduce the published MCL values
+// (the engine's experiments.FastMILP, spelled as a budget).
+func FastMILPBudget() MILPBudget { return budgetOf(experiments.FastMILP()) }
+
+// budgetOf reads a budget off the engine's selector, the one place the
+// numbers are declared.
+func budgetOf(s route.MILPSelector) MILPBudget {
+	return MILPBudget{HopSlack: s.HopSlack, MaxPathsPerFlow: s.MaxPathsPerFlow,
+		Refinements: s.Refinements, MaxNodes: s.MaxNodes, Gap: s.Gap}
 }
 
 func (b MILPBudget) selector() route.Selector {
@@ -74,7 +79,6 @@ type config struct {
 	breakers  []string
 	milp      MILPBudget
 	milpSet   bool
-	sim       SimSpec
 	certify   bool
 	metrics   *metrics.Collector
 }
@@ -143,14 +147,6 @@ func WithBreakers(names ...string) Option {
 // pipeline (see MILPBudget; FastMILPBudget for smoke runs).
 func WithMILPBudget(b MILPBudget) Option {
 	return func(c *config) { c.milp = b; c.milpSet = true }
-}
-
-// WithSimDefaults supplies the warmup/measure/seed/workers values that
-// sim specs leaving those fields zero expand to, replacing the thesis
-// defaults — the idiomatic way to run a whole pipeline in smoke mode, or
-// to thread every simulation without touching each spec.
-func WithSimDefaults(d SimSpec) Option {
-	return func(c *config) { c.sim = d }
 }
 
 // Pipeline executes a validated list of Specs on an Engine's concurrent

@@ -24,12 +24,6 @@ type SimSpec struct {
 	// Variation enables ±percent Markov-modulated bandwidth variation
 	// (0.10, 0.25, 0.50 in the thesis).
 	Variation float64 `json:"variation,omitempty"`
-	// Workers threads each individual simulation over spatial shards of
-	// the topology (sim.Config.Workers): 0 or 1 keep the single-threaded
-	// core; larger values are capped at the shard count. Purely a speed
-	// knob — results are byte-identical for any value — and independent
-	// of WithWorkers, which sizes the job pool across specs.
-	Workers int `json:"workers,omitempty"`
 }
 
 // Spec declares one experiment unit: a workload routed by one algorithm
@@ -156,9 +150,6 @@ func (s Spec) validate(label string) error {
 		if s.Sim.Variation < 0 || s.Sim.Variation >= 1 {
 			return fail("sim", "variation %g outside [0, 1)", s.Sim.Variation)
 		}
-		if s.Sim.Workers < 0 || s.Sim.Workers > 1024 {
-			return fail("sim", "workers %d outside [0, 1024]", s.Sim.Workers)
-		}
 	}
 	return nil
 }
@@ -184,18 +175,6 @@ func (s Spec) withDefaults(cfg config) Spec {
 	}
 	if s.Sim != nil {
 		sim := *s.Sim
-		if sim.Warmup == 0 {
-			sim.Warmup = cfg.sim.Warmup
-		}
-		if sim.Measure == 0 {
-			sim.Measure = cfg.sim.Measure
-		}
-		if sim.Seed == 0 {
-			sim.Seed = cfg.sim.Seed
-		}
-		if sim.Workers == 0 {
-			sim.Workers = cfg.sim.Workers
-		}
 		if sim.Warmup == 0 {
 			sim.Warmup = 20000
 		}
@@ -251,7 +230,6 @@ func (s Spec) jobs(label string) []experiments.Job {
 		j.Warmup = s.Sim.Warmup
 		j.Measure = s.Sim.Measure
 		j.Seed = s.Sim.Seed
-		j.SimWorkers = s.Sim.Workers
 		jobs[i] = j
 	}
 	return jobs

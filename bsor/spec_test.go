@@ -74,10 +74,6 @@ func TestSpecValidation(t *testing.T) {
 		{"negative rate", Spec{Workload: "transpose", Sim: &SimSpec{Rates: []float64{-1}}}, "sim"},
 		{"negative demand", Spec{Workload: "transpose", Demand: -1}, "demand"},
 		{"absurd vcs", Spec{Workload: "transpose", VCs: 64}, "vcs"},
-		{"negative sim workers", Spec{Workload: "transpose",
-			Sim: &SimSpec{Rates: []float64{1}, Workers: -1}}, "sim"},
-		{"absurd sim workers", Spec{Workload: "transpose",
-			Sim: &SimSpec{Rates: []float64{1}, Workers: 4096}}, "sim"},
 		// Parameters the topology constructors panic on, and a breaker
 		// rooted outside the topology.
 		{"two-node ring", Spec{Topo: Ring(2), Workload: "rand-perm"}, "topo"},

@@ -43,7 +43,6 @@ var (
 	maxTimeout = flag.Duration("max-timeout", 0, "cap on client-requested ?timeout values (0 = 10m)")
 	maxBody    = flag.Int64("max-body", 0, "request body size limit in bytes (0 = 1 MiB)")
 	fast       = flag.Bool("fast", false, "run BSOR-MILP specs under the reduced smoke budget")
-	simWorkers = flag.Int("sim-workers", 0, "spatial shards per simulation; speed only, responses are byte-identical (0 = serial)")
 	drain      = flag.Duration("drain", 30*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 )
 
@@ -69,7 +68,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		MaxBodyBytes:   *maxBody,
 		FastMILP:       *fast,
-		SimWorkers:     *simWorkers,
 		Metrics:        col,
 	})
 

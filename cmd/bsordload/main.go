@@ -59,27 +59,27 @@ type sample struct {
 
 // summary is the machine-readable run report (-json).
 type summary struct {
-	URL       string  `json:"url"`
-	Endpoint  string  `json:"endpoint"`
-	Clients   int     `json:"clients"`
-	Requests  int     `json:"requests"`
-	Distinct  int     `json:"distinct_specs"`
-	Wall      string  `json:"wall_time"`
-	Rate      float64 `json:"requests_per_second"`
-	P50       string  `json:"p50"`
-	P90       string  `json:"p90"`
-	P99       string  `json:"p99"`
-	Max       string  `json:"max"`
-	OK        int     `json:"ok"`
-	Shed      int     `json:"shed_429"`
-	Errors    int     `json:"errors"`
-	ErrorRate float64 `json:"error_rate"`
-	Miss      int     `json:"computed"`
-	Hit       int     `json:"cache_hits"`
-	Dedup     int     `json:"singleflight_dedup"`
-	DedupRate float64 `json:"dedup_rate"`
-	Keys      int     `json:"distinct_keys"`
-	Bodies    int     `json:"distinct_bodies"`
+	URL       string            `json:"url"`
+	Endpoint  string            `json:"endpoint"`
+	Clients   int               `json:"clients"`
+	Requests  int               `json:"requests"`
+	Distinct  int               `json:"distinct_specs"`
+	Wall      string            `json:"wall_time"`
+	Rate      float64           `json:"requests_per_second"`
+	P50       string            `json:"p50"`
+	P90       string            `json:"p90"`
+	P99       string            `json:"p99"`
+	Max       string            `json:"max"`
+	OK        int               `json:"ok"`
+	Shed      int               `json:"shed_429"`
+	Errors    int               `json:"errors"`
+	ErrorRate float64           `json:"error_rate"`
+	Miss      int               `json:"computed"`
+	Hit       int               `json:"cache_hits"`
+	Dedup     int               `json:"singleflight_dedup"`
+	DedupRate float64           `json:"dedup_rate"`
+	Keys      int               `json:"distinct_keys"`
+	Bodies    int               `json:"distinct_bodies"`
 	BodySums  map[string]string `json:"body_sha256_by_key"`
 }
 

@@ -26,7 +26,6 @@
 //	experiments -filter table6.2 -jobs   # print the job list as JSON, don't run
 //	experiments -filter table6.2 -json   # machine-readable results (EXPERIMENTS.md)
 //	experiments -workers 4               # worker-pool size (default NumCPU)
-//	experiments -sim-workers 4           # threads per simulation (same bytes out)
 //
 //	experiments -figure 6-1 -cpuprofile cpu.prof   # profile a sweep
 //	experiments -figure 6-1 -memprofile mem.prof   # heap profile on exit
@@ -69,8 +68,6 @@ var (
 	jobs       = flag.Bool("jobs", false, "print the selected experiments' job lists as JSON, without running")
 	jsonOut    = flag.Bool("json", false, "print results as JSON instead of tables and charts")
 	workers    = flag.Int("workers", 0, "worker-pool size (0 = NumCPU)")
-	simWorkers = flag.Int("sim-workers", 0,
-		"goroutines per individual simulation (0/1 = single-threaded core; results are byte-identical for any value)")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	metricsDst = flag.String("metrics", "",
@@ -85,7 +82,7 @@ func milpSelector() experiments.Selector {
 }
 
 func simParams() experiments.SimParams {
-	p := experiments.SimParams{VCs: *vcs, Seed: 1, SimWorkers: *simWorkers}
+	p := experiments.SimParams{VCs: *vcs, Seed: 1}
 	if *fast {
 		p.WarmupCycles = 2000
 		p.MeasureCycles = 10000
@@ -420,14 +417,7 @@ func runMain() int {
 				fmt.Fprintf(os.Stderr, "%s is declared as churn specs, not jobs; skipping under -jobs\n", e.name)
 				continue
 			}
-			specs := e.churn
-			if *simWorkers != 0 {
-				specs = append([]experiments.ChurnSpec(nil), e.churn...)
-				for i := range specs {
-					specs[i].SimWorkers = *simWorkers
-				}
-			}
-			results, err := runner.RunChurn(context.Background(), specs)
+			results, err := runner.RunChurn(context.Background(), e.churn)
 			if err == nil {
 				err = experiments.FirstChurnError(results)
 			}

@@ -24,7 +24,6 @@ func main() {
 		warmup  = flag.Int64("warmup", 20000, "warmup cycles")
 		measure = flag.Int64("measure", 100000, "measured cycles")
 		seed    = flag.Int64("seed", 1, "random seed")
-		simw    = flag.Int("sim-workers", 0, "goroutines driving the cycle loop (0/1 = single-threaded; results identical for any value)")
 	)
 	flag.Parse()
 
@@ -38,7 +37,6 @@ func main() {
 	}
 	spec.Sim = &bsor.SimSpec{
 		Rates: []float64{*rate}, Warmup: *warmup, Measure: *measure, Seed: *seed,
-		Workers: *simw,
 	}
 
 	p, err := bsor.NewPipeline([]bsor.Spec{spec})

@@ -50,16 +50,21 @@ func (sp *sampler) advance(ctx context.Context, target int64) (bool, error) {
 	}
 }
 
-// preWindows is how many pre-fault sample windows the baseline delivery
-// rate averages over.
-const preWindows = 4
+const (
+	// preWindows is how many pre-fault sample windows the baseline
+	// delivery rate averages over.
+	preWindows = 4
+	// recoveryFrac is the fraction of the pre-fault delivery rate that
+	// counts as recovered.
+	recoveryFrac = 0.95
+)
 
 // finishRecovery derives RecoveryCycles and ThroughputDip for each
 // report from the completed window series. A report's horizon runs from
 // its fault barrier to the next event (or the end of the run): the first
-// full window inside it that regains frac of the pre-fault rate marks
-// recovery, and the dip is the worst window seen up to that point.
-func (sp *sampler) finishRecovery(reports *[]EventReport, events []Event, total int64, frac float64) {
+// full window inside it that regains recoveryFrac of the pre-fault rate
+// marks recovery, and the dip is the worst window seen up to that point.
+func (sp *sampler) finishRecovery(reports *[]EventReport, events []Event, total int64) {
 	for i := range *reports {
 		rep := &(*reports)[i]
 		horizon := total
@@ -91,7 +96,7 @@ func (sp *sampler) finishRecovery(reports *[]EventReport, events []Event, total 
 			if w := float64(sp.delivered[k]); w < worst {
 				worst = w
 			}
-			if float64(sp.delivered[k]) >= frac*pre {
+			if float64(sp.delivered[k]) >= recoveryFrac*pre {
 				rep.RecoveryCycles = (k+1)*sp.window - rep.Cycle
 				break
 			}

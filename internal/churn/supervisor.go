@@ -37,7 +37,7 @@ type EventReport struct {
 	CommitCycle int64 `json:"commit_cycle,omitempty"`
 	CommitEpoch int32 `json:"commit_epoch,omitempty"`
 	// RecoveryCycles is the cycle count from the fault barrier until the
-	// first full sample window whose delivery rate regained RecoveryFrac
+	// first full sample window whose delivery rate regained recoveryFrac
 	// of the pre-fault rate; -1 when it never did within the horizon
 	// (the next event, or the end of the run).
 	RecoveryCycles int64 `json:"recovery_cycles"`
@@ -79,20 +79,12 @@ type Supervisor struct {
 	// recovery comparison. It runs on the same background goroutine after
 	// the committed solve.
 	ColdResynth route.ContextSelector
-	// EscapeRoot anchors the up*/down* escape layer's spanning order.
-	EscapeRoot topology.NodeID
-	// Capacity is the channel capacity of the re-synthesis flow graph;
-	// zero means 4x the largest flow demand (the core default).
-	Capacity float64
 	// RecoveryWindow is the cycle count between a fault barrier and the
 	// repaired set's commit barrier. Default 2048.
 	RecoveryWindow int64
 	// SampleWindow is the delivered-throughput sampling granularity for
 	// the recovery metrics. Default 512.
 	SampleWindow int64
-	// RecoveryFrac is the fraction of the pre-fault delivery rate that
-	// counts as recovered. Default 0.95.
-	RecoveryFrac float64
 	// Requeue selects the purge policy for in-flight packets of broken
 	// flows: requeue at the source instead of dropping.
 	Requeue bool
@@ -104,6 +96,33 @@ type Supervisor struct {
 	// reports. Wire the same collector into Sim's Config and the Resynth
 	// selector (route.InstrumentContextSelector) for the full picture.
 	Metrics *metrics.Collector
+}
+
+// escapeBreaker is the one up*/down* spanning order behind a churn run's
+// deadlock-freedom argument: the initial route set, the escape layer and
+// every repaired set are routed and certified on the CDG it leaves. Never
+// reassigned.
+var escapeBreaker = cdg.UpDownEscapeBreaker{Root: 0}
+
+// escapeCDG returns the acyclic CDG of a churn run on t (the fault
+// overlay, or a snapshot of it).
+func escapeCDG(t topology.Topology, vcs int) *cdg.Graph {
+	return escapeBreaker.Break(cdg.NewFull(t, vcs))
+}
+
+// FlowGraph returns the synthesis flow graph of a churn run on t: flows
+// over escapeCDG(t, vcs), at the core default capacity of 4x the largest
+// demand. The caller synthesizes the initial route set on it (and
+// certifies against its CDG); the supervisor builds every repair's graph
+// the same way.
+func FlowGraph(t topology.Topology, flows []flowgraph.Flow, vcs int) *flowgraph.Graph {
+	var capacity float64
+	for _, f := range flows {
+		if 4*f.Demand > capacity {
+			capacity = 4 * f.Demand
+		}
+	}
+	return flowgraph.New(escapeCDG(t, vcs), flows, capacity)
 }
 
 // resynthResult carries one background solve back to the barrier.
@@ -129,10 +148,6 @@ func (sv *Supervisor) Run(ctx context.Context, total int64) (*sim.Result, []Even
 	window := sv.SampleWindow
 	if window == 0 {
 		window = 512
-	}
-	frac := sv.RecoveryFrac
-	if frac == 0 {
-		frac = 0.95
 	}
 	events := append([]Event(nil), sv.Schedule...)
 	sort.Slice(events, func(i, j int) bool { return events[i].Cycle < events[j].Cycle })
@@ -175,7 +190,7 @@ func (sv *Supervisor) Run(ctx context.Context, total int64) (*sim.Result, []Even
 			return nil, nil, err
 		}
 	}
-	samples.finishRecovery(&reports, events, total, frac)
+	samples.finishRecovery(&reports, events, total)
 	return sv.Sim.Finish(deadlocked), reports, nil
 }
 
@@ -254,7 +269,7 @@ func (sv *Supervisor) applyEvent(ctx context.Context, ev Event, recovery int64, 
 // escapeSet synthesizes the up*/down* escape-layer route set on the
 // current overlay and certifies it before it may be swapped in.
 func (sv *Supervisor) escapeSet(ctx context.Context) (*route.Set, error) {
-	sp := route.ShortestPath{VCs: sv.VCs, Breaker: cdg.UpDownEscapeBreaker{Root: sv.EscapeRoot}}
+	sp := route.ShortestPath{VCs: sv.VCs, Breaker: escapeBreaker}
 	set, err := sp.RoutesContext(ctx, sv.Overlay, sv.Flows)
 	if err != nil {
 		return nil, err
@@ -268,7 +283,7 @@ func (sv *Supervisor) escapeSet(ctx context.Context) (*route.Set, error) {
 // certifySet runs the independent certificate checker over the overlay's
 // degraded view; every route set the supervisor swaps in passes it.
 func (sv *Supervisor) certifySet(set *route.Set) error {
-	dag := cdg.UpDownEscapeBreaker{Root: sv.EscapeRoot}.Break(cdg.NewFull(sv.Overlay, sv.VCs))
+	dag := escapeCDG(sv.Overlay, sv.VCs)
 	cert, err := certify.Certify(certify.Instance{
 		Topo: sv.Overlay, CDG: dag, Routes: set, VCs: sv.VCs,
 	})
@@ -289,22 +304,13 @@ func (sv *Supervisor) certifySet(set *route.Set) error {
 func (sv *Supervisor) resynthesize(ctx context.Context, out chan<- resynthResult) {
 	snap := topology.NewFaultOverlay(sv.Overlay.Base())
 	snap.Disable(sv.Overlay.Dead()...)
-	dag := cdg.UpDownEscapeBreaker{Root: sv.EscapeRoot}.Break(cdg.NewFull(snap, sv.VCs))
-	capacity := sv.Capacity
-	if capacity == 0 {
-		for _, f := range sv.Flows {
-			if 4*f.Demand > capacity {
-				capacity = 4 * f.Demand
-			}
-		}
-	}
-	g := flowgraph.New(dag, sv.Flows, capacity)
+	g := FlowGraph(snap, sv.Flows, sv.VCs)
 
 	start := time.Now()
 	set, err := sv.Resynth.SelectContext(ctx, g)
 	wall := time.Since(start)
 	if err == nil {
-		err = sv.certifySnapshot(snap, dag, set)
+		err = sv.certifySnapshot(snap, g.CDG(), set)
 	}
 	var coldWall time.Duration
 	if err == nil && sv.ColdResynth != nil {

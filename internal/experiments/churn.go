@@ -6,14 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/cdg"
 	"repro/internal/certify"
 	"repro/internal/churn"
-	"repro/internal/flowgraph"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -36,9 +33,6 @@ type ChurnSpec struct {
 	Demand   float64 `json:"demand,omitempty"`
 	// VCs is the virtual channel count (default 2).
 	VCs int `json:"vcs,omitempty"`
-	// Capacity is the channel capacity of the synthesis flow graphs; zero
-	// means 4x the largest flow demand.
-	Capacity float64 `json:"capacity,omitempty"`
 	// Rate is the offered injection rate in packets/node/cycle.
 	Rate float64 `json:"rate"`
 	// Warmup precedes measurement; Measure is the measured window
@@ -48,11 +42,6 @@ type ChurnSpec struct {
 	Measure int64 `json:"measure,omitempty"`
 	// Seed is the simulation seed (per-rate seeds derive from it).
 	Seed int64 `json:"seed,omitempty"`
-	// SimWorkers threads the cycle-accurate simulation itself
-	// (sim.Config.Workers); 0 or 1 keep it single-threaded. The run is
-	// byte-identical for any value, and the knob is cleared from the
-	// echoed ChurnResult.Spec, so a report never depends on it.
-	SimWorkers int `json:"sim_workers,omitempty"`
 
 	// Faults is how many bidirectional links fail, one per event; the
 	// schedule is drawn by FaultSeed, starts at FaultStart (default
@@ -110,10 +99,6 @@ func (c ChurnSpec) withDefaults() ChurnSpec {
 	return c
 }
 
-// scrub returns the spec as echoed into ChurnResult.Spec: performance-only
-// knobs are cleared so report JSON depends only on what was simulated.
-func (c ChurnSpec) scrub() ChurnSpec { c.SimWorkers = 0; return c }
-
 // ChurnResult is the outcome of one ChurnSpec: the initial route set's
 // MCL, the drawn schedule, the aggregate simulation point, and one report
 // per fault event. Failed specs carry Err (and a typed cause via Cause)
@@ -146,39 +131,9 @@ func (r ChurnResult) Cause() error { return r.cause }
 // count never changes the output. Per-spec failures are recorded in the
 // result, not returned; the error is only ctx's.
 func (r *Runner) RunChurn(ctx context.Context, specs []ChurnSpec) ([]ChurnResult, error) {
-	if len(specs) == 0 {
-		return nil, ctx.Err()
-	}
 	results := make([]ChurnResult, len(specs))
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = r.execChurn(ctx, specs[i])
-			}
-		}()
-	}
-feed:
-	for i := range specs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return results, ctx.Err()
+	err := r.each(ctx, len(specs), func(i int) { results[i] = r.execChurn(ctx, specs[i]) })
+	return results, err
 }
 
 // execChurn runs one spec end to end: draw the schedule, synthesize and
@@ -188,12 +143,11 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 	spec = spec.withDefaults()
 	defer func() {
 		if p := recover(); p != nil {
-			res = ChurnResult{Spec: spec.scrub(), MCL: -1, Err: fmt.Sprint(p),
+			res = ChurnResult{Spec: spec, MCL: -1, Err: fmt.Sprint(p),
 				cause: fmt.Errorf("experiments: %v", p)}
 		}
 	}()
-	res = ChurnResult{Spec: spec.scrub(), MCL: -1}
-	r.bindMetrics()
+	res = ChurnResult{Spec: spec, MCL: -1}
 	r.Metrics.Counter("engine_churn_runs_total").Inc()
 	fail := func(err error) ChurnResult {
 		res.Err = err.Error()
@@ -219,16 +173,7 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 	// so the initial set, the escape layer, and every repair share one
 	// deadlock-freedom argument.
 	overlay := topology.NewFaultOverlay(g)
-	dag := cdg.UpDownEscapeBreaker{Root: 0}.Break(cdg.NewFull(overlay, spec.VCs))
-	capacity := spec.Capacity
-	if capacity == 0 {
-		for _, f := range flows {
-			if 4*f.Demand > capacity {
-				capacity = 4 * f.Demand
-			}
-		}
-	}
-	fg := flowgraph.New(dag, flows, capacity)
+	fg := churn.FlowGraph(overlay, flows, spec.VCs)
 
 	resynth, cold, err := churnSelectors(spec)
 	if err != nil {
@@ -241,7 +186,7 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 	if err != nil {
 		return fail(fmt.Errorf("experiments: initial churn synthesis: %w", err))
 	}
-	if err := certifyChurnSet(overlay, dag, initial, spec.VCs); err != nil {
+	if err := certifyChurnSet(overlay, fg.CDG(), initial, spec.VCs); err != nil {
 		return fail(err)
 	}
 	res.MCL, _ = initial.MCL()
@@ -252,7 +197,6 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 		WarmupCycles:  spec.Warmup,
 		MeasureCycles: spec.Measure,
 		Seed:          spec.Seed + int64(spec.Rate*1000),
-		Workers:       spec.SimWorkers,
 		Metrics:       r.Metrics,
 	})
 	if err != nil {
@@ -262,7 +206,6 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 		Sim: s, Overlay: overlay, Flows: flows, VCs: spec.VCs,
 		Resynth:        resynth,
 		Schedule:       schedule,
-		Capacity:       capacity,
 		RecoveryWindow: spec.RecoveryWindow,
 		SampleWindow:   spec.SampleWindow,
 		Requeue:        spec.Requeue,

@@ -242,18 +242,7 @@ type Job struct {
 	// sequential generators used — so results are identical no matter how
 	// jobs are scheduled across workers.
 	Seed int64 `json:"seed"`
-	// SimWorkers is the per-simulation goroutine count (sim.Config.Workers):
-	// 0 or 1 run each simulation single-threaded, larger values shard the
-	// cycle loop spatially. Purely a performance knob — simulation results
-	// are byte-identical for any value — so it stays out of synthKey and is
-	// cleared from the echoed Result.Job, keeping result JSON independent
-	// of how each simulation was threaded.
-	SimWorkers int `json:"sim_workers,omitempty"`
 }
-
-// scrub returns the job as echoed into Result.Job: performance-only knobs
-// are cleared so result JSON depends only on what was measured.
-func (j Job) scrub() Job { j.SimWorkers = 0; return j }
 
 // synthKey identifies the route-synthesis work a job needs; jobs sharing
 // a key share one cached synthesis. Demand and capacity overrides extend
@@ -393,9 +382,6 @@ type Runner struct {
 	Workers int
 	// MILP is the selector behind "BSOR-MILP" jobs; nil means DefaultMILP.
 	MILP route.Selector
-	// Dijkstra is the selector behind "BSOR-Dijkstra" jobs; nil means
-	// route.DijkstraSelector{}.
-	Dijkstra route.Selector
 	// Heuristic is the selector behind "BSOR-Heuristic" jobs; nil means
 	// DefaultHeuristic.
 	Heuristic route.Selector
@@ -449,7 +435,7 @@ type Selector = route.Selector
 
 // DefaultMILP is the MILP budget used when Runner.MILP is nil: the
 // published-quality setting of cmd/experiments.
-func DefaultMILP() route.Selector {
+func DefaultMILP() route.MILPSelector {
 	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, Refinements: 3, MaxNodes: 120, Gap: 0.01}
 }
 
@@ -462,7 +448,7 @@ func DefaultHeuristic() route.Selector {
 // FastMILP is the reduced branch-and-bound budget of cmd/experiments
 // -fast: enough to smoke-test every MILP code path in seconds, not enough
 // to reproduce the published MCL values.
-func FastMILP() route.Selector {
+func FastMILP() route.MILPSelector {
 	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 2, MaxNodes: 40, Gap: 0.01}
 }
 
@@ -480,8 +466,8 @@ func (r *Runner) SimStats() (cycles, flitHops int64, wall time.Duration) {
 }
 
 // bindMetrics registers the Runner's derived gauges on Metrics, once.
-// Called at the top of every sweep entry point so a Runner configured
-// after construction still binds.
+// Called from each, which every sweep entry point runs on, so a Runner
+// configured after construction still binds.
 func (r *Runner) bindMetrics() {
 	if r.Metrics == nil {
 		return
@@ -525,43 +511,53 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 // and stop after ctx is cancelled (jobs already in flight finish and are
 // still delivered). Returns ctx.Err() when cancelled, nil otherwise.
 func (r *Runner) Stream(ctx context.Context, jobs []Job, emit func(index int, res Result)) error {
+	var emitMu sync.Mutex
+	return r.each(ctx, len(jobs), func(i int) {
+		res := r.exec(ctx, jobs[i])
+		if emit != nil {
+			emitMu.Lock()
+			emit(i, res)
+			emitMu.Unlock()
+		}
+	})
+}
+
+// each calls do(i) for every i in [0, n) on the Runner's worker pool —
+// the one scheduling loop behind job sweeps and churn runs. Once ctx is
+// done no further index is fed; calls already in flight finish. Returns
+// ctx.Err().
+func (r *Runner) each(ctx context.Context, n int, do func(i int)) error {
+	if n == 0 {
+		return ctx.Err()
+	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if len(jobs) == 0 {
-		return ctx.Err()
+	if workers > n {
+		workers = n
 	}
 	r.bindMetrics()
-	// queueDepth tracks jobs not yet completed (queued + in flight);
-	// cancelled sweeps reset it to zero on return since the unfed jobs
+	// queueDepth tracks units not yet completed (queued + in flight);
+	// cancelled sweeps reset it to zero on return since the unfed units
 	// will never run.
 	queueDepth := r.Metrics.Gauge("engine_queue_depth")
-	queueDepth.Set(int64(len(jobs)))
+	queueDepth.Set(int64(n))
 	defer queueDepth.Set(0)
 	idx := make(chan int)
-	var emitMu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				res := r.exec(ctx, jobs[i])
+				do(i)
 				queueDepth.Add(-1)
-				if emit != nil {
-					emitMu.Lock()
-					emit(i, res)
-					emitMu.Unlock()
-				}
 			}
 		}()
 	}
 feed:
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -680,10 +676,10 @@ func (r *Runner) exec(ctx context.Context, j Job) (res Result) {
 	}()
 	defer func() {
 		if p := recover(); p != nil {
-			res = Result{Job: j.scrub(), MCL: -1, Err: fmt.Sprint(p), cause: fmt.Errorf("experiments: %v", p)}
+			res = Result{Job: j, MCL: -1, Err: fmt.Sprint(p), cause: fmt.Errorf("experiments: %v", p)}
 		}
 	}()
-	res = Result{Job: j.scrub(), MCL: -1}
+	res = Result{Job: j, MCL: -1}
 	fail := func(err error) Result {
 		res.Err = err.Error()
 		res.cause = err
@@ -775,11 +771,7 @@ func (r *Runner) ResolveAlgorithm(j Job) (route.Algorithm, error) {
 		}
 		return bsor(sel, j.Algorithm)
 	case "BSOR-Dijkstra":
-		sel := r.Dijkstra
-		if sel == nil {
-			sel = route.DijkstraSelector{}
-		}
-		return bsor(sel, j.Algorithm)
+		return bsor(route.DijkstraSelector{}, j.Algorithm)
 	case "BSOR-Heuristic":
 		sel := r.Heuristic
 		if sel == nil {
@@ -820,7 +812,6 @@ func (r *Runner) simulate(ctx context.Context, g topology.Topology, set *route.S
 		MeasureCycles: j.Measure,
 		Seed:          j.Seed + int64(j.Rate*1000),
 		RateVariation: variation,
-		Workers:       j.SimWorkers,
 		Metrics:       r.Metrics,
 	})
 	if err != nil {

@@ -250,9 +250,6 @@ type SimParams struct {
 	MeasureCycles int64
 	// Seed is the base random seed; per-point seeds derive from it.
 	Seed int64
-	// SimWorkers threads each individual simulation (Job.SimWorkers);
-	// 0 keeps the single-threaded core. Results never depend on it.
-	SimWorkers int
 }
 
 func (p SimParams) withDefaults() SimParams {

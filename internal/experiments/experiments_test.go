@@ -48,7 +48,7 @@ func TestTableBreakersAreFive(t *testing.T) {
 // headline values — transpose negative-first 75, and applications bounded
 // below by their heaviest flow.
 func TestTable62Shape(t *testing.T) {
-	r := &Runner{Dijkstra: route.DijkstraSelector{}}
+	r := &Runner{}
 	rows := CDGRows(r.Run(TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
 	byName := map[string]CDGRow{}
 	for _, r := range rows {
@@ -81,7 +81,7 @@ func TestTable63Shape(t *testing.T) {
 	// this budget preserves the BSOR <= DOR invariant being checked.
 	milp := route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 4, Refinements: 1,
 		MaxNodes: 20, Gap: 0.01}
-	r := &Runner{MILP: milp, Dijkstra: route.DijkstraSelector{}}
+	r := &Runner{MILP: milp}
 	rows := AlgoRows(r.Run(AlgoTableJobs("table6.3", MeshSpec(8, 8), Table63Algorithms(),
 		TableBreakerNames()[:3], 2)))
 	for _, r := range rows {

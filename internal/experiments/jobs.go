@@ -59,7 +59,6 @@ func SweepJobs(experiment string, topo TopoSpec, workload string, algorithms []s
 				Workload: workload, Algorithm: a, VCs: p.VCs,
 				Rate: rate, Variation: variation,
 				Warmup: p.WarmupCycles, Measure: p.MeasureCycles, Seed: p.Seed,
-				SimWorkers: p.SimWorkers,
 			}
 			if isBSOR(a) {
 				j.Breakers = breakers
@@ -140,7 +139,6 @@ func FaultSweepJobs(experiment string, base TopoSpec, seed int64, faultCounts []
 					Workload: workload, Algorithm: a, VCs: p.VCs,
 					Rate:   rate,
 					Warmup: p.WarmupCycles, Measure: p.MeasureCycles, Seed: p.Seed,
-					SimWorkers: p.SimWorkers,
 				}
 				if isBSOR(a) {
 					j.Breakers = breakers

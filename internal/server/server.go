@@ -76,10 +76,6 @@ type Config struct {
 	// FastMILP runs BSOR-MILP specs under the reduced smoke budget
 	// (bsor.FastMILPBudget) instead of the published one.
 	FastMILP bool
-	// SimWorkers threads each simulation over spatial shards
-	// (bsor.SimSpec.Workers daemon-wide). Purely a speed knob; response
-	// bytes are identical for any value.
-	SimWorkers int
 	// Metrics receives the server_* instruments (and, via
 	// metrics.Register, backs the /metrics and /debug/vars endpoints).
 	// nil disables collection and leaves those endpoints unmounted.
@@ -181,9 +177,6 @@ func New(cfg Config) *Server {
 	opts := []bsor.Option{bsor.WithMetrics((*bsor.Metrics)(cfg.Metrics))}
 	if cfg.FastMILP {
 		opts = append(opts, bsor.WithMILPBudget(bsor.FastMILPBudget()))
-	}
-	if cfg.SimWorkers > 0 {
-		opts = append(opts, bsor.WithSimDefaults(bsor.SimSpec{Workers: cfg.SimWorkers}))
 	}
 	s.engine = bsor.NewEngine(opts...)
 

@@ -181,6 +181,11 @@ func TestErrorMapping(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantKind: "request"},
 		{name: "unknown field", path: "/v1/synthesize", body: `{"workload":"transpose","typo":1}`,
 			wantStatus: http.StatusBadRequest, wantKind: "request"},
+		// A spec says what to compute, never how: the per-simulation thread
+		// count is not a spec field, so its old spelling is an unknown one.
+		{name: "removed sim.workers spelling", path: "/v1/sim",
+			body:       `{"topo":{"kind":"mesh","width":4,"height":4},"workload":"transpose","sim":{"rates":[10],"workers":4}}`,
+			wantStatus: http.StatusBadRequest, wantKind: "request"},
 		{name: "unknown workload", path: "/v1/synthesize", body: `{"workload":"nope"}`,
 			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "workload"},
 		{name: "sim without sim block", path: "/v1/sim", body: synthSpec,
