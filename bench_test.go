@@ -7,7 +7,9 @@ package repro
 // the same code at the published 20k+100k cycle counts. Custom metrics
 // report the headline number of each artifact (best MCL, or saturation
 // throughput) so regressions in reproduction quality show up in benchmark
-// output, not just in runtime.
+// output, not just in runtime. Speed is not measured here: the benchmark/
+// module (BENCHMARK.json, `go run -C benchmark .`) is the one performance
+// ledger.
 
 import (
 	"runtime"
@@ -15,11 +17,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/route"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 func benchMILP() route.Selector {
@@ -195,120 +193,6 @@ func BenchmarkFig54InjectionTrace(b *testing.B) {
 		if len(trace) != 120000 {
 			b.Fatal("short trace")
 		}
-	}
-}
-
-// meshTransposeXY builds the transpose-over-XY configuration the sim
-// benchmarks sweep — the workload shape that dominates every figure.
-func meshTransposeXY(b *testing.B, w, h int) (topology.Topology, *route.Set) {
-	b.Helper()
-	m := topology.NewMesh(w, h)
-	flows, err := traffic.Transpose(m, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := route.XY{}.Routes(m, flows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, set
-}
-
-// closRandPermSP builds a folded-Clos fabric under a seeded random
-// permutation routed by deterministic shortest path (the graph-generic
-// baseline) — the non-grid benchmark topology.
-func closRandPermSP(b *testing.B, spines, leaves int) (topology.Topology, *route.Set) {
-	b.Helper()
-	g := topology.NewFoldedClos(spines, leaves)
-	flows, err := traffic.RandomPermutation(g, 10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := route.ShortestPath{VCs: 2}.Routes(g, flows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g, set
-}
-
-// BenchmarkSimCycles measures the raw speed of the cycle-accurate
-// simulator core on offered-rate curves and reports simulated cycles per
-// second and flit hops per second as custom metrics. scripts/bench_sim.sh
-// runs it and records the numbers in BENCH_sim.json next to the captured
-// seed-core baseline; CI runs it with -benchtime=1x so the metrics
-// cannot silently break.
-//
-// The 16x16 case is the acceptance benchmark of the data-oriented core
-// rewrite: five offered-rate points (deep sub-saturation through
-// saturation) at 2k+10k cycles each, XY routes. The seed core sustained
-// ~13.8k cycles/sec on this curve in the reference container; the
-// active-set core is required to stay >= 3x above that.
-//
-// The -wN variants drive the same curves through the sharded parallel
-// cycle loop (sim.Config.Workers, DESIGN.md §15) and produce identical
-// results; on a single-core runner they measure barrier overhead rather
-// than speedup. The 64x64 and clos rows exercise table construction and
-// shard counts (32 and 18) far beyond the thesis figures.
-func BenchmarkSimCycles(b *testing.B) {
-	// The -metrics variants attach a live collector: the instrumented and
-	// plain runs must stay within the documented <2% overhead budget
-	// (DESIGN.md §14) because the simulator flushes counters only at its
-	// existing 1024-cycle poll, never per cycle — including the per-shard
-	// active-set gauges of a parallel run.
-	for _, tc := range []struct {
-		name    string
-		build   func(*testing.B) (topology.Topology, *route.Set)
-		workers int
-		metrics bool
-	}{
-		{"mesh8x8", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 8, 8) }, 0, false},
-		{"mesh8x8-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 8, 8) }, 0, true},
-		{"mesh16x16", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 0, false},
-		{"mesh16x16-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 0, true},
-		{"mesh16x16-w4", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 4, false},
-		{"mesh16x16-w4-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 4, true},
-		{"mesh64x64", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 64, 64) }, 0, false},
-		{"mesh64x64-w8", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 64, 64) }, 8, false},
-		{"clos32x256-w8", func(b *testing.B) (topology.Topology, *route.Set) { return closRandPermSP(b, 32, 256) }, 8, false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var coll *metrics.Collector
-			if tc.metrics {
-				coll = metrics.New()
-			}
-			m, set := tc.build(b)
-			rates := []float64{2, 10, 20, 40, 60}
-			var cycles, hops int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, rate := range rates {
-					s, err := sim.New(sim.Config{
-						Mesh: m, Routes: set, VCs: 2, OfferedRate: rate,
-						WarmupCycles: 2000, MeasureCycles: 10000, Seed: 1,
-						Workers: tc.workers,
-						Metrics: coll,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := s.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Deadlocked {
-						b.Fatal("benchmark config deadlocked")
-					}
-					cycles += res.Cycles
-					hops += res.FlitHops
-				}
-			}
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(cycles)/sec, "cycles/sec")
-				b.ReportMetric(float64(hops)/sec, "flithops/sec")
-			}
-		})
 	}
 }
 

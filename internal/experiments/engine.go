@@ -538,12 +538,12 @@ func (r *Runner) each(ctx context.Context, n int, do func(i int)) error {
 		workers = n
 	}
 	r.bindMetrics()
-	// queueDepth tracks units not yet completed (queued + in flight);
-	// cancelled sweeps reset it to zero on return since the unfed units
-	// will never run.
+	// queueDepth tracks units not yet completed (queued + in flight),
+	// summed over every sweep running on this Runner's collector: each
+	// call adds its own n, takes one off per completed unit, and a
+	// cancelled call gives back the units it never fed.
 	queueDepth := r.Metrics.Gauge("engine_queue_depth")
-	queueDepth.Set(int64(n))
-	defer queueDepth.Set(0)
+	queueDepth.Add(int64(n))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -556,14 +556,16 @@ func (r *Runner) each(ctx context.Context, n int, do func(i int)) error {
 			}
 		}()
 	}
+	fed := 0
 feed:
-	for i := 0; i < n; i++ {
+	for ; fed < n; fed++ {
 		select {
-		case idx <- i:
+		case idx <- fed:
 		case <-ctx.Done():
 			break feed
 		}
 	}
+	queueDepth.Add(int64(fed - n))
 	close(idx)
 	wg.Wait()
 	return ctx.Err()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/certify"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -335,5 +336,55 @@ func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 	}
 	if got := r.SynthesisCount(); got != 4 {
 		t.Errorf("SynthesisCount = %d, want 4 (cancelled, ok, tight, infeasible)", got)
+	}
+}
+
+// TestQueueDepthAdditive pins engine_queue_depth under overlapping sweeps
+// on one Runner (the daemon's concurrent /v1/sim pipelines and churn
+// runs): the gauge reads the sum of every call's outstanding units, a
+// cancelled call gives back exactly the units it never fed, and one call
+// returning leaves the other's count standing.
+func TestQueueDepthAdditive(t *testing.T) {
+	m := metrics.New()
+	r := &Runner{Workers: 2, Metrics: m}
+	depth := m.Gauge("engine_queue_depth")
+
+	started := make(chan struct{}, 3+5) // one slot per unit, so no unit blocks announcing itself
+	hold := func(release chan struct{}) func(int) {
+		return func(int) {
+			started <- struct{}{}
+			<-release
+		}
+	}
+	releaseA, releaseB := make(chan struct{}), make(chan struct{})
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	retA, retB := make(chan error, 1), make(chan error, 1)
+	go func() { retA <- r.each(context.Background(), 3, hold(releaseA)) }()
+	go func() { retB <- r.each(ctxB, 5, hold(releaseB)) }()
+
+	// Each call has two units in flight and its feeder blocked on the third.
+	for range 4 {
+		<-started
+	}
+	if got := depth.Value(); got != 8 {
+		t.Fatalf("two overlapping calls of 3 and 5 units: gauge %d, want 8", got)
+	}
+
+	cancelB()
+	close(releaseB)
+	if err := <-retB; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call returned %v", err)
+	}
+	if got := depth.Value(); got != 3 {
+		t.Errorf("after the cancelled call returned: gauge %d, want the other call's 3", got)
+	}
+
+	close(releaseA)
+	if err := <-retA; err != nil {
+		t.Errorf("uncancelled call returned %v", err)
+	}
+	if got := depth.Value(); got != 0 {
+		t.Errorf("after both calls returned: gauge %d, want 0", got)
 	}
 }

@@ -23,19 +23,12 @@ type MILPOptions struct {
 	// effective from the first node. An infeasible warm start is
 	// silently ignored.
 	WarmStart []float64
-	// Engine selects the LP engine for node relaxations. The default,
-	// EngineSparse, additionally warm-starts every child node from its
-	// parent's optimal basis (dual-simplex restoration) instead of
-	// re-solving from a crash basis.
-	Engine Engine
 	// RootBasis, when non-nil, warm-starts the root LP relaxation from a
 	// previous solve's basis (see Solution.Basis). A basis whose shape no
 	// longer matches the problem is ignored and the root solves cold.
-	// Sparse engine only.
 	RootBasis *Basis
 	// Instruments receives pivot/refactorization/node counts from the
-	// solve. The zero value disables all of them. Sparse engine only
-	// (the dense baseline stays unobserved by design).
+	// solve. The zero value disables all of them.
 	Instruments Instruments
 }
 
@@ -53,10 +46,22 @@ type bbNode struct {
 	lb, ub []float64
 	bound  float64 // parent LP objective (minimization sense)
 	depth  int
-	// warm is the parent's optimal basis (sparse engine only); the child
-	// re-solve starts from it instead of a crash basis.
+	// warm is the parent's optimal basis; the child re-solve starts from
+	// it (dual-simplex restoration) instead of a crash basis.
 	warm *basisState
 }
+
+// nodeSolver solves one node's LP relaxation under the node's bounds,
+// optionally from the parent's basis, and returns the basis it ended on
+// (nil when it keeps none). boundTightener propagates a branching decision
+// on variable branch through lb/ub in place and reports false when that
+// proves the child empty. Production always passes the sparse solver and
+// the propagator; package tests substitute the dense tableau and no
+// propagation to cross-check both.
+type (
+	nodeSolver     func(lb, ub []float64, warm *basisState) (*Solution, *basisState, error)
+	boundTightener func(lb, ub []float64, branch int) bool
+)
 
 // SolveMILP solves p respecting its integer variable markers using
 // LP-relaxation branch and bound with most-fractional branching and
@@ -71,41 +76,34 @@ func SolveMILP(p *Problem, opts MILPOptions) (*Solution, error) {
 // answer, partial or otherwise — callers that want best-effort truncation
 // use MaxNodes instead).
 func SolveMILPContext(ctx context.Context, p *Problem, opts MILPOptions) (*Solution, error) {
-	opts = opts.withDefaults()
-
-	intVars := make([]int, 0)
-	for j, v := range p.vars {
-		if v.integer {
-			intVars = append(intVars, j)
-		}
-	}
+	intVars := p.integerVars()
 	if len(intVars) == 0 {
-		if opts.Engine == EngineDense {
-			return SolveDense(p)
-		}
 		return Solve(p)
 	}
+	// One solver instance (constraint storage and scratch) serves every
+	// node, warm-started from the parent basis when the node carries one.
+	sp := newSparseSolver(p)
+	sp.inst = opts.Instruments
+	return branchAndBound(ctx, p, opts, intVars, sp.solveLP, newPropagator(p).propagate)
+}
 
-	// solveNode runs one LP relaxation. The sparse engine reuses one solver
-	// instance (constraint storage and scratch) across all nodes and
-	// warm-starts from the parent basis when the node carries one.
-	// Bound propagation and basis warm starts belong to the sparse rework;
-	// the dense engine keeps the original node-by-node re-solve behavior so
-	// it remains a faithful baseline for cross-validation and benchmarks.
-	var sp *sparseSolver
-	var prop *propagator
-	if opts.Engine != EngineDense {
-		sp = newSparseSolver(p)
-		sp.inst = opts.Instruments
-		prop = newPropagator(p)
-	}
-	solveNode := func(node bbNode) (*Solution, *basisState, error) {
-		if sp != nil {
-			return sp.solveLP(node.lb, node.ub, node.warm)
+// integerVars lists the indices of p's integer-marked variables.
+func (p *Problem) integerVars() []int {
+	var out []int
+	for j, v := range p.vars {
+		if v.integer {
+			out = append(out, j)
 		}
-		sol, err := solveLP(p, node.lb, node.ub)
-		return sol, nil, err
 	}
+	return out
+}
+
+// branchAndBound is the search behind SolveMILPContext over the integer
+// variables intVars (non-empty), with the relaxation solver and the bound
+// propagation supplied by the caller.
+func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars []int,
+	solveNode nodeSolver, tighten boundTightener) (*Solution, error) {
+	opts = opts.withDefaults()
 
 	sign := 1.0
 	if p.maximize {
@@ -134,7 +132,7 @@ func SolveMILPContext(ctx context.Context, p *Problem, opts MILPOptions) (*Solut
 		}
 	}
 	root := bbNode{lb: lb0, ub: ub0, bound: math.Inf(-1)}
-	if sp != nil && opts.RootBasis != nil {
+	if opts.RootBasis != nil {
 		root.warm = opts.RootBasis.state
 	}
 	stack := []bbNode{root}
@@ -159,7 +157,7 @@ func SolveMILPContext(ctx context.Context, p *Problem, opts MILPOptions) (*Solut
 		}
 		nodes++
 
-		sol, state, err := solveNode(node)
+		sol, state, err := solveNode(node.lb, node.ub, node.warm)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +211,7 @@ func SolveMILPContext(ctx context.Context, p *Problem, opts MILPOptions) (*Solut
 			} else {
 				lb[branch] = math.Ceil(xv)
 			}
-			if prop != nil && !prop.propagate(lb, ub, branch) {
+			if !tighten(lb, ub, branch) {
 				return bbNode{}, false // child proven empty by propagation
 			}
 			return bbNode{lb: lb, ub: ub, bound: obj, depth: node.depth + 1, warm: state}, true

@@ -3,8 +3,10 @@
 //
 // The thesis solves its BSOR route-selection MILP (§3.5) with a commercial
 // solver (CPLEX). No such solver exists in the Go standard library, so this
-// package is the substitution: a dense bounded-variable two-phase primal
-// simplex for LPs, and a branch-and-bound layer for integer variables. The
+// package is the substitution: a bounded-variable revised simplex over a
+// sparse LU basis for LPs, and a branch-and-bound layer for integer
+// variables (the seed's dense two-phase tableau stays as SolveDense, the
+// reference the tests check the sparse solver against). The
 // formulation is unchanged; only solve time differs from a commercial
 // solver, which the thesis itself anticipates by limiting solver effort on
 // large instances (§7.3). Problem sizes in this repository (hundreds of
@@ -180,9 +182,9 @@ type Solution struct {
 	X []float64
 	// Nodes is the number of branch-and-bound nodes explored (MILP only).
 	Nodes int
-	// Basis is the optimal basis of the root LP relaxation (sparse MILP
-	// engine only; nil otherwise). Feed it back through
-	// MILPOptions.RootBasis to warm-start a closely related re-solve.
+	// Basis is the optimal basis of the root LP relaxation (MILP only; nil
+	// otherwise). Feed it back through MILPOptions.RootBasis to warm-start
+	// a closely related re-solve.
 	Basis *Basis
 }
 

@@ -426,16 +426,9 @@ func (s *simplex) pivot(q, leave int, sigma, t float64, leaveToUB bool) {
 	s.xB[leave] = enterVal
 }
 
-// Solve solves the LP relaxation of p (integer markers ignored) with the
-// sparse revised simplex.
-func Solve(p *Problem) (*Solution, error) {
-	sol, _, err := newSparseSolver(p).solveLP(nil, nil, nil)
-	return sol, err
-}
-
-// SolveDense solves the LP relaxation with the retained dense-tableau
-// simplex. It exists for cross-validation (the fuzz corpus compares the two
-// engines) and for benchmarking the sparse rewrite against its baseline.
+// SolveDense solves the LP relaxation with the dense-tableau simplex. It is
+// the reference the sparse solver is checked against (the cross-check tests
+// and the fuzz corpus compare the two); nothing outside tests calls it.
 func SolveDense(p *Problem) (*Solution, error) {
 	return solveLP(p, nil, nil)
 }

@@ -4,29 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/metrics"
-)
-
-// lpDebug gates solver-path diagnostics (warm-start fallbacks, phase-1
-// infeasibility declarations) to stderr.
-var lpDebug = os.Getenv("LP_DEBUG") != ""
-
-// Engine selects the simplex implementation behind Solve and SolveMILP.
-type Engine int
-
-const (
-	// EngineSparse (the default) is a revised simplex over column-wise
-	// sparse constraint storage. Branch-and-bound children are warm-started
-	// from their parent's optimal basis with a dual-simplex restoration
-	// pass instead of re-solving from scratch.
-	EngineSparse Engine = iota
-	// EngineDense is the original dense-tableau two-phase simplex, retained
-	// for small instances and cross-validation: the fuzz corpus checks the
-	// two engines agree on random problems, and benchmarks quote the
-	// dense-versus-sparse synthesis speedup.
-	EngineDense
 )
 
 // ErrSingularBasis is returned when a basis refactorization fails; the
@@ -350,7 +329,7 @@ func (s *sparseSolver) objectiveOf(cost []float64) float64 {
 // optimality for the given cost. Under Bland's rule the smallest improving
 // index wins, which — paired with the smallest-index leaving tie-break in
 // the ratio test — guarantees termination under degeneracy: unlike the
-// dense engine, whose incrementally updated reduced costs accumulate tie-
+// dense tableau, whose incrementally updated reduced costs accumulate tie-
 // breaking noise, the revised simplex reprices exactly every iteration and
 // would otherwise cycle through exact degenerate ties deterministically.
 func (s *sparseSolver) chooseEntering(cost []float64, bland bool) int {
@@ -377,7 +356,7 @@ func (s *sparseSolver) chooseEntering(cost []float64, bland bool) int {
 }
 
 // iterate runs primal simplex iterations to optimality for the given cost,
-// mirroring the dense engine's ratio test and anti-cycling switch. phase
+// mirroring the dense tableau's ratio test and anti-cycling switch. phase
 // is a second counter the pivots are added to (Phase1Pivots, or nil).
 func (s *sparseSolver) iterate(cost []float64, phase *metrics.Counter) error {
 	s.unbounded = false
@@ -505,10 +484,14 @@ func (s *sparseSolver) iterate(cost []float64, phase *metrics.Counter) error {
 			return err
 		}
 	}
-	if lpDebug {
-		fmt.Fprintf(os.Stderr, "lp debug: primal iterate hit limit, pivots=%d\n", pivots)
-	}
 	return fmt.Errorf("%w (m=%d n=%d sparse)", ErrIterationLimit, s.m, s.n)
+}
+
+// Solve solves the LP relaxation of p (integer markers ignored) with the
+// sparse revised simplex.
+func Solve(p *Problem) (*Solution, error) {
+	sol, _, err := newSparseSolver(p).solveLP(nil, nil, nil)
+	return sol, err
 }
 
 // solveLP solves the LP relaxation under the given bound overrides,
@@ -543,9 +526,6 @@ func (s *sparseSolver) solveLP(lbOver, ubOver []float64, warm *basisState) (*Sol
 		if err == nil {
 			return sol, state, nil
 		}
-		if lpDebug {
-			fmt.Fprintf(os.Stderr, "lp debug: warm solve failed: %v\n", err)
-		}
 		// Numerical trouble on the warm path (singular refactorization,
 		// stalled dual loop): fall back to a cold solve.
 		s.inst.ColdFallbacks.Inc()
@@ -554,7 +534,7 @@ func (s *sparseSolver) solveLP(lbOver, ubOver []float64, warm *basisState) (*Sol
 }
 
 // coldSolve is the two-phase primal solve from a slack/artificial crash
-// basis, the sparse analogue of the dense engine's path.
+// basis, the sparse analogue of the dense tableau's path.
 func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 	m := s.m
 	for j := 0; j < s.n; j++ {
@@ -631,9 +611,6 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 
 	if needPhase1 {
 		if err := s.iterate(s.phase1Cost, s.inst.Phase1Pivots); err != nil {
-			if lpDebug {
-				fmt.Fprintf(os.Stderr, "lp debug: cold phase1 failed\n")
-			}
 			return nil, nil, err
 		}
 		if s.unbounded {
@@ -645,10 +622,7 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 		// infeasibility, which shows up at the scale of the problem data.
 		// Marginal residues pass through: the exact-bounds restore repairs
 		// them or, failing that, proves the real infeasibility dually.
-		if obj := s.objectiveOf(s.phase1Cost); obj > phase1Tol {
-			if lpDebug {
-				fmt.Fprintf(os.Stderr, "lp debug: phase1 infeasible obj=%.6g\n", obj)
-			}
+		if s.objectiveOf(s.phase1Cost) > phase1Tol {
 			return &Solution{Status: Infeasible}, nil, nil
 		}
 	}
@@ -662,9 +636,6 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 	}
 	// Phase 2 on the perturbed bounds, then remove the perturbation.
 	if err := s.iterate(s.phase2Cost, nil); err != nil {
-		if lpDebug {
-			fmt.Fprintf(os.Stderr, "lp debug: perturbed phase2 failed\n")
-		}
 		return nil, nil, err
 	}
 	if s.unbounded {
@@ -900,9 +871,6 @@ func (s *sparseSolver) dualIterate() (infeasible bool, err error) {
 // solution plus a basis snapshot for warm-starting children.
 func (s *sparseSolver) finishPhase2() (*Solution, *basisState, error) {
 	if err := s.iterate(s.phase2Cost, nil); err != nil {
-		if lpDebug {
-			fmt.Fprintf(os.Stderr, "lp debug: phase2 failed\n")
-		}
 		return nil, nil, err
 	}
 	if s.unbounded {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,6 +80,22 @@ func randomLP(rng *rand.Rand, milp bool) *Problem {
 	return p
 }
 
+// solveMILPDense is the seed MILP stack the sparse one is checked against:
+// the production branch and bound over dense-tableau relaxations, every
+// node re-solved from scratch, no bound propagation.
+func solveMILPDense(p *Problem) (*Solution, error) {
+	intVars := p.integerVars()
+	if len(intVars) == 0 {
+		return SolveDense(p)
+	}
+	solveNode := func(lb, ub []float64, _ *basisState) (*Solution, *basisState, error) {
+		sol, err := solveLP(p, lb, ub)
+		return sol, nil, err
+	}
+	noTighten := func(_, _ []float64, _ int) bool { return true }
+	return branchAndBound(context.Background(), p, MILPOptions{}, intVars, solveNode, noTighten)
+}
+
 // TestSparseMatchesDenseLP cross-checks the sparse revised simplex against
 // the retained dense tableau on random LPs: statuses agree, and optimal
 // objectives agree to tolerance.
@@ -111,7 +128,7 @@ func TestSparseMatchesDenseMILP(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
 		p := randomLP(rng, true)
-		ds, derr := SolveMILP(p, MILPOptions{Engine: EngineDense})
+		ds, derr := solveMILPDense(p)
 		ss, serr := SolveMILP(p, MILPOptions{})
 		if derr != nil || serr != nil {
 			t.Fatalf("trial %d: dense err %v, sparse err %v", trial, derr, serr)
@@ -139,7 +156,7 @@ func TestSparseMatchesDenseMILP(t *testing.T) {
 func TestSparseWarmStartedChildren(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := buildMaster(6, 3, 16, seed)
-		ds, err := SolveMILP(p, MILPOptions{Engine: EngineDense})
+		ds, err := solveMILPDense(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,9 +25,7 @@ import (
 // rows reaches the same optimum. When a flow's candidate set is too large
 // to enumerate exhaustively, enumeration is truncated and bottleneck-driven
 // refinement rounds add targeted alternative paths (the heuristic-effort
-// mode the thesis itself suggests for large instances, §7.3). The exact
-// edge formulation is retained in EdgeMILP for small instances and
-// cross-validation.
+// mode the thesis itself suggests for large instances, §7.3).
 type MILPSelector struct {
 	// HopSlack is the extra hop budget over the minimal path length. Zero
 	// restricts routes to minimal paths; the thesis recommends increments
@@ -56,10 +54,6 @@ type MILPSelector struct {
 	// Workers sizes the candidate-enumeration worker pool; zero means
 	// GOMAXPROCS. The merge order is deterministic for any value.
 	Workers int
-	// DenseLP solves the restricted masters with the retained dense-tableau
-	// simplex instead of the sparse warm-started engine. Benchmarking and
-	// cross-validation only.
-	DenseLP bool
 	// Warm, when non-nil, makes the selection resumable: the previous
 	// solve's route set seeds the candidate pool and the branch-and-bound
 	// incumbent, its root LP basis warm-starts the first restricted
@@ -365,14 +359,11 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 	// candidates can touch (its load is at most that flow's demand), which
 	// shrinks the LP basis — every eta column, ratio test and ftran/btran
 	// result of the revised simplex is one entry per row, and every such
-	// row is coupled to the rest through U. The baseline mode keeps the
-	// seed formulation for benchmarking.
+	// row is coupled to the rest through U.
 	uLB := 0.0
-	if !ms.DenseLP {
-		for _, f := range flows {
-			if f.Demand > uLB {
-				uLB = f.Demand
-			}
+	for _, f := range flows {
+		if f.Demand > uLB {
+			uLB = f.Demand
 		}
 	}
 	u := p.AddVar("U", uLB, lp.Inf, 1)
@@ -439,7 +430,7 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 	for _, ch := range channels {
 		// With U bounded below by the largest demand, a channel only one
 		// flow's candidates can touch never exceeds U; its row is redundant.
-		if uLB > 0 && !chShared[ch] {
+		if !chShared[ch] {
 			continue
 		}
 		row := append(append([]lp.Term(nil), chTerms[ch]...), lp.Term{Var: u, Coef: -1})
@@ -455,9 +446,6 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 			ColdFallbacks:    ms.Metrics.Counter("lp_cold_fallbacks_total"),
 			Phase1Pivots:     ms.Metrics.Counter("lp_phase1_pivots_total"),
 		}
-	}
-	if ms.DenseLP {
-		opts.Engine = lp.EngineDense
 	}
 	if incumbent != nil {
 		allWarm := true

@@ -373,34 +373,85 @@ func TestMILPSelectorOptimalSmall(t *testing.T) {
 }
 
 // Path-based MILP must match the thesis' edge-based formulation on small
-// instances.
+// instances. The edge formulation keeps a capacity row for every channel;
+// the path master drops every row only one flow's candidates can touch and
+// bounds U below by the largest demand instead; the "private-first-hop"
+// case has a flow whose first channel is such a row and whose demand is the
+// largest (under west-first it alone sets the optimum, 9).
 func TestMILPPathMatchesEdgeFormulation(t *testing.T) {
 	m := topology.NewMesh(3, 3)
-	flows := []flowgraph.Flow{
-		{ID: 0, Name: "a", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 1), Demand: 7},
-		{ID: 1, Name: "b", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 1), Demand: 5},
-		{ID: 2, Name: "c", Src: m.NodeAt(2, 0), Dst: m.NodeAt(0, 2), Demand: 3},
+	cases := []struct {
+		name  string
+		flows []flowgraph.Flow
+		// private is the flow whose first channel must be untouched by every
+		// other flow's candidates, or -1 for no such premise.
+		private int
+	}{
+		{"shared-source", []flowgraph.Flow{
+			{ID: 0, Name: "a", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 1), Demand: 7},
+			{ID: 1, Name: "b", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 1), Demand: 5},
+			{ID: 2, Name: "c", Src: m.NodeAt(2, 0), Dst: m.NodeAt(0, 2), Demand: 3},
+		}, -1},
+		{"private-first-hop", []flowgraph.Flow{
+			{ID: 0, Name: "a", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 1), Demand: 7},
+			{ID: 1, Name: "b", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 1), Demand: 5},
+			{ID: 2, Name: "d", Src: m.NodeAt(0, 2), Dst: m.NodeAt(0, 1), Demand: 9},
+		}, 2},
 	}
-	for _, rule := range []cdg.TurnRule{cdg.WestFirst, cdg.NorthLast} {
-		g := dijkstraGraph(t, m, rule, 1, flows, 1000)
-		pathSet, err := MILPSelector{HopSlack: 2}.Select(g)
-		if err != nil {
-			t.Fatalf("%s: %v", rule.Name(), err)
+	for _, tc := range cases {
+		for _, rule := range []cdg.TurnRule{cdg.WestFirst, cdg.NorthLast} {
+			name := tc.name + "/" + rule.Name()
+			g := dijkstraGraph(t, m, rule, 1, tc.flows, 1000)
+			if tc.private >= 0 {
+				requirePrivateFirstChannel(t, name, g, 2, tc.private)
+			}
+			pathSet, err := MILPSelector{HopSlack: 2}.Select(g)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			edgeRes, err := EdgeMILP(g, 2, MinMCL, lpOpts())
+			if err != nil {
+				t.Fatalf("%s edge MILP: %v", name, err)
+			}
+			pm, _ := pathSet.MCL()
+			em, _ := edgeRes.Set.MCL()
+			if math.Abs(pm-em) > 1e-6 {
+				t.Errorf("%s: path MILP MCL %g != edge MILP MCL %g", name, pm, em)
+			}
+			if math.Abs(edgeRes.Objective-em) > 1e-6 {
+				t.Errorf("%s: edge objective %g != realized MCL %g", name, edgeRes.Objective, em)
+			}
+			if err := edgeRes.Set.Conforms(g.CDG()); err != nil {
+				t.Errorf("%s: edge MILP routes do not conform: %v", name, err)
+			}
 		}
-		edgeRes, err := EdgeMILP(g, 2, MinMCL, lpOpts())
-		if err != nil {
-			t.Fatalf("%s edge MILP: %v", rule.Name(), err)
+	}
+}
+
+// requirePrivateFirstChannel fails unless every candidate of flow i within
+// the hop budget starts on a channel no other flow's candidates cross —
+// the rows the restricted master leaves out.
+func requirePrivateFirstChannel(t *testing.T, name string, g *flowgraph.Graph, slack, i int) {
+	t.Helper()
+	budgets, err := hopBudgets(g, slack, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	candidates := g.EnumerateAll(budgets, 0, 1)
+	others := make(map[topology.ChannelID]bool)
+	for f, paths := range candidates {
+		if f == i {
+			continue
 		}
-		pm, _ := pathSet.MCL()
-		em, _ := edgeRes.Set.MCL()
-		if math.Abs(pm-em) > 1e-6 {
-			t.Errorf("%s: path MILP MCL %g != edge MILP MCL %g", rule.Name(), pm, em)
+		for _, p := range paths {
+			for _, ch := range g.Channels(p) {
+				others[ch] = true
+			}
 		}
-		if math.Abs(edgeRes.Objective-em) > 1e-6 {
-			t.Errorf("%s: edge objective %g != realized MCL %g", rule.Name(), edgeRes.Objective, em)
-		}
-		if err := edgeRes.Set.Conforms(g.CDG()); err != nil {
-			t.Errorf("%s: edge MILP routes do not conform: %v", rule.Name(), err)
+	}
+	for _, p := range candidates[i] {
+		if first := g.Channels(p)[0]; others[first] {
+			t.Fatalf("%s: flow %d's first channel %d is shared; the case no longer exercises a dropped row", name, i, first)
 		}
 	}
 }
