@@ -2,31 +2,19 @@ package bsor
 
 import "encoding/json"
 
-// Canonical validates the spec and returns it with every package-level
-// default resolved into explicit fields: the algorithm name in canonical
-// case (empty becomes the package default BSOR-Dijkstra), VCs, the
-// breaker exploration set of a BSOR variant (empty becomes the
-// topology's DefaultBreakers, spelled out), and the simulation cycle
-// counts. Two specs that execute identically — however sparsely their
-// JSON spells the defaults — canonicalize to the same value.
+// Canonical validates the spec and returns it with every default
+// resolved into explicit fields: the algorithm name in canonical case
+// (empty becomes BSOR-Dijkstra), VCs, the breaker exploration set of a
+// BSOR variant (empty becomes the topology's DefaultBreakers, spelled
+// out), and the simulation cycle counts. Two specs that execute
+// identically — however sparsely their JSON spells the defaults —
+// canonicalize to the same value, and the canonical form is what every
+// entry point runs: on one Engine, one spec is one synthesis however it
+// is spelled.
 //
 // Every field of a Spec changes result bytes, so every field is part of
 // its identity — the diagnostic Name included, since results echo it.
-//
-// Canonical resolves the package defaults, not a Pipeline's: options
-// like WithSelector and WithBreakers shift what an empty field means
-// for that pipeline, and a caller comparing specs across differently
-// configured pipelines must spell those fields explicitly.
-func (s Spec) Canonical() (Spec, error) {
-	s = s.withDefaults(defaultConfig())
-	if err := s.validate(""); err != nil {
-		return Spec{}, err
-	}
-	if isBSOR(s.Algorithm) && len(s.Breakers) == 0 {
-		s.Breakers = DefaultBreakers(s.Topo)
-	}
-	return s, nil
-}
+func (s Spec) Canonical() (Spec, error) { return s.canonical("") }
 
 // CanonicalKey returns the canonical serialization of the spec: the
 // JSON encoding of Canonical(), whose field order is fixed by the Spec

@@ -98,10 +98,20 @@ func TestCanonicalResolvesDefaults(t *testing.T) {
 // TestCanonicalRejectsInvalid: canonicalization is validation-first, so
 // a key is only ever minted for a spec the pipeline would accept.
 func TestCanonicalRejectsInvalid(t *testing.T) {
-	_, err := Spec{Topo: Mesh(4, 4), Workload: "no-such-workload"}.CanonicalKey()
-	var se *SpecError
-	if !errors.As(err, &se) || se.Field != "workload" {
-		t.Fatalf("err = %v, want *SpecError on field workload", err)
+	for field, spec := range map[string]Spec{
+		"workload": {Topo: Mesh(4, 4), Workload: "no-such-workload"},
+		// Below NewTorus' 2x2 minimum (the height takes its default).
+		"topo": {Topo: Topology{Kind: "torus", Width: 1}, Workload: "transpose"},
+	} {
+		_, err := spec.CanonicalKey()
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != field {
+			t.Errorf("err = %v, want *SpecError on field %s", err, field)
+		}
+	}
+	if err := (Spec{Topo: Torus(1, 5), Workload: "transpose"}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "at least 2x2") {
+		t.Errorf("Validate of a 1x5 torus = %v, want the 2x2 minimum named", err)
 	}
 }
 

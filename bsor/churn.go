@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -53,17 +55,15 @@ type ChurnSpec struct {
 	// Requeue re-injects purged packets at their sources instead of
 	// dropping them.
 	Requeue bool `json:"requeue,omitempty"`
-	// Resynth names the background repair solver: "heuristic" (default)
-	// or "milp-warm" (warm-started MILP with a heuristic fallback).
+	// Resynth names the background repair solver: "heuristic" (the
+	// default when empty) or "milp-warm" (warm-started MILP with a
+	// heuristic fallback).
 	Resynth string `json:"resynth,omitempty"`
 	// MeasureCold additionally times a from-scratch solve of every
 	// degraded instance (never committed), populating ChurnEvent.ColdWall
 	// for the warm-versus-cold comparison.
 	MeasureCold bool `json:"measure_cold,omitempty"`
 }
-
-// churnResynthNames are the accepted Resynth values ("" = heuristic).
-var churnResynthNames = map[string]bool{"": true, "heuristic": true, "milp-warm": true}
 
 // validate checks the spec and returns a *SpecError for the first
 // problem, or nil. label identifies the spec ("" uses Name).
@@ -74,21 +74,8 @@ func (s ChurnSpec) validate(label string) error {
 	fail := func(field, reason string, args ...any) error {
 		return &SpecError{Spec: label, Field: field, Reason: fmt.Sprintf(reason, args...)}
 	}
-	if se := s.Topo.validate(); se != nil {
-		se.Spec = label
-		return se
-	}
-	if s.Workload == "" {
-		return fail("workload", "required (known: %v)", Workloads())
-	}
-	if !knownWorkload(s.Workload) {
-		return fail("workload", "unknown workload %q (known: %v)", s.Workload, Workloads())
-	}
-	if s.VCs < 0 || s.VCs > 32 {
-		return fail("vcs", "%d outside [0, 32]", s.VCs)
-	}
-	if s.Demand < 0 {
-		return fail("demand", "negative demand %g", s.Demand)
+	if field, reason := validateShared(s.Topo, s.Workload, s.VCs, s.Demand); field != "" {
+		return fail(field, "%s", reason)
 	}
 	if s.Rate <= 0 {
 		return fail("rate", "offered rate %g must be positive", s.Rate)
@@ -102,8 +89,8 @@ func (s ChurnSpec) validate(label string) error {
 	if s.FaultStart < 0 || s.FaultSpacing < 0 || s.RecoveryWindow < 0 {
 		return fail("faults", "negative fault timing")
 	}
-	if !churnResynthNames[s.Resynth] {
-		return fail("resynth", "unknown resynth %q (want heuristic or milp-warm)", s.Resynth)
+	if names := experiments.ChurnResynthNames(); s.Resynth != "" && !slices.Contains(names, s.Resynth) {
+		return fail("resynth", "unknown resynth %q (want %s)", s.Resynth, strings.Join(names, " or "))
 	}
 	return nil
 }

@@ -52,6 +52,8 @@ func TestChurnSpecValidation(t *testing.T) {
 		{"two-node ring", func(s *ChurnSpec) { s.Topo = Ring(2) }, "topo"},
 		{"one-node fullmesh", func(s *ChurnSpec) { s.Topo = FullMesh(1) }, "topo"},
 		{"one-leaf clos", func(s *ChurnSpec) { s.Topo = FoldedClos(1, 1) }, "topo"},
+		{"one-wide torus", func(s *ChurnSpec) { s.Topo = Torus(1, 5) }, "topo"},
+		{"one-wide faulted torus", func(s *ChurnSpec) { s.Topo = FaultedTorus(1, 4, 0, 1) }, "topo"},
 		{"missing workload", func(s *ChurnSpec) { s.Workload = "" }, "workload"},
 		{"unknown workload", func(s *ChurnSpec) { s.Workload = "nonesuch" }, "workload"},
 		{"bad vcs", func(s *ChurnSpec) { s.VCs = 64 }, "vcs"},

@@ -26,7 +26,9 @@
 // Topologies, workloads, algorithms, and CDG cycle-breaking strategies
 // are all named; the registries (Algorithms, Workloads, DefaultBreakers)
 // enumerate the valid names, and RegisterWorkload adds caller-defined
-// flow sets.
+// flow sets. A field left empty means its documented default;
+// Spec.Canonical spells every default out, and that canonical form is
+// what every entry point runs — no option changes what a spec means.
 //
 // # Pipelines
 //

@@ -27,16 +27,11 @@ type Engine struct {
 	runner *experiments.Runner
 }
 
-// NewEngine builds an Engine from the options. Option values naming
-// algorithms or breakers are checked when a spec or pipeline first
-// resolves them, as a *SpecError.
+// NewEngine builds an Engine from the options.
 func NewEngine(opts ...Option) *Engine {
-	cfg := defaultConfig()
+	var cfg config
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if canonical, err := NormalizeAlgorithm(cfg.algorithm); err == nil {
-		cfg.algorithm = canonical
 	}
 	// The workload registry hook, the MILP budget, and — so WithWorkers
 	// bounds total parallelism, not just the job pool — the
@@ -61,14 +56,14 @@ func NewEngine(opts ...Option) *Engine {
 	return &Engine{cfg: cfg, runner: r}
 }
 
-// job validates a spec and returns its synthesis job with the Engine's
-// defaults resolved. The spec's Sim and Explore fields are ignored: they
-// select a rendering of the artifact, not a synthesis.
+// job resolves a spec to its synthesis job. The spec's Sim and Explore
+// fields are ignored: they select a rendering of the artifact, not a
+// synthesis.
 func (e *Engine) job(spec Spec) (experiments.Job, error) {
 	spec.Sim = nil
 	spec.Explore = false
-	spec = spec.withDefaults(e.cfg)
-	if err := spec.validate(""); err != nil {
+	spec, err := spec.canonical("")
+	if err != nil {
 		return experiments.Job{}, err
 	}
 	return spec.jobs("synthesize")[0], nil
@@ -101,7 +96,7 @@ func (e *Engine) Explore(ctx context.Context, spec Spec) ([]Exploration, error) 
 	if err != nil {
 		return nil, err
 	}
-	if !isBSOR(job.Algorithm) {
+	if !experiments.IsBSOR(job.Algorithm) {
 		return nil, &SpecError{Spec: spec.Name, Field: "algorithm",
 			Reason: fmt.Sprintf("%s does not explore CDG breakers", job.Algorithm)}
 	}

@@ -82,3 +82,41 @@ func TestEngineKeepsInfeasibleTable(t *testing.T) {
 		t.Errorf("Verify = %v, want ErrInfeasible", err)
 	}
 }
+
+// TestEngineOneArtifactPerSpelling: the engine runs the canonical form, so
+// a sparse spec and its own Canonical() — asked for as a route set, a
+// table or a simulation — are one artifact key and one synthesis.
+func TestEngineOneArtifactPerSpelling(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine(WithWorkers(2))
+	sparse := Spec{Topo: Torus(4, 4), Workload: "transpose"}
+	spelled, err := sparse.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{sparse, spelled} {
+		rs, err := e.Synthesize(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Explore(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		spec.Sim = &SimSpec{Rates: []float64{2}, Warmup: 200, Measure: 1000, Seed: 1}
+		p, err := e.NewPipeline([]Spec{spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := p.RunAll(ctx)
+		if err != nil || FirstError(results) != nil {
+			t.Fatalf("RunAll: %v / %v", err, FirstError(results))
+		}
+		if results[0].MCL != rs.MCL() || results[0].Breaker != rs.Breaker() {
+			t.Errorf("pipeline ran MCL %g via %s, Synthesize gave %g via %s",
+				results[0].MCL, results[0].Breaker, rs.MCL(), rs.Breaker())
+		}
+	}
+	if n := e.runner.SynthesisCount(); n != 1 {
+		t.Errorf("%d syntheses for one spec in two spellings, want 1", n)
+	}
+}

@@ -3,6 +3,8 @@ package bsor
 import (
 	"flag"
 	"strings"
+
+	"repro/internal/experiments"
 )
 
 // SpecFlags binds the command-line flags shared by the repository's
@@ -26,7 +28,8 @@ type SpecFlags struct {
 // them.
 func RegisterFlags(fs *flag.FlagSet) *SpecFlags {
 	return &SpecFlags{
-		topo:   fs.String("topo", "mesh", "topology: mesh | torus | ring | fullmesh | clos | faulted-mesh | faulted-torus, or a label like torus4x4 / ring8"),
+		topo: fs.String("topo", "mesh",
+			"topology: "+strings.Join(experiments.TopoKindNames(), " | ")+", or a label like torus4x4 / ring8"),
 		width:  fs.Int("width", 8, "grid width (grid topologies)"),
 		height: fs.Int("height", 8, "grid height (grid topologies)"),
 		vcs:    fs.Int("vcs", 2, "virtual channels per link"),
@@ -40,19 +43,15 @@ func RegisterFlags(fs *flag.FlagSet) *SpecFlags {
 // ParseSpec assembles the Spec the parsed flags describe. Call after the
 // flag set's Parse; the returned spec is validated.
 func (sf *SpecFlags) ParseSpec() (Spec, error) {
-	var topo Topology
-	switch *sf.topo {
-	case "mesh", "torus", "faulted-mesh", "faulted-torus":
-		// Bare grid kinds honor -width/-height (faulted kinds start with
-		// zero faults; use a full label like faulted-mesh8x8-f4-s1 for
-		// more).
-		topo = Topology{Kind: *sf.topo, Width: *sf.width, Height: *sf.height}
-	default:
-		var err error
-		topo, err = ParseTopology(*sf.topo)
-		if err != nil {
-			return Spec{}, err
-		}
+	topo, err := ParseTopology(*sf.topo)
+	if err != nil {
+		return Spec{}, err
+	}
+	// Bare Width x Height kinds honor -width/-height (faulted kinds start
+	// with zero faults; use a full label like faulted-mesh8x8-f4-s1 for
+	// more).
+	if kind, bare := experiments.TopoKindOf(*sf.topo); bare && kind.Grid {
+		topo.Width, topo.Height = *sf.width, *sf.height
 	}
 	spec := Spec{
 		Topo:     topo,

@@ -73,18 +73,12 @@ func (b MILPBudget) selector() route.Selector {
 
 // config carries the engine options.
 type config struct {
-	workers   int
-	progress  func(done, total int)
-	algorithm string
-	breakers  []string
-	milp      MILPBudget
-	milpSet   bool
-	certify   bool
-	metrics   *metrics.Collector
-}
-
-func defaultConfig() config {
-	return config{algorithm: "BSOR-Dijkstra"}
+	workers  int
+	progress func(done, total int)
+	milp     MILPBudget
+	milpSet  bool
+	certify  bool
+	metrics  *metrics.Collector
 }
 
 // Option configures an Engine (and so every Pipeline and one-off call on
@@ -130,19 +124,6 @@ func (c *config) progressFn(total int) func() {
 	}
 }
 
-// WithSelector sets the default algorithm for specs that leave Algorithm
-// empty (the package default is BSOR-Dijkstra). The name is validated at
-// NewPipeline.
-func WithSelector(name string) Option {
-	return func(c *config) { c.algorithm = name }
-}
-
-// WithBreakers sets the default breaker exploration set for BSOR specs
-// that leave Breakers empty, replacing the per-topology defaults.
-func WithBreakers(names ...string) Option {
-	return func(c *config) { c.breakers = names }
-}
-
 // WithMILPBudget tunes the BSOR-MILP selector for every spec in the
 // pipeline (see MILPBudget; FastMILPBudget for smoke runs).
 func WithMILPBudget(b MILPBudget) Option {
@@ -158,7 +139,7 @@ func WithMILPBudget(b MILPBudget) Option {
 // number of times.
 type Pipeline struct {
 	eng   *Engine
-	specs []Spec // defaulted
+	specs []Spec // canonical
 
 	jobs   []experiments.Job
 	specOf []int // job index -> spec index
@@ -170,32 +151,16 @@ func NewPipeline(specs []Spec, opts ...Option) (*Pipeline, error) {
 	return NewEngine(opts...).NewPipeline(specs)
 }
 
-// NewPipeline validates specs, resolves the Engine's defaults into them,
-// and returns a Pipeline ready to Run. Invalid specs — and invalid
-// WithSelector / WithBreakers values — yield a *SpecError.
+// NewPipeline validates specs and returns a Pipeline over their canonical
+// forms, ready to Run. Invalid specs yield a *SpecError.
 func (e *Engine) NewPipeline(specs []Spec) (*Pipeline, error) {
-	if _, err := NormalizeAlgorithm(e.cfg.algorithm); err != nil {
-		return nil, err
-	}
-	for _, b := range e.cfg.breakers {
-		if !KnownBreaker(b) {
-			return nil, &SpecError{Field: "breakers", Reason: fmt.Sprintf("unknown breaker %q", b)}
-		}
-	}
 	if len(specs) == 0 {
 		return nil, &SpecError{Reason: "at least one spec is required"}
 	}
 	p := &Pipeline{eng: e}
 	for i, s := range specs {
-		// Validate the spec *after* resolving the engine defaults, so
-		// constraints that depend on the effective algorithm (Explore and
-		// Breakers require a BSOR variant) hold against what will actually
-		// run — e.g. WithSelector("XY") plus an Explore spec must be
-		// rejected, not expanded into per-breaker XY rows. Raw-name errors
-		// are still caught: withDefaults leaves unknown names untouched.
-		label := fmt.Sprintf("%s[%d]", orSpec(s.Name), i)
-		s = s.withDefaults(e.cfg)
-		if err := s.validate(label); err != nil {
+		s, err := s.canonical(fmt.Sprintf("%s[%d]", orSpec(s.Name), i))
+		if err != nil {
 			return nil, err
 		}
 		p.specs = append(p.specs, s)

@@ -198,18 +198,27 @@ func TestSynthesizeTypedErrors(t *testing.T) {
 }
 
 // TestPipelineDefaultAlgorithmConstraints pins that Explore/Breakers
-// constraints are enforced against the *effective* algorithm — a
-// non-BSOR pipeline default must reject an Explore spec rather than
-// expand it into misleading per-breaker rows.
+// constraints are enforced against the *effective* algorithm: a baseline
+// named by the spec rejects both, while the empty algorithm means
+// BSOR-Dijkstra and so accepts an Explore spec.
 func TestPipelineDefaultAlgorithmConstraints(t *testing.T) {
 	var se *SpecError
-	_, err := NewPipeline([]Spec{{Workload: "transpose", Explore: true}}, WithSelector("XY"))
+	_, err := NewPipeline([]Spec{{Workload: "transpose", Algorithm: "XY", Explore: true}})
 	if !errors.As(err, &se) || se.Field != "explore" {
-		t.Errorf("Explore with XY default: err = %v, want *SpecError on explore", err)
+		t.Errorf("Explore with XY: err = %v, want *SpecError on explore", err)
 	}
-	_, err = NewPipeline([]Spec{{Workload: "transpose", Breakers: []string{"E-first"}}},
-		WithSelector("XY"))
+	_, err = NewPipeline([]Spec{{Workload: "transpose", Algorithm: "XY", Breakers: []string{"E-first"}}})
 	if !errors.As(err, &se) || se.Field != "breakers" {
-		t.Errorf("Breakers with XY default: err = %v, want *SpecError on breakers", err)
+		t.Errorf("Breakers with XY: err = %v, want *SpecError on breakers", err)
+	}
+	p, err := NewPipeline([]Spec{{Workload: "transpose", Explore: true}})
+	if err != nil {
+		t.Fatalf("Explore with the empty algorithm: %v", err)
+	}
+	if got := p.specs[0].Algorithm; got != "BSOR-Dijkstra" {
+		t.Errorf("empty algorithm canonicalised to %q, want BSOR-Dijkstra", got)
+	}
+	if want := len(DefaultBreakers(Mesh(8, 8))); p.NumJobs() != want {
+		t.Errorf("Explore expanded to %d jobs, want one per default breaker (%d)", p.NumJobs(), want)
 	}
 }

@@ -2,11 +2,11 @@ package bsor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/cdg"
 	"repro/internal/experiments"
 	"repro/internal/flowgraph"
 	"repro/internal/topology"
@@ -55,10 +55,8 @@ func RegisterWorkload(name string, fn WorkloadFunc) error {
 	if name == "" || fn == nil {
 		return &SpecError{Field: "workload", Reason: "RegisterWorkload needs a non-empty name and a non-nil function"}
 	}
-	for _, b := range builtinWorkloads() {
-		if b == name {
-			return &SpecError{Field: "workload", Reason: fmt.Sprintf("%q is a built-in workload", name)}
-		}
+	if slices.Contains(experiments.BuiltinWorkloadNames(), name) {
+		return &SpecError{Field: "workload", Reason: fmt.Sprintf("%q is a built-in workload", name)}
 	}
 	workloadReg.Lock()
 	defer workloadReg.Unlock()
@@ -69,15 +67,11 @@ func RegisterWorkload(name string, fn WorkloadFunc) error {
 	return nil
 }
 
-func builtinWorkloads() []string {
-	return append(experiments.WorkloadNames(), "rand-perm")
-}
-
 // Workloads lists every workload name a Spec may use: the six thesis
 // workloads, the seeded random permutation, and every registered
 // workload, sorted with the built-ins first.
 func Workloads() []string {
-	names := builtinWorkloads()
+	names := experiments.BuiltinWorkloadNames()
 	workloadReg.RLock()
 	var custom []string
 	for name := range workloadReg.m {
@@ -91,10 +85,8 @@ func Workloads() []string {
 // knownWorkload reports whether name resolves to a built-in or
 // registered workload.
 func knownWorkload(name string) bool {
-	for _, b := range builtinWorkloads() {
-		if b == name {
-			return true
-		}
+	if slices.Contains(experiments.BuiltinWorkloadNames(), name) {
+		return true
 	}
 	workloadReg.RLock()
 	_, ok := workloadReg.m[name]
@@ -146,47 +138,26 @@ func registryHook(t topology.Topology, name string, demand float64) ([]flowgraph
 // Algorithms lists the routing algorithm names a Spec may use: the BSOR
 // variants (which explore acyclic CDGs and take a breaker list), the
 // grid-only oblivious baselines, and the graph-generic shortest path.
-func Algorithms() []string {
-	return []string{
-		"BSOR-Dijkstra", "BSOR-MILP", "BSOR-Heuristic",
-		"XY", "YX", "ROMM", "Valiant", "O1TURN", "SP",
-	}
-}
+func Algorithms() []string { return experiments.AlgorithmNames() }
 
 // NormalizeAlgorithm resolves a case-insensitive algorithm name to its
 // canonical form ("bsor-milp" -> "BSOR-MILP"); unknown names yield a
 // *SpecError.
 func NormalizeAlgorithm(name string) (string, error) {
-	for _, a := range Algorithms() {
-		if strings.EqualFold(a, name) {
-			return a, nil
-		}
+	if canonical, ok := experiments.CanonicalAlgorithm(name); ok {
+		return canonical, nil
 	}
 	return "", &SpecError{Field: "algorithm",
 		Reason: fmt.Sprintf("unknown algorithm %q (known: %s)", name, strings.Join(Algorithms(), ", "))}
 }
-
-// isBSOR reports whether a canonical algorithm name is a BSOR variant
-// (and thus explores a breaker list).
-func isBSOR(name string) bool { return strings.HasPrefix(name, "BSOR-") }
 
 // DefaultBreakers returns the acyclic-CDG strategies a BSOR spec
 // explores on t when Spec.Breakers is empty: the standard fifteen
 // (twelve turn-model rules plus three ad hoc seeds) on a mesh, the
 // twelve dateline rules on a torus, and the graph-generic up*/down* set
 // (plain and escape-layered, several spanning roots) on every other
-// kind.
-func DefaultBreakers(t Topology) []string {
-	spec := t.spec()
-	switch {
-	case t.Kind == "torus":
-		return experiments.DatelineBreakerNames()
-	case spec.IsGrid():
-		return experiments.BreakerNames(cdg.StandardBreakers())
-	default:
-		return experiments.GraphBreakerNames(spec.NumNodes())
-	}
-}
+// kind. A topology that fails validation has none.
+func DefaultBreakers(t Topology) []string { return experiments.DefaultBreakerNames(t.spec()) }
 
 // KnownBreaker reports whether name resolves to a cycle-breaking
 // strategy: one of the named mesh/torus breakers or the parametric

@@ -1,6 +1,7 @@
 package bsor
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -42,11 +43,11 @@ type Spec struct {
 	// Workload names a built-in or registered workload (see Workloads).
 	Workload string `json:"workload"`
 	// Algorithm names the routing algorithm (see Algorithms); empty means
-	// the pipeline default (BSOR-Dijkstra, or WithSelector's choice).
+	// BSOR-Dijkstra.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Breakers lists the acyclic-CDG strategies a BSOR algorithm
 	// explores, by name; empty means the topology's default set
-	// (DefaultBreakers, or WithBreakers' choice). Baselines ignore it.
+	// (DefaultBreakers). Baselines take none.
 	Breakers []string `json:"breakers,omitempty"`
 	// Explore makes an MCL-only BSOR spec report one Result per breaker
 	// instead of the best across them (the Table 6.1/6.2 shape).
@@ -64,7 +65,30 @@ type Spec struct {
 	Sim *SimSpec `json:"sim,omitempty"`
 }
 
-// Validate checks the spec against the registries and returns a
+// validateShared checks what a Spec and a ChurnSpec both declare —
+// topology, workload, VCs, demand — and returns the first offending field
+// with the reason, or "".
+func validateShared(topo Topology, workload string, vcs int, demand float64) (field, reason string) {
+	if err := topo.validate(); err != nil {
+		return "topo", err.Error()
+	}
+	switch {
+	case workload == "":
+		return "workload", fmt.Sprintf("required (known: %v)", Workloads())
+	case !knownWorkload(workload):
+		return "workload", fmt.Sprintf("unknown workload %q (known: %v)", workload, Workloads())
+	case vcs < 0 || vcs > 32:
+		return "vcs", fmt.Sprintf("%d outside [0, 32]", vcs)
+	case demand < 0:
+		return "demand", fmt.Sprintf("negative demand %g", demand)
+	}
+	return "", ""
+}
+
+// defaultAlgorithm is what an empty Spec.Algorithm means.
+const defaultAlgorithm = "BSOR-Dijkstra"
+
+// validate checks the spec against the registries and returns a
 // *SpecError describing the first problem found, or nil. label
 // identifies the spec in the error ("" uses Spec.Name).
 func (s Spec) validate(label string) error {
@@ -74,28 +98,18 @@ func (s Spec) validate(label string) error {
 	fail := func(field, reason string, args ...any) error {
 		return &SpecError{Spec: label, Field: field, Reason: fmt.Sprintf(reason, args...)}
 	}
-	if se := s.Topo.validate(); se != nil {
-		se.Spec = label
-		return se
+	if field, reason := validateShared(s.Topo, s.Workload, s.VCs, s.Demand); field != "" {
+		return fail(field, "%s", reason)
 	}
-	if s.Workload == "" {
-		return fail("workload", "required (known: %v)", Workloads())
-	}
-	if !knownWorkload(s.Workload) {
-		return fail("workload", "unknown workload %q (known: %v)", s.Workload, Workloads())
-	}
-	alg := s.Algorithm
-	if alg != "" {
-		canonical, err := NormalizeAlgorithm(alg)
-		if err != nil {
-			var se *SpecError
-			if errors.As(err, &se) {
-				return &SpecError{Spec: label, Field: se.Field, Reason: se.Reason}
-			}
-			return err
+	alg, err := NormalizeAlgorithm(cmp.Or(s.Algorithm, defaultAlgorithm))
+	if err != nil {
+		var se *SpecError
+		if errors.As(err, &se) {
+			se.Spec = label
 		}
-		alg = canonical
+		return err
 	}
+	nodes := s.Topo.NumNodes()
 	for _, name := range s.Breakers {
 		b, err := experiments.BreakerByName(name)
 		if err != nil {
@@ -103,7 +117,7 @@ func (s Spec) validate(label string) error {
 		}
 		// The parametric up*/down* families root a spanning order at a
 		// node id, which must exist on this topology.
-		root, nodes := 0, s.Topo.NumNodes()
+		root := 0
 		switch b := b.(type) {
 		case cdg.UpDownBreaker:
 			root = int(b.Root)
@@ -115,22 +129,16 @@ func (s Spec) validate(label string) error {
 				name, root, s.Topo, nodes)
 		}
 	}
-	if len(s.Breakers) > 0 && alg != "" && !isBSOR(alg) {
+	if len(s.Breakers) > 0 && !experiments.IsBSOR(alg) {
 		return fail("breakers", "algorithm %s does not explore CDG breakers", alg)
 	}
 	if s.Explore {
-		if alg != "" && !isBSOR(alg) {
+		if !experiments.IsBSOR(alg) {
 			return fail("explore", "algorithm %s does not explore CDG breakers", alg)
 		}
 		if s.Sim != nil {
 			return fail("explore", "per-breaker exploration is MCL-only; drop Sim or Explore")
 		}
-	}
-	if s.VCs < 0 || s.VCs > 32 {
-		return fail("vcs", "%d outside [0, 32]", s.VCs)
-	}
-	if s.Demand < 0 {
-		return fail("demand", "negative demand %g", s.Demand)
 	}
 	if s.Capacity < 0 {
 		return fail("capacity", "negative capacity %g", s.Capacity)
@@ -159,16 +167,25 @@ func (s Spec) validate(label string) error {
 // parameters. Returns a *SpecError describing the first problem, or nil.
 func (s Spec) Validate() error { return s.validate("") }
 
-// withDefaults resolves the pipeline-level defaults into the spec and
-// canonicalizes the algorithm name. Call only on validated specs.
-func (s Spec) withDefaults(cfg config) Spec {
-	if s.Algorithm == "" {
-		s.Algorithm = cfg.algorithm
-	} else if canonical, err := NormalizeAlgorithm(s.Algorithm); err == nil {
-		s.Algorithm = canonical
+// canonical is the one function that turns a Spec into what runs: it
+// validates the spec (under label, as validate does) and returns it with
+// every default resolved into an explicit field (see Canonical).
+func (s Spec) canonical(label string) (Spec, error) {
+	if err := s.validate(label); err != nil {
+		return Spec{}, err
 	}
-	if len(s.Breakers) == 0 && isBSOR(s.Algorithm) {
-		s.Breakers = cfg.breakers // may stay nil: topology default at runtime
+	return s.withDefaults(), nil
+}
+
+// withDefaults spells out every default of a validated spec.
+func (s Spec) withDefaults() Spec {
+	if s.Algorithm == "" {
+		s.Algorithm = defaultAlgorithm
+	} else {
+		s.Algorithm, _ = NormalizeAlgorithm(s.Algorithm)
+	}
+	if len(s.Breakers) == 0 && experiments.IsBSOR(s.Algorithm) {
+		s.Breakers = DefaultBreakers(s.Topo)
 	}
 	if s.VCs == 0 {
 		s.VCs = 2
@@ -186,7 +203,7 @@ func (s Spec) withDefaults(cfg config) Spec {
 	return s
 }
 
-// jobs expands one defaulted spec into engine jobs. label tags the jobs'
+// jobs expands one canonical spec into engine jobs. label tags the jobs'
 // Experiment field for diagnostics.
 func (s Spec) jobs(label string) []experiments.Job {
 	if s.Name != "" {
@@ -198,23 +215,17 @@ func (s Spec) jobs(label string) []experiments.Job {
 		Topo:       s.Topo.spec(),
 		Workload:   s.Workload,
 		Algorithm:  s.Algorithm,
+		Breakers:   s.Breakers,
 		VCs:        s.VCs,
 		Demand:     s.Demand,
 		Capacity:   s.Capacity,
-	}
-	if isBSOR(s.Algorithm) {
-		base.Breakers = s.Breakers
 	}
 	if s.Sim == nil {
 		if !s.Explore {
 			return []experiments.Job{base}
 		}
-		breakers := s.Breakers
-		if len(breakers) == 0 {
-			breakers = DefaultBreakers(s.Topo)
-		}
-		jobs := make([]experiments.Job, len(breakers))
-		for i, b := range breakers {
+		jobs := make([]experiments.Job, len(s.Breakers))
+		for i, b := range s.Breakers {
 			j := base
 			j.Breakers = []string{b}
 			jobs[i] = j

@@ -87,11 +87,9 @@ func (t Topology) NumNodes() int { return t.spec().NumNodes() }
 // breaker defaults apply.
 func (t Topology) IsGrid() bool { return t.spec().IsGrid() }
 
-var (
-	topoGridRe    = regexp.MustCompile(`^(mesh|torus|clos)(\d+)x(\d+)$`)
-	topoNodesRe   = regexp.MustCompile(`^(ring|fullmesh)(\d+)$`)
-	topoFaultedRe = regexp.MustCompile(`^(faulted-mesh|faulted-torus)(\d+)x(\d+)-f(\d+)-s(\d+)$`)
-)
+// topoLabelRe splits a label into kind, one or two sizes, and fault count
+// and seed; the engine's kinds table says which of those a kind takes.
+var topoLabelRe = regexp.MustCompile(`^([a-z-]+)(\d+)(?:x(\d+))?(?:-f(\d+)-s(\d+))?$`)
 
 // ParseTopology parses the canonical String form — "mesh8x8",
 // "torus4x4", "ring8", "fullmesh5", "clos4x8",
@@ -101,83 +99,59 @@ var (
 // zero-size grid, a ring below three nodes, or a Clos without leaves —
 // yields a *SpecError.
 func ParseTopology(s string) (Topology, error) {
-	atoi := func(v string) int { n, _ := strconv.Atoi(v); return n }
-	var t Topology
-	switch {
-	case s == "mesh" || s == "torus" || s == "ring" || s == "fullmesh" ||
-		s == "clos" || s == "faulted-mesh" || s == "faulted-torus":
+	if _, bare := experiments.TopoKindOf(s); bare {
 		return Topology{Kind: s}, nil
-	case topoGridRe.MatchString(s):
-		m := topoGridRe.FindStringSubmatch(s)
-		t = Topology{Kind: m[1], Width: atoi(m[2]), Height: atoi(m[3])}
-		if m[1] == "clos" {
-			t = FoldedClos(atoi(m[2]), atoi(m[3]))
-		}
-	case topoNodesRe.MatchString(s):
-		m := topoNodesRe.FindStringSubmatch(s)
-		t = Topology{Kind: m[1], Nodes: atoi(m[2])}
-	case topoFaultedRe.MatchString(s):
-		m := topoFaultedRe.FindStringSubmatch(s)
-		seed, _ := strconv.ParseInt(m[5], 10, 64)
-		t = Topology{Kind: m[1], Width: atoi(m[2]), Height: atoi(m[3]),
-			Faults: atoi(m[4]), FaultSeed: seed}
-	default:
+	}
+	spec, ok := parseLabel(s)
+	if !ok {
 		return Topology{}, &SpecError{Field: "topo",
 			Reason: fmt.Sprintf("unparseable topology %q (want e.g. mesh8x8, torus4x4, ring8, fullmesh5, clos4x8, faulted-mesh8x8-f4-s1)", s)}
 	}
-	if err := t.checkParams(); err != nil {
-		return Topology{}, err
+	// Labels spell every parameter, so a zero here is a zero, not a default.
+	if err := spec.Check(); err != nil {
+		return Topology{}, &SpecError{Field: "topo", Reason: err.Error()}
 	}
-	return t, nil
+	return Topology(spec), nil
 }
 
-// knownTopoKinds mirrors the engine's TopoSpec.Build switch.
-var knownTopoKinds = map[string]bool{
-	"": true, "mesh": true, "torus": true, "ring": true, "fullmesh": true,
-	"clos": true, "faulted-mesh": true, "faulted-torus": true,
+// parseLabel reads a full label: the kind must be in the table, take as
+// many sizes as the label spells and be faulted exactly when the label
+// carries faults, and every numeral must fit its field.
+func parseLabel(s string) (spec experiments.TopoSpec, ok bool) {
+	m := topoLabelRe.FindStringSubmatch(s)
+	if m == nil {
+		return spec, false
+	}
+	kind, known := experiments.TopoKindOf(m[1])
+	if !known || (m[4] != "") != kind.Faulted {
+		return spec, false
+	}
+	numerals := m[2:4]
+	if m[3] == "" {
+		numerals = m[2:3]
+	}
+	if len(numerals) != kind.NumSizes {
+		return spec, false
+	}
+	ok = true
+	atoi := func(v string) int {
+		n, err := strconv.Atoi(v)
+		ok = ok && err == nil
+		return n
+	}
+	var sizes [2]int
+	for i, numeral := range numerals {
+		sizes[i] = atoi(numeral)
+	}
+	spec = kind.WithSizes(experiments.TopoSpec{Kind: kind.Name}, sizes)
+	if kind.Faulted {
+		spec.Faults = atoi(m[4])
+		seed, err := strconv.ParseInt(m[5], 10, 64)
+		spec.FaultSeed, ok = seed, ok && err == nil
+	}
+	return spec, ok
 }
 
-// validate rejects declarations the engine cannot build — unknown kinds,
-// negative parameters, and, once zero parameters have taken their kind's
-// defaults, sizes the constructors refuse — so that no spec passing
-// validation can panic a constructor.
-func (t Topology) validate() *SpecError {
-	if !knownTopoKinds[t.Kind] {
-		return &SpecError{Field: "topo", Reason: fmt.Sprintf("unknown topology kind %q", t.Kind)}
-	}
-	if t.Width < 0 || t.Height < 0 || t.Nodes < 0 ||
-		t.Spines < 0 || t.Leaves < 0 || t.Faults < 0 {
-		return &SpecError{Field: "topo", Reason: fmt.Sprintf("negative topology parameter in %+v", t)}
-	}
-	return Topology(t.spec().WithDefaults()).checkParams()
-}
-
-// checkParams rejects parameter values the declared kind cannot build:
-// zero-size grids, undersized rings and full meshes, and Clos fabrics
-// missing a level. Zero is taken literally here (ParseTopology labels
-// spell every parameter); validate applies the defaults first.
-func (t Topology) checkParams() *SpecError {
-	bad := func(reason string, args ...any) *SpecError {
-		return &SpecError{Field: "topo",
-			Reason: fmt.Sprintf("%s: ", t.Kind) + fmt.Sprintf(reason, args...)}
-	}
-	switch t.Kind {
-	case "mesh", "torus", "faulted-mesh", "faulted-torus":
-		if t.Width < 1 || t.Height < 1 {
-			return bad("zero-size grid %dx%d (both dimensions must be at least 1)", t.Width, t.Height)
-		}
-	case "ring":
-		if t.Nodes < 3 {
-			return bad("%d nodes (a ring needs at least 3)", t.Nodes)
-		}
-	case "fullmesh":
-		if t.Nodes < 2 {
-			return bad("%d nodes (a full mesh needs at least 2)", t.Nodes)
-		}
-	case "clos":
-		if t.Spines < 1 || t.Leaves < 2 {
-			return bad("%d spines x %d leaves (a folded Clos needs at least 1 spine and 2 leaves)", t.Spines, t.Leaves)
-		}
-	}
-	return nil
-}
+// validate applies the engine's own rules (TopoSpec.Check, which Build
+// also runs first) once zero parameters have taken their kind's defaults.
+func (t Topology) validate() error { return t.spec().WithDefaults().Check() }

@@ -25,12 +25,19 @@ func TestParseTopologyErrors(t *testing.T) {
 		{"faulted-mesh8x8-f4", "unparseable"},
 		{"faulted-mesh8x8-f4-sX", "unparseable"},
 		{"clos4", "unparseable"},
+		// Numerals no int holds.
+		{"mesh99999999999999999999x8", "unparseable"},
+		{"faulted-mesh8x8-f1-s99999999999999999999", "unparseable"},
 		// Zero-size grids.
 		{"mesh0x8", "zero-size grid"},
 		{"mesh8x0", "zero-size grid"},
 		{"torus0x0", "zero-size grid"},
 		{"faulted-mesh0x4-f1-s1", "zero-size grid"},
 		{"faulted-torus4x0-f1-s1", "zero-size grid"},
+		// A torus closes each dimension into a ring of at least two.
+		{"torus1x5", "at least 2x2"},
+		{"torus5x1", "at least 2x2"},
+		{"faulted-torus1x4-f0-s1", "at least 2x2"},
 		// Undersized node counts.
 		{"ring0", "at least 3"},
 		{"ring2", "at least 3"},
@@ -69,7 +76,7 @@ func TestParseTopologyErrors(t *testing.T) {
 
 func TestParseTopologyValid(t *testing.T) {
 	for _, label := range []string{
-		"mesh1x1", "mesh8x8", "torus4x4", "ring3", "ring16",
+		"mesh1x1", "mesh8x8", "torus2x2", "torus4x4", "ring3", "ring16",
 		"fullmesh2", "clos1x2", "clos4x8", "faulted-mesh8x8-f4-s1",
 	} {
 		topo, err := ParseTopology(label)

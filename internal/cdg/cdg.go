@@ -148,14 +148,6 @@ func (g *Graph) WithEdge(u, v VertexID) *Graph {
 	return ng
 }
 
-// WithoutEdge returns a copy of g with the dependence u -> v removed (a
-// no-op copy when the edge does not exist) — the complementary mutation
-// hook: removing an edge a route set uses yields illegal-transition
-// mutants.
-func (g *Graph) WithoutEdge(u, v VertexID) *Graph {
-	return g.Filter(func(a, b VertexID) bool { return a != u || b != v })
-}
-
 // TopoOrder returns a topological ordering of the vertices and true if the
 // graph is acyclic, or nil and false otherwise (Kahn's algorithm).
 func (g *Graph) TopoOrder() ([]VertexID, bool) {

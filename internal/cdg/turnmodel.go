@@ -28,17 +28,7 @@ const (
 	XYOrder
 	// YXOrder prohibits every X-to-Y turn (Y first, then X).
 	YXOrder
-	numTurnModels
 )
-
-// TurnModels lists every defined turn model, in declaration order.
-func TurnModels() []TurnModel {
-	ms := make([]TurnModel, numTurnModels)
-	for i := range ms {
-		ms[i] = TurnModel(i)
-	}
-	return ms
-}
 
 func (tm TurnModel) String() string {
 	switch tm {

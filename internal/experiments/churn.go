@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/cdg"
@@ -175,10 +178,12 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 	overlay := topology.NewFaultOverlay(g)
 	fg := churn.FlowGraph(overlay, flows, spec.VCs)
 
-	resynth, cold, err := churnSelectors(spec)
-	if err != nil {
-		return fail(err)
+	selectors, ok := churnResynths[spec.Resynth]
+	if !ok {
+		return fail(fmt.Errorf("experiments: unknown churn resynth %q (want %s)",
+			spec.Resynth, strings.Join(ChurnResynthNames(), " or ")))
 	}
+	resynth, cold := selectors()
 	// The committed path reports pivots/retries; the cold comparison solve
 	// stays unobserved so it cannot inflate the committed-path counters.
 	resynth = route.InstrumentContextSelector(resynth, r.Metrics)
@@ -256,22 +261,23 @@ func churnPoint(spec ChurnSpec, simRes *sim.Result, events []churn.EventReport) 
 	return p
 }
 
-// churnSelectors builds the background repair selector (and its cold
-// counterpart) a spec names. "heuristic" retries the BSOR heuristic and
-// widens on fallback; "milp-warm" is the warm-started column-generation
-// MILP with a heuristic fallback. AttemptTimeout stays zero here: a
-// wall-clock timeout would make the committed route set — and thus the
-// metrics JSON — machine-dependent. Callers wiring their own
-// churn.Supervisor can add one via route.RetrySelector.
-func churnSelectors(spec ChurnSpec) (resynth, cold route.ContextSelector, err error) {
-	switch spec.Resynth {
-	case "heuristic":
+// churnResynths is the repair-solver vocabulary of ChurnSpec.Resynth: each
+// entry builds the background repair selector and its cold counterpart.
+// "heuristic" retries the BSOR heuristic and widens on fallback;
+// "milp-warm" is the warm-started column-generation MILP with a heuristic
+// fallback. AttemptTimeout stays zero here: a wall-clock timeout would
+// make the committed route set — and thus the metrics JSON —
+// machine-dependent. Callers wiring their own churn.Supervisor can add one
+// via route.RetrySelector.
+var churnResynths = map[string]func() (resynth, cold route.ContextSelector){
+	"heuristic": func() (resynth, cold route.ContextSelector) {
 		primary := route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16}
 		return route.RetrySelector{
 			Primary:  primary,
 			Fallback: route.BSORHeuristic{HopSlack: 4, MaxPathsPerFlow: 32},
-		}, primary, nil
-	case "milp-warm":
+		}, primary
+	},
+	"milp-warm": func() (resynth, cold route.ContextSelector) {
 		milp := route.MILPSelector{
 			HopSlack: 2, MaxPathsPerFlow: 16,
 			Refinements: 2, MaxNodes: 120, Gap: 0.01,
@@ -281,10 +287,12 @@ func churnSelectors(spec ChurnSpec) (resynth, cold route.ContextSelector, err er
 		return route.RetrySelector{
 			Primary:  milp,
 			Fallback: route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 32},
-		}, coldMILP, nil
-	}
-	return nil, nil, fmt.Errorf("experiments: unknown churn resynth %q (want heuristic or milp-warm)", spec.Resynth)
+		}, coldMILP
+	},
 }
+
+// ChurnResynthNames lists the repair solvers a ChurnSpec may name.
+func ChurnResynthNames() []string { return slices.Sorted(maps.Keys(churnResynths)) }
 
 // WriteChurnJSON writes churn results as indented JSON (cmd/experiments
 // -json). Wall-clock solve times are excluded by EventReport's tags, so

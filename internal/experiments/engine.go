@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,163 +37,6 @@ const (
 	KindSim JobKind = "sim"
 )
 
-// TopoSpec declares a topology by kind and parameters, so that a Job is
-// fully serializable. The zero value defaults to the thesis' 8x8 mesh.
-//
-// Kinds and their parameters:
-//
-//	mesh, torus                  Width x Height grid
-//	ring, fullmesh               Nodes
-//	clos                         Spines x Leaves folded Clos (fat tree)
-//	faulted-mesh, faulted-torus  Width x Height grid with Faults failed
-//	                             links removed under seed FaultSeed
-//
-// Unknown kinds and invalid parameters fail at Build, so a declarative
-// job with a misspelled topology errors loudly instead of silently
-// running on a default mesh.
-type TopoSpec struct {
-	// Kind names the topology family; see above. Empty means "mesh".
-	Kind string `json:"kind"`
-	// Width and Height are the grid dimensions of the grid-derived kinds.
-	Width  int `json:"width,omitempty"`
-	Height int `json:"height,omitempty"`
-	// Nodes is the node count of a ring or fullmesh.
-	Nodes int `json:"nodes,omitempty"`
-	// Spines and Leaves are the two levels of a clos.
-	Spines int `json:"spines,omitempty"`
-	Leaves int `json:"leaves,omitempty"`
-	// Faults is the number of failed links of a faulted-* kind; FaultSeed
-	// selects which links fail (topology.Faulted).
-	Faults    int   `json:"faults,omitempty"`
-	FaultSeed int64 `json:"fault_seed,omitempty"`
-}
-
-// MeshSpec declares a width x height mesh.
-func MeshSpec(width, height int) TopoSpec {
-	return TopoSpec{Kind: "mesh", Width: width, Height: height}
-}
-
-// TorusSpec declares a width x height torus.
-func TorusSpec(width, height int) TopoSpec {
-	return TopoSpec{Kind: "torus", Width: width, Height: height}
-}
-
-// RingSpec declares an n-node bidirectional ring.
-func RingSpec(n int) TopoSpec {
-	return TopoSpec{Kind: "ring", Nodes: n}
-}
-
-// FullMeshSpec declares an n-node complete graph.
-func FullMeshSpec(n int) TopoSpec {
-	return TopoSpec{Kind: "fullmesh", Nodes: n}
-}
-
-// ClosSpec declares a spines x leaves folded Clos.
-func ClosSpec(spines, leaves int) TopoSpec {
-	return TopoSpec{Kind: "clos", Spines: spines, Leaves: leaves}
-}
-
-// FaultedMeshSpec declares a width x height mesh with faults failed links.
-func FaultedMeshSpec(width, height, faults int, seed int64) TopoSpec {
-	return TopoSpec{Kind: "faulted-mesh", Width: width, Height: height,
-		Faults: faults, FaultSeed: seed}
-}
-
-// FaultedTorusSpec declares a width x height torus with faults failed
-// links.
-func FaultedTorusSpec(width, height, faults int, seed int64) TopoSpec {
-	return TopoSpec{Kind: "faulted-torus", Width: width, Height: height,
-		Faults: faults, FaultSeed: seed}
-}
-
-// WithDefaults returns the spec with its kind and every zero parameter
-// replaced by the documented defaults.
-func (t TopoSpec) WithDefaults() TopoSpec {
-	if t.Kind == "" {
-		t.Kind = "mesh"
-	}
-	switch t.Kind {
-	case "mesh", "torus", "faulted-mesh", "faulted-torus":
-		if t.Width == 0 {
-			t.Width = 8
-		}
-		if t.Height == 0 {
-			t.Height = 8
-		}
-	case "ring", "fullmesh":
-		if t.Nodes == 0 {
-			t.Nodes = 8
-		}
-	case "clos":
-		if t.Spines == 0 {
-			t.Spines = 4
-		}
-		if t.Leaves == 0 {
-			t.Leaves = 8
-		}
-	}
-	return t
-}
-
-// IsGrid reports whether the declared topology is an orthogonal grid, on
-// which the grid-specific breaker and workload defaults apply.
-func (t TopoSpec) IsGrid() bool {
-	k := t.WithDefaults().Kind
-	return k == "mesh" || k == "torus"
-}
-
-// NumNodes reports the node count of the declared topology without
-// building it, so that default breaker sets (which name spanning-order
-// roots) can be derived from the spec alone.
-func (t TopoSpec) NumNodes() int {
-	t = t.WithDefaults()
-	switch t.Kind {
-	case "ring", "fullmesh":
-		return t.Nodes
-	case "clos":
-		return t.Spines + t.Leaves
-	}
-	return t.Width * t.Height
-}
-
-// Build constructs the declared topology.
-func (t TopoSpec) Build() (topology.Topology, error) {
-	t = t.WithDefaults()
-	switch t.Kind {
-	case "mesh":
-		return topology.NewMesh(t.Width, t.Height), nil
-	case "torus":
-		return topology.NewTorus(t.Width, t.Height), nil
-	case "ring":
-		return topology.NewRing(t.Nodes), nil
-	case "fullmesh":
-		return topology.NewFullMesh(t.Nodes), nil
-	case "clos":
-		return topology.NewFoldedClos(t.Spines, t.Leaves), nil
-	case "faulted-mesh":
-		return topology.Faulted(topology.NewMesh(t.Width, t.Height), t.FaultSeed, t.Faults)
-	case "faulted-torus":
-		return topology.Faulted(topology.NewTorus(t.Width, t.Height), t.FaultSeed, t.Faults)
-	}
-	return nil, fmt.Errorf("experiments: unknown topology kind %q", t.Kind)
-}
-
-// String returns a compact label such as "mesh8x8" or
-// "faulted-mesh8x8-f6-s1"; it uniquely keys the topology cache, so every
-// parameter that changes the built network appears in it.
-func (t TopoSpec) String() string {
-	t = t.WithDefaults()
-	switch t.Kind {
-	case "ring", "fullmesh":
-		return fmt.Sprintf("%s%d", t.Kind, t.Nodes)
-	case "clos":
-		return fmt.Sprintf("clos%dx%d", t.Spines, t.Leaves)
-	case "faulted-mesh", "faulted-torus":
-		return fmt.Sprintf("%s%dx%d-f%d-s%d", t.Kind, t.Width, t.Height, t.Faults, t.FaultSeed)
-	}
-	return fmt.Sprintf("%s%dx%d", t.Kind, t.Width, t.Height)
-}
-
 // Job is one point of an experiment sweep: a workload routed by one
 // algorithm on one topology, optionally simulated at one offered-rate
 // point. Jobs are plain data — they name their topology, workload,
@@ -209,15 +53,11 @@ type Job struct {
 	Topo TopoSpec `json:"topo"`
 	// Workload names one of the six evaluation workloads.
 	Workload string `json:"workload"`
-	// Algorithm names the routing algorithm: "BSOR-MILP", "BSOR-Dijkstra",
-	// "BSOR-Heuristic", or one of the baselines — the grid families "XY",
-	// "YX", "ROMM", "Valiant", "O1TURN", or the graph-generic "SP"
-	// (deterministic shortest path over an up*/down*-broken CDG).
+	// Algorithm names the routing algorithm (see AlgorithmNames).
 	Algorithm string `json:"algorithm"`
 	// Breakers lists the acyclic-CDG strategies a BSOR algorithm explores,
-	// by name. Empty means the topology's default set: the standard fifteen
-	// on a mesh, the twelve dateline rules on a torus, the up*/down* set on
-	// every other kind. Baselines ignore it.
+	// by name. Empty means the topology's default set
+	// (DefaultBreakerNames). Baselines ignore it.
 	Breakers []string `json:"breakers,omitempty"`
 	// VCs is the virtual channel count for synthesis and simulation.
 	VCs int `json:"vcs"`
@@ -750,50 +590,86 @@ func certifyInstance(in certify.Instance, what string) (*certify.Certificate, er
 	return cert, nil
 }
 
+// algorithm is one row of the algorithm vocabulary, in the order
+// AlgorithmNames lists them. bsor marks the variants that explore a
+// breaker list: ResolveAlgorithm wraps their selector in a core.BSOR and
+// takes every other row's baseline as is. dynamicVC marks the routes that
+// are simulated with dynamic VC allocation — DOR routes are deadlock free
+// under arbitrary VC mixing, while the two-phase and BSOR route sets rely
+// on their static VC assignment (§4.2.2).
+type algorithm struct {
+	name            string
+	bsor, dynamicVC bool
+	selector        func(*Runner) route.Selector
+	baseline        func(Job) route.Algorithm
+}
+
+var algorithms = []algorithm{
+	{name: "BSOR-Dijkstra", bsor: true, selector: func(*Runner) route.Selector { return route.DijkstraSelector{} }},
+	{name: "BSOR-MILP", bsor: true, selector: func(r *Runner) route.Selector { return cmp.Or(r.MILP, route.Selector(DefaultMILP())) }},
+	{name: "BSOR-Heuristic", bsor: true, selector: func(r *Runner) route.Selector { return cmp.Or(r.Heuristic, DefaultHeuristic()) }},
+	{name: "XY", dynamicVC: true, baseline: func(Job) route.Algorithm { return route.XY{} }},
+	{name: "YX", dynamicVC: true, baseline: func(Job) route.Algorithm { return route.YX{} }},
+	{name: "ROMM", baseline: func(Job) route.Algorithm { return route.ROMM{Seed: 1} }},
+	{name: "Valiant", baseline: func(Job) route.Algorithm { return route.Valiant{Seed: 1} }},
+	{name: "O1TURN", baseline: func(Job) route.Algorithm { return route.O1TURN{Seed: 1} }},
+	{name: "SP", baseline: func(j Job) route.Algorithm { return route.ShortestPath{VCs: j.VCs} }},
+}
+
+// algorithmOf looks an algorithm up by its canonical name; unknown names
+// get the zero row.
+func algorithmOf(name string) algorithm {
+	for _, a := range algorithms {
+		if a.name == name {
+			return a
+		}
+	}
+	return algorithm{}
+}
+
+// AlgorithmNames lists the routing algorithms a job may name: the BSOR
+// variants (which explore acyclic CDGs and take a breaker list), the
+// grid-only oblivious baselines, and the graph-generic shortest path
+// (deterministic, over an up*/down*-broken CDG).
+func AlgorithmNames() []string {
+	return namesOf(algorithms, func(a algorithm) string { return a.name })
+}
+
+// CanonicalAlgorithm resolves an algorithm name, in any letter case, to the
+// table's spelling of it.
+func CanonicalAlgorithm(name string) (string, bool) {
+	for _, a := range algorithms {
+		if strings.EqualFold(a.name, name) {
+			return a.name, true
+		}
+	}
+	return "", false
+}
+
+// IsBSOR reports whether a canonical algorithm name is a BSOR variant
+// (and thus takes a breaker list).
+func IsBSOR(name string) bool { return algorithmOf(name).bsor }
+
 // ResolveAlgorithm resolves a job's algorithm name to a runnable
 // route.Algorithm, honoring the Runner's selector overrides and the job's
 // breaker, VC, and capacity settings. Unknown names yield an
 // *UnknownAlgorithmError.
 func (r *Runner) ResolveAlgorithm(j Job) (route.Algorithm, error) {
-	bsor := func(sel route.Selector, label string) (route.Algorithm, error) {
-		breakers, err := ResolveBreakers(j)
-		if err != nil {
-			return nil, err
-		}
-		return core.BSOR{Label: label, Config: core.Config{
-			VCs: j.VCs, Selector: route.InstrumentSelector(sel, r.Metrics), Breakers: breakers,
-			ChannelCapacity: j.Capacity,
-		}}, nil
+	a := algorithmOf(j.Algorithm)
+	if a.name == "" {
+		return nil, &UnknownAlgorithmError{Name: j.Algorithm}
 	}
-	switch j.Algorithm {
-	case "BSOR-MILP":
-		sel := r.MILP
-		if sel == nil {
-			sel = DefaultMILP()
-		}
-		return bsor(sel, j.Algorithm)
-	case "BSOR-Dijkstra":
-		return bsor(route.DijkstraSelector{}, j.Algorithm)
-	case "BSOR-Heuristic":
-		sel := r.Heuristic
-		if sel == nil {
-			sel = DefaultHeuristic()
-		}
-		return bsor(sel, j.Algorithm)
-	case "XY":
-		return route.XY{}, nil
-	case "YX":
-		return route.YX{}, nil
-	case "ROMM":
-		return route.ROMM{Seed: 1}, nil
-	case "Valiant":
-		return route.Valiant{Seed: 1}, nil
-	case "O1TURN":
-		return route.O1TURN{Seed: 1}, nil
-	case "SP":
-		return route.ShortestPath{VCs: j.VCs}, nil
+	if !a.bsor {
+		return a.baseline(j), nil
 	}
-	return nil, &UnknownAlgorithmError{Name: j.Algorithm}
+	breakers, err := ResolveBreakers(j)
+	if err != nil {
+		return nil, err
+	}
+	return core.BSOR{Label: j.Algorithm, Config: core.Config{
+		VCs: j.VCs, Selector: route.InstrumentSelector(a.selector(r), r.Metrics), Breakers: breakers,
+		ChannelCapacity: j.Capacity,
+	}}, nil
 }
 
 // simulate runs the cycle-accurate simulator for one KindSim job.
@@ -808,7 +684,7 @@ func (r *Runner) simulate(ctx context.Context, g topology.Topology, set *route.S
 	}
 	s, err := sim.New(sim.Config{
 		Mesh: g, Routes: set, VCs: j.VCs,
-		DynamicVC:     dynamicVC(j.Algorithm),
+		DynamicVC:     algorithmOf(j.Algorithm).dynamicVC,
 		OfferedRate:   j.Rate,
 		WarmupCycles:  j.Warmup,
 		MeasureCycles: j.Measure,
@@ -908,20 +784,11 @@ func DatelineBreakerNames() []string {
 }
 
 // ResolveBreakers maps a job's breaker names to implementations; an empty
-// list selects the topology's default set: the standard fifteen on a
-// mesh (returned as nil — core's own default), the twelve dateline rules
-// on a torus, and the graph-generic up*/down* set on every other kind.
+// list selects the topology's default set (DefaultBreakerNames).
 func ResolveBreakers(j Job) ([]cdg.Breaker, error) {
 	names := j.Breakers
 	if len(names) == 0 {
-		switch {
-		case j.Topo.WithDefaults().Kind == "torus":
-			names = DatelineBreakerNames()
-		case j.Topo.IsGrid():
-			return nil, nil // core's default: cdg.StandardBreakers
-		default:
-			names = GraphBreakerNames(j.Topo.NumNodes())
-		}
+		names = DefaultBreakerNames(j.Topo)
 	}
 	bs := make([]cdg.Breaker, len(names))
 	for i, n := range names {

@@ -25,25 +25,58 @@ import (
 	"repro/internal/traffic"
 )
 
-// Workload is one of the six evaluation workloads.
-type Workload struct {
-	// Name identifies the workload in jobs and tables.
-	Name string `json:"name"`
-	// Flows are the workload's bandwidth-annotated flows.
-	Flows []flowgraph.Flow `json:"-"`
+// workload is one row of the built-in workload vocabulary. A synthetic
+// pattern runs on any topology at the job's per-flow demand; a profiled
+// application carries fixed published rates and an 8x8-or-larger grid
+// placement. thesis marks the six workloads of the evaluation, in its
+// order; "rand-perm" is the one built-in outside them.
+type workload struct {
+	name    string
+	thesis  bool
+	pattern func(t topology.Topology, demand float64) ([]flowgraph.Flow, error)
+	app     func(g topology.Grid) (*traffic.App, error)
+}
+
+var workloads = []workload{
+	{name: "transpose", thesis: true, pattern: traffic.Transpose},
+	{name: "bit-complement", thesis: true, pattern: traffic.BitComplement},
+	{name: "shuffle", thesis: true, pattern: traffic.Shuffle},
+	{name: "h264", thesis: true, app: traffic.H264Decoder},
+	{name: "perf-modeling", thesis: true, app: traffic.PerfModeling},
+	{name: "transmitter", thesis: true, app: traffic.Transmitter80211},
+	{name: "rand-perm", pattern: func(t topology.Topology, demand float64) ([]flowgraph.Flow, error) {
+		return traffic.RandomPermutation(t, demand, RandPermSeed)
+	}},
+}
+
+// workloadNames lists the built-ins that pass keep, in table order.
+func workloadNames(keep func(workload) bool) []string {
+	names := make([]string, 0, len(workloads))
+	for _, w := range workloads {
+		if keep(w) {
+			names = append(names, w.name)
+		}
+	}
+	return names
+}
+
+// BuiltinWorkloadNames lists every workload WorkloadFlows resolves: the
+// thesis' six, then the seeded random permutation.
+func BuiltinWorkloadNames() []string {
+	return workloadNames(func(workload) bool { return true })
 }
 
 // WorkloadNames lists the six workloads in the thesis' order.
 func WorkloadNames() []string {
-	return []string{"transpose", "bit-complement", "shuffle",
-		"h264", "perf-modeling", "transmitter"}
+	return workloadNames(func(w workload) bool { return w.thesis })
 }
 
-// SyntheticWorkloadNames lists the three synthetic patterns. Unlike the
-// profiled applications, which carry fixed 8x8 placements, these scale to
-// any grid size and parameterize the synthesis-scale (16x16) scenarios.
+// SyntheticWorkloadNames lists the thesis' three synthetic patterns.
+// Unlike the profiled applications, which carry fixed 8x8 placements,
+// these scale to any grid size and parameterize the synthesis-scale
+// (16x16) scenarios.
 func SyntheticWorkloadNames() []string {
-	return []string{"transpose", "bit-complement", "shuffle"}
+	return workloadNames(func(w workload) bool { return w.thesis && w.pattern != nil })
 }
 
 // RandPermSeed fixes the permutation of the "rand-perm" workload. The
@@ -93,23 +126,6 @@ func (e *GridWorkloadError) Error() string {
 		e.Workload, e.Topo)
 }
 
-// Workloads returns the thesis' six workloads on an 8x8 grid (mesh or
-// torus): three synthetic patterns at 25 MB/s per flow and three profiled
-// applications.
-func Workloads(g topology.Grid) []Workload {
-	names := append(append([]string{}, SyntheticWorkloadNames()...),
-		"h264", "perf-modeling", "transmitter")
-	ws := make([]Workload, 0, len(names))
-	for _, name := range names {
-		flows, err := WorkloadFlows(g, name, 0)
-		if err != nil {
-			panic(err) // an 8x8 grid admits every thesis workload
-		}
-		ws = append(ws, Workload{name, flows})
-	}
-	return ws
-}
-
 // WorkloadFlows builds one named workload on t — only the one asked for,
 // since the applications require a grid large enough for their placements
 // and must not be constructed for jobs that never use them. The synthetic
@@ -124,32 +140,18 @@ func WorkloadFlows(t topology.Topology, name string, demand float64) ([]flowgrap
 	if demand == 0 {
 		demand = DefaultDemand
 	}
-	switch name {
-	case "transpose":
-		return traffic.Transpose(t, demand)
-	case "bit-complement":
-		return traffic.BitComplement(t, demand)
-	case "shuffle":
-		return traffic.Shuffle(t, demand)
-	case "rand-perm":
-		return traffic.RandomPermutation(t, demand, RandPermSeed)
-	}
-	switch name {
-	case "h264", "perf-modeling", "transmitter":
+	for _, w := range workloads {
+		if w.name != name {
+			continue
+		}
+		if w.pattern != nil {
+			return w.pattern(t, demand)
+		}
 		g, ok := t.(topology.Grid)
 		if !ok {
 			return nil, &GridWorkloadError{Workload: name, Topo: fmt.Sprintf("%T", t)}
 		}
-		var app *traffic.App
-		var err error
-		switch name {
-		case "h264":
-			app, err = traffic.H264Decoder(g)
-		case "perf-modeling":
-			app, err = traffic.PerfModeling(g)
-		default:
-			app, err = traffic.Transmitter80211(g)
-		}
+		app, err := w.app(g)
 		if err != nil {
 			return nil, err
 		}
@@ -264,12 +266,6 @@ func (p SimParams) withDefaults() SimParams {
 	}
 	return p
 }
-
-// dynamicVC reports whether an algorithm's routes are simulated with
-// dynamic VC allocation. DOR routes are deadlock free under arbitrary VC
-// mixing; the two-phase and BSOR route sets rely on their static VC
-// assignment (§4.2.2).
-func dynamicVC(name string) bool { return name == "XY" || name == "YX" }
 
 // InjectionTrace reproduces Figure 5-4: the piecewise-constant injection
 // rate of one node under Markov-modulated variation.

@@ -13,17 +13,18 @@ func fastParams() SimParams {
 
 func TestWorkloadsComplete(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	ws := Workloads(m)
 	want := map[string]int{
 		"transpose": 56, "bit-complement": 64, "shuffle": 62,
 		"h264": 15, "perf-modeling": 11, "transmitter": 20,
 	}
-	if len(ws) != len(want) {
-		t.Fatalf("%d workloads, want %d", len(ws), len(want))
+	names := WorkloadNames()
+	if len(names) != len(want) {
+		t.Fatalf("%d workloads, want %d", len(names), len(want))
 	}
-	for _, w := range ws {
-		if want[w.Name] != len(w.Flows) {
-			t.Errorf("%s: %d flows, want %d", w.Name, len(w.Flows), want[w.Name])
+	for _, name := range names {
+		flows, err := WorkloadFlows(m, name, 0)
+		if err != nil || want[name] != len(flows) {
+			t.Errorf("%s: %d flows (%v), want %d", name, len(flows), err, want[name])
 		}
 	}
 }
@@ -185,8 +186,8 @@ func TestDynamicVCPolicy(t *testing.T) {
 		"XY": true, "YX": true, "ROMM": false, "Valiant": false, "SP": false,
 		"BSOR-MILP": false, "BSOR-Dijkstra": false, "BSOR-Heuristic": false,
 	} {
-		if dynamicVC(name) != want {
-			t.Errorf("dynamicVC(%s) = %v", name, dynamicVC(name))
+		if got := algorithmOf(name).dynamicVC; got != want {
+			t.Errorf("dynamicVC(%s) = %v", name, got)
 		}
 	}
 }
@@ -205,7 +206,7 @@ func TestSynthScaleJobs(t *testing.T) {
 		if j.Kind != KindMCL {
 			t.Errorf("%s/%s: kind %s", j.Workload, j.Algorithm, j.Kind)
 		}
-		wantBreakers := isBSOR(j.Algorithm)
+		wantBreakers := IsBSOR(j.Algorithm)
 		if (len(j.Breakers) > 0) != wantBreakers {
 			t.Errorf("%s: breakers %v", j.Algorithm, j.Breakers)
 		}

@@ -35,7 +35,7 @@ func AlgoTableJobs(experiment string, topo TopoSpec, algorithms []string, breake
 				Experiment: experiment, Kind: KindMCL, Topo: topo,
 				Workload: w, Algorithm: a, VCs: vcs,
 			}
-			if isBSOR(a) {
+			if IsBSOR(a) {
 				j.Breakers = breakers
 			}
 			jobs = append(jobs, j)
@@ -60,7 +60,7 @@ func SweepJobs(experiment string, topo TopoSpec, workload string, algorithms []s
 				Rate: rate, Variation: variation,
 				Warmup: p.WarmupCycles, Measure: p.MeasureCycles, Seed: p.Seed,
 			}
-			if isBSOR(a) {
+			if IsBSOR(a) {
 				j.Breakers = breakers
 			}
 			jobs = append(jobs, j)
@@ -97,7 +97,7 @@ func SynthScaleJobs(experiment string, topo TopoSpec, algorithms []string, break
 				Experiment: experiment, Kind: KindMCL, Topo: topo,
 				Workload: w, Algorithm: a, VCs: vcs,
 			}
-			if isBSOR(a) {
+			if IsBSOR(a) {
 				j.Breakers = breakers
 			}
 			jobs = append(jobs, j)
@@ -140,7 +140,7 @@ func FaultSweepJobs(experiment string, base TopoSpec, seed int64, faultCounts []
 					Rate:   rate,
 					Warmup: p.WarmupCycles, Measure: p.MeasureCycles, Seed: p.Seed,
 				}
-				if isBSOR(a) {
+				if IsBSOR(a) {
 					j.Breakers = breakers
 				}
 				jobs = append(jobs, j)
@@ -162,12 +162,6 @@ func FaultSweepAlgorithms() []string {
 // ByTopo keys a result by its job's topology label (fault sweeps group
 // one table block per degraded instance).
 func ByTopo(res Result) string { return res.Job.Topo.String() }
-
-// isBSOR reports whether an algorithm name is a BSOR variant (and thus
-// takes a breaker list).
-func isBSOR(name string) bool {
-	return name == "BSOR-MILP" || name == "BSOR-Dijkstra" || name == "BSOR-Heuristic"
-}
 
 // FigureAlgorithms returns the six algorithms of the throughput/latency
 // figures, in the thesis' order.

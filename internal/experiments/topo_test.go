@@ -19,11 +19,11 @@ func TestTopoSpecJSONRoundTrip(t *testing.T) {
 	specs := []TopoSpec{
 		MeshSpec(8, 8),
 		TorusSpec(4, 6),
-		RingSpec(16),
-		FullMeshSpec(6),
-		ClosSpec(3, 9),
-		FaultedMeshSpec(8, 8, 6, 3),
-		FaultedTorusSpec(6, 6, 4, 7),
+		TopoSpec{Kind: "ring", Nodes: 16},
+		TopoSpec{Kind: "fullmesh", Nodes: 6},
+		TopoSpec{Kind: "clos", Spines: 3, Leaves: 9},
+		TopoSpec{Kind: "faulted-mesh", Width: 8, Height: 8, Faults: 6, FaultSeed: 3},
+		TopoSpec{Kind: "faulted-torus", Width: 6, Height: 6, Faults: 4, FaultSeed: 7},
 	}
 	for _, spec := range specs {
 		t.Run(spec.String(), func(t *testing.T) {
@@ -117,9 +117,9 @@ func TestPipelineOnIrregularTopologies(t *testing.T) {
 		spec     TopoSpec
 		workload string
 	}{
-		{RingSpec(16), "transpose"},
-		{FullMeshSpec(8), "rand-perm"},
-		{FaultedMeshSpec(8, 8, 8, 1), "transpose"},
+		{TopoSpec{Kind: "ring", Nodes: 16}, "transpose"},
+		{TopoSpec{Kind: "fullmesh", Nodes: 8}, "rand-perm"},
+		{TopoSpec{Kind: "faulted-mesh", Width: 8, Height: 8, Faults: 8, FaultSeed: 1}, "transpose"},
 	} {
 		for _, alg := range FaultSweepAlgorithms() {
 			j := Job{
@@ -155,11 +155,11 @@ func TestIrregularRoutesDeadlockFree(t *testing.T) {
 		spec     TopoSpec
 		workload string
 	}{
-		{RingSpec(16), "transpose"},
-		{FullMeshSpec(8), "rand-perm"},
-		{ClosSpec(3, 9), "rand-perm"},
-		{FaultedMeshSpec(8, 8, 8, 1), "transpose"},
-		{FaultedTorusSpec(6, 6, 6, 2), "rand-perm"},
+		{TopoSpec{Kind: "ring", Nodes: 16}, "transpose"},
+		{TopoSpec{Kind: "fullmesh", Nodes: 8}, "rand-perm"},
+		{TopoSpec{Kind: "clos", Spines: 3, Leaves: 9}, "rand-perm"},
+		{TopoSpec{Kind: "faulted-mesh", Width: 8, Height: 8, Faults: 8, FaultSeed: 1}, "transpose"},
+		{TopoSpec{Kind: "faulted-torus", Width: 6, Height: 6, Faults: 6, FaultSeed: 2}, "rand-perm"},
 	} {
 		topo, err := tc.spec.Build()
 		if err != nil {

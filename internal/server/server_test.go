@@ -209,6 +209,9 @@ func TestErrorMapping(t *testing.T) {
 		{name: "one-leaf clos", path: "/v1/explore",
 			body:       `{"topo":{"kind":"clos","spines":1,"leaves":1},"workload":"rand-perm"}`,
 			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "topo"},
+		{name: "one-wide torus", path: "/v1/synthesize",
+			body:       `{"topo":{"kind":"torus","width":1,"height":5},"workload":"transpose"}`,
+			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "topo"},
 		{name: "breaker root off the mesh", path: "/v1/synthesize",
 			body:       `{"topo":{"kind":"mesh","width":4,"height":4},"workload":"transpose","breakers":["updown@99"]}`,
 			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "breakers"},
