@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cdg"
 	"repro/internal/experiments"
+	"repro/internal/flowgraph"
 	"repro/internal/route"
 )
 
@@ -223,4 +225,46 @@ func BenchmarkSweepEngineSpeedup(b *testing.B) {
 		b.ReportMetric(seqTime.Seconds()/parTime.Seconds(), "speedup")
 		b.ReportMetric(float64(runtime.NumCPU()), "cores")
 	}
+}
+
+// BenchmarkShortestPathClos splits the ShortestPath route build on the
+// folded Clos 32x256 into its stages, to show where set-up time on a large
+// fabric goes (run with -benchtime 1x; Routes is the whole build, and what
+// it takes beyond the four stages is the 288 route searches).
+func BenchmarkShortestPathClos(b *testing.B) {
+	topo, flows := closRandPerm(b)
+	breaker := cdg.UpDownBreaker{Root: 0}
+	full := cdg.NewFull(topo, 2)
+	dag := breaker.Break(full)
+	b.Run("NewFull", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			full = cdg.NewFull(topo, 2)
+		}
+		b.ReportMetric(float64(full.NumEdges()), "edges")
+	})
+	b.Run("Break", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dag = breaker.Break(full)
+		}
+		b.ReportMetric(float64(dag.NumEdges()), "edges")
+	})
+	b.Run("IsAcyclic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !dag.IsAcyclic() {
+				b.Fatal("up*/down* left the CDG cyclic")
+			}
+		}
+	})
+	b.Run("FlowGraph", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			flowgraph.New(dag, flows, 1)
+		}
+	})
+	b.Run("Routes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := (route.ShortestPath{VCs: 2}).Routes(topo, flows); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -261,12 +261,13 @@ func (b AdHocBreaker) Break(full *Graph) *Graph {
 	canonical(baseEdges)
 	canonical(extraEdges)
 
-	ng := newEmpty(topo, full.VCs())
+	ng := newRows(full)
 	for _, e := range baseEdges {
 		ng.addEdge(e.u, e.v) // turn-rule base is acyclic by construction
 	}
+	var scratch reachScratch
 	for _, e := range extraEdges {
-		if !ng.reachable(e.v, e.u) {
+		if !ng.reachable(e.v, e.u, &scratch) {
 			ng.addEdge(e.u, e.v)
 		}
 	}

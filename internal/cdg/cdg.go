@@ -12,6 +12,7 @@ package cdg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -24,19 +25,23 @@ type VertexID int32
 const InvalidVertex VertexID = -1
 
 // Graph is a channel dependence graph over a topology with a fixed number
-// of virtual channels per physical channel.
+// of virtual channels per physical channel. It is immutable once its
+// constructor (NewFull, Filter, WithEdge or a Breaker) returns, and safe
+// to share between goroutines.
 type Graph struct {
 	topo topology.Topology
 	vcs  int
 
-	out [][]VertexID
-	in  [][]VertexID
-	// edgeSet allows O(1) HasEdge; key packs (u, v).
-	edgeSet  map[edgeKey]struct{}
+	// out[u] lists u's successors. Rows are windows of one backing array,
+	// each clipped to its own capacity, so an append can never write into a
+	// neighbouring row. Row order is part of the contract: route search
+	// tie-breaks and path enumeration order follow it.
+	out      [][]VertexID
 	numEdges int
+	// ascending records that every row is strictly ascending, which lets
+	// HasEdge binary-search.
+	ascending bool
 }
-
-type edgeKey struct{ u, v VertexID }
 
 // NewFull builds the complete CDG of topo with vcs virtual channels per
 // physical channel: every consecutive-channel pair is connected (with
@@ -47,33 +52,70 @@ func NewFull(topo topology.Topology, vcs int) *Graph {
 	if vcs < 1 {
 		panic(fmt.Sprintf("cdg: invalid virtual channel count %d", vcs))
 	}
-	g := newEmpty(topo, vcs)
-	for c1 := topology.ChannelID(0); c1 < topology.ChannelID(topo.NumChannels()); c1++ {
+	nCh := topo.NumChannels()
+	// next(c1) visits the channels that may follow c1: those leaving its
+	// destination, minus the 180-degree turn.
+	next := func(c1 topology.ChannelID, visit func(c2 topology.ChannelID)) {
 		ch1 := topo.Channel(c1)
 		for _, c2 := range topo.OutChannels(ch1.Dst) {
-			ch2 := topo.Channel(c2)
-			if ch2.Dst == ch1.Src {
-				continue // 180-degree turn
+			if topo.Channel(c2).Dst != ch1.Src {
+				visit(c2)
 			}
-			for vc1 := 0; vc1 < vcs; vc1++ {
-				for vc2 := 0; vc2 < vcs; vc2++ {
-					g.addEdge(g.Vertex(c1, vc1), g.Vertex(c2, vc2))
-				}
+		}
+	}
+	pairs := 0
+	for c1 := topology.ChannelID(0); c1 < topology.ChannelID(nCh); c1++ {
+		next(c1, func(topology.ChannelID) { pairs++ })
+	}
+	g := &Graph{
+		topo:      topo,
+		vcs:       vcs,
+		out:       make([][]VertexID, nCh*vcs),
+		numEdges:  pairs * vcs * vcs,
+		ascending: true,
+	}
+	backing := make([]VertexID, 0, g.numEdges)
+	for c1 := topology.ChannelID(0); c1 < topology.ChannelID(nCh); c1++ {
+		// The vcs vertices of c1 share one successor list; build it once.
+		a := len(backing)
+		next(c1, func(c2 topology.ChannelID) {
+			for vc2 := 0; vc2 < vcs; vc2++ {
+				backing = append(backing, g.Vertex(c2, vc2))
 			}
+		})
+		b := len(backing)
+		for k := a + 1; k < b; k++ {
+			if backing[k-1] >= backing[k] {
+				g.ascending = false
+			}
+		}
+		g.out[g.Vertex(c1, 0)] = backing[a:b:b]
+		for vc1 := 1; vc1 < vcs; vc1++ {
+			backing = append(backing, backing[a:b]...)
+			g.out[g.Vertex(c1, vc1)] = backing[len(backing)-(b-a) : len(backing) : len(backing)]
 		}
 	}
 	return g
 }
 
-func newEmpty(topo topology.Topology, vcs int) *Graph {
-	n := topo.NumChannels() * vcs
-	return &Graph{
-		topo:    topo,
-		vcs:     vcs,
-		out:     make([][]VertexID, n),
-		in:      make([][]VertexID, n),
-		edgeSet: make(map[edgeKey]struct{}),
+// newRows returns an edgeless graph over like's vertices in which row u can
+// take len(like.Out(u)) addEdge calls without leaving the shared backing
+// array.
+func newRows(like *Graph) *Graph {
+	g := &Graph{
+		topo:      like.topo,
+		vcs:       like.vcs,
+		out:       make([][]VertexID, len(like.out)),
+		ascending: true,
 	}
+	backing := make([]VertexID, like.numEdges)
+	a := 0
+	for u, succ := range like.out {
+		b := a + len(succ)
+		g.out[u] = backing[a:a:b]
+		a = b
+	}
+	return g
 }
 
 // Topology returns the underlying topology.
@@ -104,37 +146,50 @@ func (g *Graph) ChannelVC(v VertexID) (topology.ChannelID, int) {
 // Out returns the successors of v. The returned slice must not be modified.
 func (g *Graph) Out(v VertexID) []VertexID { return g.out[v] }
 
-// In returns the predecessors of v. The returned slice must not be modified.
-func (g *Graph) In(v VertexID) []VertexID { return g.in[v] }
-
-// HasEdge reports whether the dependence u -> v exists.
+// HasEdge reports whether the dependence u -> v exists. It is total: ids
+// outside the graph (InvalidVertex, a vertex of a larger fabric) have no
+// edges. The cost is a search of u's row, binary when rows are ascending.
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	_, ok := g.edgeSet[edgeKey{u, v}]
-	return ok
+	if u < 0 || int(u) >= len(g.out) {
+		return false
+	}
+	if g.ascending {
+		_, ok := slices.BinarySearch(g.out[u], v)
+		return ok
+	}
+	return slices.Contains(g.out[u], v)
 }
 
+// addEdge appends u -> v, which must be absent, to u's row. Only
+// constructors call it, on a graph they have not yet returned.
 func (g *Graph) addEdge(u, v VertexID) {
-	k := edgeKey{u, v}
-	if _, ok := g.edgeSet[k]; ok {
-		return
+	if row := g.out[u]; len(row) > 0 && row[len(row)-1] >= v {
+		g.ascending = false
 	}
-	g.edgeSet[k] = struct{}{}
 	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
 	g.numEdges++
 }
 
 // Filter returns a new graph containing exactly the edges of g for which
-// keep returns true.
+// keep returns true, in g's row order. keep is called once per edge.
 func (g *Graph) Filter(keep func(u, v VertexID) bool) *Graph {
-	ng := newEmpty(g.topo, g.vcs)
+	ng := &Graph{
+		topo:      g.topo,
+		vcs:       g.vcs,
+		out:       make([][]VertexID, len(g.out)),
+		ascending: g.ascending,
+	}
+	backing := make([]VertexID, 0, g.numEdges)
 	for u, succ := range g.out {
+		a := len(backing)
 		for _, v := range succ {
 			if keep(VertexID(u), v) {
-				ng.addEdge(VertexID(u), v)
+				backing = append(backing, v)
 			}
 		}
+		ng.out[u] = backing[a:len(backing):len(backing)]
 	}
+	ng.numEdges = len(backing)
 	return ng
 }
 
@@ -144,7 +199,9 @@ func (g *Graph) Filter(keep func(u, v VertexID) bool) *Graph {
 // CDG yields the known-cyclic mutants the checker must refute.
 func (g *Graph) WithEdge(u, v VertexID) *Graph {
 	ng := g.Filter(func(VertexID, VertexID) bool { return true })
-	ng.addEdge(u, v)
+	if !ng.HasEdge(u, v) {
+		ng.addEdge(u, v)
+	}
 	return ng
 }
 
@@ -153,8 +210,10 @@ func (g *Graph) WithEdge(u, v VertexID) *Graph {
 func (g *Graph) TopoOrder() ([]VertexID, bool) {
 	n := g.NumVertices()
 	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.in[v])
+	for _, succ := range g.out {
+		for _, w := range succ {
+			indeg[w]++
+		}
 	}
 	queue := make([]VertexID, 0, n)
 	for v := 0; v < n; v++ {
@@ -236,24 +295,39 @@ func (g *Graph) FindCycle() []VertexID {
 	return nil
 }
 
+// reachScratch is the working memory of repeated reachable queries. It
+// belongs to the caller's frame, never to a Graph: graphs are shared
+// between goroutines once built.
+type reachScratch struct {
+	// seen[w] == query marks w visited by the current query, so starting a
+	// new query clears nothing.
+	seen  []int
+	query int
+	stack []VertexID
+}
+
 // reachable reports whether there is a directed path from u to v.
-func (g *Graph) reachable(u, v VertexID) bool {
+func (g *Graph) reachable(u, v VertexID, s *reachScratch) bool {
 	if u == v {
 		return true
 	}
-	seen := make(map[VertexID]bool)
-	stack := []VertexID{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	if len(s.seen) < len(g.out) {
+		s.seen = make([]int, len(g.out))
+		s.query = 0
+	}
+	s.query++
+	s.seen[u] = s.query
+	s.stack = append(s.stack[:0], u)
+	for len(s.stack) > 0 {
+		x := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
 		for _, w := range g.out[x] {
 			if w == v {
 				return true
 			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
+			if s.seen[w] != s.query {
+				s.seen[w] = s.query
+				s.stack = append(s.stack, w)
 			}
 		}
 	}

@@ -216,9 +216,10 @@ func TestAdHocBreaker(t *testing.T) {
 		}
 	}
 	// Maximal: every removed edge closes a cycle if re-added.
+	var scratch reachScratch
 	for u := 0; u < full.NumVertices(); u++ {
 		for _, v := range full.Out(VertexID(u)) {
-			if !a1.HasEdge(VertexID(u), v) && !a1.reachable(v, VertexID(u)) {
+			if !a1.HasEdge(VertexID(u), v) && !a1.reachable(v, VertexID(u), &scratch) {
 				t.Fatalf("edge %d->%d removed but would not close a cycle", u, v)
 			}
 		}

@@ -70,12 +70,17 @@ func upDownOrder(t topology.Topology, root topology.NodeID) []int {
 	return order
 }
 
-// channelUp reports whether a channel travels up (toward the root) under
-// the given node order. Endpoints always differ, so every channel is
-// strictly up or strictly down.
-func channelUp(t topology.Topology, order []int, ch topology.ChannelID) bool {
-	c := t.Channel(ch)
-	return order[c.Dst] < order[c.Src]
+// upChannels classifies every channel once: up[ch] is true when ch travels
+// up (toward the root) in the BFS order from root. Endpoints always differ,
+// so every channel is strictly up or strictly down.
+func upChannels(t topology.Topology, root topology.NodeID) []bool {
+	order := upDownOrder(t, root)
+	up := make([]bool, t.NumChannels())
+	for ch := range up {
+		c := t.Channel(topology.ChannelID(ch))
+		up[ch] = order[c.Dst] < order[c.Src]
+	}
+	return up
 }
 
 // UpDownBreaker is the graph-generic up*/down* strategy: dependence edges
@@ -98,12 +103,11 @@ func (b UpDownBreaker) Name() string { return fmt.Sprintf("updown@%d", b.Root) }
 
 // Break implements Breaker.
 func (b UpDownBreaker) Break(full *Graph) *Graph {
-	t := full.Topology()
-	order := upDownOrder(t, b.Root)
+	up := upChannels(full.Topology(), b.Root)
 	return full.Filter(func(u, v VertexID) bool {
 		cu, _ := full.ChannelVC(u)
 		cv, _ := full.ChannelVC(v)
-		return !(!channelUp(t, order, cu) && channelUp(t, order, cv))
+		return !(!up[cu] && up[cv])
 	})
 }
 
@@ -122,8 +126,7 @@ func (b UpDownEscapeBreaker) Name() string { return fmt.Sprintf("updown-escape@%
 
 // Break implements Breaker.
 func (b UpDownEscapeBreaker) Break(full *Graph) *Graph {
-	t := full.Topology()
-	order := upDownOrder(t, b.Root)
+	up := upChannels(full.Topology(), b.Root)
 	return full.Filter(func(u, v VertexID) bool {
 		cu, vcu := full.ChannelVC(u)
 		cv, vcv := full.ChannelVC(v)
@@ -133,7 +136,7 @@ func (b UpDownEscapeBreaker) Break(full *Graph) *Graph {
 		if vcv < vcu {
 			return false
 		}
-		return !(!channelUp(t, order, cu) && channelUp(t, order, cv))
+		return !(!up[cu] && up[cv])
 	})
 }
 

@@ -87,33 +87,47 @@ func NewWithCapacities(dag *cdg.Graph, flows []Flow, capacity []float64) *Graph 
 		}
 	}
 
-	nCDG := dag.NumVertices()
+	nCDG, vcs := dag.NumVertices(), dag.VCs()
 	g := &Graph{
 		dag:      dag,
 		flows:    flows,
 		out:      make([][]VertexID, nCDG+2*len(flows)),
 		capacity: capacity,
 	}
+	// All rows share one backing array. A channel vertex's row is its CDG
+	// successors followed by the sink terminal of every flow ending at the
+	// channel's destination node, so its final size is known up front.
+	sinksAt := make([]int, topo.NumNodes())
+	total := dag.NumEdges()
+	for _, f := range flows {
+		sinksAt[f.Dst]++
+		total += (len(topo.OutChannels(f.Src)) + len(topo.InChannels(f.Dst))) * vcs
+	}
+	backing := make([]VertexID, 0, total)
 	for v := 0; v < nCDG; v++ {
-		succ := dag.Out(cdg.VertexID(v))
-		row := make([]VertexID, len(succ))
-		for i, w := range succ {
-			row[i] = VertexID(w)
+		a := len(backing)
+		for _, w := range dag.Out(cdg.VertexID(v)) {
+			backing = append(backing, VertexID(w))
 		}
-		g.out[v] = row
+		ch, _ := dag.ChannelVC(cdg.VertexID(v))
+		b := len(backing)
+		end := b + sinksAt[topo.Channel(ch).Dst]
+		g.out[v] = backing[a:b:end]
+		backing = backing[:end]
 	}
 	for i, f := range flows {
-		src := g.SrcTerminal(i)
+		a := len(backing)
 		for _, ch := range topo.OutChannels(f.Src) {
-			for vc := 0; vc < dag.VCs(); vc++ {
-				g.out[src] = append(g.out[src], VertexID(dag.Vertex(ch, vc)))
+			for vc := 0; vc < vcs; vc++ {
+				backing = append(backing, VertexID(dag.Vertex(ch, vc)))
 			}
 		}
+		g.out[g.SrcTerminal(i)] = backing[a:len(backing):len(backing)]
 		snk := g.SinkTerminal(i)
 		for _, ch := range topo.InChannels(f.Dst) {
-			for vc := 0; vc < dag.VCs(); vc++ {
-				v := VertexID(dag.Vertex(ch, vc))
-				g.out[v] = append(g.out[v], snk)
+			for vc := 0; vc < vcs; vc++ {
+				v := dag.Vertex(ch, vc)
+				g.out[v] = append(g.out[v], snk) // into the room reserved above
 			}
 		}
 	}

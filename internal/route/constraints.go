@@ -2,7 +2,6 @@ package route
 
 import (
 	"container/heap"
-	"math"
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
@@ -46,21 +45,17 @@ func (u unitDemand) Select(g *flowgraph.Graph) (*Set, error) {
 // search state is (vertex, hops used), so the cheapest path with at most
 // maxHops channels is found. Setting maxHops to the flow's minimal hop
 // count forces a minimal route (latency-critical flows, §7.2).
-func shortestPathGABounded(g *flowgraph.Graph, i int, maxHops int,
+func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHops int,
 	vertexWeight func(v flowgraph.VertexID) float64) (flowgraph.Path, error) {
 
-	n := g.NumVertices()
 	idx := func(st hopState) int { return int(st.v)*(maxHops+1) + st.hops }
-	dist := make([]float64, n*(maxHops+1))
-	prev := make([]int32, n*(maxHops+1))
-	for k := range dist {
-		dist[k] = math.Inf(1)
-		prev[k] = -1
-	}
+	s.reset(g.NumVertices() * (maxHops + 1))
+	dist, prev := s.dist, s.prev
 	src, snk := g.SrcTerminal(i), g.SinkTerminal(i)
 	start := hopState{src, 0}
-	dist[idx(start)] = 0
-	pq := &boundedHeap{items: []boundedItem{{st: start, d: 0}}}
+	s.reach(idx(start), 0, -1)
+	pq := &s.boundedHeap
+	pq.items = append(pq.items[:0], boundedItem{st: start, d: 0})
 	var goal = -1
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(boundedItem)
@@ -89,8 +84,7 @@ func shortestPathGABounded(g *flowgraph.Graph, i int, maxHops int,
 			}
 			nk := idx(next)
 			if nd := it.d + edgeW; nd < dist[nk] {
-				dist[nk] = nd
-				prev[nk] = int32(k)
+				s.reach(nk, nd, k)
 				heap.Push(pq, boundedItem{st: next, d: nd})
 			}
 		}

@@ -107,11 +107,13 @@ func TestBoundedShortestPathMatchesUnbounded(t *testing.T) {
 	// With a generous budget the bounded search must find a path of the
 	// same cost as the unbounded one.
 	weight := func(v flowgraph.VertexID) float64 { return 1 }
-	a, err := shortestPathGA(g, 0, weight)
+	// One scratch serves both searches, as it does inside a selector.
+	var scratch dijkstraScratch
+	a, err := shortestPathGA(&scratch, g, 0, weight)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := shortestPathGABounded(g, 0, 20, weight)
+	b, err := shortestPathGABounded(&scratch, g, 0, 20, weight)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,11 +80,12 @@ func (d DijkstraSelector) SelectContext(ctx context.Context, g *flowgraph.Graph)
 	}
 
 	routes := make([]Route, len(flows))
+	var scratch dijkstraScratch
 	for _, i := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := d.shortestPath(g, i, residual, vcUse)
+		p, err := d.shortestPath(&scratch, g, i, residual, vcUse)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +101,7 @@ func (d DijkstraSelector) SelectContext(ctx context.Context, g *flowgraph.Graph)
 
 // shortestPath builds the residual-capacity weight function of §3.6 and
 // delegates to the generic G_A Dijkstra.
-func (d DijkstraSelector) shortestPath(g *flowgraph.Graph, i int,
+func (d DijkstraSelector) shortestPath(s *dijkstraScratch, g *flowgraph.Graph, i int,
 	residual []float64, vcUse []int) (flowgraph.Path, error) {
 
 	m := d.M
@@ -135,9 +136,46 @@ func (d DijkstraSelector) shortestPath(g *flowgraph.Graph, i int,
 		return w
 	}
 	if budget, ok := d.HopBudgets[i]; ok {
-		return shortestPathGABounded(g, i, budget, vertexWeight)
+		return shortestPathGABounded(s, g, i, budget, vertexWeight)
 	}
-	return shortestPathGA(g, i, vertexWeight)
+	return shortestPathGA(s, g, i, vertexWeight)
+}
+
+// dijkstraScratch is the per-state working memory of the G_A searches. One
+// lives in the frame of each Select/Routes call and serves every flow that
+// call routes: a search resets only the states the previous one touched,
+// instead of allocating and clearing arrays the size of the network per
+// flow. The zero value is ready to use; not safe for concurrent use.
+type dijkstraScratch struct {
+	dist    []float64
+	prev    []int32
+	done    []bool
+	touched []int32
+	// The priority queues' backing arrays, kept between searches.
+	heap        vertexHeap
+	boundedHeap boundedHeap
+}
+
+// reset readies the scratch for a search over n states: every state is at
+// infinite distance with no predecessor.
+func (s *dijkstraScratch) reset(n int) {
+	for _, k := range s.touched {
+		s.dist[k], s.prev[k], s.done[k] = math.Inf(1), -1, false
+	}
+	s.touched = s.touched[:0]
+	for k := len(s.dist); k < n; k++ {
+		s.dist = append(s.dist, math.Inf(1))
+		s.prev = append(s.prev, -1)
+		s.done = append(s.done, false)
+	}
+}
+
+// reach records that state k is reached from state from at distance d.
+func (s *dijkstraScratch) reach(k int, d float64, from int) {
+	if math.IsInf(s.dist[k], 1) {
+		s.touched = append(s.touched, int32(k))
+	}
+	s.dist[k], s.prev[k] = d, int32(from)
 }
 
 // shortestPathGA runs Dijkstra from flow i's source terminal to its sink
@@ -145,20 +183,15 @@ func (d DijkstraSelector) shortestPath(g *flowgraph.Graph, i int,
 // vertex it enters (edges into the sink terminal weigh zero), matching the
 // thesis' convention that capacities live on links, which are vertices of
 // G_A.
-func shortestPathGA(g *flowgraph.Graph, i int,
+func shortestPathGA(s *dijkstraScratch, g *flowgraph.Graph, i int,
 	vertexWeight func(v flowgraph.VertexID) float64) (flowgraph.Path, error) {
 
-	n := g.NumVertices()
-	dist := make([]float64, n)
-	prev := make([]flowgraph.VertexID, n)
-	done := make([]bool, n)
-	for v := range dist {
-		dist[v] = math.Inf(1)
-		prev[v] = -1
-	}
+	s.reset(g.NumVertices())
+	dist, prev, done := s.dist, s.prev, s.done
 	src, snk := g.SrcTerminal(i), g.SinkTerminal(i)
-	dist[src] = 0
-	pq := &vertexHeap{items: []heapItem{{v: src, d: 0}}}
+	s.reach(int(src), 0, -1)
+	pq := &s.heap
+	pq.items = append(pq.items[:0], heapItem{v: src, d: 0})
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(heapItem)
 		if done[it.v] {
@@ -178,8 +211,7 @@ func shortestPathGA(g *flowgraph.Graph, i int,
 			}
 			nd := it.d + edgeW
 			if nd < dist[w] {
-				dist[w] = nd
-				prev[w] = it.v
+				s.reach(int(w), nd, int(it.v))
 				heap.Push(pq, heapItem{v: w, d: nd})
 			}
 		}
@@ -190,7 +222,7 @@ func shortestPathGA(g *flowgraph.Graph, i int,
 			Src: g.Topology().NodeName(f.Src), Dst: g.Topology().NodeName(f.Dst)}
 	}
 	var p flowgraph.Path
-	for v := prev[snk]; v != src && v != -1; v = prev[v] {
+	for v := flowgraph.VertexID(prev[snk]); v != src && v != -1; v = flowgraph.VertexID(prev[v]) {
 		p = append(p, cdg.VertexID(v))
 	}
 	// Reverse into source-to-sink order.

@@ -70,13 +70,14 @@ func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	if err != nil {
 		return nil, err
 	}
+	var scratch dijkstraScratch
 	for i := range flows {
 		if len(candidates[i]) == 0 {
 			// Restrictive CDGs (dateline rules on large tori) can force
 			// detours past the hop budget; fall back to the flow's
 			// fewest-hop path in the CDG so the selector stays total, like
 			// the budget-free Dijkstra selector.
-			p, err := shortestPathGA(g, i, func(flowgraph.VertexID) float64 { return 1 })
+			p, err := shortestPathGA(&scratch, g, i, func(flowgraph.VertexID) float64 { return 1 })
 			if err != nil {
 				return nil, noPathError(g, i, budgets[i])
 			}

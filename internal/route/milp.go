@@ -506,6 +506,7 @@ func (ms MILPSelector) refine(g *flowgraph.Graph, candidates [][]flowgraph.Path,
 	}
 
 	added := false
+	var scratch dijkstraScratch
 	for i, r := range cur.Routes {
 		crossesHot := false
 		for _, ch := range r.Channels {
@@ -534,7 +535,7 @@ func (ms MILPSelector) refine(g *flowgraph.Graph, candidates [][]flowgraph.Path,
 				}
 				return l + demand + mcl*(0.01+jitter*rng.Float64())
 			}
-			p, err := shortestPathGA(g, i, weight)
+			p, err := shortestPathGA(&scratch, g, i, weight)
 			if err != nil {
 				break
 			}

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cdg"
@@ -332,6 +333,36 @@ func TestDijkstraTransposeBeatsDOR(t *testing.T) {
 	}
 	if err := set.DeadlockFree(2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A route set computed for a larger fabric names (channel, VC) vertices the
+// CDG of a smaller one does not have; Conforms must report the missing
+// dependence, not index past the graph.
+func TestConformsRejectsRoutesOfLargerFabric(t *testing.T) {
+	big := topology.NewMesh(8, 8)
+	g := dijkstraGraph(t, big, cdg.WestFirst, 2, transposeFlows(big, 25), 100)
+	set, err := DijkstraSelector{}.Select(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := cdg.TurnBreaker{Rule: cdg.WestFirst}.Break(cdg.NewFull(topology.NewMesh(3, 3), 2))
+	// Route by route, so the far corner of the big mesh is reached too: a
+	// route with a hop outside the small CDG cannot conform to it.
+	outside := 0
+	for _, r := range set.Routes {
+		if len(r.Channels) < 2 || int(r.Channels[0]) < small.Topology().NumChannels() {
+			continue
+		}
+		outside++
+		err := (&Set{Topo: big, Routes: []Route{r}}).Conforms(small)
+		if err == nil || !strings.Contains(err.Error(), "absent from the CDG") {
+			t.Fatalf("%s: Conforms against a smaller fabric's CDG = %v, want a dependence-absent error",
+				r.Flow.Name, err)
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no route left the small fabric's vertex range; the test checks nothing")
 	}
 }
 

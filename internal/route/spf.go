@@ -36,8 +36,8 @@ func (s ShortestPath) Routes(t topology.Topology, flows []flowgraph.Flow) (*Set,
 	return s.RoutesContext(context.Background(), t, flows)
 }
 
-// RoutesContext implements ContextAlgorithm: ctx is polled once per
-// routed flow.
+// RoutesContext implements ContextAlgorithm: ctx is polled between the
+// stages (full CDG, break, flow network) and once per routed flow.
 func (s ShortestPath) RoutesContext(ctx context.Context, t topology.Topology, flows []flowgraph.Flow) (*Set, error) {
 	vcs := s.VCs
 	if vcs == 0 {
@@ -47,18 +47,26 @@ func (s ShortestPath) RoutesContext(ctx context.Context, t topology.Topology, fl
 	if breaker == nil {
 		breaker = cdg.UpDownBreaker{Root: 0}
 	}
-	dag := breaker.Break(cdg.NewFull(t, vcs))
+	full := cdg.NewFull(t, vcs)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	dag := breaker.Break(full)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if !dag.IsAcyclic() {
 		return nil, fmt.Errorf("route: SP breaker %s left the CDG cyclic on %T", breaker.Name(), t)
 	}
 	g := flowgraph.New(dag, flows, 1)
 	routes := make([]Route, len(flows))
 	unit := func(flowgraph.VertexID) float64 { return 1 }
+	var scratch dijkstraScratch
 	for i := range flows {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := shortestPathGA(g, i, unit)
+		p, err := shortestPathGA(&scratch, g, i, unit)
 		if err != nil {
 			return nil, err
 		}

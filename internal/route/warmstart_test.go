@@ -307,3 +307,51 @@ func TestMILPWarmStartResumable(t *testing.T) {
 		t.Fatalf("warm context incumbent not updated by the re-solve")
 	}
 }
+
+// cancellingBreaker cancels the request while it "breaks" and hands the
+// full, still cyclic CDG back: whatever the caller does next shows whether
+// it looked at the context first.
+type cancellingBreaker struct {
+	cancel context.CancelFunc
+	calls  *int
+}
+
+func (b cancellingBreaker) Name() string { return "cancelling" }
+
+func (b cancellingBreaker) Break(full *cdg.Graph) *cdg.Graph {
+	*b.calls++
+	b.cancel()
+	return full
+}
+
+// TestShortestPathCancellationBetweenStages pins that SP honours its
+// context between the CDG stages, which on a large fabric are where its
+// time goes, and not only once per routed flow.
+func TestShortestPathCancellationBetweenStages(t *testing.T) {
+	m := topology.NewMesh(3, 3)
+	flows := []flowgraph.Flow{{ID: 0, Name: "f0", Src: 0, Dst: 8, Demand: 1}}
+
+	// Cancelled before the call: the breaker never runs, no flow is routed.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls := 0
+	sp := route.ShortestPath{Breaker: cancellingBreaker{cancel: func() {}, calls: &calls}}
+	if _, err := sp.RoutesContext(ctx, m, flows); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	if calls != 0 {
+		t.Fatalf("pre-cancelled: breaker ran %d times, want 0", calls)
+	}
+
+	// Cancelled during Break: reported as cancellation, ahead of the
+	// acyclicity verdict on the graph the breaker returned.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	sp = route.ShortestPath{Breaker: cancellingBreaker{cancel: cancel, calls: &calls}}
+	if _, err := sp.RoutesContext(ctx, m, flows); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled in Break: err = %v, want context.Canceled", err)
+	}
+	if calls != 1 {
+		t.Fatalf("cancelled in Break: breaker ran %d times, want 1", calls)
+	}
+}

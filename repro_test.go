@@ -1,9 +1,13 @@
 package repro
 
 import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flowgraph"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -58,5 +62,46 @@ func TestSmokePipeline(t *testing.T) {
 	}
 	if tb, tx := throughput(bsor, false), throughput(xy, true); tb <= tx {
 		t.Errorf("BSOR saturation throughput %.3f <= XY %.3f", tb, tx)
+	}
+}
+
+// closRandPerm is the large-fabric baseline instance: the folded Clos and
+// flow set whose ShortestPath route build the benchmark's sim-scale workload
+// times as set-up.
+func closRandPerm(tb testing.TB) (topology.Topology, []flowgraph.Flow) {
+	tb.Helper()
+	topo := topology.NewFoldedClos(32, 256)
+	flows, err := traffic.RandomPermutation(topo, 10, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return topo, flows
+}
+
+// TestShortestPathClosAllocBudget holds the route build on a 9.4 M-edge CDG
+// to an allocation budget (it allocated 1.45 GB when every edge went
+// through two hash maps) and to the routes it has always returned.
+func TestShortestPathClosAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 9.4 M-edge CDG")
+	}
+	topo, flows := closRandPerm(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	set, err := route.ShortestPath{VCs: 2}.Routes(topo, flows)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 600 {
+		t.Errorf("ShortestPath on clos 32x256 allocated %d MB, budget 600 MB", mb)
+	}
+	// 228 two-hop routes and 60 one-hop ones (flows with a spine endpoint).
+	h := fnv.New64a()
+	for _, r := range set.Routes {
+		fmt.Fprintln(h, r.Channels, r.VCs)
+	}
+	if got, want := h.Sum64(), uint64(0xf625e3864ddbee19); len(set.Routes) != 288 || got != want {
+		t.Errorf("%d routes with digest %#x, want 288 with %#x", len(set.Routes), got, want)
 	}
 }
