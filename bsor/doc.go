@@ -32,9 +32,9 @@
 //
 // # Pipelines
 //
-// A Pipeline executes a list of Specs on a worker pool with memoized
-// route synthesis, streaming one Result per unit of work as it
-// completes:
+// A Pipeline executes a list of Specs on a worker pool (WithWorkers sizes
+// it, and only it) with memoized route synthesis, streaming one Result
+// per unit of work as it completes:
 //
 //	p, err := bsor.NewPipeline(specs, bsor.WithWorkers(8))
 //	results, err := p.Run(ctx)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
-	"repro/internal/route"
 )
 
 // Engine is the long-lived handle behind every entry point of this
@@ -33,25 +32,14 @@ func NewEngine(opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// The workload registry hook, the MILP budget, and — so WithWorkers
-	// bounds total parallelism, not just the job pool — the
-	// candidate-enumeration worker counts of the selectors that fan out
-	// internally.
 	r := &experiments.Runner{
 		Workers:    cfg.workers,
 		WorkloadFn: registryHook,
 		Certify:    cfg.certify,
 		Metrics:    cfg.metrics,
 	}
-	if cfg.milpSet || cfg.workers > 0 {
-		milp := cfg.milp
-		if milp.Workers == 0 {
-			milp.Workers = cfg.workers
-		}
-		r.MILP = milp.selector()
-	}
-	if cfg.workers > 0 {
-		r.Heuristic = route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 32, Workers: cfg.workers}
+	if cfg.milpSet {
+		r.MILP = cfg.milp.selector()
 	}
 	return &Engine{cfg: cfg, runner: r}
 }

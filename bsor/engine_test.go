@@ -1,7 +1,9 @@
 package bsor
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -118,5 +120,38 @@ func TestEngineOneArtifactPerSpelling(t *testing.T) {
 	}
 	if n := e.runner.SynthesisCount(); n != 1 {
 		t.Errorf("%d syntheses for one spec in two spellings, want 1", n)
+	}
+}
+
+// TestWithWorkersSizesOnlyTheJobPool: candidate enumeration picks its own
+// width, so the job-pool size cannot reach a route set — an Engine at the
+// default width and one at WithWorkers(3) select byte-identical routes.
+func TestWithWorkersSizesOnlyTheJobPool(t *testing.T) {
+	ctx := context.Background()
+	for _, alg := range []string{"BSOR-Heuristic", "BSOR-MILP"} {
+		if alg == "BSOR-MILP" && testing.Short() {
+			continue // two 8x8 MILP solves: half a minute under -race
+		}
+		// One breaker: what is compared is the selector's candidate pool,
+		// which every breaker's solve fills the same way.
+		spec := Spec{Topo: Mesh(8, 8), Workload: "transpose", Algorithm: alg,
+			Breakers: []string{"negative-first(WN)"}}
+		var want []byte
+		for _, opts := range [][]Option{nil, {WithWorkers(3)}} {
+			e := NewEngine(append(opts, WithMILPBudget(FastMILPBudget()))...)
+			rs, err := e.Synthesize(ctx, spec)
+			if err != nil {
+				t.Fatalf("%s: %v", alg, err)
+			}
+			got, err := json.Marshal(rs.Routes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s: WithWorkers(3) selected different routes than the default engine", alg)
+			}
+		}
 	}
 }

@@ -26,9 +26,6 @@ type MILPBudget struct {
 	MaxNodes int
 	// Gap is the absolute optimality gap accepted by branch and bound.
 	Gap float64
-	// Workers sizes the candidate-enumeration worker pool; 0 means
-	// GOMAXPROCS. Results are deterministic for any value.
-	Workers int
 }
 
 // DefaultMILPBudget is the published-quality effort of the evaluation
@@ -67,7 +64,6 @@ func (b MILPBudget) selector() route.Selector {
 	return route.MILPSelector{
 		HopSlack: b.HopSlack, MaxPathsPerFlow: b.MaxPathsPerFlow,
 		Refinements: b.Refinements, MaxNodes: b.MaxNodes, Gap: b.Gap,
-		Workers: b.Workers,
 	}
 }
 
@@ -86,8 +82,8 @@ type config struct {
 // synthesis).
 type Option func(*config)
 
-// WithWorkers sizes the job worker pool; 0 (the default) means NumCPU.
-// Results are deterministic for any worker count.
+// WithWorkers sizes the job worker pool, and nothing else; 0 (the default)
+// means NumCPU. Results are deterministic for any worker count.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithProgress installs a progress callback invoked after each completed

@@ -110,7 +110,7 @@ type Exploration struct {
 // route set: BSOR variants explore the spec's breakers and keep the best
 // MCL, baselines route directly. The spec's Sim field is ignored.
 // Accepts the Options that apply to a single synthesis (WithMILPBudget,
-// WithWorkers for enumeration, WithMetrics). It runs on a throwaway
+// WithCertificates, WithMetrics). It runs on a throwaway
 // Engine; callers asking several questions of one spec share the work by
 // holding an Engine.
 func Synthesize(ctx context.Context, spec Spec, opts ...Option) (*RouteSet, error) {

@@ -46,6 +46,55 @@ func TestChurnScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultedAndScheduleAgree pins that a static fault set and a live
+// fault schedule with the same seed are the same links: the channels
+// topology.Faulted removed are the union of RandomSchedule's Fail lists.
+func TestFaultedAndScheduleAgree(t *testing.T) {
+	type link struct {
+		src, dst topology.NodeID
+		dir      topology.Direction
+	}
+	grids := map[string]topology.Grid{
+		"mesh6x6":  topology.NewMesh(6, 6),
+		"torus4x4": topology.NewTorus(4, 4),
+	}
+	for name, g := range grids {
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, n := range []int{0, 2, 4} {
+				faulted, err := topology.Faulted(g, seed, n)
+				if err != nil {
+					t.Fatalf("%s seed %d n %d: Faulted: %v", name, seed, n, err)
+				}
+				schedule, err := RandomSchedule(g, seed, n, 1000, 1000)
+				if err != nil {
+					t.Fatalf("%s seed %d n %d: RandomSchedule: %v", name, seed, n, err)
+				}
+				// Faulted re-densifies channel ids, so compare channels by
+				// what they join: the grid's channels minus the survivors.
+				removed := map[link]bool{}
+				for id := 0; id < g.NumChannels(); id++ {
+					c := g.Channel(topology.ChannelID(id))
+					removed[link{c.Src, c.Dst, c.Dir}] = true
+				}
+				for id := 0; id < faulted.NumChannels(); id++ {
+					c := faulted.Channel(topology.ChannelID(id))
+					delete(removed, link{c.Src, c.Dst, c.Dir})
+				}
+				failed := map[link]bool{}
+				for _, ev := range schedule {
+					for _, id := range ev.Fail {
+						c := g.Channel(id)
+						failed[link{c.Src, c.Dst, c.Dir}] = true
+					}
+				}
+				if len(removed) != 2*n || !reflect.DeepEqual(removed, failed) {
+					t.Errorf("%s seed %d n %d: Faulted removed %v, schedule fails %v", name, seed, n, removed, failed)
+				}
+			}
+		}
+	}
+}
+
 // churnFixture builds a 6x6 mesh, crossing flows, an initial heuristic
 // route set, a simulator whose cycle loop is threaded simWorkers ways
 // (sim.Config.Workers), and a supervisor over them.
@@ -86,7 +135,7 @@ func churnFixture(t *testing.T, resynth route.ContextSelector, schedule []Event,
 }
 
 func heuristicResynth() route.ContextSelector {
-	return route.RetrySelector{
+	return route.FallbackSelector{
 		Primary:  route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16},
 		Fallback: route.BSORHeuristic{HopSlack: 4, MaxPathsPerFlow: 32},
 	}

@@ -8,16 +8,15 @@ package churn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/topology"
 )
 
 // Event is one entry of a fault schedule: at Cycle, the channels in
 // Repair come back and the channels in Fail die. Physical faults always
-// take a link's both directions (see LinkPairs): killing one direction of
-// a grid link can strand up*/down* reachability even though the graph
-// stays weakly connected.
+// take a link's both directions (see topology.RemovableLinks): killing one
+// direction of a grid link can strand up*/down* reachability even though
+// the graph stays weakly connected.
 type Event struct {
 	// Cycle is the simulation cycle the event applies at.
 	Cycle int64 `json:"cycle"`
@@ -27,45 +26,14 @@ type Event struct {
 	Repair []topology.ChannelID `json:"repair,omitempty"`
 }
 
-// LinkPair is a bidirectional link: a channel and its direction-opposite
-// reverse.
-type LinkPair struct {
-	Fwd, Rev topology.ChannelID
-}
-
-// LinkPairs enumerates the bidirectional links of t in ascending forward
-// channel id order. Channels without a direction-opposite reverse (none
-// exist in the built-in topologies) are skipped.
-func LinkPairs(t topology.Topology) []LinkPair {
-	var pairs []LinkPair
-	for id := 0; id < t.NumChannels(); id++ {
-		rev := reverseOf(t, topology.ChannelID(id))
-		if rev == topology.InvalidChannel || rev < topology.ChannelID(id) {
-			continue // unpaired, or already emitted as the partner's reverse
-		}
-		pairs = append(pairs, LinkPair{Fwd: topology.ChannelID(id), Rev: rev})
-	}
-	return pairs
-}
-
-// reverseOf finds the direction-opposite channel running dst->src of ch,
-// or InvalidChannel.
-func reverseOf(t topology.Topology, ch topology.ChannelID) topology.ChannelID {
-	c := t.Channel(ch)
-	for _, back := range t.OutChannels(c.Dst) {
-		if bc := t.Channel(back); bc.Dst == c.Src && bc.Dir == c.Dir.Opposite() {
-			return back
-		}
-	}
-	return topology.InvalidChannel
-}
-
 // RandomSchedule builds a seeded, connectivity-preserving fault schedule:
 // faults bidirectional links fail one per event, the first at start and
 // each subsequent one spacing cycles later, chosen by a seeded shuffle of
-// the topology's link pairs. Links whose cumulative removal would
-// disconnect the network are skipped, exactly as topology.Faulted skips
-// them; if fewer than faults links are removable the schedule errors.
+// the topology's link pairs (topology.RemovableLinks, the picker behind
+// topology.Faulted: the same seed fails the same links). Links whose
+// cumulative removal would disconnect the network are skipped, as are
+// channels without a reverse (none exist in the built-in topologies); if
+// fewer than faults links are removable the schedule errors.
 //
 // The schedule is a pure function of (t, seed, faults, start, spacing) —
 // the determinism the byte-identical churn goldens pin.
@@ -73,29 +41,14 @@ func RandomSchedule(t topology.Topology, seed int64, faults int, start, spacing 
 	if faults <= 0 {
 		return nil, nil
 	}
-	pairs := LinkPairs(t)
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-
-	overlay := topology.NewFaultOverlay(t)
-	var events []Event
-	for _, p := range pairs {
-		if len(events) == faults {
-			break
-		}
-		overlay.Disable(p.Fwd, p.Rev)
-		if !overlay.Connected() {
-			overlay.Restore(p.Fwd, p.Rev)
-			continue
-		}
-		events = append(events, Event{
-			Cycle: start + int64(len(events))*spacing,
-			Fail:  []topology.ChannelID{p.Fwd, p.Rev},
-		})
-	}
-	if len(events) < faults {
+	links, _ := topology.RemovableLinks(t, seed, faults)
+	if len(links) < faults {
 		return nil, fmt.Errorf("churn: only %d of %d links removable without disconnecting the network",
-			len(events), faults)
+			len(links), faults)
+	}
+	events := make([]Event, len(links))
+	for i, l := range links {
+		events[i] = Event{Cycle: start + int64(i)*spacing, Fail: []topology.ChannelID{l[0], l[1]}}
 	}
 	return events, nil
 }

@@ -67,9 +67,8 @@ type Supervisor struct {
 	// VCs is the virtual channel count of routes and CDGs.
 	VCs int
 	// Resynth produces the repaired route set on the degraded topology —
-	// typically a route.RetrySelector wrapping a warm-started MILP with a
-	// heuristic fallback. It runs on a background goroutine; wrap it with
-	// RetrySelector for per-attempt timeouts and retry budgets.
+	// typically a route.FallbackSelector: a warm-started MILP with a
+	// heuristic fallback. It runs on a background goroutine.
 	Resynth route.ContextSelector
 	// Schedule lists the fault events in ascending cycle order.
 	Schedule []Event
@@ -274,26 +273,24 @@ func (sv *Supervisor) escapeSet(ctx context.Context) (*route.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sv.certifySet(set); err != nil {
+	if err := CertifySet(sv.Overlay, escapeCDG(sv.Overlay, sv.VCs), set, sv.VCs, "the escape set"); err != nil {
 		return nil, err
 	}
 	return set, nil
 }
 
-// certifySet runs the independent certificate checker over the overlay's
-// degraded view; every route set the supervisor swaps in passes it.
-func (sv *Supervisor) certifySet(set *route.Set) error {
-	dag := escapeCDG(sv.Overlay, sv.VCs)
-	cert, err := certify.Certify(certify.Instance{
-		Topo: sv.Overlay, CDG: dag, Routes: set, VCs: sv.VCs,
-	})
+// CertifySet runs the independent certificate checker over set, routed on
+// t under dag, and then checks the issued certificate against the same
+// instance. Every route set a churn run starts from or swaps in passes
+// both; what names the set in a rejection.
+func CertifySet(t topology.Topology, dag *cdg.Graph, set *route.Set, vcs int, what string) error {
+	in := certify.Instance{Topo: t, CDG: dag, Routes: set, VCs: vcs}
+	cert, err := certify.Certify(in)
 	if err != nil {
-		return fmt.Errorf("certification rejected the route set: %w", err)
+		return fmt.Errorf("certification rejected %s: %w", what, err)
 	}
-	if err := cert.Check(certify.Instance{
-		Topo: sv.Overlay, CDG: dag, Routes: set, VCs: sv.VCs,
-	}); err != nil {
-		return fmt.Errorf("certificate re-check failed: %w", err)
+	if err := cert.Check(in); err != nil {
+		return fmt.Errorf("certificate re-check of %s failed: %w", what, err)
 	}
 	return nil
 }
@@ -310,7 +307,9 @@ func (sv *Supervisor) resynthesize(ctx context.Context, out chan<- resynthResult
 	set, err := sv.Resynth.SelectContext(ctx, g)
 	wall := time.Since(start)
 	if err == nil {
-		err = sv.certifySnapshot(snap, g.CDG(), set)
+		// Against the snapshot the set was synthesized on: the live
+		// overlay may have advanced past it.
+		err = CertifySet(snap, g.CDG(), set, sv.VCs, "the repaired set")
 	}
 	var coldWall time.Duration
 	if err == nil && sv.ColdResynth != nil {
@@ -320,17 +319,4 @@ func (sv *Supervisor) resynthesize(ctx context.Context, out chan<- resynthResult
 		}
 	}
 	out <- resynthResult{set: set, err: err, wall: wall, coldWall: coldWall}
-}
-
-// certifySnapshot certifies a repaired set against the snapshot it was
-// synthesized on (the live overlay may advance past it).
-func (sv *Supervisor) certifySnapshot(snap *topology.FaultOverlay, dag *cdg.Graph, set *route.Set) error {
-	cert, err := certify.Certify(certify.Instance{Topo: snap, CDG: dag, Routes: set, VCs: sv.VCs})
-	if err != nil {
-		return fmt.Errorf("certification rejected the repaired set: %w", err)
-	}
-	if err := cert.Check(certify.Instance{Topo: snap, CDG: dag, Routes: set, VCs: sv.VCs}); err != nil {
-		return fmt.Errorf("repaired-set certificate re-check failed: %w", err)
-	}
-	return nil
 }

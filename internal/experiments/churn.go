@@ -11,8 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cdg"
-	"repro/internal/certify"
 	"repro/internal/churn"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -191,8 +189,10 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 	if err != nil {
 		return fail(fmt.Errorf("experiments: initial churn synthesis: %w", err))
 	}
-	if err := certifyChurnSet(overlay, fg.CDG(), initial, spec.VCs); err != nil {
-		return fail(err)
+	// On the still fault-free overlay; the supervisor certifies every
+	// later swap itself.
+	if err := churn.CertifySet(overlay, fg.CDG(), initial, spec.VCs, "the initial churn route set"); err != nil {
+		return fail(fmt.Errorf("experiments: %w", err))
 	}
 	res.MCL, _ = initial.MCL()
 
@@ -263,16 +263,14 @@ func churnPoint(spec ChurnSpec, simRes *sim.Result, events []churn.EventReport) 
 
 // churnResynths is the repair-solver vocabulary of ChurnSpec.Resynth: each
 // entry builds the background repair selector and its cold counterpart.
-// "heuristic" retries the BSOR heuristic and widens on fallback;
-// "milp-warm" is the warm-started column-generation MILP with a heuristic
-// fallback. AttemptTimeout stays zero here: a wall-clock timeout would
-// make the committed route set — and thus the metrics JSON —
-// machine-dependent. Callers wiring their own churn.Supervisor can add one
-// via route.RetrySelector.
+// "heuristic" is the BSOR heuristic, widened on fallback; "milp-warm" is
+// the warm-started column-generation MILP with a heuristic fallback.
+// Neither carries a wall-clock timeout: it would make the committed route
+// set — and thus the metrics JSON — machine-dependent.
 var churnResynths = map[string]func() (resynth, cold route.ContextSelector){
 	"heuristic": func() (resynth, cold route.ContextSelector) {
 		primary := route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16}
-		return route.RetrySelector{
+		return route.FallbackSelector{
 			Primary:  primary,
 			Fallback: route.BSORHeuristic{HopSlack: 4, MaxPathsPerFlow: 32},
 		}, primary
@@ -284,10 +282,7 @@ var churnResynths = map[string]func() (resynth, cold route.ContextSelector){
 		}
 		coldMILP := milp // no Warm: every solve starts from scratch
 		milp.Warm = &route.WarmStart{}
-		return route.RetrySelector{
-			Primary:  milp,
-			Fallback: route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 32},
-		}, coldMILP
+		return route.FallbackSelector{Primary: milp, Fallback: DefaultHeuristic()}, coldMILP
 	},
 }
 
@@ -316,21 +311,6 @@ func FirstChurnError(results []ChurnResult) error {
 			}
 			return errors.New(res.Err)
 		}
-	}
-	return nil
-}
-
-// certifyChurnSet runs the independent certificate checker over the
-// initial route set on the (still fault-free) overlay; the supervisor
-// certifies every later swap itself.
-func certifyChurnSet(overlay *topology.FaultOverlay, dag *cdg.Graph, set *route.Set, vcs int) error {
-	in := certify.Instance{Topo: overlay, CDG: dag, Routes: set, VCs: vcs}
-	cert, err := certifyInstance(in, "the initial churn route set")
-	if err != nil {
-		return err
-	}
-	if err := cert.Check(in); err != nil {
-		return fmt.Errorf("experiments: initial churn certificate re-check failed: %w", err)
 	}
 	return nil
 }

@@ -222,9 +222,6 @@ type Runner struct {
 	Workers int
 	// MILP is the selector behind "BSOR-MILP" jobs; nil means DefaultMILP.
 	MILP route.Selector
-	// Heuristic is the selector behind "BSOR-Heuristic" jobs; nil means
-	// DefaultHeuristic.
-	Heuristic route.Selector
 	// WorkloadFn, when non-nil, resolves workload names the built-in set
 	// does not know (WorkloadFlows returned *UnknownWorkloadError). The
 	// public façade installs its workload registry here so jobs can name
@@ -279,9 +276,9 @@ func DefaultMILP() route.MILPSelector {
 	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, Refinements: 3, MaxNodes: 120, Gap: 0.01}
 }
 
-// DefaultHeuristic is the greedy approximation used when Runner.Heuristic
-// is nil: the synthesis-scale setting behind the 16x16 scenarios.
-func DefaultHeuristic() route.Selector {
+// DefaultHeuristic is the greedy approximation behind "BSOR-Heuristic"
+// jobs: the synthesis-scale setting behind the 16x16 scenarios.
+func DefaultHeuristic() route.BSORHeuristic {
 	return route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 32}
 }
 
@@ -577,15 +574,9 @@ func certifySet(g topology.Topology, j Job, set *route.Set, breaker string) (*ce
 		}
 		in.CDG = b.Break(cdg.NewFull(g, vcs))
 	}
-	return certifyInstance(in, "the "+j.synthKey()+" route set")
-}
-
-// certifyInstance is the engine's one call into the certificate checker;
-// what names the instance in a rejection.
-func certifyInstance(in certify.Instance, what string) (*certify.Certificate, error) {
 	cert, err := certify.Certify(in)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: independent certification rejected %s: %w", what, err)
+		return nil, fmt.Errorf("experiments: independent certification rejected the %s route set: %w", j.synthKey(), err)
 	}
 	return cert, nil
 }
@@ -607,7 +598,7 @@ type algorithm struct {
 var algorithms = []algorithm{
 	{name: "BSOR-Dijkstra", bsor: true, selector: func(*Runner) route.Selector { return route.DijkstraSelector{} }},
 	{name: "BSOR-MILP", bsor: true, selector: func(r *Runner) route.Selector { return cmp.Or(r.MILP, route.Selector(DefaultMILP())) }},
-	{name: "BSOR-Heuristic", bsor: true, selector: func(r *Runner) route.Selector { return cmp.Or(r.Heuristic, DefaultHeuristic()) }},
+	{name: "BSOR-Heuristic", bsor: true, selector: func(*Runner) route.Selector { return DefaultHeuristic() }},
 	{name: "XY", dynamicVC: true, baseline: func(Job) route.Algorithm { return route.XY{} }},
 	{name: "YX", dynamicVC: true, baseline: func(Job) route.Algorithm { return route.YX{} }},
 	{name: "ROMM", baseline: func(Job) route.Algorithm { return route.ROMM{Seed: 1} }},

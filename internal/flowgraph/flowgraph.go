@@ -267,22 +267,15 @@ func (g *Graph) sinkDist(i int) []int32 {
 	return d
 }
 
-// EnumeratePaths lists source-to-sink paths for flow i whose hop count is
-// at most maxHops, stopping after maxPaths paths (0 means no cap for
-// either limit). G_A is a DAG, so enumeration terminates; paths are
-// discovered in depth-first order. Branches that cannot reach the sink
-// within the remaining hop budget are pruned via a per-flow reverse
-// breadth-first distance, which leaves the discovered path sequence
-// unchanged but makes enumeration output-bound instead of walk-bound.
-func (g *Graph) EnumeratePaths(i int, maxHops, maxPaths int) []Path {
-	return g.enumerate(i, maxHops, maxPaths)
-}
-
-// EnumeratePathsDedup enumerates source-to-sink paths for flow i like
-// EnumeratePaths, but yields exactly one candidate per distinct physical
-// channel sequence, with maxPaths counting deduplicated sequences. Paths
-// that differ only in VC labels induce identical channel-load rows, so
-// route selection wants one canonical candidate per sequence — and with
+// EnumeratePathsDedup lists source-to-sink paths for flow i whose hop
+// count is at most maxHops, stopping after maxPaths paths (0 means no cap
+// for either limit). G_A is a DAG, so enumeration terminates; branches
+// that cannot reach the sink within the remaining hop budget are pruned
+// via a per-flow reverse breadth-first distance, which makes enumeration
+// output-bound instead of walk-bound. It yields exactly one candidate per
+// distinct physical channel sequence, with maxPaths counting sequences.
+// Paths that differ only in VC labels induce identical channel-load rows,
+// so route selection wants one canonical candidate per sequence — and with
 // several virtual channels a vertex-space walk would wade through
 // exponentially many VC labelings between unique sequences. The search
 // therefore runs directly in channel space, carrying the set of virtual
@@ -452,49 +445,5 @@ func (g *Graph) EnumeratePathsDedup(i int, maxHops, maxPaths int) []Path {
 			break
 		}
 	}
-	return paths
-}
-
-func (g *Graph) enumerate(i int, maxHops, maxPaths int) []Path {
-	dist := g.sinkDist(i)
-	var (
-		paths []Path
-		cur   []cdg.VertexID
-	)
-	snk := g.SinkTerminal(i)
-	var dfs func(v VertexID) bool // returns false to stop the enumeration
-	dfs = func(v VertexID) bool {
-		if v == snk {
-			p := make(Path, len(cur))
-			copy(p, cur)
-			paths = append(paths, p)
-			return maxPaths == 0 || len(paths) < maxPaths
-		}
-		for _, w := range g.out[v] {
-			if g.IsTerminal(w) {
-				if w != snk {
-					continue // another flow's terminal
-				}
-				if !dfs(w) {
-					return false
-				}
-				continue
-			}
-			if dist[w] < 0 {
-				continue // cannot reach this flow's sink at all
-			}
-			if maxHops > 0 && len(cur)+1+int(dist[w]) > maxHops {
-				continue // cannot complete within the hop budget
-			}
-			cur = append(cur, cdg.VertexID(w))
-			ok := dfs(w)
-			cur = cur[:len(cur)-1]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	dfs(g.SrcTerminal(i))
 	return paths
 }

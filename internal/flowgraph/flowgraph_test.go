@@ -1,6 +1,7 @@
 package flowgraph
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cdg"
@@ -95,7 +96,7 @@ func TestEnumeratePathsMinimal(t *testing.T) {
 	// Corner to corner on 3x3: minimal hops = 4.
 	flows := []Flow{{ID: 0, Name: "f", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 2), Demand: 1}}
 	g := New(dag, flows, 1000)
-	paths := g.EnumeratePaths(0, 4, 0)
+	paths := g.EnumeratePathsDedup(0, 4, 0)
 	if len(paths) == 0 {
 		t.Fatal("no minimal paths found")
 	}
@@ -119,8 +120,8 @@ func TestEnumeratePathsNonMinimalAndCaps(t *testing.T) {
 	m := dag.Topology().(*topology.Mesh)
 	flows := []Flow{{ID: 0, Name: "f", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 2), Demand: 1}}
 	g := New(dag, flows, 1000)
-	minimal := g.EnumeratePaths(0, 4, 0)
-	wider := g.EnumeratePaths(0, 6, 0)
+	minimal := g.EnumeratePathsDedup(0, 4, 0)
+	wider := g.EnumeratePathsDedup(0, 6, 0)
 	if len(wider) <= len(minimal) {
 		t.Errorf("hop slack added no paths: %d vs %d", len(wider), len(minimal))
 	}
@@ -132,7 +133,7 @@ func TestEnumeratePathsNonMinimalAndCaps(t *testing.T) {
 			t.Errorf("invalid path: %v", err)
 		}
 	}
-	capped := g.EnumeratePaths(0, 6, 3)
+	capped := g.EnumeratePathsDedup(0, 6, 3)
 	if len(capped) != 3 {
 		t.Errorf("maxPaths ignored: got %d", len(capped))
 	}
@@ -144,7 +145,7 @@ func TestEnumeratePathsRespectsProhibitedTurns(t *testing.T) {
 	flows := []Flow{{ID: 0, Name: "f", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 2), Demand: 1}}
 	g := New(dag, flows, 1000)
 	// Under XY order there is exactly one minimal route: EENN.
-	paths := g.EnumeratePaths(0, 4, 0)
+	paths := g.EnumeratePathsDedup(0, 4, 0)
 	if len(paths) != 1 {
 		t.Fatalf("XY minimal paths = %d, want 1", len(paths))
 	}
@@ -171,7 +172,7 @@ func TestPathsAvoidOtherFlowTerminals(t *testing.T) {
 		{ID: 1, Name: "f1", Src: m.NodeAt(0, 2), Dst: m.NodeAt(1, 1), Demand: 1},
 	}
 	g := New(dag, flows, 1000)
-	for _, p := range g.EnumeratePaths(0, 6, 0) {
+	for _, p := range g.EnumeratePathsDedup(0, 6, 0) {
 		if err := g.Validate(0, p); err != nil {
 			t.Fatal(err)
 		}
@@ -219,12 +220,23 @@ func TestChannelsProjection(t *testing.T) {
 	m := dag.Topology().(*topology.Mesh)
 	flows := []Flow{{ID: 0, Name: "f", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 0), Demand: 1}}
 	g := New(dag, flows, 1000)
-	paths := g.EnumeratePaths(0, 2, 0)
+	paths := g.EnumeratePathsDedup(0, 2, 0)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
+	// Two VCs: the enumerator yields one path per distinct channel
+	// sequence, not one per VC labeling of it.
+	seen := map[string]bool{}
 	for _, p := range paths {
+		if err := g.Validate(0, p); err != nil {
+			t.Errorf("invalid path: %v", err)
+		}
 		chs := g.Channels(p)
+		if key := fmt.Sprint(chs); seen[key] {
+			t.Errorf("channel sequence %s enumerated twice", key)
+		} else {
+			seen[key] = true
+		}
 		if len(chs) != len(p) {
 			t.Fatal("projection length mismatch")
 		}

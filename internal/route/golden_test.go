@@ -54,7 +54,7 @@ func goldenGraph(t *testing.T) *flowgraph.Graph {
 
 type goldenSelector struct {
 	name   string
-	sel    func(workers int) Selector
+	sel    Selector
 	digest string
 	mcl    float64
 }
@@ -63,26 +63,20 @@ func goldenSelectors() []goldenSelector {
 	return []goldenSelector{
 		{
 			name: "milp",
-			sel: func(workers int) Selector {
-				return MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 1,
-					MaxNodes: 40, Gap: 0.01, Seed: 1, Workers: workers}
-			},
+			sel: MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 1,
+				MaxNodes: 40, Gap: 0.01, Seed: 1},
 			digest: "37ab015ea6e5193a",
 			mcl:    50,
 		},
 		{
-			name: "heuristic",
-			sel: func(workers int) Selector {
-				return BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16, Workers: workers}
-			},
+			name:   "heuristic",
+			sel:    BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16},
 			digest: "32105d4743db4013",
 			mcl:    75,
 		},
 		{
-			name: "dijkstra",
-			sel: func(workers int) Selector {
-				return DijkstraSelector{}
-			},
+			name:   "dijkstra",
+			sel:    DijkstraSelector{},
 			digest: "37ab015ea6e5193a",
 			mcl:    50,
 		},
@@ -97,12 +91,12 @@ func TestGoldenSynthesisDeterminism(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			var first string
 			var firstSet *Set
-			// Workers 1, 4, 8 plus a repeated run at the default worker
-			// count: all must serialize byte-identically.
-			for _, workers := range []int{1, 4, 8, 0, 0} {
-				set, err := gc.sel(workers).Select(g)
+			// Repeated runs must serialize byte-identically; enumeration
+			// width is pinned by TestGoldenEnumerationDeterminism.
+			for run := 0; run < 3; run++ {
+				set, err := gc.sel.Select(g)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("run %d: %v", run, err)
 				}
 				s := serializeSet(set)
 				if first == "" {
@@ -110,7 +104,7 @@ func TestGoldenSynthesisDeterminism(t *testing.T) {
 					continue
 				}
 				if s != first {
-					t.Fatalf("workers=%d synthesis output differs from workers=1", workers)
+					t.Fatalf("run %d synthesis output differs from run 0", run)
 				}
 			}
 			digest := setDigest(firstSet)
@@ -157,7 +151,7 @@ func goldenIrregularGraph(t *testing.T) *flowgraph.Graph {
 
 // TestGoldenSynthesisDeterminismIrregular mirrors the grid golden test on
 // the irregular instance: every selector's output must be byte-identical
-// across candidate-enumeration worker counts 1/4/8 and repeated runs.
+// across repeated runs.
 func TestGoldenSynthesisDeterminismIrregular(t *testing.T) {
 	print := os.Getenv("ROUTE_GOLDEN_PRINT") != ""
 	g := goldenIrregularGraph(t)
@@ -174,10 +168,10 @@ func TestGoldenSynthesisDeterminismIrregular(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			var first string
 			var firstSet *Set
-			for _, workers := range []int{1, 4, 8, 0} {
-				set, err := gc.sel(workers).Select(g)
+			for run := 0; run < 2; run++ {
+				set, err := gc.sel.Select(g)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("run %d: %v", run, err)
 				}
 				if err := set.Validate(2); err != nil {
 					t.Fatal(err)
@@ -191,7 +185,7 @@ func TestGoldenSynthesisDeterminismIrregular(t *testing.T) {
 					continue
 				}
 				if s != first {
-					t.Fatalf("workers=%d synthesis output differs from workers=1", workers)
+					t.Fatalf("run %d synthesis output differs from run 0", run)
 				}
 			}
 			digest := setDigest(firstSet)

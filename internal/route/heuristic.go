@@ -35,9 +35,6 @@ type BSORHeuristic struct {
 	// MaxPathsPerFlow caps the candidate paths considered per flow
 	// (deduplicated by physical channel sequence); zero means 32.
 	MaxPathsPerFlow int
-	// Workers sizes the candidate-enumeration worker pool; zero means
-	// GOMAXPROCS. Results are deterministic for any value.
-	Workers int
 	// Metrics, when non-nil, counts candidate paths kept in the pool
 	// (route_paths_kept_total). Metrics never influence selection.
 	Metrics *metrics.Collector
@@ -66,7 +63,7 @@ func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	if err != nil {
 		return nil, err
 	}
-	candidates, err := g.EnumerateAllContext(ctx, budgets, maxPaths, h.Workers)
+	candidates, err := g.EnumerateAllContext(ctx, budgets, maxPaths, 0)
 	if err != nil {
 		return nil, err
 	}

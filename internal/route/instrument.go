@@ -3,7 +3,7 @@ package route
 import "repro/internal/metrics"
 
 // InstrumentSelector returns a copy of sel with the collector wired into
-// its Metrics field, recursing through RetrySelector wrappers so nested
+// its Metrics field, recursing through FallbackSelector wrappers so nested
 // Primary/Fallback selectors report too. Selector types without
 // instruments (DijkstraSelector, the grid baselines) pass through
 // unchanged. Selectors are values in this package, so the caller's
@@ -28,12 +28,12 @@ func InstrumentSelector(sel Selector, m *metrics.Collector) Selector {
 		c := *s
 		c.Metrics = m
 		return &c
-	case RetrySelector:
+	case FallbackSelector:
 		s.Metrics = m
 		s.Primary = InstrumentContextSelector(s.Primary, m)
 		s.Fallback = InstrumentContextSelector(s.Fallback, m)
 		return s
-	case *RetrySelector:
+	case *FallbackSelector:
 		c := *s
 		c.Metrics = m
 		c.Primary = InstrumentContextSelector(c.Primary, m)
@@ -44,7 +44,7 @@ func InstrumentSelector(sel Selector, m *metrics.Collector) Selector {
 }
 
 // InstrumentContextSelector is InstrumentSelector for the cancellable
-// interface (RetrySelector holds its Primary/Fallback as
+// interface (FallbackSelector holds its Primary/Fallback as
 // ContextSelector). Every instrumentable selector implements both
 // interfaces, so the dispatch is shared.
 func InstrumentContextSelector(sel ContextSelector, m *metrics.Collector) ContextSelector {

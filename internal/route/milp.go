@@ -51,9 +51,6 @@ type MILPSelector struct {
 	Gap float64
 	// Seed drives weight perturbation during refinement path generation.
 	Seed int64
-	// Workers sizes the candidate-enumeration worker pool; zero means
-	// GOMAXPROCS. The merge order is deterministic for any value.
-	Workers int
 	// Warm, when non-nil, makes the selection resumable: the previous
 	// solve's route set seeds the candidate pool and the branch-and-bound
 	// incumbent, its root LP basis warm-starts the first restricted
@@ -155,7 +152,9 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	if err != nil {
 		return nil, err
 	}
-	candidates, err := g.EnumerateAllContext(ctx, budgets, ms.MaxPathsPerFlow, ms.Workers)
+	// Width 0: the enumerator sizes itself to GOMAXPROCS and merges in
+	// flow order, so its output is the same at any width.
+	candidates, err := g.EnumerateAllContext(ctx, budgets, ms.MaxPathsPerFlow, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -3,137 +3,52 @@ package route
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/flowgraph"
 	"repro/internal/metrics"
 )
 
-// RetrySelector wraps a primary selector with the failure-handling budget
-// an online re-synthesis loop needs: each attempt runs under its own
-// timeout, failed attempts retry with exponential backoff, and when the
-// attempt budget is exhausted a fallback selector (typically
-// BSORHeuristic) produces the answer. Cancellation of the outer context
-// aborts immediately — backoff sleeps are interruptible and the fallback
-// is not consulted after cancellation.
-type RetrySelector struct {
-	// Primary is tried first, up to MaxAttempts times.
+// FallbackSelector is the repair path of an online re-synthesis loop: one
+// Primary solve and, when that fails, the Fallback selector (typically
+// BSORHeuristic). The primary is not retried: every selector here is a
+// deterministic function of the graph, and WarmStart state is written on
+// success alone, so a second attempt recomputes the first's failure.
+// Cancellation of ctx is not a solver failure: it is returned as
+// ctx.Err() and the fallback is not consulted.
+type FallbackSelector struct {
 	Primary ContextSelector
-	// Fallback answers after every primary attempt has failed. Nil means
-	// the last primary error is returned instead.
+	// Fallback answers after Primary has failed. Nil means the primary's
+	// error is returned instead.
 	Fallback ContextSelector
-	// AttemptTimeout bounds each primary attempt; zero means no
-	// per-attempt timeout (the outer context still applies).
-	AttemptTimeout time.Duration
-	// MaxAttempts is the number of primary attempts; zero means 3.
-	MaxAttempts int
-	// Backoff is the wait before the second attempt, doubling per retry;
-	// zero means 10ms.
-	Backoff time.Duration
-	// Sleep replaces the backoff wait, for tests; nil means a
-	// context-interruptible timer sleep.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// OnAttempt, when non-nil, observes every failed primary attempt
-	// (1-based) with its error, before any backoff.
-	OnAttempt func(attempt int, err error)
-	// Metrics, when non-nil, counts primary attempts
-	// (route_retry_attempts_total), backoff waits entered
-	// (route_retry_backoffs_total), and fallback consultations
-	// (route_retry_fallbacks_total). Metrics never influence retry policy.
+	// Metrics, when non-nil, counts fallback consultations
+	// (route_retry_fallbacks_total); InstrumentSelector sets it.
 	Metrics *metrics.Collector
 }
 
 // Name implements Selector.
-func (rs RetrySelector) Name() string {
-	if rs.Primary != nil {
-		return rs.Primary.Name()
-	}
-	return "Retry"
-}
+func (fs FallbackSelector) Name() string { return fs.Primary.Name() }
 
 // Select implements Selector.
-func (rs RetrySelector) Select(g *flowgraph.Graph) (*Set, error) {
-	return rs.SelectContext(context.Background(), g)
+func (fs FallbackSelector) Select(g *flowgraph.Graph) (*Set, error) {
+	return fs.SelectContext(context.Background(), g)
 }
 
 // SelectContext implements ContextSelector.
-func (rs RetrySelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
-	attempts := rs.MaxAttempts
-	if attempts == 0 {
-		attempts = 3
+func (fs FallbackSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
+	set, perr := fs.Primary.SelectContext(ctx, g)
+	if perr == nil {
+		return set, nil
 	}
-	backoff := rs.Backoff
-	if backoff == 0 {
-		backoff = 10 * time.Millisecond
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	sleep := rs.Sleep
-	if sleep == nil {
-		sleep = sleepContext
+	if fs.Fallback == nil {
+		return nil, perr
 	}
-
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if attempt > 1 {
-			rs.Metrics.Counter("route_retry_backoffs_total").Inc()
-			if err := sleep(ctx, backoff); err != nil {
-				return nil, err
-			}
-			backoff *= 2
-		}
-		rs.Metrics.Counter("route_retry_attempts_total").Inc()
-		set, err := rs.attempt(ctx, g)
-		if err == nil {
-			return set, nil
-		}
-		// Outer cancellation is not a solver failure: stop retrying and
-		// surface it, so a cancelled churn supervisor never falls back.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		lastErr = err
-		if rs.OnAttempt != nil {
-			rs.OnAttempt(attempt, err)
-		}
-	}
-	if rs.Fallback == nil {
-		return nil, fmt.Errorf("route: %d attempts exhausted: %w", attempts, lastErr)
-	}
-	rs.Metrics.Counter("route_retry_fallbacks_total").Inc()
-	set, err := rs.Fallback.SelectContext(ctx, g)
+	fs.Metrics.Counter("route_retry_fallbacks_total").Inc()
+	set, err := fs.Fallback.SelectContext(ctx, g)
 	if err != nil {
-		return nil, fmt.Errorf("route: fallback after %d attempts (%v): %w", attempts, lastErr, err)
+		return nil, fmt.Errorf("route: fallback after primary failed (%v): %w", perr, err)
 	}
 	return set, nil
-}
-
-// attempt runs one primary solve under the per-attempt timeout. A timeout
-// expiry is reported as context.DeadlineExceeded even when the selector
-// wraps it.
-func (rs RetrySelector) attempt(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
-	actx := ctx
-	if rs.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, rs.AttemptTimeout)
-		defer cancel()
-	}
-	set, err := rs.Primary.SelectContext(actx, g)
-	if err != nil && actx.Err() != nil && ctx.Err() == nil {
-		return nil, context.DeadlineExceeded
-	}
-	return set, err
-}
-
-// sleepContext waits d or until ctx is done, whichever comes first.
-func sleepContext(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -3,6 +3,7 @@ package route_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 	"repro/internal/topology"
 )
 
-// retryGraph builds a small flow network for the wrapper tests: a 3x3
+// retryGraph builds a small flow network for the fallback tests: a 3x3
 // mesh, two VCs, an up*/down* CDG, and three crossing flows.
 func retryGraph(t *testing.T) (*flowgraph.Graph, *cdg.Graph) {
 	t.Helper()
@@ -31,13 +32,16 @@ func retryGraph(t *testing.T) (*flowgraph.Graph, *cdg.Graph) {
 	return flowgraph.New(dag, flows, 16), dag
 }
 
-// fakeSelector fails its first failures calls deterministically, then
-// delegates to the heuristic. With block set it instead parks on the
-// attempt context, simulating a solver that overruns its timeout.
+// errFake is the primary failure the fallback tests inject.
+var errFake = errors.New("fake: solver failure")
+
+// fakeSelector counts its calls. With err set every call fails with it,
+// after running cancel when that is non-nil (an outer cancellation landing
+// mid-solve); otherwise it delegates to the heuristic.
 type fakeSelector struct {
-	failures int
-	block    bool
-	calls    *int
+	err    error
+	cancel context.CancelFunc
+	calls  *int
 }
 
 func (f fakeSelector) Name() string { return "fake" }
@@ -48,104 +52,79 @@ func (f fakeSelector) Select(g *flowgraph.Graph) (*route.Set, error) {
 
 func (f fakeSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*route.Set, error) {
 	*f.calls++
-	if f.block {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	if *f.calls <= f.failures {
-		return nil, errors.New("fake: transient failure")
+	if f.err != nil {
+		if f.cancel != nil {
+			f.cancel()
+		}
+		return nil, f.err
 	}
 	return route.BSORHeuristic{}.SelectContext(ctx, g)
 }
 
-func TestRetrySelectorRetriesWithBackoff(t *testing.T) {
-	g, _ := retryGraph(t)
-	calls := 0
-	var sleeps []time.Duration
-	var attemptErrs []error
-	rs := route.RetrySelector{
-		Primary:     fakeSelector{failures: 2, calls: &calls},
-		Fallback:    route.BSORHeuristic{},
-		MaxAttempts: 5,
-		Backoff:     10 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			sleeps = append(sleeps, d)
-			return nil
-		},
-		OnAttempt: func(attempt int, err error) { attemptErrs = append(attemptErrs, err) },
-	}
-	set, err := rs.SelectContext(context.Background(), g)
-	if err != nil {
-		t.Fatalf("SelectContext: %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("primary called %d times, want 3 (2 failures + 1 success)", calls)
-	}
-	if len(attemptErrs) != 2 {
-		t.Fatalf("OnAttempt observed %d failures, want 2", len(attemptErrs))
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(sleeps) != len(want) || sleeps[0] != want[0] || sleeps[1] != want[1] {
-		t.Fatalf("backoff sleeps %v, want %v (exponential doubling)", sleeps, want)
-	}
-	if err := set.Validate(2); err != nil {
-		t.Fatalf("returned set invalid: %v", err)
-	}
-}
-
+// TestRetrySelectorFallsBackAndCertifies keeps the name it had when the
+// repair wrapper retried: a failing primary is solved exactly once, the
+// fallback answers without any wait in between, the consultation is
+// counted, and the answer certifies like any swapped-in set.
 func TestRetrySelectorFallsBackAndCertifies(t *testing.T) {
 	g, dag := retryGraph(t)
-	calls := 0
-	rs := route.RetrySelector{
-		Primary:     fakeSelector{failures: 1 << 30, calls: &calls},
-		Fallback:    route.BSORHeuristic{},
-		MaxAttempts: 4,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
+	var set *route.Set
+	// The retry loop this replaced slept 10 ms before a second attempt.
+	// The fastest of a few runs is far below that unless something waits.
+	fastest := time.Hour
+	for run := 0; run < 5; run++ {
+		calls := 0
+		m := metrics.New()
+		fs := route.FallbackSelector{
+			Primary:  fakeSelector{err: errFake, calls: &calls},
+			Fallback: route.BSORHeuristic{},
+			Metrics:  m,
+		}
+		start := time.Now()
+		var err error
+		set, err = fs.SelectContext(context.Background(), g)
+		fastest = min(fastest, time.Since(start))
+		if err != nil {
+			t.Fatalf("SelectContext: %v", err)
+		}
+		if calls != 1 {
+			t.Fatalf("primary called %d times, want exactly 1", calls)
+		}
+		if got := m.Counter("route_retry_fallbacks_total").Value(); got != 1 {
+			t.Fatalf("route_retry_fallbacks_total = %d, want 1", got)
+		}
 	}
-	set, err := rs.SelectContext(context.Background(), g)
-	if err != nil {
-		t.Fatalf("SelectContext: %v", err)
+	if fastest > 5*time.Millisecond {
+		t.Fatalf("fastest fallback took %v; the selector waits between primary and fallback", fastest)
 	}
-	if calls != 4 {
-		t.Fatalf("primary called %d times, want exactly MaxAttempts=4", calls)
-	}
-	// The fallback's answer must be certifiable like any swapped-in set.
-	cert, err := certify.Certify(certify.Instance{
-		Topo: g.Topology(), CDG: dag, Routes: set, VCs: 2, Capacity: 16,
-	})
+	in := certify.Instance{Topo: g.Topology(), CDG: dag, Routes: set, VCs: 2, Capacity: 16}
+	cert, err := certify.Certify(in)
 	if err != nil {
 		t.Fatalf("fallback set failed certification: %v", err)
 	}
-	if err := cert.Check(certify.Instance{
-		Topo: g.Topology(), CDG: dag, Routes: set, VCs: 2, Capacity: 16,
-	}); err != nil {
+	if err := cert.Check(in); err != nil {
 		t.Fatalf("certificate re-check: %v", err)
 	}
 }
 
-func TestRetrySelectorAttemptTimeout(t *testing.T) {
+// TestFallbackSelectorErrors pins what comes back when there is no answer:
+// the primary's own error without a fallback, both errors when the
+// fallback fails too.
+func TestFallbackSelectorErrors(t *testing.T) {
 	g, _ := retryGraph(t)
 	calls := 0
-	var attemptErrs []error
-	rs := route.RetrySelector{
-		Primary:        fakeSelector{block: true, calls: &calls},
-		Fallback:       route.BSORHeuristic{},
-		AttemptTimeout: 5 * time.Millisecond,
-		MaxAttempts:    2,
-		Sleep:          func(context.Context, time.Duration) error { return nil },
-		OnAttempt:      func(_ int, err error) { attemptErrs = append(attemptErrs, err) },
+	fs := route.FallbackSelector{Primary: fakeSelector{err: errFake, calls: &calls}}
+	if _, err := fs.SelectContext(context.Background(), g); err != errFake {
+		t.Fatalf("nil Fallback: err = %v, want the primary's error", err)
 	}
-	set, err := rs.SelectContext(context.Background(), g)
-	if err != nil {
-		t.Fatalf("SelectContext: %v", err)
+	if calls != 1 {
+		t.Fatalf("primary called %d times, want 1", calls)
 	}
-	if set == nil || calls != 2 {
-		t.Fatalf("set=%v calls=%d, want fallback set after 2 timed-out attempts", set, calls)
-	}
-	for _, e := range attemptErrs {
-		if !errors.Is(e, context.DeadlineExceeded) {
-			t.Fatalf("attempt error %v, want context.DeadlineExceeded", e)
-		}
+
+	errFallback := errors.New("fake: fallback failure")
+	fs.Fallback = fakeSelector{err: errFallback, calls: new(int)}
+	_, err := fs.SelectContext(context.Background(), g)
+	if !errors.Is(err, errFallback) || !strings.Contains(err.Error(), errFake.Error()) {
+		t.Fatalf("both failed: err = %v, want the fallback's error wrapped and the primary's quoted", err)
 	}
 }
 
@@ -154,87 +133,20 @@ func TestRetrySelectorOuterCancellation(t *testing.T) {
 	calls := 0
 	fallbackCalls := 0
 	ctx, cancel := context.WithCancel(context.Background())
-	rs := route.RetrySelector{
-		Primary:     fakeSelector{failures: 1 << 30, calls: &calls},
-		Fallback:    fakeSelector{calls: &fallbackCalls},
-		MaxAttempts: 10,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			cancel() // cancellation lands during the first backoff
-			return ctx.Err()
-		},
+	defer cancel()
+	fs := route.FallbackSelector{
+		Primary:  fakeSelector{err: errFake, cancel: cancel, calls: &calls},
+		Fallback: fakeSelector{calls: &fallbackCalls},
 	}
-	_, err := rs.SelectContext(ctx, g)
+	_, err := fs.SelectContext(ctx, g)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if calls != 1 {
-		t.Fatalf("primary called %d times after cancellation, want 1", calls)
+		t.Fatalf("primary called %d times, want 1", calls)
 	}
 	if fallbackCalls != 0 {
 		t.Fatalf("fallback consulted %d times after cancellation, want 0", fallbackCalls)
-	}
-}
-
-// TestRetrySelectorRealSleepCancellation exercises the default
-// (non-hooked) backoff sleep: with a backoff far longer than the test,
-// cancelling mid-backoff must return promptly with context.Canceled —
-// the timer select, not the timer expiry, must win.
-func TestRetrySelectorRealSleepCancellation(t *testing.T) {
-	g, _ := retryGraph(t)
-	calls := 0
-	fallbackCalls := 0
-	ctx, cancel := context.WithCancel(context.Background())
-	rs := route.RetrySelector{
-		Primary:     fakeSelector{failures: 1 << 30, calls: &calls},
-		Fallback:    fakeSelector{calls: &fallbackCalls},
-		MaxAttempts: 10,
-		Backoff:     time.Hour, // Sleep nil: the real timer path
-		OnAttempt: func(int, error) {
-			go cancel() // cancellation lands while the backoff timer runs
-		},
-	}
-	start := time.Now()
-	_, err := rs.SelectContext(ctx, g)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("cancellation took %v; backoff sleep did not honor ctx", elapsed)
-	}
-	if calls != 1 {
-		t.Fatalf("primary called %d times after cancellation, want 1", calls)
-	}
-	if fallbackCalls != 0 {
-		t.Fatalf("fallback consulted %d times after cancellation, want 0", fallbackCalls)
-	}
-}
-
-// TestRetrySelectorMetrics checks the retry counters: attempts, backoff
-// waits, and the fallback consultation — and that policy is unchanged by
-// observation (same call counts as the uninstrumented tests).
-func TestRetrySelectorMetrics(t *testing.T) {
-	g, _ := retryGraph(t)
-	calls := 0
-	m := metrics.New()
-	rs := route.RetrySelector{
-		Primary:     fakeSelector{failures: 1 << 30, calls: &calls},
-		Fallback:    route.BSORHeuristic{},
-		MaxAttempts: 3,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-		Metrics:     m,
-	}
-	if _, err := rs.SelectContext(context.Background(), g); err != nil {
-		t.Fatalf("SelectContext: %v", err)
-	}
-	want := map[string]int64{
-		"route_retry_attempts_total":  3,
-		"route_retry_backoffs_total":  2,
-		"route_retry_fallbacks_total": 1,
-	}
-	for name, n := range want {
-		if got := m.Counter(name).Value(); got != n {
-			t.Errorf("%s = %d, want %d", name, got, n)
-		}
 	}
 }
 

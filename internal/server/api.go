@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/bsor"
 )
@@ -119,7 +118,7 @@ type badRequestError struct{ msg string }
 func (e *badRequestError) Error() string { return e.msg }
 
 // errorDetail maps an error onto its wire classification.
-func errorDetail(err error, retryAfter time.Duration) ErrorDetail {
+func errorDetail(err error) ErrorDetail {
 	var (
 		specErr *bsor.SpecError
 		counter *bsor.Counterexample
@@ -127,8 +126,10 @@ func errorDetail(err error, retryAfter time.Duration) ErrorDetail {
 	)
 	switch {
 	case errors.Is(err, ErrQueueFull):
+		// The backoff hint is fixed: nothing the daemon measures would
+		// make another value better, and no deployment ever set one.
 		return ErrorDetail{Status: http.StatusTooManyRequests, Kind: "queue_full",
-			Message: err.Error(), RetryAfterSeconds: retryAfterSeconds(retryAfter)}
+			Message: err.Error(), RetryAfterSeconds: 1}
 	case errors.Is(err, ErrShuttingDown):
 		return ErrorDetail{Status: http.StatusServiceUnavailable, Kind: "shutting_down", Message: err.Error()}
 	case errors.As(err, &counter):
@@ -149,14 +150,6 @@ func errorDetail(err error, retryAfter time.Duration) ErrorDetail {
 		return ErrorDetail{Status: http.StatusServiceUnavailable, Kind: "canceled", Message: err.Error()}
 	}
 	return ErrorDetail{Status: http.StatusInternalServerError, Kind: "internal", Message: err.Error()}
-}
-
-func retryAfterSeconds(d time.Duration) int {
-	s := int(d.Round(time.Second) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // marshalBody renders a response body: indented JSON plus a trailing

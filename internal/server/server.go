@@ -71,8 +71,6 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// MaxBodyBytes bounds request bodies. 0 means 1 MiB.
 	MaxBodyBytes int64
-	// RetryAfter is the backoff hint attached to 429 sheds. 0 means 1s.
-	RetryAfter time.Duration
 	// FastMILP runs BSOR-MILP specs under the reduced smoke budget
 	// (bsor.FastMILPBudget) instead of the published one.
 	FastMILP bool
@@ -100,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -226,7 +221,7 @@ func (s *Server) handle(endpoint string, normalize func(*bsor.Spec) error, fn fu
 		defer func() { s.mRequestT.Observe(time.Since(start)) }()
 		fail := func(err error) {
 			s.mErrors.Inc()
-			writeErrorDetail(w, errorDetail(err, s.cfg.RetryAfter))
+			writeErrorDetail(w, errorDetail(err))
 		}
 
 		if r.Method != http.MethodPost {

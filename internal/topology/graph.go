@@ -236,53 +236,21 @@ func Faulted(g Grid, seed int64, nFaults int) (*Graph, error) {
 	if nFaults < 0 {
 		return nil, fmt.Errorf("topology: negative fault count %d", nFaults)
 	}
-	// Collect the physical links: each grid channel pairs with the reverse
-	// channel of opposite direction. The direction match matters on a
-	// 2-wide torus, where two parallel links join one node pair — pairing
-	// East with the opposite West keeps wrap with wrap and non-wrap with
-	// non-wrap, so each link is exactly one channel pair and one fault
-	// removes exactly one physical link even in the degenerate multigraph.
-	var links [][2]ChannelID
-	for id := ChannelID(0); id < ChannelID(g.NumChannels()); id++ {
-		c := g.Channel(id)
-		rev := InvalidChannel
-		for _, back := range g.OutChannels(c.Dst) {
-			bc := g.Channel(back)
-			if bc.Dst == c.Src && bc.Dir == c.Dir.Opposite() {
-				rev = back
-				break
-			}
-		}
-		if rev == InvalidChannel {
-			return nil, fmt.Errorf("topology: channel %d (%s) has no reverse; Faulted requires a bidirectional grid",
-				id, g.NodeName(c.Src)+"->"+g.NodeName(c.Dst))
-		}
-		if rev > id { // record each pair once, from its lower id
-			links = append(links, [2]ChannelID{id, rev})
-		}
+	links, unpaired := RemovableLinks(g, seed, nFaults)
+	if unpaired != InvalidChannel {
+		c := g.Channel(unpaired)
+		return nil, fmt.Errorf("topology: channel %d (%s) has no reverse; Faulted requires a bidirectional grid",
+			unpaired, g.NodeName(c.Src)+"->"+g.NodeName(c.Dst))
 	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-
-	removed := make([]bool, g.NumChannels())
-	alive := func(id ChannelID) bool { return !removed[id] }
-	removedLinks := 0
-	for _, ids := range links {
-		if removedLinks == nFaults {
-			break
-		}
-		removed[ids[0]], removed[ids[1]] = true, true
-		if stronglyConnectedSubset(g, alive) {
-			removedLinks++
-			continue
-		}
-		removed[ids[0]], removed[ids[1]] = false, false
-	}
-	if removedLinks < nFaults {
+	if len(links) < nFaults {
 		return nil, &TooManyFaultsError{
-			Requested: nFaults, Removable: removedLinks,
+			Requested: nFaults, Removable: len(links),
 			Width: g.Width(), Height: g.Height(),
 		}
+	}
+	removed := make([]bool, g.NumChannels())
+	for _, l := range links {
+		removed[l[0]], removed[l[1]] = true, true
 	}
 
 	b := NewBuilder(fmt.Sprintf("faulted-%dx%d-f%d-s%d", g.Width(), g.Height(), nFaults, seed))
@@ -297,6 +265,59 @@ func Faulted(g Grid, seed int64, nFaults int) (*Graph, error) {
 		b.ChannelDir(c.Src, c.Dst, c.Dir)
 	}
 	return b.Build()
+}
+
+// RemovableLinks is the one seeded link picker behind Faulted and
+// churn.RandomSchedule: it pairs every channel of t with its reverse,
+// shuffles the pairs (listed once each, in ascending lower-id order) with
+// rand.NewSource(seed), and walks them removing up to n links, skipping
+// any whose cumulative removal would leave t not strongly connected. It
+// returns the removed links in pick order; fewer than n means no more are
+// removable. unpaired is the lowest channel without a reverse, which is
+// left out of the pairing, or InvalidChannel.
+//
+// A channel's reverse runs dst->src in the opposite direction. The
+// direction match matters on a 2-wide torus, where two parallel links join
+// one node pair — pairing East with the opposite West keeps wrap with wrap
+// and non-wrap with non-wrap, so each link is exactly one channel pair and
+// one fault removes exactly one physical link even in the degenerate
+// multigraph.
+func RemovableLinks(t Topology, seed int64, n int) (links [][2]ChannelID, unpaired ChannelID) {
+	unpaired = InvalidChannel
+	var pairs [][2]ChannelID
+	for id := ChannelID(0); id < ChannelID(t.NumChannels()); id++ {
+		c := t.Channel(id)
+		rev := InvalidChannel
+		for _, back := range t.OutChannels(c.Dst) {
+			if bc := t.Channel(back); bc.Dst == c.Src && bc.Dir == c.Dir.Opposite() {
+				rev = back
+				break
+			}
+		}
+		if rev == InvalidChannel && unpaired == InvalidChannel {
+			unpaired = id
+		}
+		if rev > id { // record each pair once, from its lower id
+			pairs = append(pairs, [2]ChannelID{id, rev})
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+
+	removed := make([]bool, t.NumChannels())
+	alive := func(id ChannelID) bool { return !removed[id] }
+	for _, p := range pairs {
+		if len(links) >= n {
+			break
+		}
+		removed[p[0]], removed[p[1]] = true, true
+		if stronglyConnectedSubset(t, alive) {
+			links = append(links, p)
+			continue
+		}
+		removed[p[0]], removed[p[1]] = false, false
+	}
+	return links, unpaired
 }
 
 // stronglyConnectedSubset reports whether the subgraph of t restricted to
