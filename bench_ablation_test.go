@@ -165,7 +165,7 @@ func BenchmarkAblationSelectorQuality(b *testing.B) {
 		b.ReportMetric(dm, "dijkstraMCL")
 
 		mset, err := route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8,
-			Refinements: 2, MaxNodes: 40, Gap: 0.01}.Select(g)
+			MaxNodes: 40, Gap: 0.01}.Select(g)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,7 +23,7 @@ import (
 )
 
 func benchMILP() route.Selector {
-	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 2,
+	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8,
 		MaxNodes: 40, Gap: 0.01}
 }
 

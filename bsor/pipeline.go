@@ -19,10 +19,7 @@ type MILPBudget struct {
 	HopSlack int
 	// MaxPathsPerFlow truncates exhaustive candidate enumeration.
 	MaxPathsPerFlow int
-	// Refinements is the number of bottleneck-driven candidate
-	// regeneration rounds after the first solve.
-	Refinements int
-	// MaxNodes caps branch-and-bound nodes per solve.
+	// MaxNodes caps the branch-and-bound nodes of the selection's solve.
 	MaxNodes int
 	// Gap is the absolute optimality gap accepted by branch and bound.
 	Gap float64
@@ -41,7 +38,7 @@ func FastMILPBudget() MILPBudget { return budgetOf(experiments.FastMILP()) }
 // numbers are declared.
 func budgetOf(s route.MILPSelector) MILPBudget {
 	return MILPBudget{HopSlack: s.HopSlack, MaxPathsPerFlow: s.MaxPathsPerFlow,
-		Refinements: s.Refinements, MaxNodes: s.MaxNodes, Gap: s.Gap}
+		MaxNodes: s.MaxNodes, Gap: s.Gap}
 }
 
 func (b MILPBudget) selector() route.Selector {
@@ -52,9 +49,6 @@ func (b MILPBudget) selector() route.Selector {
 	if b.MaxPathsPerFlow == 0 {
 		b.MaxPathsPerFlow = d.MaxPathsPerFlow
 	}
-	if b.Refinements == 0 {
-		b.Refinements = d.Refinements
-	}
 	if b.MaxNodes == 0 {
 		b.MaxNodes = d.MaxNodes
 	}
@@ -63,7 +57,7 @@ func (b MILPBudget) selector() route.Selector {
 	}
 	return route.MILPSelector{
 		HopSlack: b.HopSlack, MaxPathsPerFlow: b.MaxPathsPerFlow,
-		Refinements: b.Refinements, MaxNodes: b.MaxNodes, Gap: b.Gap,
+		MaxNodes: b.MaxNodes, Gap: b.Gap,
 	}
 }
 

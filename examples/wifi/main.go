@@ -26,7 +26,7 @@ func main() {
 		len(app.Modules), len(app.Flows))
 
 	selectors := []route.Selector{
-		route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, Refinements: 3, MaxNodes: 120, Gap: 0.01},
+		route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, MaxNodes: 120, Gap: 0.01},
 		route.DijkstraSelector{},
 	}
 	for _, sel := range selectors {

@@ -59,7 +59,7 @@ func matrixSets(t *testing.T, g topology.Topology, flows []flowgraph.Flow, b cdg
 		name string
 		sel  route.Selector
 	}{
-		{"BSOR-MILP", route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 1, MaxNodes: 30, Gap: 0.01}},
+		{"BSOR-MILP", route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, MaxNodes: 30, Gap: 0.01}},
 		{"BSOR-Heuristic", route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16}},
 	}
 	sets := make(map[string]*route.Set, 3)

@@ -134,7 +134,7 @@ func TestBestWithMILPSelectorSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Selector: route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 48, Refinements: 3},
+		Selector: route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 48},
 		Breakers: []cdg.Breaker{
 			cdg.TurnBreaker{Rule: cdg.NegativeFirstRule(topology.West, topology.North)},
 			cdg.TurnBreaker{Rule: cdg.WestFirst},

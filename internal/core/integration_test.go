@@ -101,7 +101,7 @@ func TestBSOROnTorus(t *testing.T) {
 	}
 	// MILP selector also works on the torus.
 	mset, err := (route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16,
-		Refinements: 2, MaxNodes: 50, Gap: 0.01}).Select(g)
+		MaxNodes: 50, Gap: 0.01}).Select(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,8 @@ type ChurnSpec struct {
 
 	// Resynth picks the background repair solver: "heuristic" (default)
 	// retries BSORHeuristic with a wider fallback; "milp-warm" runs the
-	// column-generation MILP warm-started from the previous basis and
-	// incumbent, falling back to the heuristic.
+	// MILP over a pool seeded with the previous repair's surviving routes,
+	// searched from that repaired incumbent, falling back to the heuristic.
 	Resynth string `json:"resynth,omitempty"`
 	// MeasureCold additionally times a cold (from-scratch) solve of every
 	// degraded instance for the warm-versus-cold comparison; the cold
@@ -264,7 +264,8 @@ func churnPoint(spec ChurnSpec, simRes *sim.Result, events []churn.EventReport) 
 // churnResynths is the repair-solver vocabulary of ChurnSpec.Resynth: each
 // entry builds the background repair selector and its cold counterpart.
 // "heuristic" is the BSOR heuristic, widened on fallback; "milp-warm" is
-// the warm-started column-generation MILP with a heuristic fallback.
+// the MILP resumed from the previous repair's incumbent (route.WarmStart)
+// with a heuristic fallback.
 // Neither carries a wall-clock timeout: it would make the committed route
 // set — and thus the metrics JSON — machine-dependent.
 var churnResynths = map[string]func() (resynth, cold route.ContextSelector){
@@ -277,8 +278,7 @@ var churnResynths = map[string]func() (resynth, cold route.ContextSelector){
 	},
 	"milp-warm": func() (resynth, cold route.ContextSelector) {
 		milp := route.MILPSelector{
-			HopSlack: 2, MaxPathsPerFlow: 16,
-			Refinements: 2, MaxNodes: 120, Gap: 0.01,
+			HopSlack: 2, MaxPathsPerFlow: 16, MaxNodes: 120, Gap: 0.01,
 		}
 		coldMILP := milp // no Warm: every solve starts from scratch
 		milp.Warm = &route.WarmStart{}

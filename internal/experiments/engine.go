@@ -273,7 +273,7 @@ type Selector = route.Selector
 // DefaultMILP is the MILP budget used when Runner.MILP is nil: the
 // published-quality setting of cmd/experiments.
 func DefaultMILP() route.MILPSelector {
-	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, Refinements: 3, MaxNodes: 120, Gap: 0.01}
+	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, MaxNodes: 120, Gap: 0.01}
 }
 
 // DefaultHeuristic is the greedy approximation behind "BSOR-Heuristic"
@@ -286,7 +286,7 @@ func DefaultHeuristic() route.BSORHeuristic {
 // -fast: enough to smoke-test every MILP code path in seconds, not enough
 // to reproduce the published MCL values.
 func FastMILP() route.MILPSelector {
-	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 2, MaxNodes: 40, Gap: 0.01}
+	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, MaxNodes: 40, Gap: 0.01}
 }
 
 // SynthesisCount reports how many route syntheses the cache has computed

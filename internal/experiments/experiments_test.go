@@ -80,7 +80,7 @@ func TestTable63Shape(t *testing.T) {
 	// Keep the test cheap: a light MILP budget and only two CDGs. The
 	// MILP candidate pool is seeded with the Dijkstra solution, so even
 	// this budget preserves the BSOR <= DOR invariant being checked.
-	milp := route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 4, Refinements: 1,
+	milp := route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 4,
 		MaxNodes: 20, Gap: 0.01}
 	r := &Runner{MILP: milp}
 	rows := AlgoRows(r.Run(AlgoTableJobs("table6.3", MeshSpec(8, 8), Table63Algorithms(),

@@ -23,10 +23,6 @@ type MILPOptions struct {
 	// effective from the first node. An infeasible warm start is
 	// silently ignored.
 	WarmStart []float64
-	// RootBasis, when non-nil, warm-starts the root LP relaxation from a
-	// previous solve's basis (see Solution.Basis). A basis whose shape no
-	// longer matches the problem is ignored and the root solves cold.
-	RootBasis *Basis
 	// Instruments receives pivot/refactorization/node counts from the
 	// solve. The zero value disables all of them.
 	Instruments Instruments
@@ -131,16 +127,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 			bestObj = sign * obj
 		}
 	}
-	root := bbNode{lb: lb0, ub: ub0, bound: math.Inf(-1)}
-	if opts.RootBasis != nil {
-		root.warm = opts.RootBasis.state
-	}
-	stack := []bbNode{root}
-
-	// rootState is the optimal basis of the root relaxation, handed back in
-	// Solution.Basis so an incremental re-solve can start where this one
-	// did.
-	var rootState *basisState
+	stack := []bbNode{{lb: lb0, ub: ub0, bound: math.Inf(-1)}}
 
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -160,9 +147,6 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 		sol, state, err := solveNode(node.lb, node.ub, node.warm)
 		if err != nil {
 			return nil, err
-		}
-		if nodes == 1 && state != nil {
-			rootState = state
 		}
 		switch sol.Status {
 		case Infeasible:
@@ -240,20 +224,15 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 		stack = append(stack, children...)
 	}
 
-	var rootBasis *Basis
-	if rootState != nil {
-		rootBasis = &Basis{state: rootState}
-	}
 	if best == nil {
 		// No integral solution found. When the search was truncated this is
 		// not a proof of infeasibility, but the status vocabulary has no
 		// separate word for it; callers that care (route's restricted
 		// masters warm-start an incumbent precisely so a truncated search
 		// still has an answer) can distinguish via Nodes >= MaxNodes.
-		return &Solution{Status: Infeasible, Nodes: nodes, Basis: rootBasis}, nil
+		return &Solution{Status: Infeasible, Nodes: nodes}, nil
 	}
 	best.Nodes = nodes
-	best.Basis = rootBasis
 	if !truncated {
 		best.Status = Optimal
 	}

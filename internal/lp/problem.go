@@ -182,10 +182,6 @@ type Solution struct {
 	X []float64
 	// Nodes is the number of branch-and-bound nodes explored (MILP only).
 	Nodes int
-	// Basis is the optimal basis of the root LP relaxation (MILP only; nil
-	// otherwise). Feed it back through MILPOptions.RootBasis to warm-start
-	// a closely related re-solve.
-	Basis *Basis
 }
 
 // Value returns the solution value of variable v.

@@ -668,9 +668,6 @@ func (s *sparseSolver) restoreAndPolish() (*Solution, *basisState, error) {
 // stays dual feasible after a bound change, so typically only a handful of
 // pivots are needed.
 func (s *sparseSolver) warmSolve(warm *basisState) (*Solution, *basisState, error) {
-	if len(warm.basis) != s.m || len(warm.stat) != s.n || len(warm.artSign) != s.m {
-		return nil, nil, errors.New("lp: warm state shape mismatch")
-	}
 	reuse := s.luOK && intsEqual(s.basis, warm.basis) && floatsEqual(s.artSign, warm.artSign)
 	copy(s.basis, warm.basis)
 	copy(s.stat, warm.stat)

@@ -129,7 +129,7 @@ func TestMILPHopSlackOverride(t *testing.T) {
 		Break(cdg.NewFull(m, 1))
 	g := flowgraph.New(dag, flows, 100)
 	over := map[int]int{0: 0, 1: 0}
-	sel := MILPSelector{HopSlack: 2, HopSlackOverride: over, MaxPathsPerFlow: 32, Refinements: 2}
+	sel := MILPSelector{HopSlack: 2, HopSlackOverride: over, MaxPathsPerFlow: 32}
 	set, err := sel.Select(g)
 	if err != nil {
 		t.Fatal(err)

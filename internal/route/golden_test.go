@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -63,7 +65,7 @@ func goldenSelectors() []goldenSelector {
 	return []goldenSelector{
 		{
 			name: "milp",
-			sel: MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, Refinements: 1,
+			sel: MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8,
 				MaxNodes: 40, Gap: 0.01, Seed: 1},
 			digest: "37ab015ea6e5193a",
 			mcl:    50,
@@ -234,5 +236,33 @@ func TestGoldenEnumerationDeterminism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMILPSolvesOneMaster pins the shape of a selection: one candidate
+// pool, one branch-and-bound search. The 8x8 transpose cell of Table 6.1
+// under negative-first(WN) at the -fast budget runs into MaxNodes, so a
+// second master over a regenerated pool (what SelectContext did until
+// PR 21: 80 nodes here) shows as a node count past the budget. The digest
+// is that two-master selection's answer.
+func TestMILPSolvesOneMaster(t *testing.T) {
+	m := topology.NewMesh(8, 8)
+	rule := cdg.NegativeFirstRule(topology.West, topology.North)
+	dag := cdg.TurnBreaker{Rule: rule}.Break(cdg.NewFull(m, 2))
+	g := flowgraph.New(dag, transposeFlows(m, 25), 100)
+	mc := metrics.New()
+	ms := MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, MaxNodes: 40, Gap: 0.01, Metrics: mc}
+	set, err := ms.SelectContext(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := mc.Counter("lp_bb_nodes_total").Value(); n > int64(ms.MaxNodes) {
+		t.Errorf("one selection explored %d branch-and-bound nodes, budget %d", n, ms.MaxNodes)
+	}
+	if d, want := setDigest(set), "b4eb8300c978a937"; d != want {
+		t.Errorf("digest %s, want %s", d, want)
+	}
+	if mcl, _ := set.MCL(); mcl != 75 {
+		t.Errorf("MCL %v, want 75", mcl)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/cdg"
@@ -23,9 +24,10 @@ import (
 // flow has a finite candidate path set, so choosing one binary per
 // candidate path per flow and minimizing U over the shared channel-load
 // rows reaches the same optimum. When a flow's candidate set is too large
-// to enumerate exhaustively, enumeration is truncated and bottleneck-driven
-// refinement rounds add targeted alternative paths (the heuristic-effort
-// mode the thesis itself suggests for large instances, §7.3).
+// to enumerate exhaustively, enumeration is truncated and the master is
+// solved over that capped pool plus three coordinated Dijkstra route sets
+// (the heuristic-effort mode the thesis itself suggests for large
+// instances, §7.3).
 type MILPSelector struct {
 	// HopSlack is the extra hop budget over the minimal path length. Zero
 	// restricts routes to minimal paths; the thesis recommends increments
@@ -38,24 +40,21 @@ type MILPSelector struct {
 	// MaxPathsPerFlow truncates exhaustive candidate enumeration; zero
 	// means 256.
 	MaxPathsPerFlow int
-	// Refinements is the number of bottleneck-driven candidate
-	// regeneration rounds after the first solve; zero means 8.
-	Refinements int
-	// MaxNodes caps branch-and-bound nodes per solve; zero means the
-	// lp package default.
+	// MaxNodes caps the branch-and-bound nodes of the one master solve;
+	// zero means the lp package default.
 	MaxNodes int
 	// Gap is the absolute optimality gap accepted by branch and bound;
 	// a value below the smallest demand difference that matters (e.g.
 	// 0.01 MB/s) prunes aggressively without changing which MCL tier is
 	// reached.
 	Gap float64
-	// Seed drives weight perturbation during refinement path generation.
+	// Seed seeds the weight perturbation of the two perturbed Dijkstra
+	// route sets that join the candidate pool beside the plain one.
 	Seed int64
 	// Warm, when non-nil, makes the selection resumable: the previous
 	// solve's route set seeds the candidate pool and the branch-and-bound
-	// incumbent, its root LP basis warm-starts the first restricted
-	// master, and after a successful solve the context is updated in
-	// place for the next round. Incumbent routes that no longer fit the
+	// incumbent, and after a successful solve the context is updated in
+	// place for the next one. Incumbent routes that no longer fit the
 	// flow network (a channel died, a CDG edge disappeared) are patched
 	// per flow with a fresh candidate — the repaired hybrid keeps the
 	// surviving optimization work — so a stale context degrades
@@ -72,13 +71,10 @@ type MILPSelector struct {
 // WarmStart carries resumable state across incremental re-syntheses of
 // the same flow set on a mutating topology. The zero value is a valid
 // cold start; after each successful SelectContext the selector overwrites
-// the fields with the new solution.
+// Incumbent with the new solution.
 type WarmStart struct {
 	// Incumbent is the most recent route set.
 	Incumbent *Set
-	// Basis is the root-relaxation basis of the most recent restricted
-	// master (see lp.Solution.Basis).
-	Basis *lp.Basis
 }
 
 // Name implements Selector.
@@ -87,9 +83,6 @@ func (ms MILPSelector) Name() string { return "BSOR-MILP" }
 func (ms MILPSelector) withDefaults() MILPSelector {
 	if ms.MaxPathsPerFlow == 0 {
 		ms.MaxPathsPerFlow = 256
-	}
-	if ms.Refinements == 0 {
-		ms.Refinements = 8
 	}
 	return ms
 }
@@ -138,9 +131,35 @@ func (ms MILPSelector) Select(g *flowgraph.Graph) (*Set, error) {
 	return ms.SelectContext(context.Background(), g)
 }
 
+// pool is the candidate set of one selection: per flow, the paths offered
+// to the restricted master, one per distinct channel sequence, each stored
+// beside the chanKey that identifies it.
+type pool struct {
+	g       *flowgraph.Graph
+	paths   [][]flowgraph.Path
+	keys    [][]string
+	seen    []map[string]bool
+	metrics *metrics.Collector
+}
+
+// add appends p to flow i's candidates unless a path over the same channel
+// sequence is already there; that is counted in route_paths_deduped_total.
+func (pl *pool) add(i int, p flowgraph.Path) {
+	k := chanKey(pl.g, p)
+	if pl.seen[i][k] {
+		pl.metrics.Counter("route_paths_deduped_total").Inc()
+		return
+	}
+	pl.seen[i][k] = true
+	pl.paths[i] = append(pl.paths[i], p)
+	pl.keys[i] = append(pl.keys[i], k)
+}
+
 // SelectContext implements ContextSelector: cancellation is polled in
-// candidate enumeration, inside every branch-and-bound solve, and between
-// refinement rounds.
+// candidate enumeration and inside the branch-and-bound solve. It builds
+// one candidate pool — capped enumeration, the warm incumbent's surviving
+// routes, three Dijkstra route sets — solves one restricted master over it
+// from the best incumbent, and returns the better of the two.
 func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()
 	ms = ms.withDefaults()
@@ -154,18 +173,40 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	}
 	// Width 0: the enumerator sizes itself to GOMAXPROCS and merges in
 	// flow order, so its output is the same at any width.
-	candidates, err := g.EnumerateAllContext(ctx, budgets, ms.MaxPathsPerFlow, 0)
+	enumerated, err := g.EnumerateAllContext(ctx, budgets, ms.MaxPathsPerFlow, 0)
 	if err != nil {
 		return nil, err
 	}
-	seen := make([]map[string]bool, len(flows))
-	for i := range flows {
-		seen[i] = make(map[string]bool, len(candidates[i]))
-		for _, p := range candidates[i] {
-			seen[i][chanKey(g, p)] = true
-		}
-		if len(candidates[i]) == 0 {
+	pl := &pool{g: g, metrics: ms.Metrics,
+		paths: make([][]flowgraph.Path, len(flows)),
+		keys:  make([][]string, len(flows)),
+		seen:  make([]map[string]bool, len(flows))}
+	for i, paths := range enumerated {
+		if len(paths) == 0 {
 			return nil, noPathError(g, i, budgets[i])
+		}
+		pl.seen[i] = make(map[string]bool, len(paths))
+		for _, p := range paths {
+			pl.add(i, p)
+		}
+	}
+
+	// A resumable warm-start context seeds the pool with the previous
+	// solve's routes, per flow, wherever the route still fits the (possibly
+	// degraded) flow network. The surviving paths are kept for incumbent
+	// repair below.
+	var warmPaths []flowgraph.Path
+	if ms.Warm != nil {
+		if inc := ms.Warm.Incumbent; inc != nil && len(inc.Routes) == len(flows) {
+			warmPaths = make([]flowgraph.Path, len(flows))
+			for i, r := range inc.Routes {
+				p, ok := pathOnGraph(g, flows[i], r)
+				if !ok || len(p) > budgets[i] {
+					continue
+				}
+				warmPaths[i] = p
+				pl.add(i, p)
+			}
 		}
 	}
 
@@ -178,32 +219,6 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 		bestSet *Set
 		bestMCL float64
 	)
-
-	// A resumable warm-start context seeds the pool with the previous
-	// solve's routes, per flow, wherever the route still fits the (possibly
-	// degraded) flow network. The surviving paths are kept for incumbent
-	// repair below.
-	var rootBasis *lp.Basis
-	var warmPaths []flowgraph.Path
-	if ms.Warm != nil {
-		rootBasis = ms.Warm.Basis
-		if inc := ms.Warm.Incumbent; inc != nil && len(inc.Routes) == len(flows) {
-			warmPaths = make([]flowgraph.Path, len(flows))
-			for i, r := range inc.Routes {
-				p, ok := pathOnGraph(g, flows[i], r)
-				if !ok || len(p) > budgets[i] {
-					continue
-				}
-				warmPaths[i] = p
-				if k := chanKey(g, p); !seen[i][k] {
-					seen[i][k] = true
-					candidates[i] = append(candidates[i], p)
-				} else {
-					ms.Metrics.Counter("route_paths_deduped_total").Inc()
-				}
-			}
-		}
-	}
 	for seedOff := int64(0); seedOff < 3; seedOff++ {
 		sel := DijkstraSelector{}
 		if seedOff > 0 {
@@ -220,18 +235,9 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 				withinBudget = false
 				continue
 			}
-			p := make(flowgraph.Path, len(r.Channels))
-			for k, ch := range r.Channels {
-				p[k] = g.CDG().Vertex(ch, r.VCs[k])
-			}
-			if k := chanKey(g, p); !seen[i][k] {
-				seen[i][k] = true
-				candidates[i] = append(candidates[i], p)
-			} else {
-				ms.Metrics.Counter("route_paths_deduped_total").Inc()
-			}
+			pl.add(i, liftRoute(g, r))
 		}
-		// The unperturbed Dijkstra solution doubles as the initial
+		// A Dijkstra solution within every budget doubles as the initial
 		// incumbent that warm-starts the branch and bound.
 		if withinBudget {
 			if mcl, _ := dset.MCL(); bestSet == nil || mcl < bestMCL {
@@ -251,7 +257,7 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 		for i := range flows {
 			p := warmPaths[i]
 			if p == nil {
-				p = candidates[i][0]
+				p = pl.paths[i][0]
 			}
 			routes[i] = routeFromPath(g, i, p)
 		}
@@ -261,48 +267,34 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 		}
 	}
 
-	rng := rand.New(rand.NewSource(ms.Seed + 1))
-	var lastBasis *lp.Basis
-	for round := 0; ; round++ {
-		set, basis, err := ms.solveRestricted(ctx, g, candidates, seen, bestSet, rootBasis)
-		if err != nil {
-			return nil, err
-		}
-		// The carried-over basis only fits the first master; refinement
-		// rounds grow the candidate set and with it the problem shape.
-		rootBasis = nil
-		if basis != nil {
-			lastBasis = basis
-		}
-		mcl, _ := set.MCL()
-		if bestSet == nil || mcl < bestMCL-1e-9 {
-			bestSet, bestMCL = set, mcl
-		} else if round > 0 || warmPaths != nil {
-			// No improvement: stop after a non-improving refinement round —
-			// or immediately when warm-started, because the repaired
-			// incumbent already embodies a previous solve's refinement
-			// work and re-running the rounds only re-proves it. A stale
-			// incumbent the master does improve on keeps the full
-			// refinement schedule.
-			break
-		}
-		if round >= ms.Refinements {
-			break
-		}
-		if !ms.refine(g, candidates, seen, budgets, bestSet, rng) {
-			break // no new candidate paths could be generated
-		}
+	// The incumbent stands on a tie, and whenever the node budget truncates
+	// the search before it finds anything better.
+	set, err := ms.solveRestricted(ctx, pl, bestSet)
+	if err != nil {
+		return nil, err
+	}
+	if mcl, _ := set.MCL(); bestSet == nil || mcl < bestMCL-1e-9 {
+		bestSet = set
 	}
 	if ms.Warm != nil {
 		ms.Warm.Incumbent = bestSet
-		ms.Warm.Basis = lastBasis
 	}
 	var kept int64
-	for i := range candidates {
-		kept += int64(len(candidates[i]))
+	for i := range pl.paths {
+		kept += int64(len(pl.paths[i]))
 	}
 	ms.Metrics.Counter("route_paths_kept_total").Add(kept)
 	return bestSet, nil
+}
+
+// liftRoute maps r's (channel, VC) hops to the vertices of g's CDG without
+// checking that they are connected there.
+func liftRoute(g *flowgraph.Graph, r Route) flowgraph.Path {
+	p := make(flowgraph.Path, len(r.Channels))
+	for k, ch := range r.Channels {
+		p[k] = g.CDG().Vertex(ch, r.VCs[k])
+	}
+	return p
 }
 
 // pathOnGraph lifts a previously selected route onto g's CDG, verifying
@@ -315,41 +307,30 @@ func pathOnGraph(g *flowgraph.Graph, f flowgraph.Flow, r Route) (flowgraph.Path,
 	}
 	topo := g.Topology()
 	dag := g.CDG()
-	p := make(flowgraph.Path, len(r.Channels))
 	for k, ch := range r.Channels {
 		if int(ch) < 0 || int(ch) >= topo.NumChannels() ||
-			r.VCs[k] < 0 || r.VCs[k] >= dag.VCs() {
+			r.VCs[k] < 0 || r.VCs[k] >= dag.VCs() ||
+			!slices.Contains(topo.OutChannels(topo.Channel(ch).Src), ch) {
 			return nil, false
 		}
-		alive := false
-		for _, id := range topo.OutChannels(topo.Channel(ch).Src) {
-			if id == ch {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			return nil, false
-		}
-		p[k] = dag.Vertex(ch, r.VCs[k])
-		if k > 0 && !dag.HasEdge(p[k-1], p[k]) {
+	}
+	p := liftRoute(g, r)
+	for k := 1; k < len(p); k++ {
+		if !dag.HasEdge(p[k-1], p[k]) {
 			return nil, false
 		}
 	}
 	return p, true
 }
 
-// solveRestricted builds and solves the path-based MILP over the current
-// candidate sets:
+// solveRestricted builds and solves the path-based MILP over the pool:
 //
 //	minimize U
 //	s.t.  sum_p x[i][p] == 1                      for every flow i
 //	      sum_{i,p crossing channel e} d_i x[i][p] <= U   for every channel e
 //	      x binary, U >= 0
-func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
-	candidates [][]flowgraph.Path, seen []map[string]bool, incumbent *Set,
-	rootBasis *lp.Basis) (*Set, *lp.Basis, error) {
-
+func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, incumbent *Set) (*Set, error) {
+	g := pl.g
 	flows := g.Flows()
 	p := lp.NewProblem()
 	// Flows are unsplittable, so every flow's full demand crosses its first
@@ -373,11 +354,7 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 	incumbentKey := make([]string, len(flows))
 	if incumbent != nil {
 		for i, r := range incumbent.Routes {
-			pth := make(flowgraph.Path, len(r.Channels))
-			for k, ch := range r.Channels {
-				pth[k] = g.CDG().Vertex(ch, r.VCs[k])
-			}
-			incumbentKey[i] = chanKey(g, pth)
+			incumbentKey[i] = chanKey(g, liftRoute(g, r))
 		}
 	}
 
@@ -389,11 +366,11 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 	chFlows := make(map[topology.ChannelID]int) // last flow whose candidates touched ch
 	chShared := make(map[topology.ChannelID]bool)
 	for i := range flows {
-		choose := make([]lp.Term, 0, len(candidates[i]))
-		for pi, path := range candidates[i] {
+		choose := make([]lp.Term, 0, len(pl.paths[i]))
+		for pi, path := range pl.paths[i] {
 			v := p.AddBinary(fmt.Sprintf("x[%s,%d]", flows[i].Name, pi), 0)
 			vars[v] = pathVar{i, pi}
-			if incumbent != nil && chanKey(g, path) == incumbentKey[i] && !warmOK[i] {
+			if incumbent != nil && pl.keys[i][pi] == incumbentKey[i] && !warmOK[i] {
 				warm = append(warm, 1)
 				warmOK[i] = true
 			} else {
@@ -436,7 +413,7 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 		p.AddConstraint(row, lp.LE, 0)
 	}
 
-	opts := lp.MILPOptions{MaxNodes: ms.MaxNodes, Gap: ms.Gap, RootBasis: rootBasis}
+	opts := lp.MILPOptions{MaxNodes: ms.MaxNodes, Gap: ms.Gap}
 	if ms.Metrics != nil {
 		opts.Instruments = lp.Instruments{
 			Pivots:           ms.Metrics.Counter("lp_simplex_pivots_total"),
@@ -446,110 +423,35 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, g *flowgraph.Graph,
 			Phase1Pivots:     ms.Metrics.Counter("lp_phase1_pivots_total"),
 		}
 	}
-	if incumbent != nil {
-		allWarm := true
-		for _, ok := range warmOK {
-			if !ok {
-				allWarm = false
-				break
-			}
-		}
-		if allWarm {
-			mcl, _ := incumbent.MCL()
-			warm[0] = mcl
-			opts.WarmStart = warm
-		}
+	if incumbent != nil && !slices.Contains(warmOK, false) {
+		warm[0], _ = incumbent.MCL()
+		opts.WarmStart = warm
 	}
 	sol, err := lp.SolveMILPContext(ctx, p, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if sol.Status != lp.Optimal && sol.Status != lp.Feasible {
 		// A truncated search without incumbent cannot distinguish
 		// infeasibility from an exhausted node budget; the warm-started
 		// incumbent (when present) is the answer in either case.
 		if incumbent != nil {
-			return incumbent, sol.Basis, nil
+			return incumbent, nil
 		}
-		return nil, nil, fmt.Errorf("route: MILP returned %v", sol.Status)
+		return nil, fmt.Errorf("route: MILP returned %v", sol.Status)
 	}
 	routes := make([]Route, len(flows))
 	assigned := make([]bool, len(flows))
 	for v, pv := range vars {
 		if sol.Value(v) > 0.5 {
-			routes[pv.flow] = routeFromPath(g, pv.flow, candidates[pv.flow][pv.path])
+			routes[pv.flow] = routeFromPath(g, pv.flow, pl.paths[pv.flow][pv.path])
 			assigned[pv.flow] = true
 		}
 	}
 	for i, ok := range assigned {
 		if !ok {
-			return nil, nil, fmt.Errorf("route: MILP left flow %s unrouted", flows[i].Name)
+			return nil, fmt.Errorf("route: MILP left flow %s unrouted", flows[i].Name)
 		}
 	}
-	return &Set{Topo: g.Topology(), Routes: routes}, sol.Basis, nil
-}
-
-// refine adds load-aware alternative candidate paths for flows crossing
-// the current bottleneck channels. Returns false when nothing new was
-// generated.
-func (ms MILPSelector) refine(g *flowgraph.Graph, candidates [][]flowgraph.Path,
-	seen []map[string]bool, budgets []int, cur *Set, rng *rand.Rand) bool {
-
-	loads := cur.Loads()
-	mcl, _ := cur.MCL()
-	hot := make(map[topology.ChannelID]bool)
-	for ch, l := range loads {
-		if l >= mcl-1e-9 {
-			hot[topology.ChannelID(ch)] = true
-		}
-	}
-
-	added := false
-	var scratch dijkstraScratch
-	for i, r := range cur.Routes {
-		crossesHot := false
-		for _, ch := range r.Channels {
-			if hot[ch] {
-				crossesHot = true
-				break
-			}
-		}
-		if !crossesHot {
-			continue
-		}
-		// Price channels by the load they would carry without this flow,
-		// plus a small per-hop cost and jitter for diversity.
-		demand := g.Flows()[i].Demand
-		onRoute := make(map[topology.ChannelID]bool, len(r.Channels))
-		for _, ch := range r.Channels {
-			onRoute[ch] = true
-		}
-		for attempt := 0; attempt < 3; attempt++ {
-			jitter := rng.Float64() * 0.1
-			weight := func(v flowgraph.VertexID) float64 {
-				ch, _ := g.ChannelVC(v)
-				l := loads[ch]
-				if onRoute[ch] {
-					l -= demand
-				}
-				return l + demand + mcl*(0.01+jitter*rng.Float64())
-			}
-			p, err := shortestPathGA(&scratch, g, i, weight)
-			if err != nil {
-				break
-			}
-			if len(p) > budgets[i] {
-				continue
-			}
-			k := chanKey(g, p)
-			if !seen[i][k] {
-				seen[i][k] = true
-				candidates[i] = append(candidates[i], p)
-				added = true
-			} else {
-				ms.Metrics.Counter("route_paths_deduped_total").Inc()
-			}
-		}
-	}
-	return added
+	return &Set{Topo: g.Topology(), Routes: routes}, nil
 }

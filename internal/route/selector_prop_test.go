@@ -108,7 +108,7 @@ func TestPropertyBSORSelectors(t *testing.T) {
 			g := flowgraph.New(inst.dag, inst.flows, 1000)
 			selectors := []Selector{
 				DijkstraSelector{},
-				MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, MaxNodes: 60, Refinements: 1},
+				MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16, MaxNodes: 60},
 				BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16},
 			}
 			for _, sel := range selectors {
@@ -136,8 +136,9 @@ func TestPropertyHeuristicBracketsMILP(t *testing.T) {
 			g := flowgraph.New(inst.dag, inst.flows, 1000)
 			// Shared candidate budget: the bound is only meaningful when
 			// the heuristic chooses from the same pool the MILP optimizes
-			// over (the MILP additionally refines, which can only help it).
-			milp := MILPSelector{HopSlack: 2, MaxPathsPerFlow: 24, Refinements: 2}
+			// over (the MILP additionally pools three Dijkstra route sets,
+			// which can only help it).
+			milp := MILPSelector{HopSlack: 2, MaxPathsPerFlow: 24}
 			heur := BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 24}
 			mset, err := milp.Select(g)
 			if err != nil {

@@ -152,8 +152,8 @@ func TestRetrySelectorOuterCancellation(t *testing.T) {
 
 // TestMILPWarmStartResumable drives the resumable warm-start context
 // through a fault: the second solve starts from the first solve's
-// incumbent and basis, drops the routes a dead channel invalidated, and
-// still produces a valid set on the degraded overlay.
+// incumbent, drops the routes a dead channel invalidated, and still
+// produces a valid set on the degraded overlay.
 func TestMILPWarmStartResumable(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	overlay := topology.NewFaultOverlay(m)
@@ -168,7 +168,7 @@ func TestMILPWarmStartResumable(t *testing.T) {
 		return flowgraph.New(dag, flows, 16)
 	}
 	warm := &route.WarmStart{}
-	ms := route.MILPSelector{HopSlack: 4, MaxPathsPerFlow: 32, Refinements: 2,
+	ms := route.MILPSelector{HopSlack: 4, MaxPathsPerFlow: 32,
 		MaxNodes: 200, Warm: warm}
 
 	first, err := ms.SelectContext(context.Background(), build())
