@@ -225,9 +225,7 @@ func TestSpecHasNoFieldOutsideIdentity(t *testing.T) {
 
 // TestChurnSpecHasNoFieldOutsideItsResult is the same invariant for
 // ChurnSpec, which has no key: every field moves the marshaled result (or
-// the spec is rejected, by validation or at run time). MeasureCold is the
-// one field whose output is deliberately unmarshaled — a wall clock — so
-// its effect is read off ChurnEvent.ColdWall.
+// the spec is rejected, by validation or at run time).
 func TestChurnSpecHasNoFieldOutsideItsResult(t *testing.T) {
 	base := func() *ChurnSpec {
 		return &ChurnSpec{Name: "c", Topo: Mesh(4, 4), Workload: "transpose",
@@ -264,12 +262,6 @@ func TestChurnSpecHasNoFieldOutsideItsResult(t *testing.T) {
 	want := render(results[0])
 	for i, path := range ran[1:] {
 		res := results[i+1]
-		if path == "measure_cold" {
-			if res.Err != nil || res.Events[0].ColdWall <= 0 || results[0].Events[0].ColdWall != 0 {
-				t.Errorf("measure_cold did not time a cold solve (err %v)", res.Err)
-			}
-			continue
-		}
 		if render(res) == want {
 			t.Errorf("perturbing %s leaves the churn result unchanged: the field is outside the spec's identity", path)
 		}

@@ -56,13 +56,9 @@ type ChurnSpec struct {
 	// dropping them.
 	Requeue bool `json:"requeue,omitempty"`
 	// Resynth names the background repair solver: "heuristic" (the
-	// default when empty) or "milp-warm" (warm-started MILP with a
+	// default when empty) or "milp" (the default-budget MILP with a
 	// heuristic fallback).
 	Resynth string `json:"resynth,omitempty"`
-	// MeasureCold additionally times a from-scratch solve of every
-	// degraded instance (never committed), populating ChurnEvent.ColdWall
-	// for the warm-versus-cold comparison.
-	MeasureCold bool `json:"measure_cold,omitempty"`
 }
 
 // validate checks the spec and returns a *SpecError for the first
@@ -110,7 +106,6 @@ func (s ChurnSpec) spec() experiments.ChurnSpec {
 		RecoveryWindow: s.RecoveryWindow,
 		Requeue:        s.Requeue,
 		Resynth:        s.Resynth,
-		MeasureCold:    s.MeasureCold,
 	}
 }
 
@@ -138,12 +133,10 @@ type ChurnEvent struct {
 	// ThroughputDip is the worst relative delivery-rate loss (0..1).
 	RecoveryCycles int64   `json:"recovery_cycles"`
 	ThroughputDip  float64 `json:"throughput_dip"`
-	// ResynthWall is the wall-clock time of the committed re-synthesis;
-	// ColdWall times the from-scratch comparison solve when the spec set
-	// MeasureCold. Never marshaled: wall clocks are machine-dependent,
-	// the metrics JSON is not.
+	// ResynthWall is the wall-clock time of the committed re-synthesis.
+	// Never marshaled: wall clocks are machine-dependent, the metrics
+	// JSON is not.
 	ResynthWall time.Duration `json:"-"`
-	ColdWall    time.Duration `json:"-"`
 }
 
 // ChurnResult is the outcome of one ChurnSpec: the initial route set's
@@ -233,7 +226,6 @@ func churnFromEngine(specIdx int, spec ChurnSpec, res experiments.ChurnResult) C
 			RecoveryCycles:  ev.RecoveryCycles,
 			ThroughputDip:   ev.ThroughputDip,
 			ResynthWall:     ev.ResynthWall,
-			ColdWall:        ev.ColdWall,
 		}
 		for _, ch := range ev.Failed {
 			e.Failed = append(e.Failed, int(ch))

@@ -17,7 +17,7 @@ func TestChurnSpecJSONRoundTrip(t *testing.T) {
 		{Name: "churn-16", Topo: Mesh(16, 16), Workload: "transpose", Rate: 0.4,
 			Warmup: 4000, Measure: 40000, Seed: 11,
 			Faults: 4, FaultSeed: 7, FaultStart: 6048, FaultSpacing: 8192,
-			RecoveryWindow: 2048, Requeue: true, Resynth: "milp-warm", MeasureCold: true},
+			RecoveryWindow: 2048, Requeue: true, Resynth: "milp"},
 	}
 	for i, s := range specs {
 		b, err := json.Marshal(s)

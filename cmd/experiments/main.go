@@ -21,9 +21,9 @@
 //
 //	experiments -filter churn-smoke      # live fault churn, drop/requeue policies
 //	experiments -filter churn-16         # 16x16 mesh, seeded 4-fault schedule
-//	experiments -filter churn-warmcold   # warm-started repair vs cold re-solve
+//	experiments -filter churn-milp       # MILP repair ("heuristic" is the default resynth)
 //
-//	experiments -filter table6.2 -jobs   # print the job list as JSON, don't run
+//	experiments -filter table6.2 -jobs   # print the job list as JSON, don't run (churn scenarios are specs, not jobs: skipped)
 //	experiments -filter table6.2 -json   # machine-readable results (EXPERIMENTS.md)
 //	experiments -workers 4               # worker-pool size (default NumCPU)
 //
@@ -65,7 +65,7 @@ var (
 	all        = flag.Bool("all", false, "run every thesis table and figure")
 	filter     = flag.String("filter", "", "experiment name or glob to select experiments")
 	list       = flag.Bool("list", false, "print the experiment index and exit")
-	jobs       = flag.Bool("jobs", false, "print the selected experiments' job lists as JSON, without running")
+	jobs       = flag.Bool("jobs", false, "print the selected experiments' job lists as JSON, without running (churn scenarios are declared as churn specs, not jobs, and are skipped)")
 	jsonOut    = flag.Bool("json", false, "print results as JSON instead of tables and charts")
 	workers    = flag.Int("workers", 0, "worker-pool size (0 = NumCPU)")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -114,6 +114,18 @@ type experiment struct {
 	churn []experiments.ChurnSpec
 	// run replaces job execution for the few non-job artifacts (fig5-4).
 	run func()
+}
+
+// size is the experiment's extent as -list prints it: churn scenarios are
+// declared as churn specs and count runs, everything else counts jobs.
+func (e experiment) size() string {
+	if len(e.churn) == 1 {
+		return "1 churn run"
+	}
+	if e.churn != nil {
+		return fmt.Sprintf("%d churn runs", len(e.churn))
+	}
+	return fmt.Sprintf("%d jobs", len(e.jobs))
 }
 
 func mesh() experiments.TopoSpec  { return experiments.MeshSpec(8, 8) }
@@ -308,24 +320,23 @@ func registry() []experiment {
 		},
 		print: nil,
 	})
-	// Warm-versus-cold recovery comparison: the warm-started MILP repairs
-	// each degraded instance while a from-scratch solve of the same
-	// instance is timed alongside (never committed). Three seeded
-	// schedules; wall times go to stderr, never into -json.
-	var warmCold []experiments.ChurnSpec
+	// MILP repair: every degraded instance is solved from scratch by the
+	// default-budget MILP. Three seeded 3-fault schedules; the per-event
+	// solve times are human output only, never in -json.
+	var milpRepair []experiments.ChurnSpec
 	for _, seed := range []int64{3, 5, 9} {
-		warmCold = append(warmCold, experiments.ChurnSpec{
+		milpRepair = append(milpRepair, experiments.ChurnSpec{
 			Name: fmt.Sprintf("schedule-s%d", seed),
 			Topo: experiments.MeshSpec(6, 6), Workload: "rand-perm",
 			Rate: 0.3, Seed: 11, Measure: 28000,
 			Faults: 3, FaultSeed: seed, FaultSpacing: 8192,
-			Resynth: "milp-warm", MeasureCold: true,
+			Resynth: "milp",
 		})
 	}
 	add(experiment{
-		name:  "churn-warmcold",
-		title: "Churn warm vs cold (6x6 mesh: warm-started MILP repair vs from-scratch solve)",
-		churn: warmCold,
+		name:  "churn-milp",
+		title: "Churn MILP repair (6x6 mesh: 3-fault live schedules, MILP re-synthesis)",
+		churn: milpRepair,
 		print: nil,
 	})
 	return exps
@@ -388,7 +399,7 @@ func runMain() int {
 	exps := registry()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-16s %s (%d jobs)\n", e.name, e.title, len(e.jobs))
+			fmt.Printf("%-16s %s (%s)\n", e.name, e.title, e.size())
 		}
 		return 0
 	}
@@ -513,12 +524,7 @@ func printChurn(results []experiments.ChurnResult) {
 			fmt.Printf("  event %d @ cycle %d: failed %v; dip %.1f%%; recovered in %s; commit @ cycle %d (epoch %d)\n",
 				i, ev.Cycle, ev.Failed, 100*ev.ThroughputDip,
 				cyclesOrNever(ev.RecoveryCycles), ev.CommitCycle, ev.CommitEpoch)
-			line := fmt.Sprintf("    resynth %.1fms", ev.ResynthWall.Seconds()*1e3)
-			if ev.ColdWall > 0 {
-				line += fmt.Sprintf(", cold %.1fms (%.1fx)",
-					ev.ColdWall.Seconds()*1e3, float64(ev.ColdWall)/float64(ev.ResynthWall))
-			}
-			fmt.Println(line)
+			fmt.Printf("    resynth %.1fms\n", ev.ResynthWall.Seconds()*1e3)
 		}
 	}
 }

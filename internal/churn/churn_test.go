@@ -129,8 +129,8 @@ func churnFixture(t *testing.T, resynth route.ContextSelector, schedule []Event,
 		Sim: s, Overlay: overlay, Flows: flows, VCs: 2,
 		Resynth:        resynth,
 		Schedule:       schedule,
-		RecoveryWindow: 2048, SampleWindow: 512,
-		Requeue: requeue,
+		RecoveryWindow: 2048,
+		Requeue:        requeue,
 	}, total
 }
 
@@ -244,7 +244,7 @@ func TestChurnWorkerCountIdentical(t *testing.T) {
 				t.Fatalf("requeue=%v workers=%d: %v", requeue, simWorkers, err)
 			}
 			for i := range reports {
-				reports[i].ResynthWall, reports[i].ColdWall = 0, 0 // wall clocks
+				reports[i].ResynthWall = 0 // wall clock
 			}
 			return res, reports
 		}

@@ -13,13 +13,8 @@ import (
 // is independent of where the fault barriers fall.
 type sampler struct {
 	s         *sim.Simulator
-	window    int64
-	delivered []int64 // delivered in window k = cycles [k*W, (k+1)*W)
+	delivered []int64 // delivered in window k = cycles [k*W, (k+1)*W), W = sampleWindow
 	lastTotal int64
-}
-
-func newSampler(s *sim.Simulator, window int64) *sampler {
-	return &sampler{s: s, window: window}
 }
 
 // advance steps the simulation to absolute cycle target, closing sample
@@ -31,7 +26,7 @@ func (sp *sampler) advance(ctx context.Context, target int64) (bool, error) {
 		if cur >= target {
 			return false, nil
 		}
-		next := (cur/sp.window + 1) * sp.window
+		next := (cur/sampleWindow + 1) * sampleWindow
 		if next > target {
 			next = target
 		}
@@ -39,7 +34,7 @@ func (sp *sampler) advance(ctx context.Context, target int64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if c := sp.s.Cycle(); c%sp.window == 0 && c/sp.window == int64(len(sp.delivered))+1 {
+		if c := sp.s.Cycle(); c%sampleWindow == 0 && c/sampleWindow == int64(len(sp.delivered))+1 {
 			total := sp.s.DeliveredTotal()
 			sp.delivered = append(sp.delivered, total-sp.lastTotal)
 			sp.lastTotal = total
@@ -51,6 +46,9 @@ func (sp *sampler) advance(ctx context.Context, target int64) (bool, error) {
 }
 
 const (
+	// sampleWindow is the delivered-throughput sampling granularity, in
+	// cycles, of the recovery metrics.
+	sampleWindow = 512
 	// preWindows is how many pre-fault sample windows the baseline
 	// delivery rate averages over.
 	preWindows = 4
@@ -73,8 +71,8 @@ func (sp *sampler) finishRecovery(reports *[]EventReport, events []Event, total 
 		}
 
 		// Baseline: the last preWindows windows fully before the fault.
-		firstPost := (rep.Cycle + sp.window - 1) / sp.window // first window starting at/after the fault
-		preEnd := rep.Cycle / sp.window                      // windows [0, preEnd) end at/before the fault
+		firstPost := (rep.Cycle + sampleWindow - 1) / sampleWindow // first window starting at/after the fault
+		preEnd := rep.Cycle / sampleWindow                         // windows [0, preEnd) end at/before the fault
 		preStart := preEnd - preWindows
 		if preStart < 0 {
 			preStart = 0
@@ -92,12 +90,12 @@ func (sp *sampler) finishRecovery(reports *[]EventReport, events []Event, total 
 		}
 
 		worst := pre
-		for k := firstPost; (k+1)*sp.window <= horizon && k < int64(len(sp.delivered)); k++ {
+		for k := firstPost; (k+1)*sampleWindow <= horizon && k < int64(len(sp.delivered)); k++ {
 			if w := float64(sp.delivered[k]); w < worst {
 				worst = w
 			}
 			if float64(sp.delivered[k]) >= recoveryFrac*pre {
-				rep.RecoveryCycles = (k+1)*sp.window - rep.Cycle
+				rep.RecoveryCycles = (k+1)*sampleWindow - rep.Cycle
 				break
 			}
 		}

@@ -45,11 +45,8 @@ type EventReport struct {
 	// post-fault windows up to recovery (0..1).
 	ThroughputDip float64 `json:"throughput_dip"`
 	// ResynthWall is the wall-clock time of the committed background
-	// re-synthesis; ColdWall, when the supervisor was given a cold
-	// selector to compare against, times a from-scratch solve of the same
-	// degraded instance. Wall times never enter the metrics JSON.
+	// re-synthesis. Wall times never enter the metrics JSON.
 	ResynthWall time.Duration `json:"-"`
-	ColdWall    time.Duration `json:"-"`
 }
 
 // Supervisor interleaves a simulation with a fault schedule. Every field
@@ -67,23 +64,15 @@ type Supervisor struct {
 	// VCs is the virtual channel count of routes and CDGs.
 	VCs int
 	// Resynth produces the repaired route set on the degraded topology —
-	// typically a route.FallbackSelector: a warm-started MILP with a
-	// heuristic fallback. It runs on a background goroutine.
+	// typically a route.FallbackSelector: the MILP with a heuristic
+	// fallback. It runs on a background goroutine.
 	Resynth route.ContextSelector
 	// Schedule lists the fault events in ascending cycle order.
 	Schedule []Event
 
-	// ColdResynth, when non-nil, is additionally timed (never committed)
-	// on every degraded instance, so one run yields the warm-versus-cold
-	// recovery comparison. It runs on the same background goroutine after
-	// the committed solve.
-	ColdResynth route.ContextSelector
 	// RecoveryWindow is the cycle count between a fault barrier and the
 	// repaired set's commit barrier. Default 2048.
 	RecoveryWindow int64
-	// SampleWindow is the delivered-throughput sampling granularity for
-	// the recovery metrics. Default 512.
-	SampleWindow int64
 	// Requeue selects the purge policy for in-flight packets of broken
 	// flows: requeue at the source instead of dropping.
 	Requeue bool
@@ -126,10 +115,9 @@ func FlowGraph(t topology.Topology, flows []flowgraph.Flow, vcs int) *flowgraph.
 
 // resynthResult carries one background solve back to the barrier.
 type resynthResult struct {
-	set      *route.Set
-	err      error
-	wall     time.Duration
-	coldWall time.Duration
+	set  *route.Set
+	err  error
+	wall time.Duration
 }
 
 // Run drives the simulation to total cycles through the schedule and
@@ -143,10 +131,6 @@ func (sv *Supervisor) Run(ctx context.Context, total int64) (*sim.Result, []Even
 	recovery := sv.RecoveryWindow
 	if recovery == 0 {
 		recovery = 2048
-	}
-	window := sv.SampleWindow
-	if window == 0 {
-		window = 512
 	}
 	events := append([]Event(nil), sv.Schedule...)
 	sort.Slice(events, func(i, j int) bool { return events[i].Cycle < events[j].Cycle })
@@ -164,7 +148,7 @@ func (sv *Supervisor) Run(ctx context.Context, total int64) (*sim.Result, []Even
 		}
 	}
 
-	samples := newSampler(sv.Sim, window)
+	samples := &sampler{s: sv.Sim}
 	reports := make([]EventReport, 0, len(events))
 	deadlocked := false
 	for _, ev := range events {
@@ -254,7 +238,7 @@ func (sv *Supervisor) applyEvent(ctx context.Context, ev Event, recovery int64, 
 			}
 			return rep, fmt.Errorf("churn: re-synthesis for cycle %d: %w", ev.Cycle, r.err)
 		}
-		rep.ResynthWall, rep.ColdWall = r.wall, r.coldWall
+		rep.ResynthWall = r.wall
 		if err := sv.Sim.SwapRoutes(r.set); err != nil {
 			return rep, fmt.Errorf("churn: repaired swap at cycle %d: %w", ev.Cycle, err)
 		}
@@ -295,9 +279,9 @@ func CertifySet(t topology.Topology, dag *cdg.Graph, set *route.Set, vcs int, wh
 	return nil
 }
 
-// resynthesize runs the repair solve (and the optional cold comparison)
-// on a read-only snapshot of the degraded topology and delivers the
-// certified result. It owns no simulator state, so it races with nothing.
+// resynthesize runs the repair solve on a read-only snapshot of the
+// degraded topology and delivers the certified result. It owns no
+// simulator state, so it races with nothing.
 func (sv *Supervisor) resynthesize(ctx context.Context, out chan<- resynthResult) {
 	snap := topology.NewFaultOverlay(sv.Overlay.Base())
 	snap.Disable(sv.Overlay.Dead()...)
@@ -311,12 +295,5 @@ func (sv *Supervisor) resynthesize(ctx context.Context, out chan<- resynthResult
 		// overlay may have advanced past it.
 		err = CertifySet(snap, g.CDG(), set, sv.VCs, "the repaired set")
 	}
-	var coldWall time.Duration
-	if err == nil && sv.ColdResynth != nil {
-		coldStart := time.Now()
-		if _, coldErr := sv.ColdResynth.SelectContext(ctx, g); coldErr == nil {
-			coldWall = time.Since(coldStart)
-		}
-	}
-	out <- resynthResult{set: set, err: err, wall: wall, coldWall: coldWall}
+	out <- resynthResult{set: set, err: err, wall: wall}
 }

@@ -53,23 +53,17 @@ type ChurnSpec struct {
 	FaultStart   int64 `json:"fault_start,omitempty"`
 	FaultSpacing int64 `json:"fault_spacing,omitempty"`
 	// RecoveryWindow is the cycle count between a fault barrier and its
-	// commit barrier (default 2048); SampleWindow is the delivered-rate
-	// sampling granularity behind the recovery metrics (default 512).
+	// commit barrier (default 2048).
 	RecoveryWindow int64 `json:"recovery_window,omitempty"`
-	SampleWindow   int64 `json:"sample_window,omitempty"`
 	// Requeue re-injects purged in-flight packets at their sources
 	// instead of dropping them.
 	Requeue bool `json:"requeue,omitempty"`
 
 	// Resynth picks the background repair solver: "heuristic" (default)
-	// retries BSORHeuristic with a wider fallback; "milp-warm" runs the
-	// MILP over a pool seeded with the previous repair's surviving routes,
-	// searched from that repaired incumbent, falling back to the heuristic.
+	// is BSORHeuristic with a wider fallback; "milp" is the default-budget
+	// MILP, falling back to the heuristic. Either solves each degraded
+	// graph from scratch.
 	Resynth string `json:"resynth,omitempty"`
-	// MeasureCold additionally times a cold (from-scratch) solve of every
-	// degraded instance for the warm-versus-cold comparison; the cold
-	// result is never committed and wall times never enter the JSON.
-	MeasureCold bool `json:"measure_cold,omitempty"`
 }
 
 func (c ChurnSpec) withDefaults() ChurnSpec {
@@ -84,9 +78,6 @@ func (c ChurnSpec) withDefaults() ChurnSpec {
 	}
 	if c.RecoveryWindow == 0 {
 		c.RecoveryWindow = 2048
-	}
-	if c.SampleWindow == 0 {
-		c.SampleWindow = 512
 	}
 	if c.FaultStart == 0 {
 		c.FaultStart = c.Warmup + c.RecoveryWindow
@@ -115,8 +106,8 @@ type ChurnResult struct {
 	// time, worst throughput dip) summarize Events.
 	Point *SweepPoint `json:"point,omitempty"`
 	// Events reports each fault barrier. The wall-clock solve times ride
-	// along in Go (EventReport.ResynthWall/ColdWall) but are excluded
-	// from JSON, keeping the metrics deterministic.
+	// along in Go (EventReport.ResynthWall) but are excluded from JSON,
+	// keeping the metrics deterministic.
 	Events []churn.EventReport `json:"events,omitempty"`
 	// Err is the failure, if any.
 	Err   string `json:"err,omitempty"`
@@ -176,14 +167,11 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 	overlay := topology.NewFaultOverlay(g)
 	fg := churn.FlowGraph(overlay, flows, spec.VCs)
 
-	selectors, ok := churnResynths[spec.Resynth]
+	resynth, ok := churnResynths[spec.Resynth]
 	if !ok {
 		return fail(fmt.Errorf("experiments: unknown churn resynth %q (want %s)",
 			spec.Resynth, strings.Join(ChurnResynthNames(), " or ")))
 	}
-	resynth, cold := selectors()
-	// The committed path reports pivots/retries; the cold comparison solve
-	// stays unobserved so it cannot inflate the committed-path counters.
 	resynth = route.InstrumentContextSelector(resynth, r.Metrics)
 	initial, err := resynth.SelectContext(ctx, fg)
 	if err != nil {
@@ -212,12 +200,8 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 		Resynth:        resynth,
 		Schedule:       schedule,
 		RecoveryWindow: spec.RecoveryWindow,
-		SampleWindow:   spec.SampleWindow,
 		Requeue:        spec.Requeue,
 		Metrics:        r.Metrics,
-	}
-	if spec.MeasureCold {
-		sv.ColdResynth = cold
 	}
 	start := time.Now()
 	simRes, events, err := sv.Run(ctx, spec.Warmup+spec.Measure)
@@ -261,29 +245,17 @@ func churnPoint(spec ChurnSpec, simRes *sim.Result, events []churn.EventReport) 
 	return p
 }
 
-// churnResynths is the repair-solver vocabulary of ChurnSpec.Resynth: each
-// entry builds the background repair selector and its cold counterpart.
-// "heuristic" is the BSOR heuristic, widened on fallback; "milp-warm" is
-// the MILP resumed from the previous repair's incumbent (route.WarmStart)
-// with a heuristic fallback.
-// Neither carries a wall-clock timeout: it would make the committed route
-// set — and thus the metrics JSON — machine-dependent.
-var churnResynths = map[string]func() (resynth, cold route.ContextSelector){
-	"heuristic": func() (resynth, cold route.ContextSelector) {
-		primary := route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16}
-		return route.FallbackSelector{
-			Primary:  primary,
-			Fallback: route.BSORHeuristic{HopSlack: 4, MaxPathsPerFlow: 32},
-		}, primary
+// churnResynths is the repair-solver vocabulary of ChurnSpec.Resynth.
+// "heuristic" is the BSOR heuristic, widened on fallback; "milp" is the
+// default-budget MILP with a heuristic fallback. Neither carries a
+// wall-clock timeout: it would make the committed route set — and thus the
+// metrics JSON — machine-dependent.
+var churnResynths = map[string]route.ContextSelector{
+	"heuristic": route.FallbackSelector{
+		Primary:  route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16},
+		Fallback: route.BSORHeuristic{HopSlack: 4, MaxPathsPerFlow: 32},
 	},
-	"milp-warm": func() (resynth, cold route.ContextSelector) {
-		milp := route.MILPSelector{
-			HopSlack: 2, MaxPathsPerFlow: 16, MaxNodes: 120, Gap: 0.01,
-		}
-		coldMILP := milp // no Warm: every solve starts from scratch
-		milp.Warm = &route.WarmStart{}
-		return route.FallbackSelector{Primary: milp, Fallback: DefaultHeuristic()}, coldMILP
-	},
+	"milp": route.FallbackSelector{Primary: DefaultMILP(), Fallback: DefaultHeuristic()},
 }
 
 // ChurnResynthNames lists the repair solvers a ChurnSpec may name.

@@ -3,9 +3,14 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"repro/internal/churn"
+	"repro/internal/flowgraph"
 	"repro/internal/metrics"
+	"repro/internal/route"
+	"repro/internal/topology"
 )
 
 // churnTestSpecs are two small, fast specs exercising both purge policies.
@@ -96,9 +101,9 @@ func TestRunChurnPolicies(t *testing.T) {
 	}
 }
 
-// TestRunChurnMILPWarm runs the warm-started MILP resynth with the cold
-// comparison and checks both solves were timed.
-func TestRunChurnMILPWarm(t *testing.T) {
+// TestRunChurnMILP runs the MILP resynth and checks every event's repair
+// was timed and committed.
+func TestRunChurnMILP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MILP churn run in -short mode")
 	}
@@ -106,7 +111,7 @@ func TestRunChurnMILPWarm(t *testing.T) {
 		Name: "milp", Topo: TopoSpec{Kind: "mesh", Width: 6, Height: 6},
 		Workload: "rand-perm", Rate: 0.3, Seed: 11,
 		Faults: 1, FaultSeed: 3,
-		Resynth: "milp-warm", MeasureCold: true,
+		Resynth: "milp",
 	}
 	r := &Runner{}
 	results, err := r.RunChurn(context.Background(), []ChurnSpec{spec})
@@ -121,8 +126,69 @@ func TestRunChurnMILPWarm(t *testing.T) {
 		if ev.ResynthWall <= 0 {
 			t.Errorf("event %d: resynth wall %v, want positive", i, ev.ResynthWall)
 		}
-		if ev.ColdWall <= 0 {
-			t.Errorf("event %d: cold wall %v, want positive (MeasureCold set)", i, ev.ColdWall)
+		if ev.CommitCycle == 0 || ev.CommitEpoch <= ev.EscapeEpoch {
+			t.Errorf("event %d: no commit (cycle %d, epoch %d after escape %d)",
+				i, ev.CommitCycle, ev.CommitEpoch, ev.EscapeEpoch)
+		}
+	}
+}
+
+// TestRepairIsHistoryFree pins that a repair is a function of the degraded
+// graph alone: walked the way execChurn walks a schedule — fault-free,
+// then one link dead, then two — one selector value that solved the first
+// two graphs returns on the third exactly what a fresh one returns there.
+// The schedule is churn-milp's s5; the cross-event warm start this
+// replaced committed MCL 75 on its last graph where a solve from scratch
+// finds 50.
+func TestRepairIsHistoryFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("MILP solves in -short mode")
+	}
+	r := &Runner{}
+	topo, err := r.topo(context.Background(), MeshSpec(6, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := r.workloadFlows(topo, Job{Workload: "rand-perm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule, err := churn.RandomSchedule(topo, 5, 3, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// graphs[k] has the schedule's first k links dead, each on its own
+	// overlay, as the supervisor snapshots every degraded topology.
+	var graphs []*flowgraph.Graph
+	for k := 0; k <= 2; k++ {
+		snap := topology.NewFaultOverlay(topo)
+		for _, ev := range schedule[:k] {
+			snap.Disable(ev.Fail...)
+		}
+		graphs = append(graphs, churn.FlowGraph(snap, flows, 2))
+	}
+	for _, name := range ChurnResynthNames() {
+		// The fresh solve goes first, so that it is the one with no history
+		// whatever a selector may come to hold.
+		fresh, err := churnResynths[name].SelectContext(context.Background(), graphs[2])
+		if err != nil {
+			t.Fatalf("%s: fresh solve: %v", name, err)
+		}
+		walked := churnResynths[name]
+		var last *route.Set
+		for k, g := range graphs {
+			if last, err = walked.SelectContext(context.Background(), g); err != nil {
+				t.Fatalf("%s: graph %d: %v", name, k, err)
+			}
+		}
+		if !reflect.DeepEqual(last.Routes, fresh.Routes) {
+			lm, _ := last.MCL()
+			fm, _ := fresh.MCL()
+			t.Errorf("%s: the third solve of one selector (MCL %v) differs from a fresh selector's (MCL %v): the repair depends on history",
+				name, lm, fm)
+		}
+		if mcl, _ := last.MCL(); name == "milp" && mcl != 50 {
+			t.Errorf("milp: MCL %v on the two-fault graph, want 50", mcl)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // FallbackSelector is the repair path of an online re-synthesis loop: one
 // Primary solve and, when that fails, the Fallback selector (typically
 // BSORHeuristic). The primary is not retried: every selector here is a
-// deterministic function of the graph, and WarmStart state is written on
-// success alone, so a second attempt recomputes the first's failure.
+// deterministic function of the graph, so a second attempt recomputes the
+// first's failure.
 // Cancellation of ctx is not a solver failure: it is returned as
 // ctx.Err() and the fallback is not consulted.
 type FallbackSelector struct {

@@ -17,28 +17,14 @@ func InstrumentSelector(sel Selector, m *metrics.Collector) Selector {
 	case MILPSelector:
 		s.Metrics = m
 		return s
-	case *MILPSelector:
-		c := *s
-		c.Metrics = m
-		return &c
 	case BSORHeuristic:
 		s.Metrics = m
 		return s
-	case *BSORHeuristic:
-		c := *s
-		c.Metrics = m
-		return &c
 	case FallbackSelector:
 		s.Metrics = m
 		s.Primary = InstrumentContextSelector(s.Primary, m)
 		s.Fallback = InstrumentContextSelector(s.Fallback, m)
 		return s
-	case *FallbackSelector:
-		c := *s
-		c.Metrics = m
-		c.Primary = InstrumentContextSelector(c.Primary, m)
-		c.Fallback = InstrumentContextSelector(c.Fallback, m)
-		return &c
 	}
 	return sel
 }

@@ -51,30 +51,12 @@ type MILPSelector struct {
 	// Seed seeds the weight perturbation of the two perturbed Dijkstra
 	// route sets that join the candidate pool beside the plain one.
 	Seed int64
-	// Warm, when non-nil, makes the selection resumable: the previous
-	// solve's route set seeds the candidate pool and the branch-and-bound
-	// incumbent, and after a successful solve the context is updated in
-	// place for the next one. Incumbent routes that no longer fit the
-	// flow network (a channel died, a CDG edge disappeared) are patched
-	// per flow with a fresh candidate — the repaired hybrid keeps the
-	// surviving optimization work — so a stale context degrades
-	// gracefully toward a cold solve.
-	Warm *WarmStart
 	// Metrics, when non-nil, receives route-layer instruments: candidate
 	// paths kept in the pool (route_paths_kept_total), injected paths
 	// skipped as channel-sequence duplicates (route_paths_deduped_total),
 	// and the LP core's pivot/refactorization/node counters. Metrics never
 	// influence selection; a nil collector disables everything.
 	Metrics *metrics.Collector
-}
-
-// WarmStart carries resumable state across incremental re-syntheses of
-// the same flow set on a mutating topology. The zero value is a valid
-// cold start; after each successful SelectContext the selector overwrites
-// Incumbent with the new solution.
-type WarmStart struct {
-	// Incumbent is the most recent route set.
-	Incumbent *Set
 }
 
 // Name implements Selector.
@@ -157,9 +139,9 @@ func (pl *pool) add(i int, p flowgraph.Path) {
 
 // SelectContext implements ContextSelector: cancellation is polled in
 // candidate enumeration and inside the branch-and-bound solve. It builds
-// one candidate pool — capped enumeration, the warm incumbent's surviving
-// routes, three Dijkstra route sets — solves one restricted master over it
-// from the best incumbent, and returns the better of the two.
+// one candidate pool — capped enumeration and three Dijkstra route sets —
+// solves one restricted master over it from the best Dijkstra incumbent,
+// and returns the better of the two.
 func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()
 	ms = ms.withDefaults()
@@ -188,25 +170,6 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 		pl.seen[i] = make(map[string]bool, len(paths))
 		for _, p := range paths {
 			pl.add(i, p)
-		}
-	}
-
-	// A resumable warm-start context seeds the pool with the previous
-	// solve's routes, per flow, wherever the route still fits the (possibly
-	// degraded) flow network. The surviving paths are kept for incumbent
-	// repair below.
-	var warmPaths []flowgraph.Path
-	if ms.Warm != nil {
-		if inc := ms.Warm.Incumbent; inc != nil && len(inc.Routes) == len(flows) {
-			warmPaths = make([]flowgraph.Path, len(flows))
-			for i, r := range inc.Routes {
-				p, ok := pathOnGraph(g, flows[i], r)
-				if !ok || len(p) > budgets[i] {
-					continue
-				}
-				warmPaths[i] = p
-				pl.add(i, p)
-			}
 		}
 	}
 
@@ -246,27 +209,6 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 		}
 	}
 
-	// Repair the previous solution onto the degraded graph: keep every
-	// surviving route and patch the broken flows with a legal candidate.
-	// The hybrid preserves most of the previous optimization work, so it
-	// usually beats the fresh Dijkstra seed as the branch-and-bound
-	// incumbent — and it is the committed answer when the node budget
-	// truncates the search.
-	if warmPaths != nil {
-		routes := make([]Route, len(flows))
-		for i := range flows {
-			p := warmPaths[i]
-			if p == nil {
-				p = pl.paths[i][0]
-			}
-			routes[i] = routeFromPath(g, i, p)
-		}
-		hybrid := &Set{Topo: g.Topology(), Routes: routes}
-		if mcl, _ := hybrid.MCL(); bestSet == nil || mcl < bestMCL {
-			bestSet, bestMCL = hybrid, mcl
-		}
-	}
-
 	// The incumbent stands on a tie, and whenever the node budget truncates
 	// the search before it finds anything better.
 	set, err := ms.solveRestricted(ctx, pl, bestSet)
@@ -275,9 +217,6 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	}
 	if mcl, _ := set.MCL(); bestSet == nil || mcl < bestMCL-1e-9 {
 		bestSet = set
-	}
-	if ms.Warm != nil {
-		ms.Warm.Incumbent = bestSet
 	}
 	var kept int64
 	for i := range pl.paths {
@@ -295,32 +234,6 @@ func liftRoute(g *flowgraph.Graph, r Route) flowgraph.Path {
 		p[k] = g.CDG().Vertex(ch, r.VCs[k])
 	}
 	return p
-}
-
-// pathOnGraph lifts a previously selected route onto g's CDG, verifying
-// the flow endpoints, that every channel is still alive in g's topology,
-// and that every (channel, VC) transition is a dependence edge of the
-// (possibly different) CDG. Returns false when the route no longer fits.
-func pathOnGraph(g *flowgraph.Graph, f flowgraph.Flow, r Route) (flowgraph.Path, bool) {
-	if len(r.Channels) == 0 || r.Flow.Src != f.Src || r.Flow.Dst != f.Dst {
-		return nil, false
-	}
-	topo := g.Topology()
-	dag := g.CDG()
-	for k, ch := range r.Channels {
-		if int(ch) < 0 || int(ch) >= topo.NumChannels() ||
-			r.VCs[k] < 0 || r.VCs[k] >= dag.VCs() ||
-			!slices.Contains(topo.OutChannels(topo.Channel(ch).Src), ch) {
-			return nil, false
-		}
-	}
-	p := liftRoute(g, r)
-	for k := 1; k < len(p); k++ {
-		if !dag.HasEdge(p[k-1], p[k]) {
-			return nil, false
-		}
-	}
-	return p, true
 }
 
 // solveRestricted builds and solves the path-based MILP over the pool:
