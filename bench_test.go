@@ -66,7 +66,7 @@ func BenchmarkTable61(b *testing.B) {
 // under BSOR_Dijkstra.
 func BenchmarkTable62(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.CDGRows(experiments.NewRunner().Run(experiments.TableJobs("table-cdg",
+		rows := experiments.CDGRows((&experiments.Runner{}).Run(experiments.TableJobs("table-cdg",
 			experiments.MeshSpec(8, 8), "BSOR-Dijkstra", experiments.TableBreakerNames(), 2)))
 		for _, r := range rows {
 			if r.Workload == "transpose" {
@@ -139,7 +139,7 @@ func BenchmarkFig66Transmitter(b *testing.B) { benchFigure(b, "transmitter") }
 // whose ratio carries the thesis' ~40% head-of-line-blocking finding.
 func BenchmarkFig67VCSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := experiments.NewRunner().Run(experiments.VCSweepJobs("vcsweep", experiments.MeshSpec(8, 8),
+		results := (&experiments.Runner{}).Run(experiments.VCSweepJobs("vcsweep", experiments.MeshSpec(8, 8),
 			"transpose", []string{"BSOR-Dijkstra", "XY"}, []int{1, 2, 4, 8}, benchRates(), benchParams()))
 		if err := experiments.FirstError(results); err != nil {
 			b.Fatal(err)

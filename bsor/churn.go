@@ -113,11 +113,10 @@ func (s ChurnSpec) spec() experiments.ChurnSpec {
 // the purge cost, when the escape layer and the repaired route set took
 // over, and how delivery recovered.
 type ChurnEvent struct {
-	// Cycle is the fault barrier; Failed and Repaired list the affected
-	// channel ids.
-	Cycle    int64 `json:"cycle"`
-	Failed   []int `json:"failed,omitempty"`
-	Repaired []int `json:"repaired,omitempty"`
+	// Cycle is the fault barrier; Failed lists the channel ids it took
+	// down.
+	Cycle  int64 `json:"cycle"`
+	Failed []int `json:"failed,omitempty"`
 	// DroppedFlits / DroppedPackets / RequeuedPackets count the purged
 	// in-flight state.
 	DroppedFlits    int64 `json:"dropped_flits,omitempty"`
@@ -229,9 +228,6 @@ func churnFromEngine(specIdx int, spec ChurnSpec, res experiments.ChurnResult) C
 		}
 		for _, ch := range ev.Failed {
 			e.Failed = append(e.Failed, int(ch))
-		}
-		for _, ch := range ev.Repaired {
-			e.Repaired = append(e.Repaired, int(ch))
 		}
 		out.Events[i] = e
 	}

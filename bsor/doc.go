@@ -51,7 +51,9 @@
 // dumps, a load heatmap, and an independent deadlock-freedom check);
 // Explore reports the maximum channel load under every explored acyclic
 // CDG, one entry per cycle-breaking strategy; Verify returns the route
-// set's independent deadlock-freedom certificate.
+// set's independent deadlock-freedom certificate. Every synthesis ends
+// with that certification: a route set the checker refutes is never
+// returned, by any entry point — the error is its *Counterexample.
 //
 // # Engines
 //

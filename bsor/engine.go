@@ -35,7 +35,6 @@ func NewEngine(opts ...Option) *Engine {
 	r := &experiments.Runner{
 		Workers:    cfg.workers,
 		WorkloadFn: registryHook,
-		Certify:    cfg.certify,
 		Metrics:    cfg.metrics,
 	}
 	if cfg.milpSet {
@@ -108,7 +107,9 @@ func (e *Engine) Explore(ctx context.Context, spec Spec) ([]Exploration, error) 
 
 // Verify returns the independent deadlock-freedom certificate of one
 // spec's route set — Synthesize followed by RouteSet.Certify. On
-// rejection the error carries a *Counterexample.
+// rejection the error carries a *Counterexample: from Synthesize when the
+// routes themselves are refuted, from Certify when only an explicit
+// Spec.Capacity is exceeded.
 func (e *Engine) Verify(ctx context.Context, spec Spec) (*Certificate, error) {
 	rs, err := e.Synthesize(ctx, spec)
 	if err != nil {

@@ -37,13 +37,13 @@ func TestGoldenJSONFacadeMatchesLegacyTablePath(t *testing.T) {
 			p.jobs, legacyJobs)
 	}
 
-	legacyRes := experiments.NewRunner().Run(legacyJobs)
+	legacyRes := (&experiments.Runner{}).Run(legacyJobs)
 	var legacy bytes.Buffer
 	if err := experiments.WriteJSON(&legacy, legacyRes); err != nil {
 		t.Fatal(err)
 	}
 
-	facadeRes, err := experiments.NewRunner().RunContext(context.Background(), p.jobs)
+	facadeRes, err := (&experiments.Runner{}).RunContext(context.Background(), p.jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

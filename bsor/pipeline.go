@@ -67,7 +67,6 @@ type config struct {
 	progress func(done, total int)
 	milp     MILPBudget
 	milpSet  bool
-	certify  bool
 	metrics  *metrics.Collector
 }
 

@@ -65,10 +65,6 @@ type Result struct {
 	// Point holds the simulation sample of a sim spec (nil for MCL-only
 	// work and failures).
 	Point *Point `json:"point,omitempty"`
-	// Certificate is the independent deadlock-freedom witness of the
-	// synthesized route set, present when the pipeline ran under
-	// WithCertificates (nil otherwise and on failures).
-	Certificate *Certificate `json:"certificate,omitempty"`
 	// Err reports why this unit produced no measurement. Typed: test with
 	// errors.Is(ErrInfeasible / ErrNotGrid) and errors.As(*SpecError).
 	// Never marshaled; a JSON-round-tripped Result loses it.
@@ -97,9 +93,6 @@ func fromEngine(specIdx int, spec Spec, res experiments.Result) Result {
 		} else {
 			out.Err = errors.New(res.Err)
 		}
-	}
-	if res.Cert != nil {
-		out.Certificate = newCertificate(res.Cert, out.Breaker)
 	}
 	if res.Point != nil {
 		point := Point(*res.Point) // same fields, façade-owned type

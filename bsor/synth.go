@@ -109,10 +109,11 @@ type Exploration struct {
 // Synthesize runs one spec's route synthesis and returns the selected
 // route set: BSOR variants explore the spec's breakers and keep the best
 // MCL, baselines route directly. The spec's Sim field is ignored.
-// Accepts the Options that apply to a single synthesis (WithMILPBudget,
-// WithCertificates, WithMetrics). It runs on a throwaway
-// Engine; callers asking several questions of one spec share the work by
-// holding an Engine.
+// A route set the independent checker refutes is never returned: the
+// error is its *Counterexample. Accepts the Options that apply to a single
+// synthesis (WithMILPBudget, WithMetrics). It runs on a throwaway Engine;
+// callers asking several questions of one spec share the work by holding
+// an Engine.
 func Synthesize(ctx context.Context, spec Spec, opts ...Option) (*RouteSet, error) {
 	return NewEngine(opts...).Synthesize(ctx, spec)
 }

@@ -137,13 +137,3 @@ func (rs *RouteSet) Certify() (*Certificate, error) {
 func Verify(ctx context.Context, spec Spec, opts ...Option) (*Certificate, error) {
 	return NewEngine(opts...).Verify(ctx, spec)
 }
-
-// WithCertificates makes every synthesis in the pipeline run the
-// independent certificate checker: each Result carries its Certificate,
-// and a rejected route set fails its jobs with a *Counterexample — the
-// pipeline self-certifies instead of trusting the breakers' acyclicity
-// claims. Certification is memoized with the synthesis cache, so the
-// cost is once per unique synthesis, not once per simulated point.
-func WithCertificates() Option {
-	return func(c *config) { c.certify = true }
-}

@@ -3,6 +3,8 @@ package bsor
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -51,6 +53,10 @@ func TestVerifyCapacityCounterexample(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	spec.Capacity = cert.MCL / 2
+	// The routes stand: only their certificate is refused.
+	if _, err := Synthesize(context.Background(), spec); err != nil {
+		t.Fatalf("under-capacity Synthesize: %v", err)
+	}
 	_, err = Verify(context.Background(), spec)
 	ce, ok := err.(*Counterexample)
 	if !ok {
@@ -61,41 +67,45 @@ func TestVerifyCapacityCounterexample(t *testing.T) {
 	}
 }
 
-func TestPipelineWithCertificates(t *testing.T) {
-	specs := []Spec{{Topo: Mesh(4, 4), Workload: "transpose", VCs: 2}}
-	p, err := NewPipeline(specs, WithCertificates())
-	if err != nil {
-		t.Fatalf("NewPipeline: %v", err)
-	}
-	results, err := p.RunAll(context.Background())
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("result error: %v", res.Err)
-		}
-		if res.Certificate == nil {
-			t.Fatalf("result %s has no certificate under WithCertificates", res.Name)
-		}
-		if res.Certificate.Breaker != res.Breaker {
-			t.Fatalf("certificate breaker %q != result breaker %q",
-				res.Certificate.Breaker, res.Breaker)
-		}
-	}
-
-	// Without the option the field stays nil.
-	p2, err := NewPipeline(specs)
-	if err != nil {
-		t.Fatalf("NewPipeline: %v", err)
-	}
-	plain, err := p2.RunAll(context.Background())
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	for _, res := range plain {
-		if res.Certificate != nil {
-			t.Fatal("certificate present without WithCertificates")
+// TestEveryExitIsCertified pins that certification is a step of synthesis,
+// not an option: with no option set, a route set the independent checker
+// refutes leaves neither Synthesize nor an MCL-only pipeline (the two
+// exits that never reach the simulator's own validation). The two-phase
+// baselines ride VC 1, so at one VC their sets are invalid; at two they
+// certify.
+func TestEveryExitIsCertified(t *testing.T) {
+	ctx := context.Background()
+	for _, alg := range []string{"Valiant", "ROMM", "O1TURN"} {
+		for _, tc := range []struct {
+			vcs    int
+			reject bool
+		}{{1, true}, {2, false}} {
+			spec := Spec{Topo: Mesh(4, 4), Workload: "transpose", Algorithm: alg, VCs: tc.vcs}
+			t.Run(fmt.Sprintf("%s/vcs%d", alg, tc.vcs), func(t *testing.T) {
+				_, synthErr := Synthesize(ctx, spec)
+				p, err := NewPipeline([]Spec{spec})
+				if err != nil {
+					t.Fatalf("NewPipeline: %v", err)
+				}
+				results, err := p.RunAll(ctx)
+				if err != nil || len(results) != 1 {
+					t.Fatalf("RunAll: %d results, %v", len(results), err)
+				}
+				for exit, err := range map[string]error{"Synthesize": synthErr, "Pipeline.RunAll": results[0].Err} {
+					var ce *Counterexample
+					switch {
+					case tc.reject && !errors.As(err, &ce):
+						t.Errorf("%s returned %v, want a *Counterexample", exit, err)
+					case tc.reject && ce.Kind != "route":
+						t.Errorf("%s counterexample kind %q, want route: %v", exit, ce.Kind, ce)
+					case !tc.reject && err != nil:
+						t.Errorf("%s: %v", exit, err)
+					}
+				}
+				if tc.reject && results[0].MCL != -1 {
+					t.Errorf("rejected pipeline result reports MCL %g, want -1", results[0].MCL)
+				}
+			})
 		}
 	}
 }

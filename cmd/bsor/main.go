@@ -39,25 +39,14 @@ func main() {
 	runSynthesize(os.Args[1:], os.Stdout)
 }
 
-// selectorAlgorithm maps the -selector flag to a façade algorithm name.
+// selectorAlgorithm resolves the -selector flag through the façade's
+// algorithm vocabulary: a BSOR variant named by its suffix, or (verify
+// only) the graph-generic baseline "sp".
 func selectorAlgorithm(selector string, allowSP bool) (string, error) {
-	switch selector {
-	case "dijkstra":
-		return "BSOR-Dijkstra", nil
-	case "milp":
-		return "BSOR-MILP", nil
-	case "heuristic":
-		return "BSOR-Heuristic", nil
-	case "sp":
-		if allowSP {
-			return "SP", nil
-		}
+	if allowSP && strings.EqualFold(selector, "sp") {
+		return bsor.NormalizeAlgorithm(selector)
 	}
-	want := "dijkstra, milp, or heuristic"
-	if allowSP {
-		want = "dijkstra, milp, heuristic, or sp"
-	}
-	return "", fmt.Errorf("unknown selector %q (want %s)", selector, want)
+	return bsor.NormalizeAlgorithm("bsor-" + selector)
 }
 
 // runSynthesize is the default path: it prints the per-breaker table,

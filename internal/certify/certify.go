@@ -143,6 +143,21 @@ func Certify(in Instance) (*Certificate, error) {
 	}, nil
 }
 
+// Issue certifies an instance and then re-checks the issued certificate
+// against it: the one way a route set earns a certificate before it
+// leaves the engine or is swapped into a running simulation. A failed
+// re-check is a checker bug, reported as a plain error.
+func Issue(in Instance) (*Certificate, error) {
+	cert, err := Certify(in)
+	if err != nil {
+		return nil, err
+	}
+	if err := cert.Check(in); err != nil {
+		return nil, fmt.Errorf("certify: issued certificate fails its re-check: %w", err)
+	}
+	return cert, nil
+}
+
 // Check re-verifies a certificate against an instance without re-running
 // any of Certify's graph algorithms: the ranking is validated by a linear
 // scan over the dependence edges, and the route facts are re-derived by
@@ -223,6 +238,7 @@ func checkInstance(in Instance) error {
 func walkRoutes(in Instance, onUse func(u, v int32)) *Counterexample {
 	t := in.Topo
 	nch := t.NumChannels()
+	seen := make([]int, nch) // seen[ch] == fi+1: route fi already crossed ch
 	for fi := range in.Routes.Routes {
 		r := &in.Routes.Routes[fi]
 		bad := func(hop int, reason string, args ...any) *Counterexample {
@@ -237,7 +253,6 @@ func walkRoutes(in Instance, onUse func(u, v int32)) *Counterexample {
 		if len(r.VCs) != len(r.Channels) {
 			return bad(0, "%d VCs for %d channels", len(r.VCs), len(r.Channels))
 		}
-		seen := make(map[topology.ChannelID]bool, len(r.Channels))
 		for i, ch := range r.Channels {
 			if ch < 0 || int(ch) >= nch {
 				return bad(i, "channel %d outside [0,%d)", ch, nch)
@@ -245,10 +260,10 @@ func walkRoutes(in Instance, onUse func(u, v int32)) *Counterexample {
 			if r.VCs[i] < 0 || r.VCs[i] >= in.VCs {
 				return bad(i, "VC %d outside [0,%d)", r.VCs[i], in.VCs)
 			}
-			if seen[ch] {
+			if seen[ch] == fi+1 {
 				return bad(i, "revisits channel %s", channelLabel(t, ch))
 			}
-			seen[ch] = true
+			seen[ch] = fi + 1
 			cur := t.Channel(ch)
 			if i == 0 {
 				if cur.Src != r.Flow.Src {
@@ -295,7 +310,7 @@ type edge struct{ u, v int32 }
 // dependences the routes use. Deterministic order: ascending (u, v).
 func dependenceEdges(in Instance) []edge {
 	if in.CDG != nil {
-		var edges []edge
+		edges := make([]edge, 0, in.CDG.NumEdges())
 		for u := 0; u < in.CDG.NumVertices(); u++ {
 			for _, v := range in.CDG.Out(cdg.VertexID(u)) {
 				edges = append(edges, edge{int32(u), int32(v)})

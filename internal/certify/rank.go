@@ -1,69 +1,69 @@
 package certify
 
-// layerRanks computes the layered ranking witness over n vertices:
-// rank[v] is the length of the longest dependence chain ending at v
-// (Kahn peeling with level propagation). Returns ok=false when the edge
-// set is cyclic — some vertices are then never peeled.
-func layerRanks(n int, edges []edge) (rank []int, ok bool) {
-	out := make([][]int32, n)
-	indeg := make([]int, n)
+// peel runs Kahn's algorithm over n vertices with longest-path level
+// propagation: rank[v] is the length of the longest dependence chain
+// ending at v, and left[v] the in-degree v is left with once nothing more
+// can be peeled — positive exactly on the cyclic core (the union of all
+// cycles plus anything trapped downstream of them).
+func peel(n int, edges []edge) (rank, left []int) {
+	// Out-adjacency in CSR form, each vertex's successors in edge order.
+	start := make([]int, n+1)
+	left = make([]int, n)
 	for _, e := range edges {
-		out[e.u] = append(out[e.u], e.v)
-		indeg[e.v]++
+		start[e.u+1]++
+		left[e.v]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	succ := make([]int32, len(edges))
+	next := append([]int(nil), start[:n]...)
+	for _, e := range edges {
+		succ[next[e.u]] = e.v
+		next[e.u]++
 	}
 	rank = make([]int, n)
 	queue := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
+		if left[v] == 0 {
 			queue = append(queue, int32(v))
 		}
 	}
-	peeled := 0
 	for len(queue) > 0 {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		peeled++
-		for _, v := range out[u] {
+		for _, v := range succ[start[u]:start[u+1]] {
 			if rank[u]+1 > rank[v] {
 				rank[v] = rank[u] + 1
 			}
-			indeg[v]--
-			if indeg[v] == 0 {
+			left[v]--
+			if left[v] == 0 {
 				queue = append(queue, v)
 			}
 		}
 	}
-	return rank, peeled == n
+	return rank, left
 }
 
-// cyclicCore returns the vertices never peeled by Kahn's algorithm: the
-// union of all cycles plus anything downstream-trapped inside them.
+// layerRanks computes the layered ranking witness over n vertices.
+// Returns ok=false when the edge set is cyclic — some vertices are then
+// never peeled.
+func layerRanks(n int, edges []edge) (rank []int, ok bool) {
+	rank, left := peel(n, edges)
+	for _, d := range left {
+		if d > 0 {
+			return rank, false
+		}
+	}
+	return rank, true
+}
+
+// cyclicCore returns the vertices never peeled by Kahn's algorithm.
 func cyclicCore(n int, edges []edge) []bool {
-	out := make([][]int32, n)
-	indeg := make([]int, n)
-	for _, e := range edges {
-		out[e.u] = append(out[e.u], e.v)
-		indeg[e.v]++
-	}
-	queue := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, int32(v))
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, v := range out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
+	_, left := peel(n, edges)
 	core := make([]bool, n)
-	for v := 0; v < n; v++ {
-		core[v] = indeg[v] > 0
+	for v, d := range left {
+		core[v] = d > 0
 	}
 	return core
 }

@@ -12,18 +12,16 @@ import (
 	"repro/internal/topology"
 )
 
-// Event is one entry of a fault schedule: at Cycle, the channels in
-// Repair come back and the channels in Fail die. Physical faults always
-// take a link's both directions (see topology.RemovableLinks): killing one
-// direction of a grid link can strand up*/down* reachability even though
-// the graph stays weakly connected.
+// Event is one entry of a fault schedule: at Cycle, the channels in Fail
+// die. Physical faults always take a link's both directions (see
+// topology.RemovableLinks): killing one direction of a grid link can
+// strand up*/down* reachability even though the graph stays weakly
+// connected.
 type Event struct {
 	// Cycle is the simulation cycle the event applies at.
 	Cycle int64 `json:"cycle"`
 	// Fail lists the channels that die at Cycle.
 	Fail []topology.ChannelID `json:"fail,omitempty"`
-	// Repair lists previously failed channels that come back at Cycle.
-	Repair []topology.ChannelID `json:"repair,omitempty"`
 }
 
 // RandomSchedule builds a seeded, connectivity-preserving fault schedule:

@@ -22,9 +22,8 @@ import (
 type EventReport struct {
 	// Cycle echoes the event's fault barrier.
 	Cycle int64 `json:"cycle"`
-	// Failed / Repaired echo the channels the event touched.
-	Failed   []topology.ChannelID `json:"failed,omitempty"`
-	Repaired []topology.ChannelID `json:"repaired,omitempty"`
+	// Failed echoes the channels the event took down.
+	Failed []topology.ChannelID `json:"failed,omitempty"`
 	// DroppedFlits / DroppedPackets / RequeuedPackets count the in-flight
 	// state the fault purged (sim.PurgeStats).
 	DroppedFlits    int64 `json:"dropped_flits,omitempty"`
@@ -177,16 +176,12 @@ func (sv *Supervisor) Run(ctx context.Context, total int64) (*sim.Result, []Even
 	return sv.Sim.Finish(deadlocked), reports, nil
 }
 
-// applyEvent executes one fault barrier: repair, fail+purge, escape
-// swap, background re-synthesis, and the commit barrier a recovery
-// window later.
+// applyEvent executes one fault barrier: fail+purge, escape swap,
+// background re-synthesis, and the commit barrier a recovery window
+// later.
 func (sv *Supervisor) applyEvent(ctx context.Context, ev Event, recovery int64, samples *sampler) (EventReport, error) {
-	rep := EventReport{Cycle: ev.Cycle, Failed: ev.Fail, Repaired: ev.Repair, RecoveryCycles: -1}
+	rep := EventReport{Cycle: ev.Cycle, Failed: ev.Fail, RecoveryCycles: -1}
 	sv.Metrics.Counter("churn_fault_events_total").Inc()
-	if len(ev.Repair) > 0 {
-		sv.Overlay.Restore(ev.Repair...)
-		sv.Sim.EnableChannels(ev.Repair...)
-	}
 	if len(ev.Fail) > 0 {
 		sv.Overlay.Disable(ev.Fail...)
 		if !sv.Overlay.Connected() {
@@ -263,18 +258,12 @@ func (sv *Supervisor) escapeSet(ctx context.Context) (*route.Set, error) {
 	return set, nil
 }
 
-// CertifySet runs the independent certificate checker over set, routed on
-// t under dag, and then checks the issued certificate against the same
-// instance. Every route set a churn run starts from or swaps in passes
-// both; what names the set in a rejection.
+// CertifySet issues the independent certificate (certify.Issue) of set,
+// routed on t under dag. Every route set a churn run starts from or swaps
+// in passes it; what names the set in a rejection.
 func CertifySet(t topology.Topology, dag *cdg.Graph, set *route.Set, vcs int, what string) error {
-	in := certify.Instance{Topo: t, CDG: dag, Routes: set, VCs: vcs}
-	cert, err := certify.Certify(in)
-	if err != nil {
+	if _, err := certify.Issue(certify.Instance{Topo: t, CDG: dag, Routes: set, VCs: vcs}); err != nil {
 		return fmt.Errorf("certification rejected %s: %w", what, err)
-	}
-	if err := cert.Check(in); err != nil {
-		return fmt.Errorf("certificate re-check of %s failed: %w", what, err)
 	}
 	return nil
 }

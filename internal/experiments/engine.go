@@ -121,12 +121,6 @@ type Result struct {
 	// CDG disconnected a flow). A string, so results marshal
 	// deterministically; Cause retains the typed error.
 	Err string `json:"err,omitempty"`
-	// Cert is the independent deadlock-freedom certificate of the job's
-	// route set, present when the Runner's Certify flag is set. Excluded
-	// from JSON so existing result goldens stay byte-identical; callers
-	// wanting serialized certificates marshal the field themselves.
-	Cert *certify.Certificate `json:"-"`
-
 	// cause is the typed error behind Err, for errors.Is/As at API
 	// boundaries. Never marshaled; nil after a JSON round trip.
 	cause error
@@ -179,29 +173,28 @@ type Artifact struct {
 	// order; nil for baselines. Rows only: their route sets are dropped.
 	Explored []core.Explored
 	// Err is a deterministic synthesis failure (a workload that does not
-	// fit the topology, every breaker infeasible, a rejected certificate
-	// under Runner.Certify, a captured panic). It is part of the artifact
-	// — and memoized with it — so the exploration table of an infeasible
-	// spec still renders; Set, MCL, AvgHops and Breaker are meaningless
-	// when it is set. Cancellations are never stored here.
+	// fit the topology, every breaker infeasible, a route set the
+	// certificate checker refutes, a captured panic). It is part of the
+	// artifact — and memoized with it — so the exploration table of an
+	// infeasible or rejected spec still renders; Set, MCL, AvgHops and
+	// Breaker are meaningless when it is set. Cancellations are never
+	// stored here.
 	Err error
 
-	certOnce sync.Once
-	cert     *certify.Certificate
-	certErr  error
+	// cert is the certificate synthesize issued for Set. A valid,
+	// deadlock-free Set whose load exceeds the job's explicit Capacity
+	// stands without one: certErr is then the capacity counterexample.
+	cert    *certify.Certificate
+	certErr error
 }
 
 // Certificate returns the independent deadlock-freedom certificate of the
-// artifact's route set (loads re-checked against the job's Capacity when
-// set), or the checker's counterexample. It is computed on first demand
-// and memoized with the artifact.
+// artifact's route set (loads checked against the job's Capacity when
+// set), or the failure that withheld it.
 func (a *Artifact) Certificate() (*certify.Certificate, error) {
 	if a.Err != nil {
 		return nil, a.Err
 	}
-	a.certOnce.Do(func() {
-		a.cert, a.certErr = certifySet(a.Topo, a.Job, a.Set, a.Breaker)
-	})
 	return a.cert, a.certErr
 }
 
@@ -227,13 +220,6 @@ type Runner struct {
 	// public façade installs its workload registry here so jobs can name
 	// caller-defined flow sets.
 	WorkloadFn func(t topology.Topology, name string, demand float64) ([]flowgraph.Flow, error)
-	// Certify runs the independent deadlock-freedom certificate checker
-	// (internal/certify) on every synthesized route set: the claimed CDG
-	// is rebuilt from the winning breaker and re-proved acyclic, and the
-	// routes re-validated hop by hop. The certificate lands in
-	// Result.Cert; a rejection fails the job with the counterexample as
-	// its cause. Certification is memoized with the synthesis.
-	Certify bool
 	// Metrics, when non-nil, receives out-of-band instruments from the
 	// whole stack: engine job/cache/queue counters, the LP core's
 	// pivot/refactorization/node counters (selectors are instrumented on
@@ -262,9 +248,6 @@ type Runner struct {
 	simFlitHops atomic.Int64
 	simWallNs   atomic.Int64
 }
-
-// NewRunner returns a Runner with default selectors and worker count.
-func NewRunner() *Runner { return &Runner{} }
 
 // Selector aliases the route-selection interface so engine clients (the
 // cmd tools) can hold selector values without importing internal/route.
@@ -452,10 +435,11 @@ func (r *Runner) Synthesize(ctx context.Context, j Job) (*Artifact, error) {
 	return art, err
 }
 
-// synthesize fills in a fresh artifact and returns its failure, if any.
-// Panics from incompatible job parameters are converted into errors here,
-// so the memoized artifact records the failure instead of a half-built
-// value and no caller's goroutine dies.
+// synthesize fills in a fresh artifact — routes, figures of merit and, as
+// its last step, the certificate — and returns its failure, if any. Panics
+// from incompatible job parameters are converted into errors here, so the
+// memoized artifact records the failure instead of a half-built value and
+// no caller's goroutine dies.
 func (r *Runner) synthesize(ctx context.Context, art *Artifact) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -493,8 +477,13 @@ func (r *Runner) synthesize(ctx context.Context, art *Artifact) (err error) {
 	}
 	art.MCL, _ = art.Set.MCL()
 	art.AvgHops = art.Set.AvgHops()
-	if r.Certify {
-		_, err = art.Certificate()
+	art.cert, err = certifySet(art.Topo, j, art.Set, art.Breaker)
+	var ce *certify.Counterexample
+	if errors.As(err, &ce) && ce.Kind == certify.KindCapacity {
+		// The set is valid and deadlock-free (Certify checks loads last);
+		// it only overshoots the capacity the job asked it to be priced
+		// against. The routes stand, only their certificate is refused.
+		art.certErr, err = err, nil
 	}
 	return err
 }
@@ -532,9 +521,6 @@ func (r *Runner) exec(ctx context.Context, j Job) (res Result) {
 		return fail(err)
 	}
 	res.MCL, res.AvgHops, res.Breaker = art.MCL, art.AvgHops, art.Breaker
-	if r.Certify {
-		res.Cert, _ = art.Certificate() // already demanded by synthesize: a rejection is art.Err
-	}
 	if j.Kind != KindSim {
 		return res
 	}
@@ -557,8 +543,8 @@ func (r *Runner) workloadFlows(g topology.Topology, j Job) ([]flowgraph.Flow, er
 	return flows, err
 }
 
-// certifySet runs the independent certificate checker on a synthesized
-// route set: the claimed CDG is rebuilt from the winning breaker's name
+// certifySet issues the independent certificate of a synthesized route
+// set: the claimed CDG is rebuilt from the winning breaker's name
 // (baselines, which select no CDG, are certified on their
 // used-dependence graph alone) and the whole instance re-proved.
 func certifySet(g topology.Topology, j Job, set *route.Set, breaker string) (*certify.Certificate, error) {
@@ -574,7 +560,7 @@ func certifySet(g topology.Topology, j Job, set *route.Set, breaker string) (*ce
 		}
 		in.CDG = b.Break(cdg.NewFull(g, vcs))
 	}
-	cert, err := certify.Certify(in)
+	cert, err := certify.Issue(in)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: independent certification rejected the %s route set: %w", j.synthKey(), err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/certify"
@@ -81,7 +82,7 @@ func TestSynthesisCachedOncePerKey(t *testing.T) {
 // concurrent refactor must not change a single MCL.
 func TestEngineMatchesSequentialExploration(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	rows := CDGRows(NewRunner().Run(TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
+	rows := CDGRows((&Runner{}).Run(TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
 	byName := map[string]CDGRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -274,8 +275,9 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 // consumer: one key, one artifact, shared by pointer; a deterministic
 // failure lives inside the artifact (with the exploration table that led
 // to it) and is retained like a success; a cancellation is returned, not
-// retained; and the certificate is computed once, on demand, without
-// failing the synthesis it refutes.
+// retained; and the artifact is published with its certificate, a refuted
+// route set failing the synthesis unless only an explicit capacity is
+// exceeded.
 func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 	ctx := context.Background()
 	r := &Runner{}
@@ -302,9 +304,6 @@ func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 	if err != nil || cert.MCL != art.MCL {
 		t.Fatalf("Certificate: %v (cert %+v)", err, cert)
 	}
-	if cert2, _ := art.Certificate(); cert2 != cert {
-		t.Error("Certificate re-certified instead of returning the memoized certificate")
-	}
 
 	// Under-capacity: the routes stand, only their certificate is refused.
 	tight := job
@@ -316,6 +315,17 @@ func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 	var ce *certify.Counterexample
 	if _, err := tightArt.Certificate(); !errors.As(err, &ce) || ce.Kind != certify.KindCapacity {
 		t.Errorf("under-capacity Certificate returned %v, want a capacity counterexample", err)
+	}
+
+	// The two-phase baselines ride VC 1: at one VC the set is refuted, and
+	// the counterexample is the artifact's failure with no flag set.
+	invalid := Job{Kind: KindMCL, Topo: MeshSpec(4, 4), Workload: "transpose", Algorithm: "Valiant", VCs: 1}
+	invalidArt, err := r.Synthesize(ctx, invalid)
+	if err != nil || !errors.As(invalidArt.Err, &ce) || ce.Kind != certify.KindRoute {
+		t.Fatalf("1-VC Valiant: %v / artifact error %v, want a route counterexample", err, invalidArt.Err)
+	}
+	if cert, err := invalidArt.Certificate(); cert != nil || err != invalidArt.Err {
+		t.Errorf("rejected artifact's Certificate() = %v, %v, want nil and the artifact's error", cert, err)
 	}
 
 	// A mesh turn rule cannot break a torus: every breaker infeasible.
@@ -334,8 +344,19 @@ func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 	if got := r.SynthesisCount() - before; got != 1 {
 		t.Errorf("infeasible key synthesized %d times, want 1 (deterministic failures are retained)", got)
 	}
-	if got := r.SynthesisCount(); got != 4 {
-		t.Errorf("SynthesisCount = %d, want 4 (cancelled, ok, tight, infeasible)", got)
+	if got := r.SynthesisCount(); got != 5 {
+		t.Errorf("SynthesisCount = %d, want 5 (cancelled, ok, tight, invalid, infeasible)", got)
+	}
+}
+
+// TestRunnerHasNoSwitches: what a Runner computes for a job is not
+// configurable by flag — in particular certification cannot be turned off.
+func TestRunnerHasNoSwitches(t *testing.T) {
+	typ := reflect.TypeOf(Runner{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() && f.Type.Kind() == reflect.Bool {
+			t.Errorf("Runner.%s is an exported bool", f.Name)
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func TestTable63Shape(t *testing.T) {
 }
 
 func TestFigureSweepProducesMonotoneOfferedAxis(t *testing.T) {
-	results := NewRunner().Run(SweepJobs("figure", MeshSpec(8, 8), "perf-modeling",
+	results := (&Runner{}).Run(SweepJobs("figure", MeshSpec(8, 8), "perf-modeling",
 		[]string{"XY", "YX"}, nil, []float64{2, 8}, 0, fastParams()))
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestFigureSweepProducesMonotoneOfferedAxis(t *testing.T) {
 }
 
 func TestVCSweepRuns(t *testing.T) {
-	results := NewRunner().Run(VCSweepJobs("vcsweep", MeshSpec(8, 8), "transmitter",
+	results := (&Runner{}).Run(VCSweepJobs("vcsweep", MeshSpec(8, 8), "transmitter",
 		[]string{"BSOR-Dijkstra", "XY"}, []int{1, 2}, []float64{5}, fastParams()))
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestVCSweepRuns(t *testing.T) {
 }
 
 func TestVariationSweepRuns(t *testing.T) {
-	results := NewRunner().Run(SweepJobs("variation", MeshSpec(8, 8), "perf-modeling",
+	results := (&Runner{}).Run(SweepJobs("variation", MeshSpec(8, 8), "perf-modeling",
 		[]string{"XY"}, nil, []float64{5}, 0.25, fastParams()))
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestSynthScaleJobs(t *testing.T) {
 // TestHeuristicJobRuns executes a BSOR-Heuristic MCL job end to end on the
 // engine and checks it lands in the same league as BSOR-Dijkstra.
 func TestHeuristicJobRuns(t *testing.T) {
-	r := NewRunner()
+	r := &Runner{}
 	jobs := []Job{
 		{Experiment: "t", Kind: KindMCL, Topo: MeshSpec(8, 8), Workload: "transpose",
 			Algorithm: "BSOR-Heuristic", Breakers: TableBreakerNames()[:2], VCs: 2},

@@ -64,7 +64,7 @@ func TestVocabulariesAgree(t *testing.T) {
 		t.Errorf("an unbuildable ring has default breakers %v", names)
 	}
 
-	r := NewRunner()
+	r := &Runner{}
 	for _, name := range AlgorithmNames() {
 		alg, err := r.ResolveAlgorithm(Job{Topo: MeshSpec(4, 4), Algorithm: name, VCs: 2})
 		if err != nil {

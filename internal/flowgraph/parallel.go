@@ -6,27 +6,22 @@ import (
 	"sync"
 )
 
-// EnumerateAll runs EnumeratePathsDedup for every flow of the network on a
-// worker pool and merges the per-flow results in flow order. Each flow's
-// enumeration is independent and deterministic, so the output is
-// byte-identical for any worker count — the property the route-synthesis
-// golden tests pin. budgets holds one hop budget per flow (0 means
-// unbounded); maxPaths caps the deduplicated candidates per flow (0 means
-// uncapped); workers <= 0 uses GOMAXPROCS.
-func (g *Graph) EnumerateAll(budgets []int, maxPaths, workers int) [][]Path {
-	out, _ := g.EnumerateAllContext(context.Background(), budgets, maxPaths, workers)
-	return out
-}
-
-// EnumerateAllContext is EnumerateAll with cooperative cancellation:
-// no new per-flow enumeration starts once ctx is done, and the call
+// EnumerateAllContext runs EnumeratePathsDedup for every flow of the
+// network on a worker pool and merges the per-flow results in flow order.
+// Each flow's enumeration is independent and deterministic, so the output
+// is byte-identical for any worker count — the property the
+// route-synthesis golden tests pin. budgets holds one hop budget per flow
+// (0 means unbounded); maxPaths caps the deduplicated candidates per flow
+// (0 means uncapped); workers <= 0 uses GOMAXPROCS.
+//
+// No new per-flow enumeration starts once ctx is done, and the call
 // returns ctx.Err() after the in-flight ones finish. The partial result
 // is discarded (nil) on cancellation — a route selector cannot use a
 // candidate table with holes.
 func (g *Graph) EnumerateAllContext(ctx context.Context, budgets []int, maxPaths, workers int) ([][]Path, error) {
 	n := len(g.flows)
 	if len(budgets) != n {
-		panic("flowgraph: EnumerateAll needs one budget per flow")
+		panic("flowgraph: EnumerateAllContext needs one budget per flow")
 	}
 	out := make([][]Path, n)
 	if n == 0 {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,7 +184,7 @@ func TestMILPKnapsack(t *testing.T) {
 	b := p.AddBinary("b", 13)
 	c := p.AddBinary("c", 7)
 	p.AddConstraint([]Term{{a, 3}, {b, 4}, {c, 2}}, LE, 6)
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestMILPIntegerVsRelaxation(t *testing.T) {
 	if !approx(relax.Objective, 1.5, 1e-6) {
 		t.Fatalf("relaxation = %g, want 1.5", relax.Objective)
 	}
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestMILPAssignment(t *testing.T) {
 		p.AddConstraint(row, EQ, 1)
 		p.AddConstraint(col, EQ, 1)
 	}
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestMILPInfeasible(t *testing.T) {
 	x := p.AddBinary("x", 1)
 	y := p.AddBinary("y", 1)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 3)
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestMILPMixedContinuous(t *testing.T) {
 	b := p.AddBinary("b", 0)
 	p.AddConstraint([]Term{{b, 7}, {u, -1}}, LE, 0)
 	p.AddConstraint([]Term{{b, -7}, {u, -1}}, LE, -7)
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestMILPNodeLimitReturnsIncumbent(t *testing.T) {
 		terms = append(terms, Term{v, 1 + rng.Float64()*3})
 	}
 	p.AddConstraint(terms, LE, 8)
-	sol, err := SolveMILP(p, MILPOptions{MaxNodes: 1})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestMILPAgainstBruteForce(t *testing.T) {
 			}
 		}
 
-		sol, err := SolveMILP(p, MILPOptions{})
+		sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -59,14 +59,9 @@ type (
 	boundTightener func(lb, ub []float64, branch int) bool
 )
 
-// SolveMILP solves p respecting its integer variable markers using
+// SolveMILPContext solves p respecting its integer variable markers using
 // LP-relaxation branch and bound with most-fractional branching and
-// depth-first exploration (better-bound node first among siblings).
-func SolveMILP(p *Problem, opts MILPOptions) (*Solution, error) {
-	return SolveMILPContext(context.Background(), p, opts)
-}
-
-// SolveMILPContext is SolveMILP with cooperative cancellation: the
+// depth-first exploration (better-bound node first among siblings). The
 // branch-and-bound loop polls ctx between nodes and returns ctx.Err()
 // when it fires, discarding any incumbent (a cancelled solve has no
 // answer, partial or otherwise — callers that want best-effort truncation

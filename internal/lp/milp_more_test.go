@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ func TestMILPGeneralIntegers(t *testing.T) {
 	x := p.AddInt("x", 1, 5, 2)
 	y := p.AddInt("y", 1, 5, 3)
 	p.AddConstraint([]Term{{x, 4}, {y, 5}}, LE, 23)
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestMILPOnPureLPDelegates(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 0, 10, -1)
 	p.AddConstraint([]Term{{x, 1}}, LE, 7)
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +57,11 @@ func TestMILPGapAcceptsNearOptimal(t *testing.T) {
 	}
 	p.AddConstraint(terms, LE, 12)
 
-	exact, err := SolveMILP(p, MILPOptions{})
+	exact, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gapped, err := SolveMILP(p, MILPOptions{Gap: 2})
+	gapped, err := SolveMILPContext(context.Background(), p, MILPOptions{Gap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestMILPMaximizeSense(t *testing.T) {
 	x := p.AddBinary("x", 5)
 	y := p.AddBinary("y", 4)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestIntTolLoose(t *testing.T) {
 	p.SetMaximize(true)
 	x := p.AddInt("x", 0, 10, 1)
 	p.AddConstraint([]Term{{x, 2}}, LE, 9)
-	sol, err := SolveMILP(p, MILPOptions{IntTol: 0.6})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{IntTol: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func BenchmarkMILPKnapsack20(b *testing.B) {
 	p.AddConstraint(terms, LE, 18)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveMILP(p, MILPOptions{}); err != nil {
+		if _, err := SolveMILPContext(context.Background(), p, MILPOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -173,7 +173,7 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Solution is the result of Solve or SolveMILP.
+// Solution is the result of Solve or SolveMILPContext.
 type Solution struct {
 	Status    Status
 	Objective float64

@@ -129,7 +129,7 @@ func TestSparseMatchesDenseMILP(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		p := randomLP(rng, true)
 		ds, derr := solveMILPDense(p)
-		ss, serr := SolveMILP(p, MILPOptions{})
+		ss, serr := SolveMILPContext(context.Background(), p, MILPOptions{})
 		if derr != nil || serr != nil {
 			t.Fatalf("trial %d: dense err %v, sparse err %v", trial, derr, serr)
 		}
@@ -160,7 +160,7 @@ func TestSparseWarmStartedChildren(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := SolveMILP(p, MILPOptions{})
+		ss, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestPropagationFixesSiblings(t *testing.T) {
 		terms = append(terms, Term{v, 1})
 	}
 	p.AddConstraint(terms, EQ, 1)
-	sol, err := SolveMILP(p, MILPOptions{})
+	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

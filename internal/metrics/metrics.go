@@ -236,7 +236,6 @@ type Collector struct {
 	gauges   map[string]*Gauge
 	gaugeFns map[string]func() float64
 	timers   map[string]*Timer
-	start    time.Time
 }
 
 // New returns an empty enabled collector.
@@ -246,7 +245,6 @@ func New() *Collector {
 		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() float64),
 		timers:   make(map[string]*Timer),
-		start:    time.Now(),
 	}
 }
 
@@ -307,14 +305,6 @@ func (c *Collector) Timer(name string) *Timer {
 	t := &Timer{name: name, cells: make([]timerCell, shardCount), mask: uint32(shardCount - 1)}
 	c.timers[name] = t
 	return t
-}
-
-// Uptime is the time since New, the denominator of per-second rates.
-func (c *Collector) Uptime() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return time.Since(c.start)
 }
 
 // Sample is one aggregated metric value.

@@ -2,6 +2,7 @@ package route
 
 import (
 	"container/heap"
+	"context"
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
@@ -24,6 +25,11 @@ type unitDemand struct{ inner Selector }
 func (u unitDemand) Name() string { return u.inner.Name() + "/unit-demand" }
 
 func (u unitDemand) Select(g *flowgraph.Graph) (*Set, error) {
+	return u.SelectContext(context.Background(), g)
+}
+
+// SelectContext implements ContextSelector: ctx reaches the inner selector.
+func (u unitDemand) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()
 	unit := make([]flowgraph.Flow, len(flows))
 	copy(unit, flows)
@@ -31,7 +37,7 @@ func (u unitDemand) Select(g *flowgraph.Graph) (*Set, error) {
 		unit[i].Demand = 1
 	}
 	ug := flowgraph.New(g.CDG(), unit, float64(len(flows)))
-	set, err := u.inner.Select(ug)
+	set, err := SelectWithContext(ctx, u.inner, ug)
 	if err != nil {
 		return nil, err
 	}

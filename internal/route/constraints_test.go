@@ -1,6 +1,8 @@
 package route
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/cdg"
@@ -49,6 +51,41 @@ func TestUnitDemandMinimizesFlowCount(t *testing.T) {
 	}
 	if err := set.Conforms(g.CDG()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// selectCounter is a plain Selector (no SelectContext) that counts calls.
+type selectCounter struct{ calls *int }
+
+func (selectCounter) Name() string { return "counter" }
+
+func (c selectCounter) Select(g *flowgraph.Graph) (*Set, error) {
+	*c.calls++
+	return DijkstraSelector{}.Select(g)
+}
+
+// TestUnitDemandForwardsContext: the wrapper is a ContextSelector, so
+// SelectWithContext never takes its uncancellable branch for it, and a
+// context that is already done stops it before the inner selection runs.
+func TestUnitDemandForwardsContext(t *testing.T) {
+	m := topology.NewMesh(3, 3)
+	dag := cdg.TurnBreaker{Rule: cdg.WestFirst}.Break(cdg.NewFull(m, 1))
+	g := flowgraph.New(dag, transposeFlows(m, 25), 100)
+	calls := 0
+	sel, ok := UnitDemand(selectCounter{&calls}).(ContextSelector)
+	if !ok {
+		t.Fatal("UnitDemand's selector does not implement ContextSelector")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sel.SelectContext(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled SelectContext returned %v, want context.Canceled", err)
+	}
+	if calls != 0 {
+		t.Errorf("inner selector ran %d times under a cancelled context", calls)
+	}
+	if _, err := sel.Select(g); err != nil || calls != 1 {
+		t.Errorf("plain Select: %v after %d inner calls, want nil after 1", err, calls)
 	}
 }
 

@@ -215,9 +215,9 @@ func TestGoldenEnumerationDeterminism(t *testing.T) {
 	for i := range budgets {
 		budgets[i] = 14
 	}
-	base := g.EnumerateAll(budgets, 12, 1)
+	base, _ := g.EnumerateAllContext(context.Background(), budgets, 12, 1)
 	for _, workers := range []int{2, 4, 8} {
-		got := g.EnumerateAll(budgets, 12, workers)
+		got, _ := g.EnumerateAllContext(context.Background(), budgets, 12, workers)
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: %d flows, want %d", workers, len(got), len(base))
 		}

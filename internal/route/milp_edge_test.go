@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -222,7 +223,7 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 		}
 	}
 
-	sol, err := lp.SolveMILP(p, opts)
+	sol, err := lp.SolveMILPContext(context.Background(), p, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -468,7 +469,7 @@ func requirePrivateFirstChannel(t *testing.T, name string, g *flowgraph.Graph, s
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	candidates := g.EnumerateAll(budgets, 0, 1)
+	candidates, _ := g.EnumerateAllContext(context.Background(), budgets, 0, 1)
 	others := make(map[topology.ChannelID]bool)
 	for f, paths := range candidates {
 		if f == i {

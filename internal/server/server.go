@@ -252,7 +252,9 @@ func (s *Server) handle(endpoint string, normalize func(*bsor.Spec) error, fn fu
 			fail(err)
 			return
 		}
-		canonicalKey, err := canonical.CanonicalKey()
+		// Spec.CanonicalKey by its definition, without validating the spec
+		// a second time.
+		canonicalKey, err := json.Marshal(canonical)
 		if err != nil {
 			fail(err)
 			return
@@ -262,7 +264,7 @@ func (s *Server) handle(endpoint string, normalize func(*bsor.Spec) error, fn fu
 			fail(err)
 			return
 		}
-		key := endpoint + " " + canonicalKey
+		key := endpoint + " " + string(canonicalKey)
 		keyHash := sha256.Sum256([]byte(key))
 		w.Header().Set("X-Cache-Key", hex.EncodeToString(keyHash[:8]))
 

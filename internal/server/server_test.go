@@ -460,6 +460,28 @@ func TestInfeasibleSpecStillExplores(t *testing.T) {
 	}
 }
 
+// TestEveryExitIsCertified is the daemon's case of the bsor test of the
+// same name: /v1/synthesize never reaches the simulator's validation, so
+// it is certification as a step of synthesis that keeps the two-phase
+// baselines' invalid one-VC route sets from being served as 200s.
+func TestEveryExitIsCertified(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Workers: 2})
+	for _, alg := range []string{"Valiant", "ROMM", "O1TURN"} {
+		spec := func(vcs int) string {
+			return fmt.Sprintf(`{"topo":{"kind":"mesh","width":4,"height":4},"workload":"transpose","algorithm":%q,"vcs":%d}`, alg, vcs)
+		}
+		resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", spec(1))
+		var envelope ErrorBody
+		if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(body, &envelope) != nil ||
+			envelope.Error.Kind != "counterexample" || envelope.Error.Counterexample == nil {
+			t.Errorf("%s at 1 VC: %d, want 422 counterexample: %s", alg, resp.StatusCode, body)
+		}
+		if resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", spec(2)); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s at 2 VCs: %d: %s", alg, resp.StatusCode, body)
+		}
+	}
+}
+
 var registerPanicky = sync.OnceValue(func() error {
 	return bsor.RegisterWorkload("server-test-panicky", func(bsor.TopoInfo, float64) ([]bsor.Flow, error) {
 		panic("workload exploded")

@@ -43,9 +43,9 @@ import (
 // in-flight position reconstruction is not worth the bookkeeping — the
 // escape swap that follows re-routes the flow anyway.
 //
-// Faults are cumulative across calls; EnableChannels reverses them for
-// future epochs. Calling with no channels is a no-op. The returned
-// PurgeStats is this call's delta (the Result fields accumulate).
+// Faults are cumulative across calls. Calling with no channels is a
+// no-op. The returned PurgeStats is this call's delta (the Result fields
+// accumulate).
 func (s *Simulator) DisableChannels(requeue bool, chs ...topology.ChannelID) PurgeStats {
 	before := PurgeStats{Flits: s.droppedFlits, Packets: s.droppedPackets, Requeued: s.requeuedPkts}
 	if len(chs) == 0 {
@@ -184,19 +184,6 @@ func (s *Simulator) clearBuf(bi int32, b *vcBuf) {
 		if ch := bi / s.nVCs; s.vaWait[ch] >= 0 {
 			s.vaFlagShard(&s.shards[s.shardOfChan[ch]], ch)
 		}
-	}
-}
-
-// EnableChannels repairs previously disabled channels. Only future
-// epochs may use them: routes already installed never cross a channel
-// that was dead at their swap time, and SwapRoutes validates against the
-// dead set current at call time.
-func (s *Simulator) EnableChannels(chs ...topology.ChannelID) {
-	if s.deadChan == nil {
-		return
-	}
-	for _, ch := range chs {
-		s.deadChan[ch] = false
 	}
 }
 

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates a stream of observations in O(1) space using
@@ -181,54 +180,4 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return h.hi
-}
-
-// Quantiles computes exact quantiles of a sample in place (the slice is
-// sorted). qs are fractions in (0, 1].
-func Quantiles(sample []float64, qs ...float64) []float64 {
-	sort.Float64s(sample)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if len(sample) == 0 {
-			continue
-		}
-		k := int(math.Ceil(q*float64(len(sample)))) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= len(sample) {
-			k = len(sample) - 1
-		}
-		out[i] = sample[k]
-	}
-	return out
-}
-
-// BatchMeans splits a time series into batches and returns the batch-mean
-// estimate with its half-width at roughly 95% confidence (t ~ 2), the
-// standard steady-state simulation output analysis. Fewer than two
-// batches yield a zero half-width.
-func BatchMeans(series []float64, batches int) (mean, halfWidth float64) {
-	if len(series) == 0 || batches < 1 {
-		return 0, 0
-	}
-	if batches > len(series) {
-		batches = len(series)
-	}
-	size := len(series) / batches
-	if size == 0 {
-		size = 1
-	}
-	var ms Summary
-	for b := 0; b+size <= len(series); b += size {
-		var s Summary
-		for _, v := range series[b : b+size] {
-			s.Add(v)
-		}
-		ms.Add(s.Mean())
-	}
-	if ms.N() < 2 {
-		return ms.Mean(), 0
-	}
-	return ms.Mean(), 2 * ms.Std() / math.Sqrt(float64(ms.N()))
 }

@@ -115,56 +115,6 @@ func TestHistogramValidation(t *testing.T) {
 	NewHistogram(5, 5, 10)
 }
 
-func TestQuantiles(t *testing.T) {
-	sample := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 10}
-	qs := Quantiles(sample, 0.5, 0.9, 1.0)
-	if qs[0] != 5 {
-		t.Errorf("median = %g, want 5", qs[0])
-	}
-	if qs[1] != 9 {
-		t.Errorf("p90 = %g, want 9", qs[1])
-	}
-	if qs[2] != 10 {
-		t.Errorf("max = %g, want 10", qs[2])
-	}
-	if got := Quantiles(nil, 0.5); got[0] != 0 {
-		t.Error("empty sample quantile not 0")
-	}
-}
-
-func TestBatchMeans(t *testing.T) {
-	// Constant series: exact mean, zero half-width.
-	series := make([]float64, 100)
-	for i := range series {
-		series[i] = 7
-	}
-	mean, hw := BatchMeans(series, 10)
-	if mean != 7 || hw != 0 {
-		t.Errorf("constant series: mean %g hw %g", mean, hw)
-	}
-	// Noisy series: mean near truth, positive half-width shrinking with
-	// more data.
-	rng := rand.New(rand.NewSource(1))
-	noisy := make([]float64, 10000)
-	for i := range noisy {
-		noisy[i] = 3 + rng.NormFloat64()
-	}
-	mean, hw = BatchMeans(noisy, 20)
-	if math.Abs(mean-3) > 0.1 {
-		t.Errorf("noisy mean %g", mean)
-	}
-	if hw <= 0 || hw > 0.2 {
-		t.Errorf("half width %g", hw)
-	}
-	if m, h := BatchMeans(nil, 4); m != 0 || h != 0 {
-		t.Error("empty series not zero")
-	}
-	// One batch: no half-width.
-	if _, h := BatchMeans([]float64{1, 2}, 1); h != 0 {
-		t.Error("single batch should have zero half-width")
-	}
-}
-
 func TestSummaryMergeMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var whole, left, right Summary

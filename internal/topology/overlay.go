@@ -16,9 +16,9 @@ import "fmt"
 // selection, certification). It deliberately does not implement InIndexer;
 // the simulator keeps the base topology and tracks dead channels itself.
 //
-// Not safe for concurrent mutation; Disable/Restore must not race with
-// readers. The intended discipline is the churn supervisor's: mutate at a
-// cycle barrier, then hand the overlay to background synthesis read-only.
+// Not safe for concurrent mutation; Disable must not race with readers.
+// The intended discipline is the churn supervisor's: mutate at a cycle
+// barrier, then hand the overlay to background synthesis read-only.
 type FaultOverlay struct {
 	base Topology
 	dead []bool
@@ -94,32 +94,22 @@ func (o *FaultOverlay) Dead() []ChannelID {
 // Disable marks the given channels dead and rebuilds the adjacency
 // filters. Disabling an already-dead channel is a no-op.
 func (o *FaultOverlay) Disable(ids ...ChannelID) {
-	o.set(true, ids)
-}
-
-// Restore marks the given channels alive again. Restoring an alive
-// channel is a no-op.
-func (o *FaultOverlay) Restore(ids ...ChannelID) {
-	o.set(false, ids)
-}
-
-func (o *FaultOverlay) set(dead bool, ids []ChannelID) {
 	touched := make(map[NodeID]bool, 2*len(ids))
 	for _, id := range ids {
 		if int(id) < 0 || int(id) >= len(o.dead) {
 			panic(fmt.Sprintf("topology: overlay channel %d out of range [0,%d)", id, len(o.dead)))
 		}
-		if o.dead[id] == dead {
+		if o.dead[id] {
 			continue
 		}
-		o.dead[id] = dead
+		o.dead[id] = true
 		c := o.base.Channel(id)
 		touched[c.Src] = true
 		touched[c.Dst] = true
 	}
 	// Rebuild the touched nodes' filtered adjacency in base creation order,
-	// so iteration order is deterministic and independent of the
-	// disable/restore history.
+	// so iteration order is deterministic and independent of the order
+	// channels were disabled in.
 	for n := range touched {
 		o.out[n] = filterAlive(o.out[n][:0], o.base.OutChannels(n), o.dead)
 		o.in[n] = filterAlive(o.in[n][:0], o.base.InChannels(n), o.dead)
