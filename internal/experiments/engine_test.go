@@ -158,6 +158,38 @@ func TestTorusSweepDefaultBreakers(t *testing.T) {
 	}
 }
 
+// TestDefaultMILPRoutesDegenerateMasters pins three cells whose restricted
+// master at DefaultMILP() (m ≈ 312, n ≈ 1 214) is degenerate enough that a
+// simplex started from slacks and artificials spends 17-20 s in phase 1,
+// stops at the iteration limit and reports the cell infeasible. Crashed
+// from the start route set, each reaches its FastMILP() answer in seconds.
+func TestDefaultMILPRoutesDegenerateMasters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three default-budget MILP selections")
+	}
+	faulted := TopoSpec{Kind: "faulted-mesh", Width: 8, Height: 8, Faults: 4, FaultSeed: 1}
+	cells := []struct {
+		topo              TopoSpec
+		workload, breaker string
+		mcl               float64
+	}{
+		{TorusSpec(8, 8), "shuffle", "dateline/E-first", 50},
+		{TorusSpec(8, 8), "shuffle", "dateline/negative-first(WS)", 50},
+		{faulted, "bit-complement", "updown-escape@63", 100},
+	}
+	var jobs []Job
+	for _, c := range cells {
+		jobs = append(jobs, Job{Experiment: "degenerate-masters", Kind: KindMCL, Topo: c.topo,
+			Workload: c.workload, Algorithm: "BSOR-MILP", Breakers: []string{c.breaker}, VCs: 2})
+	}
+	for i, res := range (&Runner{}).Run(jobs) {
+		c := cells[i]
+		if res.Err != "" || res.MCL != c.mcl {
+			t.Errorf("%s %s under %s: MCL %g, error %q; want MCL %g", c.topo, c.workload, c.breaker, res.MCL, res.Err, c.mcl)
+		}
+	}
+}
+
 // TestExploreReportsCyclicCDG pins the core-level guard: a mesh turn
 // rule applied to a torus is reported as a per-breaker error, not a
 // panic or a silent MCL.

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -47,7 +48,60 @@ func FuzzSparseVsDense(f *testing.F) {
 		if _, _, ok := p.checkFeasible(ss.X, 1); !ok {
 			t.Fatalf("sparse solution violates constraints")
 		}
+		if data[0] >= 128 {
+			checkMasterMILP(t, p)
+		}
 	})
+}
+
+// checkMasterMILP is the fuzz target's MILP leg on a master-shaped input:
+// branch and bound crashing from a route set (each flow's first path, U at
+// the largest load) must reach the dense stack's optimum, and so must a
+// search from a warm start that violates every row (every path at 1, U at
+// 0), whose crash needs artificials. Demands are integers, so every
+// integer point's objective is one too and a gap below 1 prunes no better
+// point: both searches stay exact at a fraction of the nodes.
+func checkMasterMILP(t *testing.T, p *Problem) {
+	const gap = 0.99
+	ds, err := solveMILPDense(p, MILPOptions{Gap: gap, MaxNodes: 2000})
+	if err != nil || ds.Status != Optimal {
+		return // no proven reference: a dense pathology or a long search
+	}
+	start := make([]float64, p.NumVars())
+	bad := make([]float64, p.NumVars())
+	for _, c := range p.cons {
+		if c.sense == EQ {
+			start[c.terms[0].Var] = 1
+			for _, tm := range c.terms {
+				bad[tm.Var] = 1
+			}
+		}
+	}
+	start[0] = p.vars[0].lb
+	for _, c := range p.cons {
+		if c.sense == LE {
+			load := 0.0
+			for _, tm := range c.terms[:len(c.terms)-1] { // the last term is U's
+				load += tm.Coef * start[tm.Var]
+			}
+			start[0] = math.Max(start[0], load)
+		}
+	}
+	for _, w := range []struct {
+		name string
+		x    []float64
+	}{{"route set", start}, {"infeasible", bad}} {
+		ss, err := SolveMILPContext(context.Background(), p, MILPOptions{Gap: gap, WarmStart: w.x})
+		if err != nil {
+			t.Fatalf("MILP from %s start: %v", w.name, err)
+		}
+		if ss.Status != Optimal || math.Abs(ds.Objective-ss.Objective) > 1e-5*(1+math.Abs(ds.Objective)) {
+			t.Fatalf("MILP from %s start: %v %g, dense optimal %g", w.name, ss.Status, ss.Objective, ds.Objective)
+		}
+		if _, _, ok := p.checkFeasible(ss.X, 1e-6); !ok {
+			t.Fatalf("MILP from %s start: incumbent violates constraints", w.name)
+		}
+	}
 }
 
 // masterSeed decodes (masterFromBytes) to the structure the sparse engine
@@ -133,7 +187,9 @@ func problemFromBytes(data []byte) *Problem {
 //
 //	minimize U  s.t.  sum_p x[f][p] = 1 per flow,
 //	                  sum demand*x over the paths on a channel <= U,
-//	                  0 <= x <= 1, U >= the largest demand.
+//	                  x binary, U >= the largest demand
+//
+// (Solve ignores the binary markers; the MILP leg uses them).
 func masterFromBytes(data []byte) *Problem {
 	if len(data) < 4 {
 		return nil
@@ -159,7 +215,7 @@ func masterFromBytes(data []byte) *Problem {
 	for f := 0; f < nf; f++ {
 		var choose []Term
 		for k := 0; k < np; k++ {
-			v := p.AddVar("", 0, 1, 0)
+			v := p.AddBinary("", 0)
 			choose = append(choose, Term{v, 1})
 			for e := 0; e < 4; e++ {
 				// AddConstraint sums a channel drawn twice, as a path

@@ -119,7 +119,7 @@ func masterBases(t *testing.T, nf, np, nc int, seed int64) []*testBasis {
 		}
 		return b
 	}
-	sol, state, err := s.solveLP(nil, nil, nil)
+	sol, state, err := s.solveLP(nil, nil, nil, nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("master root: %v %v", sol, err)
 	}
@@ -131,7 +131,7 @@ func masterBases(t *testing.T, nf, np, nc int, seed int64) []*testBasis {
 			lb[v], ub[v] = p.vars[v].lb, p.vars[v].ub
 		}
 		lb[j] = 1
-		sol, _, err := s.solveLP(lb, ub, state)
+		sol, _, err := s.solveLP(lb, ub, state, nil)
 		if err != nil {
 			t.Fatalf("master child %d: %v", j, err)
 		}
@@ -410,7 +410,7 @@ func TestLUDeterministic(t *testing.T) {
 func TestWarmSolveAllocations(t *testing.T) {
 	p := buildMaster(10, 3, 40, 2)
 	s := newSparseSolver(p)
-	sol, state, err := s.solveLP(nil, nil, nil)
+	sol, state, err := s.solveLP(nil, nil, nil, nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("root: %v %v", sol, err)
 	}
@@ -434,7 +434,7 @@ func TestWarmSolveAllocations(t *testing.T) {
 		// refactorization of the root basis.
 		before, ok := fallbacks.Value(), true
 		for rep := 0; rep < 2; rep++ {
-			child, _, err := s.solveLP(lb, ub, state)
+			child, _, err := s.solveLP(lb, ub, state, nil)
 			ok = ok && err == nil && child.Status == Optimal
 		}
 		if ok && fallbacks.Value() == before {
@@ -447,7 +447,7 @@ func TestWarmSolveAllocations(t *testing.T) {
 	}
 	before := fallbacks.Value()
 	allocs := testing.AllocsPerRun(10, func() {
-		child, _, err := s.solveLP(lb, ub, state)
+		child, _, err := s.solveLP(lb, ub, state, nil)
 		if err != nil || child.Status != Optimal {
 			t.Fatalf("child: %v %v", child, err)
 		}

@@ -20,8 +20,9 @@ type MILPOptions struct {
 	Gap float64
 	// WarmStart, when non-nil, supplies a known feasible point (one value
 	// per variable) used as the initial incumbent, so bound pruning is
-	// effective from the first node. An infeasible warm start is
-	// silently ignored.
+	// effective from the first node, and as the point the root's crash
+	// basis is built around. An infeasible warm start is no incumbent; it
+	// only seeds the crash, which puts artificials where it is violated.
 	WarmStart []float64
 	// Instruments receives pivot/refactorization/node counts from the
 	// solve. The zero value disables all of them.
@@ -49,13 +50,14 @@ type bbNode struct {
 
 // nodeSolver solves one node's LP relaxation under the node's bounds,
 // optionally from the parent's basis, and returns the basis it ended on
-// (nil when it keeps none). boundTightener propagates a branching decision
-// on variable branch through lb/ub in place and reports false when that
-// proves the child empty. Production always passes the sparse solver and
-// the propagator; package tests substitute the dense tableau and no
-// propagation to cross-check both.
+// (nil when it keeps none); a solve without a usable basis crashes from
+// point (see MILPOptions.WarmStart and branchAndBound). boundTightener
+// propagates a branching decision on variable branch through lb/ub in
+// place and reports false when that proves the child empty. Production
+// always passes the sparse solver and the propagator; package tests
+// substitute the dense tableau and no propagation to cross-check both.
 type (
-	nodeSolver     func(lb, ub []float64, warm *basisState) (*Solution, *basisState, error)
+	nodeSolver     func(lb, ub []float64, warm *basisState, point []float64) (*Solution, *basisState, error)
 	boundTightener func(lb, ub []float64, branch int) bool
 )
 
@@ -116,7 +118,12 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 	// Flush the explored-node count on every exit path, including
 	// cancellation — the nodes were genuinely explored either way.
 	defer func() { opts.Instruments.Nodes.Add(int64(nodes)) }()
-	if opts.WarmStart != nil {
+	// point is what a node solve without a parent basis (the root, a failed
+	// warm start) crashes from: the warm start until the search finds an
+	// incumbent, then the incumbent, clamped into the node's bounds.
+	var point []float64
+	if len(opts.WarmStart) == len(p.vars) {
+		point = opts.WarmStart
 		if x, obj, ok := p.checkFeasible(opts.WarmStart, opts.IntTol); ok {
 			best = &Solution{Status: Feasible, Objective: obj, X: x}
 			bestObj = sign * obj
@@ -139,7 +146,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 		}
 		nodes++
 
-		sol, state, err := solveNode(node.lb, node.ub, node.warm)
+		sol, state, err := solveNode(node.lb, node.ub, node.warm, point)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +184,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 				x[j] = math.Round(x[j])
 			}
 			best = &Solution{Status: Feasible, Objective: sol.Objective, X: x}
-			bestObj = obj
+			bestObj, point = obj, x
 			continue
 		}
 

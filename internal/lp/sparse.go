@@ -78,6 +78,7 @@ type sparseSolver struct {
 	stat     []varStatus
 	basis    []int
 	artSign  []float64 // artificial column coefficient per row (set by crash)
+	taken    []bool    // crash: rows a structural column is basic on
 	lu       *luFactor
 	luOK     bool // lu factors basis/artSign
 	xB       []float64
@@ -126,6 +127,7 @@ func newSparseSolver(p *Problem) *sparseSolver {
 		stat:       make([]varStatus, n),
 		basis:      make([]int, m),
 		artSign:    make([]float64, m),
+		taken:      make([]bool, m),
 		lu:         newLUFactor(m),
 		xB:         make([]float64, m),
 		y:          make([]float64, m),
@@ -234,7 +236,8 @@ func (s *sparseSolver) factorize() error {
 }
 
 // factorBasis is factorize without the count, for the crash basis of a
-// cold solve: that basis is diagonal — every column a singleton — so
+// cold solve: that basis is triangular by construction (see crash), so
+// factor orders it in its column-singleton pass with no elimination and
 // setting it up is bookkeeping, not a factorization.
 func (s *sparseSolver) factorBasis() error {
 	err := s.lu.factor(s.basisCol)
@@ -490,15 +493,16 @@ func (s *sparseSolver) iterate(cost []float64, phase *metrics.Counter) error {
 // Solve solves the LP relaxation of p (integer markers ignored) with the
 // sparse revised simplex.
 func Solve(p *Problem) (*Solution, error) {
-	sol, _, err := newSparseSolver(p).solveLP(nil, nil, nil)
+	sol, _, err := newSparseSolver(p).solveLP(nil, nil, nil, nil)
 	return sol, err
 }
 
 // solveLP solves the LP relaxation under the given bound overrides,
-// warm-starting from a previous basis when one is supplied. It returns the
-// solution together with the optimal basis (nil unless Optimal) for
-// warm-starting children.
-func (s *sparseSolver) solveLP(lbOver, ubOver []float64, warm *basisState) (*Solution, *basisState, error) {
+// warm-starting from a previous basis when one is supplied and otherwise
+// (or when the warm start fails) crashing from point, one value per
+// structural column or nil. It returns the solution together with the
+// optimal basis (nil unless Optimal) for warm-starting children.
+func (s *sparseSolver) solveLP(lbOver, ubOver []float64, warm *basisState, point []float64) (*Solution, *basisState, error) {
 	for j, v := range s.p.vars {
 		s.lbX[j], s.ubX[j] = v.lb, v.ub
 	}
@@ -530,85 +534,16 @@ func (s *sparseSolver) solveLP(lbOver, ubOver []float64, warm *basisState) (*Sol
 		// stalled dual loop): fall back to a cold solve.
 		s.inst.ColdFallbacks.Inc()
 	}
-	return s.coldSolve()
+	return s.coldSolve(point)
 }
 
-// coldSolve is the two-phase primal solve from a slack/artificial crash
-// basis, the sparse analogue of the dense tableau's path.
-func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
-	m := s.m
-	for j := 0; j < s.n; j++ {
-		s.stat[j] = atLB
-	}
-	// Anti-degeneracy perturbation: expand every finite real-column bound
-	// outward by a tiny deterministic column-specific amount. The masters
-	// this solver sees are massively degenerate (choose-one rows over
-	// zero-loaded channel rows), and exact repricing stalls for tens of
-	// thousands of zero-step pivots on exact ties; distinct perturbed
-	// bounds make ratio-test steps strictly positive. The expansion only
-	// relaxes the feasible set, so a feasible exact problem stays feasible;
-	// restoreAndPolish removes the perturbation before extraction.
-	for j := 0; j < s.nReal; j++ {
-		d := 1e-7 * (0.5 + noise(j))
-		s.lb[j] = s.lbX[j] - d*(1+math.Abs(s.lbX[j]))
-		if !math.IsInf(s.ubX[j], 1) {
-			s.ub[j] = s.ubX[j] + d*(1+math.Abs(s.ubX[j]))
-		}
-	}
-	// Artificials are free in [0, inf) until phase 1 ends.
-	for j := s.nReal; j < s.n; j++ {
-		s.lb[j], s.ub[j] = 0, Inf
-	}
-
-	// Residual r = rhs - A x_N over the nonbasic columns at their bounds.
-	r := s.rwork
-	copy(r, s.rhs)
-	for j := 0; j < s.nReal; j++ {
-		v := s.lb[j]
-		if v == 0 {
-			continue
-		}
-		rows, vals := s.col(j)
-		for t, ri := range rows {
-			r[ri] -= vals[t] * v
-		}
-	}
-
-	// Crash basis: slack-feasible rows take their slack; the rest get an
-	// artificial signed to keep its value nonnegative.
-	needPhase1 := false
-	for i := 0; i < m; i++ {
-		sl := s.rowSlack[i]
-		leSlack := sl >= 0 && s.p.cons[i].sense == LE
-		geSlack := sl >= 0 && s.p.cons[i].sense == GE
-		switch {
-		case leSlack && r[i] >= 0:
-			s.basis[i] = sl
-			s.stat[sl] = basic
-			s.xB[i] = r[i]
-			s.artSign[i] = 1
-		case geSlack && r[i] <= 0:
-			s.basis[i] = sl
-			s.stat[sl] = basic
-			s.xB[i] = -r[i]
-			s.artSign[i] = 1
-		default:
-			sgn := 1.0
-			if r[i] < 0 {
-				sgn = -1
-			}
-			s.artSign[i] = sgn
-			art := s.nReal + i
-			s.basis[i] = art
-			s.stat[art] = basic
-			s.xB[i] = math.Abs(r[i])
-			needPhase1 = true
-		}
-	}
-	if err := s.factorBasis(); err != nil {
+// coldSolve is the two-phase primal solve from the crash basis around
+// point; phase 1 runs only when the crash left an artificial nonzero.
+func (s *sparseSolver) coldSolve(point []float64) (*Solution, *basisState, error) {
+	needPhase1, err := s.crash(point)
+	if err != nil {
 		return nil, nil, err
 	}
-
 	if needPhase1 {
 		if err := s.iterate(s.phase1Cost, s.inst.Phase1Pivots); err != nil {
 			return nil, nil, err
@@ -627,7 +562,7 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 		}
 	}
 	// Freeze artificials at zero; degenerate basic ones may remain.
-	for i := 0; i < m; i++ {
+	for i := 0; i < s.m; i++ {
 		art := s.nReal + i
 		s.ub[art] = 0
 		if s.stat[art] != basic {
@@ -642,6 +577,215 @@ func (s *sparseSolver) coldSolve() (*Solution, *basisState, error) {
 		return &Solution{Status: Unbounded}, nil, nil
 	}
 	return s.restoreAndPolish()
+}
+
+// crash sets up the starting basis of a cold solve around point: one value
+// per structural column, clamped into this solve's exact bounds, or every
+// column at its lower bound when point is nil.
+//
+//   - A nonbasic column sits at the bound the point sits on.
+//   - Each equality row takes as basic the first column the point lifts off
+//     its lower bound (on a restricted master: the flow's path) whose value
+//     stays in its box once the row binds. A row the point leaves short
+//     (the node's bounds cut its path) takes the first column that can make
+//     up the difference. Without a point no column is lifted and no row is
+//     repaired: the basis is slacks and artificials, the seed's crash.
+//   - A column the point leaves strictly between its bounds (U) is basic on
+//     its tightest row, the one with the least slack per unit of
+//     coefficient (the most loaded channel), or sits at its nearer bound
+//     when that would take it out of its box.
+//   - Slacks fill the remaining rows; an artificial goes only on a row the
+//     start still leaves violated, or on an equality row nothing claimed.
+//
+// The row residuals follow each column that turns basic, so U binds on the
+// most loaded channel of the route set the basis really holds. A structural
+// column turns basic only if it touches no row an earlier one took, so the
+// basis is triangular, factors without elimination, and gives each basic
+// column the in-box value it was bound at. A feasible point is thus a
+// feasible start — on a master an integer incumbent is a vertex, and one
+// the node's bounds cut is repaired into a route set — and phase 1 has
+// nothing to do. It reports whether an artificial is left nonzero.
+func (s *sparseSolver) crash(point []float64) (bool, error) {
+	at := func(j int) float64 {
+		if point == nil || !(point[j] > s.lbX[j]) { // NaN sits at the lower bound too
+			return s.lbX[j]
+		}
+		return math.Min(point[j], s.ubX[j])
+	}
+	for j := 0; j < s.n; j++ {
+		s.stat[j] = atLB
+	}
+	r := s.rwork // rhs - A x at the start: how far each row is from binding
+	copy(r, s.rhs)
+	for j := 0; j < s.nStruct; j++ {
+		x := at(j)
+		if x > s.lbX[j] && x == s.ubX[j] {
+			s.stat[j] = atUB
+		}
+		if x != 0 {
+			rows, vals := s.col(j)
+			for t, i := range rows {
+				r[i] -= vals[t] * x
+			}
+		}
+	}
+	taken := s.taken
+	for i := range taken {
+		taken[i] = false
+	}
+	free := func(j int) bool {
+		rows, _ := s.col(j)
+		for _, i := range rows {
+			if taken[i] {
+				return false
+			}
+		}
+		return true
+	}
+	// bind makes j basic on row i, where its coefficient is a, at the value
+	// that makes the row bind, and moves the residuals of j's rows with it.
+	bind := func(i, j int, a float64) {
+		d := r[i] / a
+		taken[i], s.basis[i], s.stat[j] = true, j, basic
+		rows, vals := s.col(j)
+		for t, k := range rows {
+			r[k] -= vals[t] * d
+		}
+	}
+	for _, lifted := range []bool{true, false} {
+		for j := 0; j < s.nStruct; j++ {
+			x := at(j)
+			if s.stat[j] == basic || (x > s.lbX[j]) != lifted || s.lbX[j] == s.ubX[j] || !free(j) {
+				continue
+			}
+			rows, vals := s.col(j)
+			for t, i := range rows {
+				a := vals[t]
+				if s.rowSlack[i] >= 0 || math.Abs(a) <= epsPivot || !lifted && (point == nil || math.Abs(r[i]) <= epsFeas) {
+					continue
+				}
+				if v := x + r[i]/a; v >= s.lbX[j] && v <= s.ubX[j] {
+					bind(int(i), j, a)
+					break
+				}
+			}
+		}
+	}
+	for j := 0; j < s.nStruct; j++ {
+		x := at(j)
+		if s.stat[j] == basic || x == s.lbX[j] || x == s.ubX[j] {
+			continue
+		}
+		best, bestA, least := -1, 0.0, math.Inf(1)
+		if free(j) {
+			rows, vals := s.col(j)
+			for t, i := range rows {
+				slack := r[i]
+				switch s.p.cons[i].sense {
+				case GE:
+					slack = -r[i]
+				case EQ:
+					slack = -math.Abs(r[i])
+				}
+				if a := math.Abs(vals[t]); a > epsPivot && slack/a < least {
+					best, bestA, least = int(i), vals[t], slack/a
+				}
+			}
+		}
+		v := x // where j sits when it cannot be basic: its nearer bound
+		if best >= 0 {
+			if v = x + r[best]/bestA; v >= s.lbX[j] && v <= s.ubX[j] {
+				bind(best, j, bestA)
+				continue
+			}
+		}
+		if v-s.lbX[j] > s.ubX[j]-v {
+			s.stat[j] = atUB
+		}
+	}
+
+	for i := range s.basis {
+		if !taken[i] {
+			s.artSign[i] = 1
+			s.basis[i] = s.nReal + i
+			if sl := s.rowSlack[i]; sl >= 0 {
+				s.basis[i] = sl
+			}
+			s.stat[s.basis[i]] = basic
+		}
+	}
+	s.widen(point != nil)
+	if err := s.factorBasis(); err != nil {
+		return false, err
+	}
+	s.computeXB()
+
+	// A row whose slack would go negative, and an equality row, gets an
+	// artificial signed to hold the row's residual at a nonnegative value.
+	refactor := false
+	for i, j := range s.basis {
+		if taken[i] || j < s.nReal && s.xB[i] >= s.lb[j] {
+			continue
+		}
+		res := s.xB[i]
+		if j < s.nReal {
+			if s.p.cons[i].sense == GE {
+				res = -res
+			}
+			s.stat[j] = atLB
+			s.basis[i] = s.nReal + i
+			s.stat[s.basis[i]] = basic
+			refactor = true
+		}
+		if res < 0 {
+			s.artSign[i] = -1
+			refactor = true
+		}
+	}
+	if refactor {
+		if err := s.factorBasis(); err != nil {
+			return false, err
+		}
+		s.computeXB()
+	}
+	for i, j := range s.basis {
+		if j >= s.nReal && s.xB[i] > epsFeas {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// widen sets the working bounds of a cold solve. Anti-degeneracy
+// perturbation: every finite real-column bound expands outward by a tiny
+// deterministic column-specific amount. The masters this solver sees are
+// massively degenerate (choose-one rows over zero-loaded channel rows), and
+// exact repricing stalls for tens of thousands of zero-step pivots on exact
+// ties; distinct perturbed bounds make ratio-test steps strictly positive.
+// The expansion only relaxes the feasible set, so a feasible exact problem
+// stays feasible; restoreAndPolish removes the perturbation before
+// extraction.
+//
+// With a point (sitting), a nonbasic column keeps the bound it sits on
+// exact: widening it would move every basic value in its rows, and an
+// equality row's basic path would absorb its siblings' offsets and leave
+// its box. Without one, the offsets on the lower bounds are what make the
+// all-slack start nondegenerate. Artificials are free in [0, inf) until
+// phase 1 ends.
+func (s *sparseSolver) widen(sitting bool) {
+	for j := 0; j < s.nReal; j++ {
+		d := 1e-7 * (0.5 + noise(j))
+		s.lb[j], s.ub[j] = s.lbX[j], s.ubX[j]
+		if !sitting || s.stat[j] != atLB {
+			s.lb[j] -= d * (1 + math.Abs(s.lbX[j]))
+		}
+		if !math.IsInf(s.ubX[j], 1) && (!sitting || s.stat[j] != atUB) {
+			s.ub[j] += d * (1 + math.Abs(s.ubX[j]))
+		}
+	}
+	for j := s.nReal; j < s.n; j++ {
+		s.lb[j], s.ub[j] = 0, Inf
+	}
 }
 
 // restoreAndPolish swaps the exact bounds back in after a perturbed solve,

@@ -83,17 +83,17 @@ func randomLP(rng *rand.Rand, milp bool) *Problem {
 // solveMILPDense is the seed MILP stack the sparse one is checked against:
 // the production branch and bound over dense-tableau relaxations, every
 // node re-solved from scratch, no bound propagation.
-func solveMILPDense(p *Problem) (*Solution, error) {
+func solveMILPDense(p *Problem, opts MILPOptions) (*Solution, error) {
 	intVars := p.integerVars()
 	if len(intVars) == 0 {
 		return SolveDense(p)
 	}
-	solveNode := func(lb, ub []float64, _ *basisState) (*Solution, *basisState, error) {
+	solveNode := func(lb, ub []float64, _ *basisState, _ []float64) (*Solution, *basisState, error) {
 		sol, err := solveLP(p, lb, ub)
 		return sol, nil, err
 	}
 	noTighten := func(_, _ []float64, _ int) bool { return true }
-	return branchAndBound(context.Background(), p, MILPOptions{}, intVars, solveNode, noTighten)
+	return branchAndBound(context.Background(), p, opts, intVars, solveNode, noTighten)
 }
 
 // TestSparseMatchesDenseLP cross-checks the sparse revised simplex against
@@ -128,7 +128,7 @@ func TestSparseMatchesDenseMILP(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
 		p := randomLP(rng, true)
-		ds, derr := solveMILPDense(p)
+		ds, derr := solveMILPDense(p, MILPOptions{})
 		ss, serr := SolveMILPContext(context.Background(), p, MILPOptions{})
 		if derr != nil || serr != nil {
 			t.Fatalf("trial %d: dense err %v, sparse err %v", trial, derr, serr)
@@ -156,7 +156,7 @@ func TestSparseMatchesDenseMILP(t *testing.T) {
 func TestSparseWarmStartedChildren(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := buildMaster(6, 3, 16, seed)
-		ds, err := solveMILPDense(p)
+		ds, err := solveMILPDense(p, MILPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,19 +204,19 @@ func TestSparseSolverReuseAcrossBounds(t *testing.T) {
 	y := p.AddVar("y", 0, 4, -1)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 5)
 	s := newSparseSolver(p)
-	sol, state, err := s.solveLP(nil, nil, nil)
+	sol, state, err := s.solveLP(nil, nil, nil, nil)
 	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective+5) > 1e-6 {
 		t.Fatalf("root: %v %v obj=%g", sol.Status, err, sol.Objective)
 	}
 	// Tighten x and warm start from the root basis.
 	lb := []float64{0, 0}
 	ub := []float64{1, 4}
-	sol2, _, err := s.solveLP(lb, ub, state)
+	sol2, _, err := s.solveLP(lb, ub, state, nil)
 	if err != nil || sol2.Status != Optimal || math.Abs(sol2.Objective+5) > 1e-6 {
 		t.Fatalf("child: %v %v obj=%g", sol2.Status, err, sol2.Objective)
 	}
 	// Conflicting bounds are infeasible without a solve.
-	sol3, _, err := s.solveLP([]float64{3, 0}, []float64{1, 4}, state)
+	sol3, _, err := s.solveLP([]float64{3, 0}, []float64{1, 4}, state, nil)
 	if err != nil || sol3.Status != Infeasible {
 		t.Fatalf("conflict: %v %v", sol3.Status, err)
 	}

@@ -161,7 +161,7 @@ func TestGoldenSynthesisDeterminismIrregular(t *testing.T) {
 		digest string
 		mcl    float64
 	}{
-		"milp":      {"f74d8f2a2223b3e1", 50},
+		"milp":      {"9981c73452ab3814", 40},
 		"heuristic": {"767b32fdc596eb39", 40},
 		"dijkstra":  {"16a3b903615d1245", 60},
 	}

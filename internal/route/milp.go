@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/cdg"
@@ -140,8 +139,9 @@ func (pl *pool) add(i int, p flowgraph.Path) {
 // SelectContext implements ContextSelector: cancellation is polled in
 // candidate enumeration and inside the branch-and-bound solve. It builds
 // one candidate pool — capped enumeration and three Dijkstra route sets —
-// solves one restricted master over it from the best Dijkstra incumbent,
-// and returns the better of the two.
+// solves one restricted master over it from a start (the best Dijkstra set
+// within every hop budget, else each flow's first candidate), and returns
+// the better of the two.
 func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()
 	ms = ms.withDefaults()
@@ -179,8 +179,8 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	// heuristic's route set available — its optimum can then never be
 	// worse than BSOR_Dijkstra's.
 	var (
-		bestSet *Set
-		bestMCL float64
+		start    *Set
+		startMCL float64
 	)
 	for seedOff := int64(0); seedOff < 3; seedOff++ {
 		sel := DijkstraSelector{}
@@ -200,30 +200,40 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 			}
 			pl.add(i, liftRoute(g, r))
 		}
-		// A Dijkstra solution within every budget doubles as the initial
-		// incumbent that warm-starts the branch and bound.
+		// A Dijkstra solution within every budget doubles as the start:
+		// the initial incumbent, and the vertex the master's simplex
+		// crashes from.
 		if withinBudget {
-			if mcl, _ := dset.MCL(); bestSet == nil || mcl < bestMCL {
-				bestSet, bestMCL = dset, mcl
+			if mcl, _ := dset.MCL(); start == nil || mcl < startMCL {
+				start, startMCL = dset, mcl
 			}
 		}
 	}
+	// Under the hop budget any one pooled candidate per flow is a route
+	// set, so the master always has a start.
+	if start == nil {
+		start = &Set{Topo: g.Topology(), Routes: make([]Route, len(flows))}
+		for i := range flows {
+			start.Routes[i] = routeFromPath(g, i, pl.paths[i][0])
+		}
+		startMCL, _ = start.MCL()
+	}
 
-	// The incumbent stands on a tie, and whenever the node budget truncates
+	// The start stands on a tie, and whenever the node budget truncates
 	// the search before it finds anything better.
-	set, err := ms.solveRestricted(ctx, pl, bestSet)
+	set, err := ms.solveRestricted(ctx, pl, start, startMCL)
 	if err != nil {
 		return nil, err
 	}
-	if mcl, _ := set.MCL(); bestSet == nil || mcl < bestMCL-1e-9 {
-		bestSet = set
+	if mcl, _ := set.MCL(); mcl < startMCL-1e-9 {
+		start = set
 	}
 	var kept int64
 	for i := range pl.paths {
 		kept += int64(len(pl.paths[i]))
 	}
 	ms.Metrics.Counter("route_paths_kept_total").Add(kept)
-	return bestSet, nil
+	return start, nil
 }
 
 // liftRoute maps r's (channel, VC) hops to the vertices of g's CDG without
@@ -236,13 +246,15 @@ func liftRoute(g *flowgraph.Graph, r Route) flowgraph.Path {
 	return p
 }
 
-// solveRestricted builds and solves the path-based MILP over the pool:
+// solveRestricted builds and solves the path-based MILP over the pool,
+// warm-started from start, a route set of pooled candidates whose MCL is
+// startMCL:
 //
 //	minimize U
 //	s.t.  sum_p x[i][p] == 1                      for every flow i
 //	      sum_{i,p crossing channel e} d_i x[i][p] <= U   for every channel e
 //	      x binary, U >= 0
-func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, incumbent *Set) (*Set, error) {
+func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, start *Set, startMCL float64) (*Set, error) {
 	g := pl.g
 	flows := g.Flows()
 	p := lp.NewProblem()
@@ -261,20 +273,19 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, incumbent 
 	}
 	u := p.AddVar("U", uLB, lp.Inf, 1)
 
-	// Map incumbent routes to candidate keys for the warm start. Keys are
-	// channel signatures, so an incumbent matches a retained candidate even
-	// when their VC labels differ (the loads, and hence the MCL, agree).
-	incumbentKey := make([]string, len(flows))
-	if incumbent != nil {
-		for i, r := range incumbent.Routes {
-			incumbentKey[i] = chanKey(g, liftRoute(g, r))
-		}
+	// The warm start puts U at the start's MCL and, per flow, 1 on the
+	// candidate over the start route's channel sequence. Keys are channel
+	// signatures, so a start route matches its retained candidate even when
+	// their VC labels differ (the loads, and hence the MCL, agree); the
+	// pool keeps one candidate per key.
+	startKey := make([]string, len(flows))
+	for i, r := range start.Routes {
+		startKey[i] = chanKey(g, liftRoute(g, r))
 	}
 
 	type pathVar struct{ flow, path int }
 	vars := make(map[int]pathVar) // lp var -> (flow, path)
-	warm := []float64{0}          // index 0 is U, patched below
-	warmOK := make([]bool, len(flows))
+	warm := []float64{startMCL}   // index 0 is U
 	chTerms := make(map[topology.ChannelID][]lp.Term)
 	chFlows := make(map[topology.ChannelID]int) // last flow whose candidates touched ch
 	chShared := make(map[topology.ChannelID]bool)
@@ -283,9 +294,8 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, incumbent 
 		for pi, path := range pl.paths[i] {
 			v := p.AddBinary(fmt.Sprintf("x[%s,%d]", flows[i].Name, pi), 0)
 			vars[v] = pathVar{i, pi}
-			if incumbent != nil && pl.keys[i][pi] == incumbentKey[i] && !warmOK[i] {
+			if pl.keys[i][pi] == startKey[i] {
 				warm = append(warm, 1)
-				warmOK[i] = true
 			} else {
 				warm = append(warm, 0)
 			}
@@ -326,7 +336,7 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, incumbent 
 		p.AddConstraint(row, lp.LE, 0)
 	}
 
-	opts := lp.MILPOptions{MaxNodes: ms.MaxNodes, Gap: ms.Gap}
+	opts := lp.MILPOptions{MaxNodes: ms.MaxNodes, Gap: ms.Gap, WarmStart: warm}
 	if ms.Metrics != nil {
 		opts.Instruments = lp.Instruments{
 			Pivots:           ms.Metrics.Counter("lp_simplex_pivots_total"),
@@ -336,22 +346,14 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, incumbent 
 			Phase1Pivots:     ms.Metrics.Counter("lp_phase1_pivots_total"),
 		}
 	}
-	if incumbent != nil && !slices.Contains(warmOK, false) {
-		warm[0], _ = incumbent.MCL()
-		opts.WarmStart = warm
-	}
 	sol, err := lp.SolveMILPContext(ctx, p, opts)
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal && sol.Status != lp.Feasible {
-		// A truncated search without incumbent cannot distinguish
-		// infeasibility from an exhausted node budget; the warm-started
-		// incumbent (when present) is the answer in either case.
-		if incumbent != nil {
-			return incumbent, nil
-		}
-		return nil, fmt.Errorf("route: MILP returned %v", sol.Status)
+		// Only a start the solver refused as an incumbent leaves a search
+		// without one; the start is the answer then.
+		return start, nil
 	}
 	routes := make([]Route, len(flows))
 	assigned := make([]bool, len(flows))
