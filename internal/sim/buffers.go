@@ -7,25 +7,19 @@ package sim
 //	buffer of (channel ch, vc v):  ch*VCs + v
 //	buffer of (node n, inj vc v):  injBase + n*VCs + v,  injBase = NumChannels*VCs
 //
-// Flit queues are fixed-capacity ring buffers carved out of one shared
-// arena (Simulator.flits): buffer i owns the window [i*depth, (i+1)*depth)
-// and addresses it with a head offset and count, so enqueue/dequeue never
-// re-slices or appends. Wormhole switching guarantees a buffer holds the
-// flits of at most one packet at a time (a VC is released only when the
-// previous packet's tail leaves), which is what makes the fixed window
-// and the single owner field sufficient.
+// A buffer stores no flits, only which ones it holds. Wormhole switching
+// guarantees a buffer holds the flits of at most one packet at a time (a
+// VC is released only when the previous packet's tail leaves), and a
+// packet's flits arrive and leave in order, so the buffered flits are
+// always positions [head, head+count) of the owner packet (0 is the
+// header, PacketLen-1 the tail). An arrival is count++, a dequeue
+// head++/count--, and head returns to 0 where a VC is claimed (tryClaim)
+// or launched into (injectNode).
 //
 // vcBuf also carries the intrusive wait-list links of the active-set
 // scheduler (see sim.go): a routed buffer is a member of exactly one wait
 // list — the list of its output channel, or the ejection list of its node
 // — until the tail flit leaves and release() unlinks it.
-
-// flitRef identifies one flit: the packet it belongs to and its position
-// in the packet (0 is the header; PacketLen-1 the tail).
-type flitRef struct {
-	pkt int32
-	idx int16
-}
 
 // packet is the record of one packet in the network. It exists only from
 // launch (injectNode claims an injection VC) to tail ejection or a churn
@@ -50,7 +44,7 @@ type packet struct {
 // (or at a node's injection port), in the flat layout described above.
 type vcBuf struct {
 	owner int32 // packet index currently allocated this VC, or -1
-	head  int32 // ring read offset within this buffer's arena window
+	head  int32 // packet position of the head flit
 	count int32 // flits currently buffered
 	outCh int32 // routed output channel (valid when active && !eject)
 	outVC int32
@@ -67,23 +61,6 @@ type vcBuf struct {
 	active  bool // head packet has been routed and VC-allocated
 	eject   bool
 	pending bool // queued in routePending awaiting RC/VA
-}
-
-// pushFlit enqueues f at the tail of buffer bi. Dequeues have no
-// helper: within a cycle they are only *recorded* (simShard.pops), and
-// the commit phase advances head/count directly.
-func (s *Simulator) pushFlit(bi int32, b *vcBuf, f flitRef) {
-	pos := b.head + b.count
-	if pos >= s.depth {
-		pos -= s.depth
-	}
-	s.flits[bi*s.depth+pos] = f
-	b.count++
-}
-
-// headFlit peeks the head flit of buffer bi without dequeuing.
-func (s *Simulator) headFlit(bi int32, b *vcBuf) flitRef {
-	return s.flits[bi*s.depth+b.head]
 }
 
 // chanPush links buffer bi into output channel ch's wait list and marks

@@ -36,7 +36,10 @@ import (
 // discarded (Result.DroppedPackets) or, with requeue set, pushed back
 // onto its source queue — as its original creation cycle, which is all a
 // queued packet is — to be launched again under the table current at
-// that time (Result.RequeuedPackets).
+// that time (Result.RequeuedPackets). The requeue takes no heed of
+// maxSourceQueue: a queue generation has already filled ends up past
+// the bound by the packets purged from its flow, and the flow generates
+// nothing until launches bring it back below.
 //
 // The purge is conservative: a packet of an affected (epoch, flow) pair
 // is removed even when it has already passed the dead channel, because

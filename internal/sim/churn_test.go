@@ -203,6 +203,42 @@ func TestChurnRequeueKeepsCreationCycle(t *testing.T) {
 	}
 }
 
+// TestChurnRequeueIntoFullQueue purges packets back into source queues
+// that generation has already pinned at maxSourceQueue: the requeue
+// overshoots the bound by the purged packets while the flow stays
+// paused, a valid state the checker must accept across the purge.
+func TestChurnRequeueIntoFullQueue(t *testing.T) {
+	m, flows, set := churnSetup(t)
+	s, err := New(Config{Mesh: m, Routes: set, VCs: 2, OfferedRate: 8, Seed: 7})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx := context.Background()
+	if dead, err := s.Advance(ctx, 12000); err != nil || dead {
+		t.Fatalf("warm advance: dead=%v err=%v", dead, err)
+	}
+	s.checkEvery = 1
+	pair := linkPairOf(t, m, set.Routes[0].Channels[0])
+	overlay := topology.NewFaultOverlay(m)
+	overlay.Disable(pair...)
+	if ps := s.DisableChannels(true, pair...); ps.Requeued == 0 {
+		t.Fatalf("purge %+v requeued nothing", ps)
+	}
+	if !s.flowPaused[0] || s.srcQueue[0].len() <= maxSourceQueue {
+		t.Fatalf("test assumes flow 0 paused past the bound after the requeue, got paused=%v with %d queued",
+			s.flowPaused[0], s.srcQueue[0].len())
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SwapRoutes(escapeOn(t, overlay, flows)); err != nil {
+		t.Fatalf("SwapRoutes: %v", err)
+	}
+	if dead, err := s.Advance(ctx, 12500); err != nil || dead {
+		t.Fatalf("post-fault advance: dead=%v err=%v", dead, err)
+	}
+}
+
 // TestChurnSwapRejectsBadSets pins the SwapRoutes validation surface.
 func TestChurnSwapRejectsBadSets(t *testing.T) {
 	m, flows, set := churnSetup(t)

@@ -14,10 +14,12 @@
 // # Performance model
 //
 // The core is data-oriented (see sim.go and buffers.go): all VC buffers
-// live in one flat array with fixed-capacity ring flit queues, every
+// live in one flat array, each holding a run of its owner packet's flits
+// as a (head, count) pair rather than the flits themselves, every
 // pipeline stage consumes an incrementally maintained active set rather
 // than scanning the network, and packet generation samples geometric
-// inter-arrival gaps (one RNG draw per packet). Per-cycle cost is
+// inter-arrival gaps (one RNG draw per packet) onto a 64-slot timing
+// wheel of per-flow bits (generate.go). Per-cycle cost is
 // proportional to in-flight activity, not to topology size, which is
 // what makes 16x16+ sweeps affordable (EXPERIMENTS.md records the
 // measured speedup).
@@ -129,7 +131,7 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("sim: negative %s (%d)", name, sizes[i])
 		}
 	}
-	if c.PacketLen > math.MaxInt16 { // flit positions are int16 (flitRef.idx)
+	if c.PacketLen > math.MaxInt16 { // flit positions are int16 (injTransfer.nextIdx)
 		return c, fmt.Errorf("sim: PacketLen %d exceeds %d", c.PacketLen, math.MaxInt16)
 	}
 	if c.VCs == 0 {

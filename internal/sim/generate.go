@@ -1,17 +1,21 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Packet generation. Without a RateVariation hook, each flow is an
 // independent Bernoulli(p) process exactly as before, but sampled by
 // geometric inter-arrival inversion: one RNG draw per *packet* instead of
-// one per flow per cycle, with the next arrival of every flow kept in a
-// (cycle, flow)-ordered binary min-heap that generate() drains up to the
-// current cycle. A 16x16 mesh at low load thus costs a couple of heap
-// peeks per cycle instead of hundreds of uniform draws. Generating a
-// packet pushes its creation cycle onto the flow's source queue and
-// replaces the flow's heap entry in place; no record exists until launch
-// (buffers.go), so a saturated flow's backlog costs one int64 a packet.
+// one per flow per cycle. A flow's next arrival cycle sits in arrivalAt
+// and its bit in slot arrivalAt mod wheelSlots of a timing wheel (one
+// bitset over flows per slot), which generate() drains every cycle: a
+// cycle costs one word per 64 flows plus one draw per packet due, and no
+// ordering structure is kept per packet. Generating a packet pushes its
+// creation cycle onto the flow's source queue and reschedules the flow;
+// no record exists until launch (buffers.go), so a saturated flow's
+// backlog costs one int64 a packet.
 //
 // The arrival processes are distribution-identical to the per-cycle
 // Bernoulli draws — including while a full source queue suppresses
@@ -28,71 +32,15 @@ import "math"
 // cycle — Markov-modulated processes advance their state per call and
 // must observe every cycle.
 
-// arrival schedules flow's next packet at cycle at.
-type arrival struct {
-	at   int64
-	flow int32
-}
+// wheelSlots is the timing wheel's lap, a power of two so that a cycle's
+// slot is a mask. A flow due further ahead keeps its bit in its slot and
+// is skipped once per lap until its cycle comes.
+const wheelSlots = 64
 
-// arrivalHeap is a hand-rolled binary min-heap ordered by (at, flow);
-// the flow tiebreak makes the drain order — and therefore the RNG
-// stream — deterministic for a fixed seed.
-type arrivalHeap []arrival
-
-func (h arrivalHeap) less(i, j int) bool {
-	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].flow < h[j].flow)
-}
-
-func (h *arrivalHeap) push(a arrival) {
-	*h = append(*h, a)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !hh.less(i, p) {
-			break
-		}
-		hh[i], hh[p] = hh[p], hh[i]
-		i = p
-	}
-}
-
-func (h *arrivalHeap) pop() arrival {
-	hh := *h
-	top := hh[0]
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh[:n].siftDown()
-	return top
-}
-
-// replaceTop overwrites the minimum with a: one sift-down where pop +
-// push pays two sifts, and the same drain order (heap layout is not
-// observable, only the (at, flow) order is).
-func (h arrivalHeap) replaceTop(a arrival) {
-	h[0] = a
-	h.siftDown()
-}
-
-// siftDown restores heap order after h[0] changed.
-func (h arrivalHeap) siftDown() {
-	n := len(h)
-	i := 0
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && h.less(l, m) {
-			m = l
-		}
-		if r < n && h.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+// schedule sets flow fi's next arrival to cycle at.
+func (s *Simulator) schedule(fi int32, at int64) {
+	s.arrivalAt[fi] = at
+	s.wheel[int(at&(wheelSlots-1))*s.flowWords+int(fi>>6)] |= 1 << (fi & 63)
 }
 
 // geomGap samples the number of cycles until flow's next Bernoulli
@@ -112,38 +60,52 @@ func (s *Simulator) geomGap(flow int32) int64 {
 	return g
 }
 
-// initArrivals seeds the heap with every flow's first arrival, in flow
-// order. The first success of a Bernoulli(p) process starting at cycle 0
-// lands after geomGap-1 failures.
+// initArrivals builds the wheel and schedules every flow's first
+// arrival, drawing in flow order. The first success of a Bernoulli(p)
+// process starting at cycle 0 lands after geomGap-1 failures.
 func (s *Simulator) initArrivals() {
+	s.flowWords = (len(s.injectProb) + 63) / 64
+	s.wheel = make([]uint64, wheelSlots*s.flowWords)
+	s.arrivalAt = make([]int64, len(s.injectProb))
 	for i, p := range s.injectProb {
-		if p <= 0 {
-			continue
+		if p > 0 {
+			s.schedule(int32(i), s.geomGap(int32(i))-1)
 		}
-		s.arrivals.push(arrival{at: s.geomGap(int32(i)) - 1, flow: int32(i)})
 	}
 }
 
-// generate creates the packets due this cycle.
+// generate creates the packets due this cycle. Every gap is at least one
+// cycle and generate runs every cycle, so the flows due now are exactly
+// those with arrivalAt == cycle, and draining the slot in ascending flow
+// order visits them in (cycle, flow) order: the order the RNG stream is
+// pinned to.
 func (s *Simulator) generate() {
 	if s.cfg.RateVariation != nil {
 		s.generateVariation()
 		return
 	}
-	for len(s.arrivals) > 0 && s.arrivals[0].at <= s.cycle {
-		fi := s.arrivals[0].flow
-		if s.srcQueue[fi].len() >= maxSourceQueue {
-			// Source queue full: open-loop generation pauses, dropping
-			// the due arrival just as the seed core suppressed Bernoulli
-			// trials while full. The flow leaves the heap entirely
-			// (saturated flows would otherwise churn it every cycle);
-			// injectNode restarts the process when a slot frees.
-			s.flowPaused[fi] = true
-			s.arrivals.pop()
-			continue
+	slot := s.wheel[int(s.cycle&(wheelSlots-1))*s.flowWords:][:s.flowWords]
+	for w, word := range slot {
+		for ; word != 0; word &= word - 1 {
+			fi := int32(w<<6 | bits.TrailingZeros64(word))
+			if s.arrivalAt[fi] != s.cycle {
+				continue // due on a later lap
+			}
+			// Clear before rescheduling: a gap that is a multiple of
+			// wheelSlots lands back in this slot.
+			slot[w] &^= 1 << (fi & 63)
+			if s.srcQueue[fi].len() >= maxSourceQueue {
+				// Source queue full: open-loop generation pauses, dropping
+				// the due arrival just as the seed core suppressed Bernoulli
+				// trials while full. The flow leaves the wheel (saturated
+				// flows would otherwise fire every cycle); injectNode
+				// restarts the process when a slot frees.
+				s.flowPaused[fi] = true
+				continue
+			}
+			s.emit(fi)
+			s.schedule(fi, s.cycle+s.geomGap(fi))
 		}
-		s.emit(fi)
-		s.arrivals.replaceTop(arrival{at: s.cycle + s.geomGap(fi), flow: fi})
 	}
 }
 

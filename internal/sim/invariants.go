@@ -20,8 +20,9 @@ import (
 //  2. Every active non-eject buffer is linked on chanWait[outCh], every
 //     active eject buffer on ejectWait[node], and the lists contain
 //     nothing else. Non-empty lists are registered in the active sets.
-//  3. A buffer's flits all belong to its owner, in consecutive idx
-//     order, and fit the ring (0 <= count <= depth).
+//  3. A buffer holds at most depth flits, and a non-empty one holds
+//     positions [head, head+count) of its owner: count > 0 implies
+//     owner >= 0 and head+count <= PacketLen.
 //  4. stagedCnt is all-zero between cycles and inFlight equals the
 //     total buffered flit count.
 //  5. flowWork matches queue/transfer state and nodeWork counts the
@@ -139,24 +140,16 @@ func (s *Simulator) checkInvariants() error {
 		if b.node != int32(node) {
 			return fmt.Errorf("buf %d: node %d, expected %d", bi, b.node, node)
 		}
-		if b.count < 0 || b.count > s.depth || b.head < 0 || b.head >= s.depth {
-			return fmt.Errorf("buf %d: ring out of range head=%d count=%d", bi, b.head, b.count)
+		if b.count < 0 || b.count > s.depth || b.head < 0 ||
+			b.count > 0 && (b.owner < 0 || int(b.head+b.count) > s.cfg.PacketLen) {
+			return fmt.Errorf("buf %d: owner %d holds flits [%d, %d+%d) of a %d-flit packet in a %d-flit buffer",
+				bi, b.owner, b.head, b.head, b.count, s.cfg.PacketLen, s.depth)
 		}
 		totalFlits += int64(b.count)
 		if s.stagedCnt[bi] != 0 {
 			return fmt.Errorf("buf %d: stagedCnt %d between cycles", bi, s.stagedCnt[bi])
 		}
-		for i := int32(0); i < b.count; i++ {
-			pos := b.head + i
-			if pos >= s.depth {
-				pos -= s.depth
-			}
-			f := s.flits[bi*s.depth+pos]
-			if f.pkt != b.owner {
-				return fmt.Errorf("buf %d: flit %d of packet %d in buffer owned by %d", bi, i, f.pkt, b.owner)
-			}
-		}
-		if b.count > 0 && s.headFlit(bi, b).idx == 0 {
+		if b.count > 0 && b.head == 0 {
 			p := &s.packets[b.owner]
 			row := s.tables[p.epoch].row(p.flow)
 			if bi >= s.injBase {
@@ -240,30 +233,35 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 
-	// Arrival bookkeeping: every positive-rate flow is either scheduled in
-	// the heap or paused on a full source queue (geometric mode only).
+	// Arrival bookkeeping (geometric mode only): every positive-rate flow
+	// is either on the wheel — one bit, in the slot of its next arrival,
+	// which lies ahead — or paused on a full source queue. A requeue may
+	// push a paused flow's queue past the bound, never below it.
 	if s.cfg.RateVariation == nil {
-		inHeap := make(map[int32]int, len(s.arrivals))
-		for _, a := range s.arrivals {
-			inHeap[a.flow]++
-		}
 		for fi, p := range s.injectProb {
+			at := s.arrivalAt[fi]
+			set, home := 0, false
+			for slot := 0; slot < wheelSlots; slot++ {
+				if s.wheel[slot*s.flowWords+fi>>6]&(1<<(fi&63)) != 0 {
+					set++
+					home = int64(slot) == at&(wheelSlots-1)
+				}
+			}
 			switch {
 			case p <= 0:
-				if inHeap[int32(fi)] != 0 || s.flowPaused[fi] {
+				if set != 0 || s.flowPaused[fi] {
 					return fmt.Errorf("cycle %d: zero-rate flow %d scheduled", s.cycle, fi)
 				}
 			case s.flowPaused[fi]:
-				if inHeap[int32(fi)] != 0 {
-					return fmt.Errorf("cycle %d: paused flow %d still in arrival heap", s.cycle, fi)
+				if set != 0 {
+					return fmt.Errorf("cycle %d: paused flow %d still on the arrival wheel", s.cycle, fi)
 				}
-				if s.srcQueue[fi].len() != maxSourceQueue {
+				if s.srcQueue[fi].len() < maxSourceQueue {
 					return fmt.Errorf("cycle %d: flow %d paused with %d queued", s.cycle, fi, s.srcQueue[fi].len())
 				}
-			default:
-				if inHeap[int32(fi)] != 1 {
-					return fmt.Errorf("cycle %d: flow %d has %d arrival entries", s.cycle, fi, inHeap[int32(fi)])
-				}
+			case set != 1 || !home || at <= s.cycle:
+				return fmt.Errorf("cycle %d: flow %d has %d wheel bits (in slot %d: %v) for its arrival at cycle %d",
+					s.cycle, fi, set, at&(wheelSlots-1), home, at)
 			}
 		}
 	}

@@ -70,12 +70,12 @@ type simShard struct {
 	scratch      []int32
 
 	// Deferred effects of the current cycle.
-	pops      []int32        // owned buffers with dequeues pending (dups allowed)
-	injStaged []stagedFlit   // flits staged into owned injection buffers
-	stageOut  [][]stagedFlit // per destination shard: forwarded flits
-	wakeOut   [][]int32      // per destination shard: channels to VA-wake
-	resumed   []int32        // flows whose arrival process restarts this cycle
-	freed     []int32        // packet records retired at ejection
+	pops      []int32   // owned buffers with dequeues pending (dups allowed)
+	injStaged []int32   // owned injection buffers receiving a flit (dups allowed)
+	stageOut  [][]int32 // per destination shard: buffers receiving a forwarded flit
+	wakeOut   [][]int32 // per destination shard: channels to VA-wake
+	resumed   []int32   // flows whose arrival process restarts this cycle
+	freed     []int32   // packet records retired at ejection
 
 	// stock holds the free packet records injectNode launches into
 	// during phaseRoute, where the global s.packets and s.freePkts are
@@ -126,7 +126,7 @@ func (s *Simulator) initShards() {
 			next++
 		}
 		sh.node1 = next
-		sh.stageOut = make([][]stagedFlit, ns)
+		sh.stageOut = make([][]int32, ns)
 		sh.wakeOut = make([][]int32, ns)
 		sh.hist = stats.NewHistogram(0, 4096, 256)
 		sh.stock = make([]int32, 0, (sh.node1-sh.node0)*s.nVCs)
@@ -304,29 +304,26 @@ func (s *Simulator) commitShard(si int32, sh *simShard) {
 	for _, bi := range sh.pops {
 		b := &s.bufs[bi]
 		b.head++
-		if b.head == s.depth {
-			b.head = 0
-		}
 		b.count--
 		s.popCnt[bi] = 0
 	}
 	sh.pops = sh.pops[:0]
 	// Flit arrivals: own injection stages first (matching the sequential
 	// core's inject-before-traverse staging order), then forwarded flits.
-	for _, d := range sh.injStaged {
-		b := &s.bufs[d.buf]
-		s.pushFlit(d.buf, b, d.f)
-		s.stagedCnt[d.buf]--
+	for _, bi := range sh.injStaged {
+		b := &s.bufs[bi]
+		b.count++
+		s.stagedCnt[bi]--
 		sh.inFlightDelta++ // a new flit entered the network
-		s.noteArrival(sh, d.buf, b)
+		s.noteArrival(sh, bi, b)
 	}
 	sh.injStaged = sh.injStaged[:0]
 	for src := range s.shards {
 		in := s.shards[src].stageOut[si]
-		for _, d := range in {
-			b := &s.bufs[d.buf]
-			s.pushFlit(d.buf, b, d.f)
-			s.noteArrival(sh, d.buf, b)
+		for _, bi := range in {
+			b := &s.bufs[bi]
+			b.count++
+			s.noteArrival(sh, bi, b)
 		}
 		s.shards[src].stageOut[si] = in[:0]
 	}
@@ -387,7 +384,7 @@ func (s *Simulator) postCycle() {
 			}
 		}
 		for _, fi := range rs {
-			s.arrivals.push(arrival{at: s.cycle + s.geomGap(fi), flow: fi})
+			s.schedule(fi, s.cycle+s.geomGap(fi))
 		}
 		s.resumeScratch = rs[:0]
 	}

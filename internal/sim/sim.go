@@ -17,7 +17,8 @@ import (
 // *activity* in the network, not its size. Every stage consumes an
 // incrementally maintained active set instead of scanning all buffers:
 //
-//   - generate() drains the arrival heap (generate.go) — O(packets due).
+//   - generate() drains one slot of the arrival wheel (generate.go) —
+//     one word per 64 flows plus O(packets due).
 //   - injectShard visits only nodes in the shard's activeInj, the nodes
 //     whose flows have queued packets or in-progress transfers.
 //   - routeShard visits only routePending, the buffers whose head flit
@@ -55,8 +56,7 @@ type Simulator struct {
 	injBase int32 // flat index of the first injection buffer
 
 	bufs      []vcBuf
-	flits     []flitRef // ring arena: buffer i owns [i*depth, (i+1)*depth)
-	stagedCnt []int32   // per injection buffer: deliveries staged this cycle
+	stagedCnt []int32 // per injection buffer: deliveries staged this cycle
 
 	packets  []packet // launched packets only; see packet in buffers.go
 	freePkts []int32  // retired records not yet in a shard's launch stock
@@ -65,7 +65,9 @@ type Simulator struct {
 	injectProb []float64 // packets/cycle at OfferedRate (base demands)
 	invLogQ    []float64 // 1/ln(1-p) per flow, 0 when p >= 1 (gap is 1)
 	demandSum  float64
-	arrivals   arrivalHeap
+	arrivalAt  []int64  // per flow: cycle of the next arrival (while on the wheel)
+	wheel      []uint64 // wheelSlots rows of flowWords: slot c%wheelSlots's flows
+	flowWords  int
 	srcQueue   []cycleRing // per flow: creation cycles of queued packets
 	transfer   []injTransfer
 	flowNode   []int32 // source node per flow
@@ -139,11 +141,6 @@ type injTransfer struct {
 	buf     int32 // flat injection-buffer index being streamed into
 }
 
-type stagedFlit struct {
-	f   flitRef
-	buf int32 // flat destination-buffer index
-}
-
 // New builds a simulator; Run executes it. A Simulator is single-use.
 func New(cfg Config) (*Simulator, error) {
 	cfg, err := cfg.withDefaults()
@@ -168,7 +165,6 @@ func New(cfg Config) (*Simulator, error) {
 	s.injBase = int32(nc) * s.nVCs
 	nBufs := int32(nc+nn) * s.nVCs
 	s.bufs = make([]vcBuf, nBufs)
-	s.flits = make([]flitRef, int(nBufs)*int(s.depth))
 	s.stagedCnt = make([]int32, nBufs)
 	for bi := range s.bufs {
 		b := &s.bufs[bi]
@@ -449,7 +445,7 @@ func (s *Simulator) injectNode(sh *simShard, n int32) {
 		sh.stock = sh.stock[:last]
 		s.packets[pkt] = packet{flow: fi, epoch: s.curEpoch, createT: createT, enterT: -1}
 		bi := s.injBase + n*s.nVCs + vc
-		s.bufs[bi].owner = pkt
+		s.bufs[bi].owner, s.bufs[bi].head = pkt, 0
 		s.transfer[fi] = injTransfer{pkt: pkt, nextIdx: 0, buf: bi}
 		s.rrInj[n] = (rr + k + 1) % nf
 	}
@@ -466,7 +462,7 @@ func (s *Simulator) injectNode(sh *simShard, n int32) {
 				s.packets[tr.pkt].enterT = s.cycle
 			}
 			sh.moved = true
-			sh.injStaged = append(sh.injStaged, stagedFlit{f: flitRef{pkt: tr.pkt, idx: tr.nextIdx}, buf: tr.buf})
+			sh.injStaged = append(sh.injStaged, tr.buf)
 			s.stagedCnt[tr.buf]++
 			tr.nextIdx++
 			budget--
@@ -501,13 +497,12 @@ func (s *Simulator) freeInjVC(n int32) int32 {
 func (s *Simulator) routeShard(sh *simShard) {
 	for _, bi := range sh.routePending {
 		b := &s.bufs[bi]
-		head := s.headFlit(bi, b)
-		if head.idx != 0 {
+		if b.head != 0 {
 			// Body flit at buffer head while inactive can only happen after
 			// a tail release bug; the invariant checker would flag it.
 			continue
 		}
-		p := &s.packets[head.pkt]
+		p := &s.packets[b.owner]
 		row := s.tables[p.epoch].row(p.flow)
 		if int(p.hop) == len(row) {
 			b.pending = false
@@ -565,7 +560,7 @@ func (s *Simulator) vaFlagShard(sh *simShard, ch int32) {
 // allocation. On success the buffer leaves the VA wait list, joins the
 // channel's switch-allocation wait list, and becomes active.
 //
-// The owner write on the downstream buffer may cross shards, but it is
+// The owner/head write on the downstream buffer may cross shards, but it is
 // race-free: only ch's owning shard (this one) claims ch's VCs, and a
 // claimable VC is empty and unowned, so the downstream home shard does
 // not touch it during phaseRoute.
@@ -586,7 +581,7 @@ func (s *Simulator) tryClaim(sh *simShard, ch, bi int32) {
 	if vc < 0 {
 		return // still stalled; a release of this channel re-flags it
 	}
-	s.bufs[downBase+vc].owner = s.headFlit(bi, b).pkt
+	s.bufs[downBase+vc].owner, s.bufs[downBase+vc].head = b.owner, 0
 	s.unlink(bi) // leaves vaWait[ch]; dispatch happens on pending
 	b.pending = false
 	b.active, b.eject = true, false
@@ -675,17 +670,17 @@ func (s *Simulator) ejectShard(sh *simShard) {
 // the downstream buffer's shard for the commit phase.
 func (s *Simulator) forward(sh *simShard, bi int32) {
 	b := &s.bufs[bi]
-	f := s.headFlit(bi, b) // channel waiters dequeue at most once per cycle
+	idx := b.head // channel waiters dequeue at most once per cycle
 	sh.pops = append(sh.pops, bi)
 	s.popCnt[bi]++
 	down := b.outCh*s.nVCs + b.outVC
 	dst := s.shardOfBuf(down)
-	sh.stageOut[dst] = append(sh.stageOut[dst], stagedFlit{f: f, buf: down})
+	sh.stageOut[dst] = append(sh.stageOut[dst], down)
 	sh.flitHops++
-	if f.idx == 0 {
-		s.packets[f.pkt].hop++ // the header crosses outCh: advance the cursor
+	if idx == 0 {
+		s.packets[b.owner].hop++ // the header crosses outCh: advance the cursor
 	}
-	if int(f.idx) == s.cfg.PacketLen-1 {
+	if int(idx) == s.cfg.PacketLen-1 {
 		s.release(sh, bi, b) // tail left: free this VC for the next packet
 	}
 	sh.moved = true
@@ -698,19 +693,15 @@ func (s *Simulator) forward(sh *simShard, bi int32) {
 // the write is exclusive to this shard.
 func (s *Simulator) ejectFlit(sh *simShard, bi int32) {
 	b := &s.bufs[bi]
-	pos := b.head + s.popCnt[bi]
-	if pos >= s.depth {
-		pos -= s.depth
-	}
-	f := s.flits[bi*s.depth+pos]
+	idx, pkt := b.head+s.popCnt[bi], b.owner
 	sh.pops = append(sh.pops, bi)
 	s.popCnt[bi]++
 	sh.inFlightDelta--
 	sh.flitHops++
 	sh.moved = true
-	if int(f.idx) == s.cfg.PacketLen-1 {
+	if int(idx) == s.cfg.PacketLen-1 {
 		s.release(sh, bi, b)
-		p := &s.packets[f.pkt]
+		p := &s.packets[pkt]
 		sh.delivered++
 		if s.cycle >= s.cfg.WarmupCycles {
 			sh.mDelivered++
@@ -721,6 +712,6 @@ func (s *Simulator) ejectFlit(sh *simShard, bi int32) {
 			s.perFlowLat[p.flow].Add(float64(lat))
 			sh.hist.Add(float64(lat))
 		}
-		sh.freed = append(sh.freed, f.pkt)
+		sh.freed = append(sh.freed, pkt)
 	}
 }

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -42,6 +45,87 @@ func TestConfigRejectsBadSizes(t *testing.T) {
 		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
 			t.Errorf("bad %s: error %q does not name the field", tc.field, err)
 		}
+	}
+}
+
+// drawSource is a rand.Source whose every Float64 is 0.5 and which calls
+// onDraw first. With invLogQ[fi] = -(g-0.5)/ln 2, flow fi's geometric gap
+// is then exactly g cycles.
+type drawSource struct{ onDraw func() }
+
+func (d drawSource) Int63() int64 { d.onDraw(); return 1 << 62 }
+func (drawSource) Seed(int64)     {}
+
+// TestArrivalWheelLapEdge schedules flows with gaps on both sides of the
+// wheel's lap — 1, 63, 64, 65, 128 and 4096 cycles, several due in one
+// cycle, some sharing a slot on different laps, some past the first word
+// — and requires generate to fire them in (cycle, flow) order, once per
+// due cycle. A gap of 64 re-sets the bit of the slot being drained, so a
+// drain that cleared the bit after rescheduling would lose the flow.
+func TestArrivalWheelLapEdge(t *testing.T) {
+	m := topology.NewMesh(4, 4)
+	var flows []flowgraph.Flow
+	for src := topology.NodeID(0); src < 16; src++ {
+		for dst := topology.NodeID(0); dst < 16; dst++ {
+			if src != dst {
+				flows = append(flows, flowgraph.Flow{ID: len(flows), Name: "f", Src: src, Dst: dst, Demand: 1})
+			}
+		}
+	}
+	s, err := New(Config{Mesh: m, Routes: xyRoutes(t, m, flows), OfferedRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 5000 // the gap-1 flow's queue stays below maxSourceQueue
+	sched := []struct {
+		fi      int32
+		at, gap int64
+	}{
+		{3, 5, 64}, {5, 5, 1}, {64, 5, 63}, {70, 6, 65},
+		{130, 69, 128}, {200, 5, 4096}, {239, 69, 64},
+	}
+	clear(s.wheel)
+	var want [][2]int64 // (cycle, flow), sorted
+	for _, f := range sched {
+		s.invLogQ[f.fi] = -(float64(f.gap) - 0.5) / math.Ln2
+		s.schedule(f.fi, f.at)
+		for c := f.at; c < horizon; c += f.gap {
+			want = append(want, [2]int64{c, int64(f.fi)})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		return want[i][0] < want[j][0] || want[i][0] == want[j][0] && want[i][1] < want[j][1]
+	})
+
+	// emit pushes the creation cycle before the gap is drawn, so at each
+	// draw exactly one source queue has grown: the flow that just fired.
+	var got [][2]int64
+	queued := make([]int, len(flows))
+	s.rng = rand.New(drawSource{onDraw: func() {
+		for fi := range s.srcQueue {
+			if n := s.srcQueue[fi].len(); n != queued[fi] {
+				queued[fi] = n
+				got = append(got, [2]int64{s.cycle, int64(fi)})
+			}
+		}
+	}})
+	for ; s.cycle < horizon; s.cycle++ {
+		s.generate()
+	}
+	fired := make(map[[2]int64]bool, len(got))
+	for _, f := range got {
+		if fired[f] {
+			t.Fatalf("flow %d fired twice in cycle %d", f[1], f[0])
+		}
+		fired[f] = true
+	}
+	if !slices.Equal(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("fire %d is (cycle, flow) %v, want %v (%d fires, want %d)", i, got[i], want[i], len(got), len(want))
+			}
+		}
+		t.Fatalf("%d fires, want %d", len(got), len(want))
 	}
 }
 
