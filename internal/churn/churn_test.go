@@ -96,9 +96,8 @@ func TestFaultedAndScheduleAgree(t *testing.T) {
 }
 
 // churnFixture builds a 6x6 mesh, crossing flows, an initial heuristic
-// route set, a simulator whose cycle loop is threaded simWorkers ways
-// (sim.Config.Workers), and a supervisor over them.
-func churnFixture(t *testing.T, resynth route.ContextSelector, schedule []Event, requeue bool, simWorkers int) (*Supervisor, int64) {
+// route set, a simulator, and a supervisor over them.
+func churnFixture(t *testing.T, resynth route.ContextSelector, schedule []Event, requeue bool) (*Supervisor, int64) {
 	t.Helper()
 	m := topology.NewMesh(6, 6)
 	overlay := topology.NewFaultOverlay(m)
@@ -120,7 +119,7 @@ func churnFixture(t *testing.T, resynth route.ContextSelector, schedule []Event,
 		Mesh: m, Routes: initial, VCs: 2,
 		OfferedRate:  0.6,
 		WarmupCycles: 4000, MeasureCycles: total - 4000,
-		Seed: 42, Workers: simWorkers,
+		Seed: 42,
 	})
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
@@ -148,7 +147,7 @@ func TestChurnSupervisorRunsSchedule(t *testing.T) {
 		t.Fatalf("RandomSchedule: %v", err)
 	}
 	run := func() (*sim.Result, []EventReport) {
-		sv, total := churnFixture(t, heuristicResynth(), schedule, false, 0)
+		sv, total := churnFixture(t, heuristicResynth(), schedule, false)
 		res, reports, err := sv.Run(context.Background(), int64(total))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -203,7 +202,7 @@ func TestChurnRequeuePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RandomSchedule: %v", err)
 	}
-	sv, total := churnFixture(t, heuristicResynth(), schedule, true, 0)
+	sv, total := churnFixture(t, heuristicResynth(), schedule, true)
 	res, reports, err := sv.Run(context.Background(), int64(total))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -220,45 +219,6 @@ func TestChurnRequeuePolicy(t *testing.T) {
 	}
 	if res.RequeuedPackets != requeued {
 		t.Errorf("result requeues %d != summed event requeues %d", res.RequeuedPackets, requeued)
-	}
-}
-
-// TestChurnWorkerCountIdentical pins, where the mechanism lives, that
-// the barrier operations a supervisor issues — DisableChannels under
-// either purge policy, the requeue path, SwapRoutes of the escape and the
-// repaired set — never depend on how the simulator's sharded cycle loop
-// is threaded: one seeded two-fault schedule gives equal results and
-// event reports at Workers 1 and 4 (a 6x6 mesh is two shards, so 4 really
-// runs two goroutines per cycle; under -race this is also the check that
-// a barrier never races a pool helper).
-func TestChurnWorkerCountIdentical(t *testing.T) {
-	schedule, err := RandomSchedule(topology.NewMesh(6, 6), 3, 2, 6000, 8000)
-	if err != nil {
-		t.Fatalf("RandomSchedule: %v", err)
-	}
-	for _, requeue := range []bool{false, true} {
-		run := func(simWorkers int) (*sim.Result, []EventReport) {
-			sv, total := churnFixture(t, heuristicResynth(), schedule, requeue, simWorkers)
-			res, reports, err := sv.Run(context.Background(), total)
-			if err != nil {
-				t.Fatalf("requeue=%v workers=%d: %v", requeue, simWorkers, err)
-			}
-			for i := range reports {
-				reports[i].ResynthWall = 0 // wall clock
-			}
-			return res, reports
-		}
-		res1, reports1 := run(1)
-		res4, reports4 := run(4)
-		if purged := res1.DroppedPackets + res1.RequeuedPackets; purged == 0 {
-			t.Errorf("requeue=%v: the schedule purged nothing, so the purge path went unexercised", requeue)
-		}
-		if !reflect.DeepEqual(res1, res4) {
-			t.Errorf("requeue=%v: sim results differ across sim workers:\n%+v\n%+v", requeue, res1, res4)
-		}
-		if !reflect.DeepEqual(reports1, reports4) {
-			t.Errorf("requeue=%v: event reports differ across sim workers:\n%+v\n%+v", requeue, reports1, reports4)
-		}
 	}
 }
 
@@ -292,7 +252,7 @@ func TestChurnCancellationMidChurn(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	started := make(chan struct{})
-	sv, total := churnFixture(t, blockSelector{started: started}, schedule, false, 0)
+	sv, total := churnFixture(t, blockSelector{started: started}, schedule, false)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -329,7 +289,7 @@ func TestChurnOverlappingEventsRejected(t *testing.T) {
 	sv, total := churnFixture(t, heuristicResynth(), []Event{
 		{Cycle: 6000, Fail: []topology.ChannelID{0, 1}},
 		{Cycle: 6500, Fail: []topology.ChannelID{2, 3}},
-	}, false, 0)
+	}, false)
 	if _, _, err := sv.Run(context.Background(), int64(total)); err == nil {
 		t.Fatalf("overlapping events accepted; want an error")
 	}

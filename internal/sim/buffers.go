@@ -25,10 +25,9 @@ package sim
 // launch (injectNode claims an injection VC) to tail ejection or a churn
 // purge; a queued packet is nothing but a creation cycle in its flow's
 // source queue. A live packet owns at least one VC, so however deep the
-// backlog, the arena holds at most len(bufs) live records plus the
-// shards' launch stocks (shard.go) and stays cache-resident under the
-// random access of RC and ejection. Records are recycled through
-// freePkts and the stocks; their indices never show in a Result.
+// backlog, the arena holds at most len(bufs) records and stays
+// cache-resident under the random access of RC and ejection. Records are
+// recycled through freePkts; their indices never show in a Result.
 type packet struct {
 	flow int32
 	// epoch is the routing-table generation the packet was launched
@@ -64,30 +63,28 @@ type vcBuf struct {
 }
 
 // chanPush links buffer bi into output channel ch's wait list and marks
-// the channel active for switch allocation in its owning shard (which
-// must be sh: the channel is sourced at bi's node). Lists are kept in
-// ascending buffer-index order so that arbitration candidate order — and
-// with it the round-robin grant sequence — matches the pre-refactor full
-// scan (input channels in id order, then injection VCs): at saturation
-// the grant order is observable in the latency distribution, not just an
+// the channel active for switch allocation. Lists are kept in ascending
+// buffer-index order so that arbitration candidate order — and with it
+// the round-robin grant sequence — matches the pre-refactor full scan
+// (input channels in id order, then injection VCs): at saturation the
+// grant order is observable in the latency distribution, not just an
 // implementation detail.
-func (s *Simulator) chanPush(sh *simShard, ch, bi int32) {
+func (s *Simulator) chanPush(ch, bi int32) {
 	s.sortedInsert(&s.chanWait[ch], bi)
 	if !s.chanQueued[ch] {
 		s.chanQueued[ch] = true
-		sh.activeChans = append(sh.activeChans, ch)
+		s.activeChans = append(s.activeChans, ch)
 	}
 }
 
 // ejectPush links buffer bi into its node's ejection wait list (ascending
-// index order, see chanPush) and marks the node active for ejection in
-// its owning shard sh.
-func (s *Simulator) ejectPush(sh *simShard, bi int32) {
+// index order, see chanPush) and marks the node active for ejection.
+func (s *Simulator) ejectPush(bi int32) {
 	n := s.bufs[bi].node
 	s.sortedInsert(&s.ejectWait[n], bi)
 	if !s.ejectQueued[n] {
 		s.ejectQueued[n] = true
-		sh.activeEject = append(sh.activeEject, n)
+		s.activeEject = append(s.activeEject, n)
 	}
 }
 
@@ -135,59 +132,99 @@ func (s *Simulator) unlink(bi int32) {
 
 // release ends buffer bi's tenure by the current packet: unlink from its
 // wait list and free the VC for the next VA claim. Freeing a channel VC
-// wakes the channel's VA waiters for the next allocShard pass; the wake
-// targets the channel's *upstream* shard, so it is routed through the
-// wakeOut outbox and absorbed during the commit phase. (vaWait is stable
-// during phaseSwitch — it changes only in phaseRoute — so the guard read
-// is race-free even cross-shard.)
-func (s *Simulator) release(sh *simShard, bi int32, b *vcBuf) {
+// flags the channel's VA waiters for the next cycle's vaStage (this
+// cycle's has run).
+func (s *Simulator) release(bi int32, b *vcBuf) {
 	s.unlink(bi)
 	b.owner = -1
 	b.active = false
 	b.eject = false
 	if bi < s.injBase {
 		if cin := bi / s.nVCs; s.vaWait[cin] >= 0 {
-			dst := s.shardOfChan[cin]
-			sh.wakeOut[dst] = append(sh.wakeOut[dst], cin)
+			s.vaFlag(cin)
 		}
 	}
 }
 
-// cycleRing is the per-flow source queue: a growable FIFO of creation
-// cycles (all the state a queued packet has) with O(1) push/pop over a
-// power-of-two backing array, which reaches steady-state capacity once
-// and never allocates again.
-type cycleRing struct {
-	data []int64
-	head int32
-	n    int32
+// chunkLen is the number of creation cycles one source-queue chunk holds
+// (512 B of them), about what a lightly loaded flow ever queues.
+const chunkLen = 64
+
+// maxSlab caps the chunks one pool allocation carves up (~64 KiB).
+const maxSlab = 128
+
+// queueChunk is one fixed-size piece of a source queue, linked to the
+// next piece of the same queue or, while free, of the pool.
+type queueChunk struct {
+	cycles [chunkLen]int64
+	next   *queueChunk
 }
 
-func (q *cycleRing) len() int { return int(q.n) }
+// chunkPool is the simulator-wide free list of queue chunks. It grows by
+// slabs that double its size up to maxSlab chunks at a time, so the
+// chunks of a deep backlog cost a few allocations, and it never shrinks:
+// chunks pass between flows as backlogs shift, and a run that has met
+// its deepest combined backlog allocates nothing more.
+type chunkPool struct {
+	free  *queueChunk
+	total int // chunks allocated
+}
 
-func (q *cycleRing) push(v int64) {
-	if int(q.n) == len(q.data) {
-		q.grow()
+func (p *chunkPool) get() *queueChunk {
+	if p.free == nil {
+		slab := make([]queueChunk, min(max(p.total, 4), maxSlab))
+		for i := range slab[:len(slab)-1] {
+			slab[i].next = &slab[i+1]
+		}
+		p.free = &slab[0]
+		p.total += len(slab)
 	}
-	q.data[(int(q.head)+int(q.n))&(len(q.data)-1)] = v
+	c := p.free
+	p.free, c.next = c.next, nil
+	return c
+}
+
+func (p *chunkPool) put(c *queueChunk) { c.next, p.free = p.free, c }
+
+// sourceQueue is a flow's source queue: a FIFO of creation cycles (all
+// the state a queued packet has) in a linked run of chunks from the
+// chunkPool. An empty queue holds no chunk, a full one (maxSourceQueue)
+// at most maxSourceQueue/chunkLen+1, and nothing is ever copied.
+type sourceQueue struct {
+	head, tail *queueChunk
+	hi, ti     int32 // next pop in head, next push in tail
+	n          int32
+}
+
+func (q *sourceQueue) len() int { return int(q.n) }
+
+func (q *sourceQueue) push(p *chunkPool, v int64) {
+	if q.tail == nil || q.ti == chunkLen {
+		c := p.get()
+		if q.tail == nil {
+			q.head, q.hi = c, 0
+		} else {
+			q.tail.next = c
+		}
+		q.tail, q.ti = c, 0
+	}
+	q.tail.cycles[q.ti] = v
+	q.ti++
 	q.n++
 }
 
-func (q *cycleRing) pop() int64 {
-	v := q.data[q.head]
-	q.head = int32((int(q.head) + 1) & (len(q.data) - 1))
+func (q *sourceQueue) pop(p *chunkPool) int64 {
+	c := q.head
+	v := c.cycles[q.hi]
+	q.hi++
 	q.n--
+	switch {
+	case q.n == 0:
+		*q = sourceQueue{}
+		p.put(c)
+	case q.hi == chunkLen:
+		q.head, q.hi = c.next, 0
+		p.put(c)
+	}
 	return v
-}
-
-func (q *cycleRing) grow() {
-	ncap := len(q.data) * 2
-	if ncap == 0 {
-		ncap = 8
-	}
-	nd := make([]int64, ncap)
-	for i := 0; i < int(q.n); i++ {
-		nd[i] = q.data[(int(q.head)+i)&(len(q.data)-1)]
-	}
-	q.data, q.head = nd, 0
 }

@@ -90,20 +90,17 @@ func (s *Simulator) DisableChannels(requeue bool, chs ...topology.ChannelID) Pur
 			purged = append(purged, pkt)
 		}
 	}
-	for si := range s.shards {
-		sh := &s.shards[si]
-		keep := sh.routePending[:0]
-		for _, bi := range sh.routePending {
-			b := &s.bufs[bi]
-			if b.owner >= 0 && hit(b.owner) {
-				note(b.owner)
-				s.clearBuf(bi, b)
-				continue
-			}
-			keep = append(keep, bi)
+	keep := s.routePending[:0]
+	for _, bi := range s.routePending {
+		b := &s.bufs[bi]
+		if b.owner >= 0 && hit(b.owner) {
+			note(b.owner)
+			s.clearBuf(bi, b)
+			continue
 		}
-		sh.routePending = keep
+		keep = append(keep, bi)
 	}
+	s.routePending = keep
 
 	// Full buffer sweep in ascending index order (deterministic): every
 	// buffer owned by an affected packet is emptied and freed. Members of
@@ -174,10 +171,7 @@ type PurgeStats struct {
 
 // clearBuf discards buffer bi's flits (counting them dropped), frees its
 // VC, and — for channel buffers — wakes VA waiters exactly as release
-// would, since the freed VC may unblock a surviving packet. Runs between
-// cycles (DisableChannels is a barrier operation), so the wake is
-// flagged directly into the channel's owning shard instead of routed
-// through an outbox.
+// would, since the freed VC may unblock a surviving packet.
 func (s *Simulator) clearBuf(bi int32, b *vcBuf) {
 	s.droppedFlits += int64(b.count)
 	s.inFlight -= int64(b.count)
@@ -185,7 +179,7 @@ func (s *Simulator) clearBuf(bi int32, b *vcBuf) {
 	b.active, b.eject, b.pending = false, false, false
 	if bi < s.injBase {
 		if ch := bi / s.nVCs; s.vaWait[ch] >= 0 {
-			s.vaFlagShard(&s.shards[s.shardOfChan[ch]], ch)
+			s.vaFlag(ch)
 		}
 	}
 }

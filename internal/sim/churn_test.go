@@ -182,7 +182,7 @@ func TestChurnRequeueKeepsCreationCycle(t *testing.T) {
 	if s.inFlight != 0 || s.transfer[0].pkt >= 0 {
 		t.Fatalf("purged packet still in the network: inFlight=%d transfer=%d", s.inFlight, s.transfer[0].pkt)
 	}
-	if q.len() != 1 || q.data[q.head] != createT {
+	if q.len() != 1 || q.head.cycles[q.hi] != createT {
 		t.Fatalf("source queue after requeue holds %d entries, want only creation cycle %d", q.len(), createT)
 	}
 	if err := s.checkInvariants(); err != nil { // the record went back to the free list

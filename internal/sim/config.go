@@ -98,13 +98,10 @@ type Config struct {
 	// consecutive cycles while packets are in flight, the run aborts and
 	// Result.Deadlocked is set. Default 10000.
 	DeadlockCycles int64
-	// Workers is the number of goroutines driving the cycle loop. 0 and
-	// 1 both mean single-threaded; larger values parallelize over the
-	// topology's spatial shards (shard.go) and are capped at the shard
-	// count (one shard per 16 nodes, at most 32 — small networks gain
-	// nothing from extra goroutines). Results are byte-identical for any
-	// value: the shard decomposition, and with it every arbitration
-	// decision and RNG draw, depends only on the topology and seed.
+	// Workers has no effect: the cycle loop is one sequential pass and
+	// starts no goroutine. A negative value is still rejected. The field
+	// remains only so existing callers compile; it is slated for removal
+	// (DESIGN.md §15).
 	Workers int
 	// Metrics, when non-nil, receives out-of-band instruments: simulated
 	// cycles (sim_cycles_total, flushed at the 1024-cycle poll point so

@@ -144,15 +144,14 @@ func (s *Simulator) emit(fi int32) {
 // source queue and flags its node for injection work. Sequential only
 // (generation, churn requeue).
 func (s *Simulator) enqueue(fi int32, createT int64) {
-	s.srcQueue[fi].push(createT)
+	s.srcQueue[fi].push(&s.chunks, createT)
 	if !s.flowWork[fi] {
 		s.flowWork[fi] = true
 		n := s.flowNode[fi]
 		s.nodeWork[n]++
 		if !s.injQueued[n] {
 			s.injQueued[n] = true
-			sh := &s.shards[s.shardOfNode[n]]
-			sh.activeInj = append(sh.activeInj, n)
+			s.activeInj = append(s.activeInj, n)
 		}
 	}
 }

@@ -306,7 +306,8 @@ func TestActiveSetInvariants(t *testing.T) {
 // for launched packets, and a launched packet owns at least one VC, so a
 // deeply saturated long run — both source queues pinned at
 // maxSourceQueue, tens of thousands of packets delivered — holds no more
-// records than there are VC buffers plus the shards' launch stocks.
+// records than there are VC buffers, and the source queues no more
+// chunks than two full queues span.
 func TestSaturationMemoryBounded(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	flows := []flowgraph.Flow{
@@ -340,19 +341,21 @@ func TestSaturationMemoryBounded(t *testing.T) {
 			t.Errorf("flow %d: %d queued, want the queue pinned at %d", fi, s.srcQueue[fi].len(), maxSourceQueue)
 		}
 	}
-	bound := len(s.bufs)
-	for i := range s.shards {
-		bound += cap(s.shards[i].stock)
+	if len(s.packets) > len(s.bufs) {
+		t.Errorf("packet arena %d records, want <= %d (VC buffers)", len(s.packets), len(s.bufs))
 	}
-	if len(s.packets) > bound {
-		t.Errorf("packet arena %d records, want <= %d (VC buffers + launch stock)", len(s.packets), bound)
+	// Two queues of at most maxSourceQueue/chunkLen+1 chunks, plus the
+	// slack of the last slab.
+	if bound := 2*(maxSourceQueue/chunkLen+1) + maxSlab; s.chunks.total > bound {
+		t.Errorf("chunk pool %d chunks, want <= %d", s.chunks.total, bound)
 	}
 }
 
 // TestSteadyStateAllocationFree pins the hot loop's allocation count at
-// zero: once a run has grown its source queues and per-shard scratch,
+// zero: once a run has grown its chunk pool and active-set slices,
 // advancing it allocates nothing — no packet records (recycled through
-// the launch stocks), no queue or outbox growth, no arrival scheduling.
+// the free list), no queue chunks (recycled through the pool), no
+// arrival scheduling.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	g := topology.NewMesh(8, 8)
 	set, err := route.XY{}.Routes(g, goldenFlows(t, g, "transpose"))

@@ -23,22 +23,23 @@ import (
 //  3. A buffer holds at most depth flits, and a non-empty one holds
 //     positions [head, head+count) of its owner: count > 0 implies
 //     owner >= 0 and head+count <= PacketLen.
-//  4. stagedCnt is all-zero between cycles and inFlight equals the
-//     total buffered flit count.
+//  4. inFlight equals the total buffered flit count.
 //  5. flowWork matches queue/transfer state and nodeWork counts the
-//     flows with work; nodes with work are registered in activeInj.
-//  6. Shard ownership (DESIGN.md §15): every per-shard active-set entry
-//     belongs to the shard holding it, and every deferred-effect buffer
-//     (pops, popCnt, staging outboxes, VA wakes, resumes, statistic
-//     deltas) is fully drained between cycles.
-//  7. Packet records: every index of the arena is in exactly one of
-//     freePkts, one shard's (full) launch stock, or live — the owner of
-//     at least one buffer, so live records number at most len(bufs) —
-//     and an active transfer streams a live packet of its own flow. The
-//     hop cursor, which RC trusts blindly, agrees with the network: a
-//     channel buffer whose head flit is a header of packet p is the
-//     channel (under static allocation, also the VC) of entry p.hop-1 of
-//     p's table row, and an injection buffer holds headers at hop 0.
+//     flows with work; nodes with work are registered in activeInj. A
+//     source queue's chunks hold exactly its length, an empty queue
+//     holds none, and the queues and the pool's free list together hold
+//     every chunk the pool allocated.
+//  6. The active sets hold each member once and only while flagged, and
+//     the deferred effects (pops, popCnt, arrivals, resumes) are fully
+//     drained between cycles.
+//  7. Packet records: every index of the arena is either in freePkts or
+//     live — the owner of at least one buffer, so the arena holds at most
+//     len(bufs) records — and an active transfer streams a live packet
+//     of its own flow. The hop cursor, which RC trusts blindly, agrees
+//     with the network: a channel buffer whose head flit is a header of
+//     packet p is the channel (under static allocation, also the VC) of
+//     entry p.hop-1 of p's table row, and an injection buffer holds
+//     headers at hop 0.
 func (s *Simulator) checkInvariants() error {
 	nc := s.mesh.NumChannels()
 	nn := s.mesh.NumNodes()
@@ -79,22 +80,16 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 	pending := make(map[int32]bool, 64)
-	for si := range s.shards {
-		for _, bi := range s.shards[si].routePending {
-			b := &s.bufs[bi]
-			if !b.pending || b.active || b.count == 0 {
-				return fmt.Errorf("cycle %d: routePending buf %d in state pending=%v active=%v count=%d",
-					s.cycle, bi, b.pending, b.active, b.count)
-			}
-			if s.shardOfBuf(bi) != int32(si) {
-				return fmt.Errorf("cycle %d: buf %d in shard %d's routePending but owned by shard %d",
-					s.cycle, bi, si, s.shardOfBuf(bi))
-			}
-			if pending[bi] {
-				return fmt.Errorf("cycle %d: buf %d in routePending twice", s.cycle, bi)
-			}
-			pending[bi] = true
+	for _, bi := range s.routePending {
+		b := &s.bufs[bi]
+		if !b.pending || b.active || b.count == 0 {
+			return fmt.Errorf("cycle %d: routePending buf %d in state pending=%v active=%v count=%d",
+				s.cycle, bi, b.pending, b.active, b.count)
 		}
+		if pending[bi] {
+			return fmt.Errorf("cycle %d: buf %d in routePending twice", s.cycle, bi)
+		}
+		pending[bi] = true
 	}
 	for ch := 0; ch < nc; ch++ {
 		prev := int32(-1)
@@ -146,9 +141,6 @@ func (s *Simulator) checkInvariants() error {
 				bi, b.owner, b.head, b.head, b.count, s.cfg.PacketLen, s.depth)
 		}
 		totalFlits += int64(b.count)
-		if s.stagedCnt[bi] != 0 {
-			return fmt.Errorf("buf %d: stagedCnt %d between cycles", bi, s.stagedCnt[bi])
-		}
 		if b.count > 0 && b.head == 0 {
 			p := &s.packets[b.owner]
 			row := s.tables[p.epoch].row(p.flow)
@@ -266,44 +258,32 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 
-	// Packet records (7): freePkts, the stocks and the buffer owners
-	// partition the arena.
-	idle := make([]bool, len(s.packets)) // free or stocked
-	hold := func(pkts []int32, where string) error {
-		for _, pkt := range pkts {
-			if pkt < 0 || int(pkt) >= len(idle) || idle[pkt] {
-				return fmt.Errorf("cycle %d: %s holds packet %d: outside the %d-record arena, or free or stocked twice",
-					s.cycle, where, pkt, len(idle))
-			}
-			idle[pkt] = true
+	// Packet records (7): freePkts and the buffer owners partition the
+	// arena.
+	free := make([]bool, len(s.packets))
+	for _, pkt := range s.freePkts {
+		if pkt < 0 || int(pkt) >= len(free) || free[pkt] {
+			return fmt.Errorf("cycle %d: freePkts holds packet %d: outside the %d-record arena, or twice",
+				s.cycle, pkt, len(free))
 		}
-		return nil
-	}
-	if err := hold(s.freePkts, "freePkts"); err != nil {
-		return err
-	}
-	for si := range s.shards {
-		sh := &s.shards[si]
-		if want := int(sh.node1-sh.node0) * int(s.nVCs); len(sh.stock) != want {
-			return fmt.Errorf("cycle %d: shard %d stocks %d packet records between cycles, want %d", s.cycle, si, len(sh.stock), want)
-		}
-		if err := hold(sh.stock, fmt.Sprintf("shard %d's stock", si)); err != nil {
-			return err
-		}
+		free[pkt] = true
 	}
 	live := make([]bool, len(s.packets))
 	for bi := range s.bufs {
 		if pkt := s.bufs[bi].owner; pkt >= 0 {
-			if int(pkt) >= len(idle) || idle[pkt] {
-				return fmt.Errorf("cycle %d: buf %d owned by packet %d, which is free, stocked or outside the arena", s.cycle, bi, pkt)
+			if int(pkt) >= len(free) || free[pkt] {
+				return fmt.Errorf("cycle %d: buf %d owned by packet %d, which is free or outside the arena", s.cycle, bi, pkt)
 			}
 			live[pkt] = true
 		}
 	}
 	for pkt := range live {
-		if !live[pkt] && !idle[pkt] {
-			return fmt.Errorf("cycle %d: packet record %d leaked: not free, stocked or owner of any buffer", s.cycle, pkt)
+		if !live[pkt] && !free[pkt] {
+			return fmt.Errorf("cycle %d: packet record %d leaked: not free or owner of any buffer", s.cycle, pkt)
 		}
+	}
+	if len(s.packets) > len(s.bufs) {
+		return fmt.Errorf("cycle %d: %d packet records for %d buffers", s.cycle, len(s.packets), len(s.bufs))
 	}
 	for fi := range s.transfer {
 		if tr := &s.transfer[fi]; tr.pkt >= 0 && (s.bufs[tr.buf].owner != tr.pkt || s.packets[tr.pkt].flow != int32(fi)) {
@@ -332,77 +312,69 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 
-	// Shard decomposition (shard.go): every active-set entry must sit in
-	// the shard that owns it — a cross-shard entry means some phase wrote
-	// another shard's state outside the commit protocol — and all
-	// deferred-effect buffers must drain completely each cycle.
-	flagged := make(map[int32]int32, 16) // channel -> shard holding it in vaRetry
-	for si := range s.shards {
-		sh := &s.shards[si]
-		for _, ch := range sh.activeChans {
-			if s.shardOfChan[ch] != int32(si) {
-				return fmt.Errorf("cycle %d: channel %d in shard %d's activeChans but owned by shard %d",
-					s.cycle, ch, si, s.shardOfChan[ch])
+	// Source-queue chunks (5).
+	chunks := 0
+	for c := s.chunks.free; c != nil; c = c.next {
+		chunks++
+	}
+	for fi := range s.srcQueue {
+		q := &s.srcQueue[fi]
+		if q.n == 0 {
+			if q.head != nil || q.tail != nil {
+				return fmt.Errorf("cycle %d: flow %d holds a chunk with an empty queue", s.cycle, fi)
 			}
+			continue
 		}
-		for _, ch := range sh.vaRetry {
-			if s.shardOfChan[ch] != int32(si) {
-				return fmt.Errorf("cycle %d: channel %d in shard %d's vaRetry but owned by shard %d",
-					s.cycle, ch, si, s.shardOfChan[ch])
+		k := 1
+		for c := q.head; c != q.tail; c = c.next {
+			if c == nil {
+				return fmt.Errorf("cycle %d: flow %d's chunks do not reach its tail", s.cycle, fi)
 			}
-			if !s.vaFlagged[ch] {
-				return fmt.Errorf("cycle %d: channel %d in vaRetry but not flagged", s.cycle, ch)
-			}
-			if prev, dup := flagged[ch]; dup {
-				return fmt.Errorf("cycle %d: channel %d in vaRetry of shards %d and %d", s.cycle, ch, prev, si)
-			}
-			flagged[ch] = int32(si)
+			k++
 		}
-		for _, n := range sh.activeEject {
-			if s.shardOfNode[n] != int32(si) {
-				return fmt.Errorf("cycle %d: node %d in shard %d's activeEject but owned by shard %d",
-					s.cycle, n, si, s.shardOfNode[n])
+		if q.tail.next != nil || int(q.n) != (k-1)*chunkLen+int(q.ti-q.hi) {
+			return fmt.Errorf("cycle %d: flow %d queues %d in %d chunks (offsets %d, %d)", s.cycle, fi, q.n, k, q.hi, q.ti)
+		}
+		chunks += k
+	}
+	if chunks != s.chunks.total {
+		return fmt.Errorf("cycle %d: queues and free list hold %d chunks, the pool allocated %d", s.cycle, chunks, s.chunks.total)
+	}
+
+	// Active sets and deferred effects (6).
+	onList := make(map[int32]bool, 16)
+	sets := [...]struct {
+		name    string
+		members []int32
+		flagged []bool
+	}{
+		{"vaRetry", s.vaRetry, s.vaFlagged},
+		{"activeChans", s.activeChans, s.chanQueued},
+		{"activeEject", s.activeEject, s.ejectQueued},
+		{"activeInj", s.activeInj, s.injQueued},
+	}
+	for _, set := range sets {
+		clear(onList)
+		for _, x := range set.members {
+			if !set.flagged[x] || onList[x] {
+				return fmt.Errorf("cycle %d: %d in %s unflagged or twice", s.cycle, x, set.name)
 			}
+			onList[x] = true
 		}
-		for _, n := range sh.activeInj {
-			if s.shardOfNode[n] != int32(si) {
-				return fmt.Errorf("cycle %d: node %d in shard %d's activeInj but owned by shard %d",
-					s.cycle, n, si, s.shardOfNode[n])
+		for x, f := range set.flagged {
+			if f && !onList[int32(x)] {
+				return fmt.Errorf("cycle %d: %d flagged but not in %s", s.cycle, x, set.name)
 			}
-		}
-		if len(sh.pops) != 0 || len(sh.injStaged) != 0 || len(sh.resumed) != 0 || len(sh.freed) != 0 {
-			return fmt.Errorf("cycle %d: shard %d has undrained effects (pops=%d injStaged=%d resumed=%d freed=%d)",
-				s.cycle, si, len(sh.pops), len(sh.injStaged), len(sh.resumed), len(sh.freed))
-		}
-		for dst, out := range sh.stageOut {
-			if len(out) != 0 {
-				return fmt.Errorf("cycle %d: shard %d stageOut[%d] holds %d flits between cycles", s.cycle, si, dst, len(out))
-			}
-		}
-		for dst, out := range sh.wakeOut {
-			if len(out) != 0 {
-				return fmt.Errorf("cycle %d: shard %d wakeOut[%d] holds %d wakes between cycles", s.cycle, si, dst, len(out))
-			}
-		}
-		if sh.moved || sh.flitHops != 0 || sh.inFlightDelta != 0 || sh.delivered != 0 ||
-			sh.mDelivered != 0 || sh.mLatencySum != 0 || sh.mTotalLatSum != 0 {
-			return fmt.Errorf("cycle %d: shard %d has unmerged statistic deltas", s.cycle, si)
 		}
 	}
-	for ch := int32(0); int(ch) < nc; ch++ {
-		if s.vaFlagged[ch] {
-			if _, ok := flagged[ch]; !ok {
-				return fmt.Errorf("cycle %d: channel %d flagged but in no shard's vaRetry", s.cycle, ch)
-			}
-		}
+	if len(s.pops) != 0 || len(s.arrivals) != 0 || len(s.resumed) != 0 {
+		return fmt.Errorf("cycle %d: undrained effects (pops=%d arrivals=%d resumed=%d)",
+			s.cycle, len(s.pops), len(s.arrivals), len(s.resumed))
 	}
 	for bi := range s.popCnt {
 		if s.popCnt[bi] != 0 {
 			return fmt.Errorf("cycle %d: buf %d popCnt %d between cycles", s.cycle, bi, s.popCnt[bi])
 		}
-	}
-	if len(s.resumeScratch) != 0 {
-		return fmt.Errorf("cycle %d: resumeScratch holds %d flows between cycles", s.cycle, len(s.resumeScratch))
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -19,21 +18,21 @@ import (
 //
 //   - generate() drains one slot of the arrival wheel (generate.go) —
 //     one word per 64 flows plus O(packets due).
-//   - injectShard visits only nodes in the shard's activeInj, the nodes
-//     whose flows have queued packets or in-progress transfers.
-//   - routeShard visits only routePending, the buffers whose head flit
+//   - injectStage visits only activeInj, the nodes whose flows have
+//     queued packets or in-progress transfers.
+//   - routeStage visits only routePending, the buffers whose head flit
 //     is an unrouted header (entered when a header lands in an empty
 //     inactive buffer, left on successful VC allocation).
-//   - switchShard/ejectShard visit only activeChans/activeEject, the
+//   - switchStage/ejectStage visit only activeChans/activeEject, the
 //     channels and nodes with at least one routed VC on their intrusive
 //     wait list (entered at VA, left when the tail departs).
 //
 // An idle 16x16 network therefore simulates a cycle in a handful of
 // branch checks; a loaded one pays per in-flight packet, never per
-// buffer. See buffers.go for the flat buffer layout, shard.go for the
-// spatial decomposition that runs these stages on Config.Workers
-// goroutines with byte-identical results at any worker count, and
-// DESIGN.md §8/§15 for the invariants (which internal tests cross-check
+// buffer. Dequeues and flit arrivals are deferred to commit at the end
+// of the cycle, so every count a credit check or switch candidate reads
+// is the pre-cycle value. See buffers.go for the flat buffer layout and
+// DESIGN.md §8 for the invariants (which internal tests cross-check
 // against a full scan).
 type Simulator struct {
 	cfg  Config
@@ -55,11 +54,10 @@ type Simulator struct {
 	depth   int32
 	injBase int32 // flat index of the first injection buffer
 
-	bufs      []vcBuf
-	stagedCnt []int32 // per injection buffer: deliveries staged this cycle
+	bufs []vcBuf
 
 	packets  []packet // launched packets only; see packet in buffers.go
-	freePkts []int32  // retired records not yet in a shard's launch stock
+	freePkts []int32  // retired records, reused by the next launches
 
 	// Per-flow injection state.
 	injectProb []float64 // packets/cycle at OfferedRate (base demands)
@@ -68,25 +66,28 @@ type Simulator struct {
 	arrivalAt  []int64  // per flow: cycle of the next arrival (while on the wheel)
 	wheel      []uint64 // wheelSlots rows of flowWords: slot c%wheelSlots's flows
 	flowWords  int
-	srcQueue   []cycleRing // per flow: creation cycles of queued packets
+	srcQueue   []sourceQueue // per flow: creation cycles of queued packets
+	chunks     chunkPool     // backs every source queue
 	transfer   []injTransfer
 	flowNode   []int32 // source node per flow
 	flowPaused []bool  // arrival due but source queue full; resumed on pop
 
-	// Spatial decomposition (shard.go). Active sets live per shard; the
-	// membership flags and wait-list heads below are global arrays whose
-	// entries are each touched by exactly one shard.
-	workers       int
-	nShards       int32
-	shardOfNode   []int32
-	shardOfChan   []int32
-	shards        []simShard
-	pool          *simPool
-	popCnt        []int32 // per buffer: dequeues deferred within the cycle
-	resumeScratch []int32
+	// Active sets.
+	routePending []int32 // buffers with an unrouted header at their head
+	vaRetry      []int32 // channels flagged for the next VA pass
+	activeChans  []int32 // channels with routed waiters
+	activeEject  []int32 // nodes with ejecting waiters
+	activeInj    []int32 // nodes with injection work
+	scratch      []int32 // arbitration candidates
+
+	// Effects deferred to commit.
+	pops     []int32 // buffers dequeued this cycle (dups allowed)
+	popCnt   []int32 // per buffer: dequeues deferred within the cycle
+	arrivals []int32 // buffers receiving a flit this cycle (dups allowed)
+	resumed  []int32 // flows whose arrival process restarts this cycle
 
 	vaWait      []int32 // per channel: head of VA-stalled wait list, -1 empty
-	vaFlagged   []bool  // per channel: queued in its shard's vaRetry
+	vaFlagged   []bool  // per channel: queued in vaRetry
 	chanWait    []int32 // per channel: head of routed-VC wait list, -1 empty
 	ejectWait   []int32 // per node: head of ejecting-VC wait list, -1 empty
 	chanQueued  []bool
@@ -131,7 +132,6 @@ type Simulator struct {
 	// at the 1024-cycle poll point, never inside the per-cycle path.
 	mCycles      *metrics.Counter
 	mActiveSet   *metrics.Gauge
-	mShardActive []*metrics.Gauge
 	mFlushedCycl int64
 }
 
@@ -152,11 +152,10 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:     cfg,
-		mesh:    cfg.Mesh,
-		tables:  []*routingTable{tbl},
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		workers: cfg.Workers,
+		cfg:    cfg,
+		mesh:   cfg.Mesh,
+		tables: []*routingTable{tbl},
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	nc := s.mesh.NumChannels()
 	nn := s.mesh.NumNodes()
@@ -165,7 +164,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.injBase = int32(nc) * s.nVCs
 	nBufs := int32(nc+nn) * s.nVCs
 	s.bufs = make([]vcBuf, nBufs)
-	s.stagedCnt = make([]int32, nBufs)
+	s.popCnt = make([]int32, nBufs)
 	for bi := range s.bufs {
 		b := &s.bufs[bi]
 		b.owner, b.next, b.prev = -1, -1, -1
@@ -175,10 +174,10 @@ func New(cfg Config) (*Simulator, error) {
 			b.node = (int32(bi) - s.injBase) / s.nVCs
 		}
 	}
-	s.initShards()
+	s.packets = make([]packet, 0, nn*int(s.nVCs)) // one per injection VC
 	flows := cfg.Routes.Routes
 	s.injectProb = make([]float64, len(flows))
-	s.srcQueue = make([]cycleRing, len(flows))
+	s.srcQueue = make([]sourceQueue, len(flows))
 	s.transfer = make([]injTransfer, len(flows))
 	s.flowNode = make([]int32, len(flows))
 	s.flowWork = make([]bool, len(flows))
@@ -218,18 +217,22 @@ func New(cfg Config) (*Simulator, error) {
 	s.rrOut = make([]int, nc)
 	s.rrEjct = make([]int, nn)
 	s.rrInj = make([]int, nn)
+	// Every active set holds a member at most once, and a cycle moves at
+	// most one flit per channel plus LocalBandwidth per node in and out:
+	// sized to those bounds, no set grows inside the cycle loop.
+	perCycle := nc + nn*cfg.LocalBandwidth
+	s.routePending = make([]int32, 0, nBufs)
+	s.vaRetry = make([]int32, 0, nc)
+	s.activeChans = make([]int32, 0, nc)
+	s.activeEject = make([]int32, 0, nn)
+	s.activeInj = make([]int32, 0, nn)
+	s.pops = make([]int32, 0, perCycle)
+	s.arrivals = make([]int32, 0, perCycle)
 	s.perFlowLat = make([]stats.Summary, len(flows))
 	s.latencyHist = stats.NewHistogram(0, 4096, 256)
 	if cfg.Metrics != nil {
 		s.mCycles = cfg.Metrics.Counter("sim_cycles_total")
 		s.mActiveSet = cfg.Metrics.Gauge("sim_active_set_size")
-		cfg.Metrics.Gauge("sim_shards").Set(int64(s.nShards))
-		if s.nShards > 1 {
-			s.mShardActive = make([]*metrics.Gauge, s.nShards)
-			for i := range s.mShardActive {
-				s.mShardActive[i] = cfg.Metrics.Gauge(fmt.Sprintf("sim_shard_active_set_%02d", i))
-			}
-		}
 	}
 	if cfg.RateVariation == nil {
 		s.initArrivals()
@@ -242,10 +245,9 @@ func (s *Simulator) Run() (*Result, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation: a sequential run
-// polls ctx every 1024 simulated cycles (amortized to a no-op against
-// the per-cycle work); a parallel run (Workers > 1) polls every cycle at
-// the barrier, so cancellation is never delayed behind a long stride. A
+// RunContext is Run with cooperative cancellation: the cycle loop polls
+// ctx every 1024 simulated cycles (amortized to a no-op against the
+// per-cycle work), so a cancelled run returns within 1024 cycles. A
 // cancelled run yields no Result — partial statistics from a truncated
 // measurement window would be silently biased toward warm-up behavior.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
@@ -284,31 +286,22 @@ func (s *Simulator) Finish(deadlocked bool) *Result { return s.buildResult(deadl
 // advance runs the cycle loop up to (not past) absolute cycle target.
 // On deadlock it returns with s.cycle frozen at the detecting cycle,
 // matching the pre-stepping-API behavior of Run (Result.Cycles reports
-// the cycle the watchdog fired on). Worker goroutines live exactly as
-// long as this call: every return path joins them.
+// the cycle the watchdog fired on).
 func (s *Simulator) advance(ctx context.Context, target int64) (deadlocked bool, err error) {
-	stop := s.startPool()
-	defer stop()
-	parallel := s.pool != nil
 	for ; s.cycle < target; s.cycle++ {
 		if s.cycle&1023 == 0 {
 			if err := ctx.Err(); err != nil {
 				return false, err
 			}
 			s.flushMetrics()
-		} else if parallel {
-			// Per-cycle poll at the barrier: a parallel run must not sit
-			// on a cancelled context for up to 1024 cycles' worth of
-			// multi-goroutine work.
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
 		}
 		s.generate()
-		s.runPhase(phaseRoute)
-		s.runPhase(phaseSwitch)
-		s.runPhase(phaseCommit)
-		s.postCycle()
+		s.injectStage()
+		s.routeStage()
+		s.vaStage()
+		s.switchStage()
+		s.ejectStage()
+		s.commit()
 		if s.checkEvery > 0 && s.cycle%s.checkEvery == 0 {
 			if err := s.checkInvariants(); err != nil {
 				return false, err
@@ -321,39 +314,57 @@ func (s *Simulator) advance(ctx context.Context, target int64) (deadlocked bool,
 	return false, nil
 }
 
+// commit applies the cycle's deferred effects: dequeues, then flit
+// arrivals (injections before forwarded flits, the order they were
+// staged in), then the restart of arrival processes resumed this cycle.
+// Resume gaps are drawn in ascending flow order at the cycle's end —
+// memoryless processes are indifferent to when within the cycle the draw
+// happens, and the fixed order pins the RNG stream.
+func (s *Simulator) commit() {
+	for _, bi := range s.pops { // dups are fine: each entry is one head advance
+		b := &s.bufs[bi]
+		b.head++
+		b.count--
+		s.popCnt[bi] = 0
+	}
+	s.pops = s.pops[:0]
+	for _, bi := range s.arrivals {
+		b := &s.bufs[bi]
+		b.count++
+		if b.count == 1 && !b.active && !b.pending { // new RC/VA work
+			b.pending = true
+			s.routePending = append(s.routePending, bi)
+		}
+	}
+	s.arrivals = s.arrivals[:0]
+	if rs := s.resumed; len(rs) > 0 {
+		for i := 1; i < len(rs); i++ { // tiny slice: insertion sort
+			for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
+				rs[j], rs[j-1] = rs[j-1], rs[j]
+			}
+		}
+		for _, fi := range rs {
+			s.schedule(fi, s.cycle+s.geomGap(fi))
+		}
+		s.resumed = rs[:0]
+	}
+}
+
 // flushMetrics pushes the cycle delta since the last flush and the
-// current active-set sizes (aggregate, and per shard when the topology
-// shards at all) to the collector. Called at the 1024-cycle poll point
-// and once at result build, so instrumentation overhead is amortized to
-// nothing against the per-cycle work.
+// current active-set size to the collector. Called at the 1024-cycle
+// poll point and once at result build, so instrumentation overhead is
+// amortized to nothing against the per-cycle work.
 func (s *Simulator) flushMetrics() {
 	if s.mCycles == nil {
 		return
 	}
 	s.mCycles.Add(s.cycle - s.mFlushedCycl)
 	s.mFlushedCycl = s.cycle
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		n := len(sh.routePending) + len(sh.activeChans) + len(sh.activeEject) + len(sh.activeInj)
-		total += n
-		if s.mShardActive != nil {
-			s.mShardActive[i].Set(int64(n))
-		}
-	}
-	s.mActiveSet.Set(int64(total))
+	s.mActiveSet.Set(int64(len(s.routePending) + len(s.activeChans) + len(s.activeEject) + len(s.activeInj)))
 }
 
 func (s *Simulator) buildResult(deadlocked bool) *Result {
 	s.flushMetrics()
-	for i := range s.shards {
-		// Shard histograms share lo/hi/buckets with latencyHist, so the
-		// merge cannot fail; a mismatch would be a construction bug.
-		if err := s.latencyHist.Merge(s.shards[i].hist); err != nil {
-			panic(err)
-		}
-		s.shards[i].hist = stats.NewHistogram(0, 4096, 256)
-	}
 	res := &Result{
 		Cycles:           s.cycle,
 		PacketsInjected:  s.mInjected,
@@ -391,25 +402,25 @@ func (s *Simulator) buildResult(deadlocked bool) *Result {
 // bounded by the VC count instead (see packet in buffers.go).
 const maxSourceQueue = 1 << 13
 
-// injectShard moves flits from source queues into injection-port VC
+// injectStage moves flits from source queues into injection-port VC
 // buffers, up to LocalBandwidth flits per node per cycle, visiting only
-// the shard's nodes with pending injection work.
-func (s *Simulator) injectShard(sh *simShard) {
-	for i := 0; i < len(sh.activeInj); {
-		n := sh.activeInj[i]
+// the nodes with pending injection work.
+func (s *Simulator) injectStage() {
+	for i := 0; i < len(s.activeInj); {
+		n := s.activeInj[i]
 		if s.nodeWork[n] == 0 {
-			last := len(sh.activeInj) - 1
-			sh.activeInj[i] = sh.activeInj[last]
-			sh.activeInj = sh.activeInj[:last]
+			last := len(s.activeInj) - 1
+			s.activeInj[i] = s.activeInj[last]
+			s.activeInj = s.activeInj[:last]
 			s.injQueued[n] = false
 			continue
 		}
-		s.injectNode(sh, n)
+		s.injectNode(n)
 		i++
 	}
 }
 
-func (s *Simulator) injectNode(sh *simShard, n int32) {
+func (s *Simulator) injectNode(n int32) {
 	flowsHere := s.nodeFlows[n]
 	nf := len(flowsHere)
 	budget := s.cfg.LocalBandwidth
@@ -429,27 +440,30 @@ func (s *Simulator) injectNode(sh *simShard, n int32) {
 		if vc < 0 {
 			break // all injection VCs owned; no later flow can claim either
 		}
-		createT := s.srcQueue[fi].pop()
+		createT := s.srcQueue[fi].pop(&s.chunks)
 		if s.flowPaused[fi] {
 			// A slot freed for a generation-paused flow: the arrival
-			// process restarts memorylessly. The geometric gap is drawn
-			// in postCycle (ascending flow order) so the RNG stream does
-			// not depend on shard execution order.
+			// process restarts memorylessly, its gap drawn in commit.
 			s.flowPaused[fi] = false
-			sh.resumed = append(sh.resumed, fi)
+			s.resumed = append(s.resumed, fi)
 		}
-		// Launch: the packet gets its record from the shard's stock (never
-		// empty here, see simShard.stock), routed by the table of launch time.
-		last := len(sh.stock) - 1
-		pkt := sh.stock[last]
-		sh.stock = sh.stock[:last]
+		// Launch: the packet gets a record, routed by the table of launch time.
+		var pkt int32
+		if last := len(s.freePkts) - 1; last >= 0 {
+			pkt = s.freePkts[last]
+			s.freePkts = s.freePkts[:last]
+		} else {
+			pkt = int32(len(s.packets))
+			s.packets = append(s.packets, packet{})
+		}
 		s.packets[pkt] = packet{flow: fi, epoch: s.curEpoch, createT: createT, enterT: -1}
 		bi := s.injBase + n*s.nVCs + vc
 		s.bufs[bi].owner, s.bufs[bi].head = pkt, 0
 		s.transfer[fi] = injTransfer{pkt: pkt, nextIdx: 0, buf: bi}
 		s.rrInj[n] = (rr + k + 1) % nf
 	}
-	// Stream flits of active transfers into their buffers.
+	// Stream flits of active transfers into their buffers. Arrivals land
+	// in commit, so staged counts the flits already sent this cycle.
 	for k := 0; k < nf && budget > 0; k++ {
 		fi := flowsHere[(rr+k)%nf]
 		tr := &s.transfer[fi]
@@ -457,13 +471,13 @@ func (s *Simulator) injectNode(sh *simShard, n int32) {
 			continue
 		}
 		b := &s.bufs[tr.buf]
-		for budget > 0 && tr.pkt >= 0 && b.count+s.stagedCnt[tr.buf] < s.depth {
+		for staged := int32(0); budget > 0 && tr.pkt >= 0 && b.count+staged < s.depth; staged++ {
 			if tr.nextIdx == 0 {
 				s.packets[tr.pkt].enterT = s.cycle
 			}
-			sh.moved = true
-			sh.injStaged = append(sh.injStaged, tr.buf)
-			s.stagedCnt[tr.buf]++
+			s.lastMove = s.cycle
+			s.arrivals = append(s.arrivals, tr.buf)
+			s.inFlight++ // a new flit entered the network
 			tr.nextIdx++
 			budget--
 			if int(tr.nextIdx) == s.cfg.PacketLen {
@@ -488,14 +502,12 @@ func (s *Simulator) freeInjVC(n int32) int32 {
 	return -1
 }
 
-// routeShard performs the RC stage event-driven: headers that arrived
-// last cycle (the shard's routePending) read their next hop off their
-// table row at the packet's cursor, ejecting buffers activate at once,
-// and the rest join their target channel's VA wait list. Every buffer
-// here sits at an owned node, and its output channel is sourced at that
-// same node, so all list operations are shard-local.
-func (s *Simulator) routeShard(sh *simShard) {
-	for _, bi := range sh.routePending {
+// routeStage performs the RC stage event-driven: headers that arrived
+// last cycle (routePending) read their next hop off their table row at
+// the packet's cursor, ejecting buffers activate at once, and the rest
+// join their target channel's VA wait list.
+func (s *Simulator) routeStage() {
+	for _, bi := range s.routePending {
 		b := &s.bufs[bi]
 		if b.head != 0 {
 			// Body flit at buffer head while inactive can only happen after
@@ -508,22 +520,22 @@ func (s *Simulator) routeShard(sh *simShard) {
 			b.pending = false
 			b.active, b.eject = true, true
 			b.readyAt = s.cycle + int64(s.cfg.PipelineStages) - 1
-			s.ejectPush(sh, bi)
+			s.ejectPush(bi)
 			continue
 		}
 		entry := row[p.hop]
 		// outVC holds the statically requested VC until VA grants one.
 		b.outCh, b.outVC = int32(entry.next), entry.vc
 		s.sortedInsert(&s.vaWait[entry.next], bi)
-		s.vaFlagShard(sh, int32(entry.next))
+		s.vaFlag(int32(entry.next))
 	}
-	sh.routePending = sh.routePending[:0]
+	s.routePending = s.routePending[:0]
 }
 
-// allocShard performs the VA stage for the shard's flagged channels —
-// those with new waiters or with a VC freed since the last attempt —
-// because an unflagged channel's waiters would just fail the same owner
-// checks again.
+// vaStage performs the VA stage for the flagged channels — those with
+// new waiters or with a VC freed since the last attempt — because an
+// unflagged channel's waiters would just fail the same owner checks
+// again.
 //
 // Waiters are kept and served in ascending buffer-index order,
 // reproducing the pre-refactor full scan's priority: channel buffers (in
@@ -534,24 +546,23 @@ func (s *Simulator) routeShard(sh *simShard) {
 // the excess waits in the source queues. Buffers contending for
 // different channels never interact, so per-channel ordering is the only
 // ordering that matters (and VA order across channels is inert).
-func (s *Simulator) allocShard(sh *simShard) {
-	for _, ch := range sh.vaRetry {
+func (s *Simulator) vaStage() {
+	for _, ch := range s.vaRetry {
 		s.vaFlagged[ch] = false
 		for bi := s.vaWait[ch]; bi >= 0; {
 			next := s.bufs[bi].next
-			s.tryClaim(sh, ch, bi)
+			s.tryClaim(ch, bi)
 			bi = next
 		}
 	}
-	sh.vaRetry = sh.vaRetry[:0]
+	s.vaRetry = s.vaRetry[:0]
 }
 
-// vaFlagShard queues channel ch — which must be owned by sh — for a VA
-// pass in the next allocShard.
-func (s *Simulator) vaFlagShard(sh *simShard, ch int32) {
+// vaFlag queues channel ch for a VA pass in the next vaStage.
+func (s *Simulator) vaFlag(ch int32) {
 	if !s.vaFlagged[ch] {
 		s.vaFlagged[ch] = true
-		sh.vaRetry = append(sh.vaRetry, ch)
+		s.vaRetry = append(s.vaRetry, ch)
 	}
 }
 
@@ -559,12 +570,7 @@ func (s *Simulator) vaFlagShard(sh *simShard, ch int32) {
 // buffer bi: the statically requested one, or any free one under dynamic
 // allocation. On success the buffer leaves the VA wait list, joins the
 // channel's switch-allocation wait list, and becomes active.
-//
-// The owner/head write on the downstream buffer may cross shards, but it is
-// race-free: only ch's owning shard (this one) claims ch's VCs, and a
-// claimable VC is empty and unowned, so the downstream home shard does
-// not touch it during phaseRoute.
-func (s *Simulator) tryClaim(sh *simShard, ch, bi int32) {
+func (s *Simulator) tryClaim(ch, bi int32) {
 	b := &s.bufs[bi]
 	downBase := ch * s.nVCs
 	vc := int32(-1)
@@ -587,30 +593,26 @@ func (s *Simulator) tryClaim(sh *simShard, ch, bi int32) {
 	b.active, b.eject = true, false
 	b.outVC = vc
 	b.readyAt = s.cycle + int64(s.cfg.PipelineStages) - 1
-	s.chanPush(sh, ch, bi)
+	s.chanPush(ch, bi)
 }
 
-// switchShard arbitrates each of the shard's active output channels (one
-// flit per cycle). Dequeues and downstream pushes are deferred to the
-// commit phase, so every count read here — including the credit check on
-// the downstream buffer, which may live in another shard — is the stable
-// pre-cycle value. The credit check therefore cannot see a dequeue made
-// elsewhere in this same cycle: a full-but-draining downstream buffer
-// admits the next flit one cycle later than the old sequential core
-// sometimes did (that core's visibility depended on channel iteration
-// order). The conservative timing is deterministic and identical at any
-// worker count.
-func (s *Simulator) switchShard(sh *simShard) {
-	for i := 0; i < len(sh.activeChans); {
-		ch := sh.activeChans[i]
+// switchStage arbitrates each active output channel (one flit per
+// cycle). Dequeues and downstream arrivals are deferred to commit, so
+// every count read here — including the credit check on the downstream
+// buffer — is the stable pre-cycle value: a full-but-draining downstream
+// buffer admits the next flit one cycle after it drains, whatever order
+// the channels are visited in.
+func (s *Simulator) switchStage() {
+	for i := 0; i < len(s.activeChans); {
+		ch := s.activeChans[i]
 		if s.chanWait[ch] < 0 {
-			last := len(sh.activeChans) - 1
-			sh.activeChans[i] = sh.activeChans[last]
-			sh.activeChans = sh.activeChans[:last]
+			last := len(s.activeChans) - 1
+			s.activeChans[i] = s.activeChans[last]
+			s.activeChans = s.activeChans[:last]
 			s.chanQueued[ch] = false
 			continue
 		}
-		cands := sh.scratch[:0]
+		cands := s.scratch[:0]
 		for bi := s.chanWait[ch]; bi >= 0; bi = s.bufs[bi].next {
 			b := &s.bufs[bi]
 			if b.count == 0 || s.cycle < b.readyAt {
@@ -622,96 +624,92 @@ func (s *Simulator) switchShard(sh *simShard) {
 			}
 			cands = append(cands, bi)
 		}
-		sh.scratch = cands
+		s.scratch = cands
 		if len(cands) > 0 {
 			pick := cands[s.rrOut[ch]%len(cands)]
 			s.rrOut[ch]++
-			s.forward(sh, pick)
+			s.forward(pick)
 		}
 		i++
 	}
 }
 
-// ejectShard consumes up to LocalBandwidth flits per owned node with
-// ejection work. Dequeues are deferred, so candidate eligibility within
-// the budget loop uses the effective count (count minus this cycle's
-// recorded pops) to reproduce the sequential budget semantics exactly.
-func (s *Simulator) ejectShard(sh *simShard) {
-	for i := 0; i < len(sh.activeEject); {
-		n := sh.activeEject[i]
+// ejectStage consumes up to LocalBandwidth flits per node with ejection
+// work. Dequeues are deferred, so candidate eligibility within the
+// budget loop uses the effective count (count minus this cycle's
+// recorded pops).
+func (s *Simulator) ejectStage() {
+	for i := 0; i < len(s.activeEject); {
+		n := s.activeEject[i]
 		if s.ejectWait[n] < 0 {
-			last := len(sh.activeEject) - 1
-			sh.activeEject[i] = sh.activeEject[last]
-			sh.activeEject = sh.activeEject[:last]
+			last := len(s.activeEject) - 1
+			s.activeEject[i] = s.activeEject[last]
+			s.activeEject = s.activeEject[:last]
 			s.ejectQueued[n] = false
 			continue
 		}
 		for budget := s.cfg.LocalBandwidth; budget > 0; budget-- {
-			cands := sh.scratch[:0]
+			cands := s.scratch[:0]
 			for bi := s.ejectWait[n]; bi >= 0; bi = s.bufs[bi].next {
 				b := &s.bufs[bi]
 				if b.count-s.popCnt[bi] > 0 && s.cycle >= b.readyAt {
 					cands = append(cands, bi)
 				}
 			}
-			sh.scratch = cands
+			s.scratch = cands
 			if len(cands) == 0 {
 				break
 			}
 			pick := cands[s.rrEjct[n]%len(cands)]
 			s.rrEjct[n]++
-			s.ejectFlit(sh, pick)
+			s.ejectFlit(pick)
 		}
 		i++
 	}
 }
 
-// forward records the dequeue of buffer bi's head flit and routes it to
-// the downstream buffer's shard for the commit phase.
-func (s *Simulator) forward(sh *simShard, bi int32) {
+// forward records the dequeue of buffer bi's head flit and its arrival
+// at the downstream buffer, both applied in commit.
+func (s *Simulator) forward(bi int32) {
 	b := &s.bufs[bi]
 	idx := b.head // channel waiters dequeue at most once per cycle
-	sh.pops = append(sh.pops, bi)
+	s.pops = append(s.pops, bi)
 	s.popCnt[bi]++
-	down := b.outCh*s.nVCs + b.outVC
-	dst := s.shardOfBuf(down)
-	sh.stageOut[dst] = append(sh.stageOut[dst], down)
-	sh.flitHops++
+	s.arrivals = append(s.arrivals, b.outCh*s.nVCs+b.outVC)
+	s.flitHops++
 	if idx == 0 {
 		s.packets[b.owner].hop++ // the header crosses outCh: advance the cursor
 	}
 	if int(idx) == s.cfg.PacketLen-1 {
-		s.release(sh, bi, b) // tail left: free this VC for the next packet
+		s.release(bi, b) // tail left: free this VC for the next packet
 	}
-	sh.moved = true
+	s.lastMove = s.cycle
 }
 
 // ejectFlit consumes the next flit of buffer bi at its destination; on
-// the tail, statistics are recorded and the packet record is retired
-// (recycled by postCycle, in shard order). Per-flow statistics are
-// written directly: a flow ejects only at its one destination node, so
-// the write is exclusive to this shard.
-func (s *Simulator) ejectFlit(sh *simShard, bi int32) {
+// the tail, statistics are recorded and the packet record is retired to
+// the free list (a launch reuses it from the next cycle on).
+func (s *Simulator) ejectFlit(bi int32) {
 	b := &s.bufs[bi]
 	idx, pkt := b.head+s.popCnt[bi], b.owner
-	sh.pops = append(sh.pops, bi)
+	s.pops = append(s.pops, bi)
 	s.popCnt[bi]++
-	sh.inFlightDelta--
-	sh.flitHops++
-	sh.moved = true
+	s.inFlight--
+	s.flitHops++
+	s.lastMove = s.cycle
 	if int(idx) == s.cfg.PacketLen-1 {
-		s.release(sh, bi, b)
+		s.release(bi, b)
 		p := &s.packets[pkt]
-		sh.delivered++
+		s.delivered++
 		if s.cycle >= s.cfg.WarmupCycles {
-			sh.mDelivered++
+			s.mDelivered++
 			s.perFlow[p.flow]++
 			lat := s.cycle - p.enterT
-			sh.mLatencySum += lat
-			sh.mTotalLatSum += s.cycle - p.createT
+			s.mLatencySum += lat
+			s.mTotalLatSum += s.cycle - p.createT
 			s.perFlowLat[p.flow].Add(float64(lat))
-			sh.hist.Add(float64(lat))
+			s.latencyHist.Add(float64(lat))
 		}
-		sh.freed = append(sh.freed, pkt)
+		s.freePkts = append(s.freePkts, pkt)
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cdg"
@@ -46,6 +48,44 @@ func TestConfigValidation(t *testing.T) {
 	set.Routes[0].VCs[0] = 1
 	if _, err := New(Config{Mesh: m, Routes: set, VCs: 1}); err == nil {
 		t.Error("route VC out of range accepted")
+	}
+}
+
+// TestRunContextCancel cancels a run mid-measurement, from inside the
+// cycle loop (the RateVariation hook runs once per flow per cycle), and
+// pins the cancellation contract: the run returns ctx.Err() within 1024
+// cycles, yields no Result, and leaves no goroutine behind.
+func TestRunContextCancel(t *testing.T) {
+	g := topology.NewMesh(8, 8)
+	flows := goldenFlows(t, g, "transpose")
+	before := runtime.NumGoroutine()
+	for _, at := range []int64{1, 1023, 1024, 5000} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var s *Simulator
+		cancelledAt := int64(-1)
+		s, err := New(Config{Mesh: g, Routes: xyRoutes(t, g, flows), OfferedRate: 8,
+			WarmupCycles: 1000, MeasureCycles: 1 << 40, Seed: 7,
+			RateVariation: func(int) float64 {
+				if cancelledAt < 0 && s.Cycle() == at {
+					cancelledAt = at
+					cancel()
+				}
+				return 10
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunContext(ctx)
+		cancel()
+		if err != context.Canceled || res != nil {
+			t.Fatalf("cancel at cycle %d: got (%v, %v), want (nil, context.Canceled)", at, res, err)
+		}
+		if s.Cycle() <= at || s.Cycle()-at > 1024 {
+			t.Errorf("cancel at cycle %d observed at cycle %d, want within 1024 cycles", at, s.Cycle())
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines before the cancelled runs, %d after", before, after)
 	}
 }
 
