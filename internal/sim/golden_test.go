@@ -171,6 +171,29 @@ func goldenCases() []goldenCase {
 				LatencyP50: 16, LatencyP95: 16, LatencyP99: 32,
 				LatencyStd: 3.6092114864096834, FlitHops: 153670},
 		},
+		{
+			// Buffers shallower than a packet: switch allocation skips
+			// waiters on "no credit" and injection transfers stall on a full
+			// buffer, the paths an injection port wakes from.
+			name: "mesh8x8-transpose-vc2-buf4-r8-s19-saturated",
+			cfg: mk("mesh", 8, 8, "transpose", route.XY{}, func(c *Config) {
+				c.VCs, c.BufDepth, c.OfferedRate, c.Seed = 2, 4, 8, 19
+			}),
+			want: Result{PacketsInjected: 80021, PacketsDelivered: 15556, Throughput: 1.5556,
+				AvgLatency: 18.99987143224479, AvgTotalLatency: 1400.511828233479,
+				LatencyP50: 32, LatencyP95: 32, LatencyP99: 32,
+				LatencyStd: 4.0000321418096645, FlitHops: 1230648},
+		},
+		{
+			name: "mesh8x8-transpose-vc2-dyn-buf4-r8-s23-saturated",
+			cfg: mk("mesh", 8, 8, "transpose", route.XY{}, func(c *Config) {
+				c.VCs, c.BufDepth, c.OfferedRate, c.Seed, c.DynamicVC = 2, 4, 8, 23, true
+			}),
+			want: Result{PacketsInjected: 80107, PacketsDelivered: 17500, Throughput: 1.75,
+				AvgLatency: 30.854971428571428, AvgTotalLatency: 2056.6489714285713,
+				LatencyP50: 32, LatencyP95: 64, LatencyP99: 64,
+				LatencyStd: 10.591387592829122, FlitHops: 1334583},
+		},
 	}
 }
 
