@@ -1,11 +1,19 @@
 package sim
 
 // Data layout of the simulator core. All virtual-channel buffers —
-// channel input buffers and injection-port buffers alike — live in one
-// contiguous []vcBuf indexed arithmetically:
+// channel input buffers and injection-port buffers alike — share one
+// flat index:
 //
 //	buffer of (channel ch, vc v):  ch*VCs + v
 //	buffer of (node n, inj vc v):  injBase + n*VCs + v,  injBase = NumChannels*VCs
+//
+// and each buffer's state is split by how hot it is. occ[bi] (12 bytes)
+// is what the switch and commit loops read every cycle: which flits the
+// buffer holds and how many leave it this cycle. bufs[bi] (32 bytes, two
+// to a cache line) is the routing and wait-list record, read once per
+// waiter per cycle and written once per packet per hop. bufNode[bi] is
+// the node a buffer sits at, read only when a packet starts ejecting,
+// leaves an ejection list, or frees room in an injection buffer.
 //
 // A buffer stores no flits, only which ones it holds. Wormhole switching
 // guarantees a buffer holds the flits of at most one packet at a time (a
@@ -39,24 +47,30 @@ type packet struct {
 	hop     int32 // cursor into the table row: channels the header has crossed
 }
 
+// occupancy is the flit count of one buffer, in the flat layout described
+// above: the only state commit and the switch credit check touch.
+type occupancy struct {
+	head   int32 // packet position of the head flit
+	count  int32 // flits currently buffered
+	popCnt int32 // dequeues deferred to this cycle's commit
+}
+
 // vcBuf is one virtual-channel buffer at the downstream end of a channel
 // (or at a node's injection port), in the flat layout described above.
 type vcBuf struct {
-	owner int32 // packet index currently allocated this VC, or -1
-	head  int32 // packet position of the head flit
-	count int32 // flits currently buffered
-	outCh int32 // routed output channel (valid when active && !eject)
-	outVC int32
-	node  int32 // node this buffer sits at (channel Dst, or injection node)
+	// readyAt is the first cycle the routed header may traverse the
+	// switch, modeling RC/VA/SA pipeline depth. First, so the record
+	// packs into 32 bytes.
+	readyAt int64
+	owner   int32 // packet index currently allocated this VC, or -1
+	outCh   int32 // routed output channel (valid when active && !eject)
+	outVC   int32
 	// Intrusive doubly-linked wait-list membership: next/prev are flat
 	// buffer indices, -1 terminated. Which list the buffer is on follows
-	// from its state: ejectWait[node] when eject, chanWait[outCh] when
+	// from its state: ejectWait[bufNode] when eject, chanWait[outCh] when
 	// routed, none otherwise.
-	next int32
-	prev int32
-	// readyAt is the first cycle the routed header may traverse the
-	// switch, modeling RC/VA/SA pipeline depth.
-	readyAt int64
+	next    int32
+	prev    int32
 	active  bool // head packet has been routed and VC-allocated
 	eject   bool
 	pending bool // queued in routePending awaiting RC/VA
@@ -80,7 +94,7 @@ func (s *Simulator) chanPush(ch, bi int32) {
 // ejectPush links buffer bi into its node's ejection wait list (ascending
 // index order, see chanPush) and marks the node active for ejection.
 func (s *Simulator) ejectPush(bi int32) {
-	n := s.bufs[bi].node
+	n := s.bufNode[bi]
 	s.sortedInsert(&s.ejectWait[n], bi)
 	if !s.ejectQueued[n] {
 		s.ejectQueued[n] = true
@@ -120,7 +134,7 @@ func (s *Simulator) unlink(bi int32) {
 	} else if b.pending {
 		s.vaWait[b.outCh] = b.next
 	} else if b.eject {
-		s.ejectWait[b.node] = b.next
+		s.ejectWait[s.bufNode[bi]] = b.next
 	} else {
 		s.chanWait[b.outCh] = b.next
 	}

@@ -170,17 +170,19 @@ type PurgeStats struct {
 }
 
 // clearBuf discards buffer bi's flits (counting them dropped), frees its
-// VC, and — for channel buffers — wakes VA waiters exactly as release
-// would, since the freed VC may unblock a surviving packet.
+// VC, and wakes whoever the freed VC may unblock: a channel's VA waiters
+// exactly as release would, or an injection buffer's node.
 func (s *Simulator) clearBuf(bi int32, b *vcBuf) {
-	s.droppedFlits += int64(b.count)
-	s.inFlight -= int64(b.count)
-	b.owner, b.count, b.head = -1, 0, 0
+	o := &s.occ[bi]
+	s.droppedFlits += int64(o.count)
+	s.inFlight -= int64(o.count)
+	o.count, o.head = 0, 0
+	b.owner = -1
 	b.active, b.eject, b.pending = false, false, false
-	if bi < s.injBase {
-		if ch := bi / s.nVCs; s.vaWait[ch] >= 0 {
-			s.vaFlag(ch)
-		}
+	if bi >= s.injBase {
+		s.wakeInj(s.bufNode[bi])
+	} else if ch := bi / s.nVCs; s.vaWait[ch] >= 0 {
+		s.vaFlag(ch)
 	}
 }
 

@@ -14,15 +14,19 @@
 // # Performance model
 //
 // The core is data-oriented (see sim.go and buffers.go): all VC buffers
-// live in one flat array, each holding a run of its owner packet's flits
-// as a (head, count) pair rather than the flits themselves, every
-// pipeline stage consumes an incrementally maintained active set rather
-// than scanning the network, and packet generation samples geometric
-// inter-arrival gaps (one RNG draw per packet) onto a 64-slot timing
-// wheel of per-flow bits (generate.go). Per-cycle cost is
-// proportional to in-flight activity, not to topology size, which is
-// what makes 16x16+ sweeps affordable (EXPERIMENTS.md records the
-// measured speedup).
+// share one flat index, each holding a run of its owner packet's flits
+// as a (head, count) pair rather than the flits themselves. That pair
+// sits in a dense 12-byte occupancy record, apart from the buffer's
+// 32-byte routing record, so the switch and commit loops read only the
+// counts. Every pipeline stage consumes an incrementally maintained
+// active set rather than scanning the network; an injection port whose
+// visit changed nothing sleeps until a pop, a purge or a first queued
+// packet wakes it. Packet generation samples geometric inter-arrival
+// gaps (one RNG draw per packet) onto a 64-slot timing wheel of per-flow
+// bits (generate.go). Per-cycle cost is proportional to in-flight
+// activity that can change state, not to topology size, which is what
+// makes 16x16+ sweeps affordable (EXPERIMENTS.md records the measured
+// speedup).
 //
 // # Concurrency
 //
@@ -106,7 +110,9 @@ type Config struct {
 	// Metrics, when non-nil, receives out-of-band instruments: simulated
 	// cycles (sim_cycles_total, flushed at the 1024-cycle poll point so
 	// the hot loop stays untouched), the live active-set size
-	// (sim_active_set_size), and churn purge counters
+	// (sim_active_set_size; of the injection nodes it counts the awake
+	// ones only, not those asleep on owned VCs or full buffers), and
+	// churn purge counters
 	// (sim_purged_flits_total, sim_purged_packets_total,
 	// sim_requeued_packets_total). Metrics never influence simulation
 	// and never appear in Result.

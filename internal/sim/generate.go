@@ -141,17 +141,16 @@ func (s *Simulator) emit(fi int32) {
 }
 
 // enqueue puts a packet created at createT at the back of flow fi's
-// source queue and flags its node for injection work. Sequential only
-// (generation, churn requeue).
+// source queue and, when the flow had no work, wakes its node: the
+// packet may claim a VC the node's other flows could not use. A packet
+// behind others of its flow changes nothing a sleeping node waits on.
+// Sequential only (generation, churn requeue).
 func (s *Simulator) enqueue(fi int32, createT int64) {
 	s.srcQueue[fi].push(&s.chunks, createT)
 	if !s.flowWork[fi] {
 		s.flowWork[fi] = true
 		n := s.flowNode[fi]
 		s.nodeWork[n]++
-		if !s.injQueued[n] {
-			s.injQueued[n] = true
-			s.activeInj = append(s.activeInj, n)
-		}
+		s.wakeInj(n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"unsafe"
 
 	"repro/internal/flowgraph"
 	"repro/internal/route"
@@ -423,6 +424,18 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 				t.Errorf("%d packets generated over 6000 measured cycles at 0.5 packets/cycle", s.mInjected-injected)
 			}
 		})
+	}
+}
+
+// TestBufferLayout pins the per-buffer records the cycle loop walks: the
+// occupancy the switch and commit loops read on every flit, and the
+// routing record packed two to a 64-byte cache line.
+func TestBufferLayout(t *testing.T) {
+	if got := unsafe.Sizeof(vcBuf{}); got != 32 {
+		t.Errorf("vcBuf is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(occupancy{}); got != 12 {
+		t.Errorf("occupancy is %d bytes, want 12", got)
 	}
 }
 

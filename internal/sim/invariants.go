@@ -25,13 +25,15 @@ import (
 //     owner >= 0 and head+count <= PacketLen.
 //  4. inFlight equals the total buffered flit count.
 //  5. flowWork matches queue/transfer state and nodeWork counts the
-//     flows with work; nodes with work are registered in activeInj. A
-//     source queue's chunks hold exactly its length, an empty queue
-//     holds none, and the queues and the pool's free list together hold
-//     every chunk the pool allocated.
+//     flows with work. A node with work is in activeInj or asleep:
+//     no flow there can launch (no idle flow with a queued packet while
+//     an injection VC is free), and every active transfer's buffer holds
+//     depth flits. A source queue's chunks hold exactly its length, an
+//     empty queue holds none, and the queues and the pool's free list
+//     together hold every chunk the pool allocated.
 //  6. The active sets hold each member once and only while flagged, and
-//     the deferred effects (pops, popCnt, arrivals, resumes) are fully
-//     drained between cycles.
+//     the deferred effects (pops, occ popCnt, arrivals, resumes) are
+//     fully drained between cycles.
 //  7. Packet records: every index of the arena is either in freePkts or
 //     live — the owner of at least one buffer, so the arena holds at most
 //     len(bufs) records — and an active transfer streams a live packet
@@ -82,9 +84,9 @@ func (s *Simulator) checkInvariants() error {
 	pending := make(map[int32]bool, 64)
 	for _, bi := range s.routePending {
 		b := &s.bufs[bi]
-		if !b.pending || b.active || b.count == 0 {
+		if !b.pending || b.active || s.occ[bi].count == 0 {
 			return fmt.Errorf("cycle %d: routePending buf %d in state pending=%v active=%v count=%d",
-				s.cycle, bi, b.pending, b.active, b.count)
+				s.cycle, bi, b.pending, b.active, s.occ[bi].count)
 		}
 		if pending[bi] {
 			return fmt.Errorf("cycle %d: buf %d in routePending twice", s.cycle, bi)
@@ -98,9 +100,9 @@ func (s *Simulator) checkInvariants() error {
 			if b.prev != prev {
 				return fmt.Errorf("cycle %d: vaWait[%d] broken prev link at buf %d", s.cycle, ch, bi)
 			}
-			if !b.pending || b.active || b.count == 0 || b.outCh != int32(ch) {
+			if !b.pending || b.active || s.occ[bi].count == 0 || b.outCh != int32(ch) {
 				return fmt.Errorf("cycle %d: vaWait[%d] buf %d in state pending=%v active=%v count=%d outCh=%d",
-					s.cycle, ch, bi, b.pending, b.active, b.count, b.outCh)
+					s.cycle, ch, bi, b.pending, b.active, s.occ[bi].count, b.outCh)
 			}
 			if pending[bi] {
 				return fmt.Errorf("cycle %d: buf %d both in routePending and vaWait", s.cycle, bi)
@@ -131,17 +133,17 @@ func (s *Simulator) checkInvariants() error {
 	ix := topology.InIndexOf(s.mesh)
 	var totalFlits int64
 	scan := func(bi int32, node topology.NodeID) error {
-		b := &s.bufs[bi]
-		if b.node != int32(node) {
-			return fmt.Errorf("buf %d: node %d, expected %d", bi, b.node, node)
+		b, o := &s.bufs[bi], &s.occ[bi]
+		if s.bufNode[bi] != int32(node) {
+			return fmt.Errorf("buf %d: node %d, expected %d", bi, s.bufNode[bi], node)
 		}
-		if b.count < 0 || b.count > s.depth || b.head < 0 ||
-			b.count > 0 && (b.owner < 0 || int(b.head+b.count) > s.cfg.PacketLen) {
+		if o.count < 0 || o.count > s.depth || o.head < 0 ||
+			o.count > 0 && (b.owner < 0 || int(o.head+o.count) > s.cfg.PacketLen) {
 			return fmt.Errorf("buf %d: owner %d holds flits [%d, %d+%d) of a %d-flit packet in a %d-flit buffer",
-				bi, b.owner, b.head, b.head, b.count, s.cfg.PacketLen, s.depth)
+				bi, b.owner, o.head, o.head, o.count, s.cfg.PacketLen, s.depth)
 		}
-		totalFlits += int64(b.count)
-		if b.count > 0 && b.head == 0 {
+		totalFlits += int64(o.count)
+		if o.count > 0 && o.head == 0 {
 			p := &s.packets[b.owner]
 			row := s.tables[p.epoch].row(p.flow)
 			if bi >= s.injBase {
@@ -156,7 +158,7 @@ func (s *Simulator) checkInvariants() error {
 		}
 		switch {
 		case b.active && b.eject:
-			if n, ok := onEject[bi]; !ok || n != b.node || b.pending {
+			if n, ok := onEject[bi]; !ok || n != s.bufNode[bi] || b.pending {
 				return fmt.Errorf("buf %d: active eject buffer not on its node's eject list", bi)
 			}
 		case b.active:
@@ -173,10 +175,10 @@ func (s *Simulator) checkInvariants() error {
 			if _, ok := onEject[bi]; ok {
 				return fmt.Errorf("buf %d: inactive buffer on an eject list", bi)
 			}
-			if b.count > 0 && !pending[bi] {
+			if o.count > 0 && !pending[bi] {
 				return fmt.Errorf("buf %d: unrouted header not in routePending", bi)
 			}
-			if b.count == 0 && b.pending {
+			if o.count == 0 && b.pending {
 				return fmt.Errorf("buf %d: empty buffer marked pending", bi)
 			}
 		}
@@ -218,9 +220,9 @@ func (s *Simulator) checkInvariants() error {
 			return fmt.Errorf("cycle %d: dead channel %d has VA waiters", s.cycle, ch)
 		}
 		for v := int32(0); v < s.nVCs; v++ {
-			if b := &s.bufs[ch*s.nVCs+v]; b.owner >= 0 || b.count > 0 {
+			if bi := ch*s.nVCs + v; s.bufs[bi].owner >= 0 || s.occ[bi].count > 0 {
 				return fmt.Errorf("cycle %d: dead channel %d VC %d not quiesced (owner=%d count=%d)",
-					s.cycle, ch, v, b.owner, b.count)
+					s.cycle, ch, v, s.bufs[bi].owner, s.occ[bi].count)
 			}
 		}
 	}
@@ -308,7 +310,9 @@ func (s *Simulator) checkInvariants() error {
 			return fmt.Errorf("cycle %d: node %d work count %d, expected %d", s.cycle, n, s.nodeWork[n], workPerNode[n])
 		}
 		if s.nodeWork[n] > 0 && !s.injQueued[n] {
-			return fmt.Errorf("cycle %d: node %d has work but is not in activeInj", s.cycle, n)
+			if err := s.checkAsleep(int32(n)); err != nil {
+				return fmt.Errorf("cycle %d: node %d has work, is not in activeInj, and %w", s.cycle, n, err)
+			}
 		}
 	}
 
@@ -371,9 +375,26 @@ func (s *Simulator) checkInvariants() error {
 		return fmt.Errorf("cycle %d: undrained effects (pops=%d arrivals=%d resumed=%d)",
 			s.cycle, len(s.pops), len(s.arrivals), len(s.resumed))
 	}
-	for bi := range s.popCnt {
-		if s.popCnt[bi] != 0 {
-			return fmt.Errorf("cycle %d: buf %d popCnt %d between cycles", s.cycle, bi, s.popCnt[bi])
+	for bi := range s.occ {
+		if s.occ[bi].popCnt != 0 {
+			return fmt.Errorf("cycle %d: buf %d popCnt %d between cycles", s.cycle, bi, s.occ[bi].popCnt)
+		}
+	}
+	return nil
+}
+
+// checkAsleep reports why node n could make progress if visited: a flow
+// there could launch into a free injection VC, or an active transfer has
+// room in its buffer. Nil means the node is rightly asleep.
+func (s *Simulator) checkAsleep(n int32) error {
+	freeVC := s.freeInjVC(n) >= 0
+	for _, fi := range s.nodeFlows[n] {
+		tr := &s.transfer[fi]
+		switch {
+		case tr.pkt < 0 && s.srcQueue[fi].len() > 0 && freeVC:
+			return fmt.Errorf("flow %d could launch into a free injection VC", fi)
+		case tr.pkt >= 0 && s.occ[tr.buf].count < s.depth:
+			return fmt.Errorf("flow %d streams into buf %d holding %d of %d flits", fi, tr.buf, s.occ[tr.buf].count, s.depth)
 		}
 	}
 	return nil

@@ -18,8 +18,10 @@ import (
 //
 //   - generate() drains one slot of the arrival wheel (generate.go) —
 //     one word per 64 flows plus O(packets due).
-//   - injectStage visits only activeInj, the nodes whose flows have
-//     queued packets or in-progress transfers.
+//   - injectStage visits only activeInj, the awake nodes whose flows
+//     have queued packets or in-progress transfers. A node whose visit
+//     launched and streamed nothing sleeps until wakeInj: a pop or a
+//     purge of one of its injection buffers, or a first queued packet.
 //   - routeStage visits only routePending, the buffers whose head flit
 //     is an unrouted header (entered when a header lands in an empty
 //     inactive buffer, left on successful VC allocation).
@@ -28,12 +30,13 @@ import (
 //     wait list (entered at VA, left when the tail departs).
 //
 // An idle 16x16 network therefore simulates a cycle in a handful of
-// branch checks; a loaded one pays per in-flight packet, never per
-// buffer. Dequeues and flit arrivals are deferred to commit at the end
-// of the cycle, so every count a credit check or switch candidate reads
-// is the pre-cycle value. See buffers.go for the flat buffer layout and
-// DESIGN.md §8 for the invariants (which internal tests cross-check
-// against a full scan).
+// branch checks; a loaded one pays per in-flight packet that can move,
+// never per buffer or per blocked source. Dequeues and flit arrivals
+// are deferred to commit at the end of the cycle, so every count a
+// credit check or switch candidate reads is the pre-cycle value; those
+// counts live in occ, apart from the routing records in bufs. See
+// buffers.go for the buffer layout and DESIGN.md §8 for the invariants
+// (which internal tests cross-check against a full scan).
 type Simulator struct {
 	cfg  Config
 	mesh topology.Topology
@@ -54,7 +57,9 @@ type Simulator struct {
 	depth   int32
 	injBase int32 // flat index of the first injection buffer
 
-	bufs []vcBuf
+	occ     []occupancy // per buffer: head, count, deferred pops
+	bufs    []vcBuf     // per buffer: route, wait-list links, flags
+	bufNode []int32     // per buffer: the node it sits at
 
 	packets  []packet // launched packets only; see packet in buffers.go
 	freePkts []int32  // retired records, reused by the next launches
@@ -77,12 +82,11 @@ type Simulator struct {
 	vaRetry      []int32 // channels flagged for the next VA pass
 	activeChans  []int32 // channels with routed waiters
 	activeEject  []int32 // nodes with ejecting waiters
-	activeInj    []int32 // nodes with injection work
+	activeInj    []int32 // awake nodes with injection work (see wakeInj)
 	scratch      []int32 // arbitration candidates
 
 	// Effects deferred to commit.
 	pops     []int32 // buffers dequeued this cycle (dups allowed)
-	popCnt   []int32 // per buffer: dequeues deferred within the cycle
 	arrivals []int32 // buffers receiving a flit this cycle (dups allowed)
 	resumed  []int32 // flows whose arrival process restarts this cycle
 
@@ -163,15 +167,16 @@ func New(cfg Config) (*Simulator, error) {
 	s.depth = int32(cfg.BufDepth)
 	s.injBase = int32(nc) * s.nVCs
 	nBufs := int32(nc+nn) * s.nVCs
+	s.occ = make([]occupancy, nBufs)
 	s.bufs = make([]vcBuf, nBufs)
-	s.popCnt = make([]int32, nBufs)
+	s.bufNode = make([]int32, nBufs)
 	for bi := range s.bufs {
 		b := &s.bufs[bi]
 		b.owner, b.next, b.prev = -1, -1, -1
 		if int32(bi) < s.injBase {
-			b.node = int32(s.mesh.Channel(topology.ChannelID(int32(bi) / s.nVCs)).Dst)
+			s.bufNode[bi] = int32(s.mesh.Channel(topology.ChannelID(int32(bi) / s.nVCs)).Dst)
 		} else {
-			b.node = (int32(bi) - s.injBase) / s.nVCs
+			s.bufNode[bi] = (int32(bi) - s.injBase) / s.nVCs
 		}
 	}
 	s.packets = make([]packet, 0, nn*int(s.nVCs)) // one per injection VC
@@ -322,16 +327,19 @@ func (s *Simulator) advance(ctx context.Context, target int64) (deadlocked bool,
 // happens, and the fixed order pins the RNG stream.
 func (s *Simulator) commit() {
 	for _, bi := range s.pops { // dups are fine: each entry is one head advance
-		b := &s.bufs[bi]
-		b.head++
-		b.count--
-		s.popCnt[bi] = 0
+		o := &s.occ[bi]
+		o.head++
+		o.count--
+		o.popCnt = 0
 	}
 	s.pops = s.pops[:0]
 	for _, bi := range s.arrivals {
-		b := &s.bufs[bi]
-		b.count++
-		if b.count == 1 && !b.active && !b.pending { // new RC/VA work
+		o := &s.occ[bi]
+		o.count++
+		if o.count != 1 {
+			continue
+		}
+		if b := &s.bufs[bi]; !b.active && !b.pending { // new RC/VA work
 			b.pending = true
 			s.routePending = append(s.routePending, bi)
 		}
@@ -404,23 +412,40 @@ const maxSourceQueue = 1 << 13
 
 // injectStage moves flits from source queues into injection-port VC
 // buffers, up to LocalBandwidth flits per node per cycle, visiting only
-// the nodes with pending injection work.
+// the awake nodes with injection work.
+//
+// A visit that launches nothing and streams nothing leaves the node
+// asleep: every injection VC a queued packet could claim is owned, and
+// every active transfer's buffer is full. Such a visit changes no state
+// (rrInj moves only on a launch), and the next one would repeat it until
+// an injection buffer of the node frees a slot or a VC, or a flow there
+// gains its first queued packet — the events that call wakeInj.
 func (s *Simulator) injectStage() {
 	for i := 0; i < len(s.activeInj); {
 		n := s.activeInj[i]
-		if s.nodeWork[n] == 0 {
+		if s.nodeWork[n] == 0 || !s.injectNode(n) {
 			last := len(s.activeInj) - 1
 			s.activeInj[i] = s.activeInj[last]
 			s.activeInj = s.activeInj[:last]
 			s.injQueued[n] = false
 			continue
 		}
-		s.injectNode(n)
 		i++
 	}
 }
 
-func (s *Simulator) injectNode(n int32) {
+// wakeInj puts node n back in activeInj if it has injection work and is
+// not there already.
+func (s *Simulator) wakeInj(n int32) {
+	if s.nodeWork[n] > 0 && !s.injQueued[n] {
+		s.injQueued[n] = true
+		s.activeInj = append(s.activeInj, n)
+	}
+}
+
+// injectNode serves node n's flows and reports whether it launched a
+// packet or streamed a flit.
+func (s *Simulator) injectNode(n int32) (busy bool) {
 	flowsHere := s.nodeFlows[n]
 	nf := len(flowsHere)
 	budget := s.cfg.LocalBandwidth
@@ -458,9 +483,10 @@ func (s *Simulator) injectNode(n int32) {
 		}
 		s.packets[pkt] = packet{flow: fi, epoch: s.curEpoch, createT: createT, enterT: -1}
 		bi := s.injBase + n*s.nVCs + vc
-		s.bufs[bi].owner, s.bufs[bi].head = pkt, 0
+		s.bufs[bi].owner, s.occ[bi].head = pkt, 0
 		s.transfer[fi] = injTransfer{pkt: pkt, nextIdx: 0, buf: bi}
 		s.rrInj[n] = (rr + k + 1) % nf
+		busy = true
 	}
 	// Stream flits of active transfers into their buffers. Arrivals land
 	// in commit, so staged counts the flits already sent this cycle.
@@ -470,8 +496,9 @@ func (s *Simulator) injectNode(n int32) {
 		if tr.pkt < 0 {
 			continue
 		}
-		b := &s.bufs[tr.buf]
-		for staged := int32(0); budget > 0 && tr.pkt >= 0 && b.count+staged < s.depth; staged++ {
+		o := &s.occ[tr.buf]
+		for staged := int32(0); budget > 0 && tr.pkt >= 0 && o.count+staged < s.depth; staged++ {
+			busy = true
 			if tr.nextIdx == 0 {
 				s.packets[tr.pkt].enterT = s.cycle
 			}
@@ -489,6 +516,7 @@ func (s *Simulator) injectNode(n int32) {
 			}
 		}
 	}
+	return busy
 }
 
 // freeInjVC returns the index of an unowned injection VC at node n, or -1.
@@ -508,12 +536,12 @@ func (s *Simulator) freeInjVC(n int32) int32 {
 // join their target channel's VA wait list.
 func (s *Simulator) routeStage() {
 	for _, bi := range s.routePending {
-		b := &s.bufs[bi]
-		if b.head != 0 {
+		if s.occ[bi].head != 0 {
 			// Body flit at buffer head while inactive can only happen after
 			// a tail release bug; the invariant checker would flag it.
 			continue
 		}
+		b := &s.bufs[bi]
 		p := &s.packets[b.owner]
 		row := s.tables[p.epoch].row(p.flow)
 		if int(p.hop) == len(row) {
@@ -587,7 +615,7 @@ func (s *Simulator) tryClaim(ch, bi int32) {
 	if vc < 0 {
 		return // still stalled; a release of this channel re-flags it
 	}
-	s.bufs[downBase+vc].owner, s.bufs[downBase+vc].head = b.owner, 0
+	s.bufs[downBase+vc].owner, s.occ[downBase+vc].head = b.owner, 0
 	s.unlink(bi) // leaves vaWait[ch]; dispatch happens on pending
 	b.pending = false
 	b.active, b.eject = true, false
@@ -615,11 +643,11 @@ func (s *Simulator) switchStage() {
 		cands := s.scratch[:0]
 		for bi := s.chanWait[ch]; bi >= 0; bi = s.bufs[bi].next {
 			b := &s.bufs[bi]
-			if b.count == 0 || s.cycle < b.readyAt {
+			if s.occ[bi].count == 0 || s.cycle < b.readyAt {
 				continue
 			}
 			down := ch*s.nVCs + b.outVC
-			if s.bufs[down].count >= s.depth {
+			if s.occ[down].count >= s.depth {
 				continue // no credit
 			}
 			cands = append(cands, bi)
@@ -651,8 +679,7 @@ func (s *Simulator) ejectStage() {
 		for budget := s.cfg.LocalBandwidth; budget > 0; budget-- {
 			cands := s.scratch[:0]
 			for bi := s.ejectWait[n]; bi >= 0; bi = s.bufs[bi].next {
-				b := &s.bufs[bi]
-				if b.count-s.popCnt[bi] > 0 && s.cycle >= b.readyAt {
+				if o := &s.occ[bi]; o.count-o.popCnt > 0 && s.cycle >= s.bufs[bi].readyAt {
 					cands = append(cands, bi)
 				}
 			}
@@ -671,17 +698,24 @@ func (s *Simulator) ejectStage() {
 // forward records the dequeue of buffer bi's head flit and its arrival
 // at the downstream buffer, both applied in commit.
 func (s *Simulator) forward(bi int32) {
-	b := &s.bufs[bi]
-	idx := b.head // channel waiters dequeue at most once per cycle
+	b, o := &s.bufs[bi], &s.occ[bi]
+	idx := o.head // channel waiters dequeue at most once per cycle
 	s.pops = append(s.pops, bi)
-	s.popCnt[bi]++
+	o.popCnt++
 	s.arrivals = append(s.arrivals, b.outCh*s.nVCs+b.outVC)
 	s.flitHops++
 	if idx == 0 {
 		s.packets[b.owner].hop++ // the header crosses outCh: advance the cursor
 	}
-	if int(idx) == s.cfg.PacketLen-1 {
+	tail := int(idx) == s.cfg.PacketLen-1
+	if tail {
 		s.release(bi, b) // tail left: free this VC for the next packet
+	}
+	// A dequeue from an injection buffer wakes its node when it frees the
+	// VC, or a slot for flits of the packet still to stream in. Draining a
+	// fully injected packet's body frees nothing the node can use.
+	if bi >= s.injBase && (tail || int(idx+o.count) < s.cfg.PacketLen) {
+		s.wakeInj(s.bufNode[bi])
 	}
 	s.lastMove = s.cycle
 }
@@ -690,10 +724,10 @@ func (s *Simulator) forward(bi int32) {
 // the tail, statistics are recorded and the packet record is retired to
 // the free list (a launch reuses it from the next cycle on).
 func (s *Simulator) ejectFlit(bi int32) {
-	b := &s.bufs[bi]
-	idx, pkt := b.head+s.popCnt[bi], b.owner
+	b, o := &s.bufs[bi], &s.occ[bi]
+	idx, pkt := o.head+o.popCnt, b.owner
 	s.pops = append(s.pops, bi)
-	s.popCnt[bi]++
+	o.popCnt++
 	s.inFlight--
 	s.flitHops++
 	s.lastMove = s.cycle
