@@ -142,7 +142,7 @@ func (s *Simulator) emit(fi int32) {
 
 // enqueue puts a packet created at createT at the back of flow fi's
 // source queue and, when the flow had no work, wakes its node: the
-// packet may claim a VC the node's other flows could not use. A packet
+// packet may claim a VC the node's other flows left free. A packet
 // behind others of its flow changes nothing a sleeping node waits on.
 // Sequential only (generation, churn requeue).
 func (s *Simulator) enqueue(fi int32, createT int64) {

@@ -423,7 +423,7 @@ const maxSourceQueue = 1 << 13
 func (s *Simulator) injectStage() {
 	for i := 0; i < len(s.activeInj); {
 		n := s.activeInj[i]
-		if s.nodeWork[n] == 0 || !s.injectNode(n) {
+		if !s.injectNode(n) { // also the visit of a node left without work
 			last := len(s.activeInj) - 1
 			s.activeInj[i] = s.activeInj[last]
 			s.activeInj = s.activeInj[:last]
