@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 
 	"repro/internal/cdg"
@@ -61,10 +60,11 @@ func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHop
 	start := hopState{src, 0}
 	s.reach(idx(start), 0, -1)
 	pq := &s.boundedHeap
-	pq.items = append(pq.items[:0], boundedItem{st: start, d: 0})
+	pq.items = pq.items[:0]
+	pq.push(start, 0)
 	var goal = -1
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(boundedItem)
+	for len(pq.items) > 0 {
+		it := pq.pop()
 		k := idx(it.st)
 		if it.d > dist[k] {
 			continue
@@ -91,7 +91,7 @@ func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHop
 			nk := idx(next)
 			if nd := it.d + edgeW; nd < dist[nk] {
 				s.reach(nk, nd, k)
-				heap.Push(pq, boundedItem{st: next, d: nd})
+				pq.push(next, nd)
 			}
 		}
 	}
@@ -102,12 +102,14 @@ func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHop
 			Dst:    g.Topology().NodeName(f.Dst),
 			Budget: maxHops}
 	}
-	var p flowgraph.Path
+	n := 0
 	for k := int(prev[goal]); k >= 0 && flowgraph.VertexID(k/(maxHops+1)) != src; k = int(prev[k]) {
-		p = append(p, cdg.VertexID(k/(maxHops+1)))
+		n++
 	}
-	for a, b := 0, len(p)-1; a < b; a, b = a+1, b-1 {
-		p[a], p[b] = p[b], p[a]
+	p := make(flowgraph.Path, n)
+	for k := int(prev[goal]); n > 0; k = int(prev[k]) {
+		n--
+		p[n] = cdg.VertexID(k / (maxHops + 1))
 	}
 	return p, nil
 }
@@ -116,23 +118,4 @@ func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHop
 type hopState struct {
 	v    flowgraph.VertexID
 	hops int
-}
-
-type boundedItem struct {
-	st hopState
-	d  float64
-}
-
-type boundedHeap struct{ items []boundedItem }
-
-func (h *boundedHeap) Len() int           { return len(h.items) }
-func (h *boundedHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *boundedHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *boundedHeap) Push(x interface{}) { h.items = append(h.items, x.(boundedItem)) }
-func (h *boundedHeap) Pop() (x interface{}) {
-	old := h.items
-	n := len(old)
-	x = old[n-1]
-	h.items = old[:n-1]
-	return x
 }

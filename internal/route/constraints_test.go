@@ -159,6 +159,34 @@ func TestBoundedShortestPathMatchesUnbounded(t *testing.T) {
 	}
 }
 
+// TestSearchAllocatesOnlyItsPath pins the searches' memory: on a warmed
+// dijkstraScratch a search allocates the path it returns and nothing
+// else, so the priority queue boxes no item on a push or a pop.
+func TestSearchAllocatesOnlyItsPath(t *testing.T) {
+	m := topology.NewMesh(8, 8)
+	flows := []flowgraph.Flow{
+		{ID: 0, Name: "f", Src: m.NodeAt(0, 0), Dst: m.NodeAt(7, 7), Demand: 1},
+	}
+	dag := cdg.TurnBreaker{Rule: cdg.WestFirst}.Break(cdg.NewFull(m, 2))
+	g := flowgraph.New(dag, flows, 100)
+	weight := func(v flowgraph.VertexID) float64 { return 1 + float64(v%7)/8 }
+	var scratch dijkstraScratch
+	for _, tc := range []struct {
+		name   string
+		search func() (flowgraph.Path, error)
+	}{
+		{"unbounded", func() (flowgraph.Path, error) { return shortestPathGA(&scratch, g, 0, weight) }},
+		{"bounded", func() (flowgraph.Path, error) { return shortestPathGABounded(&scratch, g, 0, 16, weight) }},
+	} {
+		if _, err := tc.search(); err != nil { // grows the scratch
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = tc.search() }); allocs != 1 {
+			t.Errorf("%s search: %v allocations, want 1 (the path)", tc.name, allocs)
+		}
+	}
+}
+
 func TestMILPHopSlackOverride(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	flows := transposeFlows(m, 25)

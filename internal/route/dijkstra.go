@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"sort"
@@ -152,8 +151,8 @@ type dijkstraScratch struct {
 	done    []bool
 	touched []int32
 	// The priority queues' backing arrays, kept between searches.
-	heap        vertexHeap
-	boundedHeap boundedHeap
+	heap        minHeap[flowgraph.VertexID]
+	boundedHeap minHeap[hopState]
 }
 
 // reset readies the scratch for a search over n states: every state is at
@@ -191,17 +190,18 @@ func shortestPathGA(s *dijkstraScratch, g *flowgraph.Graph, i int,
 	src, snk := g.SrcTerminal(i), g.SinkTerminal(i)
 	s.reach(int(src), 0, -1)
 	pq := &s.heap
-	pq.items = append(pq.items[:0], heapItem{v: src, d: 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		if done[it.v] {
+	pq.items = pq.items[:0]
+	pq.push(src, 0)
+	for len(pq.items) > 0 {
+		it := pq.pop()
+		if done[it.st] {
 			continue
 		}
-		if it.v == snk {
+		if it.st == snk {
 			break
 		}
-		done[it.v] = true
-		for _, w := range g.Out(it.v) {
+		done[it.st] = true
+		for _, w := range g.Out(it.st) {
 			if g.IsTerminal(w) && w != snk {
 				continue // another flow's terminal
 			}
@@ -211,8 +211,8 @@ func shortestPathGA(s *dijkstraScratch, g *flowgraph.Graph, i int,
 			}
 			nd := it.d + edgeW
 			if nd < dist[w] {
-				s.reach(int(w), nd, int(it.v))
-				heap.Push(pq, heapItem{v: w, d: nd})
+				s.reach(int(w), nd, int(it.st))
+				pq.push(w, nd)
 			}
 		}
 	}
@@ -221,32 +221,60 @@ func shortestPathGA(s *dijkstraScratch, g *flowgraph.Graph, i int,
 		return nil, &NoPathError{Flow: f.Name,
 			Src: g.Topology().NodeName(f.Src), Dst: g.Topology().NodeName(f.Dst)}
 	}
-	var p flowgraph.Path
-	for v := flowgraph.VertexID(prev[snk]); v != src && v != -1; v = flowgraph.VertexID(prev[v]) {
-		p = append(p, cdg.VertexID(v))
+	// Count the channels, then fill the path back to front.
+	n := 0
+	for v := prev[snk]; v != int32(src) && v != -1; v = prev[v] {
+		n++
 	}
-	// Reverse into source-to-sink order.
-	for a, b := 0, len(p)-1; a < b; a, b = a+1, b-1 {
-		p[a], p[b] = p[b], p[a]
+	p := make(flowgraph.Path, n)
+	for v := prev[snk]; n > 0; v = prev[v] {
+		n--
+		p[n] = cdg.VertexID(v)
 	}
 	return p, nil
 }
 
-type heapItem struct {
-	v flowgraph.VertexID
-	d float64
+// heapItem is a search state queued at distance d.
+type heapItem[S any] struct {
+	st S
+	d  float64
 }
 
-type vertexHeap struct{ items []heapItem }
+// minHeap is the searches' priority queue: a binary heap on d whose
+// sift-up and sift-down are container/heap's, so states pop in the same
+// order, ties included, without boxing an item per Push and Pop.
+type minHeap[S any] struct{ items []heapItem[S] }
 
-func (h *vertexHeap) Len() int           { return len(h.items) }
-func (h *vertexHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *vertexHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *vertexHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *vertexHeap) Pop() (x interface{}) {
-	old := h.items
-	n := len(old)
-	x = old[n-1]
-	h.items = old[:n-1]
-	return x
+func (h *minHeap[S]) push(st S, d float64) {
+	h.items = append(h.items, heapItem[S]{st, d})
+	for j := len(h.items) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h.items[j].d < h.items[i].d) {
+			break
+		}
+		h.items[i], h.items[j] = h.items[j], h.items[i]
+		j = i
+	}
+}
+
+func (h *minHeap[S]) pop() heapItem[S] {
+	n := len(h.items) - 1
+	h.items[0], h.items[n] = h.items[n], h.items[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.items[j2].d < h.items[j].d {
+			j = j2 // right child
+		}
+		if !(h.items[j].d < h.items[i].d) {
+			break
+		}
+		h.items[i], h.items[j] = h.items[j], h.items[i]
+		i = j
+	}
+	it := h.items[n]
+	h.items = h.items[:n]
+	return it
 }

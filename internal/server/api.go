@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"repro/bsor"
 )
@@ -163,9 +164,13 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// writeJSON writes a response body with the JSON content type.
+// writeJSON writes a response body with the JSON content type. The body
+// is complete, so its length goes in the header and the response is sent
+// whole, not in chunked encoding.
 func writeJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

@@ -46,6 +46,12 @@ func post(t *testing.T, client *http.Client, url, body string) (*http.Response, 
 	if err != nil {
 		t.Fatalf("POST %s: read body: %v", url, err)
 	}
+	// Every body goes out whole, even past the server's 2 KB write
+	// buffer: its length in the header, not in chunked encoding.
+	if resp.ContentLength != int64(len(b)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("POST %s: %d-byte body sent with Content-Length %d, Transfer-Encoding %q",
+			url, len(b), resp.ContentLength, resp.TransferEncoding)
+	}
 	return resp, b
 }
 

@@ -28,6 +28,11 @@ package sim
 // scheduler (see sim.go): a routed buffer is a member of exactly one wait
 // list — the list of its output channel, or the ejection list of its node
 // — until the tail flit leaves and release() unlinks it.
+//
+// A packet not yet launched has no record and no buffer: it is one byte
+// in its flow's source queue, the gap since the packet queued before it
+// (sourceQueue, at the end of this file). The queues' bytes run through
+// 512-byte chunks from one free list (chunkPool).
 
 // packet is the record of one packet in the network. It exists only from
 // launch (injectNode claims an injection VC) to tail ejection or a churn
@@ -160,18 +165,24 @@ func (s *Simulator) release(bi int32, b *vcBuf) {
 	}
 }
 
-// chunkLen is the number of creation cycles one source-queue chunk holds
-// (512 B of them), about what a lightly loaded flow ever queues.
-const chunkLen = 64
+// chunkBytes is the length of one source-queue chunk's byte stream: about
+// 500 queued packets at one byte each, far more than a lightly loaded
+// flow ever queues.
+const chunkBytes = 512
+
+// escape is the byte that stands for an entry whose difference from the
+// one pushed before it does not fit below it: the full creation cycle
+// follows in the next 8 bytes of the stream, little-endian.
+const escape = 0xff
 
 // maxSlab caps the chunks one pool allocation carves up (~64 KiB).
 const maxSlab = 128
 
-// queueChunk is one fixed-size piece of a source queue, linked to the
-// next piece of the same queue or, while free, of the pool.
+// queueChunk is one fixed-size piece of a source queue's byte stream,
+// linked to the next piece of the same queue or, while free, of the pool.
 type queueChunk struct {
-	cycles [chunkLen]int64
-	next   *queueChunk
+	b    [chunkBytes]byte
+	next *queueChunk
 }
 
 // chunkPool is the simulator-wide free list of queue chunks. It grows by
@@ -201,19 +212,43 @@ func (p *chunkPool) get() *queueChunk {
 func (p *chunkPool) put(c *queueChunk) { c.next, p.free = p.free, c }
 
 // sourceQueue is a flow's source queue: a FIFO of creation cycles (all
-// the state a queued packet has) in a linked run of chunks from the
-// chunkPool. An empty queue holds no chunk, a full one (maxSourceQueue)
-// at most maxSourceQueue/chunkLen+1, and nothing is ever copied.
+// the state a queued packet has), each stored as its difference from the
+// entry pushed before it. A difference in [0, escape) is one byte; any
+// other — a gap of 255 cycles or more, or the older cycle of a churn
+// requeue — is the escape byte and the full value, 9 bytes. The bytes run
+// through a linked run of chunks from the chunkPool: an empty queue holds
+// no chunk, a full one (maxSourceQueue) whose gaps all fit a byte spans at
+// most maxSourceQueue/chunkBytes+1, and nothing is ever copied.
+//
+// pushed and popped are the references of the next push and pop. They
+// outlive an empty queue (where they are equal), so a lightly loaded
+// flow, which empties its queue after every packet, still pays one byte
+// a packet.
 type sourceQueue struct {
 	head, tail *queueChunk
-	hi, ti     int32 // next pop in head, next push in tail
+	hi, ti     int32 // next byte to pop in head, next byte to push in tail
 	n          int32
+	pushed     int64 // the last value pushed
+	popped     int64 // the last value popped
 }
 
 func (q *sourceQueue) len() int { return int(q.n) }
 
 func (q *sourceQueue) push(p *chunkPool, v int64) {
-	if q.tail == nil || q.ti == chunkLen {
+	if d := uint64(v - q.pushed); d < escape {
+		q.putByte(p, byte(d))
+	} else {
+		q.putByte(p, escape)
+		for sh := 0; sh < 64; sh += 8 {
+			q.putByte(p, byte(uint64(v)>>sh))
+		}
+	}
+	q.pushed = v
+	q.n++
+}
+
+func (q *sourceQueue) putByte(p *chunkPool, b byte) {
+	if q.tail == nil || q.ti == chunkBytes {
 		c := p.get()
 		if q.tail == nil {
 			q.head, q.hi = c, 0
@@ -222,23 +257,39 @@ func (q *sourceQueue) push(p *chunkPool, v int64) {
 		}
 		q.tail, q.ti = c, 0
 	}
-	q.tail.cycles[q.ti] = v
+	q.tail.b[q.ti] = b
 	q.ti++
-	q.n++
 }
 
 func (q *sourceQueue) pop(p *chunkPool) int64 {
+	v := q.popped
+	if b := q.getByte(p); b != escape {
+		v += int64(b)
+	} else {
+		var u uint64
+		for sh := 0; sh < 64; sh += 8 {
+			u |= uint64(q.getByte(p)) << sh
+		}
+		v = int64(u)
+	}
+	q.popped = v
+	if q.n--; q.n == 0 {
+		if q.head != nil { // not already returned by getByte
+			p.put(q.head)
+		}
+		q.head, q.tail, q.hi, q.ti = nil, nil, 0, 0
+	}
+	return v
+}
+
+// getByte takes the next byte of the stream, returning the head chunk to
+// the pool once it is read through.
+func (q *sourceQueue) getByte(p *chunkPool) byte {
 	c := q.head
-	v := c.cycles[q.hi]
-	q.hi++
-	q.n--
-	switch {
-	case q.n == 0:
-		*q = sourceQueue{}
-		p.put(c)
-	case q.hi == chunkLen:
+	b := c.b[q.hi]
+	if q.hi++; q.hi == chunkBytes {
 		q.head, q.hi = c.next, 0
 		p.put(c)
 	}
-	return v
+	return b
 }

@@ -23,7 +23,9 @@
 // visit changed nothing sleeps until a pop, a purge or a first queued
 // packet wakes it. Packet generation samples geometric inter-arrival
 // gaps (one RNG draw per packet) onto a 64-slot timing wheel of per-flow
-// bits (generate.go). Per-cycle cost is proportional to in-flight
+// bits (generate.go). A packet that waits in its flow's source queue is
+// one byte there: the gap since the packet queued before it (buffers.go).
+// Per-cycle cost is proportional to in-flight
 // activity that can change state, not to topology size, which is what
 // makes 16x16+ sweeps affordable (EXPERIMENTS.md records the measured
 // speedup).

@@ -15,7 +15,7 @@ import (
 // ordering structure is kept per packet. Generating a packet pushes its
 // creation cycle onto the flow's source queue and reschedules the flow;
 // no record exists until launch (buffers.go), so a saturated flow's
-// backlog costs one int64 a packet.
+// backlog costs one byte a packet (the gap since the packet before it).
 //
 // The arrival processes are distribution-identical to the per-cycle
 // Bernoulli draws — including while a full source queue suppresses

@@ -330,8 +330,8 @@ func TestActiveSetInvariants(t *testing.T) {
 // for launched packets, and a launched packet owns at least one VC, so a
 // deeply saturated long run — both source queues pinned at
 // maxSourceQueue, tens of thousands of packets delivered — holds no more
-// records than there are VC buffers, and the source queues no more
-// chunks than two full queues span.
+// records than there are VC buffers, and each source queue, whose gaps
+// all fit a byte, no more than maxSourceQueue bytes plus one chunk.
 func TestSaturationMemoryBounded(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	flows := []flowgraph.Flow{
@@ -360,17 +360,25 @@ func TestSaturationMemoryBounded(t *testing.T) {
 		t.Fatalf("run too short to exercise recycling: %d delivered", res.PacketsDelivered)
 	}
 	for fi := range s.srcQueue {
+		q := &s.srcQueue[fi]
 		// One below the cap when a launch has just freed a slot.
-		if s.srcQueue[fi].len() < maxSourceQueue-1 {
-			t.Errorf("flow %d: %d queued, want the queue pinned at %d", fi, s.srcQueue[fi].len(), maxSourceQueue)
+		if q.len() < maxSourceQueue-1 {
+			t.Errorf("flow %d: %d queued, want the queue pinned at %d", fi, q.len(), maxSourceQueue)
+		}
+		chunks, err := q.check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes := chunks * chunkBytes; bytes > maxSourceQueue+chunkBytes {
+			t.Errorf("flow %d: %d queued in %d bytes of chunks, want <= %d", fi, q.len(), bytes, maxSourceQueue+chunkBytes)
 		}
 	}
 	if len(s.packets) > len(s.bufs) {
 		t.Errorf("packet arena %d records, want <= %d (VC buffers)", len(s.packets), len(s.bufs))
 	}
-	// Two queues of at most maxSourceQueue/chunkLen+1 chunks, plus the
+	// Two queues of at most maxSourceQueue/chunkBytes+1 chunks, plus the
 	// slack of the last slab.
-	if bound := 2*(maxSourceQueue/chunkLen+1) + maxSlab; s.chunks.total > bound {
+	if bound := 2*(maxSourceQueue/chunkBytes+1) + maxSlab; s.chunks.total > bound {
 		t.Errorf("chunk pool %d chunks, want <= %d", s.chunks.total, bound)
 	}
 }

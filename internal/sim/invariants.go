@@ -28,9 +28,10 @@ import (
 //     flows with work. A node with work is in activeInj or asleep:
 //     no flow there can launch (no idle flow with a queued packet while
 //     an injection VC is free), and every active transfer's buffer holds
-//     depth flits. A source queue's chunks hold exactly its length, an
-//     empty queue holds none, and the queues and the pool's free list
-//     together hold every chunk the pool allocated.
+//     depth flits. A source queue's chunk run holds exactly the encoded
+//     bytes of its entries (sourceQueue.check), an empty queue holds no
+//     chunk, and the queues and the pool's free list together hold every
+//     chunk the pool allocated.
 //  6. The active sets hold each member once and only while flagged, and
 //     the deferred effects (pops, occ popCnt, arrivals, resumes) are
 //     fully drained between cycles.
@@ -322,22 +323,9 @@ func (s *Simulator) checkInvariants() error {
 		chunks++
 	}
 	for fi := range s.srcQueue {
-		q := &s.srcQueue[fi]
-		if q.n == 0 {
-			if q.head != nil || q.tail != nil {
-				return fmt.Errorf("cycle %d: flow %d holds a chunk with an empty queue", s.cycle, fi)
-			}
-			continue
-		}
-		k := 1
-		for c := q.head; c != q.tail; c = c.next {
-			if c == nil {
-				return fmt.Errorf("cycle %d: flow %d's chunks do not reach its tail", s.cycle, fi)
-			}
-			k++
-		}
-		if q.tail.next != nil || int(q.n) != (k-1)*chunkLen+int(q.ti-q.hi) {
-			return fmt.Errorf("cycle %d: flow %d queues %d in %d chunks (offsets %d, %d)", s.cycle, fi, q.n, k, q.hi, q.ti)
+		k, err := s.srcQueue[fi].check()
+		if err != nil {
+			return fmt.Errorf("cycle %d: flow %d: %w", s.cycle, fi, err)
 		}
 		chunks += k
 	}
@@ -381,6 +369,69 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 	return nil
+}
+
+// check decodes a source queue from its pop reference and returns the
+// number of chunks it holds. The chunk run must hold exactly the encoded
+// bytes of the queue's entries: n entries, each a delta byte when its
+// difference fits one and an escape otherwise, ending at the tail offset
+// on the push reference. An empty queue holds no chunk, and its two
+// references are equal.
+func (q *sourceQueue) check() (int, error) {
+	if q.n == 0 {
+		if q.head != nil || q.tail != nil || q.hi != 0 || q.ti != 0 || q.pushed != q.popped {
+			return 0, fmt.Errorf("empty queue holds a chunk or offsets (%d, %d), or references %d pushed, %d popped",
+				q.hi, q.ti, q.pushed, q.popped)
+		}
+		return 0, nil
+	}
+	if q.head == nil || q.tail == nil || q.tail.next != nil ||
+		q.hi < 0 || q.hi >= chunkBytes || q.ti < 1 || q.ti > chunkBytes {
+		return 0, fmt.Errorf("%d queued in a malformed chunk run (offsets %d, %d)", q.n, q.hi, q.ti)
+	}
+	c, i, chunks := q.head, q.hi, 1
+	read := func() (byte, bool) {
+		if c == q.tail && i == q.ti {
+			return 0, false
+		}
+		if i == chunkBytes {
+			if c = c.next; c == nil {
+				return 0, false
+			}
+			i, chunks = 0, chunks+1
+		}
+		i++
+		return c.b[i-1], true
+	}
+	ref := q.popped
+	for e := int32(0); e < q.n; e++ {
+		b, ok := read()
+		if !ok {
+			return 0, fmt.Errorf("%d queued, but the bytes end after %d entries", q.n, e)
+		}
+		if b != escape {
+			ref += int64(b)
+			continue
+		}
+		var u uint64
+		for sh := 0; sh < 64; sh += 8 {
+			if b, ok = read(); !ok {
+				return 0, fmt.Errorf("entry %d of %d: escape cut short", e, q.n)
+			}
+			u |= uint64(b) << sh
+		}
+		if d := uint64(int64(u) - ref); d < escape {
+			return 0, fmt.Errorf("entry %d of %d: escape for %d, a delta of %d", e, q.n, int64(u), d)
+		}
+		ref = int64(u)
+	}
+	if c != q.tail || i != q.ti {
+		return 0, fmt.Errorf("%d entries decoded before the tail offset", q.n)
+	}
+	if ref != q.pushed {
+		return 0, fmt.Errorf("entries decode to %d, the last push was %d", ref, q.pushed)
+	}
+	return chunks, nil
 }
 
 // checkAsleep reports why node n could make progress if visited: a flow

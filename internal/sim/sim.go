@@ -406,8 +406,10 @@ func (s *Simulator) buildResult(deadlocked bool) *Result {
 
 // maxSourceQueue bounds open-loop generation so saturated runs stay in
 // memory: generation pauses while a flow's queue holds this many creation
-// cycles (64 KiB). Packet records exist only for launched packets and are
-// bounded by the VC count instead (see packet in buffers.go).
+// cycles, 8 KiB plus one chunk when every gap fits a byte and at most
+// 9 bytes an entry otherwise (see sourceQueue in buffers.go). Packet
+// records exist only for launched packets and are bounded by the VC
+// count instead (see packet in buffers.go).
 const maxSourceQueue = 1 << 13
 
 // injectStage moves flits from source queues into injection-port VC
