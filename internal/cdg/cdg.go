@@ -239,10 +239,35 @@ func (g *Graph) TopoOrder() ([]VertexID, bool) {
 	return order, true
 }
 
-// IsAcyclic reports whether the graph has no directed cycle.
+// IsAcyclic reports whether the graph has no directed cycle: Kahn's
+// algorithm as in TopoOrder, counting the vertices it removes instead of
+// recording their order.
 func (g *Graph) IsAcyclic() bool {
-	_, ok := g.TopoOrder()
-	return ok
+	indeg := make([]int32, len(g.out))
+	for _, succ := range g.out {
+		for _, w := range succ {
+			indeg[w]++
+		}
+	}
+	var stack []VertexID
+	for v, d := range indeg {
+		if d == 0 {
+			stack = append(stack, VertexID(v))
+		}
+	}
+	removed := 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		removed++
+		for _, w := range g.out[v] {
+			indeg[w]--
+			if indeg[w] == 0 {
+				stack = append(stack, w)
+			}
+		}
+	}
+	return removed == len(g.out)
 }
 
 // FindCycle returns one directed cycle as a vertex sequence (first element

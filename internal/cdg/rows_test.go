@@ -135,6 +135,9 @@ func sameGraph(t *testing.T, what string, got *Graph, want, full *refGraph) {
 	if gotOK != wantOK || !slices.Equal(gotOrder, wantOrder) {
 		t.Errorf("%s: TopoOrder differs from the reference (acyclic %v, want %v)", what, gotOK, wantOK)
 	}
+	if got.IsAcyclic() != wantOK {
+		t.Errorf("%s: IsAcyclic = %v, reference acyclic %v", what, got.IsAcyclic(), wantOK)
+	}
 }
 
 // TestRowsMatchReference: the flat construction yields the graph the

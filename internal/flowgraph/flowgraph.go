@@ -13,7 +13,6 @@ package flowgraph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/cdg"
@@ -50,11 +49,13 @@ type Graph struct {
 	// CDG vertex).
 	capacity []float64
 
-	// rev is the reverse adjacency, built lazily for sink-distance pruning
-	// during candidate enumeration. Guarded by revOnce; the graph itself is
-	// immutable after construction, so concurrent enumerations share it.
-	revOnce sync.Once
-	rev     [][]VertexID
+	// revStart/revAdj are the reverse adjacency in compressed rows, built
+	// lazily for sink-distance pruning during candidate enumeration.
+	// Guarded by revOnce; the graph itself is immutable after construction,
+	// so concurrent enumerations share it.
+	revOnce  sync.Once
+	revStart []int
+	revAdj   []VertexID
 }
 
 // New builds G_A from an acyclic CDG and a flow set, with a uniform channel
@@ -220,51 +221,130 @@ func (g *Graph) Validate(i int, p Path) error {
 	return nil
 }
 
-// reverse returns the lazily built reverse adjacency of G_A.
-func (g *Graph) reverse() [][]VertexID {
+// reverse returns the lazily built reverse adjacency of G_A in compressed
+// rows: the predecessors of v are adj[start[v]:start[v+1]], ascending.
+func (g *Graph) reverse() (start []int, adj []VertexID) {
 	g.revOnce.Do(func() {
-		rev := make([][]VertexID, len(g.out))
-		for v, succ := range g.out {
+		n := len(g.out)
+		start := make([]int, n+1)
+		for _, succ := range g.out {
 			for _, w := range succ {
-				rev[w] = append(rev[w], VertexID(v))
+				start[w+1]++
 			}
 		}
-		g.rev = rev
+		for v := 1; v <= n; v++ {
+			start[v] += start[v-1]
+		}
+		// Fill in ascending v with start[w] as w's cursor, which leaves
+		// start[w] at the end of w's row; shifting by one restores it.
+		adj := make([]VertexID, start[n])
+		for v, succ := range g.out {
+			for _, w := range succ {
+				adj[start[w]] = VertexID(v)
+				start[w]++
+			}
+		}
+		copy(start[1:], start[:n])
+		start[0] = 0
+		g.revStart, g.revAdj = start, adj
 	})
-	return g.rev
+	return g.revStart, g.revAdj
 }
 
-// sinkDist computes, per vertex, the minimal number of additional channel
-// vertices a path must still cross after that vertex to reach flow i's sink
-// terminal (-1 when the sink is unreachable). A breadth-first search over
-// the reverse adjacency; used to prune enumeration branches that cannot
-// complete within a hop budget.
-func (g *Graph) sinkDist(i int) []int32 {
-	rev := g.reverse()
-	d := make([]int32, len(g.out))
-	for j := range d {
-		d[j] = -1
-	}
-	snk := g.SinkTerminal(i)
-	queue := make([]VertexID, 0, len(rev[snk]))
-	for _, v := range rev[snk] {
-		if d[v] < 0 {
-			d[v] = 0
-			queue = append(queue, v)
+// next is one channel successor of an enumeration step with the virtual
+// channels reachable on it.
+type next struct {
+	ch   topology.ChannelID
+	mask uint32
+}
+
+// enumScratch is the working memory of path enumeration. It belongs to
+// the caller's frame — one per EnumerateAllContext worker — never to the
+// shared Graph. Between calls every dist entry is -1 and every acc entry
+// zero, so a call clears only what it touched.
+type enumScratch struct {
+	// dist[v] is the number of channel vertices a path must still cross
+	// after CDG vertex v to reach the current flow's sink (-1: never);
+	// queue is the breadth-first search that filled it, and afterwards the
+	// list of entries to clear.
+	dist  []int32
+	queue []VertexID
+	// acc[ch] accumulates the VC mask of channel ch during one expansion;
+	// touched lists the channels it made non-zero, in first-seen order.
+	acc     []uint32
+	touched []topology.ChannelID
+	// nexts stacks the successor row of every open DFS frame; frame k's
+	// row is nexts[frames[k].lo:frames[k+1].lo] (the top row runs to the
+	// end) and frames[k].at is the next successor to visit.
+	nexts  []next
+	frames []frame
+	// chs and masks are the current channel sequence and its per-hop VC
+	// masks; frame k+1 belongs to chs[k].
+	chs   []topology.ChannelID
+	masks []uint32
+	paths []Path
+}
+
+type frame struct{ lo, at int }
+
+// sinkDist fills s.dist for flow i: a breadth-first search from the sink
+// terminal over the reverse adjacency, through channel vertices only.
+func (s *enumScratch) sinkDist(g *Graph, i int) {
+	start, adj := g.reverse()
+	if n := g.dag.NumVertices(); len(s.dist) < n {
+		s.dist = make([]int32, n)
+		for v := range s.dist {
+			s.dist[v] = -1
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range rev[v] {
+	d := s.dist
+	snk := g.SinkTerminal(i)
+	q := s.queue[:0]
+	for _, v := range adj[start[snk]:start[snk+1]] {
+		if d[v] < 0 {
+			d[v] = 0
+			q = append(q, v)
+		}
+	}
+	for h := 0; h < len(q); h++ {
+		v := q[h]
+		for _, u := range adj[start[v]:start[v+1]] {
 			if g.IsTerminal(u) || d[u] >= 0 {
 				continue
 			}
 			d[u] = d[v] + 1
-			queue = append(queue, u)
+			q = append(q, u)
 		}
 	}
-	return d
+	s.queue = q
+}
+
+// add ORs vc into channel ch's accumulated mask.
+func (s *enumScratch) add(ch topology.ChannelID, vc int) {
+	if s.acc[ch] == 0 {
+		s.touched = append(s.touched, ch)
+	}
+	s.acc[ch] |= 1 << vc
+}
+
+// flush moves the accumulated masks onto nexts as one row in ascending
+// channel order and clears them. The channels are distinct and rows
+// usually arrive ascending, so an insertion sort is linear in practice.
+func (s *enumScratch) flush() {
+	lo := len(s.nexts)
+	for _, ch := range s.touched {
+		s.nexts = append(s.nexts, next{ch, s.acc[ch]})
+		s.acc[ch] = 0
+	}
+	s.touched = s.touched[:0]
+	row := s.nexts[lo:]
+	for a := 1; a < len(row); a++ {
+		x, b := row[a], a
+		for ; b > 0 && row[b-1].ch > x.ch; b-- {
+			row[b] = row[b-1]
+		}
+		row[b] = x
+	}
 }
 
 // EnumeratePathsDedup lists source-to-sink paths for flow i whose hop
@@ -283,12 +363,23 @@ func (g *Graph) sinkDist(i int) []int32 {
 // reconstructed once a sequence completes. Channel successors are visited
 // in ascending channel order, so the output is deterministic.
 func (g *Graph) EnumeratePathsDedup(i int, maxHops, maxPaths int) []Path {
-	dist := g.sinkDist(i)
+	var s enumScratch
+	return g.enumerate(&s, i, maxHops, maxPaths)
+}
+
+// enumerate is EnumeratePathsDedup over the caller's scratch. On a scratch
+// grown by an earlier call it allocates the returned paths and the slice
+// holding them, nothing else.
+func (g *Graph) enumerate(s *enumScratch, i int, maxHops, maxPaths int) []Path {
 	dag := g.dag
 	nVCs := dag.VCs()
 	snk := g.SinkTerminal(i)
 	if nVCs > 32 {
 		panic("flowgraph: EnumeratePathsDedup supports at most 32 virtual channels")
+	}
+	s.sinkDist(g, i)
+	if n := g.Topology().NumChannels(); len(s.acc) < n {
+		s.acc = make([]uint32, n)
 	}
 
 	// liveMask masks off VCs of a channel that cannot reach the sink, and
@@ -299,7 +390,7 @@ func (g *Graph) EnumeratePathsDedup(i int, maxHops, maxPaths int) []Path {
 			if mask&(1<<vc) == 0 {
 				continue
 			}
-			d := dist[dag.Vertex(ch, vc)]
+			d := s.dist[dag.Vertex(ch, vc)]
 			if d < 0 {
 				continue
 			}
@@ -311,50 +402,33 @@ func (g *Graph) EnumeratePathsDedup(i int, maxHops, maxPaths int) []Path {
 		return out, best
 	}
 
-	// sortedNexts flattens a channel->VC-mask accumulation into ascending
-	// channel order — the deterministic visit order both the per-hop
-	// expansion and the first-hop discovery below rely on.
-	type next struct {
-		ch   topology.ChannelID
-		mask uint32
-	}
-	sortedNexts := func(acc map[topology.ChannelID]uint32) []next {
-		nexts := make([]next, 0, len(acc))
-		for ch, m := range acc {
-			nexts = append(nexts, next{ch, m})
-		}
-		sort.Slice(nexts, func(a, b int) bool { return nexts[a].ch < nexts[b].ch })
-		return nexts
-	}
-
-	// succ expands one hop: all channel successors of (ch, mask) with their
-	// reachable VC masks, in ascending channel order, plus whether the
-	// sequence may terminate here (some live VC feeds the sink terminal).
-	succ := func(ch topology.ChannelID, mask uint32) (nexts []next, done bool) {
-		acc := make(map[topology.ChannelID]uint32)
+	// expand pushes the channel successors of (ch, mask) as a new row and
+	// reports whether the sequence may terminate here (some live VC feeds
+	// the sink terminal).
+	expand := func(ch topology.ChannelID, mask uint32) (done bool) {
 		for vc := 0; vc < nVCs; vc++ {
 			if mask&(1<<vc) == 0 {
 				continue
 			}
-			v := VertexID(dag.Vertex(ch, vc))
-			for _, w := range g.out[v] {
+			for _, w := range g.out[dag.Vertex(ch, vc)] {
 				if g.IsTerminal(w) {
 					if w == snk {
 						done = true
 					}
 					continue
 				}
-				ch2, vc2 := dag.ChannelVC(cdg.VertexID(w))
-				acc[ch2] |= 1 << vc2
+				s.add(dag.ChannelVC(cdg.VertexID(w)))
 			}
 		}
-		return sortedNexts(acc), done
+		s.flush()
+		return done
 	}
 
-	// reconstruct turns a completed channel sequence plus its per-hop VC
+	// reconstruct turns the completed channel sequence plus its per-hop VC
 	// masks into one concrete CDG path (lowest feasible VC at each hop,
 	// chosen backwards from the sink).
-	reconstruct := func(chs []topology.ChannelID, masks []uint32) Path {
+	reconstruct := func() Path {
+		chs, masks := s.chs, s.masks
 		n := len(chs)
 		p := make(Path, n)
 		last := -1
@@ -388,62 +462,61 @@ func (g *Graph) EnumeratePathsDedup(i int, maxHops, maxPaths int) []Path {
 		return p
 	}
 
-	var (
-		paths []Path
-		chs   []topology.ChannelID
-		masks []uint32
-	)
-	var dfs func(ch topology.ChannelID, mask uint32) bool
-	dfs = func(ch topology.ChannelID, mask uint32) bool {
-		chs = append(chs, ch)
-		masks = append(masks, mask)
-		defer func() {
-			chs = chs[:len(chs)-1]
-			masks = masks[:len(masks)-1]
-		}()
-		nexts, done := succ(ch, mask)
-		if done {
-			paths = append(paths, reconstruct(chs, masks))
-			if maxPaths > 0 && len(paths) >= maxPaths {
-				return false
-			}
-		}
-		for _, nx := range nexts {
-			live, d := liveMask(nx.ch, nx.mask)
-			if live == 0 {
-				continue
-			}
-			if maxHops > 0 && len(chs)+1+int(d) > maxHops {
-				continue
-			}
-			if !dfs(nx.ch, live) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Distinct first channels reachable from the source terminal, with
-	// their VC masks, in ascending channel order.
-	acc := make(map[topology.ChannelID]uint32)
+	// The root frame's row is the distinct first channels reachable from
+	// the source terminal. Each later frame is one channel of the current
+	// sequence, entered in depth-first preorder.
 	for _, w := range g.out[g.SrcTerminal(i)] {
-		if g.IsTerminal(w) {
+		if !g.IsTerminal(w) {
+			s.add(dag.ChannelVC(cdg.VertexID(w)))
+		}
+	}
+	s.flush()
+	s.frames = append(s.frames, frame{})
+	for len(s.frames) > 0 {
+		top := len(s.frames) - 1
+		f := &s.frames[top]
+		if f.at == len(s.nexts) {
+			s.nexts = s.nexts[:f.lo]
+			s.frames = s.frames[:top]
+			if top > 0 {
+				s.chs = s.chs[:top-1]
+				s.masks = s.masks[:top-1]
+			}
 			continue
 		}
-		ch, vc := dag.ChannelVC(cdg.VertexID(w))
-		acc[ch] |= 1 << vc
-	}
-	for _, f := range sortedNexts(acc) {
-		live, d := liveMask(f.ch, f.mask)
+		nx := s.nexts[f.at]
+		f.at++
+		live, d := liveMask(nx.ch, nx.mask)
 		if live == 0 {
 			continue
 		}
-		if maxHops > 0 && 1+int(d) > maxHops {
+		if maxHops > 0 && len(s.chs)+1+int(d) > maxHops {
 			continue
 		}
-		if !dfs(f.ch, live) {
-			break
+		s.chs = append(s.chs, nx.ch)
+		s.masks = append(s.masks, live)
+		lo := len(s.nexts)
+		done := expand(nx.ch, live)
+		s.frames = append(s.frames, frame{lo, lo})
+		if done {
+			s.paths = append(s.paths, reconstruct())
+			if maxPaths > 0 && len(s.paths) >= maxPaths {
+				break
+			}
 		}
 	}
+
+	var paths []Path
+	if len(s.paths) > 0 {
+		paths = make([]Path, len(s.paths))
+		copy(paths, s.paths)
+	}
+	for _, v := range s.queue {
+		s.dist[v] = -1
+	}
+	clear(s.paths)
+	s.paths, s.queue = s.paths[:0], s.queue[:0]
+	s.nexts, s.frames = s.nexts[:0], s.frames[:0]
+	s.chs, s.masks = s.chs[:0], s.masks[:0]
 	return paths
 }

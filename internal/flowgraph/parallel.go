@@ -18,6 +18,9 @@ import (
 // returns ctx.Err() after the in-flight ones finish. The partial result
 // is discarded (nil) on cancellation — a route selector cannot use a
 // candidate table with holes.
+//
+// Each worker owns one enumeration scratch for all the flows it takes, so
+// the enumeration allocates the candidate paths and little else.
 func (g *Graph) EnumerateAllContext(ctx context.Context, budgets []int, maxPaths, workers int) ([][]Path, error) {
 	n := len(g.flows)
 	if len(budgets) != n {
@@ -34,11 +37,12 @@ func (g *Graph) EnumerateAllContext(ctx context.Context, budgets []int, maxPaths
 		workers = n
 	}
 	if workers == 1 {
+		var s enumScratch
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out[i] = g.EnumeratePathsDedup(i, budgets[i], maxPaths)
+			out[i] = g.enumerate(&s, i, budgets[i], maxPaths)
 		}
 		return out, nil
 	}
@@ -49,8 +53,9 @@ func (g *Graph) EnumerateAllContext(ctx context.Context, budgets []int, maxPaths
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s enumScratch
 			for i := range idx {
-				out[i] = g.EnumeratePathsDedup(i, budgets[i], maxPaths)
+				out[i] = g.enumerate(&s, i, budgets[i], maxPaths)
 			}
 		}()
 	}

@@ -98,6 +98,7 @@ func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 		return flows[order[a]].Demand > flows[order[b]].Demand
 	})
 
+	dag := g.CDG()
 	loads := make([]float64, g.Topology().NumChannels())
 	routes := make([]Route, len(flows))
 	for _, i := range order {
@@ -108,7 +109,8 @@ func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 		best, bestPeak, bestHops := -1, math.Inf(1), 0
 		for pi, p := range candidates[i] {
 			peak := 0.0
-			for _, ch := range g.Channels(p) {
+			for _, v := range p {
+				ch, _ := dag.ChannelVC(v)
 				if l := loads[ch] + demand; l > peak {
 					peak = l
 				}

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
 	"repro/internal/lp"
 	"repro/internal/metrics"
-	"repro/internal/topology"
 )
 
 // MILPSelector is BSOR_MILP (thesis §3.5): route selection as an
@@ -73,8 +71,10 @@ func (ms MILPSelector) withDefaults() MILPSelector {
 // in the restricted master, so one canonical candidate per sequence keeps
 // the MILP small without excluding any achievable load vector.
 func chanKey(g *flowgraph.Graph, p flowgraph.Path) string {
+	dag := g.CDG()
 	b := make([]byte, 0, 4*len(p))
-	for _, ch := range g.Channels(p) {
+	for _, v := range p {
+		ch, _ := dag.ChannelVC(v)
 		b = append(b, byte(ch), byte(ch>>8), byte(ch>>16), byte(ch>>24))
 	}
 	return string(b)
@@ -85,8 +85,9 @@ func chanKey(g *flowgraph.Graph, p flowgraph.Path) string {
 func hopBudgets(g *flowgraph.Graph, slack int, overrides map[int]int) ([]int, error) {
 	flows := g.Flows()
 	budgets := make([]int, len(flows))
+	var s hopScratch
 	for i, f := range flows {
-		min := minimalHops(g.Topology(), f.Src, f.Dst)
+		min := minimalHops(&s, g.Topology(), f.Src, f.Dst)
 		if min < 0 {
 			return nil, fmt.Errorf("route: flow %s endpoints are disconnected", f.Name)
 		}
@@ -286,9 +287,17 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, start *Set
 	type pathVar struct{ flow, path int }
 	vars := make(map[int]pathVar) // lp var -> (flow, path)
 	warm := []float64{startMCL}   // index 0 is U
-	chTerms := make(map[topology.ChannelID][]lp.Term)
-	chFlows := make(map[topology.ChannelID]int) // last flow whose candidates touched ch
-	chShared := make(map[topology.ChannelID]bool)
+	// Per channel: its load terms, the last flow and the last path (an lp
+	// var) whose candidates touched it, and whether two flows did.
+	dag := g.CDG()
+	nCh := g.Topology().NumChannels()
+	chTerms := make([][]lp.Term, nCh)
+	chFlow := make([]int, nCh)
+	chPath := make([]int, nCh)
+	chShared := make([]bool, nCh)
+	for ch := range chFlow {
+		chFlow[ch], chPath[ch] = -1, -1
+	}
 	for i := range flows {
 		choose := make([]lp.Term, 0, len(pl.paths[i]))
 		for pi, path := range pl.paths[i] {
@@ -303,36 +312,31 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, start *Set
 			// A path never repeats a channel (DAG conformance), but with
 			// multiple VCs it could cross two VC vertices of one channel;
 			// deduplicate so loads are not double counted.
-			touched := make(map[topology.ChannelID]bool)
-			for _, ch := range g.Channels(path) {
-				if !touched[ch] {
-					touched[ch] = true
-					if last, ok := chFlows[ch]; ok && last != i {
-						chShared[ch] = true
-					}
-					chFlows[ch] = i
-					chTerms[ch] = append(chTerms[ch], lp.Term{Var: v, Coef: flows[i].Demand})
+			for _, x := range path {
+				ch, _ := dag.ChannelVC(x)
+				if chPath[ch] == v {
+					continue
 				}
+				chPath[ch] = v
+				if chFlow[ch] >= 0 && chFlow[ch] != i {
+					chShared[ch] = true
+				}
+				chFlow[ch] = i
+				chTerms[ch] = append(chTerms[ch], lp.Term{Var: v, Coef: flows[i].Demand})
 			}
 		}
 		p.AddConstraint(choose, lp.EQ, 1)
 	}
-	// Channel rows in ascending channel order: map iteration order would
-	// randomize the constraint order and, with it, which of several
-	// equally-optimal vertices the solver lands on — the golden
-	// determinism tests pin byte-identical synthesis output.
-	channels := make([]topology.ChannelID, 0, len(chTerms))
-	for ch := range chTerms {
-		channels = append(channels, ch)
-	}
-	sort.Slice(channels, func(a, b int) bool { return channels[a] < channels[b] })
-	for _, ch := range channels {
+	// Channel rows in ascending channel order: the constraint order decides
+	// which of several equally-optimal vertices the solver lands on, and
+	// the golden determinism tests pin byte-identical synthesis output.
+	for ch, terms := range chTerms {
 		// With U bounded below by the largest demand, a channel only one
 		// flow's candidates can touch never exceeds U; its row is redundant.
 		if !chShared[ch] {
 			continue
 		}
-		row := append(append([]lp.Term(nil), chTerms[ch]...), lp.Term{Var: u, Coef: -1})
+		row := append(terms, lp.Term{Var: u, Coef: -1})
 		p.AddConstraint(row, lp.LE, 0)
 	}
 

@@ -162,7 +162,7 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 		}
 
 		// Hop budget: a G_A path with h channels uses h+1 edges.
-		min := minimalHops(topo, flows[i].Src, flows[i].Dst)
+		min := minimalHops(&hopScratch{}, topo, flows[i].Src, flows[i].Dst)
 		if min < 0 {
 			return nil, fmt.Errorf("route: flow %s endpoints disconnected", flows[i].Name)
 		}

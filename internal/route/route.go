@@ -12,7 +12,6 @@ package route
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
@@ -125,54 +124,74 @@ func (s *Set) Validate(vcs int) error {
 // DeadlockFree checks the Dally–Seitz condition (thesis Lemma 1): the
 // channel dependences actually used by the route set, at (channel, VC)
 // granularity, must form an acyclic graph. Returns an error describing one
-// offending cycle otherwise.
+// offending cycle otherwise. A dependence whose hop lies outside the
+// topology's channels or [0, vcs) is an error too: it names no vertex.
 func (s *Set) DeadlockFree(vcs int) error {
-	type vertex struct {
-		ch topology.ChannelID
-		vc int
+	nCh := s.Topo.NumChannels()
+	n := nCh * vcs
+	// Vertex ch*vcs+vc. The used dependences in compressed rows:
+	// out-degrees, prefix sums, then a fill that leaves start[u] at the end
+	// of u's row until the final shift.
+	start := make([]int32, n+1)
+	for _, r := range s.Routes {
+		if len(r.Channels) < 2 {
+			continue // a one-hop route uses no dependence
+		}
+		for k, ch := range r.Channels {
+			if vc := r.VCs[k]; ch < 0 || int(ch) >= nCh || vc < 0 || vc >= vcs {
+				return fmt.Errorf("route: flow %s hop %d (channel %d, VC %d) is outside %d channels x %d VCs",
+					r.Flow.Name, k, ch, vc, nCh, vcs)
+			}
+		}
+		for i := 0; i+1 < len(r.Channels); i++ {
+			start[int(r.Channels[i])*vcs+r.VCs[i]+1]++
+		}
 	}
-	adj := make(map[vertex]map[vertex]bool)
+	for u := 1; u <= n; u++ {
+		start[u] += start[u-1]
+	}
+	adj := make([]int32, start[n])
+	indeg := make([]int32, n)
 	for _, r := range s.Routes {
 		for i := 0; i+1 < len(r.Channels); i++ {
-			u := vertex{r.Channels[i], r.VCs[i]}
-			v := vertex{r.Channels[i+1], r.VCs[i+1]}
-			if adj[u] == nil {
-				adj[u] = make(map[vertex]bool)
-			}
-			adj[u][v] = true
-		}
-	}
-	// Kahn's algorithm over the used-dependence graph.
-	indeg := make(map[vertex]int)
-	for u, succ := range adj {
-		if _, ok := indeg[u]; !ok {
-			indeg[u] = 0
-		}
-		for v := range succ {
+			u := int(r.Channels[i])*vcs + r.VCs[i]
+			v := int(r.Channels[i+1])*vcs + r.VCs[i+1]
+			adj[start[u]] = int32(v)
+			start[u]++
 			indeg[v]++
 		}
 	}
-	queue := make([]vertex, 0, len(indeg))
-	for v, d := range indeg {
-		if d == 0 {
-			queue = append(queue, v)
-		}
-	}
-	removed := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		removed++
-		for w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+	copy(start[1:], start[:n])
+	start[0] = 0
+	// Kahn's algorithm over the vertices some used dependence touches. A
+	// dependence used by several routes is a repeated entry, counted in
+	// indeg as often as the fill visits it, so the vertices left over are
+	// exactly those on or behind a cycle.
+	var stack []int32
+	vertices := 0
+	for u := 0; u < n; u++ {
+		if start[u+1] > start[u] || indeg[u] > 0 {
+			vertices++
+			if indeg[u] == 0 {
+				stack = append(stack, int32(u))
 			}
 		}
 	}
-	if removed != len(indeg) {
+	removed := 0
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		removed++
+		for _, v := range adj[start[u]:start[u+1]] {
+			indeg[v]--
+			if indeg[v] == 0 {
+				stack = append(stack, v)
+			}
+		}
+	}
+	if removed != vertices {
 		return fmt.Errorf("route: channel dependence cycle among %d (channel,vc) vertices: routes are not deadlock-free",
-			len(indeg)-removed)
+			vertices-removed)
 	}
 	return nil
 }
@@ -216,32 +235,48 @@ func routeFromPath(g *flowgraph.Graph, i int, p flowgraph.Path) Route {
 	return r
 }
 
+// hopScratch is the working memory of repeated minimalHops searches: a
+// per-node distance (-1 unreached, the state between searches) and the
+// queue, which afterwards lists the entries to clear.
+type hopScratch struct {
+	dist  []int32
+	queue []topology.NodeID
+}
+
 // minimalHops returns the minimal path length between a flow's endpoints,
 // measured on the actual topology via breadth-first search so it works for
-// any Topology implementation.
-func minimalHops(t topology.Topology, src, dst topology.NodeID) int {
+// any Topology implementation; -1 when dst is unreachable.
+func minimalHops(s *hopScratch, t topology.Topology, src, dst topology.NodeID) int {
 	if src == dst {
 		return 0
 	}
-	dist := make([]int, t.NumNodes())
-	for i := range dist {
-		dist[i] = math.MaxInt
+	if n := t.NumNodes(); len(s.dist) < n {
+		s.dist = make([]int32, n)
+		for i := range s.dist {
+			s.dist[i] = -1
+		}
 	}
-	dist[src] = 0
-	queue := []topology.NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	s.dist[src] = 0
+	q := append(s.queue[:0], src)
+	hops := -1
+search:
+	for h := 0; h < len(q); h++ {
+		n := q[h]
 		for _, ch := range t.OutChannels(n) {
 			next := t.Channel(ch).Dst
-			if dist[next] == math.MaxInt {
-				dist[next] = dist[n] + 1
+			if s.dist[next] < 0 {
+				s.dist[next] = s.dist[n] + 1
+				q = append(q, next)
 				if next == dst {
-					return dist[next]
+					hops = int(s.dist[next])
+					break search
 				}
-				queue = append(queue, next)
 			}
 		}
 	}
-	return -1
+	for _, n := range q {
+		s.dist[n] = -1
+	}
+	s.queue = q
+	return hops
 }
