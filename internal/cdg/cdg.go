@@ -13,6 +13,7 @@ package cdg
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/topology"
 )
@@ -41,6 +42,12 @@ type Graph struct {
 	// ascending records that every row is strictly ascending, which lets
 	// HasEdge binary-search.
 	ascending bool
+
+	// inStart/inAdj are the reverse rows in compressed form, built by the
+	// first In call: the predecessors of v are inAdj[inStart[v]:inStart[v+1]].
+	inOnce  sync.Once
+	inStart []int
+	inAdj   []VertexID
 }
 
 // NewFull builds the complete CDG of topo with vcs virtual channels per
@@ -146,6 +153,37 @@ func (g *Graph) ChannelVC(v VertexID) (topology.ChannelID, int) {
 // Out returns the successors of v. The returned slice must not be modified.
 func (g *Graph) Out(v VertexID) []VertexID { return g.out[v] }
 
+// In returns the predecessors of v in ascending order. The reverse rows
+// are built on the first call and shared by every later one, from any
+// goroutine. The returned slice must not be modified.
+func (g *Graph) In(v VertexID) []VertexID {
+	g.inOnce.Do(func() {
+		n := len(g.out)
+		start := make([]int, n+1)
+		for _, succ := range g.out {
+			for _, w := range succ {
+				start[w+1]++
+			}
+		}
+		for v := 1; v <= n; v++ {
+			start[v] += start[v-1]
+		}
+		// Fill in ascending u with start[w] as w's cursor, which leaves
+		// start[w] at the end of w's row; shifting by one restores it.
+		adj := make([]VertexID, start[n])
+		for u, succ := range g.out {
+			for _, w := range succ {
+				adj[start[w]] = VertexID(u)
+				start[w]++
+			}
+		}
+		copy(start[1:], start[:n])
+		start[0] = 0
+		g.inStart, g.inAdj = start, adj
+	})
+	return g.inAdj[g.inStart[v]:g.inStart[v+1]]
+}
+
 // HasEdge reports whether the dependence u -> v exists. It is total: ids
 // outside the graph (InvalidVertex, a vertex of a larger fabric) have no
 // edges. The cost is a search of u's row, binary when rows are ascending.
@@ -249,7 +287,7 @@ func (g *Graph) IsAcyclic() bool {
 			indeg[w]++
 		}
 	}
-	var stack []VertexID
+	stack := make([]VertexID, 0, len(g.out))
 	for v, d := range indeg {
 		if d == 0 {
 			stack = append(stack, VertexID(v))

@@ -59,12 +59,3 @@ var _ Breaker = OddEvenBreaker{}
 func ExtendedBreakers() []Breaker {
 	return append(StandardBreakers(), OddEvenBreaker{})
 }
-
-// BreakerNames lists breaker names, for debugging CDG sweeps.
-func BreakerNames(bs []Breaker) []string {
-	names := make([]string, len(bs))
-	for i, b := range bs {
-		names[i] = b.Name()
-	}
-	return names
-}

@@ -65,10 +65,9 @@ func TestExtendedBreakers(t *testing.T) {
 	if len(bs) != 16 {
 		t.Fatalf("%d extended breakers, want 16", len(bs))
 	}
-	names := BreakerNames(bs)
 	found := false
-	for _, n := range names {
-		if n == "odd-even" {
+	for _, b := range bs {
+		if b.Name() == "odd-even" {
 			found = true
 		}
 	}

@@ -115,6 +115,9 @@ func sameGraph(t *testing.T, what string, got *Graph, want, full *refGraph) {
 		if !slices.Equal(got.Out(u), want.out[u]) {
 			t.Fatalf("%s: Out(%d) = %v, want %v", what, u, got.Out(u), want.out[u])
 		}
+		if !slices.Equal(got.In(u), want.in[u]) {
+			t.Fatalf("%s: In(%d) = %v, want %v", what, u, got.In(u), want.in[u])
+		}
 		for _, v := range full.out[u] {
 			if got.HasEdge(u, v) != want.set[[2]VertexID{u, v}] {
 				t.Fatalf("%s: HasEdge(%d,%d) = %v", what, u, v, got.HasEdge(u, v))

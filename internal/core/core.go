@@ -40,9 +40,9 @@ type Config struct {
 	// route.DijkstraSelector{}; use route.MILPSelector for BSOR_MILP.
 	Selector route.Selector
 	// ChannelCapacity is the link bandwidth used for residual-capacity
-	// weights and the MILP capacity rows. Zero means 4x the largest flow
-	// demand, which puts the Dijkstra weight function in its
-	// load-sensitive regime (see DESIGN.md).
+	// Dijkstra weights (the MILP's seed route sets included). Zero means
+	// 4x the largest flow demand, which puts the Dijkstra weight function
+	// in its load-sensitive regime (see DESIGN.md).
 	ChannelCapacity float64
 }
 

@@ -1,19 +1,21 @@
 // Package flowgraph derives route-selection flow networks from acyclic
 // channel dependence graphs (thesis §3.4).
 //
-// The flow network G_A copies the acyclic CDG D_A (vertices are (channel,
-// virtual channel) pairs, edges are permitted consecutive traversals) and
-// adds one source terminal and one sink terminal per flow: the source
-// terminal connects to every vertex whose channel leaves the flow's source
-// node, and every vertex whose channel enters the flow's sink node connects
-// to the sink terminal. Any terminal-to-terminal path in G_A is therefore a
-// route that conforms to D_A, so the routes selected on G_A are deadlock
-// free by construction.
+// The flow network G_A is the acyclic CDG D_A (vertices are (channel,
+// virtual channel) pairs, edges are permitted consecutive traversals) plus
+// one source terminal and one sink terminal per flow: the source terminal
+// connects to every vertex whose channel leaves the flow's source node,
+// and every vertex whose channel enters the flow's sink node connects to
+// the sink terminal. A Graph stores none of that: it is a view of D_A, and
+// a search for flow i starts on the vertices of the source node's
+// out-channels and may stop at any vertex whose channel enters the sink
+// node. Any such path conforms to D_A, so the routes selected on G_A are
+// deadlock free by construction.
 package flowgraph
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 
 	"repro/internal/cdg"
 	"repro/internal/topology"
@@ -33,51 +35,20 @@ type Flow struct {
 	Demand float64
 }
 
-// VertexID identifies a vertex of the flow network: the CDG vertices come
-// first (same numbering as the CDG), followed by a source and a sink
-// terminal per flow.
-type VertexID int32
-
-// Graph is the flow network G_A for a flow set over an acyclic CDG.
+// Graph is the flow network G_A of a flow set over an acyclic CDG, held as
+// a view: the CDG, the flows and the one channel capacity.
 type Graph struct {
-	dag   *cdg.Graph
-	flows []Flow
-	out   [][]VertexID
-
-	// capacity per physical channel (virtual channels on one physical link
-	// share its bandwidth, so capacity and load are per channel, not per
-	// CDG vertex).
-	capacity []float64
-
-	// revStart/revAdj are the reverse adjacency in compressed rows, built
-	// lazily for sink-distance pruning during candidate enumeration.
-	// Guarded by revOnce; the graph itself is immutable after construction,
-	// so concurrent enumerations share it.
-	revOnce  sync.Once
-	revStart []int
-	revAdj   []VertexID
+	dag      *cdg.Graph
+	flows    []Flow
+	capacity float64
 }
 
 // New builds G_A from an acyclic CDG and a flow set, with a uniform channel
 // capacity. New panics if dag is cyclic (a cyclic CDG would let route
 // selection produce deadlock-prone routes) or if a flow is degenerate.
 func New(dag *cdg.Graph, flows []Flow, channelCapacity float64) *Graph {
-	caps := make([]float64, dag.Topology().NumChannels())
-	for i := range caps {
-		caps[i] = channelCapacity
-	}
-	return NewWithCapacities(dag, flows, caps)
-}
-
-// NewWithCapacities is New with an explicit per-channel capacity vector.
-func NewWithCapacities(dag *cdg.Graph, flows []Flow, capacity []float64) *Graph {
 	if !dag.IsAcyclic() {
 		panic("flowgraph: CDG must be acyclic for deadlock-free route selection")
-	}
-	topo := dag.Topology()
-	if len(capacity) != topo.NumChannels() {
-		panic(fmt.Sprintf("flowgraph: %d capacities for %d channels",
-			len(capacity), topo.NumChannels()))
 	}
 	for _, f := range flows {
 		if f.Src == f.Dst {
@@ -87,97 +58,19 @@ func NewWithCapacities(dag *cdg.Graph, flows []Flow, capacity []float64) *Graph 
 			panic(fmt.Sprintf("flowgraph: flow %s has negative demand", f.Name))
 		}
 	}
-
-	nCDG, vcs := dag.NumVertices(), dag.VCs()
-	g := &Graph{
-		dag:      dag,
-		flows:    flows,
-		out:      make([][]VertexID, nCDG+2*len(flows)),
-		capacity: capacity,
-	}
-	// All rows share one backing array. A channel vertex's row is its CDG
-	// successors followed by the sink terminal of every flow ending at the
-	// channel's destination node, so its final size is known up front.
-	sinksAt := make([]int, topo.NumNodes())
-	total := dag.NumEdges()
-	for _, f := range flows {
-		sinksAt[f.Dst]++
-		total += (len(topo.OutChannels(f.Src)) + len(topo.InChannels(f.Dst))) * vcs
-	}
-	backing := make([]VertexID, 0, total)
-	for v := 0; v < nCDG; v++ {
-		a := len(backing)
-		for _, w := range dag.Out(cdg.VertexID(v)) {
-			backing = append(backing, VertexID(w))
-		}
-		ch, _ := dag.ChannelVC(cdg.VertexID(v))
-		b := len(backing)
-		end := b + sinksAt[topo.Channel(ch).Dst]
-		g.out[v] = backing[a:b:end]
-		backing = backing[:end]
-	}
-	for i, f := range flows {
-		a := len(backing)
-		for _, ch := range topo.OutChannels(f.Src) {
-			for vc := 0; vc < vcs; vc++ {
-				backing = append(backing, VertexID(dag.Vertex(ch, vc)))
-			}
-		}
-		g.out[g.SrcTerminal(i)] = backing[a:len(backing):len(backing)]
-		snk := g.SinkTerminal(i)
-		for _, ch := range topo.InChannels(f.Dst) {
-			for vc := 0; vc < vcs; vc++ {
-				v := dag.Vertex(ch, vc)
-				g.out[v] = append(g.out[v], snk) // into the room reserved above
-			}
-		}
-	}
-	return g
+	return &Graph{dag: dag, flows: flows, capacity: channelCapacity}
 }
 
 // CDG returns the acyclic CDG the network was derived from.
 func (g *Graph) CDG() *cdg.Graph { return g.dag }
 
-// Topology returns the underlying network topology.
-func (g *Graph) Topology() topology.Topology { return g.dag.Topology() }
-
 // Flows returns the flow set. The slice must not be modified.
 func (g *Graph) Flows() []Flow { return g.flows }
 
-// NumVertices reports CDG vertices plus the two terminals per flow.
-func (g *Graph) NumVertices() int { return len(g.out) }
-
-// SrcTerminal returns the source terminal vertex for flow i.
-func (g *Graph) SrcTerminal(i int) VertexID {
-	return VertexID(g.dag.NumVertices() + 2*i)
-}
-
-// SinkTerminal returns the sink terminal vertex for flow i.
-func (g *Graph) SinkTerminal(i int) VertexID {
-	return VertexID(g.dag.NumVertices() + 2*i + 1)
-}
-
-// IsTerminal reports whether v is a flow terminal rather than a channel
-// vertex.
-func (g *Graph) IsTerminal(v VertexID) bool {
-	return int(v) >= g.dag.NumVertices()
-}
-
-// ChannelVC returns the (channel, virtual channel) of a non-terminal
-// vertex.
-func (g *Graph) ChannelVC(v VertexID) (topology.ChannelID, int) {
-	if g.IsTerminal(v) {
-		panic(fmt.Sprintf("flowgraph: vertex %d is a terminal", v))
-	}
-	return g.dag.ChannelVC(cdg.VertexID(v))
-}
-
-// Out returns the successors of v. The returned slice must not be
-// modified. Sink terminals have no successors.
-func (g *Graph) Out(v VertexID) []VertexID { return g.out[v] }
-
-// Capacity returns the bandwidth capacity of a physical channel.
-func (g *Graph) Capacity(ch topology.ChannelID) float64 { return g.capacity[ch] }
+// Capacity returns the bandwidth capacity of every physical channel
+// (virtual channels on one link share its bandwidth, so capacity and load
+// are per channel, not per CDG vertex).
+func (g *Graph) Capacity() float64 { return g.capacity }
 
 // Path is a route through G_A expressed as the CDG vertices between the
 // two terminals: Path[0]'s channel leaves the flow's source node and the
@@ -199,7 +92,7 @@ func (g *Graph) Validate(i int, p Path) error {
 	if len(p) == 0 {
 		return fmt.Errorf("flowgraph: empty path for flow %s", g.flows[i].Name)
 	}
-	topo := g.Topology()
+	topo := g.dag.Topology()
 	first, _ := g.dag.ChannelVC(p[0])
 	if topo.Channel(first).Src != g.flows[i].Src {
 		return fmt.Errorf("flowgraph: path for %s starts at %s, want %s",
@@ -221,36 +114,6 @@ func (g *Graph) Validate(i int, p Path) error {
 	return nil
 }
 
-// reverse returns the lazily built reverse adjacency of G_A in compressed
-// rows: the predecessors of v are adj[start[v]:start[v+1]], ascending.
-func (g *Graph) reverse() (start []int, adj []VertexID) {
-	g.revOnce.Do(func() {
-		n := len(g.out)
-		start := make([]int, n+1)
-		for _, succ := range g.out {
-			for _, w := range succ {
-				start[w+1]++
-			}
-		}
-		for v := 1; v <= n; v++ {
-			start[v] += start[v-1]
-		}
-		// Fill in ascending v with start[w] as w's cursor, which leaves
-		// start[w] at the end of w's row; shifting by one restores it.
-		adj := make([]VertexID, start[n])
-		for v, succ := range g.out {
-			for _, w := range succ {
-				adj[start[w]] = VertexID(v)
-				start[w]++
-			}
-		}
-		copy(start[1:], start[:n])
-		start[0] = 0
-		g.revStart, g.revAdj = start, adj
-	})
-	return g.revStart, g.revAdj
-}
-
 // next is one channel successor of an enumeration step with the virtual
 // channels reachable on it.
 type next struct {
@@ -264,11 +127,11 @@ type next struct {
 // zero, so a call clears only what it touched.
 type enumScratch struct {
 	// dist[v] is the number of channel vertices a path must still cross
-	// after CDG vertex v to reach the current flow's sink (-1: never);
+	// after CDG vertex v to reach the current flow's sink node (-1: never);
 	// queue is the breadth-first search that filled it, and afterwards the
 	// list of entries to clear.
 	dist  []int32
-	queue []VertexID
+	queue []cdg.VertexID
 	// acc[ch] accumulates the VC mask of channel ch during one expansion;
 	// touched lists the channels it made non-zero, in first-seen order.
 	acc     []uint32
@@ -287,33 +150,32 @@ type enumScratch struct {
 
 type frame struct{ lo, at int }
 
-// sinkDist fills s.dist for flow i: a breadth-first search from the sink
-// terminal over the reverse adjacency, through channel vertices only.
+// sinkDist fills s.dist for flow i: a breadth-first search over the CDG's
+// reverse rows, seeded from the vertices of the sink node's in-channels.
 func (s *enumScratch) sinkDist(g *Graph, i int) {
-	start, adj := g.reverse()
-	if n := g.dag.NumVertices(); len(s.dist) < n {
+	dag := g.dag
+	if n := dag.NumVertices(); len(s.dist) < n {
 		s.dist = make([]int32, n)
 		for v := range s.dist {
 			s.dist[v] = -1
 		}
 	}
 	d := s.dist
-	snk := g.SinkTerminal(i)
 	q := s.queue[:0]
-	for _, v := range adj[start[snk]:start[snk+1]] {
-		if d[v] < 0 {
+	for _, ch := range dag.Topology().InChannels(g.flows[i].Dst) {
+		for vc := 0; vc < dag.VCs(); vc++ {
+			v := dag.Vertex(ch, vc)
 			d[v] = 0
 			q = append(q, v)
 		}
 	}
 	for h := 0; h < len(q); h++ {
 		v := q[h]
-		for _, u := range adj[start[v]:start[v+1]] {
-			if g.IsTerminal(u) || d[u] >= 0 {
-				continue
+		for _, u := range dag.In(v) {
+			if d[u] < 0 {
+				d[u] = d[v] + 1
+				q = append(q, u)
 			}
-			d[u] = d[v] + 1
-			q = append(q, u)
 		}
 	}
 	s.queue = q
@@ -372,13 +234,14 @@ func (g *Graph) EnumeratePathsDedup(i int, maxHops, maxPaths int) []Path {
 // holding them, nothing else.
 func (g *Graph) enumerate(s *enumScratch, i int, maxHops, maxPaths int) []Path {
 	dag := g.dag
+	topo := dag.Topology()
 	nVCs := dag.VCs()
-	snk := g.SinkTerminal(i)
+	flow := g.flows[i]
 	if nVCs > 32 {
 		panic("flowgraph: EnumeratePathsDedup supports at most 32 virtual channels")
 	}
 	s.sinkDist(g, i)
-	if n := g.Topology().NumChannels(); len(s.acc) < n {
+	if n := topo.NumChannels(); len(s.acc) < n {
 		s.acc = make([]uint32, n)
 	}
 
@@ -402,52 +265,27 @@ func (g *Graph) enumerate(s *enumScratch, i int, maxHops, maxPaths int) []Path {
 		return out, best
 	}
 
-	// expand pushes the channel successors of (ch, mask) as a new row and
-	// reports whether the sequence may terminate here (some live VC feeds
-	// the sink terminal).
-	expand := func(ch topology.ChannelID, mask uint32) (done bool) {
+	// expand pushes the channel successors of (ch, mask) as a new row.
+	expand := func(ch topology.ChannelID, mask uint32) {
 		for vc := 0; vc < nVCs; vc++ {
-			if mask&(1<<vc) == 0 {
-				continue
-			}
-			for _, w := range g.out[dag.Vertex(ch, vc)] {
-				if g.IsTerminal(w) {
-					if w == snk {
-						done = true
-					}
-					continue
+			if mask&(1<<vc) != 0 {
+				for _, w := range dag.Out(dag.Vertex(ch, vc)) {
+					s.add(dag.ChannelVC(w))
 				}
-				s.add(dag.ChannelVC(cdg.VertexID(w)))
 			}
 		}
 		s.flush()
-		return done
 	}
 
 	// reconstruct turns the completed channel sequence plus its per-hop VC
 	// masks into one concrete CDG path (lowest feasible VC at each hop,
-	// chosen backwards from the sink).
+	// chosen backwards from the sink; every VC of the last channel enters
+	// the sink node).
 	reconstruct := func() Path {
 		chs, masks := s.chs, s.masks
 		n := len(chs)
 		p := make(Path, n)
-		last := -1
-		for vc := 0; vc < nVCs; vc++ {
-			if masks[n-1]&(1<<vc) == 0 {
-				continue
-			}
-			v := VertexID(dag.Vertex(chs[n-1], vc))
-			for _, w := range g.out[v] {
-				if w == snk {
-					last = vc
-					break
-				}
-			}
-			if last >= 0 {
-				break
-			}
-		}
-		p[n-1] = dag.Vertex(chs[n-1], last)
+		p[n-1] = dag.Vertex(chs[n-1], bits.TrailingZeros32(masks[n-1]))
 		for k := n - 2; k >= 0; k-- {
 			for vc := 0; vc < nVCs; vc++ {
 				if masks[k]&(1<<vc) == 0 {
@@ -462,12 +300,12 @@ func (g *Graph) enumerate(s *enumScratch, i int, maxHops, maxPaths int) []Path {
 		return p
 	}
 
-	// The root frame's row is the distinct first channels reachable from
-	// the source terminal. Each later frame is one channel of the current
+	// The root frame's row is the distinct first channels: those leaving
+	// the source node. Each later frame is one channel of the current
 	// sequence, entered in depth-first preorder.
-	for _, w := range g.out[g.SrcTerminal(i)] {
-		if !g.IsTerminal(w) {
-			s.add(dag.ChannelVC(cdg.VertexID(w)))
+	for _, ch := range topo.OutChannels(flow.Src) {
+		for vc := 0; vc < nVCs; vc++ {
+			s.add(ch, vc)
 		}
 	}
 	s.flush()
@@ -496,9 +334,9 @@ func (g *Graph) enumerate(s *enumScratch, i int, maxHops, maxPaths int) []Path {
 		s.chs = append(s.chs, nx.ch)
 		s.masks = append(s.masks, live)
 		lo := len(s.nexts)
-		done := expand(nx.ch, live)
+		expand(nx.ch, live)
 		s.frames = append(s.frames, frame{lo, lo})
-		if done {
+		if topo.Channel(nx.ch).Dst == flow.Dst {
 			s.paths = append(s.paths, reconstruct())
 			if maxPaths > 0 && len(s.paths) >= maxPaths {
 				break

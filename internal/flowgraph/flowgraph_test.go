@@ -2,6 +2,7 @@ package flowgraph
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cdg"
@@ -35,6 +36,10 @@ func TestNewRejectsDegenerateFlow(t *testing.T) {
 	New(dag, []Flow{{ID: 0, Name: "bad", Src: 3, Dst: 3, Demand: 1}}, 1000)
 }
 
+// TestTerminalWiring: flow 0's paths leave its source node on both of the
+// node's out-channels and reach its sink node on both of the node's
+// in-channels — the edges of G_A's two terminals — and the reference's
+// stored terminals are wired to exactly those vertices.
 func TestTerminalWiring(t *testing.T) {
 	dag := mesh3x3DAG(t, 1)
 	m := dag.Topology().(*topology.Mesh)
@@ -43,50 +48,58 @@ func TestTerminalWiring(t *testing.T) {
 		{ID: 1, Name: "f1", Src: m.NodeAt(2, 0), Dst: m.NodeAt(0, 2), Demand: 5},
 	}
 	g := New(dag, flows, 1000)
-	if g.NumVertices() != dag.NumVertices()+4 {
-		t.Fatalf("vertices = %d, want %d", g.NumVertices(), dag.NumVertices()+4)
+	first, last := map[topology.ChannelID]bool{}, map[topology.ChannelID]bool{}
+	for _, p := range g.EnumeratePathsDedup(0, 0, 0) {
+		chs := g.Channels(p)
+		first[chs[0]], last[chs[len(chs)-1]] = true, true
 	}
-	// Source terminal of flow 0 must reach exactly the out-channels of (0,0):
-	// east and north, one VC each.
-	src := g.SrcTerminal(0)
-	if got := len(g.Out(src)); got != 2 {
-		t.Errorf("src terminal out-degree = %d, want 2", got)
+	if len(first) != len(m.OutChannels(flows[0].Src)) || len(last) != len(m.InChannels(flows[0].Dst)) {
+		t.Errorf("paths leave on %d and arrive on %d channels, want %d and %d",
+			len(first), len(last), len(m.OutChannels(flows[0].Src)), len(m.InChannels(flows[0].Dst)))
 	}
-	for _, v := range g.Out(src) {
-		ch, _ := g.ChannelVC(v)
+
+	ga := newTerminalNetwork(g)
+	if len(ga.out) != dag.NumVertices()+4 {
+		t.Fatalf("vertices = %d, want %d", len(ga.out), dag.NumVertices()+4)
+	}
+	for _, v := range ga.out[ga.src(0)] {
+		ch, _ := dag.ChannelVC(v)
 		if m.Channel(ch).Src != flows[0].Src {
 			t.Errorf("source terminal wired to channel not leaving the source")
 		}
 	}
-	// Sink terminal of flow 0 has no successors; channels entering (2,2)
-	// must have an edge to it.
-	snk := g.SinkTerminal(0)
-	if len(g.Out(snk)) != 0 {
+	if len(ga.out[ga.sink(0)]) != 0 {
 		t.Error("sink terminal has successors")
 	}
 	inEdges := 0
-	for _, ch := range m.InChannels(flows[0].Dst) {
-		v := VertexID(dag.Vertex(ch, 0))
-		for _, w := range g.Out(v) {
-			if w == snk {
-				inEdges++
+	for v, row := range ga.out {
+		if slices.Contains(row, ga.sink(0)) {
+			ch, _ := dag.ChannelVC(cdg.VertexID(v))
+			if m.Channel(ch).Dst != flows[0].Dst {
+				t.Errorf("sink terminal wired from a channel not entering the sink")
 			}
+			inEdges++
 		}
 	}
 	if inEdges != len(m.InChannels(flows[0].Dst)) {
-		t.Errorf("sink wired from %d channels, want %d",
-			inEdges, len(m.InChannels(flows[0].Dst)))
+		t.Errorf("sink wired from %d channels, want %d", inEdges, len(m.InChannels(flows[0].Dst)))
 	}
 }
 
+// TestTerminalWiringMultiVC: the source terminal's row holds every VC of
+// every out-channel, in OutChannels x VC order — the order the searches
+// start in.
 func TestTerminalWiringMultiVC(t *testing.T) {
 	dag := mesh3x3DAG(t, 2)
 	m := dag.Topology().(*topology.Mesh)
 	flows := []Flow{{ID: 0, Name: "f0", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 2), Demand: 1}}
-	g := New(dag, flows, 1000)
-	// 2 out-channels x 2 VCs.
-	if got := len(g.Out(g.SrcTerminal(0))); got != 4 {
-		t.Errorf("src terminal out-degree = %d, want 4", got)
+	ga := newTerminalNetwork(New(dag, flows, 1000))
+	var want []cdg.VertexID
+	for _, ch := range m.OutChannels(flows[0].Src) {
+		want = append(want, dag.Vertex(ch, 0), dag.Vertex(ch, 1))
+	}
+	if got := ga.out[ga.src(0)]; len(got) != 4 || !slices.Equal(got, want) {
+		t.Errorf("src terminal row = %v, want %v (2 out-channels x 2 VCs)", got, want)
 	}
 }
 
@@ -200,19 +213,29 @@ func TestValidateRejectsBadPaths(t *testing.T) {
 }
 
 func TestCapacities(t *testing.T) {
-	dag := mesh3x3DAG(t, 1)
-	g := New(dag, nil, 1234)
-	for ch := topology.ChannelID(0); ch < topology.ChannelID(g.Topology().NumChannels()); ch++ {
-		if g.Capacity(ch) != 1234 {
-			t.Fatalf("capacity of %d = %g", ch, g.Capacity(ch))
+	if got := New(mesh3x3DAG(t, 1), nil, 1234).Capacity(); got != 1234 {
+		t.Fatalf("capacity = %g, want 1234", got)
+	}
+}
+
+// TestNewAllocatesOnlyTheView pins New's memory: the acyclicity check's
+// two arrays and the Graph itself, however large the CDG and the flow set.
+func TestNewAllocatesOnlyTheView(t *testing.T) {
+	for _, tc := range []struct {
+		w, vcs, flows int
+	}{{3, 1, 2}, {8, 2, 16}, {16, 4, 64}} {
+		m := topology.NewMesh(tc.w, tc.w)
+		dag := cdg.TurnBreaker{Rule: cdg.WestFirst}.Break(cdg.NewFull(m, tc.vcs))
+		flows := make([]Flow, tc.flows)
+		for i := range flows {
+			flows[i] = Flow{ID: i, Name: "f", Src: topology.NodeID(i % m.NumNodes()),
+				Dst: topology.NodeID((i + 1) % m.NumNodes()), Demand: 1}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { New(dag, flows, 1) }); allocs != 3 {
+			t.Errorf("mesh%dx%d vcs %d, %d flows: New made %v allocations, want 3",
+				tc.w, tc.w, tc.vcs, tc.flows, allocs)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong capacity vector length accepted")
-		}
-	}()
-	NewWithCapacities(dag, nil, []float64{1})
 }
 
 func TestChannelsProjection(t *testing.T) {

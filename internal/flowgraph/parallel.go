@@ -46,7 +46,6 @@ func (g *Graph) EnumerateAllContext(ctx context.Context, budgets []int, maxPaths
 		}
 		return out, nil
 	}
-	g.reverse() // build the shared reverse adjacency before fanning out
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

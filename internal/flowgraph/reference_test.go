@@ -12,23 +12,61 @@ import (
 	"repro/internal/topology"
 )
 
-// referenceEnumerate is the map-based channel-space enumerator the
-// production one replaced: a recursive DFS that builds a fresh sink
-// distance array, a successor map per expansion and a sorted slice per
-// node. It defines the paths, and their order, that enumerate must return.
-func referenceEnumerate(g *Graph, i int, maxHops, maxPaths int) []Path {
-	rev := make([][]VertexID, len(g.out))
-	for v, succ := range g.out {
-		for _, w := range succ {
-			rev[w] = append(rev[w], VertexID(v))
+// terminalNetwork is G_A with its terminals stored, as the flow network
+// once held it: a copy of every CDG row, each followed by the sink
+// terminal of every flow that ends at the row channel's destination node,
+// then a source and a sink terminal row per flow, numbered after the CDG
+// vertices. Only the references walk it.
+type terminalNetwork struct {
+	nCDG int
+	out  [][]cdg.VertexID
+}
+
+func newTerminalNetwork(g *Graph) *terminalNetwork {
+	dag, topo := g.dag, g.dag.Topology()
+	t := &terminalNetwork{nCDG: dag.NumVertices(), out: make([][]cdg.VertexID, dag.NumVertices()+2*len(g.flows))}
+	for v := range t.nCDG {
+		t.out[v] = slices.Clone(dag.Out(cdg.VertexID(v)))
+	}
+	for i, f := range g.flows {
+		for _, ch := range topo.OutChannels(f.Src) {
+			for vc := range dag.VCs() {
+				t.out[t.src(i)] = append(t.out[t.src(i)], dag.Vertex(ch, vc))
+			}
+		}
+		for _, ch := range topo.InChannels(f.Dst) {
+			for vc := range dag.VCs() {
+				v := dag.Vertex(ch, vc)
+				t.out[v] = append(t.out[v], t.sink(i))
+			}
 		}
 	}
-	dist := make([]int32, len(g.out))
+	return t
+}
+
+func (t *terminalNetwork) src(i int) cdg.VertexID         { return cdg.VertexID(t.nCDG + 2*i) }
+func (t *terminalNetwork) sink(i int) cdg.VertexID        { return cdg.VertexID(t.nCDG + 2*i + 1) }
+func (t *terminalNetwork) isTerminal(v cdg.VertexID) bool { return int(v) >= t.nCDG }
+
+// referenceEnumerate is the map-based channel-space enumerator the
+// production one replaced: a recursive DFS over G_A with its terminals
+// stored that builds a fresh sink distance array, a successor map per
+// expansion and a sorted slice per node. It defines the paths, and their
+// order, that enumerate must return.
+func referenceEnumerate(g *Graph, i int, maxHops, maxPaths int) []Path {
+	ga := newTerminalNetwork(g)
+	rev := make([][]cdg.VertexID, len(ga.out))
+	for v, succ := range ga.out {
+		for _, w := range succ {
+			rev[w] = append(rev[w], cdg.VertexID(v))
+		}
+	}
+	dist := make([]int32, len(ga.out))
 	for j := range dist {
 		dist[j] = -1
 	}
-	snk := g.SinkTerminal(i)
-	var queue []VertexID
+	snk := ga.sink(i)
+	var queue []cdg.VertexID
 	for _, v := range rev[snk] {
 		if dist[v] < 0 {
 			dist[v] = 0
@@ -39,7 +77,7 @@ func referenceEnumerate(g *Graph, i int, maxHops, maxPaths int) []Path {
 		v := queue[0]
 		queue = queue[1:]
 		for _, u := range rev[v] {
-			if g.IsTerminal(u) || dist[u] >= 0 {
+			if ga.isTerminal(u) || dist[u] >= 0 {
 				continue
 			}
 			dist[u] = dist[v] + 1
@@ -80,15 +118,15 @@ func referenceEnumerate(g *Graph, i int, maxHops, maxPaths int) []Path {
 			if mask&(1<<vc) == 0 {
 				continue
 			}
-			v := VertexID(dag.Vertex(ch, vc))
-			for _, w := range g.out[v] {
-				if g.IsTerminal(w) {
+			v := dag.Vertex(ch, vc)
+			for _, w := range ga.out[v] {
+				if ga.isTerminal(w) {
 					if w == snk {
 						done = true
 					}
 					continue
 				}
-				ch2, vc2 := dag.ChannelVC(cdg.VertexID(w))
+				ch2, vc2 := dag.ChannelVC(w)
 				acc[ch2] |= 1 << vc2
 			}
 		}
@@ -102,8 +140,8 @@ func referenceEnumerate(g *Graph, i int, maxHops, maxPaths int) []Path {
 			if masks[n-1]&(1<<vc) == 0 {
 				continue
 			}
-			v := VertexID(dag.Vertex(chs[n-1], vc))
-			for _, w := range g.out[v] {
+			v := dag.Vertex(chs[n-1], vc)
+			for _, w := range ga.out[v] {
 				if w == snk {
 					last = vc
 					break
@@ -163,11 +201,11 @@ func referenceEnumerate(g *Graph, i int, maxHops, maxPaths int) []Path {
 		return true
 	}
 	acc := make(map[topology.ChannelID]uint32)
-	for _, w := range g.out[g.SrcTerminal(i)] {
-		if g.IsTerminal(w) {
+	for _, w := range ga.out[ga.src(i)] {
+		if ga.isTerminal(w) {
 			continue
 		}
-		ch, vc := dag.ChannelVC(cdg.VertexID(w))
+		ch, vc := dag.ChannelVC(w)
 		acc[ch] |= 1 << vc
 	}
 	for _, f := range sortedNexts(acc) {

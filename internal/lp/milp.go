@@ -13,8 +13,6 @@ type MILPOptions struct {
 	// heuristic on large instances by limiting its effort. Zero means the
 	// default of 50000.
 	MaxNodes int
-	// IntTol is the integrality tolerance; zero means 1e-6.
-	IntTol float64
 	// Gap prunes nodes whose LP bound is within Gap (absolute) of the
 	// incumbent, accepting near-optimal answers faster. Zero means exact.
 	Gap float64
@@ -33,11 +31,12 @@ func (o MILPOptions) withDefaults() MILPOptions {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 50000
 	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
 	return o
 }
+
+// intTol is the integrality tolerance: a value within it of an integer
+// counts as integral.
+const intTol = 1e-6
 
 type bbNode struct {
 	lb, ub []float64
@@ -124,7 +123,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 	var point []float64
 	if len(opts.WarmStart) == len(p.vars) {
 		point = opts.WarmStart
-		if x, obj, ok := p.checkFeasible(opts.WarmStart, opts.IntTol); ok {
+		if x, obj, ok := p.checkFeasible(opts.WarmStart, intTol); ok {
 			best = &Solution{Status: Feasible, Objective: obj, X: x}
 			bestObj = sign * obj
 		}
@@ -167,7 +166,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 		}
 
 		// Find the most fractional integer variable.
-		branch, fracDist := -1, opts.IntTol
+		branch, fracDist := -1, intTol
 		for _, j := range intVars {
 			f := sol.X[j] - math.Floor(sol.X[j])
 			d := math.Min(f, 1-f)

@@ -126,27 +126,6 @@ func TestVarNameAndCounts(t *testing.T) {
 	}
 }
 
-func TestIntTolLoose(t *testing.T) {
-	// With a very loose integrality tolerance the relaxation itself is
-	// accepted as "integral".
-	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddInt("x", 0, 10, 1)
-	p.AddConstraint([]Term{{x, 2}}, LE, 9)
-	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{IntTol: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The relaxation optimum 4.5 rounds to 4 or 5 via the incumbent
-	// rounding path; either way status is Optimal and value integral.
-	if sol.Status != Optimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if f := sol.Value(x) - math.Round(sol.Value(x)); math.Abs(f) > 1e-9 {
-		t.Errorf("rounded value not integral: %g", sol.Value(x))
-	}
-}
-
 func BenchmarkSimplexMedium(b *testing.B) {
 	// A 60-row, 120-column random feasible LP.
 	rng := rand.New(rand.NewSource(7))

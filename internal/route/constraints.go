@@ -49,19 +49,34 @@ func (u unitDemand) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set
 // shortestPathGABounded is shortestPathGA with a hard hop budget: the
 // search state is (vertex, hops used), so the cheapest path with at most
 // maxHops channels is found. Setting maxHops to the flow's minimal hop
-// count forces a minimal route (latency-critical flows, §7.2).
+// count forces a minimal route (latency-critical flows, §7.2). The sink
+// state keeps the hop count it is entered with, so there is one per count.
 func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHops int,
-	vertexWeight func(v flowgraph.VertexID) float64) (flowgraph.Path, error) {
+	vertexWeight func(v cdg.VertexID) float64) (flowgraph.Path, error) {
 
+	dag := g.CDG()
+	topo := dag.Topology()
+	f := g.Flows()[i]
+	snk := cdg.VertexID(dag.NumVertices())
 	idx := func(st hopState) int { return int(st.v)*(maxHops+1) + st.hops }
-	s.reset(g.NumVertices() * (maxHops + 1))
+	s.reset((int(snk) + 1) * (maxHops + 1))
 	dist, prev := s.dist, s.prev
-	src, snk := g.SrcTerminal(i), g.SinkTerminal(i)
-	start := hopState{src, 0}
-	s.reach(idx(start), 0, -1)
 	pq := &s.boundedHeap
 	pq.items = pq.items[:0]
-	pq.push(start, 0)
+	relax := func(next hopState, d float64, from int) {
+		if nk := idx(next); d < dist[nk] {
+			s.reach(nk, d, from)
+			pq.push(next, d)
+		}
+	}
+	if maxHops > 0 {
+		for _, ch := range topo.OutChannels(f.Src) {
+			for vc := 0; vc < dag.VCs(); vc++ {
+				w := dag.Vertex(ch, vc)
+				relax(hopState{w, 1}, vertexWeight(w), -1)
+			}
+		}
+	}
 	var goal = -1
 	for len(pq.items) > 0 {
 		it := pq.pop()
@@ -73,37 +88,23 @@ func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHop
 			goal = k
 			break
 		}
-		for _, w := range g.Out(it.st.v) {
-			if g.IsTerminal(w) && w != snk {
-				continue
+		if it.st.hops < maxHops {
+			for _, w := range dag.Out(it.st.v) {
+				relax(hopState{w, it.st.hops + 1}, it.d+vertexWeight(w), k)
 			}
-			next := it.st
-			var edgeW float64
-			if w != snk {
-				next = hopState{w, it.st.hops + 1}
-				if next.hops > maxHops {
-					continue
-				}
-				edgeW = vertexWeight(w)
-			} else {
-				next = hopState{w, it.st.hops}
-			}
-			nk := idx(next)
-			if nd := it.d + edgeW; nd < dist[nk] {
-				s.reach(nk, nd, k)
-				pq.push(next, nd)
-			}
+		}
+		if ch, _ := dag.ChannelVC(it.st.v); topo.Channel(ch).Dst == f.Dst {
+			relax(hopState{snk, it.st.hops}, it.d, k)
 		}
 	}
 	if goal < 0 {
-		f := g.Flows()[i]
 		return nil, &NoPathError{Flow: f.Name,
-			Src:    g.Topology().NodeName(f.Src),
-			Dst:    g.Topology().NodeName(f.Dst),
+			Src:    topo.NodeName(f.Src),
+			Dst:    topo.NodeName(f.Dst),
 			Budget: maxHops}
 	}
 	n := 0
-	for k := int(prev[goal]); k >= 0 && flowgraph.VertexID(k/(maxHops+1)) != src; k = int(prev[k]) {
+	for k := int(prev[goal]); k >= 0; k = int(prev[k]) {
 		n++
 	}
 	p := make(flowgraph.Path, n)
@@ -116,6 +117,6 @@ func shortestPathGABounded(s *dijkstraScratch, g *flowgraph.Graph, i int, maxHop
 
 // hopState is a (vertex, hops-used) search state of the bounded Dijkstra.
 type hopState struct {
-	v    flowgraph.VertexID
+	v    cdg.VertexID
 	hops int
 }

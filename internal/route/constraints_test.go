@@ -143,7 +143,7 @@ func TestBoundedShortestPathMatchesUnbounded(t *testing.T) {
 	g := flowgraph.New(dag, flows, 100)
 	// With a generous budget the bounded search must find a path of the
 	// same cost as the unbounded one.
-	weight := func(v flowgraph.VertexID) float64 { return 1 }
+	weight := func(v cdg.VertexID) float64 { return 1 }
 	// One scratch serves both searches, as it does inside a selector.
 	var scratch dijkstraScratch
 	a, err := shortestPathGA(&scratch, g, 0, weight)
@@ -169,7 +169,7 @@ func TestSearchAllocatesOnlyItsPath(t *testing.T) {
 	}
 	dag := cdg.TurnBreaker{Rule: cdg.WestFirst}.Break(cdg.NewFull(m, 2))
 	g := flowgraph.New(dag, flows, 100)
-	weight := func(v flowgraph.VertexID) float64 { return 1 + float64(v%7)/8 }
+	weight := func(v cdg.VertexID) float64 { return 1 + float64(v%7)/8 }
 	var scratch dijkstraScratch
 	for _, tc := range []struct {
 		name   string

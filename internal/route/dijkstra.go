@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
-	"repro/internal/topology"
 )
 
 // FlowOrder selects the order in which the sequential Dijkstra selector
@@ -32,11 +31,9 @@ const (
 // a virtual channel are lightly penalized to spread flows across VCs.
 type DijkstraSelector struct {
 	// M keeps weights positive and trades load balance against path
-	// length; zero means the channel capacity of the flow network.
+	// length; zero means the channel capacity of the flow network. Each
+	// flow already occupying a (channel, VC) adds 1/(M*1e4) to its weight.
 	M float64
-	// VCBias is the extra weight per flow already occupying a (channel,
-	// VC); zero means a small default derived from M.
-	VCBias float64
 	// Order is the flow routing order.
 	Order FlowOrder
 	// Perturb, when non-nil, is added to every edge weight evaluation; the
@@ -62,11 +59,19 @@ func (d DijkstraSelector) Select(g *flowgraph.Graph) (*Set, error) {
 // routed flow.
 func (d DijkstraSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()
-	residual := make([]float64, g.Topology().NumChannels())
+	dag := g.CDG()
+	residual := make([]float64, dag.Topology().NumChannels())
 	for ch := range residual {
-		residual[ch] = g.Capacity(topology.ChannelID(ch))
+		residual[ch] = g.Capacity()
 	}
-	vcUse := make([]int, g.CDG().NumVertices())
+	vcUse := make([]int, dag.NumVertices())
+	m := d.M
+	if m == 0 {
+		// Comparable to the maximum link bandwidth, per the thesis.
+		if m = g.Capacity(); m <= 0 {
+			m = 1
+		}
+	}
 
 	order := make([]int, len(flows))
 	for i := range order {
@@ -84,53 +89,39 @@ func (d DijkstraSelector) SelectContext(ctx context.Context, g *flowgraph.Graph)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := d.shortestPath(&scratch, g, i, residual, vcUse)
+		p, err := d.shortestPath(&scratch, g, i, m, residual, vcUse)
 		if err != nil {
 			return nil, err
 		}
 		routes[i] = routeFromPath(g, i, p)
 		for _, v := range p {
-			ch, _ := g.CDG().ChannelVC(v)
+			ch, _ := dag.ChannelVC(v)
 			residual[ch] -= flows[i].Demand
 			vcUse[v]++
 		}
 	}
-	return &Set{Topo: g.Topology(), Routes: routes}, nil
+	return &Set{Topo: dag.Topology(), Routes: routes}, nil
 }
 
-// shortestPath builds the residual-capacity weight function of §3.6 and
-// delegates to the generic G_A Dijkstra.
+// shortestPath builds the residual-capacity weight function of §3.6 for
+// the resolved M and delegates to the generic G_A Dijkstra.
 func (d DijkstraSelector) shortestPath(s *dijkstraScratch, g *flowgraph.Graph, i int,
-	residual []float64, vcUse []int) (flowgraph.Path, error) {
+	m float64, residual []float64, vcUse []int) (flowgraph.Path, error) {
 
-	m := d.M
-	if m == 0 {
-		// Comparable to the maximum link bandwidth, per the thesis.
-		for ch := 0; ch < g.Topology().NumChannels(); ch++ {
-			if c := g.Capacity(topology.ChannelID(ch)); c > m {
-				m = c
-			}
-		}
-		if m == 0 {
-			m = 1
-		}
-	}
-	vcBias := d.VCBias
-	if vcBias == 0 {
-		vcBias = 1 / (m * 1e4)
-	}
+	dag := g.CDG()
+	vcBias := 1 / (m * 1e4)
 	demand := g.Flows()[i].Demand
 
 	// weight of entering a channel vertex v.
-	vertexWeight := func(v flowgraph.VertexID) float64 {
-		ch, _ := g.ChannelVC(v)
+	vertexWeight := func(v cdg.VertexID) float64 {
+		ch, _ := dag.ChannelVC(v)
 		denom := residual[ch] - demand + m
 		if denom < 1e-9 {
 			denom = 1e-9 // demands far beyond M; effectively infinite weight
 		}
 		w := 1/denom + vcBias*float64(vcUse[v])
 		if d.Perturb != nil {
-			w += d.Perturb(cdg.VertexID(v))
+			w += d.Perturb(v)
 		}
 		return w
 	}
@@ -151,7 +142,7 @@ type dijkstraScratch struct {
 	done    []bool
 	touched []int32
 	// The priority queues' backing arrays, kept between searches.
-	heap        minHeap[flowgraph.VertexID]
+	heap        minHeap[cdg.VertexID]
 	boundedHeap minHeap[hopState]
 }
 
@@ -177,21 +168,39 @@ func (s *dijkstraScratch) reach(k int, d float64, from int) {
 	s.dist[k], s.prev[k] = d, int32(from)
 }
 
-// shortestPathGA runs Dijkstra from flow i's source terminal to its sink
-// terminal over G_A. The weight of an edge is the weight of the channel
-// vertex it enters (edges into the sink terminal weigh zero), matching the
-// thesis' convention that capacities live on links, which are vertices of
-// G_A.
+// shortestPathGA runs Dijkstra over flow i's view of G_A. The states are
+// the CDG vertices plus one sink state numbered after them. The search
+// starts on the vertices of the source node's out-channels, and the sink
+// state is entered at no cost from any vertex whose channel enters the sink
+// node. The weight of an edge is the weight of the channel vertex it
+// enters, matching the thesis' convention that capacities live on links,
+// which are vertices of G_A. Start vertices are pushed in OutChannels x VC
+// order, and a vertex's sink edge is relaxed after its CDG successors:
+// where G_A's terminals sat in its rows, so every tie breaks as it would on
+// G_A with its terminals stored.
 func shortestPathGA(s *dijkstraScratch, g *flowgraph.Graph, i int,
-	vertexWeight func(v flowgraph.VertexID) float64) (flowgraph.Path, error) {
+	vertexWeight func(v cdg.VertexID) float64) (flowgraph.Path, error) {
 
-	s.reset(g.NumVertices())
+	dag := g.CDG()
+	topo := dag.Topology()
+	f := g.Flows()[i]
+	snk := cdg.VertexID(dag.NumVertices())
+	s.reset(int(snk) + 1)
 	dist, prev, done := s.dist, s.prev, s.done
-	src, snk := g.SrcTerminal(i), g.SinkTerminal(i)
-	s.reach(int(src), 0, -1)
 	pq := &s.heap
 	pq.items = pq.items[:0]
-	pq.push(src, 0)
+	relax := func(w cdg.VertexID, d float64, from int) {
+		if d < dist[w] {
+			s.reach(int(w), d, from)
+			pq.push(w, d)
+		}
+	}
+	for _, ch := range topo.OutChannels(f.Src) {
+		for vc := 0; vc < dag.VCs(); vc++ {
+			w := dag.Vertex(ch, vc)
+			relax(w, vertexWeight(w), -1)
+		}
+	}
 	for len(pq.items) > 0 {
 		it := pq.pop()
 		if done[it.st] {
@@ -201,29 +210,19 @@ func shortestPathGA(s *dijkstraScratch, g *flowgraph.Graph, i int,
 			break
 		}
 		done[it.st] = true
-		for _, w := range g.Out(it.st) {
-			if g.IsTerminal(w) && w != snk {
-				continue // another flow's terminal
-			}
-			var edgeW float64
-			if w != snk {
-				edgeW = vertexWeight(w)
-			}
-			nd := it.d + edgeW
-			if nd < dist[w] {
-				s.reach(int(w), nd, int(it.st))
-				pq.push(w, nd)
-			}
+		for _, w := range dag.Out(it.st) {
+			relax(w, it.d+vertexWeight(w), int(it.st))
+		}
+		if ch, _ := dag.ChannelVC(it.st); topo.Channel(ch).Dst == f.Dst {
+			relax(snk, it.d, int(it.st))
 		}
 	}
 	if math.IsInf(dist[snk], 1) {
-		f := g.Flows()[i]
-		return nil, &NoPathError{Flow: f.Name,
-			Src: g.Topology().NodeName(f.Src), Dst: g.Topology().NodeName(f.Dst)}
+		return nil, &NoPathError{Flow: f.Name, Src: topo.NodeName(f.Src), Dst: topo.NodeName(f.Dst)}
 	}
 	// Count the channels, then fill the path back to front.
 	n := 0
-	for v := prev[snk]; v != int32(src) && v != -1; v = prev[v] {
+	for v := prev[snk]; v != -1; v = prev[v] {
 		n++
 	}
 	p := make(flowgraph.Path, n)

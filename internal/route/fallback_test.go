@@ -96,7 +96,7 @@ func TestFallbackSelectorFallsBackAndCertifies(t *testing.T) {
 	if fastest > 5*time.Millisecond {
 		t.Fatalf("fastest fallback took %v; the selector waits between primary and fallback", fastest)
 	}
-	in := certify.Instance{Topo: g.Topology(), CDG: dag, Routes: set, VCs: 2, Capacity: 16}
+	in := certify.Instance{Topo: g.CDG().Topology(), CDG: dag, Routes: set, VCs: 2, Capacity: 16}
 	cert, err := certify.Certify(in)
 	if err != nil {
 		t.Fatalf("fallback set failed certification: %v", err)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/cdg"
 	"repro/internal/flowgraph"
 	"repro/internal/metrics"
 )
@@ -53,7 +54,7 @@ func (h BSORHeuristic) Select(g *flowgraph.Graph) (*Set, error) {
 func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()
 	if len(flows) == 0 {
-		return &Set{Topo: g.Topology()}, nil
+		return &Set{Topo: g.CDG().Topology()}, nil
 	}
 	maxPaths := h.MaxPathsPerFlow
 	if maxPaths == 0 {
@@ -74,7 +75,7 @@ func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 			// detours past the hop budget; fall back to the flow's
 			// fewest-hop path in the CDG so the selector stays total, like
 			// the budget-free Dijkstra selector.
-			p, err := shortestPathGA(&scratch, g, i, func(flowgraph.VertexID) float64 { return 1 })
+			p, err := shortestPathGA(&scratch, g, i, func(cdg.VertexID) float64 { return 1 })
 			if err != nil {
 				return nil, noPathError(g, i, budgets[i])
 			}
@@ -99,7 +100,7 @@ func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	})
 
 	dag := g.CDG()
-	loads := make([]float64, g.Topology().NumChannels())
+	loads := make([]float64, dag.Topology().NumChannels())
 	routes := make([]Route, len(flows))
 	for _, i := range order {
 		if err := ctx.Err(); err != nil {
@@ -127,5 +128,5 @@ func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 			loads[ch] += demand
 		}
 	}
-	return &Set{Topo: g.Topology(), Routes: routes}, nil
+	return &Set{Topo: dag.Topology(), Routes: routes}, nil
 }

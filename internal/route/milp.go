@@ -87,7 +87,7 @@ func hopBudgets(g *flowgraph.Graph, slack int, overrides map[int]int) ([]int, er
 	budgets := make([]int, len(flows))
 	var s hopScratch
 	for i, f := range flows {
-		min := minimalHops(&s, g.Topology(), f.Src, f.Dst)
+		min := minimalHops(&s, g.CDG().Topology(), f.Src, f.Dst)
 		if min < 0 {
 			return nil, fmt.Errorf("route: flow %s endpoints are disconnected", f.Name)
 		}
@@ -101,11 +101,8 @@ func hopBudgets(g *flowgraph.Graph, slack int, overrides map[int]int) ([]int, er
 
 // noPathError reports an empty candidate set for flow i.
 func noPathError(g *flowgraph.Graph, i, budget int) error {
-	f := g.Flows()[i]
-	return &NoPathError{Flow: f.Name,
-		Src:    g.Topology().NodeName(f.Src),
-		Dst:    g.Topology().NodeName(f.Dst),
-		Budget: budget}
+	f, topo := g.Flows()[i], g.CDG().Topology()
+	return &NoPathError{Flow: f.Name, Src: topo.NodeName(f.Src), Dst: topo.NodeName(f.Dst), Budget: budget}
 }
 
 // Select implements Selector.
@@ -147,7 +144,7 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	flows := g.Flows()
 	ms = ms.withDefaults()
 	if len(flows) == 0 {
-		return &Set{Topo: g.Topology()}, nil
+		return &Set{Topo: g.CDG().Topology()}, nil
 	}
 
 	budgets, err := hopBudgets(g, ms.HopSlack, ms.HopSlackOverride)
@@ -213,7 +210,7 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 	// Under the hop budget any one pooled candidate per flow is a route
 	// set, so the master always has a start.
 	if start == nil {
-		start = &Set{Topo: g.Topology(), Routes: make([]Route, len(flows))}
+		start = &Set{Topo: g.CDG().Topology(), Routes: make([]Route, len(flows))}
 		for i := range flows {
 			start.Routes[i] = routeFromPath(g, i, pl.paths[i][0])
 		}
@@ -290,7 +287,7 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, start *Set
 	// Per channel: its load terms, the last flow and the last path (an lp
 	// var) whose candidates touched it, and whether two flows did.
 	dag := g.CDG()
-	nCh := g.Topology().NumChannels()
+	nCh := dag.Topology().NumChannels()
 	chTerms := make([][]lp.Term, nCh)
 	chFlow := make([]int, nCh)
 	chPath := make([]int, nCh)
@@ -372,5 +369,5 @@ func (ms MILPSelector) solveRestricted(ctx context.Context, pl *pool, start *Set
 			return nil, fmt.Errorf("route: MILP left flow %s unrouted", flows[i].Name)
 		}
 	}
-	return &Set{Topo: g.Topology(), Routes: routes}, nil
+	return &Set{Topo: dag.Topology(), Routes: routes}, nil
 }

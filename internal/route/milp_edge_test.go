@@ -62,19 +62,19 @@ type EdgeMILPResult struct {
 // CPLEX); use MILPSelector for large ones.
 func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptions) (*EdgeMILPResult, error) {
 	flows := g.Flows()
-	topo := g.Topology()
+	dag := g.CDG()
+	topo := dag.Topology()
 	p := lp.NewProblem()
 
-	type edge struct{ u, v flowgraph.VertexID }
+	type edge struct{ u, v cdg.VertexID }
 	// Edges usable by flow i: all CDG edges plus flow i's own terminal
-	// edges.
+	// edges. Each flow's terminals are numbered after the CDG vertices.
 	var cdgEdges []edge
-	nCDG := g.CDG().NumVertices()
+	nCDG := dag.NumVertices()
+	src, snk := cdg.VertexID(nCDG), cdg.VertexID(nCDG+1)
 	for u := 0; u < nCDG; u++ {
-		for _, v := range g.Out(flowgraph.VertexID(u)) {
-			if !g.IsTerminal(v) {
-				cdgEdges = append(cdgEdges, edge{flowgraph.VertexID(u), v})
-			}
+		for _, v := range dag.Out(cdg.VertexID(u)) {
+			cdgEdges = append(cdgEdges, edge{cdg.VertexID(u), v})
 		}
 	}
 
@@ -85,14 +85,14 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 
 	for i, f := range flows {
 		edgesOf[i] = append([]edge(nil), cdgEdges...)
-		src, snk := g.SrcTerminal(i), g.SinkTerminal(i)
-		for _, v := range g.Out(src) {
-			edgesOf[i] = append(edgesOf[i], edge{src, v})
+		for _, ch := range topo.OutChannels(f.Src) {
+			for vc := 0; vc < dag.VCs(); vc++ {
+				edgesOf[i] = append(edgesOf[i], edge{src, dag.Vertex(ch, vc)})
+			}
 		}
 		for _, ch := range topo.InChannels(f.Dst) {
-			for vc := 0; vc < g.CDG().VCs(); vc++ {
-				v := flowgraph.VertexID(g.CDG().Vertex(ch, vc))
-				edgesOf[i] = append(edgesOf[i], edge{v, snk})
+			for vc := 0; vc < dag.VCs(); vc++ {
+				edgesOf[i] = append(edgesOf[i], edge{dag.Vertex(ch, vc), snk})
 			}
 		}
 		fVar[i] = make(map[edge]int, len(edgesOf[i]))
@@ -112,15 +112,14 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 	// Flow conservation (thesis: at every vertex except a flow's own
 	// terminals), source emission = g_i, sink absorption = g_i.
 	for i := range flows {
-		src, snk := g.SrcTerminal(i), g.SinkTerminal(i)
-		inOf := make(map[flowgraph.VertexID][]edge)
-		outOf := make(map[flowgraph.VertexID][]edge)
+		inOf := make(map[cdg.VertexID][]edge)
+		outOf := make(map[cdg.VertexID][]edge)
 		for _, e := range edgesOf[i] {
 			outOf[e.u] = append(outOf[e.u], e)
 			inOf[e.v] = append(inOf[e.v], e)
 		}
 		for v := 0; v < nCDG; v++ {
-			w := flowgraph.VertexID(v)
+			w := cdg.VertexID(v)
 			if len(inOf[w]) == 0 && len(outOf[w]) == 0 {
 				continue
 			}
@@ -178,10 +177,10 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 	loadTerms := make(map[topology.ChannelID][]lp.Term)
 	for i := range flows {
 		for _, e := range edgesOf[i] {
-			if g.IsTerminal(e.v) {
-				continue
+			if e.v >= src {
+				continue // a terminal
 			}
-			ch, _ := g.ChannelVC(e.v)
+			ch, _ := dag.ChannelVC(e.v)
 			loadTerms[ch] = append(loadTerms[ch], lp.Term{Var: fVar[i][e], Coef: 1})
 		}
 	}
@@ -207,7 +206,7 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 			p.SetCost(gVar[i], 1)
 		}
 		for _, ch := range loadChans {
-			p.AddConstraint(loadTerms[ch], lp.LE, g.Capacity(ch))
+			p.AddConstraint(loadTerms[ch], lp.LE, g.Capacity())
 		}
 	case MaxMinFraction:
 		p.SetMaximize(true)
@@ -219,7 +218,7 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 			}, lp.GE, 0)
 		}
 		for _, ch := range loadChans {
-			p.AddConstraint(loadTerms[ch], lp.LE, g.Capacity(ch))
+			p.AddConstraint(loadTerms[ch], lp.LE, g.Capacity())
 		}
 	}
 
@@ -249,9 +248,9 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 		// Walk the chosen path from the source terminal following
 		// positive-flow edges.
 		var path flowgraph.Path
-		at := g.SrcTerminal(i)
-		for at != g.SinkTerminal(i) {
-			next := flowgraph.VertexID(-1)
+		at := src
+		for at != snk {
+			next := cdg.VertexID(-1)
 			for _, e := range edgesOf[i] {
 				if e.u == at && sol.Value(fVar[i][e]) > 1e-6 {
 					next = e.v
@@ -261,8 +260,8 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 			if next < 0 {
 				return nil, fmt.Errorf("route: flow %s path extraction stuck at vertex %d", f.Name, at)
 			}
-			if !g.IsTerminal(next) {
-				path = append(path, cdg.VertexID(next))
+			if next < src {
+				path = append(path, next)
 			}
 			at = next
 			if len(path) > topo.NumChannels() {

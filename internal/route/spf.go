@@ -60,7 +60,7 @@ func (s ShortestPath) RoutesContext(ctx context.Context, t topology.Topology, fl
 	}
 	g := flowgraph.New(dag, flows, 1)
 	routes := make([]Route, len(flows))
-	unit := func(flowgraph.VertexID) float64 { return 1 }
+	unit := func(cdg.VertexID) float64 { return 1 }
 	var scratch dijkstraScratch
 	for i := range flows {
 		if err := ctx.Err(); err != nil {
