@@ -26,9 +26,10 @@ type VertexID int32
 const InvalidVertex VertexID = -1
 
 // Graph is a channel dependence graph over a topology with a fixed number
-// of virtual channels per physical channel. It is immutable once its
-// constructor (NewFull, Filter, WithEdge or a Breaker) returns, and safe
-// to share between goroutines.
+// of virtual channels per physical channel. Its edges are immutable once
+// its constructor (NewFull, Filter, WithEdge or a Breaker) returns, the
+// reverse rows are built once under a sync.Once, and it is safe to share
+// between goroutines.
 type Graph struct {
 	topo topology.Topology
 	vcs  int

@@ -312,8 +312,9 @@ func TestAdHocBreakerDigest(t *testing.T) {
 }
 
 // TestSharedGraphConcurrentUse: a built graph is read from many goroutines
-// while breakers derive new graphs from it. Run under -race: nothing may
-// write to a graph after its constructor returned.
+// while breakers derive new graphs from it. Run under -race: nothing but
+// the once-only build of the reverse rows may write to a graph after its
+// constructor returned, and the readers race to trigger that build.
 func TestSharedGraphConcurrentUse(t *testing.T) {
 	full := NewFull(topology.NewMesh(6, 6), 2)
 	dag := TurnBreaker{Rule: NorthLast}.Break(full)
@@ -334,6 +335,9 @@ func TestSharedGraphConcurrentUse(t *testing.T) {
 				for _, v := range full.Out(u) {
 					if dag.HasEdge(u, v) != slices.Contains(dag.Out(u), v) {
 						t.Errorf("HasEdge(%d,%d) disagrees with Out", u, v)
+					}
+					if dag.HasEdge(u, v) != slices.Contains(dag.In(v), u) {
+						t.Errorf("In(%d) disagrees with HasEdge(%d,%d)", v, u, v)
 					}
 				}
 			}

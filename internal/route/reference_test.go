@@ -17,7 +17,8 @@ import (
 // once held it: a copy of every CDG row, each followed by the sink
 // terminal of every flow that ends at the row channel's destination node,
 // then a source and a sink terminal row per flow, numbered after the CDG
-// vertices. Only the reference searches walk it.
+// vertices. Only the reference searches walk it; its methods are the ones
+// the flow network had, so the references read as they were written.
 type terminalNetwork struct {
 	g    *flowgraph.Graph
 	nCDG int
