@@ -78,19 +78,13 @@ func (rs *RouteSet) Heatmap() string {
 	return ""
 }
 
-// channelName labels a channel using the topology's own naming when it
-// has one.
+// channelName labels a channel "src->dst" with node names.
 func channelName(t topology.Topology, ch topology.ChannelID) string {
 	if ch == topology.InvalidChannel {
 		return "-"
 	}
-	if n, ok := t.(interface {
-		ChannelName(topology.ChannelID) string
-	}); ok {
-		return n.ChannelName(ch)
-	}
 	c := t.Channel(ch)
-	return fmt.Sprintf("%s->%s", t.NodeName(c.Src), t.NodeName(c.Dst))
+	return t.NodeName(c.Src) + "->" + t.NodeName(c.Dst)
 }
 
 // Exploration is the outcome of route selection under one acyclic CDG:

@@ -364,16 +364,6 @@ func topoLabel(t topology.Topology) string {
 	if n, ok := t.(interface{ Name() string }); ok {
 		return n.Name()
 	}
-	kind := "grid"
-	switch t.(type) {
-	case *topology.Mesh:
-		kind = "mesh"
-	case *topology.Torus:
-		kind = "torus"
-	}
-	if g, ok := t.(topology.Grid); ok {
-		return fmt.Sprintf("%s%dx%d", kind, g.Width(), g.Height())
-	}
 	return fmt.Sprintf("%dnodes", t.NumNodes())
 }
 

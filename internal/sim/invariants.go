@@ -129,9 +129,7 @@ func (s *Simulator) checkInvariants() error {
 	}
 
 	// Full scan over every buffer, iterating nodes and their input
-	// channels through the CSR index (the path the pre-refactor hot loop
-	// took every cycle, now demoted to a debug check).
-	ix := topology.InIndexOf(s.mesh)
+	// channels.
 	var totalFlits int64
 	scan := func(bi int32, node topology.NodeID) error {
 		b, o := &s.bufs[bi], &s.occ[bi]
@@ -186,9 +184,8 @@ func (s *Simulator) checkInvariants() error {
 		return nil
 	}
 	for n := 0; n < nn; n++ {
-		lo, hi := ix.Range(topology.NodeID(n))
-		for i := lo; i < hi; i++ {
-			base := int32(ix.At(i)) * s.nVCs
+		for _, ch := range s.mesh.InChannels(topology.NodeID(n)) {
+			base := int32(ch) * s.nVCs
 			for vc := int32(0); vc < s.nVCs; vc++ {
 				if err := scan(base+vc, topology.NodeID(n)); err != nil {
 					return fmt.Errorf("cycle %d: %w", s.cycle, err)

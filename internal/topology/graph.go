@@ -16,8 +16,9 @@ const DirNone Direction = -1
 // directed channels. It is the topology substrate for the irregular
 // fabrics the BSOR pipeline is formulated for but the grid types cannot
 // express — rings, full meshes, folded-Clos fabrics, and fault-degraded
-// grids — and implements the same Topology (and InIndexer) contract the
-// CDG, route-selection, and simulator layers consume.
+// grids — and implements the same Topology contract the CDG,
+// route-selection, and simulator layers consume. Mesh and Torus are
+// coordinate views over one.
 //
 // Build one with a Builder, or with the NewRing / NewFullMesh /
 // NewFoldedClos / Faulted constructors.
@@ -27,7 +28,6 @@ type Graph struct {
 	channels  []Channel
 	out       [][]ChannelID
 	in        [][]ChannelID
-	inIdx     InIndex
 }
 
 // Builder assembles a Graph from named nodes and directed channels.
@@ -100,7 +100,6 @@ func (b *Builder) Build() (*Graph, error) {
 		g.out[c.Src] = append(g.out[c.Src], c.ID)
 		g.in[c.Dst] = append(g.in[c.Dst], c.ID)
 	}
-	g.inIdx = BuildInIndex(g)
 	if err := Validate(g); err != nil {
 		return nil, err
 	}
@@ -154,11 +153,6 @@ func (g *Graph) ChannelName(id ChannelID) string {
 	c := g.channels[id]
 	return g.NodeName(c.Src) + "->" + g.NodeName(c.Dst)
 }
-
-// InIndex returns the precomputed CSR index of input channels by
-// destination node, so the simulator's hot loops avoid per-visit interface
-// calls (see InIndexOf).
-func (g *Graph) InIndex() InIndex { return g.inIdx }
 
 // NewRing builds a bidirectional ring of n >= 3 nodes: node i links to
 // (i+1) mod n in both directions.

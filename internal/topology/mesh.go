@@ -4,17 +4,9 @@ import "fmt"
 
 // Mesh is a two-dimensional mesh: Width x Height nodes, with a pair of
 // directed channels between every two adjacent nodes. Node (x, y) has id
-// y*Width + x; (0, 0) is the south-west corner.
-type Mesh struct {
-	width, height int
-
-	channels []Channel
-	// chanAt[node][dir] is the channel leaving node in direction dir.
-	chanAt [][numDirections]ChannelID
-	out    [][]ChannelID
-	in     [][]ChannelID
-	inIdx  InIndex
-}
+// y*Width + x; (0, 0) is the south-west corner. It is a Graph named
+// mesh{W}x{H} with coordinates.
+type Mesh struct{ grid }
 
 // NewMesh constructs a Width x Height mesh. Both dimensions must be at
 // least 1; a mesh with a dimension of 1 degenerates to a line.
@@ -22,130 +14,5 @@ func NewMesh(width, height int) *Mesh {
 	if width < 1 || height < 1 {
 		panic(fmt.Sprintf("topology: invalid mesh %dx%d", width, height))
 	}
-	m := &Mesh{width: width, height: height}
-	n := width * height
-	m.chanAt = make([][numDirections]ChannelID, n)
-	m.out = make([][]ChannelID, n)
-	m.in = make([][]ChannelID, n)
-	for i := range m.chanAt {
-		for d := range m.chanAt[i] {
-			m.chanAt[i][d] = InvalidChannel
-		}
-	}
-	add := func(src NodeID, dir Direction) {
-		dst := m.Neighbor(src, dir)
-		if dst == InvalidNode {
-			return
-		}
-		id := ChannelID(len(m.channels))
-		m.channels = append(m.channels, Channel{ID: id, Src: src, Dst: dst, Dir: dir})
-		m.chanAt[src][dir] = id
-		m.out[src] = append(m.out[src], id)
-		m.in[dst] = append(m.in[dst], id)
-	}
-	for node := NodeID(0); node < NodeID(n); node++ {
-		for dir := East; dir < numDirections; dir++ {
-			add(node, dir)
-		}
-	}
-	m.inIdx = BuildInIndex(m)
-	return m
-}
-
-// InIndex returns the precomputed CSR index of input channels by
-// destination node.
-func (m *Mesh) InIndex() InIndex { return m.inIdx }
-
-// Width reports the X dimension of the mesh.
-func (m *Mesh) Width() int { return m.width }
-
-// Height reports the Y dimension of the mesh.
-func (m *Mesh) Height() int { return m.height }
-
-// NumNodes implements Topology.
-func (m *Mesh) NumNodes() int { return m.width * m.height }
-
-// NumChannels implements Topology.
-func (m *Mesh) NumChannels() int { return len(m.channels) }
-
-// Channel implements Topology.
-func (m *Mesh) Channel(id ChannelID) Channel { return m.channels[id] }
-
-// NodeAt returns the id of the node at (x, y).
-func (m *Mesh) NodeAt(x, y int) NodeID {
-	if x < 0 || x >= m.width || y < 0 || y >= m.height {
-		return InvalidNode
-	}
-	return NodeID(y*m.width + x)
-}
-
-// XY returns the coordinates of node n.
-func (m *Mesh) XY(n NodeID) (x, y int) {
-	return int(n) % m.width, int(n) / m.width
-}
-
-// Neighbor returns the node adjacent to n in direction dir, or InvalidNode
-// at a mesh boundary.
-func (m *Mesh) Neighbor(n NodeID, dir Direction) NodeID {
-	x, y := m.XY(n)
-	switch dir {
-	case East:
-		x++
-	case West:
-		x--
-	case North:
-		y++
-	case South:
-		y--
-	}
-	return m.NodeAt(x, y)
-}
-
-// ChannelAt returns the channel leaving n in direction dir, or
-// InvalidChannel at a mesh boundary.
-func (m *Mesh) ChannelAt(n NodeID, dir Direction) ChannelID {
-	return m.chanAt[n][dir]
-}
-
-// ChannelFromTo implements Topology.
-func (m *Mesh) ChannelFromTo(src, dst NodeID) ChannelID {
-	for dir := East; dir < numDirections; dir++ {
-		if m.Neighbor(src, dir) == dst {
-			return m.chanAt[src][dir]
-		}
-	}
-	return InvalidChannel
-}
-
-// OutChannels implements Topology.
-func (m *Mesh) OutChannels(n NodeID) []ChannelID { return m.out[n] }
-
-// InChannels implements Topology.
-func (m *Mesh) InChannels(n NodeID) []ChannelID { return m.in[n] }
-
-// NodeName implements Topology; nodes are named "(x,y)".
-func (m *Mesh) NodeName(n NodeID) string {
-	x, y := m.XY(n)
-	return fmt.Sprintf("(%d,%d)", x, y)
-}
-
-// ChannelName names a channel "(x,y)->(x',y')".
-func (m *Mesh) ChannelName(id ChannelID) string {
-	c := m.channels[id]
-	return m.NodeName(c.Src) + "->" + m.NodeName(c.Dst)
-}
-
-// MinimalHops returns the Manhattan distance between two nodes, which is
-// the minimal path length in hops.
-func (m *Mesh) MinimalHops(a, b NodeID) int {
-	ax, ay := m.XY(a)
-	bx, by := m.XY(b)
-	return abs(ax-bx) + abs(ay-by)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return &Mesh{newGrid("mesh", width, height, false)}
 }

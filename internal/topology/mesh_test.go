@@ -208,3 +208,18 @@ func TestMinimalHopsMetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A grid is a Graph named after its kind and shape, whose channels are
+// labelled by the coordinates of their ends.
+func TestGridNames(t *testing.T) {
+	m, tr := NewMesh(5, 3), NewTorus(4, 2)
+	if m.Name() != "mesh5x3" || tr.Name() != "torus4x2" {
+		t.Errorf("names %q, %q; want mesh5x3, torus4x2", m.Name(), tr.Name())
+	}
+	if got := m.ChannelName(m.ChannelAt(m.NodeAt(4, 2), South)); got != "(4,2)->(4,1)" {
+		t.Errorf("mesh channel label %q", got)
+	}
+	if got := tr.ChannelName(tr.ChannelAt(tr.NodeAt(3, 0), East)); got != "(3,0)->(0,0)" {
+		t.Errorf("torus wrap channel label %q", got)
+	}
+}

@@ -13,8 +13,8 @@ import "fmt"
 // renumbering anything.
 //
 // The overlay is for synthesis-side use (CDG construction, route
-// selection, certification). It deliberately does not implement InIndexer;
-// the simulator keeps the base topology and tracks dead channels itself.
+// selection, certification); the simulator keeps the base topology and
+// tracks dead channels itself.
 //
 // Not safe for concurrent mutation; Disable must not race with readers.
 // The intended discipline is the churn supervisor's: mutate at a cycle

@@ -8,16 +8,7 @@ import "fmt"
 // selection works unchanged, with deadlock freedom restored by the
 // dateline cycle-breaking strategy in the cdg package (wraparound rings
 // introduce turn-free channel cycles that no turn model alone can break).
-type Torus struct {
-	width, height int
-
-	channels []Channel
-	chanAt   [][numDirections]ChannelID
-	out      [][]ChannelID
-	in       [][]ChannelID
-	wrap     []bool // per channel: crosses the dateline
-	inIdx    InIndex
-}
+type Torus struct{ grid }
 
 // NewTorus constructs a Width x Height torus. Both dimensions must be at
 // least 2. Below 3 a channel's reverse coincides with its wraparound, so a
@@ -28,92 +19,19 @@ func NewTorus(width, height int) *Torus {
 	if width < 2 || height < 2 {
 		panic(fmt.Sprintf("topology: invalid torus %dx%d (min 2x2)", width, height))
 	}
-	t := &Torus{width: width, height: height}
-	n := width * height
-	t.chanAt = make([][numDirections]ChannelID, n)
-	t.out = make([][]ChannelID, n)
-	t.in = make([][]ChannelID, n)
-	for node := NodeID(0); node < NodeID(n); node++ {
-		for dir := East; dir < numDirections; dir++ {
-			dst := t.Neighbor(node, dir)
-			id := ChannelID(len(t.channels))
-			t.channels = append(t.channels, Channel{ID: id, Src: node, Dst: dst, Dir: dir})
-			t.chanAt[node][dir] = id
-			t.out[node] = append(t.out[node], id)
-			t.in[dst] = append(t.in[dst], id)
-			// The dateline sits between the last and first row/column.
-			x, y := t.XY(node)
-			wrap := (dir == East && x == width-1) || (dir == West && x == 0) ||
-				(dir == North && y == height-1) || (dir == South && y == 0)
-			t.wrap = append(t.wrap, wrap)
-		}
-	}
-	t.inIdx = BuildInIndex(t)
-	return t
+	return &Torus{newGrid("torus", width, height, true)}
 }
-
-// InIndex returns the precomputed CSR index of input channels by
-// destination node.
-func (t *Torus) InIndex() InIndex { return t.inIdx }
-
-// Width reports the X dimension.
-func (t *Torus) Width() int { return t.width }
-
-// Height reports the Y dimension.
-func (t *Torus) Height() int { return t.height }
-
-// NumNodes implements Topology.
-func (t *Torus) NumNodes() int { return t.width * t.height }
-
-// NumChannels implements Topology.
-func (t *Torus) NumChannels() int { return len(t.channels) }
-
-// Channel implements Topology.
-func (t *Torus) Channel(id ChannelID) Channel { return t.channels[id] }
-
-// NodeAt returns the node at (x, y), taken modulo the torus dimensions.
-func (t *Torus) NodeAt(x, y int) NodeID {
-	x = ((x % t.width) + t.width) % t.width
-	y = ((y % t.height) + t.height) % t.height
-	return NodeID(y*t.width + x)
-}
-
-// XY returns the coordinates of node n.
-func (t *Torus) XY(n NodeID) (x, y int) {
-	return int(n) % t.width, int(n) / t.width
-}
-
-// Neighbor returns the adjacent node in direction dir (always valid on a
-// torus).
-func (t *Torus) Neighbor(n NodeID, dir Direction) NodeID {
-	x, y := t.XY(n)
-	switch dir {
-	case East:
-		x++
-	case West:
-		x--
-	case North:
-		y++
-	case South:
-		y--
-	}
-	return t.NodeAt(x, y)
-}
-
-// ChannelAt returns the channel leaving n in direction dir.
-func (t *Torus) ChannelAt(n NodeID, dir Direction) ChannelID { return t.chanAt[n][dir] }
 
 // ChannelFromTo implements Topology. On a 2-wide dimension two parallel
 // channels join the same node pair (one wrapping); the non-wrapping one
 // is preferred.
 func (t *Torus) ChannelFromTo(src, dst NodeID) ChannelID {
 	found := InvalidChannel
-	for dir := East; dir < numDirections; dir++ {
-		id := t.chanAt[src][dir]
+	for _, id := range t.out[src] {
 		if t.channels[id].Dst != dst {
 			continue
 		}
-		if !t.wrap[id] {
+		if !t.Wraparound(id) {
 			return id
 		}
 		found = id
@@ -121,33 +39,18 @@ func (t *Torus) ChannelFromTo(src, dst NodeID) ChannelID {
 	return found
 }
 
-// OutChannels implements Topology.
-func (t *Torus) OutChannels(n NodeID) []ChannelID { return t.out[n] }
-
-// InChannels implements Topology.
-func (t *Torus) InChannels(n NodeID) []ChannelID { return t.in[n] }
-
-// NodeName implements Topology.
-func (t *Torus) NodeName(n NodeID) string {
-	x, y := t.XY(n)
-	return fmt.Sprintf("(%d,%d)", x, y)
-}
-
 // Wraparound reports whether a channel crosses the dateline of its
-// dimension.
-func (t *Torus) Wraparound(id ChannelID) bool { return t.wrap[id] }
-
-// MinimalHops returns the modular Manhattan distance.
-func (t *Torus) MinimalHops(a, b NodeID) int {
-	ax, ay := t.XY(a)
-	bx, by := t.XY(b)
-	dx := abs(ax - bx)
-	if t.width-dx < dx {
-		dx = t.width - dx
+// dimension, which sits between the last and first row or column.
+func (t *Torus) Wraparound(id ChannelID) bool {
+	c := t.channels[id]
+	x, y := t.XY(c.Src)
+	switch c.Dir {
+	case East:
+		return x == t.width-1
+	case West:
+		return x == 0
+	case North:
+		return y == t.height-1
 	}
-	dy := abs(ay - by)
-	if t.height-dy < dy {
-		dy = t.height - dy
-	}
-	return dx + dy
+	return y == 0 // South
 }
