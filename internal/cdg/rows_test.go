@@ -159,7 +159,7 @@ func TestRowsMatchReference(t *testing.T) {
 		topo     topology.Topology
 		breakers func(vcs int) []Breaker
 	}
-	meshBreakers := func(int) []Breaker { return ExtendedBreakers() }
+	meshBreakers := func(int) []Breaker { return StandardBreakers() }
 	none := func(int) []Breaker { return nil }
 	instances := map[string]instance{
 		"mesh4x4": {topology.NewMesh(4, 4), meshBreakers},
