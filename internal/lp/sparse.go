@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/metrics"
 )
@@ -812,7 +813,7 @@ func (s *sparseSolver) restoreAndPolish() (*Solution, *basisState, error) {
 // stays dual feasible after a bound change, so typically only a handful of
 // pivots are needed.
 func (s *sparseSolver) warmSolve(warm *basisState) (*Solution, *basisState, error) {
-	reuse := s.luOK && intsEqual(s.basis, warm.basis) && floatsEqual(s.artSign, warm.artSign)
+	reuse := s.luOK && slices.Equal(s.basis, warm.basis) && slices.Equal(s.artSign, warm.artSign)
 	copy(s.basis, warm.basis)
 	copy(s.stat, warm.stat)
 	copy(s.artSign, warm.artSign)
@@ -1046,28 +1047,4 @@ func noise(j int) float64 {
 	const phi = 0.618033988749895
 	f := float64(j+1) * phi
 	return f - math.Floor(f)
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
