@@ -90,7 +90,8 @@ func TestEngineKeepsInfeasibleTable(t *testing.T) {
 // table or a simulation — are one artifact key and one synthesis.
 func TestEngineOneArtifactPerSpelling(t *testing.T) {
 	ctx := context.Background()
-	e := NewEngine(WithWorkers(2))
+	m := NewMetrics()
+	e := NewEngine(WithMetrics(m), WithWorkers(2))
 	sparse := Spec{Topo: Torus(4, 4), Workload: "transpose"}
 	spelled, err := sparse.Canonical()
 	if err != nil {
@@ -118,8 +119,8 @@ func TestEngineOneArtifactPerSpelling(t *testing.T) {
 				results[0].MCL, results[0].Breaker, rs.MCL(), rs.Breaker())
 		}
 	}
-	if n := e.runner.SynthesisCount(); n != 1 {
-		t.Errorf("%d syntheses for one spec in two spellings, want 1", n)
+	if n := m.Snapshot()["engine_synth_cache_misses_total"]; n != 1 {
+		t.Errorf("%g syntheses for one spec in two spellings, want 1", n)
 	}
 }
 

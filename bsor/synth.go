@@ -31,7 +31,7 @@ func (rs *RouteSet) MCL() float64 { return rs.art.MCL }
 // Bottleneck names the channel carrying the maximum load.
 func (rs *RouteSet) Bottleneck() string {
 	_, ch := rs.art.Set.MCL()
-	return channelName(rs.art.Topo, ch)
+	return topology.ChannelName(rs.art.Topo, ch)
 }
 
 // AvgHops returns the mean route length across flows.
@@ -62,7 +62,7 @@ func (rs *RouteSet) Routes() []RouteInfo {
 		}}
 		for k, ch := range r.Channels {
 			info.Hops = append(info.Hops,
-				fmt.Sprintf("%s/vc%d", channelName(topo, ch), r.VCs[k]))
+				fmt.Sprintf("%s/vc%d", topology.ChannelName(topo, ch), r.VCs[k]))
 		}
 		out[i] = info
 	}
@@ -76,15 +76,6 @@ func (rs *RouteSet) Heatmap() string {
 		return viz.LoadHeatmap(m, rs.art.Set.Loads())
 	}
 	return ""
-}
-
-// channelName labels a channel "src->dst" with node names.
-func channelName(t topology.Topology, ch topology.ChannelID) string {
-	if ch == topology.InvalidChannel {
-		return "-"
-	}
-	c := t.Channel(ch)
-	return t.NodeName(c.Src) + "->" + t.NodeName(c.Dst)
 }
 
 // Exploration is the outcome of route selection under one acyclic CDG:

@@ -22,9 +22,6 @@ import (
 // Vertices are numbered densely: vertex = channel*VCs + vc.
 type VertexID int32
 
-// InvalidVertex is returned by lookups with no answer.
-const InvalidVertex VertexID = -1
-
 // Graph is a channel dependence graph over a topology with a fixed number
 // of virtual channels per physical channel. Its edges are immutable once
 // its constructor (NewFull, Filter, WithEdge or a Breaker) returns, the
@@ -186,7 +183,7 @@ func (g *Graph) In(v VertexID) []VertexID {
 }
 
 // HasEdge reports whether the dependence u -> v exists. It is total: ids
-// outside the graph (InvalidVertex, a vertex of a larger fabric) have no
+// outside the graph (negative, or a vertex of a larger fabric) have no
 // edges. The cost is a search of u's row, binary when rows are ascending.
 func (g *Graph) HasEdge(u, v VertexID) bool {
 	if u < 0 || int(u) >= len(g.out) {
@@ -244,43 +241,8 @@ func (g *Graph) WithEdge(u, v VertexID) *Graph {
 	return ng
 }
 
-// TopoOrder returns a topological ordering of the vertices and true if the
-// graph is acyclic, or nil and false otherwise (Kahn's algorithm).
-func (g *Graph) TopoOrder() ([]VertexID, bool) {
-	n := g.NumVertices()
-	indeg := make([]int, n)
-	for _, succ := range g.out {
-		for _, w := range succ {
-			indeg[w]++
-		}
-	}
-	queue := make([]VertexID, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, VertexID(v))
-		}
-	}
-	order := make([]VertexID, 0, n)
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		order = append(order, v)
-		for _, w := range g.out[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, false
-	}
-	return order, true
-}
-
 // IsAcyclic reports whether the graph has no directed cycle: Kahn's
-// algorithm as in TopoOrder, counting the vertices it removes instead of
-// recording their order.
+// algorithm, counting the vertices it removes.
 func (g *Graph) IsAcyclic() bool {
 	indeg := make([]int32, len(g.out))
 	for _, succ := range g.out {
@@ -307,56 +269,6 @@ func (g *Graph) IsAcyclic() bool {
 		}
 	}
 	return removed == len(g.out)
-}
-
-// FindCycle returns one directed cycle as a vertex sequence (first element
-// repeated at the end), or nil if the graph is acyclic. Intended for
-// diagnostics when validating externally supplied route sets.
-func (g *Graph) FindCycle() []VertexID {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]byte, g.NumVertices())
-	parent := make([]VertexID, g.NumVertices())
-	for i := range parent {
-		parent[i] = InvalidVertex
-	}
-	var cycle []VertexID
-	var dfs func(v VertexID) bool
-	dfs = func(v VertexID) bool {
-		color[v] = gray
-		for _, w := range g.out[v] {
-			if color[w] == gray {
-				// Found a back edge v -> w: reconstruct the cycle.
-				cycle = []VertexID{w}
-				for x := v; x != w; x = parent[x] {
-					cycle = append(cycle, x)
-				}
-				// Reverse to cycle order and close the loop.
-				for i, j := 1, len(cycle)-1; i < j; i, j = i+1, j-1 {
-					cycle[i], cycle[j] = cycle[j], cycle[i]
-				}
-				cycle = append(cycle, w)
-				return true
-			}
-			if color[w] == white {
-				parent[w] = v
-				if dfs(w) {
-					return true
-				}
-			}
-		}
-		color[v] = black
-		return false
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if color[v] == white && dfs(VertexID(v)) {
-			return cycle
-		}
-	}
-	return nil
 }
 
 // reachScratch is the working memory of repeated reachable queries. It

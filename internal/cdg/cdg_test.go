@@ -70,11 +70,11 @@ func TestNo180DegreeTurns(t *testing.T) {
 			chu, chv := m.Channel(cu), m.Channel(cv)
 			if chu.Src == chv.Dst && chu.Dst == chv.Src {
 				t.Fatalf("180-degree turn present: %s then %s",
-					m.ChannelName(cu), m.ChannelName(cv))
+					topology.ChannelName(m, cu), topology.ChannelName(m, cv))
 			}
 			if chu.Dst != chv.Src {
 				t.Fatalf("non-consecutive CDG edge: %s then %s",
-					m.ChannelName(cu), m.ChannelName(cv))
+					topology.ChannelName(m, cu), topology.ChannelName(m, cv))
 			}
 		}
 	}
@@ -325,30 +325,6 @@ func TestVirtualNetworksBreakerWrongArity(t *testing.T) {
 	VirtualNetworksBreaker{Rules: []TurnRule{XYOrder}}.Break(full)
 }
 
-func TestFindCycle(t *testing.T) {
-	m := topology.NewMesh(3, 3)
-	full := NewFull(m, 1)
-	cyc := full.FindCycle()
-	if cyc == nil {
-		t.Fatal("full CDG should contain a cycle")
-	}
-	if cyc[0] != cyc[len(cyc)-1] {
-		t.Fatal("cycle not closed")
-	}
-	if len(cyc) < 4 {
-		t.Fatalf("mesh CDG cycles have at least 3 vertices, got %d", len(cyc)-1)
-	}
-	for i := 0; i+1 < len(cyc); i++ {
-		if !full.HasEdge(cyc[i], cyc[i+1]) {
-			t.Fatalf("cycle uses nonexistent edge %d->%d", cyc[i], cyc[i+1])
-		}
-	}
-	a := TurnBreaker{Rule: WestFirst}.Break(full)
-	if a.FindCycle() != nil {
-		t.Error("acyclic CDG returned a cycle")
-	}
-}
-
 func TestStandardBreakers(t *testing.T) {
 	bs := StandardBreakers()
 	if len(bs) != 15 {
@@ -364,29 +340,6 @@ func TestStandardBreakers(t *testing.T) {
 		seen[b.Name()] = true
 		if !b.Break(full).IsAcyclic() {
 			t.Errorf("breaker %s produced cyclic CDG", b.Name())
-		}
-	}
-}
-
-func TestTopoOrderValid(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	a := TurnBreaker{Rule: NegativeFirst}.Break(NewFull(m, 2))
-	order, ok := a.TopoOrder()
-	if !ok {
-		t.Fatal("acyclic graph reported cyclic")
-	}
-	pos := make(map[VertexID]int, len(order))
-	for i, v := range order {
-		pos[v] = i
-	}
-	if len(pos) != a.NumVertices() {
-		t.Fatal("topological order misses vertices")
-	}
-	for u := 0; u < a.NumVertices(); u++ {
-		for _, v := range a.Out(VertexID(u)) {
-			if pos[VertexID(u)] >= pos[v] {
-				t.Fatalf("order violates edge %d->%d", u, v)
-			}
 		}
 	}
 }

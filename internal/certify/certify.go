@@ -261,7 +261,7 @@ func walkRoutes(in Instance, onUse func(u, v int32)) *Counterexample {
 				return bad(i, "VC %d outside [0,%d)", r.VCs[i], in.VCs)
 			}
 			if seen[ch] == fi+1 {
-				return bad(i, "revisits channel %s", channelLabel(t, ch))
+				return bad(i, "revisits channel %s", topology.ChannelName(t, ch))
 			}
 			seen[ch] = fi + 1
 			cur := t.Channel(ch)
@@ -352,7 +352,7 @@ func checkLoads(in Instance) (float64, *Counterexample) {
 			return 0, &Counterexample{
 				Kind: KindCapacity, Hop: -1,
 				Reason: fmt.Sprintf("channel %s carries %g, capacity %g",
-					channelLabel(in.Topo, topology.ChannelID(ch)), l, in.Capacity),
+					topology.ChannelName(in.Topo, topology.ChannelID(ch)), l, in.Capacity),
 			}
 		}
 	}
@@ -367,14 +367,8 @@ func topoLabel(t topology.Topology) string {
 	return fmt.Sprintf("%dnodes", t.NumNodes())
 }
 
-// channelLabel names a channel "src->dst" with node names.
-func channelLabel(t topology.Topology, ch topology.ChannelID) string {
-	c := t.Channel(ch)
-	return t.NodeName(c.Src) + "->" + t.NodeName(c.Dst)
-}
-
 // vertexLabel names a dense (channel, VC) vertex, e.g. "n0->n1/vc1".
 func vertexLabel(in Instance, v int32) string {
 	ch := topology.ChannelID(int(v) / in.VCs)
-	return fmt.Sprintf("%s/vc%d", channelLabel(in.Topo, ch), int(v)%in.VCs)
+	return fmt.Sprintf("%s/vc%d", topology.ChannelName(in.Topo, ch), int(v)%in.VCs)
 }

@@ -131,13 +131,13 @@ func TestCertifyMatrixRejectsMutants(t *testing.T) {
 		}
 		dag := b.Break(cdg.NewFull(mt.topo, 2))
 		// Deterministically pick the first edge and flip it.
-		var u, v cdg.VertexID = cdg.InvalidVertex, cdg.InvalidVertex
-		for x := 0; x < dag.NumVertices() && u == cdg.InvalidVertex; x++ {
+		var u, v cdg.VertexID = -1, -1 // -1: no edge found yet
+		for x := 0; x < dag.NumVertices() && u < 0; x++ {
 			if out := dag.Out(cdg.VertexID(x)); len(out) > 0 {
 				u, v = cdg.VertexID(x), out[0]
 			}
 		}
-		if u == cdg.InvalidVertex {
+		if u < 0 {
 			t.Fatalf("%s: broken CDG has no edges", topoLabel(mt.topo))
 		}
 		mutant := dag.WithEdge(v, u)

@@ -17,8 +17,8 @@ func TestMutationFlippedCDGEdge(t *testing.T) {
 	if _, err := Certify(in); err != nil {
 		t.Fatalf("unmutated instance must certify: %v", err)
 	}
-	var u, v cdg.VertexID = cdg.InvalidVertex, cdg.InvalidVertex
-	for x := 0; x < in.CDG.NumVertices() && u == cdg.InvalidVertex; x++ {
+	var u, v cdg.VertexID = -1, -1 // -1: no edge found yet
+	for x := 0; x < in.CDG.NumVertices() && u < 0; x++ {
 		if out := in.CDG.Out(cdg.VertexID(x)); len(out) > 0 {
 			u, v = cdg.VertexID(x), out[0]
 		}

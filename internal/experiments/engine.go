@@ -238,7 +238,6 @@ type Runner struct {
 	memoOnce sync.Once
 	arts     *memo.Memo[*Artifact]
 	topos    *memo.Memo[topology.Topology]
-	computes atomic.Int64
 
 	// Aggregate simulation-work counters (SimStats): simulated cycles,
 	// flit hops, and wall time spent inside sim.Run across all jobs.
@@ -271,10 +270,6 @@ func DefaultHeuristic() route.BSORHeuristic {
 func FastMILP() route.MILPSelector {
 	return route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8, MaxNodes: 40, Gap: 0.01}
 }
-
-// SynthesisCount reports how many route syntheses the cache has computed
-// (not served); the cache-hit tests pin it to the number of unique keys.
-func (r *Runner) SynthesisCount() int64 { return r.computes.Load() }
 
 // SimStats reports the aggregate cycle-accurate simulation work done by
 // this Runner: total simulated cycles, total flit hops, and the summed
@@ -419,7 +414,6 @@ func (r *Runner) topo(ctx context.Context, spec TopoSpec) (topology.Topology, er
 // is never retained — a waiter whose own ctx is still live recomputes.
 func (r *Runner) Synthesize(ctx context.Context, j Job) (*Artifact, error) {
 	art, computed, err := r.memos().arts.Do(ctx, j.synthKey(), func() (*Artifact, error) {
-		r.computes.Add(1)
 		art := &Artifact{Job: j}
 		if art.Err = r.synthesize(ctx, art); memo.Cancelled(art.Err) {
 			return nil, art.Err

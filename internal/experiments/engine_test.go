@@ -52,7 +52,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // A algorithms across R rates synthesizes routes exactly A times, and
 // re-running the same jobs on the same Runner synthesizes nothing new.
 func TestSynthesisCachedOncePerKey(t *testing.T) {
-	r := &Runner{Workers: 4}
+	r := &Runner{Workers: 4, Metrics: metrics.New()}
 	jobs := SweepJobs("cache", MeshSpec(8, 8), "transmitter",
 		[]string{"BSOR-Dijkstra", "XY", "YX"}, TableBreakerNames(),
 		[]float64{2, 5, 8}, 0, fastParams())
@@ -60,11 +60,11 @@ func TestSynthesisCachedOncePerKey(t *testing.T) {
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.SynthesisCount(); got != 3 {
+	if got := synthMisses(r); got != 3 {
 		t.Errorf("synthesis ran %d times for 3 algorithms x 3 rates, want 3", got)
 	}
 	r.Run(jobs)
-	if got := r.SynthesisCount(); got != 3 {
+	if got := synthMisses(r); got != 3 {
 		t.Errorf("re-run recomputed synthesis: count %d, want 3", got)
 	}
 	// A different VC count is a different key.
@@ -72,9 +72,15 @@ func TestSynthesisCachedOncePerKey(t *testing.T) {
 	p.VCs = 4
 	r.Run(SweepJobs("cache", MeshSpec(8, 8), "transmitter",
 		[]string{"XY"}, nil, []float64{2}, 0, p))
-	if got := r.SynthesisCount(); got != 4 {
+	if got := synthMisses(r); got != 4 {
 		t.Errorf("distinct key not recomputed: count %d, want 4", got)
 	}
+}
+
+// synthMisses reads how many route syntheses r's cache has computed (not
+// served): every memo leader, a cancelled one included, is one miss.
+func synthMisses(r *Runner) int64 {
+	return r.Metrics.Counter("engine_synth_cache_misses_total").Value()
 }
 
 // TestEngineMatchesSequentialExploration checks the engine's table path
@@ -312,7 +318,7 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 // exceeded.
 func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 	ctx := context.Background()
-	r := &Runner{}
+	r := &Runner{Metrics: metrics.New()}
 	job := Job{Kind: KindMCL, Topo: MeshSpec(4, 4), Workload: "transpose",
 		Algorithm: "BSOR-Dijkstra", Breakers: TableBreakerNames(), VCs: 2}
 
@@ -363,7 +369,7 @@ func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 	// A mesh turn rule cannot break a torus: every breaker infeasible.
 	bad := Job{Kind: KindMCL, Topo: TorusSpec(4, 4), Workload: "transpose",
 		Algorithm: "BSOR-Dijkstra", Breakers: TableBreakerNames()[:1], VCs: 2}
-	before := r.SynthesisCount()
+	before := synthMisses(r)
 	for range 2 {
 		badArt, err := r.Synthesize(ctx, bad)
 		if err != nil {
@@ -373,11 +379,11 @@ func TestSynthesizeOneArtifactPerKey(t *testing.T) {
 			t.Fatalf("infeasible artifact: err %v, rows %+v", badArt.Err, badArt.Explored)
 		}
 	}
-	if got := r.SynthesisCount() - before; got != 1 {
+	if got := synthMisses(r) - before; got != 1 {
 		t.Errorf("infeasible key synthesized %d times, want 1 (deterministic failures are retained)", got)
 	}
-	if got := r.SynthesisCount(); got != 5 {
-		t.Errorf("SynthesisCount = %d, want 5 (cancelled, ok, tight, invalid, infeasible)", got)
+	if got := synthMisses(r); got != 5 {
+		t.Errorf("%d syntheses, want 5 (cancelled, ok, tight, invalid, infeasible)", got)
 	}
 }
 

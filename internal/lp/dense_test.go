@@ -1,33 +1,13 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
-// Solver tolerances. Problem data in this repository (bandwidth demands,
-// unit path-incidence coefficients) is well scaled, so fixed tolerances
-// suffice.
-const (
-	epsCost  = 1e-7 // reduced-cost optimality tolerance
-	epsPivot = 1e-9 // minimum acceptable pivot magnitude
-	epsFeas  = 1e-7 // feasibility tolerance (phase-1 objective)
-	epsRatio = 1e-9 // ratio-test tie tolerance
-)
-
-// ErrIterationLimit is returned when the simplex fails to converge within
-// its iteration budget (indicative of numerical trouble).
-var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
-
-// variable status within the simplex.
-type varStatus int8
-
-const (
-	atLB varStatus = iota
-	atUB
-	basic
-)
+// The seed's dense bounded-variable two-phase tableau, kept as the test
+// oracle for the sparse revised simplex in sparse.go: FuzzSparseVsDense,
+// TestSparseMatchesDense* and solveMILPDense compare the two engines.
 
 // simplex is a dense bounded-variable two-phase primal simplex tableau.
 type simplex struct {
@@ -89,14 +69,10 @@ func solveLP(p *Problem, lbOver, ubOver []float64) (*Solution, error) {
 	}
 	copy(s.lb, lb)
 	copy(s.ub, ub)
-	sign := 1.0
-	if p.maximize {
-		sign = -1.0
-	}
 	for j, v := range p.vars {
-		s.cost[j] = sign * v.cost
+		s.cost[j] = v.cost
 	}
-	// Slacks: LE rows get +1 slack, GE rows get -1 surplus; both in [0, inf).
+	// Slacks: each LE row gets a +1 slack in [0, inf).
 	for j := nStruct; j < n; j++ {
 		s.lb[j], s.ub[j] = 0, Inf
 	}
@@ -113,13 +89,8 @@ func solveLP(p *Problem, lbOver, ubOver []float64) (*Solution, error) {
 		}
 		rhs[i] = c.rhs
 		rowSlack[i] = -1
-		switch c.sense {
-		case LE:
+		if c.sense == LE {
 			a[i][slack] = 1
-			rowSlack[i] = slack
-			slack++
-		case GE:
-			a[i][slack] = -1
 			rowSlack[i] = slack
 			slack++
 		}
@@ -153,18 +124,10 @@ func solveLP(p *Problem, lbOver, ubOver []float64) (*Solution, error) {
 		}
 		s.tab[i] = make([]float64, n)
 		switch {
-		case rowSlack[i] >= 0 && a[i][rowSlack[i]] == 1 && r >= 0:
+		case rowSlack[i] >= 0 && r >= 0:
 			// LE row: slack = r >= 0 is feasible as the basic variable.
 			copy(s.tab[i], a[i])
 			s.xB[i] = r
-			s.basis[i] = rowSlack[i]
-			s.stat[rowSlack[i]] = basic
-		case rowSlack[i] >= 0 && a[i][rowSlack[i]] == -1 && r <= 0:
-			// GE row: surplus = -r >= 0 is feasible as the basic variable.
-			for j := 0; j < n; j++ {
-				s.tab[i][j] = -a[i][j]
-			}
-			s.xB[i] = -r
 			s.basis[i] = rowSlack[i]
 			s.stat[rowSlack[i]] = basic
 		default:
@@ -426,9 +389,9 @@ func (s *simplex) pivot(q, leave int, sigma, t float64, leaveToUB bool) {
 	s.xB[leave] = enterVal
 }
 
-// SolveDense solves the LP relaxation with the dense-tableau simplex. It is
-// the reference the sparse solver is checked against (the cross-check tests
-// and the fuzz corpus compare the two); nothing outside tests calls it.
-func SolveDense(p *Problem) (*Solution, error) {
+// solveDense solves the LP relaxation with the dense-tableau simplex, the
+// reference the sparse solver is checked against (the cross-check tests and
+// the fuzz corpus compare the two).
+func solveDense(p *Problem) (*Solution, error) {
 	return solveLP(p, nil, nil)
 }

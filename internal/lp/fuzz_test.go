@@ -7,13 +7,14 @@ import (
 )
 
 // FuzzSparseVsDense decodes a small LP from fuzz bytes and cross-checks the
-// sparse revised simplex against the retained dense tableau: statuses must
+// sparse revised simplex against the dense tableau (dense_test.go): statuses must
 // agree and optimal objectives must match to tolerance. The seeded corpus
 // runs under plain `go test`; `go test -fuzz=FuzzSparseVsDense ./internal/lp`
 // explores further.
 func FuzzSparseVsDense(f *testing.F) {
-	// Seed corpus: hand-picked byte strings covering maximization, GE/EQ
-	// rows, negative RHS, fixed variables, and infeasible boxes.
+	// Seed corpus: hand-picked byte strings covering negated objectives,
+	// negated LE rows and EQ rows, negative RHS, fixed variables, and
+	// infeasible boxes.
 	f.Add([]byte{2, 1, 0, 10, 5, 200, 3, 0, 7, 1, 2})
 	f.Add([]byte{3, 2, 1, 5, 9, 100, 4, 8, 120, 1, 3, 2, 0, 6, 250, 2, 1, 1, 1, 9})
 	f.Add([]byte{4, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19})
@@ -28,7 +29,7 @@ func FuzzSparseVsDense(f *testing.F) {
 		if p == nil {
 			return
 		}
-		ds, derr := SolveDense(p)
+		ds, derr := solveDense(p)
 		ss, serr := Solve(p)
 		// Iteration-limit pathologies on either engine are not agreement
 		// failures; both engines surface them as errors.
@@ -116,10 +117,12 @@ var masterSeed = []byte{
 
 // problemFromBytes decodes data into an LP. A first byte below 128 gives a
 // small dense one: byte 0 is the variable count (clamped to [1, 6]), byte 1
-// the constraint count (clamped to [1, 6]), byte 2 the objective sense,
-// then per-variable (ub, cost) pairs and per-constraint (sense, rhs,
-// coef...) groups; nil when data is too short to fill every field. A first
-// byte of 128 or more gives a restricted-master-shaped one (masterFromBytes).
+// the constraint count (clamped to [1, 6]), byte 2 the objective sign (odd
+// negates every cost, a maximization), then per-variable (ub, cost) pairs
+// and per-constraint (sense, rhs, coef...) groups, where a sense byte of 1
+// mod 3 gives a >= row written as the LE row with coefficients and rhs
+// negated; nil when data is too short to fill every field. A first byte of
+// 128 or more gives a restricted-master-shaped one (masterFromBytes).
 func problemFromBytes(data []byte) *Problem {
 	if len(data) < 3 {
 		return nil
@@ -129,7 +132,6 @@ func problemFromBytes(data []byte) *Problem {
 	}
 	nv := 1 + int(data[0])%6
 	nc := 1 + int(data[1])%6
-	maximize := data[2]%2 == 1
 	next := 3
 	take := func() (byte, bool) {
 		if next >= len(data) {
@@ -140,7 +142,6 @@ func problemFromBytes(data []byte) *Problem {
 		return b, true
 	}
 	p := NewProblem()
-	p.SetMaximize(maximize)
 	for j := 0; j < nv; j++ {
 		ubb, ok1 := take()
 		cb, ok2 := take()
@@ -160,7 +161,6 @@ func problemFromBytes(data []byte) *Problem {
 		if !ok {
 			return nil
 		}
-		sense := Sense(sb % 3)
 		rhs := float64(int(rb%25) - 8)
 		var terms []Term
 		for j := 0; j < nv; j++ {
@@ -175,9 +175,42 @@ func problemFromBytes(data []byte) *Problem {
 		if len(terms) == 0 {
 			terms = []Term{{0, 1}}
 		}
-		p.AddConstraint(terms, sense, rhs)
+		addRow(p, terms, int(sb%3), rhs)
+	}
+	if data[2]%2 == 1 {
+		negateCosts(p)
 	}
 	return p
+}
+
+// negateCosts turns p into the maximization of its objective: the solver
+// minimizes, so a maximization is the minimization of the negated costs.
+func negateCosts(p *Problem) {
+	for j := range p.vars {
+		p.vars[j].cost = -p.vars[j].cost
+	}
+}
+
+// addGE adds the row sum(terms) >= rhs: the solver has LE and EQ rows
+// only, so it goes in as the LE row with coefficients and rhs negated.
+func addGE(p *Problem, terms []Term, rhs float64) {
+	neg := make([]Term, len(terms))
+	for i, t := range terms {
+		neg[i] = Term{t.Var, -t.Coef}
+	}
+	p.AddConstraint(neg, LE, -rhs)
+}
+
+// addRow adds a random generator's row of kind 0 (<=), 1 (>=) or 2 (==).
+func addRow(p *Problem, terms []Term, kind int, rhs float64) {
+	switch kind {
+	case 0:
+		p.AddConstraint(terms, LE, rhs)
+	case 1:
+		addGE(p, terms, rhs)
+	default:
+		p.AddConstraint(terms, EQ, rhs)
+	}
 }
 
 // masterFromBytes decodes a route-selection restricted master: bytes 0-2

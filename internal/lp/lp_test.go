@@ -19,12 +19,11 @@ func mustSolve(t *testing.T, p *Problem) *Solution {
 }
 
 func TestLPTwoVarMax(t *testing.T) {
-	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic Dantzig).
-	// Optimum: x=2, y=6, obj=36.
+	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic Dantzig),
+	// solved as min -3x - 5y. Optimum: x=2, y=6, obj=-36.
 	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddVar("x", 0, Inf, 3)
-	y := p.AddVar("y", 0, Inf, 5)
+	x := p.AddVar("x", 0, Inf, -3)
+	y := p.AddVar("y", 0, Inf, -5)
 	p.AddConstraint([]Term{{x, 1}}, LE, 4)
 	p.AddConstraint([]Term{{y, 2}}, LE, 12)
 	p.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
@@ -32,8 +31,8 @@ func TestLPTwoVarMax(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if !approx(sol.Objective, 36, 1e-6) {
-		t.Errorf("objective = %g, want 36", sol.Objective)
+	if !approx(sol.Objective, -36, 1e-6) {
+		t.Errorf("objective = %g, want -36", sol.Objective)
 	}
 	if !approx(sol.Value(x), 2, 1e-6) || !approx(sol.Value(y), 6, 1e-6) {
 		t.Errorf("x,y = %g,%g want 2,6", sol.Value(x), sol.Value(y))
@@ -41,11 +40,12 @@ func TestLPTwoVarMax(t *testing.T) {
 }
 
 func TestLPMinWithGE(t *testing.T) {
-	// min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3. Optimum x=7,y=3: 23.
+	// min 2x + 3y s.t. x + y >= 10 (as -x - y <= -10), x >= 2, y >= 3.
+	// Optimum x=7,y=3: 23.
 	p := NewProblem()
 	x := p.AddVar("x", 2, Inf, 2)
 	y := p.AddVar("y", 3, Inf, 3)
-	p.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 10)
+	addGE(p, []Term{{x, 1}, {y, 1}}, 10)
 	sol := mustSolve(t, p)
 	if sol.Status != Optimal || !approx(sol.Objective, 23, 1e-6) {
 		t.Fatalf("got %v obj %g, want optimal 23", sol.Status, sol.Objective)
@@ -71,7 +71,7 @@ func TestLPEquality(t *testing.T) {
 func TestLPInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 0, Inf, 1)
-	p.AddConstraint([]Term{{x, 1}}, GE, 5)
+	addGE(p, []Term{{x, 1}}, 5)
 	p.AddConstraint([]Term{{x, 1}}, LE, 3)
 	sol := mustSolve(t, p)
 	if sol.Status != Infeasible {
@@ -81,8 +81,7 @@ func TestLPInfeasible(t *testing.T) {
 
 func TestLPUnbounded(t *testing.T) {
 	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddVar("x", 0, Inf, 1)
+	x := p.AddVar("x", 0, Inf, -1) // max x
 	y := p.AddVar("y", 0, Inf, 0)
 	p.AddConstraint([]Term{{x, 1}, {y, -1}}, LE, 1)
 	sol := mustSolve(t, p)
@@ -109,31 +108,30 @@ func TestLPBoundedVariablesOnly(t *testing.T) {
 
 func TestLPBoundFlip(t *testing.T) {
 	// Forces the bounded-variable machinery: optimal solution has x at its
-	// upper bound while a constraint binds y.
+	// upper bound while a constraint binds y (max 2x + y as min -2x - y).
 	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddVar("x", 0, 3, 2)
-	y := p.AddVar("y", 0, 10, 1)
+	x := p.AddVar("x", 0, 3, -2)
+	y := p.AddVar("y", 0, 10, -1)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 7)
 	sol := mustSolve(t, p)
-	if !approx(sol.Objective, 10, 1e-6) { // x=3, y=4
-		t.Fatalf("objective = %g, want 10", sol.Objective)
+	if !approx(sol.Objective, -10, 1e-6) { // x=3, y=4
+		t.Fatalf("objective = %g, want -10", sol.Objective)
 	}
 }
 
 func TestLPDegenerate(t *testing.T) {
-	// Degenerate vertex (redundant constraints through one point).
+	// Degenerate vertex (redundant constraints through one point); max
+	// x + y as min -x - y.
 	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddVar("x", 0, Inf, 1)
-	y := p.AddVar("y", 0, Inf, 1)
+	x := p.AddVar("x", 0, Inf, -1)
+	y := p.AddVar("y", 0, Inf, -1)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 4)
 	p.AddConstraint([]Term{{x, 2}, {y, 2}}, LE, 8)
 	p.AddConstraint([]Term{{x, 1}}, LE, 4)
 	p.AddConstraint([]Term{{y, 1}}, LE, 4)
 	sol := mustSolve(t, p)
-	if sol.Status != Optimal || !approx(sol.Objective, 4, 1e-6) {
-		t.Fatalf("got %v obj %g, want optimal 4", sol.Status, sol.Objective)
+	if sol.Status != Optimal || !approx(sol.Objective, -4, 1e-6) {
+		t.Fatalf("got %v obj %g, want optimal -4", sol.Status, sol.Objective)
 	}
 }
 
@@ -153,7 +151,7 @@ func TestLPDuplicateTermsMerged(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 0, Inf, 1)
 	// x + x + x >= 9  ->  x >= 3
-	p.AddConstraint([]Term{{x, 1}, {x, 1}, {x, 1}}, GE, 9)
+	addGE(p, []Term{{x, 1}, {x, 1}, {x, 1}}, 9)
 	sol := mustSolve(t, p)
 	if !approx(sol.Value(x), 3, 1e-6) {
 		t.Fatalf("x = %g, want 3", sol.Value(x))
@@ -175,21 +173,21 @@ func TestLPMinMaxObjectivePattern(t *testing.T) {
 }
 
 func TestMILPKnapsack(t *testing.T) {
-	// max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 6, binary. Optimum: a+c=17
-	// vs b+c=20 vs a+b infeasible(7>6)... a=1,b=1: weight 7 no. b=1,c=1:
-	// weight 6, value 20. Optimum 20.
+	// max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 6, binary, solved as the
+	// minimization of the negated values. Optimum: a+c=17 vs b+c=20 vs a+b
+	// infeasible(7>6)... a=1,b=1: weight 7 no. b=1,c=1: weight 6, value 20.
+	// Optimum -20.
 	p := NewProblem()
-	p.SetMaximize(true)
-	a := p.AddBinary("a", 10)
-	b := p.AddBinary("b", 13)
-	c := p.AddBinary("c", 7)
+	a := p.AddBinary("a", -10)
+	b := p.AddBinary("b", -13)
+	c := p.AddBinary("c", -7)
 	p.AddConstraint([]Term{{a, 3}, {b, 4}, {c, 2}}, LE, 6)
 	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != Optimal || !approx(sol.Objective, 20, 1e-6) {
-		t.Fatalf("got %v obj %g, want optimal 20", sol.Status, sol.Objective)
+	if sol.Status != Optimal || !approx(sol.Objective, -20, 1e-6) {
+		t.Fatalf("got %v obj %g, want optimal -20", sol.Status, sol.Objective)
 	}
 	if !approx(sol.Value(b), 1, 1e-6) || !approx(sol.Value(c), 1, 1e-6) {
 		t.Errorf("selection = %v, want b=c=1", sol.X)
@@ -197,22 +195,21 @@ func TestMILPKnapsack(t *testing.T) {
 }
 
 func TestMILPIntegerVsRelaxation(t *testing.T) {
-	// max x + y s.t. 2x + 2y <= 3, integer: LP gives 1.5, ILP gives 1.
+	// min -x - y s.t. 2x + 2y <= 3, integer: LP gives -1.5, ILP gives -1.
 	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddInt("x", 0, 10, 1)
-	y := p.AddInt("y", 0, 10, 1)
+	x := addInt(p, 0, 10, -1)
+	y := addInt(p, 0, 10, -1)
 	p.AddConstraint([]Term{{x, 2}, {y, 2}}, LE, 3)
 	relax := mustSolve(t, p)
-	if !approx(relax.Objective, 1.5, 1e-6) {
-		t.Fatalf("relaxation = %g, want 1.5", relax.Objective)
+	if !approx(relax.Objective, -1.5, 1e-6) {
+		t.Fatalf("relaxation = %g, want -1.5", relax.Objective)
 	}
 	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != Optimal || !approx(sol.Objective, 1, 1e-6) {
-		t.Fatalf("ILP = %v %g, want optimal 1", sol.Status, sol.Objective)
+	if sol.Status != Optimal || !approx(sol.Objective, -1, 1e-6) {
+		t.Fatalf("ILP = %v %g, want optimal -1", sol.Status, sol.Objective)
 	}
 }
 
@@ -248,7 +245,7 @@ func TestMILPInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddBinary("x", 1)
 	y := p.AddBinary("y", 1)
-	p.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 3)
+	addGE(p, []Term{{x, 1}, {y, 1}}, 3)
 	sol, err := SolveMILPContext(context.Background(), p, MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -314,23 +311,25 @@ func TestMILPAgainstBruteForce(t *testing.T) {
 		}
 		type row struct {
 			coefs []float64
-			sense Sense
+			ge    bool // >= rather than <=
 			rhs   float64
 		}
 		rows := make([]row, nc)
 		for i := 0; i < nc; i++ {
-			r := row{coefs: make([]float64, nv), sense: LE}
+			r := row{coefs: make([]float64, nv)}
 			var terms []Term
 			for j := 0; j < nv; j++ {
 				r.coefs[j] = float64(rng.Intn(11) - 5)
 				terms = append(terms, Term{j, r.coefs[j]})
 			}
-			if rng.Intn(2) == 0 {
-				r.sense = GE
-			}
+			r.ge = rng.Intn(2) == 0
 			r.rhs = float64(rng.Intn(11) - 3)
 			rows[i] = r
-			p.AddConstraint(terms, r.sense, r.rhs)
+			if r.ge {
+				addGE(p, terms, r.rhs)
+			} else {
+				p.AddConstraint(terms, LE, r.rhs)
+			}
 		}
 
 		// Brute force.
@@ -345,8 +344,7 @@ func TestMILPAgainstBruteForce(t *testing.T) {
 						lhs += r.coefs[j]
 					}
 				}
-				if (r.sense == LE && lhs > r.rhs+1e-9) ||
-					(r.sense == GE && lhs < r.rhs-1e-9) {
+				if (!r.ge && lhs > r.rhs+1e-9) || (r.ge && lhs < r.rhs-1e-9) {
 					ok = false
 					break
 				}
@@ -398,7 +396,7 @@ func TestLPSolutionsAreFeasible(t *testing.T) {
 		}
 		type row struct {
 			terms []Term
-			sense Sense
+			ge    bool // >= rather than <=
 			rhs   float64
 		}
 		rows := make([]row, 0, nc)
@@ -407,10 +405,14 @@ func TestLPSolutionsAreFeasible(t *testing.T) {
 			for j := 0; j < nv; j++ {
 				terms = append(terms, Term{j, float64(rng.Intn(7) - 3)})
 			}
-			sense := Sense(rng.Intn(2)) // LE or GE
+			ge := rng.Intn(2) == 1
 			rhs := float64(rng.Intn(21) - 5)
-			rows = append(rows, row{terms, sense, rhs})
-			p.AddConstraint(terms, sense, rhs)
+			rows = append(rows, row{terms, ge, rhs})
+			if ge {
+				addGE(p, terms, rhs)
+			} else {
+				p.AddConstraint(terms, LE, rhs)
+			}
 		}
 		sol, err := Solve(p)
 		if err != nil {
@@ -424,8 +426,8 @@ func TestLPSolutionsAreFeasible(t *testing.T) {
 			for _, tm := range r.terms {
 				lhs += tm.Coef * sol.X[tm.Var]
 			}
-			if (r.sense == LE && lhs > r.rhs+1e-6) || (r.sense == GE && lhs < r.rhs-1e-6) {
-				t.Fatalf("trial %d: constraint violated: %g %v %g", trial, lhs, r.sense, r.rhs)
+			if (!r.ge && lhs > r.rhs+1e-6) || (r.ge && lhs < r.rhs-1e-6) {
+				t.Fatalf("trial %d: constraint violated: %g (>= %v) %g", trial, lhs, r.ge, r.rhs)
 			}
 		}
 	}
@@ -465,7 +467,7 @@ func TestStatusAndSenseStrings(t *testing.T) {
 		Unbounded.String() != "unbounded" || Feasible.String() != "feasible" {
 		t.Error("Status strings wrong")
 	}
-	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "==" {
+	if LE.String() != "<=" || EQ.String() != "==" || Sense(2).String() != "Sense(2)" {
 		t.Error("Sense strings wrong")
 	}
 }

@@ -40,7 +40,7 @@ const intTol = 1e-6
 
 type bbNode struct {
 	lb, ub []float64
-	bound  float64 // parent LP objective (minimization sense)
+	bound  float64 // parent LP objective
 	depth  int
 	// warm is the parent's optimal basis; the child re-solve starts from
 	// it (dual-simplex restoration) instead of a crash basis.
@@ -97,11 +97,6 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 	solveNode nodeSolver, tighten boundTightener) (*Solution, error) {
 	opts = opts.withDefaults()
 
-	sign := 1.0
-	if p.maximize {
-		sign = -1.0
-	}
-	// Internal search minimizes sign*objective.
 	lb0 := make([]float64, len(p.vars))
 	ub0 := make([]float64, len(p.vars))
 	for j, v := range p.vars {
@@ -110,7 +105,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 
 	var (
 		best      *Solution
-		bestObj   = math.Inf(1) // minimization sense
+		bestObj   = math.Inf(1)
 		nodes     int
 		truncated bool
 	)
@@ -125,7 +120,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 		point = opts.WarmStart
 		if x, obj, ok := p.checkFeasible(opts.WarmStart, intTol); ok {
 			best = &Solution{Status: Feasible, Objective: obj, X: x}
-			bestObj = sign * obj
+			bestObj = obj
 		}
 	}
 	stack := []bbNode{{lb: lb0, ub: ub0, bound: math.Inf(-1)}}
@@ -160,7 +155,7 @@ func branchAndBound(ctx context.Context, p *Problem, opts MILPOptions, intVars [
 			}
 			continue
 		}
-		obj := sign * sol.Objective
+		obj := sol.Objective
 		if obj >= bestObj-opts.Gap-1e-12 {
 			continue
 		}
@@ -263,10 +258,6 @@ func (p *Problem) checkFeasible(x []float64, intTol float64) ([]float64, float64
 		switch c.sense {
 		case LE:
 			if lhs > c.rhs+tol {
-				return nil, 0, false
-			}
-		case GE:
-			if lhs < c.rhs-tol {
 				return nil, 0, false
 			}
 		case EQ:

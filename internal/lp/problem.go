@@ -5,12 +5,16 @@
 // solver (CPLEX). No such solver exists in the Go standard library, so this
 // package is the substitution: a bounded-variable revised simplex over a
 // sparse LU basis for LPs, and a branch-and-bound layer for integer
-// variables (the seed's dense two-phase tableau stays as SolveDense, the
-// reference the tests check the sparse solver against). The
-// formulation is unchanged; only solve time differs from a commercial
-// solver, which the thesis itself anticipates by limiting solver effort on
-// large instances (§7.3). Problem sizes in this repository (hundreds of
-// rows, a few thousand columns) are comfortably in range.
+// variables. It solves what the route-selection master needs and no more:
+// minimization only, rows of sense LE or EQ, continuous and binary columns.
+// (A maximization is a minimization of the negated costs; a >= row is a <=
+// row with its coefficients and right-hand side negated.) The seed's dense
+// two-phase tableau lives in dense_test.go as the reference the tests
+// check the sparse solver against. The formulation is unchanged; only
+// solve time differs from a commercial solver, which the thesis itself
+// anticipates by limiting solver effort on large instances (§7.3). Problem
+// sizes in this repository (hundreds of rows, a few thousand columns) are
+// comfortably in range.
 package lp
 
 import (
@@ -27,7 +31,6 @@ type Sense int
 // Constraint senses.
 const (
 	LE Sense = iota // <=
-	GE              // >=
 	EQ              // ==
 )
 
@@ -35,8 +38,6 @@ func (s Sense) String() string {
 	switch s {
 	case LE:
 		return "<="
-	case GE:
-		return ">="
 	case EQ:
 		return "=="
 	}
@@ -53,7 +54,6 @@ type variable struct {
 	lb, ub  float64
 	cost    float64
 	integer bool
-	name    string
 }
 
 type constraint struct {
@@ -64,23 +64,19 @@ type constraint struct {
 
 // Problem is a linear or mixed-integer program:
 //
-//	minimize (or maximize)  sum_j cost_j * x_j
-//	subject to              constraints, lb_j <= x_j <= ub_j,
-//	                        x_j integral where marked.
+//	minimize    sum_j cost_j * x_j
+//	subject to  constraints, lb_j <= x_j <= ub_j,
+//	            x_j integral where marked (AddBinary).
 //
 // Lower bounds must be finite (use a shifted variable for genuinely free
 // variables); upper bounds may be Inf.
 type Problem struct {
-	vars     []variable
-	cons     []constraint
-	maximize bool
+	vars []variable
+	cons []constraint
 }
 
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
-
-// SetMaximize switches the objective sense.
-func (p *Problem) SetMaximize(maximize bool) { p.maximize = maximize }
 
 // AddVar adds a continuous variable with bounds [lb, ub] and objective
 // coefficient cost, returning its index. name is used in diagnostics only.
@@ -91,7 +87,7 @@ func (p *Problem) AddVar(name string, lb, ub, cost float64) int {
 	if ub < lb {
 		panic(fmt.Sprintf("lp: variable %q has ub %g < lb %g", name, ub, lb))
 	}
-	p.vars = append(p.vars, variable{lb: lb, ub: ub, cost: cost, name: name})
+	p.vars = append(p.vars, variable{lb: lb, ub: ub, cost: cost})
 	return len(p.vars) - 1
 }
 
@@ -102,24 +98,11 @@ func (p *Problem) AddBinary(name string, cost float64) int {
 	return v
 }
 
-// AddInt adds an integer variable with bounds [lb, ub].
-func (p *Problem) AddInt(name string, lb, ub, cost float64) int {
-	v := p.AddVar(name, lb, ub, cost)
-	p.vars[v].integer = true
-	return v
-}
-
-// SetCost replaces the objective coefficient of variable v.
-func (p *Problem) SetCost(v int, cost float64) { p.vars[v].cost = cost }
-
 // NumVars reports the number of variables.
 func (p *Problem) NumVars() int { return len(p.vars) }
 
 // NumConstraints reports the number of constraints.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
-
-// VarName returns the diagnostic name of variable v.
-func (p *Problem) VarName(v int) string { return p.vars[v].name }
 
 // AddConstraint adds the row  sum(terms) sense rhs. Terms may repeat a
 // variable; coefficients are summed.

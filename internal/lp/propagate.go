@@ -70,10 +70,10 @@ func (pr *propagator) propagate(lb, ub []float64, seed int) bool {
 				// indeterminate, when the term's own bound is infinite)
 				// activities admit no tightening.
 				implLo, implHi := math.Inf(-1), math.Inf(1)
-				if c.sense != GE && !math.IsInf(minOther, 0) && !math.IsNaN(minOther) { // LE or EQ
+				if !math.IsInf(minOther, 0) && !math.IsNaN(minOther) {
 					implHi = c.rhs - minOther
 				}
-				if c.sense != LE && !math.IsInf(maxOther, 0) && !math.IsNaN(maxOther) { // GE or EQ
+				if c.sense == EQ && !math.IsInf(maxOther, 0) && !math.IsNaN(maxOther) {
 					implLo = c.rhs - maxOther
 				}
 				var newLB, newUB float64

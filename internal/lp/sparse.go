@@ -9,6 +9,29 @@ import (
 	"repro/internal/metrics"
 )
 
+// Solver tolerances. Problem data in this repository (bandwidth demands,
+// unit path-incidence coefficients) is well scaled, so fixed tolerances
+// suffice.
+const (
+	epsCost  = 1e-7 // reduced-cost optimality tolerance
+	epsPivot = 1e-9 // minimum acceptable pivot magnitude
+	epsFeas  = 1e-7 // feasibility tolerance (phase-1 objective)
+	epsRatio = 1e-9 // ratio-test tie tolerance
+)
+
+// ErrIterationLimit is returned when the simplex fails to converge within
+// its iteration budget (indicative of numerical trouble).
+var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
+
+// variable status within the simplex.
+type varStatus int8
+
+const (
+	atLB varStatus = iota
+	atUB
+	basic
+)
+
 // ErrSingularBasis is returned when a basis refactorization fails; the
 // branch-and-bound layer treats it as a signal to re-solve cold.
 var ErrSingularBasis = errors.New("lp: singular basis")
@@ -70,7 +93,7 @@ type sparseSolver struct {
 	rhs      []float64
 
 	phase1Cost []float64 // 1 on artificials
-	phase2Cost []float64 // sign-adjusted objective on structural columns
+	phase2Cost []float64 // the objective on structural columns
 
 	// Per-solve state (bounds are rewritten by every solveLP call).
 	lb, ub   []float64 // working bounds (perturbed during cold phases)
@@ -144,12 +167,8 @@ func newSparseSolver(p *Problem) *sparseSolver {
 		s.artSign[i] = 1
 		s.phase1Cost[nReal+i] = 1
 	}
-	sign := 1.0
-	if p.maximize {
-		sign = -1
-	}
 	for j, v := range p.vars {
-		s.phase2Cost[j] = sign * v.cost
+		s.phase2Cost[j] = v.cost
 	}
 	// costP breaks dual ratio-test ties on the massively degenerate
 	// set-partitioning masters this solver mostly sees: exact duals leave
@@ -197,11 +216,7 @@ func newSparseSolver(p *Problem) *sparseSolver {
 			k := next[sl]
 			next[sl]++
 			rowIdx[k] = int32(i)
-			if c.sense == LE {
-				val[k] = 1
-			} else {
-				val[k] = -1
-			}
+			val[k] = 1
 		}
 	}
 	s.A = cscMatrix{colPtr: colPtr, rowIdx: rowIdx, val: val}
@@ -682,10 +697,7 @@ func (s *sparseSolver) crash(point []float64) (bool, error) {
 			rows, vals := s.col(j)
 			for t, i := range rows {
 				slack := r[i]
-				switch s.p.cons[i].sense {
-				case GE:
-					slack = -r[i]
-				case EQ:
+				if s.p.cons[i].sense == EQ {
 					slack = -math.Abs(r[i])
 				}
 				if a := math.Abs(vals[t]); a > epsPivot && slack/a < least {
@@ -730,9 +742,6 @@ func (s *sparseSolver) crash(point []float64) (bool, error) {
 		}
 		res := s.xB[i]
 		if j < s.nReal {
-			if s.p.cons[i].sense == GE {
-				res = -res
-			}
 			s.stat[j] = atLB
 			s.basis[i] = s.nReal + i
 			s.stat[s.basis[i]] = basic

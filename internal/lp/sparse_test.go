@@ -46,8 +46,8 @@ func buildMaster(nf, np, nc int, seed int64) *Problem {
 	return p
 }
 
-// randomLP builds a bounded random LP with mixed senses; integer markers
-// are added when milp is set.
+// randomLP builds a bounded random LP with mixed row kinds (addRow) and,
+// half the time, negated costs; integer markers are added when milp is set.
 func randomLP(rng *rand.Rand, milp bool) *Problem {
 	p := NewProblem()
 	nv := 2 + rng.Intn(6)
@@ -60,9 +60,7 @@ func randomLP(rng *rand.Rand, milp bool) *Problem {
 			p.AddVar("", 0, float64(1+rng.Intn(9)), cost)
 		}
 	}
-	if rng.Intn(2) == 0 {
-		p.SetMaximize(true)
-	}
+	maximize := rng.Intn(2) == 0
 	for i := 0; i < nc; i++ {
 		var terms []Term
 		for j := 0; j < nv; j++ {
@@ -73,9 +71,12 @@ func randomLP(rng *rand.Rand, milp bool) *Problem {
 		if len(terms) == 0 {
 			terms = []Term{{0, 1}}
 		}
-		sense := Sense(rng.Intn(3))
+		kind := rng.Intn(3)
 		rhs := float64(rng.Intn(21) - 8)
-		p.AddConstraint(terms, sense, rhs)
+		addRow(p, terms, kind, rhs)
+	}
+	if maximize {
+		negateCosts(p)
 	}
 	return p
 }
@@ -86,7 +87,7 @@ func randomLP(rng *rand.Rand, milp bool) *Problem {
 func solveMILPDense(p *Problem, opts MILPOptions) (*Solution, error) {
 	intVars := p.integerVars()
 	if len(intVars) == 0 {
-		return SolveDense(p)
+		return solveDense(p)
 	}
 	solveNode := func(lb, ub []float64, _ *basisState, _ []float64) (*Solution, *basisState, error) {
 		sol, err := solveLP(p, lb, ub)
@@ -97,13 +98,13 @@ func solveMILPDense(p *Problem, opts MILPOptions) (*Solution, error) {
 }
 
 // TestSparseMatchesDenseLP cross-checks the sparse revised simplex against
-// the retained dense tableau on random LPs: statuses agree, and optimal
+// the dense tableau on random LPs: statuses agree, and optimal
 // objectives agree to tolerance.
 func TestSparseMatchesDenseLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
 		p := randomLP(rng, false)
-		ds, derr := SolveDense(p)
+		ds, derr := solveDense(p)
 		ss, serr := Solve(p)
 		if derr != nil || serr != nil {
 			t.Fatalf("trial %d: dense err %v, sparse err %v", trial, derr, serr)

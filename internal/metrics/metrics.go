@@ -1,18 +1,19 @@
 // Package metrics is the lock-cheap observability collector behind the
 // engine, LP core, simulator, and route layers: named counters, gauges,
-// and timers whose hot-path writes land on sharded, cache-line-padded
-// atomic cells and are folded into one view only when a reader asks
-// (Snapshot, WritePrometheus, expvar).
+// and timers whose hot-path writes are single atomic operations, read
+// only when a reader asks (Snapshot, WritePrometheus, expvar).
 //
 // # Design
 //
 // The Gost-style buffered collector funnels increments through a channel
-// into an aggregating goroutine. Here the aggregation is inverted: each
-// instrument owns a small array of padded shards, a write picks a shard
-// with the runtime's per-thread cheap RNG (so concurrent writers spread
-// across cells instead of bouncing one cache line), and the fold over
-// shards happens on the read side. There is no background goroutine to
-// start, flush, or leak, and an uncontended write costs one atomic add.
+// into an aggregating goroutine. Here each instrument is one atomic per
+// value it keeps: a counter is one int64, a timer a count, a sum and a
+// max. No writer is hot enough to contend on one cache line — the
+// simulator is one sequential loop that flushes its cycle count once per
+// 1 024 cycles, the LP flushes its counts once per simplex run, and the
+// busiest writer, the daemon's request path, makes a few tens of
+// thousands of writes a second. There is no background goroutine to
+// start, flush, or leak, and a write costs one atomic add.
 //
 // # Nil safety
 //
@@ -33,9 +34,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,38 +43,10 @@ import (
 	"time"
 )
 
-// shardCount is the per-instrument shard array size: the smallest power
-// of two covering GOMAXPROCS, capped so idle instruments stay small.
-var shardCount = func() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 64 {
-		n = 64
-	}
-	s := 1
-	for s < n {
-		s <<= 1
-	}
-	return s
-}()
-
-// cell is one padded counter shard. The padding keeps two shards out of
-// one cache line, so concurrent writers on different shards do not
-// false-share.
-type cell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// shard picks a write shard with the runtime's per-thread cheap RNG:
-// no lock, no shared state, and concurrent goroutines statistically
-// spread across cells.
-func shard(mask uint32) uint32 { return rand.Uint32() & mask }
-
-// Counter is a monotonically increasing sharded counter.
+// Counter is a monotonically increasing counter.
 type Counter struct {
-	name  string
-	cells []cell
-	mask  uint32
+	name string
+	v    atomic.Int64
 }
 
 // Add records n occurrences. Nil-safe; n must be non-negative to keep
@@ -84,22 +55,18 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.cells[shard(c.mask)].v.Add(n)
+	c.v.Add(n)
 }
 
 // Inc records one occurrence. Nil-safe.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value folds the shards into the current total (0 on nil).
+// Value returns the current total (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
-	}
-	return sum
+	return c.v.Load()
 }
 
 // Name returns the instrument name ("" on nil).
@@ -111,9 +78,7 @@ func (c *Counter) Name() string {
 }
 
 // Gauge is a last-write-wins instantaneous value (queue depth,
-// active-set size). A single atomic suffices: unlike counters, gauges
-// are written by one owner at a time and torn increments do not
-// accumulate error.
+// active-set size).
 type Gauge struct {
 	name string
 	v    atomic.Int64
@@ -152,23 +117,15 @@ func (g *Gauge) Name() string {
 	return g.name
 }
 
-// timerCell is one padded timer shard: an observation count and a
-// duration sum. A reader can observe the count without the matching sum
-// for a moment; the skew is bounded by one observation and irrelevant
-// for monitoring.
-type timerCell struct {
-	n   atomic.Int64
-	sum atomic.Int64 // nanoseconds
-	_   [48]byte
-}
-
 // Timer accumulates durations: observation count, total time, and the
-// maximum single observation.
+// maximum single observation. A reader can observe the count without the
+// matching sum for a moment; the skew is bounded by one observation and
+// irrelevant for monitoring.
 type Timer struct {
-	name  string
-	cells []timerCell
-	mask  uint32
-	max   atomic.Int64 // nanoseconds
+	name string
+	n    atomic.Int64
+	sum  atomic.Int64 // nanoseconds
+	max  atomic.Int64 // nanoseconds
 }
 
 // Observe records one duration. Nil-safe.
@@ -176,9 +133,8 @@ func (t *Timer) Observe(d time.Duration) {
 	if t == nil {
 		return
 	}
-	c := &t.cells[shard(t.mask)]
-	c.n.Add(1)
-	c.sum.Add(int64(d))
+	t.n.Add(1)
+	t.sum.Add(int64(d))
 	for {
 		cur := t.max.Load()
 		if int64(d) <= cur || t.max.CompareAndSwap(cur, int64(d)) {
@@ -187,28 +143,20 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 }
 
-// Count folds the shards into the observation count (0 on nil).
+// Count returns the observation count (0 on nil).
 func (t *Timer) Count() int64 {
 	if t == nil {
 		return 0
 	}
-	var n int64
-	for i := range t.cells {
-		n += t.cells[i].n.Load()
-	}
-	return n
+	return t.n.Load()
 }
 
-// Sum folds the shards into the total observed time (0 on nil).
+// Sum returns the total observed time (0 on nil).
 func (t *Timer) Sum() time.Duration {
 	if t == nil {
 		return 0
 	}
-	var sum int64
-	for i := range t.cells {
-		sum += t.cells[i].sum.Load()
-	}
-	return time.Duration(sum)
+	return time.Duration(t.sum.Load())
 }
 
 // Max returns the largest single observation (0 on nil).
@@ -260,7 +208,7 @@ func (c *Collector) Counter(name string) *Counter {
 	if ctr, ok := c.counters[name]; ok {
 		return ctr
 	}
-	ctr := &Counter{name: name, cells: make([]cell, shardCount), mask: uint32(shardCount - 1)}
+	ctr := &Counter{name: name}
 	c.counters[name] = ctr
 	return ctr
 }
@@ -302,7 +250,7 @@ func (c *Collector) Timer(name string) *Timer {
 	if t, ok := c.timers[name]; ok {
 		return t
 	}
-	t := &Timer{name: name, cells: make([]timerCell, shardCount), mask: uint32(shardCount - 1)}
+	t := &Timer{name: name}
 	c.timers[name] = t
 	return t
 }
@@ -315,7 +263,7 @@ type Sample struct {
 	Value float64
 }
 
-// Snapshot folds every instrument into a flat, name-sorted sample list.
+// Snapshot reads every instrument into a flat, name-sorted sample list.
 // Timers expand into <name>_count, <name>_seconds_total (counters), and
 // <name>_max_seconds (a gauge). Derived gauges are evaluated here.
 func (c *Collector) Snapshot() []Sample {

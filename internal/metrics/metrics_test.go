@@ -12,11 +12,10 @@ import (
 	"time"
 )
 
-func TestCounterShardAggregation(t *testing.T) {
+func TestCounterConcurrentAggregation(t *testing.T) {
 	c := New()
 	ctr := c.Counter("jobs_total")
-	// Spread writes across goroutines so multiple shards are exercised,
-	// then check the fold recovers the exact total.
+	// Write from many goroutines at once, then check no increment is lost.
 	const goroutines, per = 16, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -10,14 +10,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// HeuristicSlack documents the approximation quality the property tests
-// hold BSORHeuristic to: on the randomized instances of the test suite its
-// maximum channel load stays within this factor of the BSOR-MILP optimum.
-// The greedy carries no worst-case guarantee — a bad routing order can cost
-// more on adversarial inputs — but the bound has held with margin across
-// the randomized topologies, CDGs, and flow sets exercised in CI.
-const HeuristicSlack = 2.0
-
 // BSORHeuristic is the fast bandwidth-aware approximation the thesis pairs
 // with the exact MILP (§3.6, §7.3): flows are routed one at a time in
 // decreasing-demand order, each choosing — among its candidate paths on the

@@ -104,6 +104,8 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 		switch obj {
 		case MinMCL:
 			gVar[i] = p.AddVar("g["+f.Name+"]", f.Demand, f.Demand, 0) // fixed
+		case MaxThroughput:
+			gVar[i] = p.AddVar("g["+f.Name+"]", 0, f.Demand, -1) // max S as min -S
 		default:
 			gVar[i] = p.AddVar("g["+f.Name+"]", 0, f.Demand, 0)
 		}
@@ -201,21 +203,17 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 			p.AddConstraint(row, lp.LE, 0)
 		}
 	case MaxThroughput:
-		p.SetMaximize(true)
-		for i := range flows {
-			p.SetCost(gVar[i], 1)
-		}
 		for _, ch := range loadChans {
 			p.AddConstraint(loadTerms[ch], lp.LE, g.Capacity())
 		}
 	case MaxMinFraction:
-		p.SetMaximize(true)
-		t := p.AddVar("T", 0, 1, 1)
+		t := p.AddVar("T", 0, 1, -1) // max T as min -T
 		for i, f := range flows {
+			// g_i >= T d_i, written as T d_i - g_i <= 0.
 			p.AddConstraint([]lp.Term{
-				{Var: gVar[i], Coef: 1},
-				{Var: t, Coef: -f.Demand},
-			}, lp.GE, 0)
+				{Var: gVar[i], Coef: -1},
+				{Var: t, Coef: f.Demand},
+			}, lp.LE, 0)
 		}
 		for _, ch := range loadChans {
 			p.AddConstraint(loadTerms[ch], lp.LE, g.Capacity())
@@ -235,6 +233,9 @@ func EdgeMILP(g *flowgraph.Graph, hopSlack int, obj Objective, opts lp.MILPOptio
 		Objective: sol.Objective,
 		Delivered: make([]float64, len(flows)),
 		Nodes:     sol.Nodes,
+	}
+	if obj != MinMCL {
+		res.Objective = -sol.Objective // the solver minimized the negation
 	}
 	res.Set.Routes = make([]Route, len(flows))
 	for i, f := range flows {

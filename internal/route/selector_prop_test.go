@@ -16,7 +16,15 @@ import (
 // (deadlock freedom). BSOR selectors must additionally conform to the CDG
 // they were given, and BSORHeuristic's max channel load must bracket the
 // MILP optimum: never better (sanity), never worse than the documented
-// HeuristicSlack factor.
+// heuristicSlack factor.
+
+// heuristicSlack documents the approximation quality the property tests
+// hold BSORHeuristic to: on the randomized instances of the test suite its
+// maximum channel load stays within this factor of the BSOR-MILP optimum.
+// The greedy carries no worst-case guarantee — a bad routing order can cost
+// more on adversarial inputs — but the bound has held with margin across
+// the randomized topologies, CDGs, and flow sets exercised in CI.
+const heuristicSlack = 2.0
 
 // randomFlows draws nf distinct-endpoint flows with random demands.
 func randomFlows(rng *rand.Rand, g topology.Grid, nf int) []flowgraph.Flow {
@@ -128,7 +136,7 @@ func TestPropertyBSORSelectors(t *testing.T) {
 // TestPropertyHeuristicBracketsMILP asserts the approximation contract: on
 // every random instance, the heuristic's MCL is no better than the MILP
 // optimum (the MILP would have found anything better) and no worse than
-// HeuristicSlack times it.
+// heuristicSlack times it.
 func TestPropertyHeuristicBracketsMILP(t *testing.T) {
 	for _, inst := range propInstances(t, 10) {
 		inst := inst
@@ -153,8 +161,8 @@ func TestPropertyHeuristicBracketsMILP(t *testing.T) {
 			if hMCL < mMCL-1e-6 {
 				t.Fatalf("heuristic MCL %g beats MILP optimum %g: MILP not optimal over its pool", hMCL, mMCL)
 			}
-			if hMCL > HeuristicSlack*mMCL+1e-6 {
-				t.Fatalf("heuristic MCL %g exceeds %gx the MILP optimum %g", hMCL, HeuristicSlack, mMCL)
+			if hMCL > heuristicSlack*mMCL+1e-6 {
+				t.Fatalf("heuristic MCL %g exceeds %gx the MILP optimum %g", hMCL, heuristicSlack, mMCL)
 			}
 		})
 	}

@@ -148,12 +148,6 @@ func (g *Graph) InChannels(n NodeID) []ChannelID { return g.in[n] }
 // NodeName implements Topology.
 func (g *Graph) NodeName(n NodeID) string { return g.nodeNames[n] }
 
-// ChannelName names a channel "src->dst" with node names.
-func (g *Graph) ChannelName(id ChannelID) string {
-	c := g.channels[id]
-	return g.NodeName(c.Src) + "->" + g.NodeName(c.Dst)
-}
-
 // NewRing builds a bidirectional ring of n >= 3 nodes: node i links to
 // (i+1) mod n in both directions.
 func NewRing(n int) *Graph {

@@ -84,7 +84,7 @@ func TestChannelsConsistent(t *testing.T) {
 			t.Fatalf("channel %d stores ID %d", id, c.ID)
 		}
 		if m.Neighbor(c.Src, c.Dir) != c.Dst {
-			t.Errorf("channel %s: Dir inconsistent", m.ChannelName(id))
+			t.Errorf("channel %s: Dir inconsistent", ChannelName(m, id))
 		}
 		if m.ChannelFromTo(c.Src, c.Dst) != id {
 			t.Errorf("ChannelFromTo(%v,%v) != %d", c.Src, c.Dst, id)
@@ -216,10 +216,13 @@ func TestGridNames(t *testing.T) {
 	if m.Name() != "mesh5x3" || tr.Name() != "torus4x2" {
 		t.Errorf("names %q, %q; want mesh5x3, torus4x2", m.Name(), tr.Name())
 	}
-	if got := m.ChannelName(m.ChannelAt(m.NodeAt(4, 2), South)); got != "(4,2)->(4,1)" {
+	if got := ChannelName(m, m.ChannelAt(m.NodeAt(4, 2), South)); got != "(4,2)->(4,1)" {
 		t.Errorf("mesh channel label %q", got)
 	}
-	if got := tr.ChannelName(tr.ChannelAt(tr.NodeAt(3, 0), East)); got != "(3,0)->(0,0)" {
+	if got := ChannelName(tr, tr.ChannelAt(tr.NodeAt(3, 0), East)); got != "(3,0)->(0,0)" {
 		t.Errorf("torus wrap channel label %q", got)
+	}
+	if got := ChannelName(m, InvalidChannel); got != "-" {
+		t.Errorf("invalid channel label %q, want -", got)
 	}
 }

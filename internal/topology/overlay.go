@@ -77,9 +77,6 @@ func (o *FaultOverlay) ChannelFromTo(src, dst NodeID) ChannelID {
 	return InvalidChannel
 }
 
-// Alive reports whether channel id is currently enabled.
-func (o *FaultOverlay) Alive(id ChannelID) bool { return !o.dead[id] }
-
 // Dead returns the currently disabled channels in ascending id order.
 func (o *FaultOverlay) Dead() []ChannelID {
 	var ids []ChannelID

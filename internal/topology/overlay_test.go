@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestFaultOverlayStableIDs(t *testing.T) {
 	ch := m.OutChannels(0)[0]
 	c := m.Channel(ch)
 	o.Disable(ch)
-	if o.Alive(ch) {
+	if !slices.Contains(o.Dead(), ch) {
 		t.Fatalf("channel %d still alive after Disable", ch)
 	}
 	// Dead channels keep their id and full Channel record.

@@ -96,3 +96,14 @@ type Topology interface {
 	// diagnostics and route dumps.
 	NodeName(n NodeID) string
 }
+
+// ChannelName labels a channel "src->dst" with node names, and
+// InvalidChannel "-". It is the one channel label of every diagnostic,
+// counterexample and route dump.
+func ChannelName(t Topology, id ChannelID) string {
+	if id == InvalidChannel {
+		return "-"
+	}
+	c := t.Channel(id)
+	return t.NodeName(c.Src) + "->" + t.NodeName(c.Dst)
+}

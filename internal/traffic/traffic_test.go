@@ -369,34 +369,6 @@ func TestMMPDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestVaryFlows(t *testing.T) {
-	m := mesh8()
-	flows := mustFlows(t)(Transpose(m, 25))
-	varied := VaryFlows(flows, 0.5, 9)
-	if len(varied) != len(flows) {
-		t.Fatal("length changed")
-	}
-	changed := 0
-	for i := range varied {
-		if varied[i].Demand != flows[i].Demand {
-			changed++
-		}
-		if varied[i].Demand < 12.5-1e-9 || varied[i].Demand > 37.5+1e-9 {
-			t.Fatalf("varied demand %g outside 50%% band", varied[i].Demand)
-		}
-		if varied[i].Src != flows[i].Src || varied[i].Dst != flows[i].Dst {
-			t.Fatal("endpoints changed")
-		}
-	}
-	if changed < len(flows)/2 {
-		t.Error("variation changed too few demands")
-	}
-	// Original must be untouched.
-	if flows[0].Demand != 25 {
-		t.Error("VaryFlows mutated its input")
-	}
-}
-
 // Property: MMP rates always within the band for arbitrary parameters.
 func TestMMPProperty(t *testing.T) {
 	f := func(seed int64, pctByte uint8) bool {

@@ -1,10 +1,6 @@
 package traffic
 
-import (
-	"math/rand"
-
-	"repro/internal/flowgraph"
-)
+import "math/rand"
 
 // MMP is the two-state Markov-modulated rate process of §5.3, used to
 // model run-time bandwidth variation: the process alternates between an
@@ -67,17 +63,3 @@ func (m *MMP) Advance() float64 {
 
 // Base returns the unvaried rate.
 func (m *MMP) Base() float64 { return m.base }
-
-// VaryFlows returns a copy of flows with each demand redrawn once within
-// +/-percent, for studying route quality when the estimate used for
-// routing is off (routes stay computed from the original demands).
-func VaryFlows(flows []flowgraph.Flow, percent float64, seed int64) []flowgraph.Flow {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]flowgraph.Flow, len(flows))
-	copy(out, flows)
-	for i := range out {
-		delta := (rng.Float64()*2 - 1) * percent
-		out[i].Demand *= 1 + delta
-	}
-	return out
-}
