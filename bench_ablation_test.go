@@ -121,34 +121,6 @@ func BenchmarkAblationWeightM(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFlowOrder compares demand-descending versus flow-set
-// order for the sequential Dijkstra selector on the H.264 workload (whose
-// demands are highly skewed).
-func BenchmarkAblationFlowOrder(b *testing.B) {
-	m := topology.NewMesh(8, 8)
-	app, err := traffic.H264Decoder(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows := app.Flows
-	dag := cdg.TurnBreaker{Rule: cdg.NegativeFirstRule(topology.West, topology.North)}.
-		Break(cdg.NewFull(m, 2))
-	g := flowgraph.New(dag, flows, 4*120.4)
-	for i := 0; i < b.N; i++ {
-		for _, oc := range []struct {
-			name  string
-			order route.FlowOrder
-		}{{"demandDesc", route.ByDemandDesc}, {"asGiven", route.AsGiven}} {
-			set, err := route.DijkstraSelector{Order: oc.order}.Select(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mcl, _ := set.MCL()
-			b.ReportMetric(mcl, oc.name+"MCL")
-		}
-	}
-}
-
 // BenchmarkAblationSelectorQuality compares MILP and Dijkstra MCL under
 // one fixed CDG, isolating selector quality from CDG choice.
 func BenchmarkAblationSelectorQuality(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cdg"
 	"repro/internal/experiments"
@@ -150,6 +151,9 @@ func (s Spec) validate(label string) error {
 		for _, r := range s.Sim.Rates {
 			if r < 0 {
 				return fail("sim", "negative offered rate %g", r)
+			}
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				return fail("sim", "offered rate %g is not finite", r)
 			}
 		}
 		if s.Sim.Warmup < 0 || s.Sim.Measure < 0 {

@@ -3,6 +3,7 @@ package bsor
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -72,6 +73,8 @@ func TestSpecValidation(t *testing.T) {
 		{"explore with sim", Spec{Workload: "transpose", Explore: true, Sim: &SimSpec{Rates: []float64{1}}}, "explore"},
 		{"sim without rates", Spec{Workload: "transpose", Sim: &SimSpec{}}, "sim"},
 		{"negative rate", Spec{Workload: "transpose", Sim: &SimSpec{Rates: []float64{-1}}}, "sim"},
+		{"NaN rate", Spec{Workload: "transpose", Sim: &SimSpec{Rates: []float64{math.NaN()}}}, "sim"},
+		{"infinite rate", Spec{Workload: "transpose", Sim: &SimSpec{Rates: []float64{5, math.Inf(1)}}}, "sim"},
 		{"negative demand", Spec{Workload: "transpose", Demand: -1}, "demand"},
 		{"absurd vcs", Spec{Workload: "transpose", VCs: 64}, "vcs"},
 		// Parameters the topology constructors panic on, and a breaker

@@ -9,19 +9,6 @@ import (
 	"repro/internal/flowgraph"
 )
 
-// FlowOrder selects the order in which the sequential Dijkstra selector
-// routes flows. The thesis notes routes can be determined in different
-// orders (§3.7); routing heavy flows first is the natural greedy choice.
-type FlowOrder int
-
-// Flow orderings.
-const (
-	// ByDemandDesc routes the largest demands first (default).
-	ByDemandDesc FlowOrder = iota
-	// AsGiven routes flows in their flow-set order.
-	AsGiven
-)
-
 // DijkstraSelector is BSOR_Dijkstra (thesis §3.6): flows are routed one at
 // a time along a minimum-weight path of the flow network, where the weight
 // of a link is the reciprocal of its residual capacity after placing the
@@ -29,13 +16,14 @@ const (
 // Larger M biases the selection toward fewer hops, providing the latency
 // control knob the thesis describes; links already assigned many flows on
 // a virtual channel are lightly penalized to spread flows across VCs.
+// Flows are routed largest demand first (ties in flow-set order): the
+// thesis notes routes can be determined in different orders (§3.7), and
+// routing heavy flows first is the natural greedy choice.
 type DijkstraSelector struct {
 	// M keeps weights positive and trades load balance against path
 	// length; zero means the channel capacity of the flow network. Each
 	// flow already occupying a (channel, VC) adds 1/(M*1e4) to its weight.
 	M float64
-	// Order is the flow routing order.
-	Order FlowOrder
 	// Perturb, when non-nil, is added to every edge weight evaluation; the
 	// MILP selector uses it to diversify candidate paths. It receives the
 	// channel vertex being priced.
@@ -77,11 +65,9 @@ func (d DijkstraSelector) SelectContext(ctx context.Context, g *flowgraph.Graph)
 	for i := range order {
 		order[i] = i
 	}
-	if d.Order == ByDemandDesc {
-		sort.SliceStable(order, func(a, b int) bool {
-			return flows[order[a]].Demand > flows[order[b]].Demand
-		})
-	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return flows[order[a]].Demand > flows[order[b]].Demand
+	})
 
 	routes := make([]Route, len(flows))
 	var scratch dijkstraScratch

@@ -32,7 +32,8 @@ package sim
 // A packet not yet launched has no record and no buffer: it is one byte
 // in its flow's source queue, the gap since the packet queued before it
 // (sourceQueue, at the end of this file). The queues' bytes run through
-// 512-byte chunks from one free list (chunkPool).
+// 512-byte chunks from one free list (chunkPool), whose slabs pass from
+// run to run with the simulator's arena.
 
 // packet is the record of one packet in the network. It exists only from
 // launch (injectNode claims an injection VC) to tail ejection or a churn
@@ -190,17 +191,35 @@ type queueChunk struct {
 // chunks of a deep backlog cost a few allocations, and it never shrinks:
 // chunks pass between flows as backlogs shift, and a run that has met
 // its deepest combined backlog allocates nothing more.
+//
+// The slabs outlive the run. When it ends, recycled takes back every
+// chunk at once, those still linked into source queues included, and the
+// pool goes with the simulator's arena (arena.go) to the next run, which
+// carves the same slabs again before it allocates any: a sweep allocates
+// chunks for its deepest backlog, not for every run's. A carved slab's
+// next links are rewritten; its bytes are not cleared, because push
+// writes every byte of a queue before pop reads it.
 type chunkPool struct {
-	free  *queueChunk
-	total int // chunks allocated
+	free   *queueChunk
+	total  int            // chunks carved
+	slabs  [][]queueChunk // every slab the pool holds, carved or not
+	carved int            // slabs[:carved] are in use this run
 }
 
 func (p *chunkPool) get() *queueChunk {
 	if p.free == nil {
-		slab := make([]queueChunk, min(max(p.total, 4), maxSlab))
+		var slab []queueChunk
+		if p.carved < len(p.slabs) {
+			slab = p.slabs[p.carved]
+		} else {
+			slab = make([]queueChunk, min(max(p.total, 4), maxSlab))
+			p.slabs = append(p.slabs, slab)
+		}
+		p.carved++
 		for i := range slab[:len(slab)-1] {
 			slab[i].next = &slab[i+1]
 		}
+		slab[len(slab)-1].next = nil
 		p.free = &slab[0]
 		p.total += len(slab)
 	}
@@ -210,6 +229,10 @@ func (p *chunkPool) get() *queueChunk {
 }
 
 func (p *chunkPool) put(c *queueChunk) { c.next, p.free = p.free, c }
+
+// recycled returns an empty pool holding p's slabs, all of them free for
+// carving again. Every queue p backed must be dropped with it.
+func (p chunkPool) recycled() chunkPool { return chunkPool{slabs: p.slabs} }
 
 // sourceQueue is a flow's source queue: a FIFO of creation cycles (all
 // the state a queued packet has), each stored as its difference from the

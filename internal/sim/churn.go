@@ -48,8 +48,11 @@ import (
 //
 // Faults are cumulative across calls. Calling with no channels is a
 // no-op. The returned PurgeStats is this call's delta (the Result fields
-// accumulate).
+// accumulate). Calling it after Run or Finish is a bug, and panics.
 func (s *Simulator) DisableChannels(requeue bool, chs ...topology.ChannelID) PurgeStats {
+	if s.finished() {
+		panic("sim: DisableChannels on a finished Simulator (after Run or Finish)")
+	}
 	before := PurgeStats{Flits: s.droppedFlits, Packets: s.droppedPackets, Requeued: s.requeuedPkts}
 	if len(chs) == 0 {
 		return PurgeStats{}
@@ -191,8 +194,12 @@ func (s *Simulator) clearBuf(bi int32, b *vcBuf) {
 // the table of their launch epoch (see packet.epoch), so the swap never
 // strands or mis-ejects a mid-route packet. The set must cover the same
 // flows (same order, same endpoints) as the original configuration and
-// must not cross any currently dead channel.
+// must not cross any currently dead channel. After Run or Finish it
+// returns an error.
 func (s *Simulator) SwapRoutes(set *route.Set) error {
+	if s.finished() {
+		return errFinished("SwapRoutes")
+	}
 	orig := s.cfg.Routes.Routes
 	if len(set.Routes) != len(orig) {
 		return fmt.Errorf("sim: SwapRoutes got %d routes, config has %d flows", len(set.Routes), len(orig))
@@ -213,10 +220,8 @@ func (s *Simulator) SwapRoutes(set *route.Set) error {
 			}
 		}
 	}
-	tbl, err := buildTable(set)
-	if err != nil {
-		return fmt.Errorf("sim: SwapRoutes: %w", err)
-	}
+	tbl := new(routingTable)
+	tbl.build(set)
 	s.tables = append(s.tables, tbl)
 	s.curEpoch++
 	return nil

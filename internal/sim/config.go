@@ -28,14 +28,21 @@
 // Per-cycle cost is proportional to in-flight
 // activity that can change state, not to topology size, which is what
 // makes 16x16+ sweeps affordable (EXPERIMENTS.md records the measured
-// speedup).
+// speedup). A run's memory — every slice, the RNG and the queue chunks —
+// is one arena that goes back to a pool when the run ends and is resized
+// in place by the next New (arena.go), so in a sweep a run allocates
+// little beyond its Simulator and its Result.
 //
 // # Concurrency
 //
-// The package holds no mutable package-level state: every Simulator owns
-// its network buffers, RNG, and statistics, so New followed by Run is
-// safe to call from any number of concurrent goroutines as long as each
-// goroutine uses its own Simulator. The Config inputs (Mesh, Routes) are
+// The package's one piece of shared state is where released arenas
+// wait: one sync.Pool, plus an atomic slot that keeps the newest across
+// collections. Each arena is owned by one Simulator from New to the end
+// of its run (RunContext returning, or Finish). After that the Simulator holds none
+// of it and its stepping calls fail, and a Result never shares memory
+// with an arena. So New followed by Run is safe to call from any number
+// of concurrent goroutines as long as each goroutine uses its own
+// Simulator. The Config inputs (Mesh, Routes) are
 // treated strictly read-only and may be shared between concurrent runs;
 // a RateVariation callback, however, is invoked from the simulation loop
 // and must not be shared across simulators unless it is itself
@@ -168,6 +175,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.OfferedRate < 0 {
 		return c, fmt.Errorf("sim: negative offered rate")
+	}
+	if math.IsNaN(c.OfferedRate) || math.IsInf(c.OfferedRate, 0) {
+		return c, fmt.Errorf("sim: offered rate %g is not finite", c.OfferedRate)
 	}
 	if c.Workers < 0 {
 		return c, fmt.Errorf("sim: negative Workers")

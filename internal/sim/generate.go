@@ -43,21 +43,32 @@ func (s *Simulator) schedule(fi int32, at int64) {
 	s.wheel[int(at&(wheelSlots-1))*s.flowWords+int(fi>>6)] |= 1 << (fi & 63)
 }
 
+// never is the gap of a flow whose next success lies beyond any run: far
+// past every cycle count, and far enough below MaxInt64 that adding it to
+// a cycle cannot overflow.
+const never = 1 << 62
+
 // geomGap samples the number of cycles until flow's next Bernoulli
 // success (geometric distribution, support >= 1) by inversion: one
 // uniform draw and one log per packet, against the flow's precomputed
 // 1/ln(1-p).
+//
+// For p below about 1e-18 the product can exceed MaxInt64, where the
+// conversion to int64 is undefined (MinInt64 on amd64, which would fire
+// the flow every cycle), and for a denormal p, whose 1/ln(1-p) is -Inf,
+// a draw of 0 makes it NaN. Both, and every product of at least never,
+// schedule the flow never.
 func (s *Simulator) geomGap(flow int32) int64 {
 	inv := s.invLogQ[flow]
 	if inv == 0 {
 		return 1 // p >= 1: a success every cycle
 	}
 	u := s.rng.Float64()
-	g := 1 + int64(math.Log1p(-u)*inv)
-	if g < 1 {
-		g = 1
+	x := math.Log1p(-u) * inv // >= 0: both factors are <= 0
+	if !(x < never) {         // also NaN
+		return never
 	}
-	return g
+	return 1 + int64(x)
 }
 
 // initArrivals builds the wheel and schedules every flow's first
@@ -65,8 +76,8 @@ func (s *Simulator) geomGap(flow int32) int64 {
 // process starting at cycle 0 lands after geomGap-1 failures.
 func (s *Simulator) initArrivals() {
 	s.flowWords = (len(s.injectProb) + 63) / 64
-	s.wheel = make([]uint64, wheelSlots*s.flowWords)
-	s.arrivalAt = make([]int64, len(s.injectProb))
+	s.wheel = resized(s.wheel, wheelSlots*s.flowWords)
+	s.arrivalAt = resized(s.arrivalAt, len(s.injectProb))
 	for i, p := range s.injectProb {
 		if p > 0 {
 			s.schedule(int32(i), s.geomGap(int32(i))-1)

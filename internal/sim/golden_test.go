@@ -349,15 +349,17 @@ func TestSaturationMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	// Stepped rather than Run, which would hand the state back to the
+	// pool before it could be inspected.
+	dead, err := s.Advance(context.Background(), 121000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Deadlocked {
+	if dead {
 		t.Fatal("deadlocked")
 	}
-	if res.PacketsDelivered < 20000 {
-		t.Fatalf("run too short to exercise recycling: %d delivered", res.PacketsDelivered)
+	if s.mDelivered < 20000 {
+		t.Fatalf("run too short to exercise recycling: %d delivered", s.mDelivered)
 	}
 	for fi := range s.srcQueue {
 		q := &s.srcQueue[fi]
@@ -381,6 +383,7 @@ func TestSaturationMemoryBounded(t *testing.T) {
 	if bound := 2*(maxSourceQueue/chunkBytes+1) + maxSlab; s.chunks.total > bound {
 		t.Errorf("chunk pool %d chunks, want <= %d", s.chunks.total, bound)
 	}
+	s.Finish(false)
 }
 
 // TestSteadyStateAllocationFree pins the hot loop's allocation count at

@@ -17,10 +17,14 @@ var queueGaps = [...]int64{0, 1, 254, 255, 256, 1<<32 + 7, -1, -255}
 // the queue is drained. The runs of ops 4 (one byte an entry) and 6
 // cross chunk boundaries, so an escape can straddle one,
 // and op 7 empties the queue so the next push refills it from the kept
-// reference. Pushes stop at maxSourceQueue entries.
+// reference. Op 8 ends the run the way a simulator's end does: the pool
+// is recycled with the queue's chunks still linked in, and a fresh queue
+// and model go on over the same slabs, whose stale bytes and next links
+// the checks would then catch. Pushes stop at maxSourceQueue entries.
 func FuzzSourceQueue(f *testing.F) {
 	f.Add([]byte{1, 10, 5, 0, 1, 254, 1, 255, 0, 4, 5, 0, 5, 0, 5, 0})
 	f.Add([]byte{4, 80, 0, 3, 4, 80, 6, 70, 0, 5, 4, 200, 7, 0, 1, 3, 5, 0})
+	f.Add([]byte{4, 255, 4, 255, 6, 10, 8, 0, 3, 7, 4, 255, 4, 100, 0, 5, 6, 90, 8, 0, 4, 30, 1, 255, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			p     chunkPool
@@ -52,7 +56,7 @@ func FuzzSourceQueue(f *testing.F) {
 			model, held, sizes = model[1:], held-sizes[0], sizes[1:]
 		}
 		for ; len(data) >= 2; data = data[2:] {
-			op, arg := data[0]%8, int64(data[1])
+			op, arg := data[0]%9, int64(data[1])
 			switch op {
 			case 0:
 				push(last + queueGaps[arg%int64(len(queueGaps))])
@@ -76,6 +80,9 @@ func FuzzSourceQueue(f *testing.F) {
 				for len(model) > 0 {
 					pop()
 				}
+			case 8:
+				p = p.recycled()
+				q, model, sizes, held, last = sourceQueue{}, nil, nil, 0, 0
 			}
 			if err := checkQueue(&p, &q, len(model), held); err != nil {
 				t.Fatalf("after op %d(%d): %v", op, arg, err)

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -38,14 +40,15 @@ import (
 // buffers.go for the buffer layout and DESIGN.md §8 for the invariants
 // (which internal tests cross-check against a full scan).
 type Simulator struct {
-	cfg  Config
-	mesh topology.Topology
-	// tables holds one flat routing table per epoch; SwapRoutes appends.
-	// Every table is retained for the lifetime of the run: in-flight
-	// packets look up the epoch they were launched under, and with a
-	// bounded number of swaps (one escape + one repair per fault event)
-	// the retained set stays small.
-	tables   []*routingTable
+	arena        // every slice of the run, pooled across runs (arena.go)
+	box   *arena // the pooled record the arena goes back to; nil once finished
+	// final is what the run returned, repeated to a second RunContext or
+	// Finish.
+	final    *Result
+	finalErr error
+
+	cfg      Config
+	mesh     topology.Topology
 	curEpoch int32
 	// deadChan marks channels failed by DisableChannels; nil until the
 	// first fault (zero-churn runs never allocate or consult it).
@@ -57,56 +60,8 @@ type Simulator struct {
 	depth   int32
 	injBase int32 // flat index of the first injection buffer
 
-	occ     []occupancy // per buffer: head, count, deferred pops
-	bufs    []vcBuf     // per buffer: route, wait-list links, flags
-	bufNode []int32     // per buffer: the node it sits at
-
-	packets  []packet // launched packets only; see packet in buffers.go
-	freePkts []int32  // retired records, reused by the next launches
-
-	// Per-flow injection state.
-	injectProb []float64 // packets/cycle at OfferedRate (base demands)
-	invLogQ    []float64 // 1/ln(1-p) per flow, 0 when p >= 1 (gap is 1)
-	demandSum  float64
-	arrivalAt  []int64  // per flow: cycle of the next arrival (while on the wheel)
-	wheel      []uint64 // wheelSlots rows of flowWords: slot c%wheelSlots's flows
-	flowWords  int
-	srcQueue   []sourceQueue // per flow: creation cycles of queued packets
-	chunks     chunkPool     // backs every source queue
-	transfer   []injTransfer
-	flowNode   []int32 // source node per flow
-	flowPaused []bool  // arrival due but source queue full; resumed on pop
-
-	// Active sets.
-	routePending []int32 // buffers with an unrouted header at their head
-	vaRetry      []int32 // channels flagged for the next VA pass
-	activeChans  []int32 // channels with routed waiters
-	activeEject  []int32 // nodes with ejecting waiters
-	activeInj    []int32 // awake nodes with injection work (see wakeInj)
-	scratch      []int32 // arbitration candidates
-
-	// Effects deferred to commit.
-	pops     []int32 // buffers dequeued this cycle (dups allowed)
-	arrivals []int32 // buffers receiving a flit this cycle (dups allowed)
-	resumed  []int32 // flows whose arrival process restarts this cycle
-
-	vaWait      []int32 // per channel: head of VA-stalled wait list, -1 empty
-	vaFlagged   []bool  // per channel: queued in vaRetry
-	chanWait    []int32 // per channel: head of routed-VC wait list, -1 empty
-	ejectWait   []int32 // per node: head of ejecting-VC wait list, -1 empty
-	chanQueued  []bool
-	ejectQueued []bool
-	injQueued   []bool
-	flowWork    []bool  // flow has queued packets or an active transfer
-	nodeWork    []int32 // number of flows with work per node
-
-	// Round-robin pointers.
-	rrOut  []int // per channel: switch-allocation priority
-	rrEjct []int // per node
-	rrInj  []int // per node: flow service order
-
-	// nodeFlows[node] lists flow indices sourced at node.
-	nodeFlows [][]int32
+	demandSum float64
+	flowWords int
 
 	cycle     int64
 	lastMove  int64
@@ -123,13 +78,11 @@ type Simulator struct {
 	// cycles (tests only; see invariants.go).
 	checkEvery int64
 
-	// measurement accumulators
+	// measurement accumulators (perFlow and perFlowLat are in the arena)
 	mInjected    int64
 	mDelivered   int64
 	mLatencySum  int64
 	mTotalLatSum int64
-	perFlow      []int64
-	perFlowLat   []stats.Summary
 	latencyHist  *stats.Histogram
 
 	// Out-of-band instruments (nil when Config.Metrics is nil); flushed
@@ -145,31 +98,28 @@ type injTransfer struct {
 	buf     int32 // flat injection-buffer index being streamed into
 }
 
-// New builds a simulator; Run executes it. A Simulator is single-use.
+// New builds a simulator; Run executes it. A Simulator is single-use:
+// its memory goes back to a process-wide pool when the run ends (see
+// arena.go), for the next New on any goroutine.
 func New(cfg Config) (*Simulator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	tbl, err := buildTable(cfg.Routes)
-	if err != nil {
-		return nil, err
-	}
-	s := &Simulator{
-		cfg:    cfg,
-		mesh:   cfg.Mesh,
-		tables: []*routingTable{tbl},
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-	}
+	// Nothing below fails: a New that returns an error has taken no arena.
+	s := &Simulator{cfg: cfg, mesh: cfg.Mesh}
+	s.takeArena(cfg.Seed)
+	s.table.build(cfg.Routes)
+	s.tables = append(s.tables, &s.table)
 	nc := s.mesh.NumChannels()
 	nn := s.mesh.NumNodes()
 	s.nVCs = int32(cfg.VCs)
 	s.depth = int32(cfg.BufDepth)
 	s.injBase = int32(nc) * s.nVCs
 	nBufs := int32(nc+nn) * s.nVCs
-	s.occ = make([]occupancy, nBufs)
-	s.bufs = make([]vcBuf, nBufs)
-	s.bufNode = make([]int32, nBufs)
+	s.occ = resized(s.occ, int(nBufs))
+	s.bufs = resized(s.bufs, int(nBufs))
+	s.bufNode = resized(s.bufNode, int(nBufs))
 	for bi := range s.bufs {
 		b := &s.bufs[bi]
 		b.owner, b.next, b.prev = -1, -1, -1
@@ -179,22 +129,26 @@ func New(cfg Config) (*Simulator, error) {
 			s.bufNode[bi] = (int32(bi) - s.injBase) / s.nVCs
 		}
 	}
-	s.packets = make([]packet, 0, nn*int(s.nVCs)) // one per injection VC
+	s.packets = emptied(s.packets, nn*int(s.nVCs)) // one per injection VC
+	s.freePkts = s.freePkts[:0]
 	flows := cfg.Routes.Routes
-	s.injectProb = make([]float64, len(flows))
-	s.srcQueue = make([]sourceQueue, len(flows))
-	s.transfer = make([]injTransfer, len(flows))
-	s.flowNode = make([]int32, len(flows))
-	s.flowWork = make([]bool, len(flows))
-	s.perFlow = make([]int64, len(flows))
-	s.nodeFlows = make([][]int32, nn)
+	s.injectProb = resized(s.injectProb, len(flows))
+	s.srcQueue = resized(s.srcQueue, len(flows))
+	s.transfer = resized(s.transfer, len(flows))
+	s.flowNode = resized(s.flowNode, len(flows))
+	s.flowWork = resized(s.flowWork, len(flows))
+	s.perFlow = resized(s.perFlow, len(flows))
+	s.nodeFlows = slices.Grow(s.nodeFlows[:0], nn)[:nn] // keeps each row's capacity
+	for n := range s.nodeFlows {
+		s.nodeFlows[n] = s.nodeFlows[n][:0]
+	}
 	for i, r := range flows {
 		s.demandSum += r.Flow.Demand
 		s.transfer[i].pkt = -1
 		s.flowNode[i] = int32(r.Flow.Src)
 		s.nodeFlows[r.Flow.Src] = append(s.nodeFlows[r.Flow.Src], int32(i))
 	}
-	s.invLogQ = make([]float64, len(flows))
+	s.invLogQ = resized(s.invLogQ, len(flows))
 	for i, r := range flows {
 		if s.demandSum > 0 {
 			s.injectProb[i] = cfg.OfferedRate * r.Flow.Demand / s.demandSum
@@ -203,9 +157,9 @@ func New(cfg Config) (*Simulator, error) {
 			s.invLogQ[i] = 1 / math.Log1p(-p)
 		}
 	}
-	s.chanWait = make([]int32, nc)
-	s.vaWait = make([]int32, nc)
-	s.ejectWait = make([]int32, nn)
+	s.chanWait = resized(s.chanWait, nc)
+	s.vaWait = resized(s.vaWait, nc)
+	s.ejectWait = resized(s.ejectWait, nn)
 	for i := range s.chanWait {
 		s.chanWait[i] = -1
 		s.vaWait[i] = -1
@@ -213,27 +167,29 @@ func New(cfg Config) (*Simulator, error) {
 	for i := range s.ejectWait {
 		s.ejectWait[i] = -1
 	}
-	s.vaFlagged = make([]bool, nc)
-	s.flowPaused = make([]bool, len(flows))
-	s.chanQueued = make([]bool, nc)
-	s.ejectQueued = make([]bool, nn)
-	s.injQueued = make([]bool, nn)
-	s.nodeWork = make([]int32, nn)
-	s.rrOut = make([]int, nc)
-	s.rrEjct = make([]int, nn)
-	s.rrInj = make([]int, nn)
+	s.vaFlagged = resized(s.vaFlagged, nc)
+	s.flowPaused = resized(s.flowPaused, len(flows))
+	s.chanQueued = resized(s.chanQueued, nc)
+	s.ejectQueued = resized(s.ejectQueued, nn)
+	s.injQueued = resized(s.injQueued, nn)
+	s.nodeWork = resized(s.nodeWork, nn)
+	s.rrOut = resized(s.rrOut, nc)
+	s.rrEjct = resized(s.rrEjct, nn)
+	s.rrInj = resized(s.rrInj, nn)
 	// Every active set holds a member at most once, and a cycle moves at
 	// most one flit per channel plus LocalBandwidth per node in and out:
 	// sized to those bounds, no set grows inside the cycle loop.
 	perCycle := nc + nn*cfg.LocalBandwidth
-	s.routePending = make([]int32, 0, nBufs)
-	s.vaRetry = make([]int32, 0, nc)
-	s.activeChans = make([]int32, 0, nc)
-	s.activeEject = make([]int32, 0, nn)
-	s.activeInj = make([]int32, 0, nn)
-	s.pops = make([]int32, 0, perCycle)
-	s.arrivals = make([]int32, 0, perCycle)
-	s.perFlowLat = make([]stats.Summary, len(flows))
+	s.routePending = emptied(s.routePending, int(nBufs))
+	s.vaRetry = emptied(s.vaRetry, nc)
+	s.activeChans = emptied(s.activeChans, nc)
+	s.activeEject = emptied(s.activeEject, nn)
+	s.activeInj = emptied(s.activeInj, nn)
+	s.scratch = s.scratch[:0]
+	s.pops = emptied(s.pops, perCycle)
+	s.arrivals = emptied(s.arrivals, perCycle)
+	s.resumed = s.resumed[:0]
+	s.perFlowLat = resized(s.perFlowLat, len(flows))
 	s.latencyHist = stats.NewHistogram(0, 4096, 256)
 	if cfg.Metrics != nil {
 		s.mCycles = cfg.Metrics.Counter("sim_cycles_total")
@@ -255,13 +211,22 @@ func (s *Simulator) Run() (*Result, error) {
 // per-cycle work), so a cancelled run returns within 1024 cycles. A
 // cancelled run yields no Result — partial statistics from a truncated
 // measurement window would be silently biased toward warm-up behavior.
+//
+// Every return ends the run: the simulator's memory goes back to the
+// pool, and a second RunContext or a Finish returns what the first
+// RunContext did.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
+	if s.finished() {
+		return s.final, s.finalErr
+	}
 	total := s.cfg.WarmupCycles + s.cfg.MeasureCycles
 	deadlocked, err := s.advance(ctx, total)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		s.final = s.buildResult(deadlocked)
 	}
-	return s.buildResult(deadlocked), nil
+	s.finalErr = err
+	s.putArena()
+	return s.final, err
 }
 
 // Advance steps the simulation forward to absolute cycle target (a no-op
@@ -269,9 +234,18 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 // reconfiguration — apply faults with DisableChannels, swap tables with
 // SwapRoutes, then Advance again. It reports whether the deadlock
 // watchdog fired; after a deadlock the state is frozen and further calls
-// return immediately. Collect the final statistics with Finish.
+// return immediately. Collect the final statistics with Finish; after
+// it (or a Run) Advance returns an error.
 func (s *Simulator) Advance(ctx context.Context, target int64) (deadlocked bool, err error) {
+	if s.finished() {
+		return false, errFinished("Advance")
+	}
 	return s.advance(ctx, target)
+}
+
+// errFinished is the error of a stepping call on a finished simulator.
+func errFinished(method string) error {
+	return fmt.Errorf("sim: %s on a finished Simulator (after Run or Finish)", method)
 }
 
 // Cycle returns the current simulation cycle.
@@ -285,8 +259,17 @@ func (s *Simulator) DeliveredTotal() int64 { return s.delivered }
 // Epoch returns the current routing-table epoch (0 before any swap).
 func (s *Simulator) Epoch() int32 { return s.curEpoch }
 
-// Finish assembles the Result after stepping with Advance.
-func (s *Simulator) Finish(deadlocked bool) *Result { return s.buildResult(deadlocked) }
+// Finish assembles the Result after stepping with Advance and ends the
+// run: the simulator's memory goes back to the pool. A second Finish, or
+// one after Run, returns the first Result.
+func (s *Simulator) Finish(deadlocked bool) *Result {
+	if s.finished() {
+		return s.final
+	}
+	s.final = s.buildResult(deadlocked)
+	s.putArena()
+	return s.final
+}
 
 // advance runs the cycle loop up to (not past) absolute cycle target.
 // On deadlock it returns with s.cycle frozen at the detecting cycle,
@@ -377,7 +360,7 @@ func (s *Simulator) buildResult(deadlocked bool) *Result {
 		Cycles:           s.cycle,
 		PacketsInjected:  s.mInjected,
 		PacketsDelivered: s.mDelivered,
-		PerFlowDelivered: s.perFlow,
+		PerFlowDelivered: slices.Clone(s.perFlow), // the arena outlives the Result
 		FlitHops:         s.flitHops,
 		Deadlocked:       deadlocked,
 		DroppedFlits:     s.droppedFlits,

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/route"
 	"repro/internal/topology"
 )
@@ -31,25 +29,21 @@ type routingTable struct {
 	ents []tableEntry
 }
 
-func buildTable(set *route.Set) (*routingTable, error) {
+// build fills t with set's rows, reusing t's arrays. set has passed
+// route.Set.Validate, so no row is empty.
+func (t *routingTable) build(set *route.Set) {
 	total := 0
 	for _, r := range set.Routes {
 		total += len(r.Channels)
 	}
-	t := &routingTable{
-		off:  make([]int32, len(set.Routes)+1),
-		ents: make([]tableEntry, 0, total),
-	}
+	t.off = resized(t.off, len(set.Routes)+1)
+	t.ents = emptied(t.ents, total)
 	for i, r := range set.Routes {
-		if len(r.Channels) == 0 {
-			return nil, fmt.Errorf("sim: flow %s has no route", r.Flow.Name)
-		}
 		for h, ch := range r.Channels {
 			t.ents = append(t.ents, tableEntry{next: ch, vc: int32(r.VCs[h])})
 		}
 		t.off[i+1] = int32(len(t.ents))
 	}
-	return t, nil
 }
 
 // row returns flow f's route-order entries.
