@@ -16,6 +16,7 @@ package repro
 // are visible in benchmark output.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cdg"
@@ -40,7 +41,7 @@ func transposeWorkload() (*topology.Mesh, []flowgraph.Flow) {
 // with static and dynamic VC allocation at saturation.
 func BenchmarkAblationStaticVsDynamicVC(b *testing.B) {
 	m, flows := transposeWorkload()
-	set, _, err := core.Best(m, flows, core.Config{VCs: 4})
+	set, _, err := core.BestContext(context.Background(), m, flows, core.Config{VCs: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func BenchmarkAblationCDGBreadth(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for name, breakers := range sets {
-			_, best, err := core.Best(m, flows, core.Config{VCs: 2, Breakers: breakers})
+			_, best, err := core.BestContext(context.Background(), m, flows, core.Config{VCs: 2, Breakers: breakers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -110,7 +111,7 @@ func BenchmarkAblationWeightM(b *testing.B) {
 			name string
 			m    float64
 		}{{"Msmall", 50}, {"Mcap", 100}, {"Mbig", 1600}} {
-			set, err := route.DijkstraSelector{M: mc.m}.Select(g)
+			set, err := route.DijkstraSelector{M: mc.m}.SelectContext(context.Background(), g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -129,7 +130,7 @@ func BenchmarkAblationSelectorQuality(b *testing.B) {
 		Break(cdg.NewFull(m, 2))
 	g := flowgraph.New(dag, flows, 100)
 	for i := 0; i < b.N; i++ {
-		dset, err := route.DijkstraSelector{}.Select(g)
+		dset, err := route.DijkstraSelector{}.SelectContext(context.Background(), g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func BenchmarkAblationSelectorQuality(b *testing.B) {
 		b.ReportMetric(dm, "dijkstraMCL")
 
 		mset, err := route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 8,
-			MaxNodes: 40, Gap: 0.01}.Select(g)
+			MaxNodes: 40, Gap: 0.01}.SelectContext(context.Background(), g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func BenchmarkAblationSelectorQuality(b *testing.B) {
 // router against a 4-stage (RC/VA/SA/ST) pipeline at moderate load.
 func BenchmarkAblationPipelineDepth(b *testing.B) {
 	m, flows := transposeWorkload()
-	set, _, err := core.Best(m, flows, core.Config{VCs: 2})
+	set, _, err := core.BestContext(context.Background(), m, flows, core.Config{VCs: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func BenchmarkDijkstraSelection(b *testing.B) {
 	g := flowgraph.New(dag, flows, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (route.DijkstraSelector{}).Select(g); err != nil {
+		if _, err := (route.DijkstraSelector{}).SelectContext(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ package repro
 // ledger.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -33,6 +34,16 @@ func benchParams() experiments.SimParams {
 
 func benchRates() []float64 { return []float64{10, 30, 50} }
 
+// runJobs runs jobs to completion on r, failing b if the run is cut short.
+func runJobs(b *testing.B, r *experiments.Runner, jobs []experiments.Job) []experiments.Result {
+	b.Helper()
+	results, err := r.RunContext(context.Background(), jobs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return results
+}
+
 // minPositive returns the smallest non-negative MCL of a table row.
 func minPositive(vals []float64) float64 {
 	best := -1.0
@@ -49,7 +60,7 @@ func minPositive(vals []float64) float64 {
 func BenchmarkTable61(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := &experiments.Runner{MILP: benchMILP()}
-		rows := experiments.CDGRows(r.Run(experiments.TableJobs("table-cdg", experiments.MeshSpec(8, 8),
+		rows := experiments.CDGRows(runJobs(b, r, experiments.TableJobs("table-cdg", experiments.MeshSpec(8, 8),
 			"BSOR-MILP", experiments.TableBreakerNames(), 2)))
 		for _, r := range rows {
 			if r.Workload == "transpose" {
@@ -66,7 +77,7 @@ func BenchmarkTable61(b *testing.B) {
 // under BSOR_Dijkstra.
 func BenchmarkTable62(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.CDGRows((&experiments.Runner{}).Run(experiments.TableJobs("table-cdg",
+		rows := experiments.CDGRows(runJobs(b, &experiments.Runner{}, experiments.TableJobs("table-cdg",
 			experiments.MeshSpec(8, 8), "BSOR-Dijkstra", experiments.TableBreakerNames(), 2)))
 		for _, r := range rows {
 			if r.Workload == "transpose" {
@@ -81,7 +92,7 @@ func BenchmarkTable62(b *testing.B) {
 func BenchmarkTable63(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := &experiments.Runner{MILP: benchMILP()}
-		rows := experiments.AlgoRows(r.Run(experiments.AlgoTableJobs("table6.3", experiments.MeshSpec(8, 8),
+		rows := experiments.AlgoRows(runJobs(b, r, experiments.AlgoTableJobs("table6.3", experiments.MeshSpec(8, 8),
 			experiments.Table63Algorithms(), experiments.TableBreakerNames(), 2)))
 		for _, r := range rows {
 			if r.Workload == "transpose" {
@@ -99,7 +110,7 @@ func benchFigure(b *testing.B, workload string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r := &experiments.Runner{MILP: benchMILP()}
-		results := r.Run(experiments.SweepJobs("figure", experiments.MeshSpec(8, 8), workload,
+		results := runJobs(b, r, experiments.SweepJobs("figure", experiments.MeshSpec(8, 8), workload,
 			experiments.FigureAlgorithms(), experiments.TableBreakerNames(), benchRates(), 0, benchParams()))
 		if err := experiments.FirstError(results); err != nil {
 			b.Fatal(err)
@@ -139,7 +150,7 @@ func BenchmarkFig66Transmitter(b *testing.B) { benchFigure(b, "transmitter") }
 // whose ratio carries the thesis' ~40% head-of-line-blocking finding.
 func BenchmarkFig67VCSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := (&experiments.Runner{}).Run(experiments.VCSweepJobs("vcsweep", experiments.MeshSpec(8, 8),
+		results := runJobs(b, &experiments.Runner{}, experiments.VCSweepJobs("vcsweep", experiments.MeshSpec(8, 8),
 			"transpose", []string{"BSOR-Dijkstra", "XY"}, []int{1, 2, 4, 8}, benchRates(), benchParams()))
 		if err := experiments.FirstError(results); err != nil {
 			b.Fatal(err)
@@ -164,7 +175,7 @@ func benchVariation(b *testing.B, percent float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r := &experiments.Runner{MILP: benchMILP()}
-		results := r.Run(experiments.SweepJobs("variation", experiments.MeshSpec(8, 8), "transpose",
+		results := runJobs(b, r, experiments.SweepJobs("variation", experiments.MeshSpec(8, 8), "transpose",
 			experiments.FigureAlgorithms(), experiments.TableBreakerNames(), benchRates(), percent, benchParams()))
 		if err := experiments.FirstError(results); err != nil {
 			b.Fatal(err)
@@ -210,7 +221,7 @@ func BenchmarkSweepEngineSpeedup(b *testing.B) {
 	run := func(workers int) (time.Duration, []experiments.Result) {
 		r := &experiments.Runner{Workers: workers}
 		start := time.Now()
-		results := r.Run(jobs)
+		results := runJobs(b, r, jobs)
 		return time.Since(start), results
 	}
 	for i := 0; i < b.N; i++ {

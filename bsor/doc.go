@@ -33,17 +33,16 @@
 // # Pipelines
 //
 // A Pipeline executes a list of Specs on a worker pool (WithWorkers sizes
-// it, and only it) with memoized route synthesis, streaming one Result
-// per unit of work as it completes:
+// it, and only it) with memoized route synthesis, one Result per unit of
+// work, in spec order:
 //
 //	p, err := bsor.NewPipeline(specs, bsor.WithWorkers(8))
-//	results, err := p.Run(ctx)
-//	for res := range results { ... }
+//	results, err := p.RunAll(ctx)
 //
-// Run returns a channel; RunAll blocks and returns results in spec
-// order. Cancelling ctx stops the pipeline within one job boundary: no
-// new job starts, in-flight synthesis and simulation return at their
-// next internal poll point, and RunAll surfaces ctx.Err().
+// Cancelling ctx stops the pipeline within one job boundary: no new job
+// starts, in-flight synthesis and simulation return at their next
+// internal poll point, and RunAll returns the results of the jobs that
+// started plus ctx.Err().
 //
 // # Synthesis without simulation
 //

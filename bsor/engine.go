@@ -22,7 +22,6 @@ import (
 // concurrent use. The package-level Synthesize, Explore, Verify,
 // NewPipeline and RunChurn run on a throwaway Engine.
 type Engine struct {
-	cfg    config
 	runner *experiments.Runner
 }
 
@@ -40,7 +39,7 @@ func NewEngine(opts ...Option) *Engine {
 	if cfg.milpSet {
 		r.MILP = cfg.milp.selector()
 	}
-	return &Engine{cfg: cfg, runner: r}
+	return &Engine{runner: r}
 }
 
 // job resolves a spec to its synthesis job. The spec's Sim and Explore

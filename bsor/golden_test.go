@@ -37,7 +37,10 @@ func TestGoldenJSONFacadeMatchesLegacyTablePath(t *testing.T) {
 			p.jobs, legacyJobs)
 	}
 
-	legacyRes := (&experiments.Runner{}).Run(legacyJobs)
+	legacyRes, err := (&experiments.Runner{}).RunContext(context.Background(), legacyJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var legacy bytes.Buffer
 	if err := experiments.WriteJSON(&legacy, legacyRes); err != nil {
 		t.Fatal(err)

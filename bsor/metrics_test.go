@@ -4,64 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"sync/atomic"
 	"testing"
 )
-
-// TestProgressSerializedMonotonic pins the WithProgress contract under
-// -race with a real multi-worker run: callbacks never overlap, done
-// increases by exactly one per call from 1 to NumJobs, and total is
-// constant. The entered flag catches concurrent entry even when the race
-// detector alone would miss a semantic (non-memory) overlap.
-func TestProgressSerializedMonotonic(t *testing.T) {
-	rates := make([]float64, 12)
-	for i := range rates {
-		rates[i] = 0.05 * float64(i+1)
-	}
-	specs := []Spec{{
-		Topo: Mesh(4, 4), Workload: "transpose",
-		Sim: &SimSpec{Rates: rates, Warmup: 500, Measure: 2000, Seed: 1},
-	}}
-
-	var entered int32
-	prev := 0
-	wantTotal := 0
-	p, err := NewPipeline(specs, WithWorkers(4), WithProgress(func(done, total int) {
-		if !atomic.CompareAndSwapInt32(&entered, 0, 1) {
-			t.Error("progress callback entered concurrently")
-		}
-		if done != prev+1 {
-			t.Errorf("done = %d after %d, want %d", done, prev, prev+1)
-		}
-		prev = done
-		if total != wantTotal {
-			t.Errorf("total = %d, want %d", total, wantTotal)
-		}
-		atomic.StoreInt32(&entered, 0)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTotal = p.NumJobs()
-	if _, err := p.RunAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if prev != wantTotal {
-		t.Errorf("final done = %d, want %d", prev, wantTotal)
-	}
-
-	// The streaming path uses the same serialized reporter.
-	prev, wantTotal = 0, p.NumJobs()
-	ch, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range ch {
-	}
-	if prev != wantTotal {
-		t.Errorf("streaming final done = %d, want %d", prev, wantTotal)
-	}
-}
 
 // TestMetricsOutOfBand is the collector's core guarantee, end to end:
 // the marshaled results of a pipeline are byte-identical with metrics

@@ -3,7 +3,6 @@ package bsor
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -63,11 +62,10 @@ func (b MILPBudget) selector() route.Selector {
 
 // config carries the engine options.
 type config struct {
-	workers  int
-	progress func(done, total int)
-	milp     MILPBudget
-	milpSet  bool
-	metrics  *metrics.Collector
+	workers int
+	milp    MILPBudget
+	milpSet bool
+	metrics *metrics.Collector
 }
 
 // Option configures an Engine (and so every Pipeline and one-off call on
@@ -78,40 +76,6 @@ type Option func(*config)
 // WithWorkers sizes the job worker pool, and nothing else; 0 (the default)
 // means NumCPU. Results are deterministic for any worker count.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithProgress installs a progress callback invoked after each completed
-// unit of work with the running and total counts.
-//
-// Contract: calls are serialized under a pipeline-owned mutex — fn never
-// runs concurrently with itself, even with WithWorkers(n > 1) — and done
-// increases by exactly one per call, from 1 to total (or fewer after
-// cancellation). fn needs no locking of its own for state only it
-// touches, but it runs on an engine worker goroutine (not the caller's),
-// so it must not block for long and must not call back into the
-// Pipeline. The serialization is the pipeline's own guarantee and does
-// not rely on the engine serializing result delivery.
-func WithProgress(fn func(done, total int)) Option {
-	return func(c *config) { c.progress = fn }
-}
-
-// progressFn returns the serialized per-unit progress reporter that
-// implements the WithProgress contract: the counter increment and the
-// callback invocation happen under one mutex, so calls are totally
-// ordered with monotonically increasing done values regardless of how
-// many workers deliver results.
-func (c *config) progressFn(total int) func() {
-	if c.progress == nil {
-		return func() {}
-	}
-	var mu sync.Mutex
-	done := 0
-	return func() {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		c.progress(done, total)
-	}
-}
 
 // WithMILPBudget tunes the BSOR-MILP selector for every spec in the
 // pipeline (see MILPBudget; FastMILPBudget for smoke runs).
@@ -141,7 +105,7 @@ func NewPipeline(specs []Spec, opts ...Option) (*Pipeline, error) {
 }
 
 // NewPipeline validates specs and returns a Pipeline over their canonical
-// forms, ready to Run. Invalid specs yield a *SpecError.
+// forms, ready to RunAll. Invalid specs yield a *SpecError.
 func (e *Engine) NewPipeline(specs []Spec) (*Pipeline, error) {
 	if len(specs) == 0 {
 		return nil, &SpecError{Reason: "at least one spec is required"}
@@ -168,58 +132,20 @@ func orSpec(name string) string {
 	return name
 }
 
-// NumJobs reports the total units of work the pipeline will execute —
-// the denominator WithProgress callbacks see.
-func (p *Pipeline) NumJobs() int { return len(p.jobs) }
-
-// Run starts the pipeline and returns a channel streaming one Result per
-// unit of work as it completes (completion order depends on scheduling;
-// the results' values do not). The channel closes when all work is done
-// or, after cancellation, once the in-flight jobs finish — within one
-// job boundary. After cancellation consult ctx.Err(); undelivered
-// results are dropped.
-func (p *Pipeline) Run(ctx context.Context) (<-chan Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make(chan Result)
-	jobs := p.jobs
-	progress := p.eng.cfg.progressFn(len(jobs))
-	go func() {
-		defer close(out)
-		_ = p.eng.runner.Stream(ctx, jobs, func(i int, res experiments.Result) {
-			specIdx := p.specOf[i]
-			converted := fromEngine(specIdx, p.specs[specIdx], res)
-			select {
-			case out <- converted:
-			case <-ctx.Done():
-			}
-			progress()
-		})
-	}()
-	return out, nil
-}
-
 // RunAll executes the pipeline to completion and returns results in job
-// order (spec order, then breaker or rate order within a spec). On
-// cancellation it returns the results completed so far plus ctx.Err().
+// order (spec order, then breaker or rate order within a spec). Cancelling
+// ctx stops it within one job boundary: no new job starts, the in-flight
+// ones return at their next poll point, and RunAll returns the results of
+// the jobs that started plus ctx.Err().
 func (p *Pipeline) RunAll(ctx context.Context) ([]Result, error) {
-	jobs := p.jobs
-	total := len(jobs)
-	results := make([]Result, 0, total)
-	filled := make([]bool, total)
-	raw := make([]experiments.Result, total)
-	progress := p.eng.cfg.progressFn(total)
-	err := p.eng.runner.Stream(ctx, jobs, func(i int, res experiments.Result) {
-		raw[i], filled[i] = res, true
-		progress()
-	})
-	for i := range raw {
-		if !filled[i] {
+	raw, err := p.eng.runner.RunContext(ctx, p.jobs)
+	results := make([]Result, 0, len(raw))
+	for i, res := range raw {
+		if res.Job.Experiment == "" {
 			continue // cancelled before this job started
 		}
 		specIdx := p.specOf[i]
-		results = append(results, fromEngine(specIdx, p.specs[specIdx], raw[i]))
+		results = append(results, fromEngine(specIdx, p.specs[specIdx], res))
 	}
 	return results, err
 }

@@ -3,78 +3,83 @@ package bsor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// simSweepSpecs builds a multi-point sim sweep cheap enough for tests
-// but long enough that cancellation lands mid-sweep.
-func simSweepSpecs(points int) []Spec {
-	rates := make([]float64, points)
-	for i := range rates {
-		rates[i] = float64(i + 1)
+// probeWorkloads numbers the workloads cancelProbe registers: a name
+// registers once per process, and a test may run several times.
+var probeWorkloads atomic.Int32
+
+// cancelProbe registers a fresh workload that calls cancel on its k-th
+// resolution and returns one spec per demand in 1..n on it. Each spec has
+// its own demand and so its own synthesis, which resolves the workload
+// once: the cancel lands at the same job of the sweep on every run.
+func cancelProbe(t *testing.T, k, n int32, cancel context.CancelFunc) []Spec {
+	t.Helper()
+	name := fmt.Sprintf("cancel-probe-%d", probeWorkloads.Add(1))
+	var calls atomic.Int32
+	err := RegisterWorkload(name, func(ti TopoInfo, demand float64) ([]Flow, error) {
+		if calls.Add(1) == k {
+			cancel()
+		}
+		flows := make([]Flow, ti.Nodes)
+		for i := range flows {
+			flows[i] = Flow{Src: i, Dst: (i + 5) % ti.Nodes, Demand: demand}
+		}
+		return flows, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return []Spec{{
-		Topo: Mesh(8, 8), Workload: "transpose",
-		Sim: &SimSpec{Rates: rates, Warmup: 2000, Measure: 10000, Seed: 1},
-	}}
+	specs := make([]Spec, n)
+	for i := range specs {
+		specs[i] = Spec{Topo: Mesh(4, 4), Workload: name, Algorithm: "XY", Demand: float64(i + 1),
+			Sim: &SimSpec{Rates: []float64{0.1}, Warmup: 200, Measure: 1000, Seed: 1}}
+	}
+	return specs
 }
 
 // TestCancelMidSweepCleanShutdown is the façade's cancellation contract
-// under -race: cancelling a running multi-worker sweep closes the result
-// channel within one job boundary, surfaces ctx.Err(), and leaks no
-// goroutines.
+// under -race: a context cancelled while a multi-worker sweep is in
+// flight stops RunAll within one job boundary, which returns ctx.Err()
+// and only the results of jobs that started; the Engine stays usable;
+// and no goroutine outlives the pipeline.
 func TestCancelMidSweepCleanShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	p, err := NewPipeline(simSweepSpecs(24), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := p.Run(ctx)
+	specs := cancelProbe(t, 3, 24, cancel)
+	e := NewEngine(WithWorkers(4))
+	p, err := e.NewPipeline(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
-	for range ch {
-		seen++
-		if seen == 2 {
-			cancel()
+	results, err := p.RunAll(ctx)
+	if !errors.Is(err, context.Canceled) || !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatalf("RunAll returned %v with ctx.Err() %v, want context.Canceled", err, ctx.Err())
+	}
+	if len(results) == 0 || len(results) >= len(specs) {
+		t.Errorf("RunAll returned %d of %d results after cancellation", len(results), len(specs))
+	}
+	for _, res := range results {
+		if res.Workload != specs[0].Workload || res.Algorithm != "XY" {
+			t.Errorf("RunAll returned a result for no job: %+v", res)
 		}
 	}
-	if errors.Is(ctx.Err(), context.Canceled) == false {
-		t.Fatalf("ctx.Err() = %v, want context.Canceled", ctx.Err())
-	}
-	if seen >= p.NumJobs() {
-		t.Errorf("all %d jobs delivered despite cancellation", seen)
-	}
 
-	// RunAll on a fresh context must surface ctx.Err() and return only
-	// completed results.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := 0
-	p2, err := NewPipeline(simSweepSpecs(24), WithWorkers(4),
-		WithProgress(func(d, total int) {
-			done = d
-			if d == 2 {
-				cancel2()
-			}
-		}))
+	// The cancellation is not retained: the same Engine reruns a spec.
+	p, err = e.NewPipeline(specs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := p2.RunAll(ctx2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAll returned %v, want context.Canceled", err)
-	}
-	if len(results) == 0 || len(results) >= p2.NumJobs() {
-		t.Errorf("RunAll returned %d of %d results after cancellation", len(results), p2.NumJobs())
-	}
-	if done != len(results) {
-		t.Errorf("progress reported %d done, RunAll returned %d results", done, len(results))
+	results, err = p.RunAll(context.Background())
+	if err != nil || len(results) != 1 || results[0].Err != nil || results[0].Point == nil {
+		t.Fatalf("post-cancel rerun: %v, %+v", err, results)
 	}
 
 	// No goroutine may outlive its pipeline: poll until the count settles
@@ -92,10 +97,9 @@ func TestCancelMidSweepCleanShutdown(t *testing.T) {
 	}
 }
 
-// TestPipelineStreamsEveryResult checks the happy path: every unit of
-// work arrives exactly once on the stream, and RunAll orders results by
-// spec.
-func TestPipelineStreamsEveryResult(t *testing.T) {
+// TestPipelineRunAllReturnsEveryResult checks the happy path: RunAll
+// returns every unit of work once, in spec order.
+func TestPipelineRunAllReturnsEveryResult(t *testing.T) {
 	specs := []Spec{
 		{Name: "a", Topo: Mesh(4, 4), Workload: "transpose"},
 		{Name: "b", Topo: Mesh(4, 4), Workload: "shuffle", Algorithm: "XY"},
@@ -106,24 +110,6 @@ func TestPipelineStreamsEveryResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantJobs := 1 + 1 + len(DefaultBreakers(Mesh(4, 4)))
-	if p.NumJobs() != wantJobs {
-		t.Fatalf("NumJobs = %d, want %d", p.NumJobs(), wantJobs)
-	}
-	ch, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSpec := map[int]int{}
-	for res := range ch {
-		perSpec[res.Spec]++
-		if res.Err != nil {
-			t.Errorf("spec %d (%s): %v", res.Spec, res.Name, res.Err)
-		}
-	}
-	if perSpec[0] != 1 || perSpec[1] != 1 || perSpec[2] != len(DefaultBreakers(Mesh(4, 4))) {
-		t.Errorf("per-spec result counts = %v", perSpec)
-	}
-
 	results, err := p.RunAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +123,9 @@ func TestPipelineStreamsEveryResult(t *testing.T) {
 			t.Fatalf("RunAll results out of spec order")
 		}
 		last = res.Spec
+		if res.Err != nil {
+			t.Errorf("spec %d (%s): %v", res.Spec, res.Name, res.Err)
+		}
 	}
 	// The explore spec reports one labeled breaker per result.
 	for _, res := range results[2:] {
@@ -146,6 +135,43 @@ func TestPipelineStreamsEveryResult(t *testing.T) {
 	}
 	if err := FirstError(results); err != nil {
 		t.Errorf("FirstError = %v", err)
+	}
+}
+
+// TestFirstErrorExemptsOnlyInfeasibleCells: an Explore cell whose breaker
+// admits no routes is an n/a table cell, but a spec no breaker can run at
+// all fails, as Synthesize on it does.
+func TestFirstErrorExemptsOnlyInfeasibleCells(t *testing.T) {
+	ctx := context.Background()
+	runAll := func(spec Spec) []Result {
+		t.Helper()
+		p, err := NewPipeline([]Spec{spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := p.RunAll(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+
+	torus := Spec{Topo: Torus(4, 4), Workload: "transpose", Explore: true,
+		Breakers: []string{"E-first", DefaultBreakers(Torus(4, 4))[0]}}
+	results := runAll(torus)
+	if !errors.Is(results[0].Err, ErrInfeasible) || results[1].Err != nil {
+		t.Fatalf("torus cells: %v / %v, want ErrInfeasible / nil", results[0].Err, results[1].Err)
+	}
+	if err := FirstError(results); err != nil {
+		t.Errorf("FirstError with an infeasible cell = %v, want nil", err)
+	}
+
+	ring := Spec{Topo: Ring(16), Workload: "h264", Explore: true}
+	if err := FirstError(runAll(ring)); !errors.Is(err, ErrNotGrid) {
+		t.Errorf("FirstError on h264 over a ring = %v, want ErrNotGrid", err)
+	}
+	if _, err := Synthesize(ctx, ring); !errors.Is(err, ErrNotGrid) {
+		t.Errorf("Synthesize on h264 over a ring = %v, want ErrNotGrid", err)
 	}
 }
 
@@ -218,7 +244,7 @@ func TestPipelineDefaultAlgorithmConstraints(t *testing.T) {
 	if got := p.specs[0].Algorithm; got != "BSOR-Dijkstra" {
 		t.Errorf("empty algorithm canonicalised to %q, want BSOR-Dijkstra", got)
 	}
-	if want := len(DefaultBreakers(Mesh(8, 8))); p.NumJobs() != want {
-		t.Errorf("Explore expanded to %d jobs, want one per default breaker (%d)", p.NumJobs(), want)
+	if want := len(DefaultBreakers(Mesh(8, 8))); len(p.jobs) != want {
+		t.Errorf("Explore expanded to %d jobs, want one per default breaker (%d)", len(p.jobs), want)
 	}
 }

@@ -102,16 +102,16 @@ func fromEngine(specIdx int, spec Spec, res experiments.Result) Result {
 }
 
 // FirstError returns the first failed result's typed error, or nil.
-// Failed MCL cells of an Explore spec are exempt: a breaker that cannot
-// route a flow is a legitimate n/a table cell, reported per Result.
+// Infeasible cells of an Explore spec are exempt: a breaker that admits
+// no routes is a legitimate n/a table cell, reported per Result. Any
+// other failure of an explored cell (a spec no breaker can run, such as
+// a grid workload on a ring) is returned like every other.
 func FirstError(results []Result) error {
 	for _, res := range results {
-		if res.Err != nil && res.Point == nil && res.MCL < 0 && res.Breaker != "" {
-			continue // explored breaker cell; other breakers may have won
+		if res.Err == nil || (res.Breaker != "" && errors.Is(res.Err, ErrInfeasible)) {
+			continue
 		}
-		if res.Err != nil {
-			return res.Err
-		}
+		return res.Err
 	}
 	return nil
 }

@@ -459,8 +459,11 @@ func runMain() int {
 			fmt.Println()
 			continue
 		}
-		results := runner.Run(e.jobs)
-		if err := experiments.FirstError(results); err != nil {
+		results, err := runner.RunContext(context.Background(), e.jobs)
+		if err == nil {
+			err = experiments.FirstError(results)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -477,7 +480,7 @@ func runMain() int {
 		return 1
 	}
 	if *jobs {
-		if err := experiments.WriteJobsJSON(os.Stdout, jsonJobs); err != nil {
+		if err := experiments.WriteJSON(os.Stdout, jsonJobs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -492,7 +495,7 @@ func runMain() int {
 			return 1
 		}
 		if len(jsonChurn) > 0 {
-			if err := experiments.WriteChurnJSON(os.Stdout, jsonChurn); err != nil {
+			if err := experiments.WriteJSON(os.Stdout, jsonChurn); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	m := topology.NewMesh(8, 8)
 	app, err := traffic.PerfModeling(m)
 	if err != nil {
@@ -35,7 +37,7 @@ func main() {
 		}
 	}
 	sel := route.DijkstraSelector{HopBudgets: critical}
-	set, best, err := core.Best(m, app.Flows, core.Config{VCs: 2, Selector: sel})
+	set, best, err := core.BestContext(ctx, m, app.Flows, core.Config{VCs: 2, Selector: sel})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func main() {
 	full := cdg.TurnBreaker{Rule: cdg.NegativeFirstRule(topology.West, topology.North)}.
 		Break(cdg.NewFull(m, 2))
 	g := flowgraph.New(full, app.Flows, 4*62.73)
-	uset, err := unit.Select(g)
+	uset, err := unit.SelectContext(ctx, g)
 	if err != nil {
 		log.Fatal(err)
 	}

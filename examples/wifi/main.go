@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	m := topology.NewMesh(8, 8)
 	app, err := traffic.Transmitter80211(m)
 	if err != nil {
@@ -31,7 +33,10 @@ func main() {
 	}
 	for _, sel := range selectors {
 		fmt.Printf("%s, per-CDG MCL (MB/s):\n", sel.Name())
-		results := core.Explore(m, app.Flows, core.Config{VCs: 2, Selector: sel})
+		results, err := core.ExploreContext(ctx, m, app.Flows, core.Config{VCs: 2, Selector: sel})
+		if err != nil {
+			log.Fatal(err)
+		}
 		bestMCL, bestName := -1.0, ""
 		for _, ex := range results {
 			if ex.Err != nil {
@@ -49,7 +54,7 @@ func main() {
 
 	// Show the winning route set in route-table form, as the programmable
 	// router of chapter 4 would be configured.
-	set, best, err := core.Best(m, app.Flows, core.Config{VCs: 2})
+	set, best, err := core.BestContext(ctx, m, app.Flows, core.Config{VCs: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

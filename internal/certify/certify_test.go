@@ -1,6 +1,7 @@
 package certify
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -21,7 +22,7 @@ func meshInstance(t *testing.T, breaker cdg.Breaker) Instance {
 		t.Fatalf("Transpose: %v", err)
 	}
 	cfg := core.Config{VCs: 2, Breakers: []cdg.Breaker{breaker}}
-	set, _, err := core.Best(m, flows, cfg)
+	set, _, err := core.BestContext(context.Background(), m, flows, cfg)
 	if err != nil {
 		t.Fatalf("Best: %v", err)
 	}
@@ -137,7 +138,7 @@ func TestCertifyRejectsIllegalVCTransition(t *testing.T) {
 	}
 	breaker := cdg.UpDownEscapeBreaker{Root: 0}
 	cfg := core.Config{VCs: 2, Breakers: []cdg.Breaker{breaker}}
-	set, _, err := core.Best(g, flows, cfg)
+	set, _, err := core.BestContext(context.Background(), g, flows, cfg)
 	if err != nil {
 		t.Fatalf("Best: %v", err)
 	}
@@ -273,7 +274,7 @@ func TestCertifyRandomGraphInstances(t *testing.T) {
 		}
 		for _, b := range cdg.GraphBreakers(g.NumNodes()) {
 			cfg := core.Config{VCs: 2, Breakers: []cdg.Breaker{b}}
-			set, _, err := core.Best(g, flows, cfg)
+			set, _, err := core.BestContext(context.Background(), g, flows, cfg)
 			if err != nil {
 				t.Fatalf("seed %d breaker %s: Best: %v", seed, b.Name(), err)
 			}

@@ -1,6 +1,7 @@
 package certify
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -65,7 +66,7 @@ func matrixSets(t *testing.T, g topology.Topology, flows []flowgraph.Flow, b cdg
 	sets := make(map[string]*route.Set, 3)
 	for _, sc := range selectors {
 		cfg := core.Config{VCs: 2, Breakers: []cdg.Breaker{b}, Selector: sc.sel}
-		set, _, err := core.Best(g, flows, cfg)
+		set, _, err := core.BestContext(context.Background(), g, flows, cfg)
 		if errors.Is(err, core.ErrInfeasible) {
 			// A breaker that cannot route this workload is a legitimate n/a
 			// cell of the exploration table, not a checker failure.

@@ -97,7 +97,7 @@ func TestFaultedAndScheduleAgree(t *testing.T) {
 
 // churnFixture builds a 6x6 mesh, crossing flows, an initial heuristic
 // route set, a simulator, and a supervisor over them.
-func churnFixture(t *testing.T, resynth route.ContextSelector, schedule []Event, requeue bool) (*Supervisor, int64) {
+func churnFixture(t *testing.T, resynth route.Selector, schedule []Event, requeue bool) (*Supervisor, int64) {
 	t.Helper()
 	m := topology.NewMesh(6, 6)
 	overlay := topology.NewFaultOverlay(m)
@@ -133,7 +133,7 @@ func churnFixture(t *testing.T, resynth route.ContextSelector, schedule []Event,
 	}, total
 }
 
-func heuristicResynth() route.ContextSelector {
+func heuristicResynth() route.Selector {
 	return route.FallbackSelector{
 		Primary:  route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16},
 		Fallback: route.BSORHeuristic{HopSlack: 4, MaxPathsPerFlow: 32},
@@ -227,10 +227,6 @@ func TestChurnRequeuePolicy(t *testing.T) {
 type blockSelector struct{ started chan struct{} }
 
 func (b blockSelector) Name() string { return "block" }
-
-func (b blockSelector) Select(g *flowgraph.Graph) (*route.Set, error) {
-	return b.SelectContext(context.Background(), g)
-}
 
 func (b blockSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*route.Set, error) {
 	if b.started != nil {

@@ -65,7 +65,7 @@ type Supervisor struct {
 	// Resynth produces the repaired route set on the degraded topology —
 	// typically a route.FallbackSelector: the MILP with a heuristic
 	// fallback. It runs on a background goroutine.
-	Resynth route.ContextSelector
+	Resynth route.Selector
 	// Schedule lists the fault events in ascending cycle order.
 	Schedule []Event
 
@@ -81,7 +81,7 @@ type Supervisor struct {
 	// (churn_commits_total), and background re-syntheses started
 	// (churn_resynth_total). Metrics never influence the schedule or the
 	// reports. Wire the same collector into Sim's Config and the Resynth
-	// selector (route.InstrumentContextSelector) for the full picture.
+	// selector (route.InstrumentSelector) for the full picture.
 	Metrics *metrics.Collector
 }
 

@@ -25,7 +25,7 @@ import (
 
 // ErrInfeasible reports that no explored acyclic CDG admitted routes for
 // every flow: the synthesis is infeasible under the given breakers and
-// hop budgets. Best wraps it with the instance details; callers test
+// hop budgets. Winner wraps it with the instance details; callers test
 // with errors.Is.
 var ErrInfeasible = errors.New("core: no acyclic CDG admitted routes")
 
@@ -84,16 +84,10 @@ type Explored struct {
 	Err error
 }
 
-// Explore runs the configured selector under every breaker and returns
-// one Explored per breaker, in breaker order.
-func Explore(t topology.Topology, flows []flowgraph.Flow, cfg Config) []Explored {
-	results, _ := ExploreContext(context.Background(), t, flows, cfg)
-	return results
-}
-
-// ExploreContext is Explore with cooperative cancellation: ctx is polled
-// before each breaker (and inside the selectors that support it), and the
-// exploration stops with the breakers completed so far plus ctx.Err().
+// ExploreContext runs the configured selector under every breaker and
+// returns one Explored per breaker, in breaker order. ctx is polled before
+// each breaker and inside the selector, and a cancelled exploration stops
+// with the breakers completed so far plus ctx.Err().
 func ExploreContext(ctx context.Context, t topology.Topology, flows []flowgraph.Flow, cfg Config) ([]Explored, error) {
 	cfg = cfg.withDefaults(flows)
 	full := cdg.NewFull(t, cfg.VCs)
@@ -113,7 +107,7 @@ func ExploreContext(ctx context.Context, t topology.Topology, flows []flowgraph.
 			continue
 		}
 		g := flowgraph.New(dag, flows, cfg.ChannelCapacity)
-		set, err := route.SelectWithContext(ctx, cfg.Selector, g)
+		set, err := cfg.Selector.SelectContext(ctx, g)
 		if err != nil {
 			if ctx.Err() != nil {
 				return results, ctx.Err()
@@ -135,17 +129,12 @@ func ExploreContext(ctx context.Context, t topology.Topology, flows []flowgraph.
 	return results, nil
 }
 
-// Best explores all breakers and returns the route set with the smallest
-// MCL (ties broken by smaller average hop count, then breaker order),
-// fully validated: structurally sound, CDG-conformant, and deadlock free.
-func Best(t topology.Topology, flows []flowgraph.Flow, cfg Config) (*route.Set, Explored, error) {
-	return BestContext(context.Background(), t, flows, cfg)
-}
-
-// BestContext is Best with cooperative cancellation (see ExploreContext).
-// A cancelled exploration returns ctx.Err() rather than the best-so-far:
-// a partial exploration would silently report a different optimum than
-// the configured breaker set defines.
+// BestContext explores all breakers and returns the route set with the
+// smallest MCL (ties broken by smaller average hop count, then breaker
+// order), fully validated: structurally sound, CDG-conformant, and
+// deadlock free. A cancelled exploration returns ctx.Err() rather than the
+// best-so-far: a partial exploration would silently report a different
+// optimum than the configured breaker set defines.
 func BestContext(ctx context.Context, t topology.Topology, flows []flowgraph.Flow, cfg Config) (*route.Set, Explored, error) {
 	results, err := ExploreContext(ctx, t, flows, cfg)
 	if err != nil {
@@ -207,8 +196,7 @@ func (b BSOR) Name() string {
 
 // Routes implements route.Algorithm.
 func (b BSOR) Routes(t topology.Topology, flows []flowgraph.Flow) (*route.Set, error) {
-	set, _, err := Best(t, flows, b.Config)
-	return set, err
+	return b.RoutesContext(context.Background(), t, flows)
 }
 
 // RoutesContext implements route.ContextAlgorithm.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,10 @@ func TestExploreCoversAllBreakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := Explore(m, flows, Config{})
+	results, err := ExploreContext(context.Background(), m, flows, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 15 {
 		t.Fatalf("explored %d CDGs, want the thesis' 15", len(results))
 	}
@@ -46,7 +50,7 @@ func TestBestTransposeDijkstraReaches75(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, ex, err := Best(m, flows, Config{})
+	set, ex, err := BestContext(context.Background(), m, flows, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +71,7 @@ func TestBestBitComplementMatchesDOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := Best(m, flows, Config{})
+	set, _, err := BestContext(context.Background(), m, flows, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestBestValidatesAndIsolatesHeaviestH264Flow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, ex, err := Best(m, app.Flows, Config{})
+	set, ex, err := BestContext(context.Background(), m, app.Flows, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +144,13 @@ func TestBestWithMILPSelectorSmall(t *testing.T) {
 			cdg.TurnBreaker{Rule: cdg.WestFirst},
 		},
 	}
-	set, ex, err := Best(m, flows, cfg)
+	set, ex, err := BestContext(context.Background(), m, flows, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	milpMCL, _ := set.MCL()
 
-	dijkstraSet, _, err := Best(m, flows, Config{Breakers: cfg.Breakers})
+	dijkstraSet, _, err := BestContext(context.Background(), m, flows, Config{Breakers: cfg.Breakers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestBestErrorsWhenNoCDGWorks(t *testing.T) {
 	// A breaker that deletes every dependence disconnects all multi-hop
 	// flows.
 	empty := emptyBreaker{}
-	_, _, err := Best(m, flows, Config{Breakers: []cdg.Breaker{empty}})
+	_, _, err := BestContext(context.Background(), m, flows, Config{Breakers: []cdg.Breaker{empty}})
 	if err == nil || !strings.Contains(err.Error(), "no acyclic CDG") {
 		t.Fatalf("err = %v, want no-CDG error", err)
 	}

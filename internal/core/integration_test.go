@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestAllBreakersProduceSafeRoutes(t *testing.T) {
 		for _, b := range cdg.StandardBreakers() {
 			dag := b.Break(full)
 			g := flowgraph.New(dag, flows, 200)
-			set, err := (route.DijkstraSelector{}).Select(g)
+			set, err := (route.DijkstraSelector{}).SelectContext(context.Background(), g)
 			if err != nil {
 				continue // disconnection is a legal, reported outcome
 			}
@@ -76,7 +77,7 @@ func TestBSOROnTorus(t *testing.T) {
 	full := cdg.NewFull(tr, 2)
 	dag := cdg.DatelineBreaker{Rule: cdg.XYOrder}.Break(full)
 	g := flowgraph.New(dag, flows, 100)
-	set, err := (route.DijkstraSelector{}).Select(g)
+	set, err := (route.DijkstraSelector{}).SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestBSOROnTorus(t *testing.T) {
 	}
 	// MILP selector also works on the torus.
 	mset, err := (route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 16,
-		MaxNodes: 50, Gap: 0.01}).Select(g)
+		MaxNodes: 50, Gap: 0.01}).SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestEndToEndTransmitterSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := Best(m, app.Flows, Config{VCs: 2})
+	set, _, err := BestContext(context.Background(), m, app.Flows, Config{VCs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCoreWithUnitDemandSelector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := Best(m, flows, Config{
+	set, _, err := BestContext(context.Background(), m, flows, Config{
 		VCs:      2,
 		Selector: route.UnitDemand(route.DijkstraSelector{}),
 	})

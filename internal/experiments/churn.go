@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"slices"
 	"strings"
@@ -172,7 +170,7 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 		return fail(fmt.Errorf("experiments: unknown churn resynth %q (want %s)",
 			spec.Resynth, strings.Join(ChurnResynthNames(), " or ")))
 	}
-	resynth = route.InstrumentContextSelector(resynth, r.Metrics)
+	resynth = route.InstrumentSelector(resynth, r.Metrics)
 	initial, err := resynth.SelectContext(ctx, fg)
 	if err != nil {
 		return fail(fmt.Errorf("experiments: initial churn synthesis: %w", err))
@@ -250,7 +248,7 @@ func churnPoint(spec ChurnSpec, simRes *sim.Result, events []churn.EventReport) 
 // default-budget MILP with a heuristic fallback. Neither carries a
 // wall-clock timeout: it would make the committed route set — and thus the
 // metrics JSON — machine-dependent.
-var churnResynths = map[string]route.ContextSelector{
+var churnResynths = map[string]route.Selector{
 	"heuristic": route.FallbackSelector{
 		Primary:  route.BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16},
 		Fallback: route.BSORHeuristic{HopSlack: 4, MaxPathsPerFlow: 32},
@@ -260,18 +258,6 @@ var churnResynths = map[string]route.ContextSelector{
 
 // ChurnResynthNames lists the repair solvers a ChurnSpec may name.
 func ChurnResynthNames() []string { return slices.Sorted(maps.Keys(churnResynths)) }
-
-// WriteChurnJSON writes churn results as indented JSON (cmd/experiments
-// -json). Wall-clock solve times are excluded by EventReport's tags, so
-// the output is byte-identical across runs, machines, and worker counts.
-func WriteChurnJSON(w io.Writer, results []ChurnResult) error {
-	if results == nil {
-		results = []ChurnResult{} // marshal as [], not null
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
-}
 
 // FirstChurnError returns the first failed churn result's typed error,
 // or nil.

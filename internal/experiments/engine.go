@@ -131,27 +131,17 @@ type Result struct {
 // return nil; callers holding such results fall back to the Err string.
 func (r Result) Cause() error { return r.cause }
 
-// WriteJSON writes results as indented JSON. The output is deterministic:
-// same jobs and seeds produce byte-identical bytes however many workers
-// executed them.
-func WriteJSON(w io.Writer, results []Result) error {
-	if results == nil {
-		results = []Result{} // marshal as [], not null
+// WriteJSON writes a result, job or churn-result list as indented JSON
+// (cmd/experiments -json and -jobs); a nil list is written as []. The
+// output is deterministic: same jobs and seeds produce byte-identical
+// bytes however many workers executed them.
+func WriteJSON[T Result | Job | ChurnResult](w io.Writer, list []T) error {
+	if list == nil {
+		list = []T{} // marshal as [], not null
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(results)
-}
-
-// WriteJobsJSON writes a job list as indented JSON (cmd/experiments
-// -jobs).
-func WriteJobsJSON(w io.Writer, jobs []Job) error {
-	if jobs == nil {
-		jobs = []Job{} // marshal as [], not null
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jobs)
+	return enc.Encode(list)
 }
 
 // Artifact is the one certified outcome of a job's route synthesis: what
@@ -206,10 +196,10 @@ const (
 )
 
 // Runner executes job lists on a worker pool. The zero value is ready to
-// use; a Runner may execute any number of Run and Synthesize calls and
-// shares its artifact memo across all of them, so e.g. the table jobs warm
-// it for the figure sweeps. All exported fields must be set before
-// the first Run call.
+// use; a Runner may execute any number of RunContext and Synthesize calls
+// and shares its artifact memo across all of them, so e.g. the table jobs
+// warm it for the figure sweeps. All exported fields must be set before
+// the first call.
 type Runner struct {
 	// Workers is the worker-pool size; 0 means runtime.NumCPU().
 	Workers int
@@ -298,43 +288,21 @@ func (r *Runner) bindMetrics() {
 	})
 }
 
-// Run executes jobs on the worker pool and returns one Result per job, in
-// job order — the ordering is independent of scheduling and completion
-// order, and every random stream is derived from the job itself, so a
-// run's numbers never depend on the worker count.
-func (r *Runner) Run(jobs []Job) []Result {
-	results, _ := r.RunContext(context.Background(), jobs)
-	return results
-}
-
-// RunContext is Run with cooperative cancellation: once ctx is done no
-// further job starts, the in-flight jobs return at their next internal
-// poll point (synthesis enumeration, branch and bound, the sim cycle
-// loop), and the call returns ctx.Err(). Results of jobs that never ran
-// are zero values (empty Job); completed jobs keep their results, so a
-// cancelled sweep is a prefix sample, not garbage.
+// RunContext executes jobs on the worker pool and returns one Result per
+// job, in job order — the ordering is independent of scheduling and
+// completion order, and every random stream is derived from the job
+// itself, so a run's numbers never depend on the worker count. Each
+// worker writes only the result slots of the jobs it runs.
+//
+// Once ctx is done no further job starts, the in-flight jobs return at
+// their next internal poll point (synthesis enumeration, branch and
+// bound, the sim cycle loop), and the call returns ctx.Err(). Results of
+// jobs that never ran are zero values (empty Job); completed jobs keep
+// their results, so a cancelled sweep is a prefix sample, not garbage.
 func (r *Runner) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
-	err := r.Stream(ctx, jobs, func(i int, res Result) { results[i] = res })
+	err := r.each(ctx, len(jobs), func(i int) { results[i] = r.exec(ctx, jobs[i]) })
 	return results, err
-}
-
-// Stream executes jobs on the worker pool like RunContext but delivers
-// each Result through emit as it completes, keyed by its job index.
-// Completion order depends on scheduling; the results themselves do not.
-// Emit calls are serialized — emit never runs concurrently with itself —
-// and stop after ctx is cancelled (jobs already in flight finish and are
-// still delivered). Returns ctx.Err() when cancelled, nil otherwise.
-func (r *Runner) Stream(ctx context.Context, jobs []Job, emit func(index int, res Result)) error {
-	var emitMu sync.Mutex
-	return r.each(ctx, len(jobs), func(i int) {
-		res := r.exec(ctx, jobs[i])
-		if emit != nil {
-			emitMu.Lock()
-			emit(i, res)
-			emitMu.Unlock()
-		}
-	})
 }
 
 // each calls do(i) for every i in [0, n) on the Runner's worker pool —
@@ -373,7 +341,7 @@ func (r *Runner) each(ctx context.Context, n int, do func(i int)) error {
 	}
 	fed := 0
 feed:
-	for ; fed < n; fed++ {
+	for ; fed < n && ctx.Err() == nil; fed++ {
 		select {
 		case idx <- fed:
 		case <-ctx.Done():

@@ -5,13 +5,25 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/certify"
 	"repro/internal/core"
+	"repro/internal/flowgraph"
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
+
+// runJobs runs jobs to completion on r, failing t if the run is cut short.
+func runJobs(t *testing.T, r *Runner, jobs []Job) []Result {
+	t.Helper()
+	results, err := r.RunContext(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
 
 // detJobs is a small mixed job list (MCL cells + sim points) used by the
 // determinism tests.
@@ -37,7 +49,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		r := &Runner{Workers: workers}
 		var buf bytes.Buffer
-		if err := WriteJSON(&buf, r.Run(jobs)); err != nil {
+		if err := WriteJSON(&buf, runJobs(t, r, jobs)); err != nil {
 			t.Fatal(err)
 		}
 		outs = append(outs, buf.Bytes())
@@ -56,21 +68,21 @@ func TestSynthesisCachedOncePerKey(t *testing.T) {
 	jobs := SweepJobs("cache", MeshSpec(8, 8), "transmitter",
 		[]string{"BSOR-Dijkstra", "XY", "YX"}, TableBreakerNames(),
 		[]float64{2, 5, 8}, 0, fastParams())
-	results := r.Run(jobs)
+	results := runJobs(t, r, jobs)
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
 	if got := synthMisses(r); got != 3 {
 		t.Errorf("synthesis ran %d times for 3 algorithms x 3 rates, want 3", got)
 	}
-	r.Run(jobs)
+	runJobs(t, r, jobs)
 	if got := synthMisses(r); got != 3 {
 		t.Errorf("re-run recomputed synthesis: count %d, want 3", got)
 	}
 	// A different VC count is a different key.
 	p := fastParams()
 	p.VCs = 4
-	r.Run(SweepJobs("cache", MeshSpec(8, 8), "transmitter",
+	runJobs(t, r, SweepJobs("cache", MeshSpec(8, 8), "transmitter",
 		[]string{"XY"}, nil, []float64{2}, 0, p))
 	if got := synthMisses(r); got != 4 {
 		t.Errorf("distinct key not recomputed: count %d, want 4", got)
@@ -84,11 +96,11 @@ func synthMisses(r *Runner) int64 {
 }
 
 // TestEngineMatchesSequentialExploration checks the engine's table path
-// against a direct sequential core.Explore over the same breakers: the
-// concurrent refactor must not change a single MCL.
+// against a direct sequential core.ExploreContext over the same breakers:
+// the concurrent refactor must not change a single MCL.
 func TestEngineMatchesSequentialExploration(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	rows := CDGRows((&Runner{}).Run(TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
+	rows := CDGRows(runJobs(t, &Runner{}, TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
 	byName := map[string]CDGRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -98,7 +110,10 @@ func TestEngineMatchesSequentialExploration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := core.Explore(m, flows, core.Config{VCs: 2, Breakers: TableBreakers()})
+		seq, err := core.ExploreContext(context.Background(), m, flows, core.Config{VCs: 2, Breakers: TableBreakers()})
+		if err != nil {
+			t.Fatal(err)
+		}
 		row := byName[wl]
 		if len(row.MCL) != len(seq) {
 			t.Fatalf("%s: %d cells, want %d", wl, len(row.MCL), len(seq))
@@ -125,7 +140,7 @@ func TestTorusJobs(t *testing.T) {
 	jobs := TableJobs("torus-table", TorusSpec(4, 4), "BSOR-Dijkstra", breakers, 2)
 	jobs = append(jobs, SweepJobs("torus-sweep", TorusSpec(4, 4), "transpose",
 		[]string{"BSOR-Dijkstra"}, breakers, []float64{2}, 0, p)...)
-	results := (&Runner{Workers: 4}).Run(jobs)
+	results := runJobs(t, &Runner{Workers: 4}, jobs)
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +163,7 @@ func TestTorusJobs(t *testing.T) {
 // (which cannot break wraparound ring cycles).
 func TestTorusSweepDefaultBreakers(t *testing.T) {
 	r := &Runner{Workers: 4}
-	results := r.Run(SweepJobs("figure", TorusSpec(4, 4), "transpose",
+	results := runJobs(t, r, SweepJobs("figure", TorusSpec(4, 4), "transpose",
 		[]string{"BSOR-Dijkstra", "XY"}, nil, []float64{2}, 0, fastParams()))
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -188,7 +203,7 @@ func TestDefaultMILPRoutesDegenerateMasters(t *testing.T) {
 		jobs = append(jobs, Job{Experiment: "degenerate-masters", Kind: KindMCL, Topo: c.topo,
 			Workload: c.workload, Algorithm: "BSOR-MILP", Breakers: []string{c.breaker}, VCs: 2})
 	}
-	for i, res := range (&Runner{}).Run(jobs) {
+	for i, res := range runJobs(t, &Runner{}, jobs) {
 		c := cells[i]
 		if res.Err != "" || res.MCL != c.mcl {
 			t.Errorf("%s %s under %s: MCL %g, error %q; want MCL %g", c.topo, c.workload, c.breaker, res.MCL, res.Err, c.mcl)
@@ -202,7 +217,7 @@ func TestDefaultMILPRoutesDegenerateMasters(t *testing.T) {
 func TestExploreReportsCyclicCDG(t *testing.T) {
 	jobs := TableJobs("cyclic", TorusSpec(4, 4), "BSOR-Dijkstra",
 		TableBreakerNames()[:1], 2) // N-last cannot break torus rings
-	for _, res := range (&Runner{Workers: 1}).Run(jobs) {
+	for _, res := range runJobs(t, &Runner{Workers: 1}, jobs) {
 		if res.Err == "" || res.MCL >= 0 {
 			t.Errorf("%s: cyclic CDG not reported: mcl=%g err=%q",
 				res.Job.Workload, res.MCL, res.Err)
@@ -215,7 +230,7 @@ func TestExploreReportsCyclicCDG(t *testing.T) {
 // points, and a variation point all share the cache and grids.
 func TestSmallSweepRace(t *testing.T) {
 	r := &Runner{Workers: 8}
-	results := r.Run(detJobs())
+	results := runJobs(t, r, detJobs())
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +265,7 @@ func TestUnknownJobFields(t *testing.T) {
 		{Experiment: "bad", Kind: KindMCL, Workload: "transpose", Algorithm: "no-such-algorithm", VCs: 2},
 		{Experiment: "bad", Kind: KindMCL, Topo: TopoSpec{Kind: "hypercube"}, Workload: "transpose", Algorithm: "XY", VCs: 2},
 	}
-	for i, res := range r.Run(jobs) {
+	for i, res := range runJobs(t, r, jobs) {
 		if res.Err == "" {
 			t.Errorf("job %d: expected an error result", i)
 		}
@@ -260,31 +275,31 @@ func TestUnknownJobFields(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelMidSweep pins the façade's cancellation contract at
-// the engine level: a context cancelled while a multi-worker sweep is in
+// TestRunContextCancelMidSweep pins the cancellation contract at the
+// engine level: a context cancelled while a multi-worker sweep is in
 // flight stops the run within one job boundary, surfaces ctx.Err(), and
-// leaves the jobs that never started as zero-value results.
+// leaves the jobs that never started as zero-value results. The cancel
+// fires from the workload resolver on its third call; every job has its
+// own demand and so its own synthesis, so it lands at the same job of
+// the sweep on every run.
 func TestRunContextCancelMidSweep(t *testing.T) {
-	p := fastParams()
-	var rates []float64
-	for r := 1.0; r <= 24; r++ {
-		rates = append(rates, r)
-	}
-	jobs := SweepJobs("cancel", MeshSpec(8, 8), "transpose",
-		[]string{"XY"}, nil, rates, 0, p)
-	r := &Runner{Workers: 4}
 	ctx, cancel := context.WithCancel(context.Background())
-	seen := 0
-	results := make([]Result, len(jobs))
-	err := r.Stream(ctx, jobs, func(i int, res Result) {
-		results[i] = res
-		seen++
-		if seen == 2 {
+	defer cancel()
+	var calls atomic.Int32
+	r := &Runner{Workers: 4, WorkloadFn: func(g topology.Topology, _ string, demand float64) ([]flowgraph.Flow, error) {
+		if calls.Add(1) == 3 {
 			cancel()
 		}
-	})
+		return WorkloadFlows(g, "transpose", demand)
+	}}
+	jobs := make([]Job, 24)
+	for i := range jobs {
+		jobs[i] = Job{Experiment: "cancel", Kind: KindSim, Topo: MeshSpec(4, 4), Workload: "probe",
+			Algorithm: "XY", VCs: 2, Demand: float64(i + 1), Rate: 0.1, Warmup: 200, Measure: 1000, Seed: 1}
+	}
+	results, err := r.RunContext(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Stream returned %v, want context.Canceled", err)
+		t.Fatalf("RunContext returned %v, want context.Canceled", err)
 	}
 	started := 0
 	for _, res := range results {
@@ -292,11 +307,8 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 			started++
 		}
 	}
-	if started == len(jobs) {
-		t.Error("every job ran despite cancellation")
-	}
-	if started < 2 {
-		t.Errorf("only %d jobs delivered before cancellation took effect", started)
+	if started < 3 || started == len(jobs) {
+		t.Errorf("%d of %d jobs started; want the 3 that resolved the workload, and not all", started, len(jobs))
 	}
 	// The same Runner stays usable after a cancelled run: the synthesis
 	// cache must not have recorded the cancellation.
@@ -304,7 +316,7 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err != "" {
+	if res[0].Err != "" || res[0].Point == nil {
 		t.Fatalf("post-cancel rerun failed: %s", res[0].Err)
 	}
 }

@@ -50,7 +50,7 @@ func TestTableBreakersAreFive(t *testing.T) {
 // below by their heaviest flow.
 func TestTable62Shape(t *testing.T) {
 	r := &Runner{}
-	rows := CDGRows(r.Run(TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
+	rows := CDGRows(runJobs(t, r, TableJobs("table-cdg", MeshSpec(8, 8), "BSOR-Dijkstra", TableBreakerNames(), 2)))
 	byName := map[string]CDGRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
@@ -83,7 +83,7 @@ func TestTable63Shape(t *testing.T) {
 	milp := route.MILPSelector{HopSlack: 2, MaxPathsPerFlow: 4,
 		MaxNodes: 20, Gap: 0.01}
 	r := &Runner{MILP: milp}
-	rows := AlgoRows(r.Run(AlgoTableJobs("table6.3", MeshSpec(8, 8), Table63Algorithms(),
+	rows := AlgoRows(runJobs(t, r, AlgoTableJobs("table6.3", MeshSpec(8, 8), Table63Algorithms(),
 		TableBreakerNames()[:3], 2)))
 	for _, r := range rows {
 		if len(r.MCL) != 6 {
@@ -105,7 +105,7 @@ func TestTable63Shape(t *testing.T) {
 }
 
 func TestFigureSweepProducesMonotoneOfferedAxis(t *testing.T) {
-	results := (&Runner{}).Run(SweepJobs("figure", MeshSpec(8, 8), "perf-modeling",
+	results := runJobs(t, &Runner{}, SweepJobs("figure", MeshSpec(8, 8), "perf-modeling",
 		[]string{"XY", "YX"}, nil, []float64{2, 8}, 0, fastParams()))
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestFigureSweepProducesMonotoneOfferedAxis(t *testing.T) {
 }
 
 func TestVCSweepRuns(t *testing.T) {
-	results := (&Runner{}).Run(VCSweepJobs("vcsweep", MeshSpec(8, 8), "transmitter",
+	results := runJobs(t, &Runner{}, VCSweepJobs("vcsweep", MeshSpec(8, 8), "transmitter",
 		[]string{"BSOR-Dijkstra", "XY"}, []int{1, 2}, []float64{5}, fastParams()))
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestVCSweepRuns(t *testing.T) {
 }
 
 func TestVariationSweepRuns(t *testing.T) {
-	results := (&Runner{}).Run(SweepJobs("variation", MeshSpec(8, 8), "perf-modeling",
+	results := runJobs(t, &Runner{}, SweepJobs("variation", MeshSpec(8, 8), "perf-modeling",
 		[]string{"XY"}, nil, []float64{5}, 0.25, fastParams()))
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestHeuristicJobRuns(t *testing.T) {
 		{Experiment: "t", Kind: KindMCL, Topo: MeshSpec(8, 8), Workload: "transpose",
 			Algorithm: "XY", VCs: 2},
 	}
-	results := r.Run(jobs)
+	results := runJobs(t, r, jobs)
 	heur, xy := results[0], results[1]
 	if heur.Err != "" {
 		t.Fatalf("heuristic job failed: %s", heur.Err)

@@ -2,8 +2,8 @@ package experiments
 
 // Declarative job-list builders and their result assemblers. Every table
 // and figure of the evaluation is expressed as a flat []Job handed to
-// Runner.Run; the assemblers fold the ordered results back into the rows
-// and series the printers and docs consume.
+// Runner.RunContext; the assemblers fold the ordered results back into
+// the rows and series the printers and docs consume.
 
 import "fmt"
 

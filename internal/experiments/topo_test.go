@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -63,7 +64,7 @@ func TestTopoSpecUnknownKindFailsLoudly(t *testing.T) {
 	if _, err := spec.Build(); err == nil {
 		t.Fatal("unknown kind built a topology")
 	}
-	res := (&Runner{Workers: 1}).Run([]Job{{
+	res := runJobs(t, &Runner{Workers: 1}, []Job{{
 		Experiment: "bad", Kind: KindMCL, Topo: spec,
 		Workload: "transpose", Algorithm: "SP", VCs: 2,
 	}})[0]
@@ -130,7 +131,7 @@ func TestPipelineOnIrregularTopologies(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 	}
-	results := (&Runner{Workers: 4}).Run(jobs)
+	results := runJobs(t, &Runner{Workers: 4}, jobs)
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestIrregularRoutesDeadlockFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bsorSet, ex, err := core.Best(topo, flows, core.Config{VCs: 2, Breakers: breakers})
+		bsorSet, ex, err := core.BestContext(context.Background(), topo, flows, core.Config{VCs: 2, Breakers: breakers})
 		if err != nil {
 			t.Fatalf("%s BSOR: %v", tc.spec, err)
 		}
@@ -211,7 +212,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	var outs [][]byte
 	for _, workers := range []int{1, 4} {
 		r := &Runner{Workers: workers}
-		results := r.Run(jobs)
+		results := runJobs(t, r, jobs)
 		if err := FirstError(results); err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +225,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Fatal("fault sweep differs between 1 and 4 workers")
 	}
-	groups := GroupResults((&Runner{Workers: 2}).Run(jobs), ByTopo)
+	groups := GroupResults(runJobs(t, &Runner{Workers: 2}, jobs), ByTopo)
 	if len(groups) != 3 {
 		t.Fatalf("%d topology groups, want 3", len(groups))
 	}

@@ -23,11 +23,7 @@ type unitDemand struct{ inner Selector }
 
 func (u unitDemand) Name() string { return u.inner.Name() + "/unit-demand" }
 
-func (u unitDemand) Select(g *flowgraph.Graph) (*Set, error) {
-	return u.SelectContext(context.Background(), g)
-}
-
-// SelectContext implements ContextSelector: ctx reaches the inner selector.
+// SelectContext implements Selector: ctx reaches the inner selector.
 func (u unitDemand) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()
 	unit := make([]flowgraph.Flow, len(flows))
@@ -36,7 +32,7 @@ func (u unitDemand) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set
 		unit[i].Demand = 1
 	}
 	ug := flowgraph.New(g.CDG(), unit, float64(len(flows)))
-	set, err := SelectWithContext(ctx, u.inner, ug)
+	set, err := u.inner.SelectContext(ctx, ug)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func TestUnitDemandMinimizesFlowCount(t *testing.T) {
 	if sel.Name() != "BSOR-Dijkstra/unit-demand" {
 		t.Errorf("Name = %q", sel.Name())
 	}
-	set, err := sel.Select(g)
+	set, err := sel.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,38 +54,40 @@ func TestUnitDemandMinimizesFlowCount(t *testing.T) {
 	}
 }
 
-// selectCounter is a plain Selector (no SelectContext) that counts calls.
-type selectCounter struct{ calls *int }
+// selectCounter counts its calls and records the context each was given.
+type selectCounter struct {
+	calls *int
+	ctx   *context.Context
+}
 
 func (selectCounter) Name() string { return "counter" }
 
-func (c selectCounter) Select(g *flowgraph.Graph) (*Set, error) {
+func (c selectCounter) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	*c.calls++
-	return DijkstraSelector{}.Select(g)
+	*c.ctx = ctx
+	return DijkstraSelector{}.SelectContext(ctx, g)
 }
 
-// TestUnitDemandForwardsContext: the wrapper is a ContextSelector, so
-// SelectWithContext never takes its uncancellable branch for it, and a
-// context that is already done stops it before the inner selection runs.
+// TestUnitDemandForwardsContext: the wrapper hands the caller's context
+// to the inner selector, so a context that is already done stops the
+// selection.
 func TestUnitDemandForwardsContext(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	dag := cdg.TurnBreaker{Rule: cdg.WestFirst}.Break(cdg.NewFull(m, 1))
 	g := flowgraph.New(dag, transposeFlows(m, 25), 100)
 	calls := 0
-	sel, ok := UnitDemand(selectCounter{&calls}).(ContextSelector)
-	if !ok {
-		t.Fatal("UnitDemand's selector does not implement ContextSelector")
-	}
+	var got context.Context
+	sel := UnitDemand(selectCounter{&calls, &got})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := sel.SelectContext(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled SelectContext returned %v, want context.Canceled", err)
 	}
-	if calls != 0 {
-		t.Errorf("inner selector ran %d times under a cancelled context", calls)
+	if calls != 1 || got != ctx {
+		t.Errorf("inner selector ran %d times, last with ctx %v; want once with the caller's", calls, got)
 	}
-	if _, err := sel.Select(g); err != nil || calls != 1 {
-		t.Errorf("plain Select: %v after %d inner calls, want nil after 1", err, calls)
+	if _, err := sel.SelectContext(context.Background(), g); err != nil || calls != 2 {
+		t.Errorf("live SelectContext: %v after %d inner calls, want nil after 2", err, calls)
 	}
 }
 
@@ -97,14 +99,14 @@ func TestHopBudgetForcesMinimalRoute(t *testing.T) {
 	g := flowgraph.New(dag, flows, 100)
 
 	// Unconstrained BSOR takes detours on transpose (avg hops > 6).
-	free, err := DijkstraSelector{}.Select(g)
+	free, err := DijkstraSelector{}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Force flow 0 minimal.
 	budgets := map[int]int{0: m.MinimalHops(flows[0].Src, flows[0].Dst)}
-	constrained, err := DijkstraSelector{HopBudgets: budgets}.Select(g)
+	constrained, err := DijkstraSelector{HopBudgets: budgets}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestHopBudgetInfeasibleErrors(t *testing.T) {
 	dag := cdg.TurnBreaker{Rule: cdg.XYOrder}.Break(cdg.NewFull(m, 1))
 	g := flowgraph.New(dag, flows, 100)
 	// Budget below the minimal hop count (4) is impossible.
-	_, err := DijkstraSelector{HopBudgets: map[int]int{0: 3}}.Select(g)
+	_, err := DijkstraSelector{HopBudgets: map[int]int{0: 3}}.SelectContext(context.Background(), g)
 	if err == nil {
 		t.Fatal("infeasible budget accepted")
 	}
@@ -195,7 +197,7 @@ func TestMILPHopSlackOverride(t *testing.T) {
 	g := flowgraph.New(dag, flows, 100)
 	over := map[int]int{0: 0, 1: 0}
 	sel := MILPSelector{HopSlack: 2, HopSlackOverride: over, MaxPathsPerFlow: 32}
-	set, err := sel.Select(g)
+	set, err := sel.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

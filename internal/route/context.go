@@ -7,27 +7,9 @@ import (
 	"repro/internal/topology"
 )
 
-// ContextSelector is implemented by selectors that support cooperative
-// cancellation. SelectWithContext dispatches to it; every selector in
-// this package implements it, so plain Select is equivalent to
-// SelectContext with a background context.
-type ContextSelector interface {
-	Selector
-	// SelectContext is Select with cancellation: it returns ctx.Err() (no
-	// route set) once ctx is done, polling at least once per flow.
-	SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error)
-}
-
-// SelectWithContext runs sel under ctx when it supports cancellation and
-// falls back to the plain uncancellable Select otherwise.
+// SelectWithContext runs sel under ctx: sel.SelectContext(ctx, g).
 func SelectWithContext(ctx context.Context, sel Selector, g *flowgraph.Graph) (*Set, error) {
-	if cs, ok := sel.(ContextSelector); ok {
-		return cs.SelectContext(ctx, g)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return sel.Select(g)
+	return sel.SelectContext(ctx, g)
 }
 
 // ContextAlgorithm is implemented by routing algorithms that support

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -112,7 +113,7 @@ func TestDeadlockFreeMatchesReference(t *testing.T) {
 			}
 			sets[a.Name()] = set
 		}
-		dset, err := DijkstraSelector{}.Select(flowgraph.New(dag, flows, 100))
+		dset, err := DijkstraSelector{}.SelectContext(context.Background(), flowgraph.New(dag, flows, 100))
 		if err != nil {
 			t.Fatal(err)
 		}

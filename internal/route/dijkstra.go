@@ -38,12 +38,7 @@ type DijkstraSelector struct {
 // Name implements Selector.
 func (d DijkstraSelector) Name() string { return "BSOR-Dijkstra" }
 
-// Select implements Selector.
-func (d DijkstraSelector) Select(g *flowgraph.Graph) (*Set, error) {
-	return d.SelectContext(context.Background(), g)
-}
-
-// SelectContext implements ContextSelector: ctx is polled once per
+// SelectContext implements Selector: ctx is polled once per
 // routed flow.
 func (d DijkstraSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestNoPathErrorTyped(t *testing.T) {
 
 	// A hop budget below the minimal distance leaves no candidates.
 	sel := MILPSelector{HopSlack: -4, MaxPathsPerFlow: 4}
-	_, err := sel.Select(g)
+	_, err := sel.SelectContext(context.Background(), g)
 	var np *NoPathError
 	if !errors.As(err, &np) {
 		t.Fatalf("budget-starved MILP: err = %v (%T), want *NoPathError", err, err)

@@ -16,10 +16,10 @@ import (
 // Cancellation of ctx is not a solver failure: it is returned as
 // ctx.Err() and the fallback is not consulted.
 type FallbackSelector struct {
-	Primary ContextSelector
+	Primary Selector
 	// Fallback answers after Primary has failed. Nil means the primary's
 	// error is returned instead.
-	Fallback ContextSelector
+	Fallback Selector
 	// Metrics, when non-nil, counts fallback consultations
 	// (route_retry_fallbacks_total); InstrumentSelector sets it.
 	Metrics *metrics.Collector
@@ -28,12 +28,7 @@ type FallbackSelector struct {
 // Name implements Selector.
 func (fs FallbackSelector) Name() string { return fs.Primary.Name() }
 
-// Select implements Selector.
-func (fs FallbackSelector) Select(g *flowgraph.Graph) (*Set, error) {
-	return fs.SelectContext(context.Background(), g)
-}
-
-// SelectContext implements ContextSelector.
+// SelectContext implements Selector.
 func (fs FallbackSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	set, perr := fs.Primary.SelectContext(ctx, g)
 	if perr == nil {

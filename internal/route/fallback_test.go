@@ -46,10 +46,6 @@ type fakeSelector struct {
 
 func (f fakeSelector) Name() string { return "fake" }
 
-func (f fakeSelector) Select(g *flowgraph.Graph) (*route.Set, error) {
-	return f.SelectContext(context.Background(), g)
-}
-
 func (f fakeSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*route.Set, error) {
 	*f.calls++
 	if f.err != nil {

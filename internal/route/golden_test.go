@@ -96,7 +96,7 @@ func TestGoldenSynthesisDeterminism(t *testing.T) {
 			// Repeated runs must serialize byte-identically; enumeration
 			// width is pinned by TestGoldenEnumerationDeterminism.
 			for run := 0; run < 3; run++ {
-				set, err := gc.sel.Select(g)
+				set, err := gc.sel.SelectContext(context.Background(), g)
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}
@@ -171,7 +171,7 @@ func TestGoldenSynthesisDeterminismIrregular(t *testing.T) {
 			var first string
 			var firstSet *Set
 			for run := 0; run < 2; run++ {
-				set, err := gc.sel.Select(g)
+				set, err := gc.sel.SelectContext(context.Background(), g)
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}

@@ -36,12 +36,7 @@ type BSORHeuristic struct {
 // Name implements Selector.
 func (h BSORHeuristic) Name() string { return "BSOR-Heuristic" }
 
-// Select implements Selector.
-func (h BSORHeuristic) Select(g *flowgraph.Graph) (*Set, error) {
-	return h.SelectContext(context.Background(), g)
-}
-
-// SelectContext implements ContextSelector: cancellation is polled in
+// SelectContext implements Selector: cancellation is polled in
 // candidate enumeration and once per routed flow.
 func (h BSORHeuristic) SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error) {
 	flows := g.Flows()

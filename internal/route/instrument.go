@@ -22,24 +22,9 @@ func InstrumentSelector(sel Selector, m *metrics.Collector) Selector {
 		return s
 	case FallbackSelector:
 		s.Metrics = m
-		s.Primary = InstrumentContextSelector(s.Primary, m)
-		s.Fallback = InstrumentContextSelector(s.Fallback, m)
+		s.Primary = InstrumentSelector(s.Primary, m)
+		s.Fallback = InstrumentSelector(s.Fallback, m)
 		return s
 	}
 	return sel
-}
-
-// InstrumentContextSelector is InstrumentSelector for the cancellable
-// interface (FallbackSelector holds its Primary/Fallback as
-// ContextSelector). Every instrumentable selector implements both
-// interfaces, so the dispatch is shared.
-func InstrumentContextSelector(sel ContextSelector, m *metrics.Collector) ContextSelector {
-	if sel == nil {
-		return nil
-	}
-	out, ok := InstrumentSelector(sel, m).(ContextSelector)
-	if !ok {
-		return sel
-	}
-	return out
 }

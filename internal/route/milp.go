@@ -105,11 +105,6 @@ func noPathError(g *flowgraph.Graph, i, budget int) error {
 	return &NoPathError{Flow: f.Name, Src: topo.NodeName(f.Src), Dst: topo.NodeName(f.Dst), Budget: budget}
 }
 
-// Select implements Selector.
-func (ms MILPSelector) Select(g *flowgraph.Graph) (*Set, error) {
-	return ms.SelectContext(context.Background(), g)
-}
-
 // pool is the candidate set of one selection: per flow, the paths offered
 // to the restricted master, one per distinct channel sequence, each stored
 // beside the chanKey that identifies it.
@@ -134,7 +129,7 @@ func (pl *pool) add(i int, p flowgraph.Path) {
 	pl.keys[i] = append(pl.keys[i], k)
 }
 
-// SelectContext implements ContextSelector: cancellation is polled in
+// SelectContext implements Selector: cancellation is polled in
 // candidate enumeration and inside the branch-and-bound solve. It builds
 // one candidate pool — capped enumeration and three Dijkstra route sets —
 // solves one restricted master over it from a start (the best Dijkstra set
@@ -186,9 +181,11 @@ func (ms MILPSelector) SelectContext(ctx context.Context, g *flowgraph.Graph) (*
 			prng := rand.New(rand.NewSource(ms.Seed + seedOff))
 			sel.Perturb = func(v cdg.VertexID) float64 { return prng.Float64() * 1e-3 }
 		}
-		dset, err := sel.Select(g)
+		dset, err := sel.SelectContext(ctx, g)
 		if err != nil {
-			break // e.g. a flow unreachable without hop budget; enumeration already covered it
+			// e.g. a flow unreachable without hop budget, which enumeration
+			// already covered, or ctx done, which the solve below reports.
+			break
 		}
 		withinBudget := true
 		for i, r := range dset.Routes {

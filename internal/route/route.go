@@ -11,6 +11,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cdg"
@@ -218,8 +219,10 @@ func (s *Set) Conforms(dag *cdg.Graph) error {
 // an acyclic CDG (the BSOR family).
 type Selector interface {
 	Name() string
-	// Select returns one route per flow of g, in flow order.
-	Select(g *flowgraph.Graph) (*Set, error)
+	// SelectContext returns one route per flow of g, in flow order, or
+	// ctx.Err() (no route set) once ctx is done, polling at least once
+	// per flow.
+	SelectContext(ctx context.Context, g *flowgraph.Graph) (*Set, error)
 }
 
 // routeFromPath converts a G_A path into a Route.

@@ -290,7 +290,7 @@ func TestDijkstraSpreadsLoad(t *testing.T) {
 		{ID: 1, Name: "b", Src: m.NodeAt(0, 0), Dst: m.NodeAt(2, 2), Demand: 10},
 	}
 	g := dijkstraGraph(t, m, cdg.WestFirst, 1, flows, 1000)
-	set, err := DijkstraSelector{}.Select(g)
+	set, err := DijkstraSelector{}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestDijkstraTransposeBeatsDOR(t *testing.T) {
 	flows := transposeFlows(m, 25)
 	g := dijkstraGraph(t, m,
 		cdg.NegativeFirstRule(topology.West, topology.North), 2, flows, 100)
-	set, err := DijkstraSelector{}.Select(g)
+	set, err := DijkstraSelector{}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestDijkstraTransposeBeatsDOR(t *testing.T) {
 func TestConformsRejectsRoutesOfLargerFabric(t *testing.T) {
 	big := topology.NewMesh(8, 8)
 	g := dijkstraGraph(t, big, cdg.WestFirst, 2, transposeFlows(big, 25), 100)
-	set, err := DijkstraSelector{}.Select(g)
+	set, err := DijkstraSelector{}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestDijkstraUnreachableFlowErrors(t *testing.T) {
 	// An empty CDG (all dependences removed) disconnects multi-hop flows.
 	dag := cdg.NewFull(m, 1).Filter(func(u, v cdg.VertexID) bool { return false })
 	g := flowgraph.New(dag, flows, 1000)
-	if _, err := (DijkstraSelector{}).Select(g); err == nil {
+	if _, err := (DijkstraSelector{}).SelectContext(context.Background(), g); err == nil {
 		t.Fatal("unreachable flow did not error")
 	}
 }
@@ -388,7 +388,7 @@ func TestMILPSelectorOptimalSmall(t *testing.T) {
 		{ID: 2, Name: "c", Src: m.NodeAt(0, 1), Dst: m.NodeAt(2, 1), Demand: 10},
 	}
 	g := dijkstraGraph(t, m, cdg.WestFirst, 1, flows, 1000)
-	set, err := MILPSelector{HopSlack: 2}.Select(g)
+	set, err := MILPSelector{HopSlack: 2}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestMILPPathMatchesEdgeFormulation(t *testing.T) {
 			if tc.private >= 0 {
 				requirePrivateFirstChannel(t, name, g, 2, tc.private)
 			}
-			pathSet, err := MILPSelector{HopSlack: 2}.Select(g)
+			pathSet, err := MILPSelector{HopSlack: 2}.SelectContext(context.Background(), g)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -529,7 +529,7 @@ func TestMILPMinimalOnlyRespectsHops(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	flows := transposeFlows(m, 25)
 	g := dijkstraGraph(t, m, cdg.WestFirst, 1, flows, 1000)
-	set, err := MILPSelector{HopSlack: 0, MaxPathsPerFlow: 64}.Select(g)
+	set, err := MILPSelector{HopSlack: 0, MaxPathsPerFlow: 64}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestMILPMultiVCStaticAllocation(t *testing.T) {
 	}
 	dag := cdg.VCEscalationBreaker{Rule: cdg.XYOrder}.Break(cdg.NewFull(m, 2))
 	g := flowgraph.New(dag, flows, 1000)
-	set, err := MILPSelector{HopSlack: 2, MaxPathsPerFlow: 64}.Select(g)
+	set, err := MILPSelector{HopSlack: 2, MaxPathsPerFlow: 64}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -120,7 +121,7 @@ func TestPropertyBSORSelectors(t *testing.T) {
 				BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16},
 			}
 			for _, sel := range selectors {
-				set, err := sel.Select(g)
+				set, err := sel.SelectContext(context.Background(), g)
 				if err != nil {
 					t.Fatalf("%s: %v", sel.Name(), err)
 				}
@@ -148,11 +149,11 @@ func TestPropertyHeuristicBracketsMILP(t *testing.T) {
 			// which can only help it).
 			milp := MILPSelector{HopSlack: 2, MaxPathsPerFlow: 24}
 			heur := BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 24}
-			mset, err := milp.Select(g)
+			mset, err := milp.SelectContext(context.Background(), g)
 			if err != nil {
 				t.Fatalf("MILP: %v", err)
 			}
-			hset, err := heur.Select(g)
+			hset, err := heur.SelectContext(context.Background(), g)
 			if err != nil {
 				t.Fatalf("heuristic: %v", err)
 			}
@@ -184,7 +185,7 @@ func TestPropertyTorusDateline(t *testing.T) {
 		flows := randomFlows(rng, tor, 3+rng.Intn(5))
 		g := flowgraph.New(dag, flows, 1000)
 		for _, sel := range []Selector{DijkstraSelector{}, BSORHeuristic{HopSlack: 2, MaxPathsPerFlow: 16}} {
-			set, err := sel.Select(g)
+			set, err := sel.SelectContext(context.Background(), g)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, sel.Name(), err)
 			}

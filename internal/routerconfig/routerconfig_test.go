@@ -1,6 +1,7 @@
 package routerconfig
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -16,7 +17,7 @@ func bsorSet(t *testing.T, m *topology.Mesh) *route.Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := core.Best(m, flows, core.Config{VCs: 2})
+	set, _, err := core.BestContext(context.Background(), m, flows, core.Config{VCs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,7 +317,7 @@ func TestBSORBeatsXYOnTranspose(t *testing.T) {
 	dag := cdg.TurnBreaker{Rule: cdg.NegativeFirstRule(topology.West, topology.North)}.
 		Break(cdg.NewFull(m, 2))
 	g := flowgraph.New(dag, flows, 100)
-	bsor, err := route.DijkstraSelector{}.Select(g)
+	bsor, err := route.DijkstraSelector{}.SelectContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,28 +127,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Merge adds the counts of o into h. Both histograms must have identical
-// bucket layouts (same range and bucket count); Merge returns an error
-// otherwise — before mutating anything, so a failed Merge leaves h
-// exactly as it was. A nil o is rejected the same way. It is the
-// aggregation primitive for histograms collected by concurrent
-// simulation runs. h.Merge(h) is well defined and doubles every count.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return fmt.Errorf("stats: cannot merge nil histogram into [%g,%g)/%d",
-			h.lo, h.hi, len(h.buckets))
-	}
-	if h.lo != o.lo || h.hi != o.hi || len(h.buckets) != len(o.buckets) {
-		return fmt.Errorf("stats: cannot merge histogram [%g,%g)/%d into [%g,%g)/%d",
-			o.lo, o.hi, len(o.buckets), h.lo, h.hi, len(h.buckets))
-	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.total += o.total
-	return nil
-}
-
 // Total returns the observation count.
 func (h *Histogram) Total() int64 { return h.total }
 

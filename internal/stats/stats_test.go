@@ -160,65 +160,6 @@ func TestSummaryMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 100, 10)
-	b := NewHistogram(0, 100, 10)
-	whole := NewHistogram(0, 100, 10)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 2000; i++ {
-		x := rng.Float64() * 120 // exercise the saturating end bucket
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != whole.Total() {
-		t.Fatalf("merged total %d, want %d", a.Total(), whole.Total())
-	}
-	for i := 0; i < whole.NumBuckets(); i++ {
-		if a.Bucket(i) != whole.Bucket(i) {
-			t.Errorf("bucket %d: %d vs %d", i, a.Bucket(i), whole.Bucket(i))
-		}
-	}
-	for _, p := range []float64{50, 95, 99} {
-		if a.Percentile(p) != whole.Percentile(p) {
-			t.Errorf("p%g: %g vs %g", p, a.Percentile(p), whole.Percentile(p))
-		}
-	}
-}
-
-func TestHistogramMergeLayoutMismatch(t *testing.T) {
-	a := NewHistogram(0, 100, 10)
-	a.Add(5)
-	a.Add(42)
-	before := *a
-	beforeBuckets := append([]int64(nil), a.buckets...)
-	for _, bad := range []*Histogram{
-		nil,
-		NewHistogram(0, 100, 20),
-		NewHistogram(0, 50, 10),
-		NewHistogram(1, 100, 10),
-	} {
-		if err := a.Merge(bad); err == nil {
-			t.Error("layout mismatch accepted")
-		}
-	}
-	// A failed Merge must leave the target untouched.
-	if a.Total() != before.total || a.lo != before.lo || a.hi != before.hi {
-		t.Errorf("failed merge mutated target: %+v", a)
-	}
-	for i, c := range beforeBuckets {
-		if a.Bucket(i) != c {
-			t.Errorf("failed merge mutated bucket %d: %d vs %d", i, a.Bucket(i), c)
-		}
-	}
-}
-
 func TestSummaryMergeNilAndSelf(t *testing.T) {
 	var s Summary
 	for _, x := range []float64{1, 3, 5, 7} {
@@ -239,22 +180,6 @@ func TestSummaryMergeNilAndSelf(t *testing.T) {
 	}
 	if math.Abs(s.m2-2*before.m2) > 1e-12 {
 		t.Errorf("self-merge m2 = %g, want %g", s.m2, 2*before.m2)
-	}
-}
-
-func TestHistogramSelfMerge(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{1, 3, 3, 9} {
-		h.Add(x)
-	}
-	if err := h.Merge(h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 8 {
-		t.Errorf("self-merge total = %d, want 8", h.Total())
-	}
-	if h.Bucket(1) != 4 { // the two 3s, doubled
-		t.Errorf("self-merge bucket 1 = %d, want 4", h.Bucket(1))
 	}
 }
 

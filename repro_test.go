@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -24,7 +25,7 @@ func TestSmokePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bsor, ex, err := core.Best(m, flows, core.Config{VCs: 2})
+	bsor, ex, err := core.BestContext(context.Background(), m, flows, core.Config{VCs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
