@@ -30,7 +30,6 @@ package certify
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cdg"
 	"repro/internal/route"
@@ -100,8 +99,6 @@ func Certify(in Instance) (*Certificate, error) {
 	if err := checkInstance(in); err != nil {
 		return nil, err
 	}
-	n := in.Topo.NumChannels() * in.VCs
-
 	// Route validity first: every hop re-walked against the raw topology,
 	// every transition checked against the CDG. A certificate over a
 	// pristine CDG is worthless if the routes never conform to it.
@@ -112,10 +109,10 @@ func Certify(in Instance) (*Certificate, error) {
 	// Rank the dependence graph: the full CDG when one is claimed (the
 	// witness then covers every route set conforming to it), otherwise
 	// exactly the dependences the routes use.
-	edges := dependenceEdges(in)
-	rank, acyclic := layerRanks(n, edges)
-	if !acyclic {
-		return nil, cycleCounterexample(in, n, edges)
+	d := dependences(in)
+	rank, left := peel(&d)
+	if !acyclic(left) {
+		return nil, cycleCounterexample(in, &d, left)
 	}
 	levels := 1
 	for _, r := range rank {
@@ -160,7 +157,7 @@ func Issue(in Instance) (*Certificate, error) {
 
 // Check re-verifies a certificate against an instance without re-running
 // any of Certify's graph algorithms: the ranking is validated by a linear
-// scan over the dependence edges, and the route facts are re-derived by
+// scan over the dependence rows, and the route facts are re-derived by
 // plain walks. A nil error means the certificate is a genuine witness
 // that this exact instance is deadlock-free.
 func (c *Certificate) Check(in Instance) error {
@@ -190,11 +187,15 @@ func (c *Certificate) Check(in Instance) error {
 		}
 	}
 	// The acyclicity witness: every dependence edge must strictly ascend
-	// the ranking. One linear scan — no search, no recursion, no trust.
-	for _, e := range dependenceEdges(in) {
-		if c.Rank[e.u] >= c.Rank[e.v] {
-			return fmt.Errorf("certify: dependence %s -> %s does not ascend the ranking (rank %d >= %d)",
-				vertexLabel(in, e.u), vertexLabel(in, e.v), c.Rank[e.u], c.Rank[e.v])
+	// the ranking. One linear scan of the rows — no search, no recursion,
+	// no trust.
+	d := dependences(in)
+	for u := 0; u < d.n; u++ {
+		for _, v := range d.out(u) {
+			if c.Rank[u] >= c.Rank[v] {
+				return fmt.Errorf("certify: dependence %s -> %s does not ascend the ranking (rank %d >= %d)",
+					vertexLabel(in, int32(u)), vertexLabel(in, int32(v)), c.Rank[u], c.Rank[v])
+			}
 		}
 	}
 	if ce := walkRoutes(in, nil); ce != nil {
@@ -302,35 +303,14 @@ func walkRoutes(in Instance, onUse func(u, v int32)) *Counterexample {
 	return nil
 }
 
-// edge is one dependence u -> v in dense vertex numbering.
-type edge struct{ u, v int32 }
-
-// dependenceEdges collects the dependence graph the ranking must cover:
-// every edge of the claimed CDG, or (with no CDG) the deduplicated
-// dependences the routes use. Deterministic order: ascending (u, v).
-func dependenceEdges(in Instance) []edge {
+// dependences returns the dependence graph the ranking must cover, read
+// in place: the claimed CDG's own rows, or (with no CDG) the deduplicated
+// dependences the routes use.
+func dependences(in Instance) deps {
 	if in.CDG != nil {
-		edges := make([]edge, 0, in.CDG.NumEdges())
-		for u := 0; u < in.CDG.NumVertices(); u++ {
-			for _, v := range in.CDG.Out(cdg.VertexID(u)) {
-				edges = append(edges, edge{int32(u), int32(v)})
-			}
-		}
-		return edges
+		return deps{n: in.CDG.NumVertices(), cdg: in.CDG}
 	}
-	used := make(map[edge]bool)
-	walkRoutes(in, func(u, v int32) { used[edge{u, v}] = true })
-	edges := make([]edge, 0, len(used))
-	for e := range used {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	return edges
+	return usedDeps(in)
 }
 
 // checkLoads re-derives per-channel loads, returning the MCL and a

@@ -231,16 +231,20 @@ func TestCheckRejectsInstanceMismatch(t *testing.T) {
 func TestMinimalCycleFindsShortest(t *testing.T) {
 	// Two cycles share vertex 0: a long one 0->1->2->3->0 and a short one
 	// 4->5->4 elsewhere; the reported counterexample must be the 2-cycle.
-	edges := []edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {4, 5}, {5, 4}}
-	cyc := minimalCycle(6, edges)
+	cycle := func(edges []edge) []int32 {
+		d := edgeDeps(6, edges)
+		_, left := peel(&d)
+		if acyclic(left) {
+			t.Fatalf("peel accepted the cyclic edge set %v", edges)
+		}
+		return minimalCycle(&d, left)
+	}
+	cyc := cycle([]edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {4, 5}, {5, 4}})
 	if len(cyc)-1 != 2 {
 		t.Fatalf("minimal cycle length %d, want 2 (%v)", len(cyc)-1, cyc)
 	}
-	if _, ok := layerRanks(6, edges); ok {
-		t.Fatal("layerRanks accepted a cyclic edge set")
-	}
 	// Remove the 2-cycle's back edge: the 4-cycle is now minimal.
-	cyc = minimalCycle(6, []edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {4, 5}})
+	cyc = cycle([]edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {4, 5}})
 	if len(cyc)-1 != 4 {
 		t.Fatalf("minimal cycle length %d, want 4 (%v)", len(cyc)-1, cyc)
 	}

@@ -67,9 +67,9 @@ func (ce *Counterexample) Error() string {
 }
 
 // cycleCounterexample builds the KindCycle refutation from a cyclic
-// dependence edge set: a minimal cycle, labeled.
-func cycleCounterexample(in Instance, n int, edges []edge) *Counterexample {
-	cyc := minimalCycle(n, edges)
+// dependence graph and its peel residue: a minimal cycle, labeled.
+func cycleCounterexample(in Instance, d *deps, left []int32) *Counterexample {
+	cyc := minimalCycle(d, left)
 	ce := &Counterexample{Kind: KindCycle, Hop: -1}
 	for _, v := range cyc {
 		ce.Cycle = append(ce.Cycle, Vertex{

@@ -3,6 +3,7 @@ package certify
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cdg"
@@ -106,6 +107,15 @@ func TestCertifyMatrix(t *testing.T) {
 				if err := cert.Check(in); err != nil {
 					t.Fatalf("%s via %s, %s: Check: %v", topoLabel(mt.topo), b.Name(), name, err)
 				}
+				label := topoLabel(mt.topo) + " via " + b.Name() + ", " + name
+				if !slices.Equal(cert.Rank, referenceRank(t, label, in)) {
+					t.Fatalf("%s: certificate ranks differ from the edge-list peel", label)
+				}
+				used := in
+				used.CDG = nil
+				if !assertPeelMatchesReference(t, label+" (used only)", used) {
+					t.Fatalf("%s: used dependences of a conforming set are cyclic", label)
+				}
 				certified++
 			}
 		}
@@ -143,6 +153,9 @@ func TestCertifyMatrixRejectsMutants(t *testing.T) {
 		}
 		mutant := dag.WithEdge(v, u)
 		in := Instance{Topo: mt.topo, CDG: mutant, Routes: set, VCs: 2}
+		if assertPeelMatchesReference(t, topoLabel(mt.topo)+" mutant", in) {
+			t.Fatalf("%s: both peels call the flipped-edge mutant acyclic", topoLabel(mt.topo))
+		}
 		_, err = Certify(in)
 		var ce *Counterexample
 		if !errors.As(err, &ce) || ce.Kind != KindCycle {

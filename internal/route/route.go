@@ -75,16 +75,27 @@ func (s *Set) AvgHops() float64 {
 }
 
 // Validate checks structural integrity: each route is a contiguous simple
-// channel walk from its flow's source to its sink, with VC indices in
-// [0, vcs).
+// channel walk from its flow's source to its sink, over channels in
+// [0, NumChannels()) with VC indices in [0, vcs). An out-of-range channel
+// is an error, never a lookup.
 func (s *Set) Validate(vcs int) error {
-	for _, r := range s.Routes {
+	nCh := s.Topo.NumChannels()
+	// seen[ch] == ri+1 once route ri has crossed ch: earlier routes' stamps
+	// need no clearing.
+	seen := make([]int32, nCh)
+	for ri, r := range s.Routes {
 		if len(r.Channels) == 0 {
 			return fmt.Errorf("route: flow %s has an empty route", r.Flow.Name)
 		}
 		if len(r.VCs) != len(r.Channels) {
 			return fmt.Errorf("route: flow %s has %d VCs for %d channels",
 				r.Flow.Name, len(r.VCs), len(r.Channels))
+		}
+		for i, ch := range r.Channels {
+			if ch < 0 || int(ch) >= nCh {
+				return fmt.Errorf("route: flow %s hop %d uses channel %d outside [0,%d)",
+					r.Flow.Name, i, ch, nCh)
+			}
 		}
 		first := s.Topo.Channel(r.Channels[0])
 		if first.Src != r.Flow.Src {
@@ -96,12 +107,12 @@ func (s *Set) Validate(vcs int) error {
 			return fmt.Errorf("route: flow %s ends at %s, want %s", r.Flow.Name,
 				s.Topo.NodeName(last.Dst), s.Topo.NodeName(r.Flow.Dst))
 		}
-		seen := make(map[topology.ChannelID]bool, len(r.Channels))
+		stamp := int32(ri + 1)
 		for i, ch := range r.Channels {
-			if seen[ch] {
+			if seen[ch] == stamp {
 				return fmt.Errorf("route: flow %s crosses channel %d twice", r.Flow.Name, ch)
 			}
-			seen[ch] = true
+			seen[ch] = stamp
 			if r.VCs[i] < 0 || r.VCs[i] >= vcs {
 				return fmt.Errorf("route: flow %s uses VC %d outside [0,%d)",
 					r.Flow.Name, r.VCs[i], vcs)

@@ -205,27 +205,55 @@ func TestValidateCatchesBadRoutes(t *testing.T) {
 	e0 := m.ChannelAt(m.NodeAt(0, 0), topology.East)
 	e1 := m.ChannelAt(m.NodeAt(1, 0), topology.East)
 	n0 := m.ChannelAt(m.NodeAt(0, 0), topology.North)
+	// Once around the cell east of (0,0), back across e0, then on to the
+	// sink: contiguous, no 180-degree turn, but e0 is crossed twice.
+	hop := func(x0, y0, x1, y1 int) topology.ChannelID {
+		return m.ChannelFromTo(m.NodeAt(x0, y0), m.NodeAt(x1, y1))
+	}
+	loop := []topology.ChannelID{e0, hop(1, 0, 1, 1), hop(1, 1, 0, 1), hop(0, 1, 0, 0), e0, e1}
 	cases := []struct {
 		name string
 		r    Route
+		want string
 	}{
-		{"empty", Route{Flow: f}},
-		{"vc-arity", Route{Flow: f, Channels: []topology.ChannelID{e0, e1}, VCs: []int{0}}},
-		{"wrong-start", Route{Flow: f, Channels: []topology.ChannelID{e1}, VCs: []int{0}}},
-		{"wrong-end", Route{Flow: f, Channels: []topology.ChannelID{e0}, VCs: []int{0}}},
-		{"gap", Route{Flow: f, Channels: []topology.ChannelID{n0, e1}, VCs: []int{0, 0}}},
-		{"bad-vc", Route{Flow: f, Channels: []topology.ChannelID{e0, e1}, VCs: []int{0, 2}}},
+		{"empty", Route{Flow: f}, "empty route"},
+		{"vc-arity", Route{Flow: f, Channels: []topology.ChannelID{e0, e1}, VCs: []int{0}}, "1 VCs for 2 channels"},
+		{"wrong-start", Route{Flow: f, Channels: []topology.ChannelID{e1}, VCs: []int{0}}, "starts at"},
+		{"wrong-end", Route{Flow: f, Channels: []topology.ChannelID{e0}, VCs: []int{0}}, "ends at"},
+		{"gap", Route{Flow: f, Channels: []topology.ChannelID{n0, e1}, VCs: []int{0, 0}}, "not contiguous"},
+		{"bad-vc", Route{Flow: f, Channels: []topology.ChannelID{e0, e1}, VCs: []int{0, 2}}, "VC 2 outside"},
+		{"channel-9999", Route{Flow: f, Channels: []topology.ChannelID{e0, 9999}, VCs: []int{0, 0}}, "channel 9999 outside"},
+		{"channel-minus-1", Route{Flow: f, Channels: []topology.ChannelID{-1, e1}, VCs: []int{0, 0}}, "channel -1 outside"},
+		{"revisit", Route{Flow: f, Channels: loop, VCs: make([]int, len(loop))}, "twice"},
 	}
 	for _, c := range cases {
 		set := &Set{Topo: m, Routes: []Route{c.r}}
 		if err := set.Validate(2); err == nil {
 			t.Errorf("case %s: invalid route accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %s: error %q does not say %q", c.name, err, c.want)
 		}
 	}
 	ok := &Set{Topo: m, Routes: []Route{{Flow: f,
 		Channels: []topology.ChannelID{e0, e1}, VCs: []int{0, 1}}}}
 	if err := ok.Validate(2); err != nil {
 		t.Errorf("valid route rejected: %v", err)
+	}
+}
+
+// TestValidateAllocatesOnce pins Validate at one allocation, its
+// channel stamp slice, however many routes the set holds.
+func TestValidateAllocatesOnce(t *testing.T) {
+	m := topology.NewMesh(16, 16)
+	set, err := XY{}.Routes(m, transposeFlows(m, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Validate(1); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = set.Validate(1) }); allocs > 1 {
+		t.Fatalf("Validate over %d routes allocates %v times, want <= 1", len(set.Routes), allocs)
 	}
 }
 
