@@ -32,7 +32,8 @@ func ExampleSynthesize() {
 		log.Fatal(err)
 	}
 	fmt.Printf("MCL %.0f MB/s via CDG %q\n", set.MCL(), set.Breaker())
-	fmt.Println("deadlock free:", set.VerifyDeadlockFree() == nil)
+	_, err = set.Certify()
+	fmt.Println("deadlock free:", err == nil)
 	// Output:
 	// MCL 40 MB/s via CDG "S-first"
 	// deadlock free: true

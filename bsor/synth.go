@@ -44,13 +44,6 @@ func (rs *RouteSet) Breaker() string { return rs.art.Breaker }
 // VCs reports the virtual channel count the set was synthesized for.
 func (rs *RouteSet) VCs() int { return rs.art.Job.VCs }
 
-// VerifyDeadlockFree re-checks the Dally–Seitz condition on the actual
-// (channel, VC) dependences the routes use — an independent safety net
-// on top of the by-construction guarantee. Returns nil when acyclic.
-func (rs *RouteSet) VerifyDeadlockFree() error {
-	return rs.art.Set.DeadlockFree(rs.art.Job.VCs)
-}
-
 // Routes lists every flow's assigned route in flow order.
 func (rs *RouteSet) Routes() []RouteInfo {
 	topo, set := rs.art.Topo, rs.art.Set

@@ -116,8 +116,7 @@ func newCounterexample(ce *certify.Counterexample, cause error) *Counterexample 
 // Certify returns the machine-checkable Certificate of the synthesized
 // route set, or a *Counterexample error refuting it, from the independent
 // deadlock-freedom checker. The checker rebuilds the claimed acyclic CDG
-// from the breaker name and trusts nothing the synthesis asserted — this
-// is the "re-proved, not re-read" counterpart of VerifyDeadlockFree. The
+// from the breaker name and trusts nothing the synthesis asserted. The
 // spec's Capacity, when set, is re-checked against the certified loads.
 // The certificate is computed once per synthesis and shared by every
 // holder of it.

@@ -32,11 +32,19 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "verify" {
-		runVerify(os.Args[2:])
-		return
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	runSynthesize(os.Args[1:], os.Stdout)
+}
+
+// run is the whole command: the verify subcommand when args start with
+// "verify", the default synthesis report otherwise.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) > 0 && args[0] == "verify" {
+		return runVerify(args[1:], stdout, stderr)
+	}
+	return runSynthesize(args, stdout, stderr)
 }
 
 // selectorAlgorithm resolves the -selector flag through the façade's
@@ -51,8 +59,9 @@ func selectorAlgorithm(selector string, allowSP bool) (string, error) {
 
 // runSynthesize is the default path: it prints the per-breaker table,
 // the winning route set and its certificate to out.
-func runSynthesize(args []string, out io.Writer) {
-	fs := flag.NewFlagSet("bsor", flag.ExitOnError)
+func runSynthesize(args []string, out, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bsor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		sf       = bsor.RegisterFlags(fs)
 		selector = fs.String("selector", "dijkstra", "dijkstra | milp | heuristic")
@@ -60,17 +69,17 @@ func runSynthesize(args []string, out io.Writer) {
 		verbose  = fs.Bool("v", false, "print every route")
 	)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return err
 	}
 
 	spec, err := sf.ParseSpec()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec.Capacity = *capacity
 	spec.Algorithm, err = selectorAlgorithm(*selector, false)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// The table, the winner and the certificate below are renderings of
@@ -82,7 +91,7 @@ func runSynthesize(args []string, out io.Writer) {
 	fmt.Fprintln(out, "acyclic CDG exploration (MCL in MB/s):")
 	explored, err := engine.Explore(ctx, spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, ex := range explored {
 		if ex.Err != nil {
@@ -94,18 +103,13 @@ func runSynthesize(args []string, out io.Writer) {
 
 	set, err := engine.Synthesize(ctx, spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "\nbest: %s with MCL %.2f MB/s (bottleneck %s), avg hops %.2f\n",
 		set.Breaker(), set.MCL(), set.Bottleneck(), set.AvgHops())
-	if err := set.VerifyDeadlockFree(); err != nil {
-		fmt.Fprintln(os.Stderr, "internal error:", err)
-		os.Exit(1)
-	}
 	cert, err := set.Certify()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "internal error:", err)
-		os.Exit(1)
+		return fmt.Errorf("internal error: %w", err)
 	}
 	fmt.Fprintln(out, cert.Summary())
 	if hm := set.Heatmap(); hm != "" {
@@ -120,10 +124,12 @@ func runSynthesize(args []string, out io.Writer) {
 				r.Flow.Name, r.Flow.Demand, strings.Join(r.Hops, " "))
 		}
 	}
+	return nil
 }
 
-func runVerify(args []string) {
-	fs := flag.NewFlagSet("bsor verify", flag.ExitOnError)
+func runVerify(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bsor verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		sf       = bsor.RegisterFlags(fs)
 		selector = fs.String("selector", "dijkstra", "dijkstra | milp | heuristic | sp")
@@ -131,48 +137,41 @@ func runVerify(args []string) {
 		asJSON   = fs.Bool("json", false, "print the machine-checkable certificate as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return err
 	}
 
 	spec, err := sf.ParseSpec()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec.Capacity = *capacity
 	spec.Algorithm, err = selectorAlgorithm(*selector, true)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	cert, err := bsor.Verify(context.Background(), spec)
 	if err != nil {
 		var ce *bsor.Counterexample
-		if errors.As(err, &ce) {
-			fmt.Fprintln(os.Stderr, "certification REJECTED the route set:")
-			fmt.Fprintf(os.Stderr, "  kind:   %s\n", ce.Kind)
-			if len(ce.Cycle) > 0 {
-				fmt.Fprintf(os.Stderr, "  cycle:  %s\n", strings.Join(ce.Cycle, " -> "))
-			}
-			if ce.Flow != "" {
-				fmt.Fprintf(os.Stderr, "  flow:   %s (hop %d)\n", ce.Flow, ce.Hop)
-			}
-			fmt.Fprintf(os.Stderr, "  reason: %s\n", ce.Reason)
-			os.Exit(1)
+		if !errors.As(err, &ce) {
+			return err
 		}
-		fatal(err)
+		var b strings.Builder
+		fmt.Fprintf(&b, "certification REJECTED the route set:\n  kind:   %s\n", ce.Kind)
+		if len(ce.Cycle) > 0 {
+			fmt.Fprintf(&b, "  cycle:  %s\n", strings.Join(ce.Cycle, " -> "))
+		}
+		if ce.Flow != "" {
+			fmt.Fprintf(&b, "  flow:   %s (hop %d)\n", ce.Flow, ce.Hop)
+		}
+		fmt.Fprintf(&b, "  reason: %s", ce.Reason)
+		return errors.New(b.String())
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(cert); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(cert)
 	}
-	fmt.Println(cert.Summary())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	_, err = fmt.Fprintln(stdout, cert.Summary())
+	return err
 }

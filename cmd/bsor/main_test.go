@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
+	"strings"
 	"testing"
+
+	"repro/bsor"
 )
 
 // TestDefaultPathGolden pins the default path's stdout byte for byte: the
@@ -21,10 +25,41 @@ func TestDefaultPathGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		runSynthesize(tc.args, &got)
+		var got, stderr bytes.Buffer
+		if err := run(tc.args, &got, &stderr); err != nil {
+			t.Fatalf("bsor %v: %v\n%s", tc.args, err, stderr.Bytes())
+		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("bsor %v drifted from %s:\n%s", tc.args, tc.golden, got.Bytes())
 		}
+	}
+}
+
+// TestVerify covers the verify subcommand: a certificate summary, a
+// machine-checkable certificate on a non-grid fabric, and an undersized
+// topology reported as a spec error naming the field.
+func TestVerify(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"verify", "-topo", "mesh", "-width", "4", "-height", "4", "-workload", "transpose"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("bsor %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	if got := stdout.String(); !strings.HasPrefix(got, "deadlock freedom certified: mesh4x4 via ") {
+		t.Errorf("bsor %v printed %q, want the certificate summary", args, got)
+	}
+
+	stdout.Reset()
+	args = []string{"verify", "-topo", "clos3x4", "-workload", "rand-perm", "-selector", "sp", "-json"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("bsor %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	var cert bsor.Certificate
+	if err := json.Unmarshal(stdout.Bytes(), &cert); err != nil || cert.Topology != "clos3x4" || len(cert.Ranks) == 0 {
+		t.Errorf("bsor %v: certificate %+v, %v; want a clos3x4 ranking", args, cert, err)
+	}
+
+	args = []string{"verify", "-topo", "torus1x4", "-workload", "rand-perm", "-selector", "sp"}
+	if err := run(args, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "topo") {
+		t.Errorf("bsor %v: error %v, want a spec error naming topo", args, err)
 	}
 }

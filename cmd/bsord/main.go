@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -34,44 +35,58 @@ import (
 	"repro/internal/server"
 )
 
-var (
-	addr       = flag.String("addr", "127.0.0.1:7410", "listen address (host:port; port 0 picks a free port)")
-	workers    = flag.Int("workers", 0, "compute worker-pool size (0 = GOMAXPROCS)")
-	queue      = flag.Int("queue", 0, "admission queue depth; full queue sheds with 429 (0 = 64)")
-	cacheSize  = flag.Int("cache", 0, "response cache entries, LRU-evicted (0 = 1024)")
-	timeout    = flag.Duration("timeout", 0, "default per-request compute deadline (0 = 60s)")
-	maxTimeout = flag.Duration("max-timeout", 0, "cap on client-requested ?timeout values (0 = 10m)")
-	maxBody    = flag.Int64("max-body", 0, "request body size limit in bytes (0 = 1 MiB)")
-	fast       = flag.Bool("fast", false, "run BSOR-MILP specs under the reduced smoke budget")
-	drain      = flag.Duration("drain", 30*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
-)
+// options is the daemon's command line: the compute core's configuration
+// and the listener's own settings.
+type options struct {
+	server server.Config
+	addr   string
+	drain  time.Duration
+}
+
+// parseOptions reads the command line into the daemon's options. The
+// metrics collector is left to the caller, which publishes it.
+func parseOptions(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("bsord", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7410", "listen address (host:port; port 0 picks a free port)")
+	fs.IntVar(&o.server.Workers, "workers", 0, "compute worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.server.QueueDepth, "queue", 0, "admission queue depth; full queue sheds with 429 (0 = 64)")
+	fs.IntVar(&o.server.CacheEntries, "cache", 0, "response cache entries, LRU-evicted (0 = 1024)")
+	fs.DurationVar(&o.server.DefaultTimeout, "timeout", 0, "default per-request compute deadline (0 = 60s)")
+	fs.DurationVar(&o.server.MaxTimeout, "max-timeout", 0, "cap on client-requested ?timeout values (0 = 10m)")
+	fs.Int64Var(&o.server.MaxBodyBytes, "max-body", 0, "request body size limit in bytes (0 = 1 MiB)")
+	fs.BoolVar(&o.server.FastMILP, "fast", false, "run BSOR-MILP specs under the reduced smoke budget")
+	fs.DurationVar(&o.drain, "drain", 30*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return o, fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	return o, nil
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bsord: ")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		log.Printf("unexpected arguments: %v", flag.Args())
-		flag.Usage()
+	o, err := parseOptions(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		log.Print(err)
 		os.Exit(2)
 	}
 
-	col := metrics.New()
-	if err := col.PublishExpvar("bsord"); err != nil {
+	o.server.Metrics = metrics.New()
+	if err := o.server.Metrics.PublishExpvar("bsord"); err != nil {
 		log.Fatalf("publish expvar: %v", err)
 	}
-	core := server.New(server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cacheSize,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		MaxBodyBytes:   *maxBody,
-		FastMILP:       *fast,
-		Metrics:        col,
-	})
+	core := server.New(o.server)
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
@@ -91,7 +106,7 @@ func main() {
 	case err := <-serveErr:
 		log.Fatalf("serve: %v", err)
 	case s := <-sig:
-		log.Printf("caught %v; draining (deadline %s)", s, *drain)
+		log.Printf("caught %v; draining (deadline %s)", s, o.drain)
 	}
 	go func() {
 		<-sig
@@ -101,7 +116,7 @@ func main() {
 
 	// Drain the compute core first so in-flight requests finish writing
 	// their responses, then close the HTTP side.
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	drainErr := core.Shutdown(ctx)
 	httpCtx, httpCancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -42,8 +42,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -57,33 +59,25 @@ import (
 	"repro/internal/viz"
 )
 
-var (
-	fast       = flag.Bool("fast", false, "reduced cycle counts and MILP budget for smoke runs")
-	vcs        = flag.Int("vcs", 2, "virtual channels per link")
-	table      = flag.String("table", "", "6.1 | 6.2 | 6.3")
-	fig        = flag.String("figure", "", "6-1 .. 6-10 | 5-4")
-	all        = flag.Bool("all", false, "run every thesis table and figure")
-	filter     = flag.String("filter", "", "experiment name or glob to select experiments")
-	list       = flag.Bool("list", false, "print the experiment index and exit")
-	jobs       = flag.Bool("jobs", false, "print the selected experiments' job lists as JSON, without running (churn scenarios are declared as churn specs, not jobs, and are skipped)")
-	jsonOut    = flag.Bool("json", false, "print results as JSON instead of tables and charts")
-	workers    = flag.Int("workers", 0, "worker-pool size (0 = NumCPU)")
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metricsDst = flag.String("metrics", "",
-		`metrics sink: "-" (or "stderr") dumps a Prometheus text snapshot to stderr on exit; any other value is a listen address serving /metrics and /debug/vars during the run. Metrics are out-of-band: stdout (-json, -jobs) is byte-identical with or without them`)
-)
+// options is the parsed command line.
+type options struct {
+	fast, all, list, jobs, json bool
+	vcs, workers                int
+	table, figure, filter       string
+	cpuprofile, memprofile      string
+	metrics                     string
+}
 
-func milpSelector() experiments.Selector {
-	if *fast {
+func (o options) milpSelector() experiments.Selector {
+	if o.fast {
 		return experiments.FastMILP()
 	}
 	return experiments.DefaultMILP()
 }
 
-func simParams() experiments.SimParams {
-	p := experiments.SimParams{VCs: *vcs, Seed: 1}
-	if *fast {
+func (o options) simParams() experiments.SimParams {
+	p := experiments.SimParams{VCs: o.vcs, Seed: 1}
+	if o.fast {
 		p.WarmupCycles = 2000
 		p.MeasureCycles = 10000
 	}
@@ -108,12 +102,12 @@ type experiment struct {
 	name  string
 	title string
 	jobs  []experiments.Job
-	print func([]experiments.Result)
+	print func(io.Writer, []experiments.Result)
 	// churn replaces jobs for online-resilience scenarios (live fault
 	// schedules driven through the churn supervisor).
 	churn []experiments.ChurnSpec
 	// run replaces job execution for the few non-job artifacts (fig5-4).
-	run func()
+	run func(io.Writer)
 }
 
 // size is the experiment's extent as -list prints it: churn scenarios are
@@ -133,28 +127,28 @@ func torus() experiments.TopoSpec { return experiments.TorusSpec(8, 8) }
 
 // registry builds the experiment index. Job lists are cheap to construct;
 // nothing runs until selected.
-func registry() []experiment {
-	p := simParams()
+func registry(o options) []experiment {
+	p := o.simParams()
 	var exps []experiment
 	add := func(e experiment) { exps = append(exps, e) }
 
 	add(experiment{
 		name:  "table6.1",
 		title: "Table 6.1 (BSOR_MILP: min MCL per acyclic CDG, MB/s)",
-		jobs:  experiments.TableJobs("table6.1", mesh(), "BSOR-MILP", experiments.TableBreakerNames(), *vcs),
+		jobs:  experiments.TableJobs("table6.1", mesh(), "BSOR-MILP", experiments.TableBreakerNames(), o.vcs),
 		print: printCDGRows,
 	})
 	add(experiment{
 		name:  "table6.2",
 		title: "Table 6.2 (BSOR_Dijkstra: min MCL per acyclic CDG, MB/s)",
-		jobs:  experiments.TableJobs("table6.2", mesh(), "BSOR-Dijkstra", experiments.TableBreakerNames(), *vcs),
+		jobs:  experiments.TableJobs("table6.2", mesh(), "BSOR-Dijkstra", experiments.TableBreakerNames(), o.vcs),
 		print: printCDGRows,
 	})
 	add(experiment{
 		name:  "table6.3",
 		title: "Table 6.3 (MCL in MB/s per routing algorithm)",
 		jobs: experiments.AlgoTableJobs("table6.3", mesh(), experiments.Table63Algorithms(),
-			experiments.TableBreakerNames(), *vcs),
+			experiments.TableBreakerNames(), o.vcs),
 		print: printAlgoRows,
 	})
 	figures := []struct{ id, wl string }{
@@ -212,7 +206,7 @@ func registry() []experiment {
 		name:  "torus6.2",
 		title: "Torus Table 6.2 (8x8 torus, BSOR_Dijkstra: min MCL per dateline CDG, MB/s)",
 		jobs: experiments.TableJobs("torus6.2", torus(), "BSOR-Dijkstra",
-			experiments.DatelineBreakerNames(), *vcs),
+			experiments.DatelineBreakerNames(), o.vcs),
 		print: printCDGRows,
 	})
 	var torusSweep []experiments.Job
@@ -257,14 +251,14 @@ func registry() []experiment {
 		name:  "synth16-mesh",
 		title: "Synthesis scale (16x16 mesh: MCL in MB/s per algorithm, synthetic workloads)",
 		jobs: experiments.SynthScaleJobs("synth16-mesh", experiments.MeshSpec(16, 16),
-			experiments.SynthScaleAlgorithms(), experiments.TableBreakerNames(), *vcs),
+			experiments.SynthScaleAlgorithms(), experiments.TableBreakerNames(), o.vcs),
 		print: printAlgoRows,
 	})
 	add(experiment{
 		name:  "synth16-torus",
 		title: "Synthesis scale (16x16 torus: MCL in MB/s per algorithm, dateline CDGs)",
 		jobs: experiments.SynthScaleJobs("synth16-torus", experiments.TorusSpec(16, 16),
-			experiments.SynthScaleAlgorithms(), experiments.DatelineBreakerNames(), *vcs),
+			experiments.SynthScaleAlgorithms(), experiments.DatelineBreakerNames(), o.vcs),
 		print: printAlgoRows,
 	})
 	// Fault-tolerance scenario: an 8x8 mesh and torus degrade link by link
@@ -348,23 +342,23 @@ func thesisSet(name string) bool {
 	return strings.HasPrefix(name, "table6.") || strings.HasPrefix(name, "fig")
 }
 
-func selected(name string) bool {
-	if *all && thesisSet(name) {
+func (o options) selects(name string) bool {
+	if o.all && thesisSet(name) {
 		return true
 	}
-	if *table != "" && name == "table"+*table {
+	if o.table != "" && name == "table"+o.table {
 		return true
 	}
-	if *fig != "" && name == "fig"+*fig {
+	if o.figure != "" && name == "fig"+o.figure {
 		return true
 	}
-	if *filter != "" {
+	if o.filter != "" {
 		// Exact name or glob only: a substring fallback would make
 		// -filter fig6-1 silently select fig6-10 too.
-		if name == *filter {
+		if name == o.filter {
 			return true
 		}
-		if ok, err := path.Match(*filter, name); err == nil && ok {
+		if ok, err := path.Match(o.filter, name); err == nil && ok {
 			return true
 		}
 	}
@@ -372,60 +366,82 @@ func selected(name string) bool {
 }
 
 func main() {
-	flag.Parse()
-	// os.Exit skips deferred profile writers, so the body runs in
-	// runMain and every early exit funnels through this one point.
-	os.Exit(runMain())
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
-func runMain() int {
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// run is the whole command: it parses args, runs the selected
+// experiments and writes their tables, charts or JSON documents to stdout
+// and every diagnostic to stderr. Returning, rather than exiting, lets
+// the deferred profile writers run.
+func run(args []string, stdout, stderr io.Writer) error {
+	var o options
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&o.fast, "fast", false, "reduced cycle counts and MILP budget for smoke runs")
+	fs.IntVar(&o.vcs, "vcs", 2, "virtual channels per link")
+	fs.StringVar(&o.table, "table", "", "6.1 | 6.2 | 6.3")
+	fs.StringVar(&o.figure, "figure", "", "6-1 .. 6-10 | 5-4")
+	fs.BoolVar(&o.all, "all", false, "run every thesis table and figure")
+	fs.StringVar(&o.filter, "filter", "", "experiment name or glob to select experiments")
+	fs.BoolVar(&o.list, "list", false, "print the experiment index and exit")
+	fs.BoolVar(&o.jobs, "jobs", false, "print the selected experiments' job lists as JSON, without running (churn scenarios are declared as churn specs, not jobs, and are skipped)")
+	fs.BoolVar(&o.json, "json", false, "print results as JSON instead of tables and charts")
+	fs.IntVar(&o.workers, "workers", 0, "worker-pool size (0 = NumCPU)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.metrics, "metrics", "",
+		`metrics sink: "-" (or "stderr") dumps a Prometheus text snapshot to stderr on exit; any other value is a listen address serving /metrics and /debug/vars during the run. Metrics are out-of-band: stdout (-json, -jobs) is byte-identical with or without them`)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
-		defer writeMemProfile(*memprofile)
+	if o.memprofile != "" {
+		defer writeMemProfile(o.memprofile, stderr)
 	}
 
-	exps := registry()
-	if *list {
+	exps := registry(o)
+	if o.list {
 		for _, e := range exps {
-			fmt.Printf("%-16s %s (%s)\n", e.name, e.title, e.size())
+			fmt.Fprintf(stdout, "%-16s %s (%s)\n", e.name, e.title, e.size())
 		}
-		return 0
+		return nil
 	}
 
-	collector, err := setupMetrics(*metricsDst)
+	collector, err := setupMetrics(o.metrics, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	if collector != nil && (*metricsDst == "-" || *metricsDst == "stderr") {
-		defer dumpMetrics(collector)
+	if collector != nil && (o.metrics == "-" || o.metrics == "stderr") {
+		defer dumpMetrics(collector, stderr)
 	}
-	runner := &experiments.Runner{Workers: *workers, MILP: milpSelector(), Metrics: collector}
-	defer reportSimRate(runner)
+	runner := &experiments.Runner{Workers: o.workers, MILP: o.milpSelector(), Metrics: collector}
+	defer reportSimRate(runner, stderr)
 	ran := false
 	var jsonResults []experiments.Result
 	var jsonChurn []experiments.ChurnResult
 	var jsonJobs []experiments.Job
 	for _, e := range exps {
-		if !selected(e.name) {
+		if !o.selects(e.name) {
 			continue
 		}
 		ran = true
 		if e.churn != nil {
-			if *jobs {
-				fmt.Fprintf(os.Stderr, "%s is declared as churn specs, not jobs; skipping under -jobs\n", e.name)
+			if o.jobs {
+				fmt.Fprintf(stderr, "%s is declared as churn specs, not jobs; skipping under -jobs\n", e.name)
 				continue
 			}
 			results, err := runner.RunChurn(context.Background(), e.churn)
@@ -433,30 +449,29 @@ func runMain() int {
 				err = experiments.FirstChurnError(results)
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
+				return err
 			}
-			if *jsonOut {
+			if o.json {
 				jsonChurn = append(jsonChurn, results...)
 				continue
 			}
-			fmt.Println(e.title)
-			printChurn(results)
-			fmt.Println()
+			fmt.Fprintln(stdout, e.title)
+			printChurn(stdout, results)
+			fmt.Fprintln(stdout)
 			continue
 		}
-		if *jobs {
+		if o.jobs {
 			jsonJobs = append(jsonJobs, e.jobs...)
 			continue
 		}
 		if e.run != nil {
-			if *jsonOut {
-				fmt.Fprintf(os.Stderr, "%s has no job-based output; skipping under -json\n", e.name)
+			if o.json {
+				fmt.Fprintf(stderr, "%s has no job-based output; skipping under -json\n", e.name)
 				continue
 			}
-			fmt.Println(e.title)
-			e.run()
-			fmt.Println()
+			fmt.Fprintln(stdout, e.title)
+			e.run(stdout)
+			fmt.Fprintln(stdout)
 			continue
 		}
 		results, err := runner.RunContext(context.Background(), e.jobs)
@@ -464,70 +479,54 @@ func runMain() int {
 			err = experiments.FirstError(results)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return err
 		}
-		if *jsonOut {
+		if o.json {
 			jsonResults = append(jsonResults, results...)
 			continue
 		}
-		fmt.Println(e.title)
-		e.print(results)
-		fmt.Println()
+		fmt.Fprintln(stdout, e.title)
+		e.print(stdout, results)
+		fmt.Fprintln(stdout)
 	}
-	if !ran {
-		flag.Usage()
-		return 1
+	switch {
+	case !ran:
+		fs.Usage()
+		return errors.New("experiments: no experiment selected")
+	case o.jobs:
+		return experiments.WriteJSON(stdout, jsonJobs)
+	case !o.json:
+		return nil
+	// One JSON document per run: job results and churn results have
+	// different shapes, so a selection mixing them must be split into
+	// two invocations rather than silently concatenated.
+	case len(jsonResults) > 0 && len(jsonChurn) > 0:
+		return errors.New("-json cannot mix job and churn experiments; select them in separate runs")
+	case len(jsonChurn) > 0:
+		return experiments.WriteJSON(stdout, jsonChurn)
 	}
-	if *jobs {
-		if err := experiments.WriteJSON(os.Stdout, jsonJobs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-	if *jsonOut {
-		// One JSON document per run: job results and churn results have
-		// different shapes, so a selection mixing them must be split into
-		// two invocations rather than silently concatenated.
-		if len(jsonResults) > 0 && len(jsonChurn) > 0 {
-			fmt.Fprintln(os.Stderr, "-json cannot mix job and churn experiments; select them in separate runs")
-			return 1
-		}
-		if len(jsonChurn) > 0 {
-			if err := experiments.WriteJSON(os.Stdout, jsonChurn); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			return 0
-		}
-		if err := experiments.WriteJSON(os.Stdout, jsonResults); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	return 0
+	return experiments.WriteJSON(stdout, jsonResults)
 }
 
 // printChurn prints one block per churn spec: the aggregate point, then
 // each fault event's purge cost and recovery. Wall-clock solve times are
 // human-output only; -json stays deterministic.
-func printChurn(results []experiments.ChurnResult) {
+func printChurn(w io.Writer, results []experiments.ChurnResult) {
 	for _, res := range results {
-		fmt.Printf("%s (%s, %s, rate %.2f, %d faults, resynth %s):\n",
+		fmt.Fprintf(w, "%s (%s, %s, rate %.2f, %d faults, resynth %s):\n",
 			res.Spec.Name, res.Spec.Topo.String(), res.Spec.Workload,
 			res.Spec.Rate, res.Spec.Faults, res.Spec.Resynth)
 		p := res.Point
-		fmt.Printf("  initial MCL %.2f; throughput %.4f pkt/cycle, %d delivered, avg latency %.1f\n",
+		fmt.Fprintf(w, "  initial MCL %.2f; throughput %.4f pkt/cycle, %d delivered, avg latency %.1f\n",
 			res.MCL, p.Throughput, p.Delivered, p.AvgLatency)
-		fmt.Printf("  purged: %d flits, %d packets dropped, %d requeued; worst dip %.1f%%, worst recovery %s\n",
+		fmt.Fprintf(w, "  purged: %d flits, %d packets dropped, %d requeued; worst dip %.1f%%, worst recovery %s\n",
 			p.DroppedFlits, p.DroppedPackets, p.RequeuedPackets,
 			100*p.ThroughputDip, cyclesOrNever(p.RecoveryCycles))
 		for i, ev := range res.Events {
-			fmt.Printf("  event %d @ cycle %d: failed %v; dip %.1f%%; recovered in %s; commit @ cycle %d (epoch %d)\n",
+			fmt.Fprintf(w, "  event %d @ cycle %d: failed %v; dip %.1f%%; recovered in %s; commit @ cycle %d (epoch %d)\n",
 				i, ev.Cycle, ev.Failed, 100*ev.ThroughputDip,
 				cyclesOrNever(ev.RecoveryCycles), ev.CommitCycle, ev.CommitEpoch)
-			fmt.Printf("    resynth %.1fms\n", ev.ResynthWall.Seconds()*1e3)
+			fmt.Fprintf(w, "    resynth %.1fms\n", ev.ResynthWall.Seconds()*1e3)
 		}
 	}
 }
@@ -542,18 +541,21 @@ func cyclesOrNever(c int64) string {
 // setupMetrics builds the collector the -metrics flag asks for: nil when
 // the flag is empty, snapshot-on-exit mode for "-"/"stderr", or a live
 // HTTP endpoint serving /metrics (Prometheus text) and /debug/vars
-// (expvar) for any other value, treated as a listen address. Either way
-// the collector is published under the expvar name "bsor".
-func setupMetrics(dst string) (*metrics.Collector, error) {
+// (expvar) for any other value, treated as a listen address. Only the
+// live endpoint publishes the collector under the expvar name "bsor":
+// nothing serves /debug/vars in snapshot mode, and an unpublished
+// collector leaves the command free to run again in the same process.
+// The live endpoint serves until the process exits.
+func setupMetrics(dst string, stderr io.Writer) (*metrics.Collector, error) {
 	if dst == "" {
 		return nil, nil
 	}
 	c := metrics.New()
-	if err := c.PublishExpvar("bsor"); err != nil {
-		return nil, err
-	}
 	if dst == "-" || dst == "stderr" {
 		return c, nil
+	}
+	if err := c.PublishExpvar("bsor"); err != nil {
+		return nil, err
 	}
 	mux := http.NewServeMux()
 	metrics.Register(mux, c)
@@ -561,10 +563,10 @@ func setupMetrics(dst string) (*metrics.Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("-metrics %s: %w", dst, err)
 	}
-	fmt.Fprintf(os.Stderr, "metrics: serving /metrics and /debug/vars on %s\n", ln.Addr())
+	fmt.Fprintf(stderr, "metrics: serving /metrics and /debug/vars on %s\n", ln.Addr())
 	go func() {
 		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
+			fmt.Fprintln(stderr, "metrics:", err)
 		}
 	}()
 	return c, nil
@@ -572,9 +574,9 @@ func setupMetrics(dst string) (*metrics.Collector, error) {
 
 // dumpMetrics writes the final Prometheus snapshot to stderr, keeping
 // stdout (the -json/-jobs documents) byte-identical to a metrics-off run.
-func dumpMetrics(c *metrics.Collector) {
-	if err := c.WritePrometheus(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "metrics:", err)
+func dumpMetrics(c *metrics.Collector, stderr io.Writer) {
+	if err := c.WritePrometheus(stderr); err != nil {
+		fmt.Fprintln(stderr, "metrics:", err)
 	}
 }
 
@@ -582,111 +584,111 @@ func dumpMetrics(c *metrics.Collector) {
 // stderr: simulated cycles and flit hops per second of sim wall time.
 // Diagnostics only — deterministic outputs (-json, -jobs) never include
 // timing.
-func reportSimRate(r *experiments.Runner) {
+func reportSimRate(r *experiments.Runner, stderr io.Writer) {
 	cycles, hops, wall := r.SimStats()
 	if cycles == 0 || wall <= 0 {
 		return
 	}
 	sec := wall.Seconds()
-	fmt.Fprintf(os.Stderr, "sim: %d cycles, %d flit-hops in %.2fs of sim time (%.0f cycles/sec, %.0f flit-hops/sec)\n",
+	fmt.Fprintf(stderr, "sim: %d cycles, %d flit-hops in %.2fs of sim time (%.0f cycles/sec, %.0f flit-hops/sec)\n",
 		cycles, hops, sec, float64(cycles)/sec, float64(hops)/sec)
 }
 
-func writeMemProfile(path string) {
+func writeMemProfile(path string, stderr io.Writer) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return
 	}
 	defer f.Close()
 	runtime.GC() // materialize up-to-date allocation stats
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 	}
 }
 
-func printCDGRows(results []experiments.Result) {
+func printCDGRows(w io.Writer, results []experiments.Result) {
 	rows := experiments.CDGRows(results)
 	if len(rows) > 0 {
-		fmt.Printf("%-16s", "workload")
+		fmt.Fprintf(w, "%-16s", "workload")
 		for _, b := range rows[0].Breakers {
-			fmt.Printf(" %20s", b)
+			fmt.Fprintf(w, " %20s", b)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, r := range rows {
-		fmt.Printf("%-16s", r.Workload)
+		fmt.Fprintf(w, "%-16s", r.Workload)
 		for _, v := range r.MCL {
 			if v < 0 {
-				fmt.Printf(" %20s", "n/a")
+				fmt.Fprintf(w, " %20s", "n/a")
 			} else {
-				fmt.Printf(" %20.2f", v)
+				fmt.Fprintf(w, " %20.2f", v)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
-func printAlgoRows(results []experiments.Result) {
+func printAlgoRows(w io.Writer, results []experiments.Result) {
 	rows := experiments.AlgoRows(results)
 	if len(rows) > 0 {
-		fmt.Printf("%-16s", "workload")
+		fmt.Fprintf(w, "%-16s", "workload")
 		for _, a := range rows[0].Algorithms {
-			fmt.Printf(" %14s", a)
+			fmt.Fprintf(w, " %14s", a)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, r := range rows {
-		fmt.Printf("%-16s", r.Workload)
+		fmt.Fprintf(w, "%-16s", r.Workload)
 		for _, v := range r.MCL {
-			fmt.Printf(" %14.2f", v)
+			fmt.Fprintf(w, " %14.2f", v)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
 // printSweep groups sim results by workload and prints one series block
 // per group, so multi-workload experiments (fig6-8, torus-sweep) read the
 // same as single-workload figures.
-func printSweep(results []experiments.Result) {
+func printSweep(w io.Writer, results []experiments.Result) {
 	for _, g := range experiments.GroupResults(results, experiments.ByWorkload) {
-		fmt.Printf("%s:\n", g.Key)
-		printSeries(experiments.SeriesFrom(g.Results))
+		fmt.Fprintf(w, "%s:\n", g.Key)
+		printSeries(w, experiments.SeriesFrom(g.Results))
 	}
 }
 
 // printFaultSweep prints one series block per degraded topology instance,
 // in fault-count order (the job order groups by topology label).
-func printFaultSweep(results []experiments.Result) {
+func printFaultSweep(w io.Writer, results []experiments.Result) {
 	for _, g := range experiments.GroupResults(results, experiments.ByTopo) {
-		fmt.Printf("%s (%d failed links):\n", g.Key, g.Results[0].Job.Topo.Faults)
-		printSeries(experiments.SeriesFrom(g.Results))
+		fmt.Fprintf(w, "%s (%d failed links):\n", g.Key, g.Results[0].Job.Topo.Faults)
+		printSeries(w, experiments.SeriesFrom(g.Results))
 	}
 }
 
-func printVCSweep(results []experiments.Result) {
+func printVCSweep(w io.Writer, results []experiments.Result) {
 	for _, g := range experiments.GroupResults(results, experiments.ByWorkload) {
 		byVC := experiments.SeriesByVC(g.Results)
 		for _, vc := range []int{1, 2, 4, 8} {
 			if len(byVC[vc]) == 0 {
 				continue
 			}
-			fmt.Printf("%s, %d VCs:\n", g.Key, vc)
-			printSeries(byVC[vc])
+			fmt.Fprintf(w, "%s, %d VCs:\n", g.Key, vc)
+			printSeries(w, byVC[vc])
 		}
 	}
 }
 
-func printSeries(series []experiments.Series) {
+func printSeries(w io.Writer, series []experiments.Series) {
 	for _, s := range series {
-		fmt.Printf("  %s\n", s.Algorithm)
-		fmt.Printf("    %10s %12s %12s\n", "offered", "throughput", "latency")
+		fmt.Fprintf(w, "  %s\n", s.Algorithm)
+		fmt.Fprintf(w, "    %10s %12s %12s\n", "offered", "throughput", "latency")
 		for _, p := range s.Points {
 			note := ""
 			if p.Deadlocked {
 				note = "  DEADLOCK"
 			}
-			fmt.Printf("    %10.2f %12.4f %12.2f%s\n", p.Offered, p.Throughput, p.AvgLatency, note)
+			fmt.Fprintf(w, "    %10.2f %12.4f %12.2f%s\n", p.Offered, p.Throughput, p.AvgLatency, note)
 		}
 	}
 	var tput, lat []viz.Series
@@ -702,19 +704,19 @@ func printSeries(series []experiments.Series) {
 		tput = append(tput, vs)
 		lat = append(lat, vl)
 	}
-	fmt.Println(viz.Chart("throughput (pkt/cycle) vs offered rate", tput, 60, 14))
-	fmt.Println(viz.Chart("average latency (cycles) vs offered rate", lat, 60, 14))
+	fmt.Fprintln(w, viz.Chart("throughput (pkt/cycle) vs offered rate", tput, 60, 14))
+	fmt.Fprintln(w, viz.Chart("average latency (cycles) vs offered rate", lat, 60, 14))
 }
 
-func runTrace() {
+func runTrace(w io.Writer) {
 	trace := experiments.InjectionTrace(experiments.DefaultDemand, 0.25, 2000, 52)
 	for i := 0; i < len(trace); i += 100 {
-		fmt.Printf("  cycle %5d: %6.2f MB/s\n", i, trace[i])
+		fmt.Fprintf(w, "  cycle %5d: %6.2f MB/s\n", i, trace[i])
 	}
 	// One sparkline character per 10-cycle window.
 	sampled := make([]float64, 0, len(trace)/10)
 	for i := 0; i < len(trace); i += 10 {
 		sampled = append(sampled, trace[i])
 	}
-	fmt.Printf("  trace: %s\n", viz.Sparkline(sampled))
+	fmt.Fprintf(w, "  trace: %s\n", viz.Sparkline(sampled))
 }

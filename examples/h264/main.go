@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/route"
@@ -18,12 +20,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	m := topology.NewMesh(8, 8)
 	app, err := traffic.H264Decoder(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("H.264 decoder: %d modules, %d flows, heaviest %s\n",
+	fmt.Fprintf(stdout, "H.264 decoder: %d modules, %d flows, heaviest %s\n",
 		len(app.Modules), len(app.Flows), "f7 (120.4 MB/s into the memory controller)")
 
 	algs := []struct {
@@ -37,11 +45,11 @@ func main() {
 		{route.YX{}, true},
 	}
 
-	fmt.Println("\nMCL and simulated performance at offered rate 20 pkt/cycle:")
+	fmt.Fprintln(stdout, "\nMCL and simulated performance at offered rate 20 pkt/cycle:")
 	for _, a := range algs {
 		set, err := a.alg.Routes(m, app.Flows)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		mcl, _ := set.MCL()
 
@@ -51,23 +59,23 @@ func main() {
 			WarmupCycles: 5000, MeasureCycles: 30000, Seed: 7,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := s.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-14s MCL %7.2f MB/s  throughput %.3f pkt/cyc  latency %7.1f\n",
+		fmt.Fprintf(stdout, "  %-14s MCL %7.2f MB/s  throughput %.3f pkt/cyc  latency %7.1f\n",
 			a.alg.Name(), mcl, res.Throughput, res.AvgLatency)
 	}
 
 	// Run-time variation: data-dependent rates move within 25% of the
 	// profile-time estimates while the routes stay fixed.
-	fmt.Println("\nwith 25% Markov-modulated bandwidth variation (routes unchanged):")
+	fmt.Fprintln(stdout, "\nwith 25% Markov-modulated bandwidth variation (routes unchanged):")
 	bsor := core.BSOR{Label: "BSOR-Dijkstra", Config: core.Config{VCs: 2}}
 	set, err := bsor.Routes(m, app.Flows)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mmps := make([]*traffic.MMP, len(app.Flows))
 	for i, f := range app.Flows {
@@ -79,12 +87,13 @@ func main() {
 		RateVariation: func(flow int) float64 { return mmps[flow].Advance() },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := s.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  %-14s throughput %.3f pkt/cyc  latency %7.1f\n",
+	fmt.Fprintf(stdout, "  %-14s throughput %.3f pkt/cyc  latency %7.1f\n",
 		bsor.Name(), res.Throughput, res.AvgLatency)
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/cdg"
 	"repro/internal/core"
@@ -21,13 +23,19 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	ctx := context.Background()
 	m := topology.NewMesh(8, 8)
 	app, err := traffic.PerfModeling(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("performance modeling: %d modules, %d flows\n\n", len(app.Modules), len(app.Flows))
+	fmt.Fprintf(stdout, "performance modeling: %d modules, %d flows\n\n", len(app.Modules), len(app.Flows))
 
 	// The register-file transfers gate the pipeline: force them minimal.
 	critical := map[int]int{}
@@ -39,48 +47,48 @@ func main() {
 	sel := route.DijkstraSelector{HopBudgets: critical}
 	set, best, err := core.BestContext(ctx, m, app.Flows, core.Config{VCs: 2, Selector: sel})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mcl, _ := set.MCL()
-	fmt.Printf("BSOR with latency-critical register-file flows (via %s): MCL %.2f MB/s\n",
+	fmt.Fprintf(stdout, "BSOR with latency-critical register-file flows (via %s): MCL %.2f MB/s\n",
 		best.Breaker, mcl)
 	for i, r := range set.Routes {
 		mark := " "
 		if _, ok := critical[i]; ok {
 			mark = "*"
 		}
-		fmt.Printf("  %s %-4s %6.2f MB/s  %d hops (minimal %d)\n",
+		fmt.Fprintf(stdout, "  %s %-4s %6.2f MB/s  %d hops (minimal %d)\n",
 			mark, r.Flow.Name, r.Flow.Demand, r.Hops(), m.MinimalHops(r.Flow.Src, r.Flow.Dst))
 	}
-	fmt.Println("  (* = forced minimal)")
+	fmt.Fprintln(stdout, "  (* = forced minimal)")
 
 	// Compile to router configurations and report the hardware cost the
 	// thesis argues is negligible.
 	rep, err := routerconfig.Sizes(m, set, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nrouter configuration cost:\n")
-	fmt.Printf("  source routing: %d bits total, largest header %d bits\n",
+	fmt.Fprintf(stdout, "\nrouter configuration cost:\n")
+	fmt.Fprintf(stdout, "  source routing: %d bits total, largest header %d bits\n",
 		rep.SourceRouteBitsTotal, rep.SourceRouteBitsMax)
-	fmt.Printf("  node tables:    deepest table %d entries, %d bits network-wide\n",
+	fmt.Fprintf(stdout, "  node tables:    deepest table %d entries, %d bits network-wide\n",
 		rep.NodeTableEntriesMax, rep.NodeTableBits)
 
 	// Replay one flow through the compiled node tables to show the
 	// index-chained lookups of Fig. 4-2(b).
 	nt, err := routerconfig.CompileNodeTables(m, set)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	nodes, err := nt.Walk(m, 3) // f4, the heaviest flow
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nf4 through the node tables:")
+	fmt.Fprintf(stdout, "\nf4 through the node tables:")
 	for _, n := range nodes {
-		fmt.Printf(" %s", m.NodeName(n))
+		fmt.Fprintf(stdout, " %s", m.NodeName(n))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// The same selection also works without bandwidth estimates (§7.2):
 	// minimize the maximum number of flows per link instead.
@@ -90,7 +98,7 @@ func main() {
 	g := flowgraph.New(full, app.Flows, 4*62.73)
 	uset, err := unit.SelectContext(ctx, g)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	counts := make(map[topology.ChannelID]int)
 	maxFlows := 0
@@ -103,6 +111,7 @@ func main() {
 		}
 	}
 	umcl, _ := uset.MCL()
-	fmt.Printf("\nbandwidth-oblivious variant: max %d flows share a link (MCL %.2f MB/s)\n",
+	fmt.Fprintf(stdout, "\nbandwidth-oblivious variant: max %d flows share a link (MCL %.2f MB/s)\n",
 		maxFlows, umcl)
+	return nil
 }

@@ -10,12 +10,20 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/bsor"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	sim := &bsor.SimSpec{Rates: []float64{30}, Warmup: 5000, Measure: 30000, Seed: 3}
 	var specs []bsor.Spec
 	for _, vcs := range []int{1, 2, 4, 8} {
@@ -27,18 +35,19 @@ func main() {
 	}
 	p, err := bsor.NewPipeline(specs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	results, err := p.RunAll(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("transpose, BSOR-Dijkstra routes, offered rate 30 pkt/cycle:")
+	fmt.Fprintln(stdout, "transpose, BSOR-Dijkstra routes, offered rate 30 pkt/cycle:")
 	for _, res := range results {
 		if res.Err != nil {
-			log.Fatal(res.Err)
+			return res.Err
 		}
-		fmt.Printf("  %s: MCL %.0f (via %s), throughput %.3f pkt/cyc, latency %.1f cycles\n",
+		fmt.Fprintf(stdout, "  %s: MCL %.0f (via %s), throughput %.3f pkt/cyc, latency %.1f cycles\n",
 			res.Name, res.MCL, res.Breaker, res.Point.Throughput, res.Point.AvgLatency)
 	}
+	return nil
 }

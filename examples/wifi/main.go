@@ -9,7 +9,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/route"
@@ -18,13 +20,19 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	ctx := context.Background()
 	m := topology.NewMesh(8, 8)
 	app, err := traffic.Transmitter80211(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("802.11a/g transmitter: %d modules, %d flows (Table 5.2 rates)\n\n",
+	fmt.Fprintf(stdout, "802.11a/g transmitter: %d modules, %d flows (Table 5.2 rates)\n\n",
 		len(app.Modules), len(app.Flows))
 
 	selectors := []route.Selector{
@@ -32,23 +40,23 @@ func main() {
 		route.DijkstraSelector{},
 	}
 	for _, sel := range selectors {
-		fmt.Printf("%s, per-CDG MCL (MB/s):\n", sel.Name())
+		fmt.Fprintf(stdout, "%s, per-CDG MCL (MB/s):\n", sel.Name())
 		results, err := core.ExploreContext(ctx, m, app.Flows, core.Config{VCs: 2, Selector: sel})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		bestMCL, bestName := -1.0, ""
 		for _, ex := range results {
 			if ex.Err != nil {
-				fmt.Printf("  %-28s n/a (%v)\n", ex.Breaker, ex.Err)
+				fmt.Fprintf(stdout, "  %-28s n/a (%v)\n", ex.Breaker, ex.Err)
 				continue
 			}
-			fmt.Printf("  %-28s %6.2f\n", ex.Breaker, ex.MCL)
+			fmt.Fprintf(stdout, "  %-28s %6.2f\n", ex.Breaker, ex.MCL)
 			if bestMCL < 0 || ex.MCL < bestMCL {
 				bestMCL, bestName = ex.MCL, ex.Breaker
 			}
 		}
-		fmt.Printf("  best: %.2f MB/s via %s (lower bound: 7.34, the f9 demand)\n\n",
+		fmt.Fprintf(stdout, "  best: %.2f MB/s via %s (lower bound: 7.34, the f9 demand)\n\n",
 			bestMCL, bestName)
 	}
 
@@ -56,12 +64,13 @@ func main() {
 	// router of chapter 4 would be configured.
 	set, best, err := core.BestContext(ctx, m, app.Flows, core.Config{VCs: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("selected routes (%s):\n", best.Breaker)
+	fmt.Fprintf(stdout, "selected routes (%s):\n", best.Breaker)
 	for _, r := range set.Routes {
-		fmt.Printf("  %-4s %6.2f MB/s  %2d hops  %s -> %s\n",
+		fmt.Fprintf(stdout, "  %-4s %6.2f MB/s  %2d hops  %s -> %s\n",
 			r.Flow.Name, r.Flow.Demand, r.Hops(),
 			m.NodeName(r.Flow.Src), m.NodeName(r.Flow.Dst))
 	}
+	return nil
 }

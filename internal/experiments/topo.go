@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/cdg"
 	"repro/internal/topology"
@@ -53,7 +55,7 @@ type TopoKind struct {
 	min      [2]int // the least the constructor accepts
 	reason   string // words an undersized declaration; verbs index the two sizes, then min's two
 	build    func(TopoSpec) topology.Topology
-	breakers func() []string // default exploration set; nil means the graph-generic one
+	breakers func() []string // default exploration set, shared: clone before handing out; nil means the graph-generic one
 }
 
 // topoShape says which TopoSpec fields size a kind. Sizes travel as [2]int
@@ -85,11 +87,11 @@ var topoKinds = func() []TopoKind {
 		{Name: "mesh", topoShape: grid, min: [2]int{1, 1},
 			reason:   "grid %[1]dx%[2]d (a mesh needs at least %[3]dx%[4]d)",
 			build:    func(t TopoSpec) topology.Topology { return topology.NewMesh(t.Width, t.Height) },
-			breakers: func() []string { return BreakerNames(cdg.StandardBreakers()) }},
+			breakers: sync.OnceValue(func() []string { return BreakerNames(cdg.StandardBreakers()) })},
 		{Name: "torus", topoShape: grid, min: [2]int{2, 2},
 			reason:   "grid %[1]dx%[2]d (a torus needs at least %[3]dx%[4]d)",
 			build:    func(t TopoSpec) topology.Topology { return topology.NewTorus(t.Width, t.Height) },
-			breakers: DatelineBreakerNames},
+			breakers: sync.OnceValue(DatelineBreakerNames)},
 		{Name: "ring", topoShape: nodes, min: [2]int{3},
 			reason: "%[1]d nodes (a ring needs at least %[3]d)",
 			build:  func(t TopoSpec) topology.Topology { return topology.NewRing(t.Nodes) }},
@@ -246,14 +248,15 @@ func (t TopoSpec) String() string {
 // turn-model rules plus three ad hoc seeds) on a mesh, the twelve
 // dateline rules on a torus, and the graph-generic up*/down* set (plain
 // and escape-layered, several spanning roots) on every other kind. A spec
-// that fails Check has none.
+// that fails Check has none. The mesh and torus lists are derived once per
+// process; each call returns its own copy.
 func DefaultBreakerNames(t TopoSpec) []string {
 	t = t.WithDefaults()
 	if t.Check() != nil {
 		return nil
 	}
 	if k, _ := TopoKindOf(t.Kind); k.breakers != nil {
-		return k.breakers()
+		return slices.Clone(k.breakers())
 	}
 	return GraphBreakerNames(t.NumNodes())
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cdg"
 	"repro/internal/core"
 	"repro/internal/topology"
 )
@@ -93,5 +94,39 @@ func TestVocabulariesAgree(t *testing.T) {
 
 	if names := ChurnResynthNames(); !slices.Contains(names, (ChurnSpec{}).withDefaults().Resynth) {
 		t.Errorf("the default resynth is not one of %v", names)
+	}
+}
+
+// TestDefaultBreakerNamesCached holds the mesh and torus name lists,
+// derived once per process, to Name() of each breaker they stand for, in
+// order. Each call hands out its own copy (a Spec stores the slice), and
+// that copy is the call's one allocation.
+func TestDefaultBreakerNamesCached(t *testing.T) {
+	var dateline []cdg.Breaker
+	for _, rule := range cdg.TwelveTurnRules() {
+		dateline = append(dateline, cdg.DatelineBreaker{Rule: rule})
+	}
+	for _, tc := range []struct {
+		topo  TopoSpec
+		built []cdg.Breaker
+	}{
+		{MeshSpec(8, 8), cdg.StandardBreakers()},
+		{TorusSpec(8, 8), dateline},
+	} {
+		var want []string
+		for _, b := range tc.built {
+			want = append(want, b.Name())
+		}
+		got := DefaultBreakerNames(tc.topo)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: default breakers %v, want the built breakers' names %v", tc.topo, got, want)
+		}
+		got[0] = "overwritten"
+		if again := DefaultBreakerNames(tc.topo); again[0] != want[0] {
+			t.Errorf("%s: a caller's write reached the shared names: %v", tc.topo, again)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { DefaultBreakerNames(tc.topo) }); allocs > 1 {
+			t.Errorf("%s: DefaultBreakerNames makes %.0f allocations, want 1", tc.topo, allocs)
+		}
 	}
 }
