@@ -9,7 +9,7 @@ import (
 
 // SpecFlags binds the command-line flags shared by the repository's
 // tools (topology, workload, VCs, demand) onto one flag set, so
-// cmd/bsor and cmd/nocsim parse specs identically instead of
+// cmd/bsor's subcommands parse specs identically instead of
 // copy-pasting flag wiring. Register with RegisterFlags, call ParseSpec
 // after the flag set parses.
 type SpecFlags struct {

@@ -2,14 +2,14 @@
 // extended sweeps the concurrent engine makes affordable — from declarative
 // job lists executed on a worker pool.
 //
-//	experiments -table 6.1            # min MCL per acyclic CDG, BSOR_MILP
-//	experiments -table 6.2            # same under BSOR_Dijkstra
-//	experiments -table 6.3            # MCL comparison across algorithms
-//	experiments -figure 6-1           # transpose throughput/latency sweep
+//	experiments -filter table6.1      # min MCL per acyclic CDG, BSOR_MILP
+//	experiments -filter table6.2      # same under BSOR_Dijkstra
+//	experiments -filter table6.3      # MCL comparison across algorithms
+//	experiments -filter fig6-1        # transpose throughput/latency sweep
 //	...
-//	experiments -figure 6-7           # VC sweep
-//	experiments -figure 6-8           # 10% bandwidth variation
-//	experiments -figure 5-4           # injection-rate trace
+//	experiments -filter fig6-7        # VC sweep
+//	experiments -filter fig6-8        # 10% bandwidth variation
+//	experiments -filter fig5-4        # injection-rate trace
 //	experiments -all                  # every thesis table and figure
 //
 //	experiments -filter 'table6.*'    # select experiments by name or glob
@@ -27,8 +27,8 @@
 //	experiments -filter table6.2 -json   # machine-readable results (EXPERIMENTS.md)
 //	experiments -workers 4               # worker-pool size (default NumCPU)
 //
-//	experiments -figure 6-1 -cpuprofile cpu.prof   # profile a sweep
-//	experiments -figure 6-1 -memprofile mem.prof   # heap profile on exit
+//	experiments -filter fig6-1 -cpuprofile cpu.prof   # profile a sweep
+//	experiments -filter fig6-1 -memprofile mem.prof   # heap profile on exit
 //
 //	experiments -filter churn-16 -metrics -              # Prometheus snapshot to stderr on exit
 //	experiments -filter churn-16 -metrics localhost:9090 # serve /metrics and /debug/vars live
@@ -43,6 +43,7 @@ package main
 import (
 	"context"
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -53,6 +54,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -63,7 +66,7 @@ import (
 type options struct {
 	fast, all, list, jobs, json bool
 	vcs, workers                int
-	table, figure, filter       string
+	filter                      string
 	cpuprofile, memprofile      string
 	metrics                     string
 }
@@ -336,33 +339,17 @@ func registry(o options) []experiment {
 	return exps
 }
 
-// thesisSet is the -all selection: every table and figure of the thesis,
-// excluding the extended sweeps.
-func thesisSet(name string) bool {
-	return strings.HasPrefix(name, "table6.") || strings.HasPrefix(name, "fig")
-}
-
+// selects reports whether the command line selects the named experiment.
+// -all takes every table and figure of the thesis, not the extended
+// sweeps. -filter is a glob, and a plain name matches only itself: there
+// is no substring fallback, which would make -filter fig6-1 select
+// fig6-10 too.
 func (o options) selects(name string) bool {
-	if o.all && thesisSet(name) {
+	if o.all && (strings.HasPrefix(name, "table6.") || strings.HasPrefix(name, "fig")) {
 		return true
 	}
-	if o.table != "" && name == "table"+o.table {
-		return true
-	}
-	if o.figure != "" && name == "fig"+o.figure {
-		return true
-	}
-	if o.filter != "" {
-		// Exact name or glob only: a substring fallback would make
-		// -filter fig6-1 silently select fig6-10 too.
-		if name == o.filter {
-			return true
-		}
-		if ok, err := path.Match(o.filter, name); err == nil && ok {
-			return true
-		}
-	}
-	return false
+	ok, err := path.Match(o.filter, name)
+	return err == nil && ok
 }
 
 func main() {
@@ -382,8 +369,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	fs.BoolVar(&o.fast, "fast", false, "reduced cycle counts and MILP budget for smoke runs")
 	fs.IntVar(&o.vcs, "vcs", 2, "virtual channels per link")
-	fs.StringVar(&o.table, "table", "", "6.1 | 6.2 | 6.3")
-	fs.StringVar(&o.figure, "figure", "", "6-1 .. 6-10 | 5-4")
 	fs.BoolVar(&o.all, "all", false, "run every thesis table and figure")
 	fs.StringVar(&o.filter, "filter", "", "experiment name or glob to select experiments")
 	fs.BoolVar(&o.list, "list", false, "print the experiment index and exit")
@@ -393,7 +378,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.metrics, "metrics", "",
-		`metrics sink: "-" (or "stderr") dumps a Prometheus text snapshot to stderr on exit; any other value is a listen address serving /metrics and /debug/vars during the run. Metrics are out-of-band: stdout (-json, -jobs) is byte-identical with or without them`)
+		`metrics sink: "-" dumps a Prometheus text snapshot to stderr on exit; any other value is a listen address serving /metrics and /debug/vars during the run. Metrics are out-of-band: stdout (-json, -jobs) is byte-identical with or without them`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -421,13 +406,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	collector, err := setupMetrics(o.metrics, stderr)
+	collector, closeMetrics, err := setupMetrics(o.metrics, stderr)
 	if err != nil {
 		return err
 	}
-	if collector != nil && (o.metrics == "-" || o.metrics == "stderr") {
-		defer dumpMetrics(collector, stderr)
-	}
+	defer closeMetrics()
 	runner := &experiments.Runner{Workers: o.workers, MILP: o.milpSelector(), Metrics: collector}
 	defer reportSimRate(runner, stderr)
 	ran := false
@@ -538,47 +521,61 @@ func cyclesOrNever(c int64) string {
 	return fmt.Sprintf("%d cycles", c)
 }
 
-// setupMetrics builds the collector the -metrics flag asks for: nil when
-// the flag is empty, snapshot-on-exit mode for "-"/"stderr", or a live
-// HTTP endpoint serving /metrics (Prometheus text) and /debug/vars
-// (expvar) for any other value, treated as a listen address. Only the
-// live endpoint publishes the collector under the expvar name "bsor":
-// nothing serves /debug/vars in snapshot mode, and an unpublished
-// collector leaves the command free to run again in the same process.
-// The live endpoint serves until the process exits.
-func setupMetrics(dst string, stderr io.Writer) (*metrics.Collector, error) {
+// setupMetrics builds the collector the -metrics flag asks for and the
+// func that ends it when the run returns. An empty flag gives no
+// collector. "-" is snapshot mode: the end func writes the Prometheus
+// text to stderr, keeping stdout (the -json/-jobs documents)
+// byte-identical to a metrics-off run. Any other value is a listen
+// address serving /metrics (Prometheus text) and /debug/vars (expvar)
+// for the run; the end func closes the server and its listener.
+func setupMetrics(dst string, stderr io.Writer) (*metrics.Collector, func(), error) {
 	if dst == "" {
-		return nil, nil
+		return nil, func() {}, nil
 	}
 	c := metrics.New()
-	if dst == "-" || dst == "stderr" {
-		return c, nil
+	if dst == "-" {
+		return c, func() {
+			if err := c.WritePrometheus(stderr); err != nil {
+				fmt.Fprintln(stderr, "metrics:", err)
+			}
+		}, nil
 	}
-	if err := c.PublishExpvar("bsor"); err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	metrics.Register(mux, c)
 	ln, err := net.Listen("tcp", dst)
 	if err != nil {
-		return nil, fmt.Errorf("-metrics %s: %w", dst, err)
+		return nil, nil, fmt.Errorf("-metrics %s: %w", dst, err)
 	}
+	liveVar.Store(c)
+	publishLiveVar.Do(func() { expvar.Publish("bsor", &liveVar) })
+	mux := http.NewServeMux()
+	metrics.Register(mux, c)
+	srv := &http.Server{Handler: mux}
 	fmt.Fprintf(stderr, "metrics: serving /metrics and /debug/vars on %s\n", ln.Addr())
+	served := make(chan struct{})
 	go func() {
-		if err := http.Serve(ln, mux); err != nil {
+		defer close(served)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(stderr, "metrics:", err)
 		}
 	}()
-	return c, nil
+	return c, func() {
+		srv.Close()
+		<-served
+	}, nil
 }
 
-// dumpMetrics writes the final Prometheus snapshot to stderr, keeping
-// stdout (the -json/-jobs documents) byte-identical to a metrics-off run.
-func dumpMetrics(c *metrics.Collector, stderr io.Writer) {
-	if err := c.WritePrometheus(stderr); err != nil {
-		fmt.Fprintln(stderr, "metrics:", err)
-	}
+// collectorVar is the expvar "bsor": the snapshot of the latest live
+// run's collector. expvar has no unpublish, so the name is published once
+// per process and each live run points it at its own collector.
+type collectorVar struct {
+	atomic.Pointer[metrics.Collector]
 }
+
+func (v *collectorVar) String() string { return v.Load().ExpvarVar().String() }
+
+var (
+	liveVar        collectorVar
+	publishLiveVar sync.Once
+)
 
 // reportSimRate prints the aggregate simulation throughput of a run to
 // stderr: simulated cycles and flit hops per second of sim wall time.

@@ -38,7 +38,7 @@ type NonPowerOfTwoError struct {
 }
 
 func (e *NonPowerOfTwoError) Error() string {
-	return fmt.Sprintf("traffic: %d nodes is not a power of two; bit-permutation patterns need an integer address width (use RandomPermutation)", e.Nodes)
+	return fmt.Sprintf("traffic: %d nodes is not a power of two; bit-permutation patterns need an integer address width (use the rand-perm workload)", e.Nodes)
 }
 
 // TooFewNodesError reports a topology with fewer than two nodes: no
@@ -63,7 +63,7 @@ type OddAddressWidthError struct {
 }
 
 func (e *OddAddressWidthError) Error() string {
-	return fmt.Sprintf("traffic: transpose requires an even address width, have %d bits for %d nodes (use RandomPermutation)", e.Bits, e.Nodes)
+	return fmt.Sprintf("traffic: transpose requires an even address width, have %d bits for %d nodes (use the rand-perm workload)", e.Bits, e.Nodes)
 }
 
 // addressBits returns b = log2(N) for the bit-permutation patterns, which
